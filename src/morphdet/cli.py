@@ -171,7 +171,10 @@ def _split_ids(data_dir: str) -> tuple[list[int], list[int]]:
     if os.path.exists(manifest_path):
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-        return list(manifest["base_class_ids"]), list(manifest["novel_class_ids"])
+        try:
+            return list(manifest["base_class_ids"]), list(manifest["novel_class_ids"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{manifest_path}: no class id list {exc}") from exc
     universe = load_universe(_require(os.path.join(data_dir, "universe.txt")))
     split = universe.split_manifest()
     return list(split["base_class_ids"]), list(split["novel_class_ids"])

@@ -393,11 +393,11 @@ def load_checkpoint(path) -> DetectorState:
         k += 2
     if k >= len(lines):
         raise CheckpointError("checkpoint has no prototype section")
-    proto_lines = []
-    for line in lines[k + 1 :]:
-        if line == "end":
-            break
-        proto_lines.append(line)
+    try:
+        end = lines.index("end", k + 1)
+    except ValueError:
+        raise CheckpointError("checkpoint has no end trailer (truncated file?)") from None
+    proto_lines = lines[k + 1 : end]
     params = params_from_tensors(tensors, arch)
     try:
         protos = from_text("\n".join(proto_lines) + "\n", dim=params.feature_dim)

@@ -17,18 +17,17 @@ guarantees for morphing are asserted downstream.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .numkernel import DimensionMismatch, EmptyInput, smooth_l1_array, smooth_l1_grad_array
 from .objective import LossBreakdown, LossWeights
 from .prototype_store import PrototypeSet, UnknownClass, all_prototypes
-from .textio import parse_tensor, tensor_lines
-
-PARAMS_HEADER = "morphdet-params v1"
+from .textio import tensor_lines
 
 _grad_evaluations = 0
 
@@ -39,40 +38,95 @@ def grad_evaluation_count() -> int:
 
 
 class CheckpointError(ValueError):
-    """A parameter file is malformed, versioned wrong, or shape-incompatible."""
+    """A checkpoint is malformed, versioned wrong, or shape-incompatible."""
 
 
-@dataclass(eq=False)
-class AffineLayer:
+class AffineLayer(NamedTuple):
     weight: np.ndarray  # (n_in, n_out)
     bias: np.ndarray  # (n_out,)
 
 
-@dataclass(eq=False)
+@lru_cache(maxsize=64)
+def _layout(sizes: tuple[int, ...]) -> tuple[tuple, int]:
+    """((name, offset, shape) per tensor, total length) of the flat vector:
+    trunk bottom-up, then the feature, background and box heads, each weight
+    before its bias. This is also the tensor order of checkpoints."""
+    top = sizes[-2]
+    blocks = [(f"trunk.{k}", sizes[k], sizes[k + 1]) for k in range(len(sizes) - 2)]
+    blocks += [("feature_head", top, sizes[-1]), ("background_head", top, 1), ("box_head", top, 4)]
+    slots = []
+    offset = 0
+    for name, n_in, n_out in blocks:
+        for suffix, shape in (("weight", (n_in, n_out)), ("bias", (n_out,))):
+            slots.append((f"{name}.{suffix}", offset, shape))
+            offset += math.prod(shape)
+    return tuple(slots), offset
+
+
 class EmbedderParams:
-    trunk: list[AffineLayer]
-    feature_head: AffineLayer
-    background_head: AffineLayer
-    box_head: AffineLayer
+    """Every network tensor in one contiguous float64 vector `flat`.
+
+    `sizes` is (m_in, *hidden_sizes, feature_dim); it fixes the layout, and
+    the per-layer arrays are views into `flat`, built once here.
+    """
+
+    __slots__ = ("sizes", "flat", "_tensors", "_blocks")
+
+    def __init__(self, sizes, flat: np.ndarray | None = None):
+        sizes = tuple(int(s) for s in sizes)
+        if len(sizes) < 2 or min(sizes) < 1:
+            raise ValueError(f"layer sizes (m_in, *hidden, d) must all be >= 1, got {sizes}")
+        slots, total = _layout(sizes)
+        if flat is None:
+            flat = np.zeros(total)
+        elif flat.dtype != np.float64 or flat.shape != (total,):
+            raise DimensionMismatch(f"flat parameters have {flat.dtype} {flat.shape}, expected float64 ({total},)")
+        self.sizes = sizes
+        self.flat = flat
+        self._tensors = tuple(
+            (name, flat[offset : offset + math.prod(shape)].reshape(shape)) for name, offset, shape in slots
+        )
+        arrays = [arr for _, arr in self._tensors]
+        self._blocks = tuple(AffineLayer(arrays[k], arrays[k + 1]) for k in range(0, len(arrays), 2))
 
     @property
     def m_in(self) -> int:
-        first = self.trunk[0] if self.trunk else self.feature_head
-        return first.weight.shape[0]
+        return self.sizes[0]
 
     @property
     def hidden_sizes(self) -> tuple[int, ...]:
-        return tuple(layer.weight.shape[1] for layer in self.trunk)
+        return self.sizes[1:-1]
 
     @property
     def feature_dim(self) -> int:
-        return self.feature_head.weight.shape[1]
+        return self.sizes[-1]
+
+    @property
+    def trunk(self) -> tuple[AffineLayer, ...]:
+        return self._blocks[:-3]
+
+    @property
+    def feature_head(self) -> AffineLayer:
+        return self._blocks[-3]
+
+    @property
+    def background_head(self) -> AffineLayer:
+        return self._blocks[-2]
+
+    @property
+    def box_head(self) -> AffineLayer:
+        return self._blocks[-1]
 
     def blocks(self) -> list[AffineLayer]:
-        return [*self.trunk, self.feature_head, self.background_head, self.box_head]
+        return list(self._blocks)
+
+    def named_tensors(self) -> tuple[tuple[str, np.ndarray], ...]:
+        """(checkpoint name, view) pairs in layout order."""
+        return self._tensors
 
 
-# Gradients share the parameter tree shape: d(loss)/d(tensor) in each slot.
+# Gradients and momentum state share the parameter layout: d(loss)/d(entry)
+# in each slot.
 Gradients = EmbedderParams
 
 
@@ -84,50 +138,21 @@ class ProposalOutputs:
 
 
 def validate_params(params: EmbedderParams) -> None:
-    """Check the layer shapes chain and every entry is finite."""
-    widths = [params.m_in, *params.hidden_sizes]
-    for k, layer in enumerate(params.trunk):
-        if layer.weight.shape != (widths[k], widths[k + 1]):
-            raise DimensionMismatch(f"trunk layer {k} weight has shape {layer.weight.shape}")
-        if layer.bias.shape != (widths[k + 1],):
-            raise DimensionMismatch(f"trunk layer {k} bias has shape {layer.bias.shape}")
-    top = widths[-1]
-    for name, layer, n_out in (
-        ("feature_head", params.feature_head, params.feature_dim),
-        ("background_head", params.background_head, 1),
-        ("box_head", params.box_head, 4),
-    ):
-        if layer.weight.shape != (top, n_out):
-            raise DimensionMismatch(f"{name} weight has shape {layer.weight.shape}, expected {(top, n_out)}")
-        if layer.bias.shape != (n_out,):
-            raise DimensionMismatch(f"{name} bias has shape {layer.bias.shape}, expected {(n_out,)}")
-    for layer in params.blocks():
-        if not (np.all(np.isfinite(layer.weight)) and np.all(np.isfinite(layer.bias))):
-            raise ValueError("network parameters contain non-finite entries")
+    """Check every entry is finite; shapes hold by construction."""
+    if not np.all(np.isfinite(params.flat)):
+        raise ValueError("network parameters contain non-finite entries")
 
 
 def init_params(m_in: int, hidden_sizes, feature_dim: int, seed: int) -> EmbedderParams:
     """Deterministic initialization: weights uniform in +-1/sqrt(fan_in),
     biases zero. Layers are drawn in a fixed order (trunk bottom-up, then
     feature, background, box heads), so a seed pins every tensor."""
-    hidden_sizes = tuple(int(h) for h in hidden_sizes)
-    if m_in < 1 or feature_dim < 1 or any(h < 1 for h in hidden_sizes):
-        raise ValueError(f"all layer sizes must be >= 1, got m_in={m_in}, hidden={hidden_sizes}, d={feature_dim}")
+    params = EmbedderParams((m_in, *hidden_sizes, feature_dim))
     rng = np.random.default_rng(seed)
-
-    def affine(n_in: int, n_out: int) -> AffineLayer:
-        scale = 1.0 / math.sqrt(n_in)
-        return AffineLayer(rng.uniform(-scale, scale, size=(n_in, n_out)), np.zeros(n_out))
-
-    widths = [int(m_in), *hidden_sizes]
-    trunk = [affine(widths[k], widths[k + 1]) for k in range(len(hidden_sizes))]
-    top = widths[-1]
-    return EmbedderParams(
-        trunk=trunk,
-        feature_head=affine(top, feature_dim),
-        background_head=affine(top, 1),
-        box_head=affine(top, 4),
-    )
+    for layer in params.blocks():
+        scale = 1.0 / math.sqrt(layer.weight.shape[0])
+        layer.weight[:] = rng.uniform(-scale, scale, size=layer.weight.shape)
+    return params
 
 
 def _trunk_forward(params: EmbedderParams, x: np.ndarray) -> np.ndarray:
@@ -161,41 +186,13 @@ def forward_batch(params: EmbedderParams, descriptors) -> tuple[np.ndarray, np.n
     return features, bg, deltas
 
 
-def zeros_like_params(params: EmbedderParams) -> EmbedderParams:
-    def z(layer: AffineLayer) -> AffineLayer:
-        return AffineLayer(np.zeros_like(layer.weight), np.zeros_like(layer.bias))
-
-    return EmbedderParams(
-        trunk=[z(layer) for layer in params.trunk],
-        feature_head=z(params.feature_head),
-        background_head=z(params.background_head),
-        box_head=z(params.box_head),
-    )
-
-
 def clone_params(params: EmbedderParams) -> EmbedderParams:
-    def c(layer: AffineLayer) -> AffineLayer:
-        return AffineLayer(layer.weight.copy(), layer.bias.copy())
-
-    return EmbedderParams(
-        trunk=[c(layer) for layer in params.trunk],
-        feature_head=c(params.feature_head),
-        background_head=c(params.background_head),
-        box_head=c(params.box_head),
-    )
+    return EmbedderParams(params.sizes, params.flat.copy())
 
 
 def params_equal(a: EmbedderParams, b: EmbedderParams) -> bool:
-    """Exact (bitwise-value) equality of two parameter trees."""
-    blocks_a, blocks_b = a.blocks(), b.blocks()
-    if len(blocks_a) != len(blocks_b):
-        return False
-    return all(
-        la.weight.shape == lb.weight.shape
-        and np.array_equal(la.weight, lb.weight)
-        and np.array_equal(la.bias, lb.bias)
-        for la, lb in zip(blocks_a, blocks_b)
-    )
+    """Exact (bitwise-value) equality of two parameter sets."""
+    return a.sizes == b.sizes and np.array_equal(a.flat, b.flat)
 
 
 def forward_batch_with_grad(
@@ -284,8 +281,8 @@ def forward_batch_with_grad(
         fg=fg_term, bg=bg_term, bbox=box_term, total=fg_term + bg_term + box_term
     )
 
-    # Backward through the heads.
-    grads = zeros_like_params(params)
+    # Backward through the heads, into views of one zeroed gradient vector.
+    grads = EmbedderParams(params.sizes)
     top = acts[-1]
     grads.feature_head.weight[:] = top.T @ d_feats
     grads.feature_head.bias[:] = d_feats.sum(axis=0)
@@ -330,41 +327,13 @@ def sgd_step(
     if not 0.0 <= momentum < 1.0:
         raise ValueError(f"momentum must lie in [0, 1), got {momentum}")
     if momentum_state is None:
-        momentum_state = zeros_like_params(params)
-    p_blocks = params.blocks()
-    g_blocks = grads.blocks()
-    v_blocks = momentum_state.blocks()
-    if len(p_blocks) != len(g_blocks) or len(p_blocks) != len(v_blocks):
-        raise DimensionMismatch("parameter, gradient and momentum trees differ in depth")
-    new_params = zeros_like_params(params)
-    new_state = zeros_like_params(params)
-    for np_block, ns_block, p, g, v in zip(
-        new_params.blocks(), new_state.blocks(), p_blocks, g_blocks, v_blocks
-    ):
-        if p.weight.shape != g.weight.shape or p.weight.shape != v.weight.shape:
-            raise DimensionMismatch(
-                f"shape mismatch in update: {p.weight.shape} vs {g.weight.shape} vs {v.weight.shape}"
-            )
-        ns_block.weight[:] = momentum * v.weight + g.weight
-        ns_block.bias[:] = momentum * v.bias + g.bias
-        np_block.weight[:] = p.weight - lr * ns_block.weight
-        np_block.bias[:] = p.bias - lr * ns_block.bias
-    return new_params, new_state
-
-
-def _named_tensors(params: EmbedderParams) -> list[tuple[str, np.ndarray]]:
-    out: list[tuple[str, np.ndarray]] = []
-    for k, layer in enumerate(params.trunk):
-        out.append((f"trunk.{k}.weight", layer.weight))
-        out.append((f"trunk.{k}.bias", layer.bias))
-    for name, layer in (
-        ("feature_head", params.feature_head),
-        ("background_head", params.background_head),
-        ("box_head", params.box_head),
-    ):
-        out.append((f"{name}.weight", layer.weight))
-        out.append((f"{name}.bias", layer.bias))
-    return out
+        momentum_state = EmbedderParams(params.sizes)
+    if not params.sizes == grads.sizes == momentum_state.sizes:
+        raise DimensionMismatch(
+            f"layer sizes differ in update: {params.sizes} vs {grads.sizes} vs {momentum_state.sizes}"
+        )
+    velocity = momentum * momentum_state.flat + grads.flat
+    return EmbedderParams(params.sizes, params.flat - lr * velocity), EmbedderParams(params.sizes, velocity)
 
 
 def params_config(params: EmbedderParams) -> dict:
@@ -376,95 +345,33 @@ def params_config(params: EmbedderParams) -> dict:
 
 
 def params_to_lines(params: EmbedderParams) -> list[str]:
-    """Tensor block lines (no header/config); shared with full checkpoints."""
+    """Tensor block lines (no header/config) for the detector checkpoint."""
     lines: list[str] = []
-    for name, arr in _named_tensors(params):
+    for name, arr in params.named_tensors():
         lines.extend(tensor_lines(name, arr))
     return lines
 
 
 def params_from_tensors(tensors: dict[str, np.ndarray], config: dict) -> EmbedderParams:
-    """Rebuild a parameter tree from named tensors, validating shapes against
-    the declared architecture."""
+    """Rebuild parameters from named tensors, validating shapes against the
+    declared architecture."""
     tensors = dict(tensors)
     try:
-        m_in = int(config["m_in"])
-        hidden = [int(h) for h in config["hidden_sizes"]]
-        feature_dim = int(config["feature_dim"])
+        params = EmbedderParams((config["m_in"], *config["hidden_sizes"], config["feature_dim"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad architecture config: {exc}") from exc
-
-    def take(name: str, shape: tuple[int, int]) -> np.ndarray:
+    for name, view in params.named_tensors():
         if name not in tensors:
             raise CheckpointError(f"checkpoint is missing tensor {name!r}")
         arr = tensors.pop(name)
-        if arr.shape != shape:
-            raise CheckpointError(f"tensor {name!r} has shape {arr.shape}, expected {shape}")
-        return arr
-
-    widths = [m_in, *hidden]
-    trunk = []
-    for k in range(len(hidden)):
-        weight = take(f"trunk.{k}.weight", (widths[k], widths[k + 1]))
-        bias = take(f"trunk.{k}.bias", (1, widths[k + 1]))[0]
-        trunk.append(AffineLayer(weight, bias))
-    top = widths[-1]
-    heads = {}
-    for name, n_out in (("feature_head", feature_dim), ("background_head", 1), ("box_head", 4)):
-        weight = take(f"{name}.weight", (top, n_out))
-        bias = take(f"{name}.bias", (1, n_out))[0]
-        heads[name] = AffineLayer(weight, bias)
+        expected = np.atleast_2d(view).shape
+        if arr.shape != expected:
+            raise CheckpointError(f"tensor {name!r} has shape {arr.shape}, expected {expected}")
+        view[...] = arr.reshape(view.shape)
     if tensors:
         raise CheckpointError(f"checkpoint has unexpected tensors: {sorted(tensors)}")
-    params = EmbedderParams(trunk=trunk, **heads)
     try:
         validate_params(params)
-    except (DimensionMismatch, ValueError) as exc:
+    except ValueError as exc:
         raise CheckpointError(str(exc)) from exc
     return params
-
-
-def save_params(path, params: EmbedderParams, extra_config: dict | None = None) -> None:
-    """Single-file parameter checkpoint: versioned header, a JSON config line
-    (architecture plus any extra keys), then one block per tensor."""
-    config = params_config(params)
-    if extra_config:
-        config.update(extra_config)
-    lines = [PARAMS_HEADER, "config " + json.dumps(config, sort_keys=True)]
-    lines.extend(params_to_lines(params))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_params(path) -> tuple[EmbedderParams, dict]:
-    """Inverse of save_params. Rejects unknown versions and any tensor whose
-    shape disagrees with the declared architecture."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != PARAMS_HEADER:
-        raise CheckpointError(f"not a parameter checkpoint (header {lines[0][:40]!r})" if lines else "empty file")
-    if len(lines) < 2 or not lines[1].startswith("config "):
-        raise CheckpointError("missing config line")
-    try:
-        config = json.loads(lines[1][len("config ") :])
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"bad config JSON: {exc}") from exc
-    tensors: dict[str, np.ndarray] = {}
-    body = lines[2:]
-    k = 0
-    while k < len(body):
-        if not body[k].strip():
-            k += 1
-            continue
-        if k + 1 >= len(body):
-            raise CheckpointError(f"dangling tensor header: {body[k]!r}")
-        try:
-            name, arr = parse_tensor(body[k], body[k + 1])
-        except ValueError as exc:
-            raise CheckpointError(str(exc)) from exc
-        if name in tensors:
-            raise CheckpointError(f"duplicate tensor {name!r}")
-        tensors[name] = arr
-        k += 2
-    params = params_from_tensors(tensors, config)
-    return params, config

@@ -26,14 +26,6 @@ class EmptyInput(ValueError):
     """An aggregate operation received no elements."""
 
 
-def as_vector(values) -> np.ndarray:
-    """Coerce to a fresh 1-D float64 array."""
-    vec = np.array(values, dtype=np.float64)
-    if vec.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-D vector, got shape {vec.shape}")
-    return vec
-
-
 def dot(a, b) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -232,16 +232,6 @@ def from_text(text: str, dim: int | None = None) -> PrototypeSet:
     return PrototypeSet(base=build(base_items), novel=build(novel_items), dim=dim)
 
 
-def write_prototypes(path, protos: PrototypeSet) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_text(protos))
-
-
-def read_prototypes(path, dim: int | None = None) -> PrototypeSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_text(fh.read(), dim=dim)
-
-
 def write_vector_file(path, vectors: Mapping[int, np.ndarray]) -> None:
     """Plain class_id -> vector map in the same per-line format (no sections).
     Used for semantic-vector files, so real word-vector dumps can be swapped in."""

@@ -414,15 +414,18 @@ def load_universe(path) -> Universe:
             k += 2
         else:
             raise ValueError(f"unexpected universe line: {line!r}")
-    return Universe(
-        base=tuple(base),
-        novel=tuple(novel),
-        semantic_projection=matrices["semantic_projection"],
-        descriptor_projection=matrices["descriptor_projection"],
-        sigma_sem=float(meta["sigma_sem"]),
-        sigma_inst=float(meta["sigma_inst"]),
-        seed=int(meta["seed"]),
-    )
+    try:
+        return Universe(
+            base=tuple(base),
+            novel=tuple(novel),
+            semantic_projection=matrices["semantic_projection"],
+            descriptor_projection=matrices["descriptor_projection"],
+            sigma_sem=float(meta["sigma_sem"]),
+            sigma_inst=float(meta["sigma_inst"]),
+            seed=int(meta["seed"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"universe file lacks {exc} (matrix block or meta key)") from exc
 
 
 def _box_tokens(box: Box) -> str:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from morphdet.em_trainer import DetectorState, TrainConfig, train
-from morphdet.embedder import AffineLayer, EmbedderParams
+from morphdet.embedder import EmbedderParams
 from morphdet.prototype_store import Prototype, PrototypeSet
 from morphdet.toyworld import exemplars_for, make_dataset, make_universe, semantic_vectors
 
@@ -46,12 +46,8 @@ def identity_detector(class_axes, scale=8.0):
     (class_id, axis) pair makes posteriors predictable by hand."""
     axes = {cid: np.asarray(axis, dtype=np.float64) for cid, axis in class_axes}
     dim = next(iter(axes.values())).shape[0]
-    params = EmbedderParams(
-        trunk=[],
-        feature_head=AffineLayer(np.eye(dim) * scale, np.zeros(dim)),
-        background_head=AffineLayer(np.zeros((dim, 1)), np.zeros(1)),
-        box_head=AffineLayer(np.zeros((dim, 4)), np.zeros(4)),
-    )
+    params = EmbedderParams((dim, dim))
+    params.feature_head.weight[:] = np.eye(dim) * scale
     protos = PrototypeSet(
         base={cid: Prototype(cid, vec) for cid, vec in axes.items()}, novel={}, dim=dim
     )

@@ -1,6 +1,7 @@
 """End-to-end command-line flows on a miniature benchmark."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -286,6 +287,38 @@ def test_eval_novel_with_baseline(morphed_ckpt, train_dir, gen_dir, tmp_path):
     lines = (out / "report.csv").read_text(encoding="utf-8").splitlines()
     methods = {line.split(",")[0] for line in lines[1:]}
     assert methods == {"morphed", "baseline"}
+
+
+def _eval_on(data_dir, train_dir, tmp_path):
+    return main(
+        [
+            "eval",
+            "--checkpoint", str(train_dir / "checkpoint_iter2.ckpt"),
+            "--data", str(data_dir),
+            "--out", str(tmp_path / "eval"),
+        ]
+    )
+
+
+def test_eval_manifest_without_class_ids(train_dir, gen_dir, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(gen_dir, data)
+    manifest = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+    del manifest["base_class_ids"]
+    (data / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert _eval_on(data, train_dir, tmp_path) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_eval_universe_without_descriptor_projection(train_dir, gen_dir, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(gen_dir, data)
+    (data / "manifest.json").unlink()
+    lines = (data / "universe.txt").read_text(encoding="utf-8").splitlines()
+    at = next(k for k, line in enumerate(lines) if line.startswith("matrix descriptor_projection "))
+    (data / "universe.txt").write_text("\n".join(lines[:at] + lines[at + 2 :]) + "\n", encoding="utf-8")
+    assert _eval_on(data, train_dir, tmp_path) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_experiment_unknown_name(tmp_path, capsys):

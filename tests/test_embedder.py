@@ -1,11 +1,10 @@
 """Network forward/backward: finite-difference gradient oracle, SGD algebra,
-parameter checkpoints, and the gradient-evaluation counter discipline."""
+the flat parameter layout, and the gradient-evaluation counter discipline."""
 
 import numpy as np
 import pytest
 
 from morphdet.embedder import (
-    CheckpointError,
     EmbedderParams,
     clone_params,
     forward,
@@ -13,12 +12,9 @@ from morphdet.embedder import (
     forward_batch_with_grad,
     grad_evaluation_count,
     init_params,
-    load_params,
     params_equal,
-    save_params,
     sgd_step,
     validate_params,
-    zeros_like_params,
 )
 from morphdet.numkernel import DimensionMismatch
 from morphdet.objective import LossWeights
@@ -200,40 +196,36 @@ def test_clone_and_zeros_helpers():
     assert params_equal(params, dup)
     dup.trunk[0].weight[0, 0] += 1.0
     assert not params_equal(params, dup)
-    zeros = zeros_like_params(params)
+    zeros = EmbedderParams(params.sizes)
     assert all(np.all(l.weight == 0.0) and np.all(l.bias == 0.0) for l in zeros.blocks())
 
 
-def test_params_checkpoint_round_trip(tmp_path):
+def test_flat_vector_backs_every_named_view():
     params = init_params(6, (8, 5), 4, seed=11)
-    path = tmp_path / "params.ckpt"
-    save_params(path, params, extra_config={"note": 7})
-    back, config = load_params(path)
-    assert params_equal(params, back)
-    assert config["m_in"] == 6 and config["hidden_sizes"] == [8, 5]
-    assert config["note"] == 7
+    names = [name for name, _ in params.named_tensors()]
+    assert names == [
+        "trunk.0.weight", "trunk.0.bias", "trunk.1.weight", "trunk.1.bias",
+        "feature_head.weight", "feature_head.bias",
+        "background_head.weight", "background_head.bias",
+        "box_head.weight", "box_head.bias",
+    ]
+    views = [arr for _, arr in params.named_tensors()]
+    assert params.flat.size == sum(v.size for v in views)
+    assert np.array_equal(np.concatenate([v.ravel() for v in views]), params.flat)
+    assert all(np.shares_memory(v, params.flat) for v in views)
+    assert [b.weight.shape for b in params.blocks()] == [(6, 8), (8, 5), (5, 4), (5, 1), (5, 4)]
+    params.box_head.bias[2] = 7.5
+    assert params.flat[-2] == 7.5
 
 
-def test_params_checkpoint_rejects_corruption(tmp_path):
+def test_params_reject_bad_sizes_and_non_finite_entries():
+    with pytest.raises(ValueError):
+        EmbedderParams((4,))
+    with pytest.raises(DimensionMismatch):
+        EmbedderParams((4, 5, 3), np.zeros(7))
+    with pytest.raises(DimensionMismatch):
+        EmbedderParams((4, 3), np.zeros(EmbedderParams((4, 3)).flat.size, dtype=np.float32))
     params = init_params(4, (5,), 3, seed=1)
-    path = tmp_path / "params.ckpt"
-    save_params(path, params)
-    text = path.read_text()
-
-    (tmp_path / "bad1.ckpt").write_text("something else\n" + text)
-    with pytest.raises(CheckpointError):
-        load_params(tmp_path / "bad1.ckpt")
-
-    lines = text.splitlines()
-    at = next(k for k, ln in enumerate(lines) if ln.startswith("tensor box_head.bias"))
-    (tmp_path / "bad2.ckpt").write_text("\n".join(lines[:at] + lines[at + 2 :]) + "\n")
-    with pytest.raises(CheckpointError):
-        load_params(tmp_path / "bad2.ckpt")
-
-    (tmp_path / "bad3.ckpt").write_text(text.replace('"m_in": 4', '"m_in": 5'))
-    with pytest.raises(CheckpointError):
-        load_params(tmp_path / "bad3.ckpt")
-
-    (tmp_path / "bad4.ckpt").write_text(text + "tensor extra 1 1\n1\n")
-    with pytest.raises(CheckpointError):
-        load_params(tmp_path / "bad4.ckpt")
+    params.background_head.weight[1, 0] = np.nan
+    with pytest.raises(ValueError):
+        validate_params(params)

@@ -10,7 +10,6 @@ from morphdet.numkernel import (
     DegenerateVector,
     DimensionMismatch,
     EmptyInput,
-    as_vector,
     dot,
     l2_normalize,
     log_sum_exp,
@@ -21,15 +20,6 @@ from morphdet.numkernel import (
 )
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
-
-
-def test_as_vector_copies_and_rejects_matrices():
-    src = [1.0, 2.0, 3.0]
-    vec = as_vector(src)
-    vec[0] = -1.0
-    assert src[0] == 1.0
-    with pytest.raises(DimensionMismatch):
-        as_vector([[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_dot_matches_manual_sum():

@@ -15,10 +15,8 @@ from morphdet.prototype_store import (
     e_step_update,
     from_text,
     init_from_semantic,
-    read_prototypes,
     read_vector_file,
     to_text,
-    write_prototypes,
     write_vector_file,
 )
 
@@ -177,15 +175,6 @@ def test_from_text_validation():
     assert empty.dim == 4 and empty.class_ids() == []
     with pytest.raises(DimensionMismatch):
         from_text("1\t1 0\n---\n", dim=3)
-
-
-def test_prototype_files_round_trip(tmp_path):
-    protos = small_set()
-    path = tmp_path / "protos.txt"
-    write_prototypes(path, protos)
-    back = read_prototypes(path)
-    for cid in protos.class_ids():
-        assert np.array_equal(back.vector_for(cid), protos.vector_for(cid))
 
 
 def test_vector_file_round_trip(tmp_path):

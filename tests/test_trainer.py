@@ -301,10 +301,16 @@ def test_checkpoint_round_trip(tmp_path, tiny_state, tiny_exemplars):
     assert checkpoint_text(back) == checkpoint_text(state)
 
 
-def test_checkpoint_rejects_corruption(tmp_path, tiny_state):
+def test_checkpoint_rejects_corruption(tmp_path, tiny_state, tiny_exemplars):
     text = checkpoint_text(tiny_state)
     lines = text.splitlines()
     first_tensor = next(i for i, line in enumerate(lines) if line.startswith("tensor "))
+    box_bias = next(i for i, line in enumerate(lines) if line.startswith("tensor box_head.bias"))
+    protos_at = lines.index("prototypes")
+    m_in = tiny_state.params.m_in
+    # Dropping the last novel prototype and the trailer must not load as a
+    # detector that silently lacks that class.
+    morphed_lines = checkpoint_text(morph(tiny_state, tiny_exemplars)).splitlines()
 
     cases = {
         "bad_header.ckpt": "\n".join(["junk"] + lines[1:]) + "\n",
@@ -318,6 +324,10 @@ def test_checkpoint_rejects_corruption(tmp_path, tiny_state):
             + lines[first_tensor + 2 :]
         )
         + "\n",
+        "missing_tensor.ckpt": "\n".join(lines[:box_bias] + lines[box_bias + 2 :]) + "\n",
+        "arch_mismatch.ckpt": text.replace(f'"m_in": {m_in}', f'"m_in": {m_in + 1}', 1),
+        "extra_tensor.ckpt": "\n".join(lines[:protos_at] + ["tensor extra 1 1", "1"] + lines[protos_at:]) + "\n",
+        "truncated.ckpt": "\n".join(morphed_lines[:-2]) + "\n",
     }
     for name, payload in cases.items():
         path = tmp_path / name
