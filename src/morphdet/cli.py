@@ -150,6 +150,8 @@ def cmd_morph(args) -> int:
     state = load_checkpoint(_require(args.checkpoint))
     exemplars = read_exemplars_csv(_require(args.exemplars))
     if args.shots is not None:
+        if args.shots < 1:
+            raise ValueError(f"--shots must be >= 1, got {args.shots}")
         exemplars = {cid: vecs[: args.shots] for cid, vecs in exemplars.items()}
 
     before = grad_evaluation_count()
@@ -192,6 +194,7 @@ def _eval_one(state, scenes, base_ids, novel_ids, split: str, config: DetectConf
 
 
 def cmd_eval(args) -> int:
+    detect_config = DetectConfig(score_threshold=args.score_threshold, nms_iou=args.nms_iou)
     state = load_checkpoint(_require(args.checkpoint))
     base_ids, novel_ids = _split_ids(args.data)
     if args.split == "base":
@@ -201,7 +204,6 @@ def cmd_eval(args) -> int:
     else:
         scenes = load_dataset(_require(os.path.join(args.data, "eval_base.txt")))
         scenes += load_dataset(_require(os.path.join(args.data, "eval_novel.txt")))
-    detect_config = DetectConfig(score_threshold=args.score_threshold, nms_iou=args.nms_iou)
 
     os.makedirs(args.out, exist_ok=True)
     name = os.path.splitext(os.path.basename(args.checkpoint))[0]

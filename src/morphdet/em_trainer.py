@@ -18,8 +18,7 @@ seeds, fixed shuffle order, fixed reduction order, so reruns are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace, asdict
-import json
+from dataclasses import dataclass, replace, asdict
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .prototype_store import (
     init_from_semantic,
     to_text,
 )
-from .textio import parse_tensor
+from .textio import read_record_file, record_text, tensor_blocks
 
 CHECKPOINT_HEADER = "morphdet-checkpoint v1"
 
@@ -319,39 +318,12 @@ def write_metrics_csv(path, records) -> None:
             )
 
 
-def read_metrics_csv(path) -> list[EpochRecord]:
-    out: list[EpochRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("iteration,"):
-            raise ValueError(f"not a metrics file: {path}")
-        for line in fh:
-            if not line.strip():
-                continue
-            it, ep, fg, bg, bbox, total = line.strip().split(",")
-            out.append(
-                EpochRecord(
-                    iteration=int(it), epoch=int(ep), fg=float(fg), bg=float(bg),
-                    bbox=float(bbox), total=float(total),
-                )
-            )
-    return out
-
-
 def checkpoint_text(state: DetectorState) -> str:
     """Full-detector checkpoint: versioned header, config JSON (training plus
     architecture), every network tensor, then the prototype sections."""
-    config = {
-        "train": asdict(state.config),
-        "arch": params_config(state.params),
-    }
-    config["train"]["hidden_sizes"] = list(state.config.hidden_sizes)
-    lines = [CHECKPOINT_HEADER, "config " + json.dumps(config, sort_keys=True)]
-    lines.extend(params_to_lines(state.params))
-    lines.append("prototypes")
-    lines.extend(to_text(state.prototypes).splitlines())
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    config = {"train": asdict(state.config), "arch": params_config(state.params)}
+    body = params_to_lines(state.params) + ["prototypes"] + to_text(state.prototypes).splitlines()
+    return record_text(CHECKPOINT_HEADER, "config", config, body)
 
 
 def save_checkpoint(path, state: DetectorState) -> None:
@@ -360,47 +332,13 @@ def save_checkpoint(path, state: DetectorState) -> None:
 
 
 def load_checkpoint(path) -> DetectorState:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CHECKPOINT_HEADER:
-        raise CheckpointError(f"not a detector checkpoint: {path}")
-    if len(lines) < 2 or not lines[1].startswith("config "):
-        raise CheckpointError("checkpoint is missing its config line")
+    """Inverse of save_checkpoint; every defect raises CheckpointError."""
     try:
-        config = json.loads(lines[1][len("config ") :])
-        train_cfg = dict(config["train"])
-        train_cfg["hidden_sizes"] = tuple(train_cfg["hidden_sizes"])
-        tconfig = TrainConfig(**train_cfg)
-        arch = config["arch"]
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"bad checkpoint config: {exc}") from exc
-
-    tensors: dict[str, np.ndarray] = {}
-    k = 2
-    while k < len(lines) and lines[k] != "prototypes":
-        if not lines[k].strip():
-            k += 1
-            continue
-        if k + 1 >= len(lines):
-            raise CheckpointError(f"dangling tensor header: {lines[k]!r}")
-        try:
-            name, arr = parse_tensor(lines[k], lines[k + 1])
-        except ValueError as exc:
-            raise CheckpointError(str(exc)) from exc
-        if name in tensors:
-            raise CheckpointError(f"duplicate tensor {name!r}")
-        tensors[name] = arr
-        k += 2
-    if k >= len(lines):
-        raise CheckpointError("checkpoint has no prototype section")
-    try:
-        end = lines.index("end", k + 1)
-    except ValueError:
-        raise CheckpointError("checkpoint has no end trailer (truncated file?)") from None
-    proto_lines = lines[k + 1 : end]
-    params = params_from_tensors(tensors, arch)
-    try:
-        protos = from_text("\n".join(proto_lines) + "\n", dim=params.feature_dim)
-    except ValueError as exc:
-        raise CheckpointError(f"bad prototype section: {exc}") from exc
+        config, body = read_record_file(path, CHECKPOINT_HEADER, "config")
+        tconfig = TrainConfig(**config["train"])
+        cut = body.index("prototypes")
+        params = params_from_tensors(tensor_blocks(body[:cut]), config["arch"])
+        protos = from_text("\n".join(body[cut + 1 :]) + "\n", dim=params.feature_dim)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: {exc!r}") from exc
     return DetectorState(params=params, prototypes=protos, config=tconfig)

@@ -346,10 +346,7 @@ def params_config(params: EmbedderParams) -> dict:
 
 def params_to_lines(params: EmbedderParams) -> list[str]:
     """Tensor block lines (no header/config) for the detector checkpoint."""
-    lines: list[str] = []
-    for name, arr in params.named_tensors():
-        lines.extend(tensor_lines(name, arr))
-    return lines
+    return [line for name, arr in params.named_tensors() for line in tensor_lines(name, arr)]
 
 
 def params_from_tensors(tensors: dict[str, np.ndarray], config: dict) -> EmbedderParams:

@@ -62,10 +62,10 @@ class ExperimentConfig:
             raise ConfigError(f"shots must be >= 1, got {self.shots}")
         if self.seeds < 1:
             raise ConfigError(f"seeds must be >= 1, got {self.seeds}")
-        if not 0 <= self.score_threshold < 1:
-            raise ConfigError(f"score_threshold must lie in [0, 1), got {self.score_threshold}")
-        if not 0 < self.nms_iou < 1:
-            raise ConfigError(f"nms_iou must lie in (0, 1), got {self.nms_iou}")
+        try:
+            self.detect_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def detect_config(self) -> DetectConfig:
         return DetectConfig(score_threshold=self.score_threshold, nms_iou=self.nms_iou)

@@ -13,6 +13,7 @@ runs per-class greedy NMS with a deterministic ordering.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from .embedder import forward_batch
 from .numkernel import DimensionMismatch, EmptyInput
 from .objective import posterior_batch
 from .prototype_store import add_novel, all_prototypes
-from .textio import fmt
+from .textio import fmt, parse_floats
 
 
 class InvalidBox(ValueError):
@@ -39,7 +40,7 @@ class Box:
 
     def __post_init__(self):
         coords = (float(self.x1), float(self.y1), float(self.x2), float(self.y2))
-        if not all(np.isfinite(coords)):
+        if not all(map(math.isfinite, coords)):
             raise InvalidBox(f"non-finite box corners: {coords}")
         if not (coords[0] < coords[2] and coords[1] < coords[3]):
             raise InvalidBox(f"degenerate box corners: {coords}")
@@ -121,6 +122,12 @@ class Detection:
 class DetectConfig:
     score_threshold: float = 0.05
     nms_iou: float = 0.5
+
+    def __post_init__(self):
+        if not 0 <= self.score_threshold < 1:
+            raise ValueError(f"score_threshold must lie in [0, 1), got {self.score_threshold}")
+        if not 0 < self.nms_iou < 1:
+            raise ValueError(f"nms_iou must lie in (0, 1), got {self.nms_iou}")
 
 
 def morph(state, exemplars):
@@ -237,5 +244,5 @@ def read_exemplars_csv(path) -> dict[int, list[np.ndarray]]:
             cid = int(row[0])
             if len(row) < 2:
                 raise ValueError(f"exemplar row for class {cid} has no descriptor")
-            out.setdefault(cid, []).append(np.array([float(v) for v in row[1:]], dtype=np.float64))
+            out.setdefault(cid, []).append(parse_floats(row[1:]))
     return out

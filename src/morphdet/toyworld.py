@@ -21,13 +21,12 @@ exemplar seed never perturbs the dataset, and vice versa.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .morph_inference import Box, encode_box, iou
-from .textio import fmt, fmt_vector, parse_floats
+from .textio import fmt, fmt_vector, parse_floats, read_record_file, tensor_blocks, tensor_lines, write_record_file
 
 GEOMETRY_FEATURES = 4
 # Weight on the box-geometry channels relative to unit-variance appearance
@@ -351,154 +350,111 @@ def semantic_vectors(universe: Universe, classes=None) -> dict[int, np.ndarray]:
     return {cls.class_id: cls.semantic for cls in chosen}
 
 
+def _universe_meta(universe: Universe) -> dict:
+    meta = universe.split_manifest()
+    meta["n_base"] = len(meta.pop("base_class_ids"))
+    meta["n_novel"] = len(meta.pop("novel_class_ids"))
+    return meta
+
+
 def save_universe(path, universe: Universe) -> None:
-    meta = {
-        "k": universe.k,
-        "d_sem": universe.d_sem,
-        "m_in": universe.m_in,
-        "sigma_sem": universe.sigma_sem,
-        "sigma_inst": universe.sigma_inst,
-        "seed": universe.seed,
-        "n_base": len(universe.base),
-        "n_novel": len(universe.novel),
-    }
-    lines = [UNIVERSE_HEADER, "meta " + json.dumps(meta, sort_keys=True)]
-    for role, group in (("base", universe.base), ("novel", universe.novel)):
-        for cls in group:
-            lines.append(
-                f"class {cls.class_id} {role} {cls.name} "
-                f"attr {fmt_vector(cls.attribute)} sem {fmt_vector(cls.semantic)}"
-            )
-    for name, mat in (
-        ("semantic_projection", universe.semantic_projection),
-        ("descriptor_projection", universe.descriptor_projection),
-    ):
-        lines.append(f"matrix {name} {mat.shape[0]} {mat.shape[1]}")
-        lines.append(" ".join(fmt(x) for x in mat.ravel()))
-    lines.append("end")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    body = [
+        f"class {cls.class_id} {role} {cls.name} "
+        f"attr {fmt_vector(cls.attribute)} sem {fmt_vector(cls.semantic)}"
+        for role, group in (("base", universe.base), ("novel", universe.novel))
+        for cls in group
+    ]
+    body += tensor_lines("semantic_projection", universe.semantic_projection, "matrix")
+    body += tensor_lines("descriptor_projection", universe.descriptor_projection, "matrix")
+    write_record_file(path, UNIVERSE_HEADER, "meta", _universe_meta(universe), body)
+
+
+def _parse_class(line: str, role: str) -> ToyClass:
+    tokens = line.split()
+    if len(tokens) < 6 or tokens[0] != "class" or tokens[2] != role or tokens[4] != "attr" or "sem" not in tokens[5:]:
+        raise ValueError(f"expected a {role} class line, got {line[:80]!r}")
+    sem_at = tokens.index("sem", 5)
+    attribute, semantic = parse_floats(tokens[5:sem_at]), parse_floats(tokens[sem_at + 1 :])
+    return ToyClass(class_id=int(tokens[1]), name=tokens[3], attribute=attribute, semantic=semantic)
 
 
 def load_universe(path) -> Universe:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != UNIVERSE_HEADER:
-        raise ValueError(f"not a universe file: {path}")
-    if len(lines) < 2 or not lines[1].startswith("meta "):
-        raise ValueError("universe file missing meta line")
-    meta = json.loads(lines[1][len("meta ") :])
-    base: list[ToyClass] = []
-    novel: list[ToyClass] = []
-    matrices: dict[str, np.ndarray] = {}
-    k = 2
-    while k < len(lines):
-        line = lines[k]
-        if line == "end":
-            break
-        if line.startswith("class "):
-            tokens = line.split()
-            cid, role, name = int(tokens[1]), tokens[2], tokens[3]
-            if tokens[4] != "attr":
-                raise ValueError(f"malformed class line: {line!r}")
-            sem_at = tokens.index("sem")
-            attribute = parse_floats(tokens[5:sem_at])
-            semantic = parse_floats(tokens[sem_at + 1 :])
-            cls = ToyClass(class_id=cid, name=name, attribute=attribute, semantic=semantic)
-            (base if role == "base" else novel).append(cls)
-            k += 1
-        elif line.startswith("matrix "):
-            _, name, rows, cols = line.split()
-            values = parse_floats(lines[k + 1])
-            matrices[name] = values.reshape(int(rows), int(cols))
-            k += 2
-        else:
-            raise ValueError(f"unexpected universe line: {line!r}")
+    """Inverse of save_universe: the meta counts say how many class lines
+    lead the body (base first); two matrix blocks follow. The meta must equal
+    the one the loaded universe would be saved with."""
+    meta, body = read_record_file(path, UNIVERSE_HEADER, "meta")
     try:
-        return Universe(
-            base=tuple(base),
-            novel=tuple(novel),
-            semantic_projection=matrices["semantic_projection"],
-            descriptor_projection=matrices["descriptor_projection"],
+        n_base = int(meta["n_base"])
+        n_classes = n_base + int(meta["n_novel"])
+        classes = [_parse_class(line, "base" if i < n_base else "novel") for i, line in enumerate(body[:n_classes])]
+        matrices = tensor_blocks(body[n_classes:], "matrix")
+        universe = Universe(
+            base=tuple(classes[:n_base]),
+            novel=tuple(classes[n_base:]),
+            semantic_projection=matrices.pop("semantic_projection"),
+            descriptor_projection=matrices.pop("descriptor_projection"),
             sigma_sem=float(meta["sigma_sem"]),
             sigma_inst=float(meta["sigma_inst"]),
             seed=int(meta["seed"]),
         )
-    except KeyError as exc:
-        raise ValueError(f"universe file lacks {exc} (matrix block or meta key)") from exc
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: universe file lacks or mistypes {exc} (matrix block or meta key)") from exc
+    if matrices or _universe_meta(universe) != meta or any(
+        cls.attribute.shape != (universe.k,) or cls.semantic.shape != (universe.d_sem,) for cls in classes
+    ):
+        raise ValueError(f"{path}: universe body does not match its meta line {meta}")
+    return universe
 
 
 def _box_tokens(box: Box) -> str:
     return f"{fmt(box.x1)} {fmt(box.y1)} {fmt(box.x2)} {fmt(box.y2)}"
 
 
+def _dataset_meta(scenes) -> dict:
+    m_in = scenes[0].proposals[0].descriptor.shape[0] if scenes and scenes[0].proposals else 0
+    return {"scene_count": len(scenes), "m_in": m_in}
+
+
 def save_dataset(path, scenes) -> None:
     scenes = list(scenes)
-    m_in = scenes[0].proposals[0].descriptor.shape[0] if scenes and scenes[0].proposals else 0
-    meta = {"scene_count": len(scenes), "m_in": m_in}
-    lines = [DATASET_HEADER, "meta " + json.dumps(meta, sort_keys=True)]
+    body = []
     for scene in scenes:
-        lines.append(f"scene {scene.scene_id}")
+        body.append(f"scene {scene.scene_id}")
         for obj in scene.objects:
-            lines.append(f"object {obj.class_id} {_box_tokens(obj.box)} {fmt_vector(obj.descriptor)}")
+            body.append(f"object {obj.class_id} {_box_tokens(obj.box)} {fmt_vector(obj.descriptor)}")
         for prop in scene.proposals:
             head = f"proposal {prop.label} {_box_tokens(prop.anchor)}"
             if prop.label > 0:
                 head += f" {fmt_vector(prop.target_deltas)}"
-            lines.append(f"{head} {fmt_vector(prop.descriptor)}")
-    lines.append("end")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+            body.append(f"{head} {fmt_vector(prop.descriptor)}")
+    write_record_file(path, DATASET_HEADER, "meta", _dataset_meta(scenes), body)
 
 
 def load_dataset(path) -> list[Scene]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != DATASET_HEADER:
-        raise ValueError(f"not a dataset file: {path}")
-    if len(lines) < 2 or not lines[1].startswith("meta "):
-        raise ValueError("dataset file missing meta line")
-    meta = json.loads(lines[1][len("meta ") :])
-    m_in = int(meta["m_in"])
-    scenes: list[Scene] = []
-    current_id: int | None = None
-    objects: list[GroundTruth] = []
-    proposals: list[Proposal] = []
-
-    def flush():
-        if current_id is not None:
-            scenes.append(Scene(scene_id=current_id, objects=tuple(objects), proposals=tuple(proposals)))
-
-    for line in lines[2:]:
-        if line == "end":
-            break
+    """Inverse of save_dataset. Each 'scene' line opens a scene; its object
+    and proposal lines follow. The meta must equal the one the loaded scenes
+    would be saved with, so a scene count that disagrees is an error."""
+    meta, body = read_record_file(path, DATASET_HEADER, "meta")
+    m_in = meta.get("m_in")
+    parts: list[tuple[int, list[GroundTruth], list[Proposal]]] = []
+    for line in body:
         tokens = line.split()
-        if tokens[0] == "scene":
-            flush()
-            current_id = int(tokens[1])
-            objects, proposals = [], []
-        elif tokens[0] == "object":
-            cid = int(tokens[1])
-            box = Box(*[float(t) for t in tokens[2:6]])
-            objects.append(GroundTruth(class_id=cid, box=box, descriptor=parse_floats(tokens[6:])))
-        elif tokens[0] == "proposal":
-            label = int(tokens[1])
-            box = Box(*[float(t) for t in tokens[2:6]])
-            rest = tokens[6:]
-            if label > 0:
-                targets = parse_floats(rest[:4])
-                descriptor = parse_floats(rest[4:])
-            else:
-                targets = None
-                descriptor = parse_floats(rest)
-            if descriptor.shape[0] != m_in:
-                raise ValueError(
-                    f"proposal descriptor has {descriptor.shape[0]} values, meta says {m_in}"
-                )
-            proposals.append(
-                Proposal(descriptor=descriptor, anchor=box, label=label, target_deltas=targets)
-            )
-        else:
-            raise ValueError(f"unexpected dataset line: {line!r}")
-    flush()
+        if tokens[0] == "scene" and len(tokens) == 2:
+            parts.append((int(tokens[1]), [], []))
+            continue
+        if not parts or tokens[0] not in ("object", "proposal") or len(tokens) < 6:
+            raise ValueError(f"{path}: unexpected dataset line {line[:80]!r}")
+        head = int(tokens[1])
+        box = Box(*map(float, tokens[2:6]))
+        values = parse_floats(tokens[6:])
+        if tokens[0] == "object":
+            parts[-1][1].append(GroundTruth(class_id=head, box=box, descriptor=values))
+            continue
+        targets, descriptor = (values[:4], values[4:]) if head > 0 else (None, values)
+        if descriptor.shape[0] != m_in:
+            raise ValueError(f"proposal descriptor has {descriptor.shape[0]} values, meta says {m_in}")
+        parts[-1][2].append(Proposal(descriptor=descriptor, anchor=box, label=head, target_deltas=targets))
+    scenes = [Scene(scene_id=sid, objects=tuple(objs), proposals=tuple(props)) for sid, objs, props in parts]
+    if _dataset_meta(scenes) != meta:
+        raise ValueError(f"{path}: body holds {_dataset_meta(scenes)}, meta says {meta}")
     return scenes

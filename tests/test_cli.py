@@ -211,6 +211,22 @@ def test_morph_twice_collides(morphed_ckpt, gen_dir, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("shots", ["0", "-1"])
+def test_morph_rejects_shots_below_one(train_dir, gen_dir, tmp_path, capsys, shots):
+    rc = main(
+        [
+            "morph",
+            "--checkpoint", str(train_dir / "checkpoint_iter2.ckpt"),
+            "--exemplars", str(gen_dir / "exemplars.csv"),
+            "--out", str(tmp_path / "out.ckpt"),
+            "--shots", shots,
+        ]
+    )
+    assert rc == 2
+    assert "--shots must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out.ckpt").exists()
+
+
 def test_morph_missing_checkpoint(gen_dir, tmp_path):
     rc = main(
         [
@@ -289,15 +305,61 @@ def test_eval_novel_with_baseline(morphed_ckpt, train_dir, gen_dir, tmp_path):
     assert methods == {"morphed", "baseline"}
 
 
-def _eval_on(data_dir, train_dir, tmp_path):
+def _eval_on(data_dir, train_dir, tmp_path, *flags):
     return main(
         [
             "eval",
             "--checkpoint", str(train_dir / "checkpoint_iter2.ckpt"),
             "--data", str(data_dir),
             "--out", str(tmp_path / "eval"),
+            *flags,
         ]
     )
+
+
+def _edit_lines(path, edit):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+
+
+def _universe_ends_after_matrix_header(data):
+    (data / "manifest.json").unlink()
+    _edit_lines(data / "universe.txt", lambda lines: lines[:-2])
+
+
+def _universe_with_short_class_line(data):
+    (data / "manifest.json").unlink()
+    _edit_lines(data / "universe.txt", lambda lines: lines[:2] + ["class 1 base"] + lines[3:])
+
+
+def _eval_split_with_blank_line(data):
+    _edit_lines(data / "eval_base.txt", lambda lines: lines[:4] + [""] + lines[4:])
+
+
+@pytest.mark.parametrize(
+    "spoil, flags",
+    [
+        (_universe_ends_after_matrix_header, []),
+        (_universe_with_short_class_line, []),
+        (_eval_split_with_blank_line, []),
+        (None, ["--score-threshold", "nan"]),
+        (None, ["--score-threshold", "-5"]),
+        (None, ["--nms-iou", "1"]),
+    ],
+    ids=[
+        "truncated_universe", "short_class_line", "blank_dataset_line",
+        "nan_threshold", "negative_threshold", "nms_iou_1",
+    ],
+)
+def test_eval_refuses_partial_files_and_bad_flags(train_dir, gen_dir, tmp_path, capsys, spoil, flags):
+    data = tmp_path / "data"
+    shutil.copytree(gen_dir, data)
+    if spoil is not None:
+        spoil(data)
+    assert _eval_on(data, train_dir, tmp_path, *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "eval" / "report.json").exists()
 
 
 def test_eval_manifest_without_class_ids(train_dir, gen_dir, tmp_path, capsys):

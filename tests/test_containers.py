@@ -1,0 +1,94 @@
+"""Every universe, dataset and checkpoint file either loads back exactly what
+it holds or is refused: each line cut, dropped or repeated, and any text
+appended after `end`, must give a file that saves back byte for byte after
+loading, or raise a ValueError subclass (CheckpointError for checkpoints)."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from morphdet.em_trainer import DetectorState, TrainConfig, checkpoint_text, load_checkpoint
+from morphdet.embedder import CheckpointError, init_params
+from morphdet.prototype_store import Prototype, PrototypeSet
+from morphdet.toyworld import load_dataset, load_universe, make_dataset, make_universe, save_dataset, save_universe
+
+FUZZ = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# Appended text: anything encodable, or a copy of one of the file's own lines.
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=30)
+
+
+def _variants(lines, extra):
+    yield lines
+    for k in range(len(lines)):
+        yield lines[:k]
+        yield lines[:k] + lines[k + 1 :]
+        yield lines[: k + 1] + lines[k:]
+    yield lines + [extra]
+
+
+def _check_every_variant(path, text, extra, load, dump, error):
+    for lines in _variants(text.splitlines(), extra):
+        mutated = "".join(line + "\n" for line in lines)
+        path.write_text(mutated, encoding="utf-8")
+        try:
+            loaded = load(path)
+        except error:
+            continue
+        assert dump(loaded) == mutated, f"loaded a file that does not save back:\n{mutated}"
+
+
+def _saved_text(save, tmp_dir):
+    def dump(value):
+        out = tmp_dir / "saved.txt"
+        save(out, value)
+        return out.read_text(encoding="utf-8")
+
+    return dump
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def small_universe():
+    return make_universe(n_base=2, n_novel=1, k=2, d_sem=3, m_in=6, seed=3)
+
+
+@FUZZ
+@given(data=st.data())
+def test_universe_file_loads_exactly_or_is_refused(fuzz_dir, small_universe, data):
+    path = fuzz_dir / "universe.txt"
+    save_universe(path, small_universe)
+    text = path.read_text(encoding="utf-8")
+    extra = data.draw(_TEXT | st.sampled_from(text.splitlines()))
+    dump = _saved_text(save_universe, fuzz_dir)
+    _check_every_variant(path, text, extra, load_universe, dump, ValueError)
+
+
+@FUZZ
+@given(data=st.data())
+def test_dataset_file_loads_exactly_or_is_refused(fuzz_dir, small_universe, data):
+    path = fuzz_dir / "dataset.txt"
+    save_dataset(path, make_dataset(small_universe, small_universe.base, 1, 1, 3, seed=4))
+    text = path.read_text(encoding="utf-8")
+    extra = data.draw(_TEXT | st.sampled_from(text.splitlines()))
+    dump = _saved_text(save_dataset, fuzz_dir)
+    _check_every_variant(path, text, extra, load_dataset, dump, ValueError)
+
+
+@FUZZ
+@given(data=st.data())
+def test_checkpoint_file_loads_exactly_or_is_refused(fuzz_dir, data):
+    unit = np.eye(2)
+    protos = PrototypeSet(
+        base={1: Prototype(1, unit[0]), 2: Prototype(2, unit[1])},
+        novel={3: Prototype(3, np.sqrt([0.5, 0.5]))},
+        dim=2,
+    )
+    state = DetectorState(init_params(3, (2,), 2, seed=5), protos, TrainConfig(hidden_sizes=(2,)))
+    text = checkpoint_text(state)
+    extra = data.draw(_TEXT | st.sampled_from(text.splitlines()))
+    path = fuzz_dir / "detector.ckpt"
+    _check_every_variant(path, text, extra, load_checkpoint, checkpoint_text, CheckpointError)

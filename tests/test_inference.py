@@ -241,3 +241,11 @@ def test_read_exemplars_rejects_bare_class(tmp_path):
     path.write_text("5\n")
     with pytest.raises(ValueError):
         read_exemplars_csv(path)
+
+
+def test_read_exemplars_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "bad.csv"
+    for payload in ("5,1.0,nan\n", "5,inf,1.0\n"):
+        path.write_text(payload)
+        with pytest.raises(ValueError):
+            read_exemplars_csv(path)

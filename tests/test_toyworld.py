@@ -238,3 +238,20 @@ def test_dataset_round_trip(tmp_path):
                 assert pb.target_deltas is None
             else:
                 assert np.array_equal(pa.target_deltas, pb.target_deltas)
+
+
+def test_dataset_load_rejects_non_finite_values_and_wrong_scene_count(tmp_path):
+    uni = make_universe(n_base=2, n_novel=1, seed=22)
+    path = tmp_path / "dataset.txt"
+    save_dataset(path, make_dataset(uni, uni.base, 2, 1, 3, seed=23))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    at = next(k for k, line in enumerate(lines) if line.startswith("proposal "))
+    spoiled = {
+        "nan descriptor": lines[:at] + [lines[at].rsplit(" ", 1)[0] + " nan"] + lines[at + 1 :],
+        "scene count": [lines[0], lines[1].replace('"scene_count": 4', '"scene_count": 5')] + lines[2:],
+        "object before scene": lines[:2] + lines[3:],
+    }
+    for payload in spoiled.values():
+        path.write_text("\n".join(payload) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError):
+            load_dataset(path)

@@ -9,6 +9,7 @@ import pytest
 from conftest import TINY_TRAIN, identity_detector
 from morphdet.em_trainer import (
     DetectorState,
+    EpochRecord,
     MissingClassSamples,
     TrainConfig,
     TrainingDiverged,
@@ -18,7 +19,6 @@ from morphdet.em_trainer import (
     e_step,
     load_checkpoint,
     m_step,
-    read_metrics_csv,
     save_checkpoint,
     train,
     visual_init_vectors,
@@ -279,11 +279,12 @@ def test_metrics_csv_round_trip(tmp_path, tiny_result):
     write_metrics_csv(path, tiny_result.metrics)
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "iteration,epoch,fg_loss,bg_loss,bbox_loss,total_loss"
-    assert read_metrics_csv(path) == tiny_result.metrics
-    bad = tmp_path / "other.csv"
-    bad.write_text("scene,ap\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        read_metrics_csv(bad)
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+    back = [
+        EpochRecord(int(it), int(ep), float(fg), float(bg), float(bbox), float(total))
+        for it, ep, fg, bg, bbox, total in rows
+    ]
+    assert back == tiny_result.metrics
 
 
 def test_checkpoint_round_trip(tmp_path, tiny_state, tiny_exemplars):
@@ -328,6 +329,7 @@ def test_checkpoint_rejects_corruption(tmp_path, tiny_state, tiny_exemplars):
         "arch_mismatch.ckpt": text.replace(f'"m_in": {m_in}', f'"m_in": {m_in + 1}', 1),
         "extra_tensor.ckpt": "\n".join(lines[:protos_at] + ["tensor extra 1 1", "1"] + lines[protos_at:]) + "\n",
         "truncated.ckpt": "\n".join(morphed_lines[:-2]) + "\n",
+        "junk_after_end.ckpt": "\n".join(morphed_lines + ["junk"]) + "\n",
     }
     for name, payload in cases.items():
         path = tmp_path / name
