@@ -62,21 +62,20 @@ def load_experiment_config(path: str | None) -> ExperimentConfig:
     return experiment_config_from_dict(data)
 
 
+# (argparse dest, TrainConfig field) of the training flags train and experiment share.
+_TRAIN_FLAGS = (
+    ("em_iterations", "em_iterations"),
+    ("lam", "lam"),
+    ("epochs", "m_step_epochs"),
+    ("seed", "seed"),
+    ("lr", "learning_rate"),
+    ("batch_size", "batch_size"),
+)
+
+
 def _apply_train_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    tcfg = config.train
-    if getattr(args, "em_iterations", None) is not None:
-        tcfg = replace(tcfg, em_iterations=args.em_iterations)
-    if getattr(args, "lam", None) is not None:
-        tcfg = replace(tcfg, lam=args.lam)
-    if getattr(args, "epochs", None) is not None:
-        tcfg = replace(tcfg, m_step_epochs=args.epochs)
-    if getattr(args, "seed", None) is not None:
-        tcfg = replace(tcfg, seed=args.seed)
-    if getattr(args, "lr", None) is not None:
-        tcfg = replace(tcfg, learning_rate=args.lr)
-    if getattr(args, "batch_size", None) is not None:
-        tcfg = replace(tcfg, batch_size=args.batch_size)
-    return replace(config, train=tcfg)
+    given = {field: getattr(args, dest) for dest, field in _TRAIN_FLAGS if getattr(args, dest, None) is not None}
+    return replace(config, train=replace(config.train, **given))
 
 
 def cmd_gen(args) -> int:

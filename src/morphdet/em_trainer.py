@@ -223,19 +223,10 @@ def e_step(state: DetectorState, dataset, lam: float) -> DetectorState:
         if obj.class_id not in base_ids:
             raise UnknownClass(f"ground-truth class {obj.class_id} has no base prototype")
     feats, _, _ = forward_batch(state.params, np.stack([obj.descriptor for obj in gts]))
-    sums: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
-    for row, obj in zip(feats, gts):
-        if obj.class_id in sums:
-            sums[obj.class_id] = sums[obj.class_id] + row
-            counts[obj.class_id] += 1
-        else:
-            sums[obj.class_id] = row.copy()
-            counts[obj.class_id] = 1
-    missing = sorted(base_ids - set(sums))
+    means = _class_means((obj.class_id, row) for row, obj in zip(feats, gts))
+    missing = sorted(base_ids - set(means))
     if missing:
         raise MissingClassSamples(f"no ground-truth samples for base classes {missing}")
-    means = {cid: sums[cid] / counts[cid] for cid in sorted(sums)}
     return replace(state, prototypes=e_step_update(state.prototypes, means, lam))
 
 
@@ -287,26 +278,24 @@ def train(dataset, semantic_vectors, config: TrainConfig = TrainConfig()) -> Tra
 def visual_init_vectors(dataset, dim: int) -> dict[int, np.ndarray]:
     """Baseline prototype seeds: per-class means of the raw ground-truth
     descriptors, zero-padded or truncated to the prototype dimension."""
+    means = _class_means((obj.class_id, obj.descriptor) for scene in dataset for obj in scene.objects)
+    if not means:
+        raise EmptyInput("dataset has no ground-truth objects")
+    return {
+        cid: mean[:dim] if mean.shape[0] >= dim else np.concatenate([mean, np.zeros(dim - mean.shape[0])])
+        for cid, mean in means.items()
+    }
+
+
+def _class_means(pairs) -> dict[int, np.ndarray]:
+    """Mean vector per class id of (class_id, vector) pairs, in ascending id
+    order. Each class sums its vectors in input order, then divides once."""
     sums: dict[int, np.ndarray] = {}
     counts: dict[int, int] = {}
-    for scene in dataset:
-        for obj in scene.objects:
-            if obj.class_id in sums:
-                sums[obj.class_id] = sums[obj.class_id] + obj.descriptor
-                counts[obj.class_id] += 1
-            else:
-                sums[obj.class_id] = obj.descriptor.copy()
-                counts[obj.class_id] = 1
-    if not sums:
-        raise EmptyInput("dataset has no ground-truth objects")
-    out: dict[int, np.ndarray] = {}
-    for cid in sorted(sums):
-        mean = sums[cid] / counts[cid]
-        if mean.shape[0] >= dim:
-            out[cid] = mean[:dim].copy()
-        else:
-            out[cid] = np.concatenate([mean, np.zeros(dim - mean.shape[0])])
-    return out
+    for cid, vec in pairs:
+        sums[cid] = sums[cid] + vec if cid in sums else vec
+        counts[cid] = counts.get(cid, 0) + 1
+    return {cid: sums[cid] / counts[cid] for cid in sorted(sums)}
 
 
 def write_metrics_csv(path, records) -> None:

@@ -5,27 +5,27 @@ topped by three linear heads sharing the trunk output -- a feature vector
 (scored against class prototypes), a single background logit, and four
 class-agnostic box-regression deltas.
 
-Gradients are hand-derived and exact: the batched loss mirrors
-objective.batch_loss (per-group means of foreground, background and box
-terms, each multiplied by its weight), and backpropagation runs through the
-heads and the ReLU trunk in closed form. Prototypes are constants here.
+forward_batch embeds a batch for inference. forward_batch_with_grad computes
+the training loss of objective.py on a minibatch (per-group means of
+foreground, background and box terms, each multiplied by its weight) and
+backpropagates it through the heads and the ReLU trunk in closed form. Both
+run the same forward pass. Prototypes are constants here.
 
-A module-level counter records every gradient evaluation; inference-only
-paths (forward, forward_batch) never touch it, which is how zero-gradient
-guarantees for morphing are asserted downstream.
+A module-level counter records every gradient evaluation; forward_batch never
+touches it, which is how zero-gradient guarantees for morphing are asserted
+downstream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .numkernel import DimensionMismatch, EmptyInput, smooth_l1_array, smooth_l1_grad_array
-from .objective import LossBreakdown, LossWeights
+from .objective import LossBreakdown, LossWeights, prototype_matrix
 from .prototype_store import PrototypeSet, UnknownClass, all_prototypes
 from .textio import tensor_lines
 
@@ -130,13 +130,6 @@ class EmbedderParams:
 Gradients = EmbedderParams
 
 
-@dataclass(frozen=True, eq=False)
-class ProposalOutputs:
-    feature: np.ndarray
-    bg_logit: float
-    box_deltas: np.ndarray
-
-
 def validate_params(params: EmbedderParams) -> None:
     """Check every entry is finite; shapes hold by construction."""
     if not np.all(np.isfinite(params.flat)):
@@ -155,35 +148,28 @@ def init_params(m_in: int, hidden_sizes, feature_dim: int, seed: int) -> Embedde
     return params
 
 
-def _trunk_forward(params: EmbedderParams, x: np.ndarray) -> np.ndarray:
-    h = x
-    for layer in params.trunk:
-        h = np.maximum(h @ layer.weight + layer.bias, 0.0)
-    return h
-
-
-def forward(params: EmbedderParams, descriptor) -> ProposalOutputs:
-    """Embed one descriptor. Pure; never counts as a gradient evaluation."""
-    x = np.asarray(descriptor, dtype=np.float64)
-    if x.shape != (params.m_in,):
-        raise DimensionMismatch(f"descriptor has shape {x.shape}, expected ({params.m_in},)")
-    h = _trunk_forward(params, x)
-    feature = h @ params.feature_head.weight + params.feature_head.bias
-    bg = float((h @ params.background_head.weight + params.background_head.bias)[0])
-    deltas = h @ params.box_head.weight + params.box_head.bias
-    return ProposalOutputs(feature=feature, bg_logit=bg, box_deltas=deltas)
-
-
-def forward_batch(params: EmbedderParams, descriptors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Embed a stack of descriptors; returns (features, bg_logits, box_deltas)."""
+def _forward(params: EmbedderParams, descriptors):
+    """Trunk pre-activations, trunk activations (input first) and the three
+    heads (features, background logits, box deltas) for a descriptor batch."""
     x = np.asarray(descriptors, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.m_in:
         raise DimensionMismatch(f"descriptor batch has shape {x.shape}, expected (n, {params.m_in})")
-    h = _trunk_forward(params, x)
-    features = h @ params.feature_head.weight + params.feature_head.bias
-    bg = (h @ params.background_head.weight + params.background_head.bias)[:, 0]
-    deltas = h @ params.box_head.weight + params.box_head.bias
-    return features, bg, deltas
+    pre_acts: list[np.ndarray] = []
+    acts: list[np.ndarray] = [x]
+    for layer in params.trunk:
+        pre_acts.append(acts[-1] @ layer.weight + layer.bias)
+        acts.append(np.maximum(pre_acts[-1], 0.0))
+    top = acts[-1]
+    features = top @ params.feature_head.weight + params.feature_head.bias
+    bg = (top @ params.background_head.weight + params.background_head.bias)[:, 0]
+    deltas = top @ params.box_head.weight + params.box_head.bias
+    return pre_acts, acts, (features, bg, deltas)
+
+
+def forward_batch(params: EmbedderParams, descriptors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Embed a stack of descriptors; returns (features, bg_logits, box_deltas).
+    Pure; never counts as a gradient evaluation."""
+    return _forward(params, descriptors)[2]
 
 
 def clone_params(params: EmbedderParams) -> EmbedderParams:
@@ -212,35 +198,15 @@ def forward_batch_with_grad(
     batch = list(batch)
     if not batch:
         raise EmptyInput("empty batch")
-    protos = all_prototypes(prototypes)
-    if not protos:
-        raise EmptyInput("no prototypes to train against")
-    ids = [p.class_id for p in protos]
+    pmat, ids = prototype_matrix(all_prototypes(prototypes), params.feature_dim)  # (M, d)
     slot = {cid: k for k, cid in enumerate(ids)}
-    pmat = np.stack([p.vector for p in protos])  # (M, d)
-    if pmat.shape[1] != params.feature_dim:
-        raise DimensionMismatch(f"prototype dim {pmat.shape[1]} != feature dim {params.feature_dim}")
 
     labels = np.array([int(p.label) for p in batch])
     for lab in labels:
         if lab > 0 and lab not in slot:
             raise UnknownClass(f"foreground label {lab} has no prototype")
-    x = np.stack([np.asarray(p.descriptor, dtype=np.float64) for p in batch])
-    if x.shape[1] != params.m_in:
-        raise DimensionMismatch(f"descriptors have dim {x.shape[1]}, network expects {params.m_in}")
-
-    # Forward pass, caching pre-activations for the backward sweep.
-    pre_acts: list[np.ndarray] = []
-    acts: list[np.ndarray] = [x]
-    h = x
-    for layer in params.trunk:
-        z = h @ layer.weight + layer.bias
-        pre_acts.append(z)
-        h = np.maximum(z, 0.0)
-        acts.append(h)
-    feats = h @ params.feature_head.weight + params.feature_head.bias  # (N, d)
-    bg = (h @ params.background_head.weight + params.background_head.bias)[:, 0]  # (N,)
-    deltas = h @ params.box_head.weight + params.box_head.bias  # (N, 4)
+    # Forward pass, keeping pre-activations for the backward sweep.
+    pre_acts, acts, (feats, bg, deltas) = _forward(params, [p.descriptor for p in batch])
 
     all_logits = np.concatenate([bg[:, None], feats @ pmat.T], axis=1)  # (N, 1 + M)
     shift = np.max(all_logits, axis=1)

@@ -168,25 +168,27 @@ def evaluate(
         if not state.prototypes.has_class(cid):
             raise UnknownClass(f"state has no prototype for evaluated class {cid}")
 
+    # Scenes are keyed by their position in `scenes`, not by scene_id: joined
+    # splits (eval --split all) number their scenes from 0 each.
     det_rows: list[tuple[int, Detection]] = []
-    for scene in scenes:
+    for pos, scene in enumerate(scenes):
         dets = detect(
             state,
             [(p.descriptor, p.anchor) for p in scene.proposals],
             score_threshold=config.score_threshold,
             nms_iou=config.nms_iou,
         )
-        det_rows.extend((scene.scene_id, d) for d in dets)
+        det_rows.extend((pos, d) for d in dets)
 
     gts_by_class: dict[int, list] = {cid: [] for cid in all_ids}
-    for scene in scenes:
+    for pos, scene in enumerate(scenes):
         for obj in scene.objects:
             if obj.class_id in gts_by_class:
-                gts_by_class[obj.class_id].append((scene.scene_id, obj.box))
+                gts_by_class[obj.class_id].append((pos, obj.box))
     dets_by_class: dict[int, list] = {cid: [] for cid in all_ids}
-    for scene_id, det in det_rows:
+    for pos, det in det_rows:
         if det.class_id in dets_by_class:
-            dets_by_class[det.class_id].append((scene_id, det.score, det.box))
+            dets_by_class[det.class_id].append((pos, det.score, det.box))
 
     evaluated = [cid for cid in all_ids if gts_by_class[cid]]
     if not evaluated:

@@ -6,15 +6,16 @@ returns both tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 import os
+import sys
 
 import numpy as np
 
 from .em_trainer import TrainConfig, train, visual_init_vectors
 from .evalkit import evaluate
 from .morph_inference import DetectConfig, morph
-from .prototype_store import add_novel, add_novel_semantic
+from .prototype_store import add_novel
 from .textio import fmt
 from .toyworld import exemplars_for, make_dataset, make_universe, semantic_vectors
 
@@ -71,43 +72,50 @@ class ExperimentConfig:
         return DetectConfig(score_threshold=self.score_threshold, nms_iou=self.nms_iou)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _checked(where: str, name: str, default, value):
+    """`value` for the field `name` whose default is `default`, checked against
+    the default's type: int (not bool), a finite int or float, a list of ints
+    for a tuple, str or null for a None default; a nested section is filled
+    recursively."""
+    if is_dataclass(default):
+        return _fill_dataclass(type(default), value, name)
+    if isinstance(default, int):
+        ok, kind = _is_int(value), "an integer"
+    elif isinstance(default, float):
+        ok = (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+        kind = "a finite number"
+    elif isinstance(default, tuple):
+        ok, kind = isinstance(value, list) and all(map(_is_int, value)), "a list of integers"
+    else:
+        ok, kind = value is None or isinstance(value, str), "a string or null"
+    if not ok:
+        raise ConfigError(f"{where}: {name} must be {kind}, got {value!r}")
+    return value
+
+
 def _fill_dataclass(cls, data, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected a mapping, got {type(data).__name__}")
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - allowed)
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = sorted(set(data) - set(defaults))
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
+    values = {name: _checked(where, name, defaults[name], value) for name, value in data.items()}
     try:
-        return cls(**data)
-    except (TypeError, ValueError) as exc:
+        return cls(**values)
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def experiment_config_from_dict(data: dict) -> ExperimentConfig:
     """Build a validated config from parsed JSON; any key the schema does not
-    declare is an error, including in the nested sections."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"config root: expected a mapping, got {type(data).__name__}")
-    allowed = {f.name for f in fields(ExperimentConfig)}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ConfigError(f"config root: unknown keys {unknown}")
-    out = dict(data)
-    if "universe" in out:
-        out["universe"] = _fill_dataclass(UniverseConfig, out["universe"], "universe")
-    if "data" in out:
-        out["data"] = _fill_dataclass(DataConfig, out["data"], "data")
-    if "train" in out:
-        section = out["train"]
-        if isinstance(section, dict) and "hidden_sizes" in section:
-            section = dict(section)
-            section["hidden_sizes"] = tuple(section["hidden_sizes"])
-        out["train"] = _fill_dataclass(TrainConfig, section, "train")
-    try:
-        return ExperimentConfig(**out)
-    except TypeError as exc:
-        raise ConfigError(f"config root: {exc}") from exc
+    declare, or any value of the wrong type, is an error, including in the
+    nested sections."""
+    return _fill_dataclass(ExperimentConfig, data, "config root")
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,7 +264,7 @@ def run_zero_shot(config: ExperimentConfig, out_dir=None):
 
         sem_protos = state.prototypes
         for cid in world.novel_ids:
-            sem_protos = add_novel_semantic(sem_protos, cid, world.semantics[cid])
+            sem_protos = add_novel(sem_protos, cid, world.semantics[cid])
         sem_state = replace(state, prototypes=sem_protos)
 
         rng = np.random.default_rng([seed + _RANDOM_PROTOS, 7])

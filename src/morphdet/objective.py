@@ -1,4 +1,4 @@
-"""Classification posterior and training losses.
+"""Classification posterior and the types of the training loss.
 
 A proposal with feature vector f scores class j by the inner product with
 that class's prototype p_j. A separately regressed logit b plays the role of
@@ -7,15 +7,13 @@ softmax denominator:
 
     denom = exp(b) + sum_j exp(f . p_j)
 
-The foreground loss is the negative log-probability of the labelled class,
-the background loss the negative log-probability of the background slot, and
-box regression is a smooth-L1 penalty on encode/decode deltas, applied to
-foreground proposals only. The batch loss averages each term over its own
-group (foreground terms over foreground proposals, background over
-background), then combines the three group means with their weights.
-
-Each loss returns its exact gradient with respect to its direct inputs
-(f, b, or the predicted deltas); prototypes are treated as constants here.
+posterior_batch turns a batch of features and background logits into that
+posterior for detection. The training loss and its gradients are computed in
+embedder.forward_batch_with_grad: the foreground term is the negative
+log-probability of the labelled class, the background term that of the
+background slot, and box regression a smooth-L1 penalty on the deltas of
+foreground proposals. Each term is averaged over its own group and weighted
+by LossWeights; LossBreakdown holds the weighted terms.
 """
 
 from __future__ import annotations
@@ -25,14 +23,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .numkernel import (
-    DimensionMismatch,
-    EmptyInput,
-    log_sum_exp,
-    smooth_l1,
-    smooth_l1_grad,
-)
-from .prototype_store import Prototype, UnknownClass
+from .numkernel import DimensionMismatch, EmptyInput
+from .prototype_store import Prototype
 
 
 @dataclass(frozen=True)
@@ -52,23 +44,8 @@ class LossBreakdown:
     total: float
 
 
-@dataclass(frozen=True)
-class ClassScores:
-    """Posterior over registered classes plus the background slot."""
-
-    per_class: dict[int, float]
-    background: float
-
-    def argmax_label(self) -> int:
-        """Most probable label, 0 for background."""
-        best_id, best_p = 0, self.background
-        for cid in sorted(self.per_class):
-            if self.per_class[cid] > best_p:
-                best_id, best_p = cid, self.per_class[cid]
-        return best_id
-
-
-def _prototype_matrix(prototypes: Sequence[Prototype], dim: int) -> tuple[np.ndarray, list[int]]:
+def prototype_matrix(prototypes: Sequence[Prototype], dim: int) -> tuple[np.ndarray, list[int]]:
+    """(M, dim) matrix of the prototype vectors in the given order, and their ids."""
     if len(prototypes) == 0:
         raise EmptyInput("no prototypes to score against")
     ids = [p.class_id for p in prototypes]
@@ -94,105 +71,9 @@ def posterior_batch(
     bg = np.asarray(bg_logits, dtype=np.float64).reshape(-1)
     if bg.shape[0] != feats.shape[0]:
         raise DimensionMismatch("one background logit per feature row required")
-    mat, ids = _prototype_matrix(prototypes, feats.shape[1])
+    mat, ids = prototype_matrix(prototypes, feats.shape[1])
     logits = np.concatenate([bg[:, None], feats @ mat.T], axis=1)
     shift = np.max(logits, axis=1, keepdims=True)
     expd = np.exp(logits - shift)
     q = expd / np.sum(expd, axis=1, keepdims=True)
     return q, ids
-
-
-def posterior(feature, bg_logit: float, prototypes: Sequence[Prototype]) -> ClassScores:
-    """Posterior for a single proposal; probabilities sum to 1."""
-    feat = np.asarray(feature, dtype=np.float64)
-    if feat.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-D feature, got shape {feat.shape}")
-    q, ids = posterior_batch(feat[None, :], np.array([float(bg_logit)]), prototypes)
-    row = q[0]
-    return ClassScores(
-        per_class={cid: float(row[k + 1]) for k, cid in enumerate(ids)},
-        background=float(row[0]),
-    )
-
-
-def _single_scores(feature, bg_logit: float, prototypes: Sequence[Prototype]):
-    """Logits, log-denominator and posterior row for one proposal."""
-    feat = np.asarray(feature, dtype=np.float64)
-    if feat.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-D feature, got shape {feat.shape}")
-    mat, ids = _prototype_matrix(prototypes, feat.shape[0])
-    logits = np.concatenate([[float(bg_logit)], mat @ feat])
-    log_denom = log_sum_exp(logits)
-    row = np.exp(logits - log_denom)
-    return logits, log_denom, row, mat, ids
-
-
-def fg_loss(
-    feature, bg_logit: float, prototypes: Sequence[Prototype], label: int
-) -> tuple[float, np.ndarray, float]:
-    """Negative log-probability of `label`; returns (value, d/df, d/db).
-
-    The value is computed as log-denominator minus the class logit, which
-    stays finite even when the class probability underflows.
-    """
-    logits, log_denom, row, mat, ids = _single_scores(feature, bg_logit, prototypes)
-    label = int(label)
-    if label not in ids:
-        raise UnknownClass(f"label {label} has no prototype")
-    slot = ids.index(label)
-    value = log_denom - float(logits[slot + 1])
-    grad_f = row[1:] @ mat - mat[slot]
-    grad_b = float(row[0])
-    return value, grad_f, grad_b
-
-
-def bg_loss(feature, bg_logit: float, prototypes: Sequence[Prototype]) -> tuple[float, np.ndarray, float]:
-    """Negative log-probability of the background slot; returns (value, d/df, d/db)."""
-    _logits, log_denom, row, mat, _ids = _single_scores(feature, bg_logit, prototypes)
-    value = log_denom - float(bg_logit)
-    grad_f = row[1:] @ mat
-    grad_b = float(row[0]) - 1.0
-    return value, grad_f, grad_b
-
-
-def bbox_loss(pred_deltas, target_deltas) -> tuple[float, np.ndarray]:
-    """Summed smooth-L1 over the four box deltas; returns (value, d/dpred)."""
-    pred = np.asarray(pred_deltas, dtype=np.float64)
-    target = np.asarray(target_deltas, dtype=np.float64)
-    if pred.shape != (4,) or target.shape != (4,):
-        raise DimensionMismatch(
-            f"box deltas must have shape (4,), got {pred.shape} and {target.shape}"
-        )
-    residual = pred - target
-    value = float(sum(smooth_l1(r) for r in residual))
-    grad = np.array([smooth_l1_grad(r) for r in residual])
-    return value, grad
-
-
-def batch_loss(pairs, prototypes: Sequence[Prototype], weights: LossWeights = LossWeights()) -> LossBreakdown:
-    """Composite loss for (proposal, outputs) pairs.
-
-    Foreground and box terms average over proposals with label > 0,
-    the background term over proposals with label 0; a group with no members
-    contributes exactly 0. Stored terms are already weighted, so
-    total == fg + bg + bbox.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        raise EmptyInput("empty batch")
-    fg_vals: list[float] = []
-    bg_vals: list[float] = []
-    box_vals: list[float] = []
-    for proposal, out in pairs:
-        if proposal.label > 0:
-            value, _, _ = fg_loss(out.feature, out.bg_logit, prototypes, proposal.label)
-            fg_vals.append(value)
-            bvalue, _ = bbox_loss(out.box_deltas, proposal.target_deltas)
-            box_vals.append(bvalue)
-        else:
-            value, _, _ = bg_loss(out.feature, out.bg_logit, prototypes)
-            bg_vals.append(value)
-    fg_term = weights.fg * (sum(fg_vals) / len(fg_vals)) if fg_vals else 0.0
-    bg_term = weights.bg * (sum(bg_vals) / len(bg_vals)) if bg_vals else 0.0
-    box_term = weights.bbox * (sum(box_vals) / len(box_vals)) if box_vals else 0.0
-    return LossBreakdown(fg=fg_term, bg=bg_term, bbox=box_term, total=fg_term + bg_term + box_term)

@@ -158,11 +158,13 @@ def e_step_update(protos: PrototypeSet, means, lam: float) -> PrototypeSet:
     return PrototypeSet(base=new_base, novel=dict(protos.novel), dim=protos.dim)
 
 
-def _insert_novel(protos: PrototypeSet, class_id: int, raw) -> PrototypeSet:
+def add_novel(protos: PrototypeSet, class_id: int, vector) -> PrototypeSet:
+    """Register a novel class from one vector -- the mean of its exemplar
+    features, or its semantic vector -- unit-normalized."""
     cid = int(class_id)
     if protos.has_class(cid):
         raise ClassCollision(f"class {cid} already has a prototype")
-    vec = np.asarray(raw, dtype=np.float64)
+    vec = np.asarray(vector, dtype=np.float64)
     if vec.shape != (protos.dim,):
         raise DimensionMismatch(
             f"vector for class {cid} has shape {vec.shape}, expected ({protos.dim},)"
@@ -170,16 +172,6 @@ def _insert_novel(protos: PrototypeSet, class_id: int, raw) -> PrototypeSet:
     novel = dict(protos.novel)
     novel[cid] = Prototype(cid, l2_normalize(vec))
     return PrototypeSet(base=dict(protos.base), novel=novel, dim=protos.dim)
-
-
-def add_novel(protos: PrototypeSet, class_id: int, mean_vector) -> PrototypeSet:
-    """Register a novel class from the mean of its exemplar features."""
-    return _insert_novel(protos, class_id, mean_vector)
-
-
-def add_novel_semantic(protos: PrototypeSet, class_id: int, semantic) -> PrototypeSet:
-    """Register a novel class straight from its semantic vector (no exemplars)."""
-    return _insert_novel(protos, class_id, semantic)
 
 
 def all_prototypes(protos: PrototypeSet) -> list[Prototype]:

@@ -15,7 +15,6 @@ from test_evalkit import random_box, ref_average_precision, ref_recall_at
 from morphdet.cli import main
 from morphdet.em_trainer import DetectorState, TrainConfig, m_step
 from morphdet.embedder import (
-    forward,
     forward_batch,
     forward_batch_with_grad,
     grad_evaluation_count,
@@ -108,7 +107,7 @@ def test_criterion_04_morph_is_forward_only(tiny_state, tiny_exemplars):
     grads_used = grad_evaluation_count() - before
 
     theta_after = "\n".join(params_to_lines(morphed.params))
-    expected = l2_normalize(forward(tiny_state.params, exemplar).feature)
+    expected = l2_normalize(forward_batch(tiny_state.params, exemplar[None, :])[0][0])
     worst = float(np.max(np.abs(morphed.prototypes.vector_for(cid) - expected)))
     print(
         f"criterion 4: {grads_used} gradient evaluations, parameters byte-identical "

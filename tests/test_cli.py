@@ -2,13 +2,15 @@
 
 import json
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from morphdet.cli import GEN_FILES, main
-from morphdet.em_trainer import load_checkpoint
+from morphdet.cli import GEN_FILES, _apply_train_overrides, build_parser, main
+from morphdet.em_trainer import TrainConfig, load_checkpoint
 from morphdet.embedder import params_equal
+from morphdet.experiments import ExperimentConfig
 from morphdet.morph_inference import read_exemplars_csv
 from morphdet.textio import sha256_file
 
@@ -112,13 +114,17 @@ def test_gen_default_world_is_twenty_five(tmp_path):
     assert manifest["scene_counts"]["train_base"] == 60
 
 
-def test_gen_rejects_bad_config(tmp_path):
+def test_gen_rejects_bad_config(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json", encoding="utf-8")
     assert main(["gen", "--out", str(tmp_path / "a"), "--config", str(broken)]) == 2
     unknown = tmp_path / "unknown.json"
     unknown.write_text('{"zzz": 1}', encoding="utf-8")
     assert main(["gen", "--out", str(tmp_path / "b"), "--config", str(unknown)]) == 2
+    wrong_type = tmp_path / "wrong_type.json"
+    wrong_type.write_text('{"universe": {"n_base": "x"}}', encoding="utf-8")
+    assert main(["gen", "--out", str(tmp_path / "c"), "--config", str(wrong_type)]) == 2
+    assert "n_base must be an integer" in capsys.readouterr().err
 
 
 def test_train_writes_checkpoints_and_metrics(train_dir):
@@ -146,6 +152,18 @@ def test_train_iteration_override(cfg_path, gen_dir, tmp_path):
     assert rc == 0
     assert (out / "checkpoint_iter1.ckpt").is_file()
     assert not (out / "checkpoint_iter2.ckpt").exists()
+
+
+def test_train_flags_override_their_config_fields():
+    flags = ["--em-iterations", "4", "--lambda", "0.25", "--epochs", "2", "--seed", "9", "--lr", "0.01", "--batch-size", "7"]
+    args = build_parser().parse_args(["train", "--data", "d", "--out", "o", *flags])
+    tcfg = _apply_train_overrides(ExperimentConfig(), args).train
+    assert (tcfg.em_iterations, tcfg.lam, tcfg.m_step_epochs) == (4, 0.25, 2)
+    assert (tcfg.seed, tcfg.learning_rate, tcfg.batch_size) == (9, 0.01, 7)
+    assert replace(tcfg, em_iterations=3, lam=0.5, m_step_epochs=6, seed=0, learning_rate=0.05, batch_size=32) == TrainConfig()
+    # `experiment` has only --seed of these flags; flags left out keep the config's values.
+    args = build_parser().parse_args(["experiment", "lambda", "--seed", "5"])
+    assert _apply_train_overrides(ExperimentConfig(), args).train == TrainConfig(seed=5)
 
 
 def test_train_missing_data_dir(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 from morphdet.embedder import (
     EmbedderParams,
     clone_params,
-    forward,
     forward_batch,
     forward_batch_with_grad,
     grad_evaluation_count,
@@ -60,18 +59,35 @@ def test_init_params_deterministic_and_shaped():
         init_params(4, (0,), 3, seed=0)
 
 
-def test_forward_matches_forward_batch_rows():
+def naive_forward(params, descriptor):
+    """One descriptor through the network in plain Python loops:
+    (feature, background logit, box deltas)."""
+
+    def affine(layer, h):
+        return [
+            sum(h[i] * layer.weight[i, j] for i in range(len(h))) + layer.bias[j]
+            for j in range(layer.bias.shape[0])
+        ]
+
+    h = [float(v) for v in descriptor]
+    for layer in params.trunk:
+        h = [max(v, 0.0) for v in affine(layer, h)]
+    return affine(params.feature_head, h), affine(params.background_head, h)[0], affine(params.box_head, h)
+
+
+def test_forward_batch_matches_naive_rows():
     rng = np.random.default_rng(0)
-    params = init_params(5, (7,), 4, seed=1)
+    params = init_params(5, (7, 6), 4, seed=1)
     x = rng.normal(size=(6, 5))
     feats, bg, deltas = forward_batch(params, x)
+    assert feats.shape == (6, 4) and bg.shape == (6,) and deltas.shape == (6, 4)
     for i in range(6):
-        out = forward(params, x[i])
-        assert np.allclose(out.feature, feats[i], atol=1e-12)
-        assert out.bg_logit == pytest.approx(bg[i], abs=1e-12)
-        assert np.allclose(out.box_deltas, deltas[i], atol=1e-12)
+        feature, bg_logit, box_deltas = naive_forward(params, x[i])
+        assert np.allclose(feats[i], feature, rtol=0.0, atol=1e-12)
+        assert bg[i] == pytest.approx(bg_logit, abs=1e-12)
+        assert np.allclose(deltas[i], box_deltas, rtol=0.0, atol=1e-12)
     with pytest.raises(DimensionMismatch):
-        forward(params, np.zeros(4))
+        forward_batch(params, np.zeros(5))
     with pytest.raises(DimensionMismatch):
         forward_batch(params, np.zeros((2, 4)))
 
@@ -80,7 +96,7 @@ def test_inference_paths_never_touch_the_grad_counter():
     rng = np.random.default_rng(1)
     params = init_params(5, (7,), 4, seed=2)
     before = grad_evaluation_count()
-    forward(params, rng.normal(size=5))
+    forward_batch(params, rng.normal(size=(1, 5)))
     forward_batch(params, rng.normal(size=(8, 5)))
     assert grad_evaluation_count() == before
 

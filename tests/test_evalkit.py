@@ -225,6 +225,16 @@ def test_evaluate_scores_a_perfect_detector():
     assert report.recall[100] == 1.0
 
 
+def test_evaluate_tells_apart_scenes_that_share_an_id():
+    # `eval --split all` joins two splits whose scene ids both start at 0.
+    state, scenes = _eval_world()
+    shared = [SimpleNamespace(**{**vars(scene), "scene_id": 0}) for scene in scenes]
+    distinct = evaluate(state, scenes, base_ids=[1, 2], novel_ids=[3], recall_budgets=(1, 100))
+    joined = evaluate(state, shared, base_ids=[1, 2], novel_ids=[3], recall_budgets=(1, 100))
+    assert joined == distinct
+    assert joined.recall[1] == 2.0 / 3.0
+
+
 def test_evaluate_excludes_classes_without_ground_truth():
     state, scenes = _eval_world()
     report = evaluate(state, scenes[:1], base_ids=[1, 2], novel_ids=[3])

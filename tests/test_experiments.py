@@ -90,6 +90,25 @@ def test_config_from_dict_rejects_unknowns():
         experiment_config_from_dict({"universe": 7})
     with pytest.raises(ConfigError):
         experiment_config_from_dict([1, 2])
+    for wrong_type in (
+        {"universe": {"n_base": "x"}},
+        {"universe": {"n_base": 2.5}},
+        {"universe": {"n_base": True}},
+        {"universe": {"sigma_sem": "0.4"}},
+        {"data": {"proposals_per_scene": "24"}},
+        {"data": {"jitter": 1e400}},
+        {"train": {"hidden_sizes": 5}},
+        {"train": {"hidden_sizes": [8, 2.5]}},
+        {"train": {"batch_size": 2.5}},
+        {"train": {"learning_rate": None}},
+        {"seeds": 1.5},
+        {"score_threshold": "0.1"},
+        {"name": 3},
+    ):
+        with pytest.raises(ConfigError):
+            experiment_config_from_dict(wrong_type)
+    cfg = experiment_config_from_dict({"universe": {"sigma_sem": 1}, "name": None, "out_dir": "tables"})
+    assert cfg.universe.sigma_sem == 1 and cfg.name is None and cfg.out_dir == "tables"
 
 
 def test_build_world_structure_and_determinism():

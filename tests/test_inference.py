@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import identity_detector
-from morphdet.embedder import clone_params, grad_evaluation_count, params_equal
+from morphdet.embedder import clone_params, forward_batch, grad_evaluation_count, params_equal
 from morphdet.morph_inference import (
     Box,
     Detection,
@@ -139,12 +139,10 @@ def test_morph_is_forward_only_and_keeps_params(tiny_state, tiny_exemplars):
 
 
 def test_morph_single_exemplar_equals_normalized_feature(tiny_state, tiny_exemplars):
-    from morphdet.embedder import forward
-
     cid = sorted(tiny_exemplars)[0]
     desc = tiny_exemplars[cid][0]
     morphed = morph(tiny_state, {cid: [desc]})
-    expected = l2_normalize(forward(tiny_state.params, desc).feature)
+    expected = l2_normalize(forward_batch(tiny_state.params, desc[None, :])[0][0])
     assert np.max(np.abs(morphed.prototypes.vector_for(cid) - expected)) < 1e-12
 
 
@@ -159,8 +157,6 @@ def test_morph_empty_mapping_and_errors(tiny_state, tiny_exemplars):
 
 def test_morph_preserves_base_posterior_ratios(tiny_state, tiny_exemplars):
     rng = np.random.default_rng(4)
-    from morphdet.embedder import forward_batch
-
     descs = rng.normal(size=(20, tiny_state.params.m_in))
     feats, bg, _ = forward_batch(tiny_state.params, descs)
     base_ids = sorted(tiny_state.prototypes.base)

@@ -1,22 +1,18 @@
-"""Posterior and loss contracts, with naive-softmax and finite-difference oracles."""
+"""Posterior and loss contracts: the batched product path against a naive
+softmax, naive per-row losses and finite differences."""
 
 import math
 
 import numpy as np
 import pytest
 
-from morphdet.numkernel import DimensionMismatch, EmptyInput, smooth_l1, smooth_l1_grad
-from morphdet.objective import (
-    LossBreakdown,
-    LossWeights,
-    batch_loss,
-    bbox_loss,
-    bg_loss,
-    fg_loss,
-    posterior,
-    posterior_batch,
-)
-from morphdet.prototype_store import Prototype, UnknownClass
+from test_embedder import FakeProposal, max_grad_error, naive_forward
+from test_numkernel import naive_smooth_l1
+
+from morphdet.embedder import forward_batch_with_grad, init_params
+from morphdet.numkernel import DimensionMismatch, EmptyInput
+from morphdet.objective import LossWeights, posterior_batch
+from morphdet.prototype_store import Prototype, UnknownClass, add_novel, all_prototypes, init_from_semantic
 
 
 def random_prototypes(rng, count, dim):
@@ -60,19 +56,17 @@ def test_posterior_rows_sum_to_one_with_huge_logits():
 def test_posterior_single_matches_batch_and_argmax():
     rng = np.random.default_rng(2)
     protos = random_prototypes(rng, 3, 5)
-    feat = rng.normal(size=5)
-    scores = posterior(feat, 0.2, protos)
-    q, ids = posterior_batch(feat[None, :], np.array([0.2]), protos)
-    assert scores.background == pytest.approx(q[0, 0], abs=1e-15)
-    for k, cid in enumerate(ids):
-        assert scores.per_class[cid] == pytest.approx(q[0, k + 1], abs=1e-15)
-    total = scores.background + sum(scores.per_class.values())
-    assert total == pytest.approx(1.0, abs=1e-12)
+    feats = rng.normal(size=(4, 5))
+    bg = rng.normal(size=4)
+    q, ids = posterior_batch(feats, bg, protos)
+    for i in range(4):
+        single, single_ids = posterior_batch(feats[i : i + 1], bg[i : i + 1], protos)
+        assert single_ids == ids
+        assert np.allclose(single[0], q[i], rtol=0.0, atol=1e-15)
 
-    sure_bg = posterior(np.zeros(5), 50.0, protos)
-    assert sure_bg.argmax_label() == 0
-    aligned = posterior(protos[1].vector * 50.0, -5.0, protos)
-    assert aligned.argmax_label() == protos[1].class_id
+    extremes = np.stack([np.zeros(5), protos[1].vector * 50.0])
+    sure, _ = posterior_batch(extremes, np.array([50.0, -5.0]), protos)
+    assert np.argmax(sure, axis=1).tolist() == [0, 1 + ids.index(protos[1].class_id)]
 
 
 def test_posterior_validation():
@@ -85,133 +79,135 @@ def test_posterior_validation():
     with pytest.raises(DimensionMismatch):
         posterior_batch(np.zeros((2, 3)), np.zeros(1), protos)
     with pytest.raises(DimensionMismatch):
-        posterior(np.zeros((2, 3)), 0.0, protos)
+        posterior_batch(np.zeros(3), np.zeros(1), protos)
+
+
+def loss_setup(seed, labels, m_in=5):
+    """A small network, prototypes with scattered ids (base 2 and 7, novel 4)
+    and a batch with box targets wide enough to reach both smooth-L1 pieces."""
+    rng = np.random.default_rng([200, seed])
+    params = init_params(m_in, (6,), 4, seed=seed)
+    protos = add_novel(init_from_semantic({2: rng.normal(size=4), 7: rng.normal(size=4)}), 4, rng.normal(size=4))
+    batch = [
+        FakeProposal(rng.normal(size=m_in), label, rng.uniform(-3, 3, size=4) if label > 0 else None)
+        for label in labels
+    ]
+    return params, protos, batch
+
+
+def naive_neg_log_posterior(logits, k):
+    """-log of the naive softmax's entry k, written with the max shifted out
+    so that huge logits stay finite."""
+    top = max(logits)
+    return top + math.log(sum(math.exp(x - top) for x in logits)) - logits[k]
+
+
+def naive_terms(params, protos, batch, weights):
+    """(fg, bg, bbox) loss terms computed one proposal at a time."""
+    ordered = all_prototypes(protos)
+    ids = [p.class_id for p in ordered]
+    fg_vals, bg_vals, box_vals = [], [], []
+    for prop in batch:
+        feature, bg_logit, deltas = naive_forward(params, prop.descriptor)
+        logits = [bg_logit] + [float(np.dot(feature, p.vector)) for p in ordered]
+        if prop.label > 0:
+            fg_vals.append(naive_neg_log_posterior(logits, 1 + ids.index(prop.label)))
+            box_vals.append(sum(naive_smooth_l1(d - t) for d, t in zip(deltas, prop.target_deltas)))
+        else:
+            bg_vals.append(naive_neg_log_posterior(logits, 0))
+
+    def term(weight, vals):
+        return weight * sum(vals) / len(vals) if vals else 0.0
+
+    return term(weights.fg, fg_vals), term(weights.bg, bg_vals), term(weights.bbox, box_vals)
 
 
 def test_fg_loss_is_negative_log_probability():
-    rng = np.random.default_rng(4)
-    protos = random_prototypes(rng, 4, 5)
-    for _ in range(20):
-        feat = rng.normal(size=5) * 2
-        bg = float(rng.normal())
-        label = int(rng.integers(1, 5))
-        value, _, _ = fg_loss(feat, bg, protos, label)
-        probs = naive_posterior(feat, bg, protos)
-        assert value == pytest.approx(-math.log(probs[label]), abs=1e-10)
+    weights = LossWeights(fg=1.5, bg=0.0, bbox=0.0)
+    for seed in range(4):
+        params, protos, batch = loss_setup(seed, [2, 0, 4, 7, 0, 4, 2, 0])
+        breakdown, _ = forward_batch_with_grad(params, batch, protos, weights)
+        fg, _, _ = naive_terms(params, protos, batch, weights)
+        assert breakdown.fg == pytest.approx(fg, rel=1e-12, abs=1e-12)
 
 
 def test_bg_loss_is_negative_log_background_probability():
-    rng = np.random.default_rng(5)
-    protos = random_prototypes(rng, 4, 5)
-    for _ in range(20):
-        feat = rng.normal(size=5) * 2
-        bg = float(rng.normal())
-        value, _, _ = bg_loss(feat, bg, protos)
-        probs = naive_posterior(feat, bg, protos)
-        assert value == pytest.approx(-math.log(probs[0]), abs=1e-10)
-
-
-def test_fg_loss_rejects_unknown_label():
-    rng = np.random.default_rng(6)
-    protos = random_prototypes(rng, 3, 4)
-    with pytest.raises(UnknownClass):
-        fg_loss(np.zeros(4), 0.0, protos, 9)
-
-
-def check_input_grads(loss_fn, rng, protos, dim):
-    h = 1e-6
-    for _ in range(10):
-        feat = rng.normal(size=dim)
-        bg = float(rng.normal())
-        _, grad_f, grad_b = loss_fn(feat, bg, protos)
-        for j in range(dim):
-            bumped = feat.copy()
-            bumped[j] += h
-            up = loss_fn(bumped, bg, protos)[0]
-            bumped[j] -= 2 * h
-            down = loss_fn(bumped, bg, protos)[0]
-            assert grad_f[j] == pytest.approx((up - down) / (2 * h), abs=1e-6)
-        up = loss_fn(feat, bg + h, protos)[0]
-        down = loss_fn(feat, bg - h, protos)[0]
-        assert grad_b == pytest.approx((up - down) / (2 * h), abs=1e-6)
-
-
-def test_fg_loss_gradients_match_finite_differences():
-    rng = np.random.default_rng(7)
-    protos = random_prototypes(rng, 4, 5)
-
-    def fn(feat, bg, ps):
-        return fg_loss(feat, bg, ps, 2)
-
-    check_input_grads(fn, rng, protos, 5)
-
-
-def test_bg_loss_gradients_match_finite_differences():
-    rng = np.random.default_rng(8)
-    protos = random_prototypes(rng, 4, 5)
-    check_input_grads(bg_loss, rng, protos, 5)
+    weights = LossWeights(fg=0.0, bg=0.7, bbox=0.0)
+    for seed in range(4):
+        params, protos, batch = loss_setup(seed, [0, 7, 0, 0, 2])
+        breakdown, _ = forward_batch_with_grad(params, batch, protos, weights)
+        _, bg, _ = naive_terms(params, protos, batch, weights)
+        assert breakdown.bg == pytest.approx(bg, rel=1e-12, abs=1e-12)
+        assert breakdown.fg == 0.0 and breakdown.bbox == 0.0
 
 
 def test_bbox_loss_matches_scalar_smooth_l1():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        pred = rng.uniform(-3, 3, size=4)
-        target = rng.uniform(-3, 3, size=4)
-        value, grad = bbox_loss(pred, target)
-        assert value == pytest.approx(sum(smooth_l1(r) for r in pred - target), abs=1e-15)
-        assert np.allclose(grad, [smooth_l1_grad(r) for r in pred - target], atol=1e-15)
-    with pytest.raises(DimensionMismatch):
-        bbox_loss(np.zeros(3), np.zeros(4))
-
-
-class FakeProposal:
-    def __init__(self, label, target_deltas=None):
-        self.label = label
-        self.target_deltas = target_deltas
-
-
-class FakeOutputs:
-    def __init__(self, feature, bg_logit, box_deltas):
-        self.feature = feature
-        self.bg_logit = bg_logit
-        self.box_deltas = box_deltas
-
-
-def make_pairs(rng, protos, labels):
-    pairs = []
-    for label in labels:
-        out = FakeOutputs(rng.normal(size=4), float(rng.normal()), rng.uniform(-1, 1, size=4))
-        target = rng.uniform(-1, 1, size=4) if label > 0 else None
-        pairs.append((FakeProposal(label, target), out))
-    return pairs
+    weights = LossWeights(fg=0.0, bg=0.0, bbox=2.0)
+    params, protos, batch = loss_setup(9, [2, 4, 7, 2, 0, 4, 7, 7])
+    residuals = np.concatenate(
+        [np.asarray(naive_forward(params, p.descriptor)[2]) - p.target_deltas for p in batch if p.label > 0]
+    )
+    assert np.any(np.abs(residuals) < 1.0) and np.any(np.abs(residuals) > 1.0)
+    breakdown, _ = forward_batch_with_grad(params, batch, protos, weights)
+    _, _, bbox = naive_terms(params, protos, batch, weights)
+    assert breakdown.bbox == pytest.approx(bbox, rel=1e-12, abs=1e-12)
 
 
 def test_batch_loss_matches_per_group_means():
-    rng = np.random.default_rng(10)
-    protos = random_prototypes(rng, 3, 4)
     weights = LossWeights(fg=1.5, bg=0.5, bbox=2.0)
-    pairs = make_pairs(rng, protos, [1, 0, 2, 0, 0, 3])
-    breakdown = batch_loss(pairs, protos, weights)
-
-    fg_vals, bg_vals, box_vals = [], [], []
-    for prop, out in pairs:
-        if prop.label > 0:
-            fg_vals.append(fg_loss(out.feature, out.bg_logit, protos, prop.label)[0])
-            box_vals.append(bbox_loss(out.box_deltas, prop.target_deltas)[0])
-        else:
-            bg_vals.append(bg_loss(out.feature, out.bg_logit, protos)[0])
-    assert breakdown.fg == pytest.approx(1.5 * np.mean(fg_vals), abs=1e-12)
-    assert breakdown.bg == pytest.approx(0.5 * np.mean(bg_vals), abs=1e-12)
-    assert breakdown.bbox == pytest.approx(2.0 * np.mean(box_vals), abs=1e-12)
+    params, protos, batch = loss_setup(10, [4, 0, 2, 0, 0, 7, 0])
+    breakdown, _ = forward_batch_with_grad(params, batch, protos, weights)
+    fg, bg, bbox = naive_terms(params, protos, batch, weights)
+    assert breakdown.fg == pytest.approx(fg, rel=1e-12, abs=1e-12)
+    assert breakdown.bg == pytest.approx(bg, rel=1e-12, abs=1e-12)
+    assert breakdown.bbox == pytest.approx(bbox, rel=1e-12, abs=1e-12)
     assert breakdown.total == breakdown.fg + breakdown.bg + breakdown.bbox
 
 
 def test_batch_loss_missing_groups_contribute_zero():
-    rng = np.random.default_rng(11)
-    protos = random_prototypes(rng, 3, 4)
-    fg_only = batch_loss(make_pairs(rng, protos, [1, 2]), protos)
+    fg_params, fg_protos, fg_batch = loss_setup(11, [2, 7])
+    fg_only, _ = forward_batch_with_grad(fg_params, fg_batch, fg_protos)
     assert fg_only.bg == 0.0
-    bg_only = batch_loss(make_pairs(rng, protos, [0, 0]), protos)
+    assert fg_only.total == fg_only.fg + fg_only.bbox
+    bg_params, bg_protos, bg_batch = loss_setup(12, [0, 0])
+    bg_only, _ = forward_batch_with_grad(bg_params, bg_batch, bg_protos)
     assert bg_only.fg == 0.0 and bg_only.bbox == 0.0
+    assert bg_only.total == bg_only.bg
     with pytest.raises(EmptyInput):
-        batch_loss([], protos)
+        forward_batch_with_grad(bg_params, [], bg_protos)
+
+
+def test_fg_loss_rejects_unknown_label():
+    # Ids 2, 4 and 7 are registered; 3 lies between them and 8 beyond them.
+    for label in (3, 8):
+        params, protos, batch = loss_setup(13, [2, 0, label])
+        with pytest.raises(UnknownClass):
+            forward_batch_with_grad(params, batch, protos)
+
+
+def test_fg_loss_gradients_match_finite_differences():
+    params, protos, batch = loss_setup(14, [2, 0, 4, 7, 0])
+    assert max_grad_error(params, batch, protos, LossWeights(fg=1.0, bg=0.0, bbox=0.0)) < 1e-4
+
+
+def test_bg_loss_gradients_match_finite_differences():
+    params, protos, batch = loss_setup(15, [0, 2, 0, 0, 7])
+    assert max_grad_error(params, batch, protos, LossWeights(fg=0.0, bg=1.0, bbox=0.0)) < 1e-4
+
+
+def test_loss_stays_finite_at_huge_logits():
+    params, protos, batch = loss_setup(16, [2, 0, 4, 0, 7, 0])
+    params.feature_head.weight[:] *= 800.0
+    params.background_head.weight[:] *= 800.0
+    logits = [
+        [bg_logit] + [float(np.dot(feature, p.vector)) for p in all_prototypes(protos)]
+        for feature, bg_logit, _ in (naive_forward(params, p.descriptor) for p in batch)
+    ]
+    assert min(map(min, logits)) < -300.0 and 300.0 < max(map(max, logits)) < 1000.0
+    weights = LossWeights()
+    breakdown, grads = forward_batch_with_grad(params, batch, protos, weights)
+    assert np.all(np.isfinite(grads.flat))
+    fg, bg, bbox = naive_terms(params, protos, batch, weights)
+    assert breakdown.fg == pytest.approx(fg, rel=1e-9)
+    assert breakdown.bg == pytest.approx(bg, rel=1e-9)
+    assert breakdown.bbox == pytest.approx(bbox, rel=1e-12)

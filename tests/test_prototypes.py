@@ -10,7 +10,6 @@ from morphdet.prototype_store import (
     PrototypeSet,
     UnknownClass,
     add_novel,
-    add_novel_semantic,
     all_prototypes,
     e_step_update,
     from_text,
@@ -142,8 +141,6 @@ def test_add_novel_normalizes_and_guards_collisions():
         add_novel(grown, 1, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(DimensionMismatch):
         add_novel(protos, 9, np.array([1.0, 0.0]))
-    sem = add_novel_semantic(protos, 9, np.array([3.0, 0.0, 0.0]))
-    assert np.array_equal(sem.novel[9].vector, np.array([1.0, 0.0, 0.0]))
 
 
 def test_all_prototypes_ascending_merge():
