@@ -18,7 +18,8 @@ seeds, fixed shuffle order, fixed reduction order, so reruns are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace, asdict
+import sys
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -39,9 +40,9 @@ from .prototype_store import (
     PrototypeSet,
     UnknownClass,
     e_step_update,
-    from_text,
     init_from_semantic,
-    to_text,
+    prototypes_from_lines,
+    prototypes_to_lines,
 )
 from .textio import read_record_file, record_text, tensor_blocks
 
@@ -54,6 +55,10 @@ class TrainingDiverged(RuntimeError):
 
 class MissingClassSamples(ValueError):
     """A base class has no ground-truth samples to refit its prototype from."""
+
+
+class ConfigError(ValueError):
+    """A config mapping had unknown keys or unusable values."""
 
 
 @dataclass(frozen=True)
@@ -93,6 +98,47 @@ class TrainConfig:
 
     def loss_weights(self) -> LossWeights:
         return LossWeights(fg=self.fg_weight, bg=self.bg_weight, bbox=self.bbox_weight)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _checked(where: str, name: str, default, value):
+    """`value` for the field `name` whose default is `default`, checked against
+    the default's type: int (not bool), a finite int or float, a list of ints
+    for a tuple, str or null for a None default; a nested section is filled
+    recursively."""
+    if is_dataclass(default):
+        return fill_dataclass(type(default), value, name)
+    if isinstance(default, int):
+        ok, kind = _is_int(value), "an integer"
+    elif isinstance(default, float):
+        ok = (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+        kind = "a finite number"
+    elif isinstance(default, tuple):
+        ok, kind = isinstance(value, list) and all(map(_is_int, value)), "a list of integers"
+    else:
+        ok, kind = value is None or isinstance(value, str), "a string or null"
+    if not ok:
+        raise ConfigError(f"{where}: {name} must be {kind}, got {value!r}")
+    return value
+
+
+def fill_dataclass(cls, data, where: str):
+    """`cls` built from a parsed JSON mapping; unknown keys, values of the
+    wrong type and values `cls` refuses raise ConfigError."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: expected a mapping, got {type(data).__name__}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = sorted(set(data) - set(defaults))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    values = {name: _checked(where, name, defaults[name], value) for name, value in data.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,7 +357,7 @@ def checkpoint_text(state: DetectorState) -> str:
     """Full-detector checkpoint: versioned header, config JSON (training plus
     architecture), every network tensor, then the prototype sections."""
     config = {"train": asdict(state.config), "arch": params_config(state.params)}
-    body = params_to_lines(state.params) + ["prototypes"] + to_text(state.prototypes).splitlines()
+    body = params_to_lines(state.params) + ["prototypes"] + prototypes_to_lines(state.prototypes)
     return record_text(CHECKPOINT_HEADER, "config", config, body)
 
 
@@ -324,10 +370,10 @@ def load_checkpoint(path) -> DetectorState:
     """Inverse of save_checkpoint; every defect raises CheckpointError."""
     try:
         config, body = read_record_file(path, CHECKPOINT_HEADER, "config")
-        tconfig = TrainConfig(**config["train"])
+        tconfig = fill_dataclass(TrainConfig, config["train"], "checkpoint train config")
         cut = body.index("prototypes")
         params = params_from_tensors(tensor_blocks(body[:cut]), config["arch"])
-        protos = from_text("\n".join(body[cut + 1 :]) + "\n", dim=params.feature_dim)
+        protos = prototypes_from_lines(body[cut + 1 :], params.feature_dim)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: {exc!r}") from exc
     return DetectorState(params=params, prototypes=protos, config=tconfig)

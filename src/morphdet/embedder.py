@@ -25,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .numkernel import DimensionMismatch, EmptyInput, smooth_l1_array, smooth_l1_grad_array
-from .objective import LossBreakdown, LossWeights, prototype_matrix
-from .prototype_store import PrototypeSet, UnknownClass, all_prototypes
+from .objective import LossBreakdown, LossWeights, scoring_matrix
+from .prototype_store import PrototypeSet, UnknownClass
 from .textio import tensor_lines
 
 _grad_evaluations = 0
@@ -63,6 +63,10 @@ def _layout(sizes: tuple[int, ...]) -> tuple[tuple, int]:
     return tuple(slots), offset
 
 
+def _is_size(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
 class EmbedderParams:
     """Every network tensor in one contiguous float64 vector `flat`.
 
@@ -73,9 +77,10 @@ class EmbedderParams:
     __slots__ = ("sizes", "flat", "_tensors", "_blocks")
 
     def __init__(self, sizes, flat: np.ndarray | None = None):
-        sizes = tuple(int(s) for s in sizes)
-        if len(sizes) < 2 or min(sizes) < 1:
-            raise ValueError(f"layer sizes (m_in, *hidden, d) must all be >= 1, got {sizes}")
+        sizes = tuple(sizes)
+        if len(sizes) < 2 or not all(_is_size(s) for s in sizes):
+            raise ValueError(f"layer sizes (m_in, *hidden, d) must all be integers >= 1, got {sizes}")
+        sizes = tuple(map(int, sizes))
         slots, total = _layout(sizes)
         if flat is None:
             flat = np.zeros(total)
@@ -198,8 +203,8 @@ def forward_batch_with_grad(
     batch = list(batch)
     if not batch:
         raise EmptyInput("empty batch")
-    pmat, ids = prototype_matrix(all_prototypes(prototypes), params.feature_dim)  # (M, d)
-    slot = {cid: k for k, cid in enumerate(ids)}
+    pmat = scoring_matrix(prototypes, params.feature_dim)  # (M, d)
+    slot = {cid: k for k, cid in enumerate(prototypes.ids)}
 
     labels = np.array([int(p.label) for p in batch])
     for lab in labels:

@@ -6,13 +6,12 @@ returns both tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, replace
 import os
-import sys
 
 import numpy as np
 
-from .em_trainer import TrainConfig, train, visual_init_vectors
+from .em_trainer import ConfigError, TrainConfig, fill_dataclass, train, visual_init_vectors
 from .evalkit import evaluate
 from .morph_inference import DetectConfig, morph
 from .prototype_store import add_novel
@@ -20,10 +19,6 @@ from .textio import fmt
 from .toyworld import exemplars_for, make_dataset, make_universe, semantic_vectors
 
 LAMBDA_GRID = (0.0, 0.3, 0.5, 0.7)
-
-
-class ConfigError(ValueError):
-    """A config mapping had unknown keys or unusable values."""
 
 
 @dataclass(frozen=True)
@@ -72,50 +67,11 @@ class ExperimentConfig:
         return DetectConfig(score_threshold=self.score_threshold, nms_iou=self.nms_iou)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _checked(where: str, name: str, default, value):
-    """`value` for the field `name` whose default is `default`, checked against
-    the default's type: int (not bool), a finite int or float, a list of ints
-    for a tuple, str or null for a None default; a nested section is filled
-    recursively."""
-    if is_dataclass(default):
-        return _fill_dataclass(type(default), value, name)
-    if isinstance(default, int):
-        ok, kind = _is_int(value), "an integer"
-    elif isinstance(default, float):
-        ok = (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
-        kind = "a finite number"
-    elif isinstance(default, tuple):
-        ok, kind = isinstance(value, list) and all(map(_is_int, value)), "a list of integers"
-    else:
-        ok, kind = value is None or isinstance(value, str), "a string or null"
-    if not ok:
-        raise ConfigError(f"{where}: {name} must be {kind}, got {value!r}")
-    return value
-
-
-def _fill_dataclass(cls, data, where: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where}: expected a mapping, got {type(data).__name__}")
-    defaults = {f.name: f.default for f in fields(cls)}
-    unknown = sorted(set(data) - set(defaults))
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
-    values = {name: _checked(where, name, defaults[name], value) for name, value in data.items()}
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
 def experiment_config_from_dict(data: dict) -> ExperimentConfig:
     """Build a validated config from parsed JSON; any key the schema does not
     declare, or any value of the wrong type, is an error, including in the
     nested sections."""
-    return _fill_dataclass(ExperimentConfig, data, "config root")
+    return fill_dataclass(ExperimentConfig, data, "config root")
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,11 +128,22 @@ def build_world(config: ExperimentConfig, seed: int) -> World:
     )
 
 
-def _write_csv(path, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+def _tables(out_dir, name: str, header: str, raw):
+    """(raw, summary) of a study whose raw rows are (seed, key, *values): the
+    summary has one row per key, in first-seen order, with each value column
+    averaged over the seeds. With an out_dir, writes <name>_raw.csv and
+    <name>_summary.csv, whose header drops the seed column."""
+    groups: dict = {}
+    for row in raw:
+        groups.setdefault(row[1], []).append(row[2:])
+    summary = [(key, *(float(np.mean(col)) for col in zip(*rows))) for key, rows in groups.items()]
+    if out_dir is not None:
+        for suffix, head, rows in (("raw", header, raw), ("summary", header.partition(",")[2], summary)):
+            with open(os.path.join(out_dir, f"{name}_{suffix}.csv"), "w", encoding="utf-8", newline="") as fh:
+                fh.write(head + "\n")
+                for row in rows:
+                    fh.write(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+    return raw, summary
 
 
 def _trial_seeds(config: ExperimentConfig):
@@ -200,14 +167,7 @@ def run_em_iterations(config: ExperimentConfig, out_dir=None):
         result = train(world.train_scenes, world.semantics, replace(config.train, seed=seed))
         for k, snap in enumerate(result.snapshots, start=1):
             raw.append((seed, k, _novel_ap50(snap, world, config)))
-    summary = []
-    for k in range(1, config.train.em_iterations + 1):
-        vals = [r[2] for r in raw if r[1] == k]
-        summary.append((k, float(np.mean(vals))))
-    if out_dir is not None:
-        _write_csv(os.path.join(out_dir, "em_iterations_raw.csv"), "seed,iteration,novel_ap50", raw)
-        _write_csv(os.path.join(out_dir, "em_iterations_summary.csv"), "iteration,novel_ap50", summary)
-    return raw, summary
+    return _tables(out_dir, "em_iterations", "seed,iteration,novel_ap50", raw)
 
 
 def run_lambda(config: ExperimentConfig, out_dir=None):
@@ -220,14 +180,7 @@ def run_lambda(config: ExperimentConfig, out_dir=None):
                 world.train_scenes, world.semantics, replace(config.train, seed=seed, lam=lam)
             )
             raw.append((seed, lam, _novel_ap50(result.state, world, config)))
-    summary = []
-    for lam in LAMBDA_GRID:
-        vals = [r[2] for r in raw if r[1] == lam]
-        summary.append((lam, float(np.mean(vals))))
-    if out_dir is not None:
-        _write_csv(os.path.join(out_dir, "lambda_raw.csv"), "seed,lambda,novel_ap50", raw)
-        _write_csv(os.path.join(out_dir, "lambda_summary.csv"), "lambda,novel_ap50", summary)
-    return raw, summary
+    return _tables(out_dir, "lambda", "seed,lambda,novel_ap50", raw)
 
 
 def run_init(config: ExperimentConfig, out_dir=None):
@@ -242,14 +195,7 @@ def run_init(config: ExperimentConfig, out_dir=None):
         vis = train(world.train_scenes, visual_seeds, tcfg)
         raw.append((seed, "semantic", _novel_ap50(sem.state, world, config)))
         raw.append((seed, "visual", _novel_ap50(vis.state, world, config)))
-    summary = []
-    for method in ("semantic", "visual"):
-        vals = [r[2] for r in raw if r[1] == method]
-        summary.append((method, float(np.mean(vals))))
-    if out_dir is not None:
-        _write_csv(os.path.join(out_dir, "init_raw.csv"), "seed,init,novel_ap50", raw)
-        _write_csv(os.path.join(out_dir, "init_summary.csv"), "init,novel_ap50", summary)
-    return raw, summary
+    return _tables(out_dir, "init", "seed,init,novel_ap50", raw)
 
 
 def run_zero_shot(config: ExperimentConfig, out_dir=None):
@@ -279,20 +225,7 @@ def run_zero_shot(config: ExperimentConfig, out_dir=None):
                 config.detect_config(), recall_budgets=(100,),
             )
             raw.append((seed, method, report.recall[100], report.novel.ap50))
-    summary = []
-    for method in ("semantic", "random"):
-        rows = [r for r in raw if r[1] == method]
-        summary.append(
-            (method, float(np.mean([r[2] for r in rows])), float(np.mean([r[3] for r in rows])))
-        )
-    if out_dir is not None:
-        _write_csv(
-            os.path.join(out_dir, "zero_shot_raw.csv"), "seed,method,recall100,novel_ap50", raw
-        )
-        _write_csv(
-            os.path.join(out_dir, "zero_shot_summary.csv"), "method,recall100,novel_ap50", summary
-        )
-    return raw, summary
+    return _tables(out_dir, "zero_shot", "seed,method,recall100,novel_ap50", raw)
 
 
 EXPERIMENTS = {

@@ -21,7 +21,7 @@ import numpy as np
 from .embedder import forward_batch
 from .numkernel import DimensionMismatch, EmptyInput
 from .objective import posterior_batch
-from .prototype_store import add_novel, all_prototypes
+from .prototype_store import add_novel
 from .textio import fmt, parse_floats
 
 
@@ -188,16 +188,13 @@ def detect(state, proposals, score_threshold: float = 0.05, nms_iou: float = 0.5
     proposals = list(proposals)
     if not proposals:
         return []
-    protos = all_prototypes(state.prototypes)
-    if not protos:
-        raise EmptyInput("detector has no registered classes")
     descriptors = np.stack([np.asarray(d, dtype=np.float64) for d, _ in proposals])
     feats, bg, deltas = forward_batch(state.params, descriptors)
-    q, ids = posterior_batch(feats, bg, protos)
+    q = posterior_batch(feats, bg, state.prototypes)
     candidates: list[Detection] = []
     for i, (_, anchor) in enumerate(proposals):
         decoded = decode_box(anchor, deltas[i])
-        for k, cid in enumerate(ids):
+        for k, cid in enumerate(state.prototypes.ids):
             score = float(q[i, k + 1])
             if score >= score_threshold:
                 candidates.append(Detection(class_id=cid, score=score, box=decoded))

@@ -7,8 +7,10 @@ softmax denominator:
 
     denom = exp(b) + sum_j exp(f . p_j)
 
-posterior_batch turns a batch of features and background logits into that
-posterior for detection. The training loss and its gradients are computed in
+The p_j are the rows of a PrototypeSet's matrix, in ascending class id;
+both paths score against that stored matrix as it is. posterior_batch turns
+a batch of features and background logits into the posterior for detection.
+The training loss and its gradients are computed in
 embedder.forward_batch_with_grad: the foreground term is the negative
 log-probability of the labelled class, the background term that of the
 background slot, and box regression a smooth-L1 penalty on the deltas of
@@ -19,12 +21,11 @@ by LossWeights; LossBreakdown holds the weighted terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 import numpy as np
 
 from .numkernel import DimensionMismatch, EmptyInput
-from .prototype_store import Prototype
+from .prototype_store import PrototypeSet
 
 
 @dataclass(frozen=True)
@@ -44,26 +45,23 @@ class LossBreakdown:
     total: float
 
 
-def prototype_matrix(prototypes: Sequence[Prototype], dim: int) -> tuple[np.ndarray, list[int]]:
-    """(M, dim) matrix of the prototype vectors in the given order, and their ids."""
-    if len(prototypes) == 0:
+def scoring_matrix(prototypes: PrototypeSet, dim: int) -> np.ndarray:
+    """The set's (M, dim) prototype matrix, checked to be non-empty and to
+    match the feature dimension."""
+    if not prototypes.ids:
         raise EmptyInput("no prototypes to score against")
-    ids = [p.class_id for p in prototypes]
-    mat = np.stack([np.asarray(p.vector, dtype=np.float64) for p in prototypes])
-    if mat.shape[1] != dim:
-        raise DimensionMismatch(f"prototype dim {mat.shape[1]} != feature dim {dim}")
-    return mat, ids
+    if prototypes.dim != dim:
+        raise DimensionMismatch(f"prototype dim {prototypes.dim} != feature dim {dim}")
+    return prototypes.matrix
 
 
-def posterior_batch(
-    features: np.ndarray, bg_logits: np.ndarray, prototypes: Sequence[Prototype]
-) -> tuple[np.ndarray, list[int]]:
+def posterior_batch(features: np.ndarray, bg_logits: np.ndarray, prototypes: PrototypeSet) -> np.ndarray:
     """Posterior matrix for a batch of proposals.
 
-    Returns (Q, ids) where Q has shape (n, len(ids) + 1); column 0 is the
-    background probability and column k + 1 the probability of ids[k]. Rows
-    sum to 1. Computed with a max-shifted softmax, so logits of any usual
-    magnitude are safe.
+    Returns Q of shape (n, len(prototypes.ids) + 1); column 0 is the
+    background probability and column k + 1 the probability of class
+    prototypes.ids[k]. Rows sum to 1. Computed with a max-shifted softmax,
+    so logits of any usual magnitude are safe.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:
@@ -71,9 +69,8 @@ def posterior_batch(
     bg = np.asarray(bg_logits, dtype=np.float64).reshape(-1)
     if bg.shape[0] != feats.shape[0]:
         raise DimensionMismatch("one background logit per feature row required")
-    mat, ids = prototype_matrix(prototypes, feats.shape[1])
+    mat = scoring_matrix(prototypes, feats.shape[1])
     logits = np.concatenate([bg[:, None], feats @ mat.T], axis=1)
     shift = np.max(logits, axis=1, keepdims=True)
     expd = np.exp(logits - shift)
-    q = expd / np.sum(expd, axis=1, keepdims=True)
-    return q, ids
+    return expd / np.sum(expd, axis=1, keepdims=True)

@@ -1,18 +1,22 @@
 """Class prototypes: the detector's second parameter set.
 
 A prototype is a unit vector in embedding space; the inner product between a
-proposal's feature vector and each prototype drives classification. Base
-prototypes are seeded from semantic vectors and refitted during training;
-novel prototypes are inserted after training, either from exemplar features
-or straight from semantic vectors. Background has no prototype -- the
-embedder regresses a background logit directly.
+proposal's feature vector and each prototype drives classification. A
+PrototypeSet keeps every prototype as one row of a matrix ordered by class
+id, which detection and the training loss score against as it stands.
+Base prototypes are seeded from semantic vectors and refitted during
+training; a novel class is registered after training by inserting one
+unit-normalized row, computed from exemplar features or taken straight from
+a semantic vector. Background has no prototype -- the embedder regresses a
+background logit directly.
 
 Prototype sets are immutable values: every update returns a new set.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,84 +38,71 @@ class UnknownClass(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class Prototype:
-    """One class's unit-norm anchor in embedding space. Ids start at 1; 0 is
-    reserved for background."""
-
-    class_id: int
-    vector: np.ndarray
-
-    def __post_init__(self):
-        cid = int(self.class_id)
-        if cid < 1:
-            raise ValueError(f"class_id must be >= 1 (0 is background), got {cid}")
-        vec = np.asarray(self.vector, dtype=np.float64)
-        if vec.ndim != 1:
-            raise DimensionMismatch(f"prototype vector must be 1-D, got shape {vec.shape}")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"prototype for class {cid} has non-finite entries")
-        norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
-            raise ValueError(f"prototype for class {cid} is not unit norm (|v| = {norm!r})")
-        object.__setattr__(self, "class_id", cid)
-        object.__setattr__(self, "vector", vec)
-
-
-@dataclass(frozen=True, eq=False)
 class PrototypeSet:
-    """Base and novel prototypes sharing one dimension, with disjoint ids."""
+    """Every class's unit-norm prototype as one row of `matrix`.
 
-    base: dict[int, Prototype]
-    novel: dict[int, Prototype]
-    dim: int
+    `ids` ascends, and row k of the (len(ids), dim) matrix is the prototype
+    of class ids[k]. Ids start at 1; 0 is reserved for background. `novel`
+    holds the ids registered after training; every other id is a base class.
+    """
+
+    ids: tuple[int, ...]
+    matrix: np.ndarray
+    novel: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        overlap = set(self.base) & set(self.novel)
-        if overlap:
-            raise ClassCollision(f"classes present in both base and novel: {sorted(overlap)}")
-        for section in (self.base, self.novel):
-            for cid, proto in section.items():
-                if cid != proto.class_id:
-                    raise ValueError(f"key {cid} maps to prototype for class {proto.class_id}")
-                if proto.vector.shape[0] != self.dim:
-                    raise DimensionMismatch(
-                        f"class {cid} has dim {proto.vector.shape[0]}, set has dim {self.dim}"
-                    )
+        ids = self.ids
+        mat = np.asarray(self.matrix, dtype=np.float64)
+        novel = frozenset(self.novel)
+        if mat.ndim != 2 or mat.shape[0] != len(ids):
+            raise DimensionMismatch(f"prototype matrix has shape {mat.shape}, expected ({len(ids)}, dim)")
+        if ids and ids[0] < 1:
+            raise ValueError(f"class ids must be >= 1 (0 is background), got {ids[0]}")
+        id_set = set(ids)
+        if sorted(id_set) != list(ids):
+            raise ValueError(f"class ids must ascend without repeats, got {ids}")
+        if not novel <= id_set:
+            raise UnknownClass(f"novel classes without a prototype: {sorted(novel - id_set)}")
+        if ids:
+            # |v|^2 - 1 = (|v| - 1)(|v| + 1) is twice the norm's distance from 1, to first order.
+            off = np.abs(np.add.reduce(mat * mat, axis=1) - 1.0)
+            if not np.maximum.reduce(off) <= 2 * UNIT_NORM_TOL:  # a NaN or infinite entry fails too
+                k = int(np.argmax(~(off <= 2 * UNIT_NORM_TOL)))
+                raise ValueError(
+                    f"prototype for class {ids[k]} is not a finite unit vector (||v|^2 - 1| = {float(off[k])!r})"
+                )
+        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "novel", novel)
 
     @staticmethod
     def empty(dim: int) -> "PrototypeSet":
-        return PrototypeSet(base={}, novel={}, dim=int(dim))
+        return PrototypeSet(ids=(), matrix=np.zeros((0, int(dim))))
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
+
+    @property
+    def base(self) -> tuple[int, ...]:
+        """Ids of the classes the detector was trained on, ascending."""
+        return tuple(cid for cid in self.ids if cid not in self.novel)
 
     def has_class(self, class_id: int) -> bool:
-        return class_id in self.base or class_id in self.novel
+        return class_id in self.ids
 
     def vector_for(self, class_id: int) -> np.ndarray:
-        if class_id in self.base:
-            return self.base[class_id].vector
-        if class_id in self.novel:
-            return self.novel[class_id].vector
-        raise UnknownClass(f"no prototype for class {class_id}")
-
-    def class_ids(self) -> list[int]:
-        return sorted([*self.base, *self.novel])
+        if class_id not in self.ids:
+            raise UnknownClass(f"no prototype for class {class_id}")
+        return self.matrix[self.ids.index(class_id)]
 
 
-def init_from_semantic(vectors) -> PrototypeSet:
-    """Build base prototypes by unit-normalizing one semantic vector per class.
-
-    Accepts a mapping {class_id: vector} or an iterable of (class_id, vector)
-    pairs; the pair form lets file loaders surface duplicate ids as errors.
-    """
-    if isinstance(vectors, Mapping):
-        items: Iterable = vectors.items()
-    else:
-        items = vectors
-    base: dict[int, Prototype] = {}
+def init_from_semantic(vectors: Mapping) -> PrototypeSet:
+    """Build base prototypes by unit-normalizing one semantic vector per
+    class, given as a mapping {class_id: vector}."""
+    rows: dict[int, np.ndarray] = {}
     dim: int | None = None
-    for cid, raw in items:
+    for cid, raw in vectors.items():
         cid = int(cid)
-        if cid in base:
-            raise ClassCollision(f"duplicate semantic vector for class {cid}")
         vec = np.asarray(raw, dtype=np.float64)
         if vec.ndim != 1:
             raise DimensionMismatch(f"semantic vector for class {cid} must be 1-D")
@@ -121,10 +112,11 @@ def init_from_semantic(vectors) -> PrototypeSet:
             raise DimensionMismatch(
                 f"semantic vector for class {cid} has dim {vec.shape[0]}, expected {dim}"
             )
-        base[cid] = Prototype(cid, l2_normalize(vec))
+        rows[cid] = l2_normalize(vec)
     if dim is None:
         raise EmptyInput("no semantic vectors given")
-    return PrototypeSet(base=base, novel={}, dim=dim)
+    ids = tuple(sorted(rows))
+    return PrototypeSet(ids=ids, matrix=np.stack([rows[cid] for cid in ids]))
 
 
 def e_step_update(protos: PrototypeSet, means, lam: float) -> PrototypeSet:
@@ -141,7 +133,7 @@ def e_step_update(protos: PrototypeSet, means, lam: float) -> PrototypeSet:
     normalized: dict[int, np.ndarray] = {}
     for cid, raw in means.items():
         cid = int(cid)
-        if cid not in protos.base:
+        if cid in protos.novel or not protos.has_class(cid):
             raise UnknownClass(f"mean supplied for class {cid}, which has no base prototype")
         vec = np.asarray(raw, dtype=np.float64)
         if vec.shape != (protos.dim,):
@@ -151,42 +143,40 @@ def e_step_update(protos: PrototypeSet, means, lam: float) -> PrototypeSet:
         normalized[cid] = l2_normalize(vec)
     if lam == 1.0:
         return protos
-    new_base = dict(protos.base)
+    matrix = protos.matrix.copy()
     for cid, mean_hat in normalized.items():
-        blended = (1.0 - lam) * mean_hat + lam * protos.base[cid].vector
-        new_base[cid] = Prototype(cid, l2_normalize(blended))
-    return PrototypeSet(base=new_base, novel=dict(protos.novel), dim=protos.dim)
+        k = protos.ids.index(cid)
+        matrix[k] = l2_normalize((1.0 - lam) * mean_hat + lam * protos.matrix[k])
+    return PrototypeSet(ids=protos.ids, matrix=matrix, novel=protos.novel)
 
 
 def add_novel(protos: PrototypeSet, class_id: int, vector) -> PrototypeSet:
     """Register a novel class from one vector -- the mean of its exemplar
-    features, or its semantic vector -- unit-normalized."""
+    features, or its semantic vector -- by inserting its unit-normalized row
+    at the class's place in id order."""
     cid = int(class_id)
-    if protos.has_class(cid):
+    k = bisect_left(protos.ids, cid)
+    if k < len(protos.ids) and protos.ids[k] == cid:
         raise ClassCollision(f"class {cid} already has a prototype")
     vec = np.asarray(vector, dtype=np.float64)
     if vec.shape != (protos.dim,):
         raise DimensionMismatch(
             f"vector for class {cid} has shape {vec.shape}, expected ({protos.dim},)"
         )
-    novel = dict(protos.novel)
-    novel[cid] = Prototype(cid, l2_normalize(vec))
-    return PrototypeSet(base=dict(protos.base), novel=novel, dim=protos.dim)
+    mat = protos.matrix
+    return PrototypeSet(
+        ids=protos.ids[:k] + (cid,) + protos.ids[k:],
+        matrix=np.concatenate((mat[:k], l2_normalize(vec)[None, :], mat[k:])),
+        novel=protos.novel | {cid},
+    )
 
 
-def all_prototypes(protos: PrototypeSet) -> list[Prototype]:
-    """Base and novel prototypes merged, in ascending class-id order."""
-    merged = {**protos.base, **protos.novel}
-    return [merged[cid] for cid in sorted(merged)]
-
-
-def to_text(protos: PrototypeSet) -> str:
-    """Render as one line per prototype, 'class_id<TAB>components', base
-    section first, then a '---' line, then the novel section."""
-    lines = [f"{cid}\t{fmt_vector(protos.base[cid].vector)}" for cid in sorted(protos.base)]
-    lines.append(SECTION_SEPARATOR)
-    lines.extend(f"{cid}\t{fmt_vector(protos.novel[cid].vector)}" for cid in sorted(protos.novel))
-    return "\n".join(lines) + "\n"
+def prototypes_to_lines(protos: PrototypeSet) -> list[str]:
+    """One line per prototype, 'class_id<TAB>components': the base section,
+    then a '---' line, then the novel section, each in ascending id order."""
+    lines = {cid: f"{cid}\t{fmt_vector(row)}" for cid, row in zip(protos.ids, protos.matrix)}
+    novel = sorted(protos.novel)
+    return [lines[cid] for cid in protos.base] + [SECTION_SEPARATOR] + [lines[cid] for cid in novel]
 
 
 def _parse_line(line: str) -> tuple[int, np.ndarray]:
@@ -196,32 +186,27 @@ def _parse_line(line: str) -> tuple[int, np.ndarray]:
     return int(head), parse_floats(tail)
 
 
-def from_text(text: str, dim: int | None = None) -> PrototypeSet:
-    """Inverse of to_text. `dim` is only needed when the file holds no vectors."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+def prototypes_from_lines(lines: list[str], dim: int) -> PrototypeSet:
+    """Inverse of prototypes_to_lines for prototypes of dimension `dim`. An
+    id on two lines, within a section or across both, raises ClassCollision."""
     if SECTION_SEPARATOR not in lines:
-        raise ValueError("prototype text is missing the '---' base/novel separator")
+        raise ValueError("prototype lines are missing the '---' base/novel separator")
     cut = lines.index(SECTION_SEPARATOR)
-    base_items = [_parse_line(ln) for ln in lines[:cut]]
-    novel_items = [_parse_line(ln) for ln in lines[cut + 1 :]]
-    vectors = base_items + novel_items
-    if vectors:
-        found = vectors[0][1].shape[0]
-        if dim is not None and dim != found:
-            raise DimensionMismatch(f"expected dim {dim}, file has dim {found}")
-        dim = found
-    elif dim is None:
-        raise ValueError("empty prototype text and no dim given")
-
-    def build(items) -> dict[int, Prototype]:
-        out: dict[int, Prototype] = {}
-        for cid, vec in items:
-            if cid in out:
-                raise ClassCollision(f"duplicate prototype line for class {cid}")
-            out[cid] = Prototype(cid, vec)
-        return out
-
-    return PrototypeSet(base=build(base_items), novel=build(novel_items), dim=dim)
+    base_lines, novel_lines = lines[:cut], lines[cut + 1 :]
+    rows: dict[int, np.ndarray] = {}
+    for line in base_lines + novel_lines:
+        cid, vec = _parse_line(line)
+        if cid in rows:
+            raise ClassCollision(f"duplicate prototype line for class {cid}")
+        if vec.shape != (dim,):
+            raise DimensionMismatch(f"prototype for class {cid} has dim {vec.shape[0]}, expected {dim}")
+        rows[cid] = vec
+    ids = tuple(sorted(rows))
+    return PrototypeSet(
+        ids=ids,
+        matrix=np.array([rows[cid] for cid in ids]).reshape(len(ids), dim),
+        novel=frozenset(list(rows)[len(base_lines) :]),
+    )
 
 
 def write_vector_file(path, vectors: Mapping[int, np.ndarray]) -> None:

@@ -112,12 +112,6 @@ class Universe:
     def classes(self) -> tuple[ToyClass, ...]:
         return self.base + self.novel
 
-    def class_by_id(self, class_id: int) -> ToyClass:
-        for cls in self.classes():
-            if cls.class_id == class_id:
-                return cls
-        raise KeyError(f"no class {class_id} in this universe")
-
     def split_manifest(self) -> dict:
         return {
             "base_class_ids": [c.class_id for c in self.base],
@@ -274,25 +268,7 @@ def _make_scene(
             )
         )
 
-    scene = Scene(scene_id=scene_id, objects=objects, proposals=tuple(proposals))
-    _verify_labels(scene)
-    return scene
-
-
-def _verify_labels(scene: Scene) -> None:
-    """Independent relabel pass; generation must agree with the IoU rule."""
-    pairs = [(obj.class_id, obj.box) for obj in scene.objects]
-    for prop in scene.proposals:
-        best_iou, best_cid = 0.0, 0
-        for cid, box in pairs:
-            overlap = iou(prop.anchor, box)
-            if overlap > best_iou:
-                best_iou, best_cid = overlap, cid
-        expected = best_cid if best_iou >= FG_IOU_THRESHOLD else 0
-        if prop.label != expected:
-            raise RuntimeError(
-                f"scene {scene.scene_id}: proposal labelled {prop.label}, IoU rule says {expected}"
-            )
+    return Scene(scene_id=scene_id, objects=objects, proposals=tuple(proposals))
 
 
 def make_dataset(

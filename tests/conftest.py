@@ -8,7 +8,7 @@ import pytest
 
 from morphdet.em_trainer import DetectorState, TrainConfig, train
 from morphdet.embedder import EmbedderParams
-from morphdet.prototype_store import Prototype, PrototypeSet
+from morphdet.prototype_store import PrototypeSet
 from morphdet.toyworld import exemplars_for, make_dataset, make_universe, semantic_vectors
 
 TINY_TRAIN = TrainConfig(em_iterations=2, m_step_epochs=3, batch_size=16, seed=0)
@@ -44,11 +44,9 @@ def identity_detector(class_axes, scale=8.0):
     descriptors map straight to features, the background logit and box deltas
     are 0 (decoded boxes equal their anchors). One unit-vector prototype per
     (class_id, axis) pair makes posteriors predictable by hand."""
-    axes = {cid: np.asarray(axis, dtype=np.float64) for cid, axis in class_axes}
-    dim = next(iter(axes.values())).shape[0]
-    params = EmbedderParams((dim, dim))
-    params.feature_head.weight[:] = np.eye(dim) * scale
-    protos = PrototypeSet(
-        base={cid: Prototype(cid, vec) for cid, vec in axes.items()}, novel={}, dim=dim
-    )
+    axes = dict(class_axes)
+    ids = tuple(sorted(axes))
+    protos = PrototypeSet(ids=ids, matrix=np.array([axes[cid] for cid in ids], dtype=np.float64))
+    params = EmbedderParams((protos.dim, protos.dim))
+    params.feature_head.weight[:] = np.eye(protos.dim) * scale
     return DetectorState(params=params, prototypes=protos, config=TrainConfig())

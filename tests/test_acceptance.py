@@ -32,13 +32,7 @@ from morphdet.experiments import (
 from morphdet.morph_inference import Box, decode_box, encode_box, morph
 from morphdet.numkernel import l2_normalize
 from morphdet.objective import LossWeights, posterior_batch
-from morphdet.prototype_store import (
-    Prototype,
-    PrototypeSet,
-    all_prototypes,
-    e_step_update,
-    init_from_semantic,
-)
+from morphdet.prototype_store import PrototypeSet, e_step_update, init_from_semantic
 from morphdet.toyworld import make_dataset, make_universe, semantic_vectors
 
 
@@ -63,10 +57,10 @@ def test_criterion_01_gradient_correctness():
 def test_criterion_02_posterior_normalization():
     start = time.perf_counter()
     rng = np.random.default_rng(902)
-    protos = all_prototypes(make_protos(rng, 8, 16))
+    protos = make_protos(rng, 8, 16)
     features = rng.normal(size=(1000, 16)) * rng.uniform(0.5, 50.0, size=(1000, 1))
     bg_logits = rng.normal(size=1000) * 10.0
-    q, _ids = posterior_batch(features, bg_logits, protos)
+    q = posterior_batch(features, bg_logits, protos)
     worst = float(np.max(np.abs(q.sum(axis=1) - 1.0)))
     elapsed = time.perf_counter() - start
     print(f"criterion 2: max |row sum - 1| = {worst:.3e} < 1e-9, {elapsed:.3f}s < 1s")
@@ -89,7 +83,7 @@ def test_criterion_03_e_step_algebra():
         expected = l2_normalize(means[cid])
         assert np.max(np.abs(refit.vector_for(cid) - expected)) < 1e-12
 
-    pair = PrototypeSet(base={1: Prototype(1, np.array([0.0, 1.0]))}, novel={}, dim=2)
+    pair = PrototypeSet(ids=(1,), matrix=np.array([[0.0, 1.0]]))
     blended = e_step_update(pair, {1: np.array([1.0, 0.0])}, 0.5)
     target = np.array([1.0, 1.0]) / np.sqrt(2.0)
     worst = float(np.max(np.abs(blended.vector_for(1) - target)))
@@ -124,12 +118,12 @@ def test_criterion_05_base_ratio_preservation(tiny_state, tiny_exemplars):
     descriptors = rng.normal(size=(100, tiny_state.params.m_in))
     features, bg_logits, _ = forward_batch(tiny_state.params, descriptors)
 
-    before, ids_before = posterior_batch(features, bg_logits, all_prototypes(tiny_state.prototypes))
+    before = posterior_batch(features, bg_logits, tiny_state.prototypes)
     morphed = morph(tiny_state, tiny_exemplars)
-    after, ids_after = posterior_batch(features, bg_logits, all_prototypes(morphed.prototypes))
-    base_ids = sorted(tiny_state.prototypes.base)
-    col_before = {cid: ids_before.index(cid) + 1 for cid in base_ids}
-    col_after = {cid: ids_after.index(cid) + 1 for cid in base_ids}
+    after = posterior_batch(features, bg_logits, morphed.prototypes)
+    base_ids = tiny_state.prototypes.base
+    col_before = {cid: tiny_state.prototypes.ids.index(cid) + 1 for cid in base_ids}
+    col_after = {cid: morphed.prototypes.ids.index(cid) + 1 for cid in base_ids}
 
     worst = 0.0
     for i in range(100):

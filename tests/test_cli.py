@@ -380,6 +380,21 @@ def test_eval_refuses_partial_files_and_bad_flags(train_dir, gen_dir, tmp_path, 
     assert not (tmp_path / "eval" / "report.json").exists()
 
 
+def test_eval_refuses_checkpoint_config_of_wrong_type(train_dir, gen_dir, tmp_path, capsys):
+    spoiled = tmp_path / "train"
+    shutil.copytree(train_dir, spoiled)
+
+    def fractional_batch_size(lines):
+        config = json.loads(lines[1].partition(" ")[2])
+        config["train"]["batch_size"] = 2.5
+        return [lines[0], "config " + json.dumps(config, sort_keys=True)] + lines[2:]
+
+    _edit_lines(spoiled / "checkpoint_iter2.ckpt", fractional_batch_size)
+    assert _eval_on(gen_dir, spoiled, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_eval_manifest_without_class_ids(train_dir, gen_dir, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(gen_dir, data)

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from morphdet.em_trainer import DetectorState, TrainConfig, checkpoint_text, load_checkpoint
 from morphdet.embedder import CheckpointError, init_params
-from morphdet.prototype_store import Prototype, PrototypeSet
+from morphdet.prototype_store import PrototypeSet
 from morphdet.toyworld import load_dataset, load_universe, make_dataset, make_universe, save_dataset, save_universe
 
 FUZZ = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -81,14 +81,15 @@ def test_dataset_file_loads_exactly_or_is_refused(fuzz_dir, small_universe, data
 @FUZZ
 @given(data=st.data())
 def test_checkpoint_file_loads_exactly_or_is_refused(fuzz_dir, data):
-    unit = np.eye(2)
-    protos = PrototypeSet(
-        base={1: Prototype(1, unit[0]), 2: Prototype(2, unit[1])},
-        novel={3: Prototype(3, np.sqrt([0.5, 0.5]))},
-        dim=2,
+    diagonal = np.sqrt([0.5, 0.5])
+    sets = (
+        PrototypeSet(ids=(1, 2, 3), matrix=np.array([[1.0, 0.0], [0.0, 1.0], diagonal]), novel={3}),
+        # The novel id sits between the base ids, so file order is not id order.
+        PrototypeSet(ids=(1, 2, 3), matrix=np.array([[1.0, 0.0], diagonal, [0.0, 1.0]]), novel={2}),
     )
-    state = DetectorState(init_params(3, (2,), 2, seed=5), protos, TrainConfig(hidden_sizes=(2,)))
-    text = checkpoint_text(state)
-    extra = data.draw(_TEXT | st.sampled_from(text.splitlines()))
     path = fuzz_dir / "detector.ckpt"
-    _check_every_variant(path, text, extra, load_checkpoint, checkpoint_text, CheckpointError)
+    for protos in sets:
+        state = DetectorState(init_params(3, (2,), 2, seed=5), protos, TrainConfig(hidden_sizes=(2,)))
+        text = checkpoint_text(state)
+        extra = data.draw(_TEXT | st.sampled_from(text.splitlines()))
+        _check_every_variant(path, text, extra, load_checkpoint, checkpoint_text, CheckpointError)

@@ -17,7 +17,7 @@ from morphdet.embedder import (
 )
 from morphdet.numkernel import DimensionMismatch
 from morphdet.objective import LossWeights
-from morphdet.prototype_store import PrototypeSet, Prototype, UnknownClass, init_from_semantic
+from morphdet.prototype_store import PrototypeSet, UnknownClass, init_from_semantic
 
 
 class FakeProposal:

@@ -1,5 +1,7 @@
 """Boxes, NMS against a brute-force oracle, morphing, and detection flow."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from morphdet.morph_inference import (
 )
 from morphdet.numkernel import DimensionMismatch, EmptyInput, l2_normalize
 from morphdet.objective import posterior_batch
-from morphdet.prototype_store import ClassCollision, all_prototypes
+from morphdet.prototype_store import ClassCollision, PrototypeSet
 
 
 def random_box(rng, lo=0.0, hi=1.0):
@@ -161,11 +163,11 @@ def test_morph_preserves_base_posterior_ratios(tiny_state, tiny_exemplars):
     feats, bg, _ = forward_batch(tiny_state.params, descs)
     base_ids = sorted(tiny_state.prototypes.base)
 
-    q_before, ids_before = posterior_batch(feats, bg, all_prototypes(tiny_state.prototypes))
+    q_before = posterior_batch(feats, bg, tiny_state.prototypes)
     morphed = morph(tiny_state, tiny_exemplars)
-    q_after, ids_after = posterior_batch(feats, bg, all_prototypes(morphed.prototypes))
-    col_before = {cid: k + 1 for k, cid in enumerate(ids_before)}
-    col_after = {cid: k + 1 for k, cid in enumerate(ids_after)}
+    q_after = posterior_batch(feats, bg, morphed.prototypes)
+    col_before = {cid: k + 1 for k, cid in enumerate(tiny_state.prototypes.ids)}
+    col_after = {cid: k + 1 for k, cid in enumerate(morphed.prototypes.ids)}
 
     a, b = base_ids[0], base_ids[1]
     r_before = q_before[:, col_before[a]] / q_before[:, col_before[b]]
@@ -207,6 +209,8 @@ def test_detect_edge_cases(tiny_state):
     assert first == second
     none_pass = detect(tiny_state, proposals, score_threshold=1.1)
     assert none_pass == []
+    with pytest.raises(EmptyInput):
+        detect(replace(tiny_state, prototypes=PrototypeSet.empty(tiny_state.prototypes.dim)), proposals)
 
 
 def test_detections_csv_format(tmp_path):

@@ -6,25 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from test_embedder import FakeProposal, max_grad_error, naive_forward
+from test_embedder import FakeProposal, make_protos, max_grad_error, naive_forward
 from test_numkernel import naive_smooth_l1
 
 from morphdet.embedder import forward_batch_with_grad, init_params
 from morphdet.numkernel import DimensionMismatch, EmptyInput
 from morphdet.objective import LossWeights, posterior_batch
-from morphdet.prototype_store import Prototype, UnknownClass, add_novel, all_prototypes, init_from_semantic
-
-
-def random_prototypes(rng, count, dim):
-    protos = []
-    for k in range(count):
-        vec = rng.normal(size=dim)
-        protos.append(Prototype(k + 1, vec / np.linalg.norm(vec)))
-    return protos
+from morphdet.prototype_store import PrototypeSet, UnknownClass, add_novel, init_from_semantic
 
 
 def naive_posterior(feature, bg_logit, protos):
-    logits = [bg_logit] + [float(np.dot(feature, p.vector)) for p in protos]
+    logits = [bg_logit] + [float(np.dot(feature, protos.vector_for(cid))) for cid in protos.ids]
     expd = [math.exp(x) for x in logits]
     z = sum(expd)
     return [e / z for e in expd]
@@ -32,11 +24,11 @@ def naive_posterior(feature, bg_logit, protos):
 
 def test_posterior_batch_matches_naive_softmax():
     rng = np.random.default_rng(0)
-    protos = random_prototypes(rng, 5, 4)
+    protos = make_protos(rng, 5, 4)
     feats = rng.normal(size=(20, 4)) * 3
     bg = rng.normal(size=20)
-    q, ids = posterior_batch(feats, bg, protos)
-    assert ids == [1, 2, 3, 4, 5]
+    q = posterior_batch(feats, bg, protos)
+    assert protos.ids == (1, 2, 3, 4, 5)
     assert q.shape == (20, 6)
     for i in range(20):
         expected = naive_posterior(feats[i], bg[i], protos)
@@ -45,35 +37,34 @@ def test_posterior_batch_matches_naive_softmax():
 
 def test_posterior_rows_sum_to_one_with_huge_logits():
     rng = np.random.default_rng(1)
-    protos = random_prototypes(rng, 4, 6)
+    protos = make_protos(rng, 4, 6)
     feats = rng.normal(size=(10, 6)) * 500.0
     bg = rng.normal(size=10) * 500.0
-    q, _ = posterior_batch(feats, bg, protos)
+    q = posterior_batch(feats, bg, protos)
     assert np.all(np.isfinite(q))
     assert np.allclose(q.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_posterior_single_matches_batch_and_argmax():
     rng = np.random.default_rng(2)
-    protos = random_prototypes(rng, 3, 5)
+    protos = make_protos(rng, 3, 5)
     feats = rng.normal(size=(4, 5))
     bg = rng.normal(size=4)
-    q, ids = posterior_batch(feats, bg, protos)
+    q = posterior_batch(feats, bg, protos)
     for i in range(4):
-        single, single_ids = posterior_batch(feats[i : i + 1], bg[i : i + 1], protos)
-        assert single_ids == ids
+        single = posterior_batch(feats[i : i + 1], bg[i : i + 1], protos)
         assert np.allclose(single[0], q[i], rtol=0.0, atol=1e-15)
 
-    extremes = np.stack([np.zeros(5), protos[1].vector * 50.0])
-    sure, _ = posterior_batch(extremes, np.array([50.0, -5.0]), protos)
-    assert np.argmax(sure, axis=1).tolist() == [0, 1 + ids.index(protos[1].class_id)]
+    extremes = np.stack([np.zeros(5), protos.vector_for(2) * 50.0])
+    sure = posterior_batch(extremes, np.array([50.0, -5.0]), protos)
+    assert np.argmax(sure, axis=1).tolist() == [0, 1 + protos.ids.index(2)]
 
 
 def test_posterior_validation():
     rng = np.random.default_rng(3)
-    protos = random_prototypes(rng, 2, 3)
+    protos = make_protos(rng, 2, 3)
     with pytest.raises(EmptyInput):
-        posterior_batch(np.zeros((1, 3)), np.zeros(1), [])
+        posterior_batch(np.zeros((1, 3)), np.zeros(1), PrototypeSet.empty(3))
     with pytest.raises(DimensionMismatch):
         posterior_batch(np.zeros((1, 4)), np.zeros(1), protos)
     with pytest.raises(DimensionMismatch):
@@ -104,14 +95,12 @@ def naive_neg_log_posterior(logits, k):
 
 def naive_terms(params, protos, batch, weights):
     """(fg, bg, bbox) loss terms computed one proposal at a time."""
-    ordered = all_prototypes(protos)
-    ids = [p.class_id for p in ordered]
     fg_vals, bg_vals, box_vals = [], [], []
     for prop in batch:
         feature, bg_logit, deltas = naive_forward(params, prop.descriptor)
-        logits = [bg_logit] + [float(np.dot(feature, p.vector)) for p in ordered]
+        logits = [bg_logit] + [float(np.dot(feature, protos.vector_for(cid))) for cid in protos.ids]
         if prop.label > 0:
-            fg_vals.append(naive_neg_log_posterior(logits, 1 + ids.index(prop.label)))
+            fg_vals.append(naive_neg_log_posterior(logits, 1 + protos.ids.index(prop.label)))
             box_vals.append(sum(naive_smooth_l1(d - t) for d, t in zip(deltas, prop.target_deltas)))
         else:
             bg_vals.append(naive_neg_log_posterior(logits, 0))
@@ -200,7 +189,7 @@ def test_loss_stays_finite_at_huge_logits():
     params.feature_head.weight[:] *= 800.0
     params.background_head.weight[:] *= 800.0
     logits = [
-        [bg_logit] + [float(np.dot(feature, p.vector)) for p in all_prototypes(protos)]
+        [bg_logit] + [float(np.dot(feature, protos.vector_for(cid))) for cid in protos.ids]
         for feature, bg_logit, _ in (naive_forward(params, p.descriptor) for p in batch)
     ]
     assert min(map(min, logits)) < -300.0 and 300.0 < max(map(max, logits)) < 1000.0

@@ -159,9 +159,10 @@ def test_descriptor_geometry_channels_are_scaled_box_features():
 def test_proposal_descriptors_carry_overlapped_appearance():
     uni = make_universe(n_base=3, n_novel=1, sigma_inst=0.0, seed=15)
     scenes = make_dataset(uni, uni.base, 1, 1, 12, seed=16, jitter=0.0)
+    by_id = {cls.class_id: cls for cls in uni.classes()}
     for scene in scenes:
         obj = scene.objects[0]
-        pure = uni.descriptor_projection @ uni.class_by_id(obj.class_id).attribute
+        pure = uni.descriptor_projection @ by_id[obj.class_id].attribute
         exact = [p for p in scene.proposals if iou(p.anchor, obj.box) > 1.0 - 1e-12]
         assert exact
         for p in exact:

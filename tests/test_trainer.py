@@ -1,5 +1,6 @@
 """Alternating-training loop: M-step, E-step, the full run, and checkpoints."""
 
+import json
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -177,8 +178,8 @@ def test_e_step_matches_manual_means(tiny_state, tiny_dataset):
 
     after = e_step(tiny_state, tiny_dataset, 0.5)
     assert after.params is tiny_state.params
-    assert after.prototypes.class_ids() == expected.class_ids()
-    for cid in expected.class_ids():
+    assert after.prototypes.ids == expected.ids
+    for cid in expected.ids:
         assert np.array_equal(after.prototypes.vector_for(cid), expected.vector_for(cid))
         assert np.linalg.norm(after.prototypes.vector_for(cid)) == pytest.approx(1.0, abs=1e-9)
 
@@ -221,7 +222,7 @@ def test_train_shapes_and_snapshots(tiny_result):
     last = tiny_result.state.prototypes
     moved = any(
         not np.array_equal(tiny_result.final_prototypes.vector_for(cid), last.vector_for(cid))
-        for cid in last.class_ids()
+        for cid in last.ids
     )
     assert moved
 
@@ -229,13 +230,13 @@ def test_train_shapes_and_snapshots(tiny_result):
 def test_train_prototypes_cover_exactly_the_dataset_classes(tiny_result, tiny_universe):
     protos = tiny_result.state.prototypes
     assert sorted(protos.base) == [c.class_id for c in tiny_universe.base]
-    assert protos.novel == {}
+    assert protos.novel == frozenset()
 
 
 def test_train_is_deterministic(tiny_universe, tiny_dataset, tiny_result):
     again = train(tiny_dataset, semantic_vectors(tiny_universe), TINY_TRAIN)
     assert params_equal(again.state.params, tiny_result.state.params)
-    for cid in tiny_result.state.prototypes.class_ids():
+    for cid in tiny_result.state.prototypes.ids:
         assert np.array_equal(
             again.state.prototypes.vector_for(cid),
             tiny_result.state.prototypes.vector_for(cid),
@@ -296,7 +297,7 @@ def test_checkpoint_round_trip(tmp_path, tiny_state, tiny_exemplars):
     assert back.config == state.config
     assert sorted(back.prototypes.base) == sorted(state.prototypes.base)
     assert sorted(back.prototypes.novel) == sorted(state.prototypes.novel)
-    for cid in state.prototypes.class_ids():
+    for cid in state.prototypes.ids:
         assert np.array_equal(back.prototypes.vector_for(cid), state.prototypes.vector_for(cid))
     # Value-exact round trip implies byte-stable re-serialization.
     assert checkpoint_text(back) == checkpoint_text(state)
@@ -312,6 +313,11 @@ def test_checkpoint_rejects_corruption(tmp_path, tiny_state, tiny_exemplars):
     # Dropping the last novel prototype and the trailer must not load as a
     # detector that silently lacks that class.
     morphed_lines = checkpoint_text(morph(tiny_state, tiny_exemplars)).splitlines()
+
+    def with_config(section, key, value):
+        config = json.loads(lines[1].partition(" ")[2])
+        config[section][key] = value
+        return "\n".join([lines[0], "config " + json.dumps(config, sort_keys=True)] + lines[2:]) + "\n"
 
     cases = {
         "bad_header.ckpt": "\n".join(["junk"] + lines[1:]) + "\n",
@@ -330,6 +336,13 @@ def test_checkpoint_rejects_corruption(tmp_path, tiny_state, tiny_exemplars):
         "extra_tensor.ckpt": "\n".join(lines[:protos_at] + ["tensor extra 1 1", "1"] + lines[protos_at:]) + "\n",
         "truncated.ckpt": "\n".join(morphed_lines[:-2]) + "\n",
         "junk_after_end.ckpt": "\n".join(morphed_lines + ["junk"]) + "\n",
+        # Config values of the wrong type must not be truncated or accepted.
+        "m_in_fraction.ckpt": with_config("arch", "m_in", m_in + 0.5),
+        "m_in_float.ckpt": with_config("arch", "m_in", float(m_in)),
+        "arch_hidden_fraction.ckpt": with_config("arch", "hidden_sizes", [64.9, 64]),
+        "train_hidden_fraction.ckpt": with_config("train", "hidden_sizes", [64.9, 64]),
+        "batch_size_fraction.ckpt": with_config("train", "batch_size", 2.5),
+        "em_iterations_bool.ckpt": with_config("train", "em_iterations", True),
     }
     for name, payload in cases.items():
         path = tmp_path / name
