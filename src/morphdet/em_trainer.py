@@ -1,7 +1,9 @@
 """Alternating training of the embedder and its class prototypes.
 
 Each iteration runs an M-step (minibatch SGD on the network, optionally with
-momentum, prototypes frozen) and then an E-step (prototypes refit toward per-class mean
+momentum, prototypes frozen; the proposals are stacked into descriptor,
+label and box-target arrays once, and each step gathers its batch rows from
+them) and then an E-step (prototypes refit toward per-class mean
 features of the ground-truth boxes under the frozen network, blended with the
 old prototypes). Prototypes start from the base classes' semantic vectors.
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -175,29 +178,25 @@ class TrainResult:
     final_prototypes: PrototypeSet  # output of the trailing E-step
 
 
-def collect_proposals(dataset) -> list:
-    return [prop for scene in dataset for prop in scene.proposals]
+def proposal_arrays(dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every proposal of `dataset`, in scene order, as descriptors (N, m_in),
+    labels (N,) and box targets (N, 4), zero on background rows."""
+    props = [prop for scene in dataset for prop in scene.proposals]
+    if not props:
+        raise EmptyInput("dataset has no proposals")
+    no_target = np.zeros(4)
+    return (
+        np.stack([prop.descriptor for prop in props]),
+        np.array([int(prop.label) for prop in props]),
+        np.array([prop.target_deltas if prop.label > 0 else no_target for prop in props], dtype=np.float64),
+    )
 
 
-class _CyclicSampler:
-    """Deterministic shuffled stream over a fixed index pool; reshuffles with
-    the shared rng whenever the pool is exhausted."""
-
-    def __init__(self, indices, rng: np.random.Generator):
-        self._indices = list(indices)
-        self._rng = rng
-        self._order: list[int] = []
-        self._pos = 0
-
-    def draw(self, count: int) -> list[int]:
-        out = []
-        while len(out) < count and self._indices:
-            if self._pos >= len(self._order):
-                self._order = [self._indices[j] for j in self._rng.permutation(len(self._indices))]
-                self._pos = 0
-            out.append(self._order[self._pos])
-            self._pos += 1
-        return out
+def _shuffled_stream(pool: np.ndarray, rng: np.random.Generator):
+    """Endless stream over the indices in `pool`, one rng permutation per
+    pass, drawn only when its first index is needed; empty for an empty pool."""
+    while len(pool):
+        yield from pool[rng.permutation(len(pool))].tolist()
 
 
 def _epoch_lr(config: TrainConfig, epoch: int) -> float:
@@ -217,22 +216,25 @@ def m_step(state: DetectorState, dataset, config: TrainConfig, rng_tag: int = 0,
     identity. The optional `metrics` list receives one (epoch, mean losses)
     record per epoch.
     """
-    pool = collect_proposals(dataset)
-    if not pool:
-        raise EmptyInput("dataset has no proposals")
-    for prop in pool:
-        if prop.label > 0 and not state.prototypes.has_class(prop.label):
-            raise UnknownClass(f"dataset label {prop.label} has no prototype")
+    X, labels, targets = proposal_arrays(dataset)
+    unknown = set(labels[labels > 0].tolist()) - set(state.prototypes.ids)
+    if unknown:
+        raise UnknownClass(f"dataset labels {sorted(unknown)} have no prototype")
     if config.m_step_epochs == 0:
         return state
 
     rng = np.random.default_rng([config.seed, 17, rng_tag])
-    fg_pool = [i for i, p in enumerate(pool) if p.label > 0]
-    bg_pool = [i for i, p in enumerate(pool) if p.label == 0]
-    fg_stream = _CyclicSampler(fg_pool, rng)
-    bg_stream = _CyclicSampler(bg_pool, rng)
-    steps_per_epoch = max(1, math.ceil(len(pool) / config.batch_size))
+    fg_pool = np.flatnonzero(labels > 0)
+    bg_pool = np.flatnonzero(labels == 0)
+    fg_stream = _shuffled_stream(fg_pool, rng)
+    bg_stream = _shuffled_stream(bg_pool, rng)
+    steps_per_epoch = max(1, math.ceil(len(labels) / config.batch_size))
     weights = config.loss_weights()
+    n_fg = config.batch_size // 4 if len(fg_pool) else 0
+    if len(fg_pool) and config.batch_size >= 2:
+        n_fg = max(1, n_fg)
+    if not len(bg_pool):
+        n_fg = config.batch_size
 
     params = state.params
     velocity = None
@@ -240,17 +242,13 @@ def m_step(state: DetectorState, dataset, config: TrainConfig, rng_tag: int = 0,
         lr = _epoch_lr(config, epoch)
         epoch_terms = np.zeros(4)
         for _ in range(steps_per_epoch):
-            n_fg = config.batch_size // 4 if fg_pool else 0
-            if fg_pool and config.batch_size >= 2:
-                n_fg = max(1, n_fg)
-            if not bg_pool:
-                n_fg = config.batch_size
-            picks = fg_stream.draw(n_fg) + bg_stream.draw(config.batch_size - n_fg)
-            batch = [pool[i] for i in picks]
-            breakdown, grads = forward_batch_with_grad(params, batch, state.prototypes, weights)
+            picks = [*islice(fg_stream, n_fg), *islice(bg_stream, config.batch_size - n_fg)]
+            breakdown, grad = forward_batch_with_grad(
+                params, X[picks], labels[picks], targets[picks], state.prototypes, weights
+            )
             if not np.isfinite(breakdown.total):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}: {breakdown}")
-            params, velocity = sgd_step(params, grads, lr, velocity, config.momentum)
+            params, velocity = sgd_step(params, grad, lr, velocity, config.momentum)
             epoch_terms += (breakdown.fg, breakdown.bg, breakdown.bbox, breakdown.total)
         if metrics is not None:
             mean = epoch_terms / steps_per_epoch
@@ -285,12 +283,10 @@ def train(dataset, semantic_vectors, config: TrainConfig = TrainConfig()) -> Tra
     later) are ignored.
     """
     dataset = list(dataset)
-    pool = collect_proposals(dataset)
-    if not pool:
-        raise EmptyInput("dataset has no proposals")
-    base_ids = sorted(
-        {p.label for p in pool if p.label > 0} | {o.class_id for s in dataset for o in s.objects}
-    )
+    X, labels, _ = proposal_arrays(dataset)
+    m_in = X.shape[1]
+    del X  # each m_step stacks its own copy; do not hold this one through training
+    base_ids = sorted(set(labels[labels > 0].tolist()) | {o.class_id for s in dataset for o in s.objects})
     if not base_ids:
         raise EmptyInput("dataset has no foreground classes")
     missing = [cid for cid in base_ids if cid not in semantic_vectors]
@@ -298,7 +294,6 @@ def train(dataset, semantic_vectors, config: TrainConfig = TrainConfig()) -> Tra
         raise UnknownClass(f"no semantic vector for dataset classes {missing}")
 
     protos = init_from_semantic({cid: semantic_vectors[cid] for cid in base_ids})
-    m_in = pool[0].descriptor.shape[0]
     params = init_params(m_in, config.hidden_sizes, protos.dim, config.seed)
     state = DetectorState(params=params, prototypes=protos, config=config)
 
@@ -374,6 +369,10 @@ def load_checkpoint(path) -> DetectorState:
         cut = body.index("prototypes")
         params = params_from_tensors(tensor_blocks(body[:cut]), config["arch"])
         protos = prototypes_from_lines(body[cut + 1 :], params.feature_dim)
+        if tconfig.hidden_sizes != params.hidden_sizes:
+            raise ValueError(
+                f"train config hidden_sizes {list(tconfig.hidden_sizes)} != network {list(params.hidden_sizes)}"
+            )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: {exc!r}") from exc
     return DetectorState(params=params, prototypes=protos, config=tconfig)

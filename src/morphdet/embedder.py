@@ -6,10 +6,12 @@ topped by three linear heads sharing the trunk output -- a feature vector
 class-agnostic box-regression deltas.
 
 forward_batch embeds a batch for inference. forward_batch_with_grad computes
-the training loss of objective.py on a minibatch (per-group means of
-foreground, background and box terms, each multiplied by its weight) and
-backpropagates it through the heads and the ReLU trunk in closed form. Both
-run the same forward pass. Prototypes are constants here.
+the training loss of objective.py on a minibatch given as arrays
+(descriptors, labels, box targets; per-group means of foreground, background
+and box terms, each multiplied by its weight) and backpropagates it through
+the heads and the ReLU trunk in closed form, returning the gradient as one
+flat vector in the parameter layout. Both run the same forward pass.
+Prototypes are constants here. sgd_step updates flat vectors.
 
 A module-level counter records every gradient evaluation; forward_batch never
 touches it, which is how zero-gradient guarantees for morphing are asserted
@@ -130,11 +132,6 @@ class EmbedderParams:
         return self._tensors
 
 
-# Gradients and momentum state share the parameter layout: d(loss)/d(entry)
-# in each slot.
-Gradients = EmbedderParams
-
-
 def validate_params(params: EmbedderParams) -> None:
     """Check every entry is finite; shapes hold by construction."""
     if not np.all(np.isfinite(params.flat)):
@@ -188,39 +185,43 @@ def params_equal(a: EmbedderParams, b: EmbedderParams) -> bool:
 
 def forward_batch_with_grad(
     params: EmbedderParams,
-    batch,
+    descriptors: np.ndarray,
+    labels: np.ndarray,
+    targets: np.ndarray,
     prototypes: PrototypeSet,
     weights: LossWeights = LossWeights(),
-) -> tuple[LossBreakdown, Gradients]:
+) -> tuple[LossBreakdown, np.ndarray]:
     """Composite loss and exact parameter gradients for one minibatch.
 
-    The loss is the weighted sum of three group means: foreground negative
-    log-probability over proposals with label > 0, background negative
-    log-probability over label-0 proposals, and smooth-L1 box regression over
-    foreground proposals. Accumulation order is fixed (batch order), so the
-    result is reproducible bit-for-bit.
+    Row i of the batch is descriptors[i] (m_in,), labels[i] (0 for
+    background) and targets[i] (4,), the box targets, read on foreground rows
+    only. The loss is the weighted sum of three group means: foreground
+    negative log-probability over rows with label > 0, background negative
+    log-probability over label-0 rows, and smooth-L1 box regression over
+    foreground rows. The gradient is one float64 vector in the layout of
+    params.flat. Accumulation order is fixed (batch order), so the result is
+    reproducible bit-for-bit.
     """
-    batch = list(batch)
-    if not batch:
+    labels = np.asarray(labels)
+    if not labels.shape[0]:
         raise EmptyInput("empty batch")
     pmat = scoring_matrix(prototypes, params.feature_dim)  # (M, d)
-    slot = {cid: k for k, cid in enumerate(prototypes.ids)}
-
-    labels = np.array([int(p.label) for p in batch])
-    for lab in labels:
-        if lab > 0 and lab not in slot:
-            raise UnknownClass(f"foreground label {lab} has no prototype")
+    fg_rows = np.flatnonzero(labels > 0)
+    bg_rows = np.flatnonzero(labels == 0)
+    n_fg, n_bg = len(fg_rows), len(bg_rows)
+    fg_labels = labels[fg_rows]
+    ids = np.asarray(prototypes.ids)
+    slots = np.searchsorted(ids, fg_labels)
+    unknown = np.take(ids, slots, mode="clip") != fg_labels
+    if np.any(unknown):
+        raise UnknownClass(f"foreground labels {np.unique(fg_labels[unknown]).tolist()} have no prototype")
     # Forward pass, keeping pre-activations for the backward sweep.
-    pre_acts, acts, (feats, bg, deltas) = _forward(params, [p.descriptor for p in batch])
+    pre_acts, acts, (feats, bg, deltas) = _forward(params, descriptors)
 
     all_logits = np.concatenate([bg[:, None], feats @ pmat.T], axis=1)  # (N, 1 + M)
     shift = np.max(all_logits, axis=1)
     log_denom = shift + np.log(np.sum(np.exp(all_logits - shift[:, None]), axis=1))
     q = np.exp(all_logits - log_denom[:, None])  # posteriors; column 0 = background
-
-    fg_rows = np.flatnonzero(labels > 0)
-    bg_rows = np.flatnonzero(labels == 0)
-    n_fg, n_bg = len(fg_rows), len(bg_rows)
 
     d_feats = np.zeros_like(feats)
     d_bg = np.zeros_like(bg)
@@ -229,15 +230,13 @@ def forward_batch_with_grad(
 
     fg_term = bg_term = box_term = 0.0
     if n_fg:
-        slots = np.array([slot[labels[i]] for i in fg_rows])
         fg_vals = log_denom[fg_rows] - all_logits[fg_rows, slots + 1]
         fg_term = weights.fg * float(np.sum(fg_vals) / n_fg)
         coef = weights.fg / n_fg
         d_feats[fg_rows] = coef * (mix[fg_rows] - pmat[slots])
         d_bg[fg_rows] = coef * q[fg_rows, 0]
 
-        targets = np.stack([np.asarray(batch[i].target_deltas, dtype=np.float64) for i in fg_rows])
-        residual = deltas[fg_rows] - targets
+        residual = deltas[fg_rows] - np.asarray(targets, dtype=np.float64)[fg_rows]
         box_vals = np.sum(smooth_l1_array(residual), axis=1)
         box_term = weights.bbox * float(np.sum(box_vals) / n_fg)
         d_deltas[fg_rows] = (weights.bbox / n_fg) * smooth_l1_grad_array(residual)
@@ -252,44 +251,41 @@ def forward_batch_with_grad(
         fg=fg_term, bg=bg_term, bbox=box_term, total=fg_term + bg_term + box_term
     )
 
-    # Backward through the heads, into views of one zeroed gradient vector.
-    grads = EmbedderParams(params.sizes)
+    # Backward through the heads, then the ReLU trunk; the pieces are
+    # concatenated in layout order (trunk bottom-up, then the heads).
     top = acts[-1]
-    grads.feature_head.weight[:] = top.T @ d_feats
-    grads.feature_head.bias[:] = d_feats.sum(axis=0)
-    grads.background_head.weight[:] = top.T @ d_bg[:, None]
-    grads.background_head.bias[:] = [d_bg.sum()]
-    grads.box_head.weight[:] = top.T @ d_deltas
-    grads.box_head.bias[:] = d_deltas.sum(axis=0)
-
+    pieces = [
+        top.T @ d_feats, d_feats.sum(axis=0),
+        top.T @ d_bg[:, None], d_bg.sum(keepdims=True),
+        top.T @ d_deltas, d_deltas.sum(axis=0),
+    ]
     d_h = (
         d_feats @ params.feature_head.weight.T
         + d_bg[:, None] @ params.background_head.weight.T
         + d_deltas @ params.box_head.weight.T
     )
-    # Backward through the ReLU trunk.
     for k in reversed(range(len(params.trunk))):
         d_z = d_h * (pre_acts[k] > 0.0)
-        grads.trunk[k].weight[:] = acts[k].T @ d_z
-        grads.trunk[k].bias[:] = d_z.sum(axis=0)
+        pieces[:0] = [acts[k].T @ d_z, d_z.sum(axis=0)]
         d_h = d_z @ params.trunk[k].weight.T
 
     global _grad_evaluations
     _grad_evaluations += 1
-    return breakdown, grads
+    return breakdown, np.concatenate([piece.ravel() for piece in pieces])
 
 
 def sgd_step(
     params: EmbedderParams,
-    grads: Gradients,
+    grad: np.ndarray,
     lr: float,
-    momentum_state: EmbedderParams | None = None,
+    velocity: np.ndarray | None = None,
     momentum: float = 0.0,
-) -> tuple[EmbedderParams, EmbedderParams]:
-    """One momentum-SGD update: v <- momentum * v + g; p <- p - lr * v.
+) -> tuple[EmbedderParams, np.ndarray]:
+    """One momentum-SGD update on flat vectors: v <- momentum * v + g;
+    p <- p - lr * v.
 
-    Returns (new_params, new_momentum_state); inputs are not mutated.
-    A None momentum_state means zero velocity.
+    Returns (new_params, new_velocity); inputs are not mutated. A None
+    velocity means zero velocity.
     """
     lr = float(lr)
     momentum = float(momentum)
@@ -297,14 +293,14 @@ def sgd_step(
         raise ValueError(f"learning rate must be > 0, got {lr}")
     if not 0.0 <= momentum < 1.0:
         raise ValueError(f"momentum must lie in [0, 1), got {momentum}")
-    if momentum_state is None:
-        momentum_state = EmbedderParams(params.sizes)
-    if not params.sizes == grads.sizes == momentum_state.sizes:
+    if velocity is None:
+        velocity = np.zeros_like(params.flat)
+    if not params.flat.shape == grad.shape == velocity.shape:
         raise DimensionMismatch(
-            f"layer sizes differ in update: {params.sizes} vs {grads.sizes} vs {momentum_state.sizes}"
+            f"update vectors differ in shape: {params.flat.shape} vs {grad.shape} vs {velocity.shape}"
         )
-    velocity = momentum * momentum_state.flat + grads.flat
-    return EmbedderParams(params.sizes, params.flat - lr * velocity), EmbedderParams(params.sizes, velocity)
+    velocity = momentum * velocity + grad
+    return EmbedderParams(params.sizes, params.flat - lr * velocity), velocity
 
 
 def params_config(params: EmbedderParams) -> dict:

@@ -201,26 +201,6 @@ def detect(state, proposals, score_threshold: float = 0.05, nms_iou: float = 0.5
     return nms(candidates, nms_iou)
 
 
-def write_detections_csv(path, rows) -> None:
-    """Dump (scene_id, Detection) rows as scene_id,class_id,score,x1,y1,x2,y2
-    with six-decimal scores and coordinates."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scene_id", "class_id", "score", "x1", "y1", "x2", "y2"])
-        for scene_id, det in rows:
-            writer.writerow(
-                [
-                    scene_id,
-                    det.class_id,
-                    f"{det.score:.6f}",
-                    f"{det.box.x1:.6f}",
-                    f"{det.box.y1:.6f}",
-                    f"{det.box.x2:.6f}",
-                    f"{det.box.y2:.6f}",
-                ]
-            )
-
-
 def write_exemplars_csv(path, exemplars) -> None:
     """Exemplar file: one row per exemplar, class_id first, then the
     descriptor components (full float precision, no header)."""

@@ -91,9 +91,12 @@ class PrototypeSet:
         return class_id in self.ids
 
     def vector_for(self, class_id: int) -> np.ndarray:
+        """A read-only view of the class's row."""
         if class_id not in self.ids:
             raise UnknownClass(f"no prototype for class {class_id}")
-        return self.matrix[self.ids.index(class_id)]
+        row = self.matrix[self.ids.index(class_id)]
+        row.flags.writeable = False
+        return row
 
 
 def init_from_semantic(vectors: Mapping) -> PrototypeSet:

@@ -13,7 +13,7 @@ from test_embedder import make_batch, make_protos, max_grad_error
 from test_evalkit import random_box, ref_average_precision, ref_recall_at
 
 from morphdet.cli import main
-from morphdet.em_trainer import DetectorState, TrainConfig, m_step
+from morphdet.em_trainer import DetectorState, TrainConfig, m_step, proposal_arrays
 from morphdet.embedder import (
     forward_batch,
     forward_batch_with_grad,
@@ -250,10 +250,12 @@ def test_criterion_10_overfit_sanity():
     params = init_params(universe.m_in, config.hidden_sizes, protos.dim, config.seed)
     state = DetectorState(params=params, prototypes=protos, config=config)
     weights = config.loss_weights()
+    data = [SimpleNamespace(scene_id=0, proposals=pool)]
+    batch = proposal_arrays(data)
 
-    initial = forward_batch_with_grad(params, pool, protos, weights)[0].total
-    trained = m_step(state, [SimpleNamespace(scene_id=0, proposals=pool)], config)
-    final = forward_batch_with_grad(trained.params, pool, protos, weights)[0].total
+    initial = forward_batch_with_grad(params, *batch, protos, weights)[0].total
+    trained = m_step(state, data, config)
+    final = forward_batch_with_grad(trained.params, *batch, protos, weights)[0].total
     ratio = final / initial
     elapsed = time.perf_counter() - start
     print(

@@ -20,26 +20,26 @@ from morphdet.objective import LossWeights
 from morphdet.prototype_store import PrototypeSet, UnknownClass, init_from_semantic
 
 
-class FakeProposal:
-    def __init__(self, descriptor, label, target_deltas=None):
-        self.descriptor = descriptor
-        self.label = label
-        self.target_deltas = target_deltas
-
-
 def make_protos(rng, count, dim):
     return init_from_semantic({k + 1: rng.normal(size=dim) for k in range(count)})
 
 
+def stack_batch(rows, m_in):
+    """(descriptors, labels, targets) arrays from (descriptor, label, target
+    or None) rows; background rows get zero targets."""
+    return (
+        np.array([desc for desc, _, _ in rows]).reshape(len(rows), m_in),
+        np.array([label for _, label, _ in rows], dtype=int),
+        np.array([np.zeros(4) if t is None else t for _, _, t in rows]).reshape(len(rows), 4),
+    )
+
+
 def make_batch(rng, m_in, labels):
-    return [
-        FakeProposal(
-            rng.normal(size=m_in),
-            label,
-            rng.uniform(-1, 1, size=4) if label > 0 else None,
-        )
+    rows = [
+        (rng.normal(size=m_in), label, rng.uniform(-1, 1, size=4) if label > 0 else None)
         for label in labels
     ]
+    return stack_batch(rows, m_in)
 
 
 def test_init_params_deterministic_and_shaped():
@@ -107,36 +107,27 @@ def test_forward_batch_with_grad_counts_once_per_call():
     protos = make_protos(rng, 3, 4)
     batch = make_batch(rng, 5, [1, 0, 2])
     before = grad_evaluation_count()
-    forward_batch_with_grad(params, batch, protos)
-    forward_batch_with_grad(params, batch, protos)
+    forward_batch_with_grad(params, *batch, protos)
+    forward_batch_with_grad(params, *batch, protos)
     assert grad_evaluation_count() == before + 2
 
 
-def flat_arrays(params):
-    out = []
-    for layer in params.blocks():
-        out.append(layer.weight)
-        out.append(layer.bias)
-    return out
-
-
 def max_grad_error(params, batch, protos, weights, h=1e-5):
-    """Central finite differences over every parameter coordinate."""
-    _, grads = forward_batch_with_grad(params, batch, protos, weights)
+    """Central finite differences over every parameter coordinate; `batch`
+    is a (descriptors, labels, targets) triple."""
+    _, grad = forward_batch_with_grad(params, *batch, protos, weights)
     worst = 0.0
-    for p_arr, g_arr in zip(flat_arrays(params), flat_arrays(grads)):
-        flat_p = p_arr.reshape(-1)
-        flat_g = g_arr.reshape(-1)
-        for j in range(flat_p.size):
-            keep = flat_p[j]
-            flat_p[j] = keep + h
-            up = forward_batch_with_grad(params, batch, protos, weights)[0].total
-            flat_p[j] = keep - h
-            down = forward_batch_with_grad(params, batch, protos, weights)[0].total
-            flat_p[j] = keep
-            fd = (up - down) / (2 * h)
-            err = abs(flat_g[j] - fd) / max(abs(flat_g[j]), abs(fd), 1e-4)
-            worst = max(worst, err)
+    flat = params.flat
+    for j in range(flat.size):
+        keep = flat[j]
+        flat[j] = keep + h
+        up = forward_batch_with_grad(params, *batch, protos, weights)[0].total
+        flat[j] = keep - h
+        down = forward_batch_with_grad(params, *batch, protos, weights)[0].total
+        flat[j] = keep
+        fd = (up - down) / (2 * h)
+        err = abs(grad[j] - fd) / max(abs(grad[j]), abs(fd), 1e-4)
+        worst = max(worst, err)
     return worst
 
 
@@ -157,13 +148,13 @@ def test_grad_rejects_unknown_label_and_empty_batch():
     params = init_params(5, (6,), 4, seed=0)
     protos = make_protos(rng, 2, 4)
     with pytest.raises(UnknownClass):
-        forward_batch_with_grad(params, make_batch(rng, 5, [9]), protos)
+        forward_batch_with_grad(params, *make_batch(rng, 5, [9]), protos)
     from morphdet.numkernel import EmptyInput
 
     with pytest.raises(EmptyInput):
-        forward_batch_with_grad(params, [], protos)
+        forward_batch_with_grad(params, *make_batch(rng, 5, []), protos)
     with pytest.raises(EmptyInput):
-        forward_batch_with_grad(params, make_batch(rng, 5, [0]), PrototypeSet.empty(4))
+        forward_batch_with_grad(params, *make_batch(rng, 5, [0]), PrototypeSet.empty(4))
 
 
 def test_sgd_step_matches_hand_unrolled_updates():
@@ -173,8 +164,9 @@ def test_sgd_step_matches_hand_unrolled_updates():
     grads2 = init_params(4, (5,), 3, seed=9)
     lr, mom = 0.1, 0.9
 
-    p1, v1 = sgd_step(params, grads1, lr, None, mom)
-    p2, v2 = sgd_step(p1, grads2, lr, v1, mom)
+    p1, v1 = sgd_step(params, grads1.flat, lr, None, mom)
+    p2, v2 = sgd_step(p1, grads2.flat, lr, v1, mom)
+    v2 = EmbedderParams(params.sizes, v2)
 
     for p0_l, g1_l, g2_l, p2_l, v2_l in zip(
         params.blocks(), grads1.blocks(), grads2.blocks(), p2.blocks(), v2.blocks()
@@ -190,7 +182,7 @@ def test_sgd_step_does_not_mutate_inputs():
     params = init_params(4, (5,), 3, seed=1)
     grads = init_params(4, (5,), 3, seed=2)
     before = clone_params(params)
-    sgd_step(params, grads, 0.5)
+    sgd_step(params, grads.flat, 0.5)
     assert params_equal(params, before)
 
 
@@ -198,12 +190,12 @@ def test_sgd_step_validation():
     params = init_params(4, (5,), 3, seed=1)
     grads = init_params(4, (5,), 3, seed=2)
     with pytest.raises(ValueError):
-        sgd_step(params, grads, 0.0)
+        sgd_step(params, grads.flat, 0.0)
     with pytest.raises(ValueError):
-        sgd_step(params, grads, 0.1, None, 1.0)
+        sgd_step(params, grads.flat, 0.1, None, 1.0)
     bad = init_params(4, (6,), 3, seed=2)
     with pytest.raises(DimensionMismatch):
-        sgd_step(params, bad, 0.1)
+        sgd_step(params, bad.flat, 0.1)
 
 
 def test_clone_and_zeros_helpers():

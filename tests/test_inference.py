@@ -18,7 +18,6 @@ from morphdet.morph_inference import (
     morph,
     nms,
     read_exemplars_csv,
-    write_detections_csv,
     write_exemplars_csv,
 )
 from morphdet.numkernel import DimensionMismatch, EmptyInput, l2_normalize
@@ -211,18 +210,6 @@ def test_detect_edge_cases(tiny_state):
     assert none_pass == []
     with pytest.raises(EmptyInput):
         detect(replace(tiny_state, prototypes=PrototypeSet.empty(tiny_state.prototypes.dim)), proposals)
-
-
-def test_detections_csv_format(tmp_path):
-    rows = [
-        (0, Detection(2, 0.75, Box(0.1, 0.2, 0.3, 0.4))),
-        (1, Detection(1, 0.25, Box(0.0, 0.0, 1.0, 1.0))),
-    ]
-    path = tmp_path / "dets.csv"
-    write_detections_csv(path, rows)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "scene_id,class_id,score,x1,y1,x2,y2"
-    assert lines[1] == "0,2,0.750000,0.100000,0.200000,0.300000,0.400000"
 
 
 def test_exemplars_csv_round_trip(tmp_path, tiny_exemplars):

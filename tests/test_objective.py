@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from test_embedder import FakeProposal, make_protos, max_grad_error, naive_forward
+from test_embedder import make_protos, max_grad_error, naive_forward, stack_batch
 from test_numkernel import naive_smooth_l1
 
 from morphdet.embedder import forward_batch_with_grad, init_params
@@ -75,15 +75,16 @@ def test_posterior_validation():
 
 def loss_setup(seed, labels, m_in=5):
     """A small network, prototypes with scattered ids (base 2 and 7, novel 4)
-    and a batch with box targets wide enough to reach both smooth-L1 pieces."""
+    and a (descriptors, labels, targets) batch with box targets wide enough to
+    reach both smooth-L1 pieces."""
     rng = np.random.default_rng([200, seed])
     params = init_params(m_in, (6,), 4, seed=seed)
     protos = add_novel(init_from_semantic({2: rng.normal(size=4), 7: rng.normal(size=4)}), 4, rng.normal(size=4))
-    batch = [
-        FakeProposal(rng.normal(size=m_in), label, rng.uniform(-3, 3, size=4) if label > 0 else None)
+    rows = [
+        (rng.normal(size=m_in), label, rng.uniform(-3, 3, size=4) if label > 0 else None)
         for label in labels
     ]
-    return params, protos, batch
+    return params, protos, stack_batch(rows, m_in)
 
 
 def naive_neg_log_posterior(logits, k):
@@ -96,12 +97,12 @@ def naive_neg_log_posterior(logits, k):
 def naive_terms(params, protos, batch, weights):
     """(fg, bg, bbox) loss terms computed one proposal at a time."""
     fg_vals, bg_vals, box_vals = [], [], []
-    for prop in batch:
-        feature, bg_logit, deltas = naive_forward(params, prop.descriptor)
+    for descriptor, label, target in zip(*batch):
+        feature, bg_logit, deltas = naive_forward(params, descriptor)
         logits = [bg_logit] + [float(np.dot(feature, protos.vector_for(cid))) for cid in protos.ids]
-        if prop.label > 0:
-            fg_vals.append(naive_neg_log_posterior(logits, 1 + protos.ids.index(prop.label)))
-            box_vals.append(sum(naive_smooth_l1(d - t) for d, t in zip(deltas, prop.target_deltas)))
+        if label > 0:
+            fg_vals.append(naive_neg_log_posterior(logits, 1 + protos.ids.index(label)))
+            box_vals.append(sum(naive_smooth_l1(d - t) for d, t in zip(deltas, target)))
         else:
             bg_vals.append(naive_neg_log_posterior(logits, 0))
 
@@ -115,7 +116,7 @@ def test_fg_loss_is_negative_log_probability():
     weights = LossWeights(fg=1.5, bg=0.0, bbox=0.0)
     for seed in range(4):
         params, protos, batch = loss_setup(seed, [2, 0, 4, 7, 0, 4, 2, 0])
-        breakdown, _ = forward_batch_with_grad(params, batch, protos, weights)
+        breakdown, _ = forward_batch_with_grad(params, *batch, protos, weights)
         fg, _, _ = naive_terms(params, protos, batch, weights)
         assert breakdown.fg == pytest.approx(fg, rel=1e-12, abs=1e-12)
 
@@ -124,7 +125,7 @@ def test_bg_loss_is_negative_log_background_probability():
     weights = LossWeights(fg=0.0, bg=0.7, bbox=0.0)
     for seed in range(4):
         params, protos, batch = loss_setup(seed, [0, 7, 0, 0, 2])
-        breakdown, _ = forward_batch_with_grad(params, batch, protos, weights)
+        breakdown, _ = forward_batch_with_grad(params, *batch, protos, weights)
         _, bg, _ = naive_terms(params, protos, batch, weights)
         assert breakdown.bg == pytest.approx(bg, rel=1e-12, abs=1e-12)
         assert breakdown.fg == 0.0 and breakdown.bbox == 0.0
@@ -134,10 +135,10 @@ def test_bbox_loss_matches_scalar_smooth_l1():
     weights = LossWeights(fg=0.0, bg=0.0, bbox=2.0)
     params, protos, batch = loss_setup(9, [2, 4, 7, 2, 0, 4, 7, 7])
     residuals = np.concatenate(
-        [np.asarray(naive_forward(params, p.descriptor)[2]) - p.target_deltas for p in batch if p.label > 0]
+        [np.asarray(naive_forward(params, desc)[2]) - target for desc, label, target in zip(*batch) if label > 0]
     )
     assert np.any(np.abs(residuals) < 1.0) and np.any(np.abs(residuals) > 1.0)
-    breakdown, _ = forward_batch_with_grad(params, batch, protos, weights)
+    breakdown, _ = forward_batch_with_grad(params, *batch, protos, weights)
     _, _, bbox = naive_terms(params, protos, batch, weights)
     assert breakdown.bbox == pytest.approx(bbox, rel=1e-12, abs=1e-12)
 
@@ -145,7 +146,7 @@ def test_bbox_loss_matches_scalar_smooth_l1():
 def test_batch_loss_matches_per_group_means():
     weights = LossWeights(fg=1.5, bg=0.5, bbox=2.0)
     params, protos, batch = loss_setup(10, [4, 0, 2, 0, 0, 7, 0])
-    breakdown, _ = forward_batch_with_grad(params, batch, protos, weights)
+    breakdown, _ = forward_batch_with_grad(params, *batch, protos, weights)
     fg, bg, bbox = naive_terms(params, protos, batch, weights)
     assert breakdown.fg == pytest.approx(fg, rel=1e-12, abs=1e-12)
     assert breakdown.bg == pytest.approx(bg, rel=1e-12, abs=1e-12)
@@ -155,15 +156,15 @@ def test_batch_loss_matches_per_group_means():
 
 def test_batch_loss_missing_groups_contribute_zero():
     fg_params, fg_protos, fg_batch = loss_setup(11, [2, 7])
-    fg_only, _ = forward_batch_with_grad(fg_params, fg_batch, fg_protos)
+    fg_only, _ = forward_batch_with_grad(fg_params, *fg_batch, fg_protos)
     assert fg_only.bg == 0.0
     assert fg_only.total == fg_only.fg + fg_only.bbox
     bg_params, bg_protos, bg_batch = loss_setup(12, [0, 0])
-    bg_only, _ = forward_batch_with_grad(bg_params, bg_batch, bg_protos)
+    bg_only, _ = forward_batch_with_grad(bg_params, *bg_batch, bg_protos)
     assert bg_only.fg == 0.0 and bg_only.bbox == 0.0
     assert bg_only.total == bg_only.bg
     with pytest.raises(EmptyInput):
-        forward_batch_with_grad(bg_params, [], bg_protos)
+        forward_batch_with_grad(bg_params, *stack_batch([], 5), bg_protos)
 
 
 def test_fg_loss_rejects_unknown_label():
@@ -171,7 +172,7 @@ def test_fg_loss_rejects_unknown_label():
     for label in (3, 8):
         params, protos, batch = loss_setup(13, [2, 0, label])
         with pytest.raises(UnknownClass):
-            forward_batch_with_grad(params, batch, protos)
+            forward_batch_with_grad(params, *batch, protos)
 
 
 def test_fg_loss_gradients_match_finite_differences():
@@ -190,12 +191,12 @@ def test_loss_stays_finite_at_huge_logits():
     params.background_head.weight[:] *= 800.0
     logits = [
         [bg_logit] + [float(np.dot(feature, protos.vector_for(cid))) for cid in protos.ids]
-        for feature, bg_logit, _ in (naive_forward(params, p.descriptor) for p in batch)
+        for feature, bg_logit, _ in (naive_forward(params, desc) for desc in batch[0])
     ]
     assert min(map(min, logits)) < -300.0 and 300.0 < max(map(max, logits)) < 1000.0
     weights = LossWeights()
-    breakdown, grads = forward_batch_with_grad(params, batch, protos, weights)
-    assert np.all(np.isfinite(grads.flat))
+    breakdown, grad = forward_batch_with_grad(params, *batch, protos, weights)
+    assert np.all(np.isfinite(grad))
     fg, bg, bbox = naive_terms(params, protos, batch, weights)
     assert breakdown.fg == pytest.approx(fg, rel=1e-9)
     assert breakdown.bg == pytest.approx(bg, rel=1e-9)

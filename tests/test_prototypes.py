@@ -77,6 +77,14 @@ def test_set_lookup_surface():
     assert not empty.has_class(1)
 
 
+def test_vector_for_hands_out_a_read_only_row():
+    protos = small_set()
+    row = protos.vector_for(2)
+    with pytest.raises(ValueError):
+        row[:] = 0.0
+    assert np.array_equal(protos.vector_for(2), unit([0.0, 1.0, 1.0]))
+
+
 def test_init_from_semantic_normalizes_and_validates():
     protos = init_from_semantic({3: [2.0, 0.0], 1: [1.0, 1.0]})
     assert protos.ids == (1, 3) and protos.base == (1, 3)

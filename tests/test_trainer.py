@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,11 +16,12 @@ from morphdet.em_trainer import (
     TrainConfig,
     TrainingDiverged,
     _epoch_lr,
+    _shuffled_stream,
     checkpoint_text,
-    collect_proposals,
     e_step,
     load_checkpoint,
     m_step,
+    proposal_arrays,
     save_checkpoint,
     train,
     visual_init_vectors,
@@ -70,11 +72,49 @@ def test_epoch_lr_schedule():
     assert _epoch_lr(cfg, 5) == 0.5 * 0.1
 
 
-def test_collect_proposals_preserves_order(tiny_dataset):
-    pool = collect_proposals(tiny_dataset)
-    assert len(pool) == sum(len(s.proposals) for s in tiny_dataset)
-    assert pool[0] is tiny_dataset[0].proposals[0]
-    assert pool[-1] is tiny_dataset[-1].proposals[-1]
+def test_proposal_arrays_preserves_order(tiny_dataset):
+    props = [p for s in tiny_dataset for p in s.proposals]
+    descriptors, labels, targets = proposal_arrays(tiny_dataset)
+    assert descriptors.shape == (len(props), props[0].descriptor.shape[0])
+    assert labels.tolist() == [p.label for p in props]
+    assert targets.shape == (len(props), 4)
+    assert 0 < np.count_nonzero(labels) < len(props)
+    for row, label, target, prop in zip(descriptors, labels, targets, props):
+        assert np.array_equal(row, prop.descriptor)
+        assert np.array_equal(target, prop.target_deltas if label > 0 else np.zeros(4))
+    with pytest.raises(EmptyInput):
+        proposal_arrays([_scene()])
+
+
+def test_sampler_reshuffles_lazily_from_the_shared_rng():
+    """Two streams on one rng, a fg pool smaller than its draw: a stream asks
+    the rng for a permutation only when it needs its next index, so the fg
+    pool running out at the end of a draw leaves the bg draw that follows
+    it on the rng state the bg stream would have seen anyway."""
+    fg_pool, bg_pool = np.array([3, 5, 8]), np.arange(10, 17)
+    rng = np.random.default_rng(7)
+    fg, bg, idle = (_shuffled_stream(pool, rng) for pool in (fg_pool, bg_pool, np.arange(4)))
+    got = [[*islice(fg, 4), *islice(bg, 5), *islice(idle, 0)] for _ in range(6)]
+
+    ref_rng = np.random.default_rng(7)
+    queues = {"fg": [], "bg": []}
+
+    def take(name, pool, count):
+        out = []
+        for _ in range(count):
+            if not queues[name]:
+                queues[name] = [int(pool[j]) for j in ref_rng.permutation(len(pool))]
+            out.append(queues[name].pop(0))
+        return out
+
+    # The fg pool of 3 runs out exactly at the end of the third fg draw (12
+    # indices); an eager reshuffle there would take the rng calls that the
+    # third bg draw's reshuffle (index 15 of 7-long passes) makes next.
+    want = [take("fg", fg_pool, 4) + take("bg", bg_pool, 5) for _ in range(6)]
+    assert got == want
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert list(islice(_shuffled_stream(np.array([], dtype=int), rng), 3)) == []
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def _axis(dim, i):
@@ -343,6 +383,8 @@ def test_checkpoint_rejects_corruption(tmp_path, tiny_state, tiny_exemplars):
         "train_hidden_fraction.ckpt": with_config("train", "hidden_sizes", [64.9, 64]),
         "batch_size_fraction.ckpt": with_config("train", "batch_size", 2.5),
         "em_iterations_bool.ckpt": with_config("train", "em_iterations", True),
+        # The training config must describe the network it trained.
+        "train_hidden_mismatch.ckpt": with_config("train", "hidden_sizes", [32]),
     }
     for name, payload in cases.items():
         path = tmp_path / name
