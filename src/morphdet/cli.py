@@ -79,9 +79,7 @@ def _apply_train_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
 
 
 def cmd_gen(args) -> int:
-    config = load_experiment_config(args.config)
-    if args.seed is not None:
-        config = replace(config, train=replace(config.train, seed=args.seed))
+    config = _apply_train_overrides(load_experiment_config(args.config), args)
     if args.shots is not None:
         config = replace(config, shots=args.shots)
     seed = config.train.seed
@@ -167,58 +165,35 @@ def cmd_morph(args) -> int:
     return 0
 
 
-def _split_ids(data_dir: str) -> tuple[list[int], list[int]]:
-    manifest_path = os.path.join(data_dir, "manifest.json")
-    if os.path.exists(manifest_path):
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        try:
-            return list(manifest["base_class_ids"]), list(manifest["novel_class_ids"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"{manifest_path}: no class id list {exc}") from exc
-    universe = load_universe(_require(os.path.join(data_dir, "universe.txt")))
-    split = universe.split_manifest()
-    return list(split["base_class_ids"]), list(split["novel_class_ids"])
-
-
-def _eval_one(state, scenes, base_ids, novel_ids, split: str, config: DetectConfig):
-    if split == "base":
-        return evaluate(state, scenes, base_ids, [], config)
-    if split == "novel":
-        return evaluate(state, scenes, [], novel_ids, config)
-    # Novel classes the checkpoint has not registered yet stay out of the
-    # report rather than erroring: pre-morph evals just lack a novel section.
-    present = [cid for cid in novel_ids if state.prototypes.has_class(cid)]
-    return evaluate(state, scenes, base_ids, present, config)
+_SPLIT_FILES = {"base": ("eval_base.txt",), "novel": ("eval_novel.txt",), "all": ("eval_base.txt", "eval_novel.txt")}
 
 
 def cmd_eval(args) -> int:
     detect_config = DetectConfig(score_threshold=args.score_threshold, nms_iou=args.nms_iou)
-    state = load_checkpoint(_require(args.checkpoint))
-    base_ids, novel_ids = _split_ids(args.data)
-    if args.split == "base":
-        scenes = load_dataset(_require(os.path.join(args.data, "eval_base.txt")))
-    elif args.split == "novel":
-        scenes = load_dataset(_require(os.path.join(args.data, "eval_novel.txt")))
-    else:
-        scenes = load_dataset(_require(os.path.join(args.data, "eval_base.txt")))
-        scenes += load_dataset(_require(os.path.join(args.data, "eval_novel.txt")))
+    split = load_universe(_require(os.path.join(args.data, "universe.txt"))).split_manifest()
+    base_ids = split["base_class_ids"] if args.split != "novel" else []
+    novel_ids = split["novel_class_ids"] if args.split != "base" else []
+    scenes = []
+    for name in _SPLIT_FILES[args.split]:
+        scenes += load_dataset(_require(os.path.join(args.data, name)))
+
+    # Every checkpoint is evaluated before anything is written, so a refused
+    # one leaves no partial report set behind.
+    reports = []
+    for stem, path in (("report", args.checkpoint), ("baseline_report", args.baseline_checkpoint)):
+        if path is not None:
+            state = load_checkpoint(_require(path))
+            # An "all" report leaves out novel classes the checkpoint has not
+            # registered yet: a pre-morph eval just lacks a novel section.
+            present = [cid for cid in novel_ids if args.split != "all" or state.prototypes.has_class(cid)]
+            reports.append((stem, path, evaluate(state, scenes, base_ids, present, detect_config)))
 
     os.makedirs(args.out, exist_ok=True)
-    name = os.path.splitext(os.path.basename(args.checkpoint))[0]
-    report = _eval_one(state, scenes, base_ids, novel_ids, args.split, detect_config)
-    with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
-        fh.write(report_to_json(report))
-    rows = report_table_rows(name, report)
-
-    if args.baseline_checkpoint is not None:
-        base_state = load_checkpoint(_require(args.baseline_checkpoint))
-        base_name = os.path.splitext(os.path.basename(args.baseline_checkpoint))[0]
-        baseline = _eval_one(base_state, scenes, base_ids, novel_ids, args.split, detect_config)
-        with open(os.path.join(args.out, "baseline_report.json"), "w", encoding="utf-8") as fh:
-            fh.write(report_to_json(baseline))
-        rows += report_table_rows(base_name, baseline)
-
+    rows = []
+    for stem, path, report in reports:
+        with open(os.path.join(args.out, f"{stem}.json"), "w", encoding="utf-8") as fh:
+            fh.write(report_to_json(report))
+        rows += report_table_rows(os.path.splitext(os.path.basename(path))[0], report)
     write_report_csv(os.path.join(args.out, "report.csv"), rows)
     print(f"wrote {os.path.join(args.out, 'report.json')}")
     print(f"wrote {os.path.join(args.out, 'report.csv')}")

@@ -10,8 +10,10 @@ the training loss of objective.py on a minibatch given as arrays
 (descriptors, labels, box targets; per-group means of foreground, background
 and box terms, each multiplied by its weight) and backpropagates it through
 the heads and the ReLU trunk in closed form, returning the gradient as one
-flat vector in the parameter layout. Both run the same forward pass.
-Prototypes are constants here. sgd_step updates flat vectors.
+flat vector in the parameter layout. Both run the same forward pass, and the
+loss takes its posteriors from objective.softmax_terms, the softmax that
+detection scores with. Prototypes are constants here. sgd_step updates flat
+vectors.
 
 A module-level counter records every gradient evaluation; forward_batch never
 touches it, which is how zero-gradient guarantees for morphing are asserted
@@ -27,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .numkernel import DimensionMismatch, EmptyInput, smooth_l1_array, smooth_l1_grad_array
-from .objective import LossBreakdown, LossWeights, scoring_matrix
+from .objective import LossBreakdown, LossWeights, scoring_matrix, softmax_terms
 from .prototype_store import PrototypeSet, UnknownClass
 from .textio import tensor_lines
 
@@ -218,10 +220,7 @@ def forward_batch_with_grad(
     # Forward pass, keeping pre-activations for the backward sweep.
     pre_acts, acts, (feats, bg, deltas) = _forward(params, descriptors)
 
-    all_logits = np.concatenate([bg[:, None], feats @ pmat.T], axis=1)  # (N, 1 + M)
-    shift = np.max(all_logits, axis=1)
-    log_denom = shift + np.log(np.sum(np.exp(all_logits - shift[:, None]), axis=1))
-    q = np.exp(all_logits - log_denom[:, None])  # posteriors; column 0 = background
+    all_logits, log_denom, q = softmax_terms(feats, bg, pmat)  # column 0 = background
 
     d_feats = np.zeros_like(feats)
     d_bg = np.zeros_like(bg)
@@ -267,7 +266,8 @@ def forward_batch_with_grad(
     for k in reversed(range(len(params.trunk))):
         d_z = d_h * (pre_acts[k] > 0.0)
         pieces[:0] = [acts[k].T @ d_z, d_z.sum(axis=0)]
-        d_h = d_z @ params.trunk[k].weight.T
+        if k:  # the input descriptors take no gradient
+            d_h = d_z @ params.trunk[k].weight.T
 
     global _grad_evaluations
     _grad_evaluations += 1

@@ -8,10 +8,12 @@ softmax denominator:
     denom = exp(b) + sum_j exp(f . p_j)
 
 The p_j are the rows of a PrototypeSet's matrix, in ascending class id;
-both paths score against that stored matrix as it is. posterior_batch turns
-a batch of features and background logits into the posterior for detection.
-The training loss and its gradients are computed in
-embedder.forward_batch_with_grad: the foreground term is the negative
+detection and the loss score against that stored matrix as it is.
+softmax_terms is the one softmax of the package: posterior_batch returns its
+posteriors for detection, and embedder.forward_batch_with_grad takes its
+logits, log-denominator and posteriors for the training loss and its
+gradients, so detection scores are bit-equal to the posterior that training
+differentiates. In the loss the foreground term is the negative
 log-probability of the labelled class, the background term that of the
 background slot, and box regression a smooth-L1 penalty on the deltas of
 foreground proposals. Each term is averaged over its own group and weighted
@@ -55,13 +57,23 @@ def scoring_matrix(prototypes: PrototypeSet, dim: int) -> np.ndarray:
     return prototypes.matrix
 
 
+def softmax_terms(features: np.ndarray, bg_logits: np.ndarray, mat: np.ndarray) -> tuple:
+    """The one softmax of training and detection, max-shifted in log space:
+    (logits, log_denom, q) with logits (n, M + 1), background in column 0
+    and f . p_j in column j + 1, and posteriors q = exp(logits - log_denom)."""
+    logits = np.concatenate([bg_logits[:, None], features @ mat.T], axis=1)
+    shift = np.max(logits, axis=1)
+    log_denom = shift + np.log(np.sum(np.exp(logits - shift[:, None]), axis=1))
+    return logits, log_denom, np.exp(logits - log_denom[:, None])
+
+
 def posterior_batch(features: np.ndarray, bg_logits: np.ndarray, prototypes: PrototypeSet) -> np.ndarray:
     """Posterior matrix for a batch of proposals.
 
     Returns Q of shape (n, len(prototypes.ids) + 1); column 0 is the
     background probability and column k + 1 the probability of class
-    prototypes.ids[k]. Rows sum to 1. Computed with a max-shifted softmax,
-    so logits of any usual magnitude are safe.
+    prototypes.ids[k]. Rows sum to 1 up to rounding. Computed by
+    softmax_terms, so logits of any usual magnitude are safe.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:
@@ -69,8 +81,4 @@ def posterior_batch(features: np.ndarray, bg_logits: np.ndarray, prototypes: Pro
     bg = np.asarray(bg_logits, dtype=np.float64).reshape(-1)
     if bg.shape[0] != feats.shape[0]:
         raise DimensionMismatch("one background logit per feature row required")
-    mat = scoring_matrix(prototypes, feats.shape[1])
-    logits = np.concatenate([bg[:, None], feats @ mat.T], axis=1)
-    shift = np.max(logits, axis=1, keepdims=True)
-    expd = np.exp(logits - shift)
-    return expd / np.sum(expd, axis=1, keepdims=True)
+    return softmax_terms(feats, bg, scoring_matrix(prototypes, feats.shape[1]))[2]

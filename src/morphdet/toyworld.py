@@ -13,7 +13,8 @@ Scenes live in the unit square. Dataset proposals are jittered copies of the
 ground-truth boxes plus uniform random boxes, each labelled by the IoU >= 0.5
 rule against the scene's objects; foreground proposals carry box-regression
 targets. Ground-truth entries keep a descriptor of their own (the instance
-model at IoU 1), which is what prototype refits and exemplars embed.
+model at IoU 1), which prototype refits embed; exemplars are drawn by the
+same model on a box that holds only their class's object.
 
 Exemplar draws and dataset draws use separate seed streams: changing the
 exemplar seed never perturbs the dataset, and vice versa.
@@ -304,8 +305,9 @@ def make_dataset(
 
 
 def exemplars_for(universe: Universe, classes, shots: int, seed: int) -> dict[int, list[np.ndarray]]:
-    """Draw `shots` isolated exemplars per class: the instance model at IoU 1
-    (full appearance weight) on a fresh random box. Uses its own seed stream."""
+    """Draw `shots` isolated exemplars per class: the instance model
+    (_descriptor) on a fresh random box that holds only the class's own
+    object, so at IoU 1, full appearance weight. Uses its own seed stream."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     rng = np.random.default_rng([seed, _STREAM_EXEMPLARS])
@@ -314,9 +316,7 @@ def exemplars_for(universe: Universe, classes, shots: int, seed: int) -> dict[in
         draws = []
         for _ in range(shots):
             box = _sample_box(rng)
-            appearance = universe.descriptor_projection @ cls.attribute
-            appearance = appearance + universe.sigma_inst * rng.normal(size=appearance.shape[0])
-            draws.append(np.concatenate([appearance, _geometry_features(box)]))
+            draws.append(_descriptor(universe, box, [(cls, box)], rng))
         out[cls.class_id] = draws
     return out
 

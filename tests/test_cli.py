@@ -340,9 +340,13 @@ def _edit_lines(path, edit):
     path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
 
 
+def _universe_cut_beside_manifest(data):
+    _edit_lines(data / "universe.txt", lambda lines: lines[:-2])
+
+
 def _universe_ends_after_matrix_header(data):
     (data / "manifest.json").unlink()
-    _edit_lines(data / "universe.txt", lambda lines: lines[:-2])
+    _universe_cut_beside_manifest(data)
 
 
 def _universe_with_short_class_line(data):
@@ -358,6 +362,7 @@ def _eval_split_with_blank_line(data):
     "spoil, flags",
     [
         (_universe_ends_after_matrix_header, []),
+        (_universe_cut_beside_manifest, []),
         (_universe_with_short_class_line, []),
         (_eval_split_with_blank_line, []),
         (None, ["--score-threshold", "nan"]),
@@ -365,7 +370,7 @@ def _eval_split_with_blank_line(data):
         (None, ["--nms-iou", "1"]),
     ],
     ids=[
-        "truncated_universe", "short_class_line", "blank_dataset_line",
+        "truncated_universe", "truncated_universe_beside_manifest", "short_class_line", "blank_dataset_line",
         "nan_threshold", "negative_threshold", "nms_iou_1",
     ],
 )
@@ -378,6 +383,24 @@ def test_eval_refuses_partial_files_and_bad_flags(train_dir, gen_dir, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "eval" / "report.json").exists()
+
+
+def test_eval_refused_baseline_writes_no_report(morphed_ckpt, train_dir, gen_dir, tmp_path, capsys):
+    out = tmp_path / "eval"
+    rc = main(
+        [
+            "eval",
+            "--checkpoint", str(morphed_ckpt),
+            "--baseline-checkpoint", str(train_dir / "checkpoint_iter1.ckpt"),
+            "--data", str(gen_dir),
+            "--split", "novel",
+            "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no prototype" in err and "Traceback" not in err
+    assert not (out / "report.json").exists()
 
 
 def test_eval_refuses_checkpoint_config_of_wrong_type(train_dir, gen_dir, tmp_path, capsys):
@@ -393,16 +416,6 @@ def test_eval_refuses_checkpoint_config_of_wrong_type(train_dir, gen_dir, tmp_pa
     assert _eval_on(gen_dir, spoiled, tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-
-
-def test_eval_manifest_without_class_ids(train_dir, gen_dir, tmp_path, capsys):
-    data = tmp_path / "data"
-    shutil.copytree(gen_dir, data)
-    manifest = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
-    del manifest["base_class_ids"]
-    (data / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-    assert _eval_on(data, train_dir, tmp_path) == 2
-    assert "error:" in capsys.readouterr().err
 
 
 def test_eval_universe_without_descriptor_projection(train_dir, gen_dir, tmp_path, capsys):

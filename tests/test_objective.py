@@ -35,6 +35,27 @@ def test_posterior_batch_matches_naive_softmax():
         assert np.allclose(q[i], expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("classes", [25, 80])
+def test_posterior_batch_is_the_loss_log_sum_exp_bit_for_bit(classes):
+    """Detection scores with the posterior that training differentiates: each
+    row equals, bit for bit, a log-sum-exp written in the loss's operation
+    order (shift by the row max, log of the shifted exp sum, exp of logit
+    minus log-denominator), with class and background logits near +-700."""
+    rng = np.random.default_rng([4, classes])
+    protos = make_protos(rng, classes, 8)
+    feats = rng.normal(size=(24, 8)) * 3.0
+    bg = rng.normal(size=24)
+    feats[:6] = 700.0 * protos.matrix[:6]
+    bg[6:9], bg[9:12] = 700.0, -700.0
+    q = posterior_batch(feats, bg, protos)
+    logits = np.concatenate([bg[:, None], feats @ protos.matrix.T], axis=1)
+    assert np.max(logits) > 699.0 and np.min(logits) < -699.0
+    for i, row in enumerate(logits):
+        shift = np.max(row)
+        log_denom = shift + np.log(np.sum(np.exp(row - shift)))
+        assert np.array_equal(q[i], np.exp(row - log_denom))
+
+
 def test_posterior_rows_sum_to_one_with_huge_logits():
     rng = np.random.default_rng(1)
     protos = make_protos(rng, 4, 6)
