@@ -74,13 +74,10 @@ def average_precision(detections, ground_truths, iou_threshold: float) -> float:
 
     mrec = np.concatenate([[0.0], recall, [1.0]])
     mpre = np.concatenate([[0.0], precision, [0.0]])
-    for i in range(mpre.size - 1, 0, -1):
-        mpre[i - 1] = max(mpre[i - 1], mpre[i])
-    ap = 0.0
-    for i in range(1, mrec.size):
-        if mrec[i] != mrec[i - 1]:
-            ap += (mrec[i] - mrec[i - 1]) * mpre[i]
-    return float(ap)
+    mpre = np.maximum.accumulate(mpre[::-1])[::-1]
+    # mrec runs from 0 to 1, so there is at least one step; cumsum adds left to right.
+    steps = np.flatnonzero(mrec[1:] != mrec[:-1]) + 1
+    return float(np.cumsum((mrec[steps] - mrec[steps - 1]) * mpre[steps])[-1])
 
 
 def recall_at(detections, ground_truths, n: int, iou_threshold: float) -> float:

@@ -50,7 +50,6 @@ class ExperimentConfig:
     score_threshold: float = 0.05
     nms_iou: float = 0.5
     seeds: int = 5
-    name: str | None = None
     out_dir: str | None = None
 
     def __post_init__(self):

@@ -96,19 +96,22 @@ def encode_box(anchor: Box, target: Box) -> np.ndarray:
     )
 
 
-def decode_box(anchor: Box, deltas) -> Box:
-    """Inverse of encode_box. Rejects non-finite deltas; the exp on the size
-    channels keeps every decoded box positive-area."""
+def decode_box(anchors, deltas) -> np.ndarray:
+    """Inverse of encode_box, row by row in Box's operation order: (n, 4)
+    anchor corners and deltas give (n, 4) corners. A row that is not a finite
+    box with x1 < x2 and y1 < y2 (NaN deltas, an overflowing exp) raises InvalidBox."""
+    a = np.asarray(anchors, dtype=np.float64)
     d = np.asarray(deltas, dtype=np.float64)
-    if d.shape != (4,):
-        raise DimensionMismatch(f"box deltas must have shape (4,), got {d.shape}")
-    if not np.all(np.isfinite(d)):
-        raise InvalidBox(f"non-finite box deltas: {d}")
-    cx = anchor.center_x + d[0] * anchor.width
-    cy = anchor.center_y + d[1] * anchor.height
-    w = anchor.width * np.exp(d[2])
-    h = anchor.height * np.exp(d[3])
-    return Box(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h)
+    if a.ndim != 2 or a.shape[1] != 4 or d.shape != a.shape:
+        raise DimensionMismatch(f"anchors and deltas must both be (n, 4), got {a.shape} and {d.shape}")
+    size = a[:, 2:] - a[:, :2]
+    center = 0.5 * (a[:, :2] + a[:, 2:]) + d[:, :2] * size
+    half = 0.5 * (size * np.exp(d[:, 2:]))
+    out = np.concatenate([center - half, center + half], axis=1)
+    ok = np.isfinite(out).all(axis=1) & (out[:, :2] < out[:, 2:]).all(axis=1)
+    if not ok.all():
+        raise InvalidBox(f"deltas decode to non-finite or degenerate boxes in rows {np.flatnonzero(~ok).tolist()}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -167,12 +170,10 @@ def nms(detections, iou_threshold: float) -> list[Detection]:
         raise ValueError(f"NMS IoU threshold must lie in (0, 1), got {thr}")
     kept: list[Detection] = []
     for det in sorted(detections, key=_order_key):
-        suppressed = False
         for keeper in kept:
             if keeper.class_id == det.class_id and iou(keeper.box, det.box) > thr:
-                suppressed = True
                 break
-        if not suppressed:
+        else:
             kept.append(det)
     return kept
 
@@ -191,13 +192,11 @@ def detect(state, proposals, score_threshold: float = 0.05, nms_iou: float = 0.5
     descriptors = np.stack([np.asarray(d, dtype=np.float64) for d, _ in proposals])
     feats, bg, deltas = forward_batch(state.params, descriptors)
     q = posterior_batch(feats, bg, state.prototypes)
-    candidates: list[Detection] = []
-    for i, (_, anchor) in enumerate(proposals):
-        decoded = decode_box(anchor, deltas[i])
-        for k, cid in enumerate(state.prototypes.ids):
-            score = float(q[i, k + 1])
-            if score >= score_threshold:
-                candidates.append(Detection(class_id=cid, score=score, box=decoded))
+    corners = decode_box(np.array([anchor.as_tuple() for _, anchor in proposals]), deltas)
+    rows, cols = np.nonzero(q[:, 1:] >= score_threshold)
+    boxes = {i: Box(*corners[i].tolist()) for i in set(rows.tolist())}
+    ids, scores = state.prototypes.ids, q[rows, cols + 1].tolist()
+    candidates = [Detection(ids[k], score, boxes[i]) for i, k, score in zip(rows.tolist(), cols.tolist(), scores)]
     return nms(candidates, nms_iou)
 
 

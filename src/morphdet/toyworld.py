@@ -12,9 +12,10 @@ appearance and a random box mostly does not.
 Scenes live in the unit square. Dataset proposals are jittered copies of the
 ground-truth boxes plus uniform random boxes, each labelled by the IoU >= 0.5
 rule against the scene's objects; foreground proposals carry box-regression
-targets. Ground-truth entries keep a descriptor of their own (the instance
-model at IoU 1), which prototype refits embed; exemplars are drawn by the
-same model on a box that holds only their class's object.
+targets. Each proposal's IoU with each object is computed once and serves both
+the label and the descriptor. Ground-truth entries keep a descriptor of their
+own (the instance model at IoU 1), which prototype refits embed; exemplars are
+drawn by the same model on a box that holds only their class's object.
 
 Exemplar draws and dataset draws use separate seed streams: changing the
 exemplar seed never perturbs the dataset, and vice versa.
@@ -202,31 +203,17 @@ def _geometry_features(box: Box) -> np.ndarray:
     return GEOMETRY_SCALE * np.array([box.center_x, box.center_y, box.width, box.height])
 
 
-def _descriptor(universe: Universe, box: Box, scene_objects, rng: np.random.Generator) -> np.ndarray:
+def _descriptor(universe: Universe, box: Box, overlaps, rng: np.random.Generator) -> np.ndarray:
     """Instance model: IoU-weighted appearance of overlapped objects, plus
-    per-instance noise, plus the box's own geometry features."""
+    per-instance noise, plus the box's own geometry features. `overlaps`
+    holds (class, IoU of `box` with that class's object) pairs."""
     app_dim = universe.descriptor_projection.shape[0]
     appearance = np.zeros(app_dim)
-    for cls, obj_box in scene_objects:
-        overlap = iou(box, obj_box)
+    for cls, overlap in overlaps:
         if overlap > 0.0:
             appearance += overlap * (universe.descriptor_projection @ cls.attribute)
     appearance += universe.sigma_inst * rng.normal(size=app_dim)
     return np.concatenate([appearance, _geometry_features(box)])
-
-
-def _label_for(box: Box, scene_objects) -> tuple[int, Box | None]:
-    """IoU >= 0.5 rule: the max-overlap object's class, else background."""
-    best_iou = 0.0
-    best: tuple[int, Box] | None = None
-    for cls, obj_box in scene_objects:
-        overlap = iou(box, obj_box)
-        if overlap > best_iou:
-            best_iou = overlap
-            best = (cls.class_id, obj_box)
-    if best is not None and best_iou >= FG_IOU_THRESHOLD:
-        return best
-    return 0, None
 
 
 def _make_scene(
@@ -245,7 +232,7 @@ def _make_scene(
         placed.append((cls, _sample_box(rng)))
 
     objects = tuple(
-        GroundTruth(class_id=cls.class_id, box=box, descriptor=_descriptor(universe, box, placed, rng))
+        GroundTruth(cls.class_id, box, _descriptor(universe, box, [(c, iou(box, b)) for c, b in placed], rng))
         for cls, box in placed
     )
 
@@ -259,13 +246,16 @@ def _make_scene(
 
     proposals = []
     for anchor in anchors:
-        label, matched = _label_for(anchor, placed)
+        overlaps = [(cls, iou(anchor, obj_box)) for cls, obj_box in placed]
+        # IoU >= 0.5 rule against the max-overlap object (the first on ties).
+        best = max(range(len(placed)), key=lambda j: overlaps[j][1])
+        matched = overlaps[best][1] >= FG_IOU_THRESHOLD
         proposals.append(
             Proposal(
-                descriptor=_descriptor(universe, anchor, placed, rng),
+                descriptor=_descriptor(universe, anchor, overlaps, rng),
                 anchor=anchor,
-                label=label,
-                target_deltas=encode_box(anchor, matched) if matched is not None else None,
+                label=placed[best][0].class_id if matched else 0,
+                target_deltas=encode_box(anchor, placed[best][1]) if matched else None,
             )
         )
 
@@ -316,7 +306,7 @@ def exemplars_for(universe: Universe, classes, shots: int, seed: int) -> dict[in
         draws = []
         for _ in range(shots):
             box = _sample_box(rng)
-            draws.append(_descriptor(universe, box, [(cls, box)], rng))
+            draws.append(_descriptor(universe, box, [(cls, 1.0)], rng))
         out[cls.class_id] = draws
     return out
 
@@ -424,6 +414,8 @@ def load_dataset(path) -> list[Scene]:
         box = Box(*map(float, tokens[2:6]))
         values = parse_floats(tokens[6:])
         if tokens[0] == "object":
+            if head < 1:
+                raise ValueError(f"{path}: object class id must be >= 1 (0 is background), got {head}")
             parts[-1][1].append(GroundTruth(class_id=head, box=box, descriptor=values))
             continue
         targets, descriptor = (values[:4], values[4:]) if head > 0 else (None, values)

@@ -354,6 +354,18 @@ def _universe_with_short_class_line(data):
     _edit_lines(data / "universe.txt", lambda lines: lines[:2] + ["class 1 base"] + lines[3:])
 
 
+def _first_novel_object_as_class(class_id):
+    def spoil(data):
+        def edit(lines):
+            at = next(i for i, line in enumerate(lines) if line.startswith("object "))
+            lines[at] = " ".join(["object", class_id, *lines[at].split()[2:]])
+            return lines
+
+        _edit_lines(data / "eval_novel.txt", edit)
+
+    return spoil
+
+
 def _eval_split_with_blank_line(data):
     _edit_lines(data / "eval_base.txt", lambda lines: lines[:4] + [""] + lines[4:])
 
@@ -365,13 +377,15 @@ def _eval_split_with_blank_line(data):
         (_universe_cut_beside_manifest, []),
         (_universe_with_short_class_line, []),
         (_eval_split_with_blank_line, []),
+        (_first_novel_object_as_class("0"), []),
+        (_first_novel_object_as_class("-3"), []),
         (None, ["--score-threshold", "nan"]),
         (None, ["--score-threshold", "-5"]),
         (None, ["--nms-iou", "1"]),
     ],
     ids=[
         "truncated_universe", "truncated_universe_beside_manifest", "short_class_line", "blank_dataset_line",
-        "nan_threshold", "negative_threshold", "nms_iou_1",
+        "background_object", "negative_object", "nan_threshold", "negative_threshold", "nms_iou_1",
     ],
 )
 def test_eval_refuses_partial_files_and_bad_flags(train_dir, gen_dir, tmp_path, capsys, spoil, flags):

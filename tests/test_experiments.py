@@ -103,12 +103,12 @@ def test_config_from_dict_rejects_unknowns():
         {"train": {"learning_rate": None}},
         {"seeds": 1.5},
         {"score_threshold": "0.1"},
-        {"name": 3},
+        {"out_dir": 3},
     ):
         with pytest.raises(ConfigError):
             experiment_config_from_dict(wrong_type)
-    cfg = experiment_config_from_dict({"universe": {"sigma_sem": 1}, "name": None, "out_dir": "tables"})
-    assert cfg.universe.sigma_sem == 1 and cfg.name is None and cfg.out_dir == "tables"
+    cfg = experiment_config_from_dict({"universe": {"sigma_sem": 1}, "out_dir": "tables"})
+    assert cfg.universe.sigma_sem == 1 and cfg.out_dir == "tables"
 
 
 def test_build_world_structure_and_determinism():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import identity_detector
-from morphdet.embedder import clone_params, forward_batch, grad_evaluation_count, params_equal
+from morphdet.em_trainer import DetectorState, TrainConfig
+from morphdet.embedder import clone_params, forward_batch, grad_evaluation_count, init_params, params_equal
 from morphdet.morph_inference import (
     Box,
     Detection,
@@ -66,25 +67,48 @@ def test_iou_symmetry_random():
         assert 0.0 <= iou(a, b) <= 1.0
 
 
+def decode_one(anchor, deltas):
+    """decode_box on a single (Box, deltas) pair, back as a Box."""
+    return Box(*decode_box(np.array([anchor.as_tuple()]), np.asarray(deltas)[None, :])[0])
+
+
+def scalar_decode(anchor, d):
+    """Per-box reference decode, written in Box's operation order."""
+    cx = anchor.center_x + d[0] * anchor.width
+    cy = anchor.center_y + d[1] * anchor.height
+    w = anchor.width * np.exp(d[2])
+    h = anchor.height * np.exp(d[3])
+    return Box(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h)
+
+
 def test_box_codec_round_trips():
     rng = np.random.default_rng(1)
     for _ in range(300):
         anchor, target = random_box(rng), random_box(rng)
         deltas = encode_box(anchor, target)
-        back = decode_box(anchor, deltas)
+        back = decode_one(anchor, deltas)
         assert np.max(np.abs(np.array(back.as_tuple()) - np.array(target.as_tuple()))) < 1e-9
-        redone = encode_box(anchor, decode_box(anchor, deltas))
+        redone = encode_box(anchor, decode_one(anchor, deltas))
         assert np.max(np.abs(redone - deltas)) < 1e-9
 
 
 def test_box_codec_identity_and_validation():
     anchor = Box(0.2, 0.2, 0.6, 0.7)
     assert np.allclose(encode_box(anchor, anchor), np.zeros(4), atol=1e-15)
-    assert decode_box(anchor, np.zeros(4)).as_tuple() == pytest.approx(anchor.as_tuple())
+    assert decode_one(anchor, np.zeros(4)).as_tuple() == pytest.approx(anchor.as_tuple())
     with pytest.raises(DimensionMismatch):
-        decode_box(anchor, np.zeros(3))
+        decode_one(anchor, np.zeros(3))
     with pytest.raises(InvalidBox):
-        decode_box(anchor, np.array([np.inf, 0.0, 0.0, 0.0]))
+        decode_one(anchor, np.array([np.inf, 0.0, 0.0, 0.0]))
+
+
+def test_decode_box_rows_equal_the_scalar_reference():
+    rng = np.random.default_rng(11)
+    anchors = np.array([random_box(rng).as_tuple() for _ in range(500)])
+    deltas = np.concatenate([rng.uniform(-2, 2, size=(500, 2)), rng.uniform(-3, 3, size=(500, 2))], axis=1)
+    decoded = decode_box(anchors, deltas)
+    reference = np.array([scalar_decode(Box(*a), d).as_tuple() for a, d in zip(anchors, deltas)])
+    assert np.array_equal(decoded, reference)
 
 
 def brute_force_nms(detections, thr):
@@ -210,6 +234,59 @@ def test_detect_edge_cases(tiny_state):
     assert none_pass == []
     with pytest.raises(EmptyInput):
         detect(replace(tiny_state, prototypes=PrototypeSet.empty(tiny_state.prototypes.dim)), proposals)
+
+
+def random_detector(n_classes, seed, m_in=12, dim=8):
+    """An untrained network with a sharpened feature head, a damped box head
+    and n_classes random unit prototypes, so a few classes pass per proposal;
+    the 24 anchors cluster around 4 boxes, so NMS has work to do."""
+    rng = np.random.default_rng(seed)
+    params = init_params(m_in, (16,), dim, seed)
+    params.feature_head.weight[:] *= 6.0
+    params.box_head.weight[:] *= 0.05
+    rows = rng.normal(size=(n_classes, dim))
+    protos = PrototypeSet(ids=tuple(range(1, n_classes + 1)), matrix=rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    centers = [random_box(rng, 0.2, 0.8) for _ in range(4)]
+    proposals = [
+        (2.0 * rng.normal(size=m_in), Box(*(np.array(centers[j % 4].as_tuple()) + rng.uniform(-0.02, 0.02))))
+        for j in range(24)
+    ]
+    return DetectorState(params=params, prototypes=protos, config=TrainConfig()), proposals
+
+
+def per_pair_detect(state, proposals, score_threshold, nms_iou=0.5):
+    """Reference detect: a scalar decode per proposal, then one candidate per
+    passing (proposal, class) pair, then NMS."""
+    feats, bg, deltas = forward_batch(state.params, np.stack([d for d, _ in proposals]))
+    q = posterior_batch(feats, bg, state.prototypes)
+    candidates = []
+    for i, (_, anchor) in enumerate(proposals):
+        box = scalar_decode(anchor, deltas[i])
+        for k, cid in enumerate(state.prototypes.ids):
+            if float(q[i, k + 1]) >= score_threshold:
+                candidates.append(Detection(class_id=cid, score=float(q[i, k + 1]), box=box))
+    return nms(candidates, nms_iou), len(candidates)
+
+
+@pytest.mark.parametrize("n_classes", [25, 80])
+@pytest.mark.parametrize("score_threshold", [0.0, 0.05])
+def test_detect_equals_the_per_pair_reference(n_classes, score_threshold):
+    for seed in range(3):
+        state, proposals = random_detector(n_classes, seed)
+        expected, n_candidates = per_pair_detect(state, proposals, score_threshold)
+        assert n_candidates > len(expected) > 0
+        assert detect(state, proposals, score_threshold=score_threshold) == expected
+
+
+@pytest.mark.parametrize("bad_deltas", [[np.nan, 0.0, 0.0, 0.0], [0.0, 0.0, 800.0, 0.0]], ids=["nan", "exp_overflow"])
+def test_detect_refuses_a_bad_box_on_a_proposal_with_no_passing_class(bad_deltas):
+    state = identity_detector([(1, [1.0, 0.0]), (2, [0.0, 1.0])])
+    state.params.box_head.bias[:] = bad_deltas
+    quiet = [(np.zeros(2), Box(0.1, 0.1, 0.4, 0.4))]
+    feats, bg, _ = forward_batch(state.params, np.zeros((1, 2)))
+    assert np.all(posterior_batch(feats, bg, state.prototypes)[:, 1:] < 0.5)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidBox):
+        detect(state, quiet, score_threshold=0.5)
 
 
 def test_exemplars_csv_round_trip(tmp_path, tiny_exemplars):

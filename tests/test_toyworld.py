@@ -4,6 +4,7 @@ stream separation, and the serialization formats."""
 import numpy as np
 import pytest
 
+from morphdet import toyworld
 from morphdet.morph_inference import encode_box, iou
 from morphdet.toyworld import (
     FG_IOU_THRESHOLD,
@@ -113,6 +114,14 @@ def test_labels_match_independent_iou_rule():
             assert prop.label == expected
             checked += 1
     assert checked == len(scenes) * 24
+
+
+def test_scene_generation_computes_each_iou_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(toyworld, "iou", lambda a, b: calls.append(1) or iou(a, b))
+    uni = make_universe(n_base=3, n_novel=1, seed=7)
+    make_dataset(uni, uni.base, 1, 3, 10, seed=8)
+    assert len(calls) == 3 * (3 * 3 + 10 * 3)  # per scene: objects^2 + proposals x objects
 
 
 def test_foreground_targets_encode_matched_object():
