@@ -176,6 +176,10 @@ def cmd_eval(args) -> int:
     scenes = []
     for name in _SPLIT_FILES[args.split]:
         scenes += load_dataset(_require(os.path.join(args.data, name)))
+    known = {*split["base_class_ids"], *split["novel_class_ids"]}
+    stray = sorted({obj.class_id for scene in scenes for obj in scene.objects} - known)
+    if stray:
+        raise ValueError(f"{args.data}: objects of classes {stray} that universe.txt does not list")
 
     # Every checkpoint is evaluated before anything is written, so a refused
     # one leaves no partial report set behind.

@@ -1,11 +1,11 @@
 """Alternating training of the embedder and its class prototypes.
 
 Each iteration runs an M-step (minibatch SGD on the network, optionally with
-momentum, prototypes frozen; the proposals are stacked into descriptor,
-label and box-target arrays once, and each step gathers its batch rows from
-them) and then an E-step (prototypes refit toward per-class mean
-features of the ground-truth boxes under the frozen network, blended with the
-old prototypes). Prototypes start from the base classes' semantic vectors.
+momentum, prototypes frozen) and then an E-step (prototypes refit toward
+per-class mean features of the ground-truth boxes under the frozen network,
+blended with the old prototypes). Prototypes start from the base classes'
+semantic vectors. A run stacks its proposals and its ground truth into arrays
+once; both steps read those arrays, and every setting from the state's config.
 
 A snapshot is captured after every M-step; the K-th snapshot is "the detector
 after K iterations", which is what ablations over the iteration count
@@ -192,6 +192,15 @@ def proposal_arrays(dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
+def ground_truth_arrays(dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Every ground-truth object of `dataset`, in scene order, as class ids
+    (G,) and descriptors (G, m_in)."""
+    gts = [obj for scene in dataset for obj in scene.objects]
+    if not gts:
+        raise EmptyInput("dataset has no ground-truth objects")
+    return np.array([int(obj.class_id) for obj in gts]), np.stack([obj.descriptor for obj in gts])
+
+
 def _shuffled_stream(pool: np.ndarray, rng: np.random.Generator):
     """Endless stream over the indices in `pool`, one rng permutation per
     pass, drawn only when its first index is needed; empty for an empty pool."""
@@ -208,22 +217,21 @@ def _epoch_lr(config: TrainConfig, epoch: int) -> float:
     return config.learning_rate
 
 
-def m_step(state: DetectorState, dataset, config: TrainConfig, rng_tag: int = 0, metrics=None) -> DetectorState:
-    """SGD on the network with prototypes frozen.
-
-    Batches mix foreground and background proposals at 1:3 where both pools
-    allow; a missing pool fills the batch from the other. Zero epochs is the
-    identity. The optional `metrics` list receives one (epoch, mean losses)
-    record per epoch.
+def m_step(state: DetectorState, X, labels, targets, iteration: int = 0) -> tuple[DetectorState, list[EpochRecord]]:
+    """SGD on the network with prototypes frozen, on proposal_arrays' output,
+    with the settings of state.config; `iteration` seeds the shuffle and tags
+    the one record of mean losses returned per epoch. Batches mix foreground
+    and background proposals at 1:3 where both pools allow; a missing pool
+    fills the batch from the other. Zero epochs returns (state, []).
     """
-    X, labels, targets = proposal_arrays(dataset)
+    config = state.config
     unknown = set(labels[labels > 0].tolist()) - set(state.prototypes.ids)
     if unknown:
         raise UnknownClass(f"dataset labels {sorted(unknown)} have no prototype")
     if config.m_step_epochs == 0:
-        return state
+        return state, []
 
-    rng = np.random.default_rng([config.seed, 17, rng_tag])
+    rng = np.random.default_rng([config.seed, 17, iteration])
     fg_pool = np.flatnonzero(labels > 0)
     bg_pool = np.flatnonzero(labels == 0)
     fg_stream = _shuffled_stream(fg_pool, rng)
@@ -238,6 +246,7 @@ def m_step(state: DetectorState, dataset, config: TrainConfig, rng_tag: int = 0,
 
     params = state.params
     velocity = None
+    records: list[EpochRecord] = []
     for epoch in range(config.m_step_epochs):
         lr = _epoch_lr(config, epoch)
         epoch_terms = np.zeros(4)
@@ -250,28 +259,24 @@ def m_step(state: DetectorState, dataset, config: TrainConfig, rng_tag: int = 0,
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}: {breakdown}")
             params, velocity = sgd_step(params, grad, lr, velocity, config.momentum)
             epoch_terms += (breakdown.fg, breakdown.bg, breakdown.bbox, breakdown.total)
-        if metrics is not None:
-            mean = epoch_terms / steps_per_epoch
-            metrics.append((epoch, float(mean[0]), float(mean[1]), float(mean[2]), float(mean[3])))
-    return replace(state, params=params)
+        records.append(EpochRecord(iteration, epoch, *map(float, epoch_terms / steps_per_epoch)))
+    return replace(state, params=params), records
 
 
-def e_step(state: DetectorState, dataset, lam: float) -> DetectorState:
-    """Refit base prototypes toward per-class mean features of the
-    ground-truth boxes, embedded with the frozen network."""
-    gts = [obj for scene in dataset for obj in scene.objects]
-    if not gts:
-        raise EmptyInput("dataset has no ground-truth objects")
+def e_step(state: DetectorState, gt_ids, gt_X) -> DetectorState:
+    """Refit base prototypes toward per-class mean features of
+    ground_truth_arrays' output under the frozen network, keeping weight
+    state.config.lam on the old prototypes."""
     base_ids = set(state.prototypes.base)
-    for obj in gts:
-        if obj.class_id not in base_ids:
-            raise UnknownClass(f"ground-truth class {obj.class_id} has no base prototype")
-    feats, _, _ = forward_batch(state.params, np.stack([obj.descriptor for obj in gts]))
-    means = _class_means((obj.class_id, row) for row, obj in zip(feats, gts))
+    stray = sorted(set(gt_ids.tolist()) - base_ids)
+    if stray:
+        raise UnknownClass(f"ground-truth classes {stray} have no base prototype")
+    feats, _, _ = forward_batch(state.params, gt_X)
+    means = _class_means(gt_ids, feats)
     missing = sorted(base_ids - set(means))
     if missing:
         raise MissingClassSamples(f"no ground-truth samples for base classes {missing}")
-    return replace(state, prototypes=e_step_update(state.prototypes, means, lam))
+    return replace(state, prototypes=e_step_update(state.prototypes, means, state.config.lam))
 
 
 def train(dataset, semantic_vectors, config: TrainConfig = TrainConfig()) -> TrainResult:
@@ -283,31 +288,24 @@ def train(dataset, semantic_vectors, config: TrainConfig = TrainConfig()) -> Tra
     later) are ignored.
     """
     dataset = list(dataset)
-    X, labels, _ = proposal_arrays(dataset)
-    m_in = X.shape[1]
-    del X  # each m_step stacks its own copy; do not hold this one through training
-    base_ids = sorted(set(labels[labels > 0].tolist()) | {o.class_id for s in dataset for o in s.objects})
-    if not base_ids:
-        raise EmptyInput("dataset has no foreground classes")
+    X, labels, targets = proposal_arrays(dataset)
+    gt_ids, gt_X = ground_truth_arrays(dataset)
+    base_ids = sorted(set(labels[labels > 0].tolist()) | set(gt_ids.tolist()))
     missing = [cid for cid in base_ids if cid not in semantic_vectors]
     if missing:
         raise UnknownClass(f"no semantic vector for dataset classes {missing}")
 
     protos = init_from_semantic({cid: semantic_vectors[cid] for cid in base_ids})
-    params = init_params(m_in, config.hidden_sizes, protos.dim, config.seed)
+    params = init_params(X.shape[1], config.hidden_sizes, protos.dim, config.seed)
     state = DetectorState(params=params, prototypes=protos, config=config)
 
     snapshots: list[DetectorState] = []
     records: list[EpochRecord] = []
     for iteration in range(1, config.em_iterations + 1):
-        sink: list = []
-        state = m_step(state, dataset, config, rng_tag=iteration, metrics=sink)
-        records.extend(
-            EpochRecord(iteration=iteration, epoch=e, fg=f, bg=b, bbox=bb, total=t)
-            for e, f, b, bb, t in sink
-        )
+        state, epoch_records = m_step(state, X, labels, targets, iteration)
+        records.extend(epoch_records)
         snapshots.append(state)
-        state = e_step(state, dataset, config.lam)
+        state = e_step(state, gt_ids, gt_X)
     return TrainResult(
         state=snapshots[-1],
         snapshots=snapshots,
@@ -319,24 +317,20 @@ def train(dataset, semantic_vectors, config: TrainConfig = TrainConfig()) -> Tra
 def visual_init_vectors(dataset, dim: int) -> dict[int, np.ndarray]:
     """Baseline prototype seeds: per-class means of the raw ground-truth
     descriptors, zero-padded or truncated to the prototype dimension."""
-    means = _class_means((obj.class_id, obj.descriptor) for scene in dataset for obj in scene.objects)
-    if not means:
-        raise EmptyInput("dataset has no ground-truth objects")
+    means = _class_means(*ground_truth_arrays(dataset))
     return {
         cid: mean[:dim] if mean.shape[0] >= dim else np.concatenate([mean, np.zeros(dim - mean.shape[0])])
         for cid, mean in means.items()
     }
 
 
-def _class_means(pairs) -> dict[int, np.ndarray]:
-    """Mean vector per class id of (class_id, vector) pairs, in ascending id
-    order. Each class sums its vectors in input order, then divides once."""
-    sums: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
-    for cid, vec in pairs:
-        sums[cid] = sums[cid] + vec if cid in sums else vec
-        counts[cid] = counts.get(cid, 0) + 1
-    return {cid: sums[cid] / counts[cid] for cid in sorted(sums)}
+def _class_means(ids: np.ndarray, rows: np.ndarray) -> dict[int, np.ndarray]:
+    """Mean row per class id, in ascending id order. Each class sums its rows
+    in input order, then divides once: a running sum, which adds row after row
+    at every width (an axis-0 `sum` of one-column rows sums pairwise)."""
+    # np.unique would keep ~1 MB alive from its first call on.
+    picks = {cid: rows[ids == cid] for cid in sorted(set(ids.tolist()))}
+    return {cid: np.cumsum(mine, axis=0)[-1] / len(mine) for cid, mine in picks.items()}
 
 
 def write_metrics_csv(path, records) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .morph_inference import Box, DetectConfig, Detection, detect, iou
+from .morph_inference import DetectConfig, detect, iou
 from .numkernel import EmptyInput
 from .prototype_store import UnknownClass
 
@@ -167,25 +167,16 @@ def evaluate(
 
     # Scenes are keyed by their position in `scenes`, not by scene_id: joined
     # splits (eval --split all) number their scenes from 0 each.
-    det_rows: list[tuple[int, Detection]] = []
-    for pos, scene in enumerate(scenes):
-        dets = detect(
-            state,
-            [(p.descriptor, p.anchor) for p in scene.proposals],
-            score_threshold=config.score_threshold,
-            nms_iou=config.nms_iou,
-        )
-        det_rows.extend((pos, d) for d in dets)
-
     gts_by_class: dict[int, list] = {cid: [] for cid in all_ids}
+    dets_by_class: dict[int, list] = {cid: [] for cid in all_ids}
     for pos, scene in enumerate(scenes):
         for obj in scene.objects:
             if obj.class_id in gts_by_class:
                 gts_by_class[obj.class_id].append((pos, obj.box))
-    dets_by_class: dict[int, list] = {cid: [] for cid in all_ids}
-    for pos, det in det_rows:
-        if det.class_id in dets_by_class:
-            dets_by_class[det.class_id].append((pos, det.score, det.box))
+        pairs = [(p.descriptor, p.anchor) for p in scene.proposals]
+        for det in detect(state, pairs, score_threshold=config.score_threshold, nms_iou=config.nms_iou):
+            if det.class_id in dets_by_class:
+                dets_by_class[det.class_id].append((pos, det.score, det.box))
 
     evaluated = [cid for cid in all_ids if gts_by_class[cid]]
     if not evaluated:

@@ -377,8 +377,8 @@ def _box_tokens(box: Box) -> str:
 
 
 def _dataset_meta(scenes) -> dict:
-    m_in = scenes[0].proposals[0].descriptor.shape[0] if scenes and scenes[0].proposals else 0
-    return {"scene_count": len(scenes), "m_in": m_in}
+    descriptors = (item.descriptor for scene in scenes for item in (*scene.proposals, *scene.objects))
+    return {"scene_count": len(scenes), "m_in": next(descriptors, np.zeros(0)).shape[0]}
 
 
 def save_dataset(path, scenes) -> None:
@@ -413,14 +413,14 @@ def load_dataset(path) -> list[Scene]:
         head = int(tokens[1])
         box = Box(*map(float, tokens[2:6]))
         values = parse_floats(tokens[6:])
+        targets, descriptor = (values[:4], values[4:]) if tokens[0] == "proposal" and head > 0 else (None, values)
+        if descriptor.shape[0] != m_in:
+            raise ValueError(f"{path}: {tokens[0]} descriptor has {descriptor.shape[0]} values, meta says {m_in}")
         if tokens[0] == "object":
             if head < 1:
                 raise ValueError(f"{path}: object class id must be >= 1 (0 is background), got {head}")
-            parts[-1][1].append(GroundTruth(class_id=head, box=box, descriptor=values))
+            parts[-1][1].append(GroundTruth(class_id=head, box=box, descriptor=descriptor))
             continue
-        targets, descriptor = (values[:4], values[4:]) if head > 0 else (None, values)
-        if descriptor.shape[0] != m_in:
-            raise ValueError(f"proposal descriptor has {descriptor.shape[0]} values, meta says {m_in}")
         parts[-1][2].append(Proposal(descriptor=descriptor, anchor=box, label=head, target_deltas=targets))
     scenes = [Scene(scene_id=sid, objects=tuple(objs), proposals=tuple(props)) for sid, objs, props in parts]
     if _dataset_meta(scenes) != meta:

@@ -254,7 +254,7 @@ def test_criterion_10_overfit_sanity():
     batch = proposal_arrays(data)
 
     initial = forward_batch_with_grad(params, *batch, protos, weights)[0].total
-    trained = m_step(state, data, config)
+    trained, _ = m_step(state, *batch)
     final = forward_batch_with_grad(trained.params, *batch, protos, weights)[0].total
     ratio = final / initial
     elapsed = time.perf_counter() - start

@@ -366,6 +366,15 @@ def _first_novel_object_as_class(class_id):
     return spoil
 
 
+def _first_novel_object_with_extra_value(data):
+    def edit(lines):
+        at = next(i for i, line in enumerate(lines) if line.startswith("object "))
+        lines[at] += " 0.5"
+        return lines
+
+    _edit_lines(data / "eval_novel.txt", edit)
+
+
 def _eval_split_with_blank_line(data):
     _edit_lines(data / "eval_base.txt", lambda lines: lines[:4] + [""] + lines[4:])
 
@@ -379,13 +388,16 @@ def _eval_split_with_blank_line(data):
         (_eval_split_with_blank_line, []),
         (_first_novel_object_as_class("0"), []),
         (_first_novel_object_as_class("-3"), []),
+        (_first_novel_object_as_class("99"), []),
+        (_first_novel_object_with_extra_value, []),
         (None, ["--score-threshold", "nan"]),
         (None, ["--score-threshold", "-5"]),
         (None, ["--nms-iou", "1"]),
     ],
     ids=[
         "truncated_universe", "truncated_universe_beside_manifest", "short_class_line", "blank_dataset_line",
-        "background_object", "negative_object", "nan_threshold", "negative_threshold", "nms_iou_1",
+        "background_object", "negative_object",
+        "unknown_class_object", "long_object_descriptor", "nan_threshold", "negative_threshold", "nms_iou_1",
     ],
 )
 def test_eval_refuses_partial_files_and_bad_flags(train_dir, gen_dir, tmp_path, capsys, spoil, flags):

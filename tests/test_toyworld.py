@@ -1,6 +1,8 @@
 """Toy world generation: determinism, labeling oracle, correlation knobs,
 stream separation, and the serialization formats."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -228,26 +230,30 @@ def test_universe_round_trip(tmp_path):
 
 def test_dataset_round_trip(tmp_path):
     uni = make_universe(n_base=3, n_novel=2, seed=20)
-    scenes = make_dataset(uni, uni.base, 2, 2, 9, seed=21)
-    path = tmp_path / "dataset.txt"
-    save_dataset(path, scenes)
-    back = load_dataset(path)
-    assert len(back) == len(scenes)
-    for sa, sb in zip(scenes, back):
-        assert sa.scene_id == sb.scene_id
-        assert len(sa.objects) == len(sb.objects)
-        for oa, ob in zip(sa.objects, sb.objects):
-            assert oa.class_id == ob.class_id
-            assert oa.box.as_tuple() == ob.box.as_tuple()
-            assert np.array_equal(oa.descriptor, ob.descriptor)
-        for pa, pb in zip(sa.proposals, sb.proposals):
-            assert pa.label == pb.label
-            assert pa.anchor.as_tuple() == pb.anchor.as_tuple()
-            assert np.array_equal(pa.descriptor, pb.descriptor)
-            if pa.label == 0:
-                assert pb.target_deltas is None
-            else:
-                assert np.array_equal(pa.target_deltas, pb.target_deltas)
+    generated = make_dataset(uni, uni.base, 2, 2, 9, seed=21)
+    bare = replace(generated[0], proposals=())
+    # The meta's m_in must come from a scene that has descriptors.
+    for scenes in (generated, [bare, *generated[1:]], [bare]):
+        path = tmp_path / "dataset.txt"
+        save_dataset(path, scenes)
+        back = load_dataset(path)
+        assert len(back) == len(scenes)
+        for sa, sb in zip(scenes, back):
+            assert sa.scene_id == sb.scene_id
+            assert len(sa.objects) == len(sb.objects)
+            assert len(sa.proposals) == len(sb.proposals)
+            for oa, ob in zip(sa.objects, sb.objects):
+                assert oa.class_id == ob.class_id
+                assert oa.box.as_tuple() == ob.box.as_tuple()
+                assert np.array_equal(oa.descriptor, ob.descriptor)
+            for pa, pb in zip(sa.proposals, sb.proposals):
+                assert pa.label == pb.label
+                assert pa.anchor.as_tuple() == pb.anchor.as_tuple()
+                assert np.array_equal(pa.descriptor, pb.descriptor)
+                if pa.label == 0:
+                    assert pb.target_deltas is None
+                else:
+                    assert np.array_equal(pa.target_deltas, pb.target_deltas)
 
 
 def test_dataset_load_rejects_non_finite_values_and_wrong_scene_count(tmp_path):

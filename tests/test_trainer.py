@@ -9,16 +9,19 @@ import numpy as np
 import pytest
 
 from conftest import TINY_TRAIN, identity_detector
+from morphdet import em_trainer
 from morphdet.em_trainer import (
     DetectorState,
     EpochRecord,
     MissingClassSamples,
     TrainConfig,
     TrainingDiverged,
+    _class_means,
     _epoch_lr,
     _shuffled_stream,
     checkpoint_text,
     e_step,
+    ground_truth_arrays,
     load_checkpoint,
     m_step,
     proposal_arrays,
@@ -145,34 +148,46 @@ def _bg(descriptor):
     )
 
 
+def _with_config(state, **changes):
+    return replace(state, config=replace(state.config, **changes))
+
+
 def test_m_step_zero_epochs_is_identity(tiny_state, tiny_dataset):
-    cfg = replace(TINY_TRAIN, m_step_epochs=0)
-    assert m_step(tiny_state, tiny_dataset, cfg) is tiny_state
+    state = _with_config(tiny_state, m_step_epochs=0)
+    same, records = m_step(state, *proposal_arrays(tiny_dataset))
+    assert same is state and records == []
 
 
 def test_m_step_is_deterministic(tiny_state, tiny_dataset):
-    sink_a, sink_b = [], []
-    a = m_step(tiny_state, tiny_dataset, TINY_TRAIN, rng_tag=2, metrics=sink_a)
-    b = m_step(tiny_state, tiny_dataset, TINY_TRAIN, rng_tag=2, metrics=sink_b)
+    arrays = proposal_arrays(tiny_dataset)
+    a, sink_a = m_step(tiny_state, *arrays, iteration=2)
+    b, sink_b = m_step(tiny_state, *arrays, iteration=2)
     assert params_equal(a.params, b.params)
     assert sink_a == sink_b
     assert len(sink_a) == TINY_TRAIN.m_step_epochs
     assert a.prototypes is tiny_state.prototypes
-    c = m_step(tiny_state, tiny_dataset, TINY_TRAIN, rng_tag=3)
+    c, _ = m_step(tiny_state, *arrays, iteration=3)
     assert not params_equal(a.params, c.params)
+
+
+def test_m_step_records_one_epoch_record_per_epoch(tiny_state, tiny_dataset):
+    _, records = m_step(tiny_state, *proposal_arrays(tiny_dataset), iteration=4)
+    assert [(rec.iteration, rec.epoch) for rec in records] == [(4, e) for e in range(TINY_TRAIN.m_step_epochs)]
+    for rec in records:
+        assert rec.total == pytest.approx(rec.fg + rec.bg + rec.bbox)
 
 
 def test_m_step_error_paths(tiny_state):
     with pytest.raises(EmptyInput):
-        m_step(tiny_state, [], TINY_TRAIN)
+        m_step(tiny_state, *proposal_arrays([]))
     state = _identity3()
     bad = [_scene(proposals=[_fg(9, [1.0, 0.0, 0.0])])]
     with pytest.raises(UnknownClass):
-        m_step(state, bad, TINY_TRAIN)
+        m_step(state, *proposal_arrays(bad))
 
 
 def test_m_step_handles_single_sided_pools():
-    cfg = TrainConfig(m_step_epochs=2, batch_size=4, learning_rate=0.01)
+    state = _with_config(_identity3(), m_step_epochs=2, batch_size=4, learning_rate=0.01)
     all_fg = [
         _scene(
             proposals=[
@@ -183,23 +198,20 @@ def test_m_step_handles_single_sided_pools():
             ]
         )
     ]
-    sink = []
-    m_step(_identity3(), all_fg, cfg, metrics=sink)
-    assert all(rec[2] == 0.0 for rec in sink)  # no background term without bg proposals
-    assert all(rec[1] > 0.0 for rec in sink)
+    _, sink = m_step(state, *proposal_arrays(all_fg))
+    assert all(rec.bg == 0.0 for rec in sink)  # no background term without bg proposals
+    assert all(rec.fg > 0.0 for rec in sink)
 
     all_bg = [_scene(proposals=[_bg([0.2, 0.1, 0.0]), _bg([0.0, 0.3, 0.1])])]
-    sink = []
-    m_step(_identity3(), all_bg, cfg, metrics=sink)
-    assert all(rec[1] == 0.0 and rec[3] == 0.0 for rec in sink)
-    assert all(rec[2] > 0.0 for rec in sink)
+    _, sink = m_step(state, *proposal_arrays(all_bg))
+    assert all(rec.fg == 0.0 and rec.bbox == 0.0 for rec in sink)
+    assert all(rec.bg > 0.0 for rec in sink)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_m_step_divergence_is_reported(tiny_state, tiny_dataset):
-    cfg = replace(TINY_TRAIN, learning_rate=1e308)
     with pytest.raises(TrainingDiverged):
-        m_step(tiny_state, tiny_dataset, cfg)
+        m_step(_with_config(tiny_state, learning_rate=1e308), *proposal_arrays(tiny_dataset))
 
 
 def test_e_step_matches_manual_means(tiny_state, tiny_dataset):
@@ -216,7 +228,7 @@ def test_e_step_matches_manual_means(tiny_state, tiny_dataset):
         means[cid] = acc / len(rows[cid])
     expected = e_step_update(tiny_state.prototypes, means, 0.5)
 
-    after = e_step(tiny_state, tiny_dataset, 0.5)
+    after = e_step(_with_config(tiny_state, lam=0.5), *ground_truth_arrays(tiny_dataset))
     assert after.params is tiny_state.params
     assert after.prototypes.ids == expected.ids
     for cid in expected.ids:
@@ -225,13 +237,14 @@ def test_e_step_matches_manual_means(tiny_state, tiny_dataset):
 
 
 def test_e_step_lam_one_keeps_prototype_object(tiny_state, tiny_dataset):
-    after = e_step(tiny_state, tiny_dataset, 1.0)
-    assert after.prototypes is tiny_state.prototypes
+    state = _with_config(tiny_state, lam=1.0)
+    after = e_step(state, *ground_truth_arrays(tiny_dataset))
+    assert after.prototypes is state.prototypes
 
 
 def test_e_step_error_paths(tiny_state):
     with pytest.raises(EmptyInput):
-        e_step(tiny_state, [_scene(proposals=[_bg(np.zeros(10))])], 0.5)
+        e_step(tiny_state, *ground_truth_arrays([_scene(proposals=[_bg(np.zeros(10))])]))
     state = _identity3()
     # Class 3 owns a prototype but contributes no ground truth.
     data = [
@@ -243,10 +256,10 @@ def test_e_step_error_paths(tiny_state):
         )
     ]
     with pytest.raises(MissingClassSamples):
-        e_step(state, data, 0.5)
+        e_step(state, *ground_truth_arrays(data))
     stray = [_scene(objects=[SimpleNamespace(class_id=7, descriptor=_axis(3, 0))])]
     with pytest.raises(UnknownClass):
-        e_step(state, stray, 0.5)
+        e_step(state, *ground_truth_arrays(stray))
 
 
 def test_train_shapes_and_snapshots(tiny_result):
@@ -265,6 +278,27 @@ def test_train_shapes_and_snapshots(tiny_result):
         for cid in last.ids
     )
     assert moved
+
+
+def test_train_stacks_its_data_once(tiny_universe, tiny_dataset, tiny_result, monkeypatch):
+    calls = {"proposal_arrays": 0, "ground_truth_arrays": 0}
+
+    def counted(name):
+        original = getattr(em_trainer, name)
+
+        def wrapper(dataset):
+            calls[name] += 1
+            return original(dataset)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(em_trainer, name, counted(name))
+    config = replace(TINY_TRAIN, em_iterations=3)
+    result = train(tiny_dataset, semantic_vectors(tiny_universe), config)
+    assert calls == {"proposal_arrays": 1, "ground_truth_arrays": 1}
+    assert len(result.snapshots) == 3
+    assert params_equal(result.snapshots[1].params, tiny_result.state.params)
 
 
 def test_train_prototypes_cover_exactly_the_dataset_classes(tiny_result, tiny_universe):
@@ -313,6 +347,21 @@ def test_visual_init_vectors_oracle():
     assert np.array_equal(cut[2], [2.0, 2.0])
     with pytest.raises(EmptyInput):
         visual_init_vectors([_scene()], 3)
+
+
+def test_class_means_add_rows_in_input_order_at_every_width():
+    rng = np.random.default_rng(0)
+    for width in (1, 2, 7):
+        rows = rng.normal(size=(60, width)) * 10.0 ** rng.uniform(-3, 3, size=(60, 1))
+        ids = rng.integers(1, 4, size=60)
+        means = _class_means(ids, rows)
+        assert list(means) == [1, 2, 3]
+        for cid, mean in means.items():
+            mine = [row for row, c in zip(rows, ids) if c == cid]
+            acc = mine[0]
+            for row in mine[1:]:
+                acc = acc + row
+            assert np.array_equal(mean, acc / len(mine))
 
 
 def test_metrics_csv_round_trip(tmp_path, tiny_result):
