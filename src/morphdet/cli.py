@@ -149,6 +149,12 @@ def cmd_morph(args) -> int:
     if args.shots is not None:
         if args.shots < 1:
             raise ValueError(f"--shots must be >= 1, got {args.shots}")
+        short = sorted(cid for cid, vecs in exemplars.items() if len(vecs) < args.shots)
+        if short:
+            cid = short[0]
+            raise ValueError(
+                f"--shots {args.shots}: class {cid} has only {len(exemplars[cid])} exemplars in {args.exemplars}"
+            )
         exemplars = {cid: vecs[: args.shots] for cid, vecs in exemplars.items()}
 
     before = grad_evaluation_count()

@@ -7,11 +7,13 @@ blended with the old prototypes). Prototypes start from the base classes'
 semantic vectors. A run stacks its proposals and its ground truth into arrays
 once; both steps read those arrays, and every setting from the state's config.
 
-A snapshot is captured after every M-step; the K-th snapshot is "the detector
-after K iterations", which is what ablations over the iteration count
-evaluate, and the last snapshot is the detector train() returns. The trailing
-E-step still runs (its output would seed a further iteration) and is exposed
-for inspection.
+Each M-step works on a private copy of the network parameters, which it
+updates in place, so the state handed to it, and every snapshot, stays as it
+was. A snapshot is captured after every M-step; the K-th snapshot is "the
+detector after K iterations", which is what ablations over the iteration
+count evaluate, and the last snapshot is the detector train() returns. The
+trailing E-step still runs (its output would seed a further iteration) and is
+exposed for inspection.
 
 Everything is a pure function of (dataset, semantic vectors, config): fixed
 seeds, fixed shuffle order, fixed reduction order, so reruns are bit-identical.
@@ -29,6 +31,7 @@ import numpy as np
 from .embedder import (
     CheckpointError,
     EmbedderParams,
+    clone_params,
     forward_batch,
     forward_batch_with_grad,
     init_params,
@@ -221,43 +224,53 @@ def m_step(state: DetectorState, X, labels, targets, iteration: int = 0) -> tupl
     """SGD on the network with prototypes frozen, on proposal_arrays' output,
     with the settings of state.config; `iteration` seeds the shuffle and tags
     the one record of mean losses returned per epoch. Batches mix foreground
-    and background proposals at 1:3 where both pools allow; a missing pool
-    fills the batch from the other. Zero epochs returns (state, []).
+    and background proposals at 1:3 where both pools allow, at least one of
+    each, so a batch size below 2 is refused when both pools are non-empty; a
+    missing pool fills the batch from the other. Zero epochs returns
+    (state, []).
+
+    Training works on a private copy of state.params, updated in place with
+    one gradient and one velocity buffer for the whole M-step; the input state
+    is left as it was, and the returned state holds the copy.
     """
     config = state.config
     unknown = set(labels[labels > 0].tolist()) - set(state.prototypes.ids)
     if unknown:
         raise UnknownClass(f"dataset labels {sorted(unknown)} have no prototype")
+    fg_pool = np.flatnonzero(labels > 0)
+    bg_pool = np.flatnonzero(labels == 0)
+    if len(fg_pool) and len(bg_pool) and config.batch_size < 2:
+        raise ConfigError(
+            f"batch_size {config.batch_size} leaves no room for a foreground row beside background; use 2 or more"
+        )
     if config.m_step_epochs == 0:
         return state, []
 
     rng = np.random.default_rng([config.seed, 17, iteration])
-    fg_pool = np.flatnonzero(labels > 0)
-    bg_pool = np.flatnonzero(labels == 0)
     fg_stream = _shuffled_stream(fg_pool, rng)
     bg_stream = _shuffled_stream(bg_pool, rng)
     steps_per_epoch = max(1, math.ceil(len(labels) / config.batch_size))
     weights = config.loss_weights()
-    n_fg = config.batch_size // 4 if len(fg_pool) else 0
-    if len(fg_pool) and config.batch_size >= 2:
-        n_fg = max(1, n_fg)
     if not len(bg_pool):
         n_fg = config.batch_size
+    else:
+        n_fg = max(1, config.batch_size // 4) if len(fg_pool) else 0
 
-    params = state.params
-    velocity = None
+    params = clone_params(state.params)
+    grad = np.empty_like(params.flat)
+    velocity = np.zeros_like(params.flat)
     records: list[EpochRecord] = []
     for epoch in range(config.m_step_epochs):
         lr = _epoch_lr(config, epoch)
         epoch_terms = np.zeros(4)
         for _ in range(steps_per_epoch):
             picks = [*islice(fg_stream, n_fg), *islice(bg_stream, config.batch_size - n_fg)]
-            breakdown, grad = forward_batch_with_grad(
-                params, X[picks], labels[picks], targets[picks], state.prototypes, weights
+            breakdown, _ = forward_batch_with_grad(
+                params, X[picks], labels[picks], targets[picks], state.prototypes, weights, out=grad
             )
             if not np.isfinite(breakdown.total):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}: {breakdown}")
-            params, velocity = sgd_step(params, grad, lr, velocity, config.momentum)
+            sgd_step(params, grad, lr, velocity, config.momentum)
             epoch_terms += (breakdown.fg, breakdown.bg, breakdown.bbox, breakdown.total)
         records.append(EpochRecord(iteration, epoch, *map(float, epoch_terms / steps_per_epoch)))
     return replace(state, params=params), records

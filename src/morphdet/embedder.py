@@ -12,8 +12,9 @@ and box terms, each multiplied by its weight) and backpropagates it through
 the heads and the ReLU trunk in closed form, returning the gradient as one
 flat vector in the parameter layout. Both run the same forward pass, and the
 loss takes its posteriors from objective.softmax_terms, the softmax that
-detection scores with. Prototypes are constants here. sgd_step updates flat
-vectors.
+detection scores with; given `out`, it writes the gradient into that
+caller-owned buffer instead of a new one. Prototypes are constants here.
+sgd_step updates a parameter vector and its velocity in place.
 
 A module-level counter records every gradient evaluation; forward_batch never
 touches it, which is how zero-gradient guarantees for morphing are asserted
@@ -52,7 +53,7 @@ class AffineLayer(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _layout(sizes: tuple[int, ...]) -> tuple[tuple, int]:
-    """((name, offset, shape) per tensor, total length) of the flat vector:
+    """((name, start, stop, shape) per tensor, total length) of the flat vector:
     trunk bottom-up, then the feature, background and box heads, each weight
     before its bias. This is also the tensor order of checkpoints."""
     top = sizes[-2]
@@ -62,9 +63,19 @@ def _layout(sizes: tuple[int, ...]) -> tuple[tuple, int]:
     offset = 0
     for name, n_in, n_out in blocks:
         for suffix, shape in (("weight", (n_in, n_out)), ("bias", (n_out,))):
-            slots.append((f"{name}.{suffix}", offset, shape))
-            offset += math.prod(shape)
+            start, offset = offset, offset + math.prod(shape)
+            slots.append((f"{name}.{suffix}", start, offset, shape))
     return tuple(slots), offset
+
+
+def _views(flat: np.ndarray, sizes: tuple[int, ...]) -> list[np.ndarray]:
+    """One view into `flat` per tensor of the layout, in layout order."""
+    return [flat[start:stop].reshape(shape) for _, start, stop, shape in _layout(sizes)[0]]
+
+
+def _check_flat(flat: np.ndarray, total: int, what: str) -> None:
+    if flat.dtype != np.float64 or flat.shape != (total,):
+        raise DimensionMismatch(f"{what}: {flat.dtype} {flat.shape}, expected float64 ({total},)")
 
 
 def _is_size(value) -> bool:
@@ -88,14 +99,12 @@ class EmbedderParams:
         slots, total = _layout(sizes)
         if flat is None:
             flat = np.zeros(total)
-        elif flat.dtype != np.float64 or flat.shape != (total,):
-            raise DimensionMismatch(f"flat parameters have {flat.dtype} {flat.shape}, expected float64 ({total},)")
+        else:
+            _check_flat(flat, total, "flat parameters")
         self.sizes = sizes
         self.flat = flat
-        self._tensors = tuple(
-            (name, flat[offset : offset + math.prod(shape)].reshape(shape)) for name, offset, shape in slots
-        )
-        arrays = [arr for _, arr in self._tensors]
+        arrays = _views(flat, sizes)
+        self._tensors = tuple((slot[0], arr) for slot, arr in zip(slots, arrays))
         self._blocks = tuple(AffineLayer(arrays[k], arrays[k + 1]) for k in range(0, len(arrays), 2))
 
     @property
@@ -192,6 +201,7 @@ def forward_batch_with_grad(
     targets: np.ndarray,
     prototypes: PrototypeSet,
     weights: LossWeights = LossWeights(),
+    out: np.ndarray | None = None,
 ) -> tuple[LossBreakdown, np.ndarray]:
     """Composite loss and exact parameter gradients for one minibatch.
 
@@ -201,12 +211,17 @@ def forward_batch_with_grad(
     negative log-probability over rows with label > 0, background negative
     log-probability over label-0 rows, and smooth-L1 box regression over
     foreground rows. The gradient is one float64 vector in the layout of
-    params.flat. Accumulation order is fixed (batch order), so the result is
+    params.flat: `out` when given (its previous contents are overwritten), else
+    a new vector. Accumulation order is fixed (batch order), so the result is
     reproducible bit-for-bit.
     """
     labels = np.asarray(labels)
     if not labels.shape[0]:
         raise EmptyInput("empty batch")
+    if out is None:
+        out = np.empty_like(params.flat)
+    else:
+        _check_flat(out, params.flat.size, "gradient buffer")
     pmat = scoring_matrix(prototypes, params.feature_dim)  # (M, d)
     fg_rows = np.flatnonzero(labels > 0)
     bg_rows = np.flatnonzero(labels == 0)
@@ -250,14 +265,18 @@ def forward_batch_with_grad(
         fg=fg_term, bg=bg_term, bbox=box_term, total=fg_term + bg_term + box_term
     )
 
-    # Backward through the heads, then the ReLU trunk; the pieces are
-    # concatenated in layout order (trunk bottom-up, then the heads).
+    # Backward through the heads, then the ReLU trunk; each weight and bias
+    # gradient is written into its slot of `out` (trunk bottom-up, then the
+    # heads, each weight before its bias). np.add.reduce is np.sum's
+    # arithmetic without its per-call argument handling.
+    slots = _views(out, params.sizes)
     top = acts[-1]
-    pieces = [
-        top.T @ d_feats, d_feats.sum(axis=0),
-        top.T @ d_bg[:, None], d_bg.sum(keepdims=True),
-        top.T @ d_deltas, d_deltas.sum(axis=0),
-    ]
+    np.matmul(top.T, d_feats, out=slots[-6])
+    np.add.reduce(d_feats, axis=0, out=slots[-5])
+    np.matmul(top.T, d_bg[:, None], out=slots[-4])
+    np.add.reduce(d_bg, axis=0, keepdims=True, out=slots[-3])
+    np.matmul(top.T, d_deltas, out=slots[-2])
+    np.add.reduce(d_deltas, axis=0, out=slots[-1])
     d_h = (
         d_feats @ params.feature_head.weight.T
         + d_bg[:, None] @ params.background_head.weight.T
@@ -265,27 +284,26 @@ def forward_batch_with_grad(
     )
     for k in reversed(range(len(params.trunk))):
         d_z = d_h * (pre_acts[k] > 0.0)
-        pieces[:0] = [acts[k].T @ d_z, d_z.sum(axis=0)]
+        np.matmul(acts[k].T, d_z, out=slots[2 * k])
+        np.add.reduce(d_z, axis=0, out=slots[2 * k + 1])
         if k:  # the input descriptors take no gradient
             d_h = d_z @ params.trunk[k].weight.T
 
     global _grad_evaluations
     _grad_evaluations += 1
-    return breakdown, np.concatenate([piece.ravel() for piece in pieces])
+    return breakdown, out
 
 
 def sgd_step(
     params: EmbedderParams,
     grad: np.ndarray,
     lr: float,
-    velocity: np.ndarray | None = None,
+    velocity: np.ndarray,
     momentum: float = 0.0,
-) -> tuple[EmbedderParams, np.ndarray]:
-    """One momentum-SGD update on flat vectors: v <- momentum * v + g;
-    p <- p - lr * v.
-
-    Returns (new_params, new_velocity); inputs are not mutated. A None
-    velocity means zero velocity.
+) -> None:
+    """One momentum-SGD update, in place on params.flat and `velocity`:
+    v <- momentum * v + g; p <- p - lr * v. Pass a zero velocity for the first
+    step. `grad` is only read.
     """
     lr = float(lr)
     momentum = float(momentum)
@@ -293,14 +311,13 @@ def sgd_step(
         raise ValueError(f"learning rate must be > 0, got {lr}")
     if not 0.0 <= momentum < 1.0:
         raise ValueError(f"momentum must lie in [0, 1), got {momentum}")
-    if velocity is None:
-        velocity = np.zeros_like(params.flat)
     if not params.flat.shape == grad.shape == velocity.shape:
         raise DimensionMismatch(
             f"update vectors differ in shape: {params.flat.shape} vs {grad.shape} vs {velocity.shape}"
         )
-    velocity = momentum * velocity + grad
-    return EmbedderParams(params.sizes, params.flat - lr * velocity), velocity
+    np.multiply(momentum, velocity, out=velocity)
+    np.add(velocity, grad, out=velocity)
+    np.subtract(params.flat, lr * velocity, out=params.flat)
 
 
 def params_config(params: EmbedderParams) -> dict:

@@ -2,11 +2,15 @@
 initialization, and semantics-only registration. Each runner trains across
 several seeds, writes a raw per-run CSV plus a seed-averaged summary CSV, and
 returns both tables.
+
+A World's base-class evaluation split, World.eval_base, is built on first
+read from its own seed stream: `gen` writes it, the studies never read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 import os
 
 import numpy as np
@@ -78,13 +82,22 @@ class World:
     """One seeded draw of the benchmark: classes, splits, and exemplars."""
 
     universe: object
+    data: DataConfig
+    seed: int
     train_scenes: list
-    eval_base: list
     eval_novel: list
     exemplars: dict
     semantics: dict
     base_ids: list
     novel_ids: list
+
+    @cached_property
+    def eval_base(self) -> list:
+        """Base-class evaluation scenes, generated on first read. They come
+        from their own seed stream, so when, or whether, they are built moves
+        no other draw of the world."""
+        d = self.data
+        return _scenes(self.universe, self.universe.base, d.eval_scenes_per_class, d, self.seed + _EVAL_BASE)
 
 
 # Stream offsets keeping the world's independent draws decoupled from the seed.
@@ -95,6 +108,13 @@ _EXEMPLARS = 404
 _RANDOM_PROTOS = 505
 
 
+def _scenes(universe, classes, scenes_per_class: int, data: DataConfig, seed: int) -> list:
+    return make_dataset(
+        universe, classes, scenes_per_class, data.objects_per_scene, data.proposals_per_scene, seed,
+        jitter=data.jitter,
+    )
+
+
 def build_world(config: ExperimentConfig, seed: int) -> World:
     u = config.universe
     d = config.data
@@ -102,25 +122,13 @@ def build_world(config: ExperimentConfig, seed: int) -> World:
         n_base=u.n_base, n_novel=u.n_novel, k=u.k, d_sem=u.d_sem, m_in=u.m_in,
         sigma_sem=u.sigma_sem, sigma_inst=u.sigma_inst, seed=seed,
     )
-    train_scenes = make_dataset(
-        universe, universe.base, d.train_scenes_per_class, d.objects_per_scene,
-        d.proposals_per_scene, seed + _TRAIN_DATA, jitter=d.jitter,
-    )
-    eval_base = make_dataset(
-        universe, universe.base, d.eval_scenes_per_class, d.objects_per_scene,
-        d.proposals_per_scene, seed + _EVAL_BASE, jitter=d.jitter,
-    )
-    eval_novel = make_dataset(
-        universe, universe.novel, d.eval_scenes_per_class, d.objects_per_scene,
-        d.proposals_per_scene, seed + _EVAL_NOVEL, jitter=d.jitter,
-    )
-    exemplars = exemplars_for(universe, universe.novel, config.shots, seed + _EXEMPLARS)
     return World(
         universe=universe,
-        train_scenes=train_scenes,
-        eval_base=eval_base,
-        eval_novel=eval_novel,
-        exemplars=exemplars,
+        data=d,
+        seed=seed,
+        train_scenes=_scenes(universe, universe.base, d.train_scenes_per_class, d, seed + _TRAIN_DATA),
+        eval_novel=_scenes(universe, universe.novel, d.eval_scenes_per_class, d, seed + _EVAL_NOVEL),
+        exemplars=exemplars_for(universe, universe.novel, config.shots, seed + _EXEMPLARS),
         semantics=semantic_vectors(universe),
         base_ids=[c.class_id for c in universe.base],
         novel_ids=[c.class_id for c in universe.novel],

@@ -245,6 +245,29 @@ def test_morph_rejects_shots_below_one(train_dir, gen_dir, tmp_path, capsys, sho
     assert not (tmp_path / "out.ckpt").exists()
 
 
+def test_morph_refuses_more_shots_than_a_class_has(train_dir, gen_dir, tmp_path, capsys):
+    rc = main(
+        [
+            "morph",
+            "--checkpoint", str(train_dir / "checkpoint_iter2.ckpt"),
+            "--exemplars", str(gen_dir / "exemplars.csv"),
+            "--out", str(tmp_path / "out.ckpt"),
+            "--shots", "3",
+        ]
+    )
+    assert rc == 2
+    assert "error: --shots 3: class 5 has only 2 exemplars" in capsys.readouterr().err
+    assert not (tmp_path / "out.ckpt").exists()
+
+
+def test_train_refuses_batch_size_one(cfg_path, gen_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main(["train", "--data", str(gen_dir), "--out", str(out), "--config", cfg_path, "--batch-size", "1"])
+    assert rc == 2
+    assert "error: batch_size 1" in capsys.readouterr().err
+    assert not list(out.glob("*.ckpt"))
+
+
 def test_morph_missing_checkpoint(gen_dir, tmp_path):
     rc = main(
         [

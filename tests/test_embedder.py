@@ -158,44 +158,72 @@ def test_grad_rejects_unknown_label_and_empty_batch():
 
 
 def test_sgd_step_matches_hand_unrolled_updates():
-    rng = np.random.default_rng(4)
     params = init_params(4, (5,), 3, seed=7)
     grads1 = init_params(4, (5,), 3, seed=8)
     grads2 = init_params(4, (5,), 3, seed=9)
     lr, mom = 0.1, 0.9
 
-    p1, v1 = sgd_step(params, grads1.flat, lr, None, mom)
-    p2, v2 = sgd_step(p1, grads2.flat, lr, v1, mom)
+    p2 = clone_params(params)
+    v2 = np.zeros_like(p2.flat)  # zero initial velocity
+    sgd_step(p2, grads1.flat, lr, v2, mom)
+    sgd_step(p2, grads2.flat, lr, v2, mom)
     v2 = EmbedderParams(params.sizes, v2)
 
     for p0_l, g1_l, g2_l, p2_l, v2_l in zip(
         params.blocks(), grads1.blocks(), grads2.blocks(), p2.blocks(), v2.blocks()
     ):
-        v1_w = g1_l.weight  # zero initial velocity
+        v1_w = g1_l.weight
         v2_w = mom * v1_w + g2_l.weight
         expect_w = p0_l.weight - lr * v1_w - lr * v2_w
         assert np.allclose(p2_l.weight, expect_w, atol=1e-15)
         assert np.allclose(v2_l.weight, v2_w, atol=1e-15)
 
 
-def test_sgd_step_does_not_mutate_inputs():
+def test_sgd_step_updates_flat_and_velocity_in_place():
     params = init_params(4, (5,), 3, seed=1)
-    grads = init_params(4, (5,), 3, seed=2)
-    before = clone_params(params)
-    sgd_step(params, grads.flat, 0.5)
-    assert params_equal(params, before)
+    grad = init_params(4, (5,), 3, seed=2).flat
+    velocity = init_params(4, (5,), 3, seed=3).flat
+    p0, v0, g0 = params.flat.copy(), velocity.copy(), grad.copy()
+    flat = params.flat
+    lr, mom = 0.05, 0.7
+
+    assert sgd_step(params, grad, lr, velocity, mom) is None
+    assert params.flat is flat
+    expect_v = mom * v0 + g0
+    assert np.array_equal(velocity, expect_v)
+    assert np.array_equal(params.flat, p0 - lr * expect_v)
+    assert np.array_equal(params.trunk[0].weight.ravel(), params.flat[: params.trunk[0].weight.size])
+    assert np.array_equal(grad, g0)
 
 
 def test_sgd_step_validation():
     params = init_params(4, (5,), 3, seed=1)
     grads = init_params(4, (5,), 3, seed=2)
+    velocity = np.zeros_like(params.flat)
     with pytest.raises(ValueError):
-        sgd_step(params, grads.flat, 0.0)
+        sgd_step(params, grads.flat, 0.0, velocity)
     with pytest.raises(ValueError):
-        sgd_step(params, grads.flat, 0.1, None, 1.0)
+        sgd_step(params, grads.flat, 0.1, velocity, 1.0)
     bad = init_params(4, (6,), 3, seed=2)
     with pytest.raises(DimensionMismatch):
-        sgd_step(params, bad.flat, 0.1)
+        sgd_step(params, bad.flat, 0.1, velocity)
+    with pytest.raises(DimensionMismatch):
+        sgd_step(params, grads.flat, 0.1, bad.flat)
+
+
+def test_forward_batch_with_grad_writes_into_out():
+    rng = np.random.default_rng(6)
+    params = init_params(5, (7, 6), 4, seed=3)
+    protos = make_protos(rng, 3, 4)
+    batch = make_batch(rng, 5, [1, 0, 2, 0, 3])
+    loss, fresh = forward_batch_with_grad(params, *batch, protos)
+    out = np.full_like(params.flat, np.nan)
+    loss_out, grad = forward_batch_with_grad(params, *batch, protos, out=out)
+    assert grad is out and loss_out == loss
+    assert np.array_equal(out, fresh)
+    for bad in (np.zeros(params.flat.size + 1), np.zeros(params.flat.size, dtype=np.float32)):
+        with pytest.raises(DimensionMismatch):
+            forward_batch_with_grad(params, *batch, protos, out=bad)
 
 
 def test_clone_and_zeros_helpers():

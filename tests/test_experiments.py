@@ -1,8 +1,11 @@
 """Benchmark study configs and runners at miniature sizes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from morphdet import experiments
 from morphdet.em_trainer import TrainConfig
 from morphdet.experiments import (
     EXPERIMENTS,
@@ -18,6 +21,8 @@ from morphdet.experiments import (
     run_lambda,
     run_zero_shot,
 )
+from morphdet.textio import sha256_file
+from morphdet.toyworld import make_dataset, save_dataset
 
 TINY = ExperimentConfig(
     universe=UniverseConfig(n_base=4, n_novel=2, k=4, d_sem=8, m_in=10, sigma_sem=0.2, sigma_inst=0.2),
@@ -131,6 +136,27 @@ def test_build_world_structure_and_determinism():
         world.train_scenes[0].proposals[0].descriptor,
         other.train_scenes[0].proposals[0].descriptor,
     )
+
+
+def test_world_builds_eval_base_on_first_read(monkeypatch, tmp_path):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[-1])
+        return make_dataset(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "make_dataset", counted)
+    run_lambda(replace(TINY, seeds=1))
+    assert len(calls) == 2  # train and eval_novel; the study never reads eval_base
+
+    calls.clear()
+    world = build_world(TINY, seed=0)
+    assert len(calls) == 2
+    scenes = world.eval_base
+    assert len(calls) == 3 and world.eval_base is scenes
+    # The bytes an eager build wrote before eval_base became lazy.
+    save_dataset(tmp_path / "eval_base.txt", scenes)
+    assert sha256_file(tmp_path / "eval_base.txt") == "fbf2f83d676f06d02db789bf1e320e65eef9e1b5820f1aa092cfb3ec4a0fc63a"
 
 
 def _assert_csv(path, header, n_rows):

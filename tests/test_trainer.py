@@ -11,6 +11,7 @@ import pytest
 from conftest import TINY_TRAIN, identity_detector
 from morphdet import em_trainer
 from morphdet.em_trainer import (
+    ConfigError,
     DetectorState,
     EpochRecord,
     MissingClassSamples,
@@ -206,6 +207,47 @@ def test_m_step_handles_single_sided_pools():
     _, sink = m_step(state, *proposal_arrays(all_bg))
     assert all(rec.fg == 0.0 and rec.bbox == 0.0 for rec in sink)
     assert all(rec.bg > 0.0 for rec in sink)
+
+
+def test_m_step_refuses_a_batch_without_room_for_both_pools(tiny_state, tiny_dataset):
+    arrays = proposal_arrays(tiny_dataset)
+    with pytest.raises(ConfigError, match="batch_size 1"):
+        m_step(_with_config(tiny_state, batch_size=1), *arrays)
+    state = _with_config(_identity3(), m_step_epochs=1, batch_size=1, learning_rate=0.01)
+    all_fg = [_scene(proposals=[_fg(1, [1.0, 0.0, 0.0]), _fg(2, [0.0, 1.0, 0.0])])]
+    all_bg = [_scene(proposals=[_bg([0.2, 0.1, 0.0])])]
+    for data in (all_fg, all_bg):
+        _, records = m_step(state, *proposal_arrays(data))
+        assert len(records) == 1
+    _, records = m_step(_with_config(tiny_state, batch_size=2), *arrays)
+    assert all(rec.fg > 0.0 and rec.bg > 0.0 for rec in records)
+
+
+def test_m_step_leaves_its_input_state_untouched(tiny_state, tiny_dataset):
+    flat = tiny_state.params.flat
+    before = flat.tobytes()
+    trained, _ = m_step(_with_config(tiny_state, momentum=0.9), *proposal_arrays(tiny_dataset))
+    assert tiny_state.params.flat is flat and flat.tobytes() == before
+    assert not np.shares_memory(trained.params.flat, flat)
+    assert trained.params.flat.tobytes() != before
+
+
+def test_train_snapshots_share_no_memory(tiny_universe, tiny_dataset, tiny_result, monkeypatch):
+    initial = []
+
+    def recorded(*args):
+        initial.append(init_params(*args))
+        return initial[-1]
+
+    monkeypatch.setattr(em_trainer, "init_params", recorded)
+    result = train(tiny_dataset, semantic_vectors(tiny_universe), TINY_TRAIN)
+    flats = [initial[0].flat] + [snap.params.flat for snap in result.snapshots]
+    assert len(flats) == 1 + TINY_TRAIN.em_iterations
+    for i, a in enumerate(flats):
+        for b in flats[i + 1 :]:
+            assert not np.shares_memory(a, b)
+    for snap, reference in zip(result.snapshots, tiny_result.snapshots):
+        assert params_equal(snap.params, reference.params)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
