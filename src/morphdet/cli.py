@@ -83,8 +83,8 @@ def cmd_gen(args) -> int:
     if args.shots is not None:
         config = replace(config, shots=args.shots)
     seed = config.train.seed
-    os.makedirs(args.out, exist_ok=True)
     world = build_world(config, seed)
+    os.makedirs(args.out, exist_ok=True)
 
     paths = {name: os.path.join(args.out, name) for name in GEN_FILES}
     save_universe(paths["universe.txt"], world.universe)
@@ -127,9 +127,8 @@ def cmd_train(args) -> int:
     config = _apply_train_overrides(load_experiment_config(args.config), args)
     dataset = load_dataset(_require(os.path.join(args.data, "train_base.txt")))
     semantics = read_vector_file(_require(os.path.join(args.data, "semantics.txt")))
-    os.makedirs(args.out, exist_ok=True)
-
     result = train(dataset, semantics, config.train)
+    os.makedirs(args.out, exist_ok=True)
     for k, snap in enumerate(result.snapshots, start=1):
         path = os.path.join(args.out, f"checkpoint_iter{k}.ckpt")
         save_checkpoint(path, snap)
@@ -219,14 +218,10 @@ def cmd_experiment(args) -> int:
     config = _apply_train_overrides(load_experiment_config(args.config), args)
     if args.seeds is not None:
         config = replace(config, seeds=args.seeds)
-    out_dir = args.out or config.out_dir
-    if out_dir is None:
-        raise UsageError("experiment needs --out (or out_dir in the config file)")
-    os.makedirs(out_dir, exist_ok=True)
-    _, summary = EXPERIMENTS[args.name](config, out_dir)
+    _, summary = EXPERIMENTS[args.name](config, args.out)
     for row in summary:
         print("  ".join(f"{v:.4f}" if isinstance(v, float) else str(v) for v in row))
-    print(f"wrote {args.name} tables to {out_dir}")
+    print(f"wrote {args.name} tables to {args.out}")
     return 0
 
 
@@ -267,13 +262,13 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory for report files")
     p.add_argument("--baseline-checkpoint", default=None, dest="baseline_checkpoint",
                    help="second checkpoint reported side by side")
-    p.add_argument("--score-threshold", type=float, default=0.05, dest="score_threshold")
-    p.add_argument("--nms-iou", type=float, default=0.5, dest="nms_iou")
+    p.add_argument("--score-threshold", type=float, default=DetectConfig.score_threshold, dest="score_threshold")
+    p.add_argument("--nms-iou", type=float, default=DetectConfig.nms_iou, dest="nms_iou")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("experiment", help="run a canned study")
     p.add_argument("name", help="one of: " + ", ".join(sorted(EXPERIMENTS)))
-    p.add_argument("--out", default=None, help="output directory for the tables")
+    p.add_argument("--out", required=True, help="output directory for the tables (created if missing)")
     p.add_argument("--config", default=None, help="experiment config JSON")
     p.add_argument("--seeds", type=int, default=None, help="number of trials")
     p.add_argument("--seed", type=int, default=None, help="base seed for the trials")
@@ -295,11 +290,8 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # Covers checkpoint, config, collision, dimension and box errors.
+    except (OSError, ValueError) as exc:
+        # File system, checkpoint, config, collision, dimension and box errors.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

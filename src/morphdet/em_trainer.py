@@ -90,8 +90,8 @@ class TrainConfig:
             raise ValueError(f"m_step_epochs must be >= 0, got {self.m_step_epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0 < self.lr_decay_factor <= 1:
             raise ValueError(f"lr_decay_factor must lie in (0, 1], got {self.lr_decay_factor}")
         if not 0 < self.lr_decay_at <= 1:
@@ -100,6 +100,11 @@ class TrainConfig:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         if not 0 <= self.lam <= 1:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("fg_weight", "bg_weight", "bbox_weight"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
 
     def loss_weights(self) -> LossWeights:

@@ -145,7 +145,8 @@ def evaluate(
     config: DetectConfig = DetectConfig(),
     recall_budgets=(100,),
 ) -> EvalReport:
-    """Run the detector on every scene and score the listed classes.
+    """Run the detector on every scene, with `config` passed to detect as it
+    is, and score the listed classes.
 
     Classes without any ground truth in `scenes` are excluded from means.
     The state must have a prototype for every listed id.
@@ -174,7 +175,7 @@ def evaluate(
             if obj.class_id in gts_by_class:
                 gts_by_class[obj.class_id].append((pos, obj.box))
         pairs = [(p.descriptor, p.anchor) for p in scene.proposals]
-        for det in detect(state, pairs, score_threshold=config.score_threshold, nms_iou=config.nms_iou):
+        for det in detect(state, pairs, config):
             if det.class_id in dets_by_class:
                 dets_by_class[det.class_id].append((pos, det.score, det.box))
 

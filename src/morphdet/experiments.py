@@ -47,27 +47,22 @@ class DataConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings: a section each for the universe, the data, training
+    and detection, plus the exemplar count per novel class and the number of
+    seeds a study averages over. The JSON config file has the same shape."""
+
     universe: UniverseConfig = UniverseConfig()
     data: DataConfig = DataConfig()
     train: TrainConfig = TrainConfig()
+    detect: DetectConfig = DetectConfig()
     shots: int = 5
-    score_threshold: float = 0.05
-    nms_iou: float = 0.5
     seeds: int = 5
-    out_dir: str | None = None
 
     def __post_init__(self):
         if self.shots < 1:
             raise ConfigError(f"shots must be >= 1, got {self.shots}")
         if self.seeds < 1:
             raise ConfigError(f"seeds must be >= 1, got {self.seeds}")
-        try:
-            self.detect_config()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def detect_config(self) -> DetectConfig:
-        return DetectConfig(score_threshold=self.score_threshold, nms_iou=self.nms_iou)
 
 
 def experiment_config_from_dict(data: dict) -> ExperimentConfig:
@@ -138,13 +133,14 @@ def build_world(config: ExperimentConfig, seed: int) -> World:
 def _tables(out_dir, name: str, header: str, raw):
     """(raw, summary) of a study whose raw rows are (seed, key, *values): the
     summary has one row per key, in first-seen order, with each value column
-    averaged over the seeds. With an out_dir, writes <name>_raw.csv and
-    <name>_summary.csv, whose header drops the seed column."""
+    averaged over the seeds. With an out_dir, creates it if missing and writes
+    <name>_raw.csv and <name>_summary.csv, whose header drops the seed column."""
     groups: dict = {}
     for row in raw:
         groups.setdefault(row[1], []).append(row[2:])
     summary = [(key, *(float(np.mean(col)) for col in zip(*rows))) for key, rows in groups.items()]
     if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
         for suffix, head, rows in (("raw", header, raw), ("summary", header.partition(",")[2], summary)):
             with open(os.path.join(out_dir, f"{name}_{suffix}.csv"), "w", encoding="utf-8", newline="") as fh:
                 fh.write(head + "\n")
@@ -159,10 +155,7 @@ def _trial_seeds(config: ExperimentConfig):
 
 def _novel_ap50(state, world: World, config: ExperimentConfig) -> float:
     morphed = morph(state, world.exemplars)
-    report = evaluate(
-        morphed, world.eval_novel, world.base_ids, world.novel_ids, config.detect_config()
-    )
-    return report.novel.ap50
+    return evaluate(morphed, world.eval_novel, world.base_ids, world.novel_ids, config.detect).novel.ap50
 
 
 def run_em_iterations(config: ExperimentConfig, out_dir=None):
@@ -227,10 +220,7 @@ def run_zero_shot(config: ExperimentConfig, out_dir=None):
         rand_state = replace(state, prototypes=protos)
 
         for method, st in (("semantic", sem_state), ("random", rand_state)):
-            report = evaluate(
-                st, world.eval_novel, world.base_ids, world.novel_ids,
-                config.detect_config(), recall_budgets=(100,),
-            )
+            report = evaluate(st, world.eval_novel, world.base_ids, world.novel_ids, config.detect, recall_budgets=(100,))
             raw.append((seed, method, report.recall[100], report.novel.ap50))
     return _tables(out_dir, "zero_shot", "seed,method,recall100,novel_ap50", raw)
 

@@ -123,6 +123,9 @@ class Detection:
 
 @dataclass(frozen=True)
 class DetectConfig:
+    """Detection settings, checked on construction; the one place their
+    defaults are written."""
+
     score_threshold: float = 0.05
     nms_iou: float = 0.5
 
@@ -178,13 +181,14 @@ def nms(detections, iou_threshold: float) -> list[Detection]:
     return kept
 
 
-def detect(state, proposals, score_threshold: float = 0.05, nms_iou: float = 0.5) -> list[Detection]:
+def detect(state, proposals, config: DetectConfig = DetectConfig()) -> list[Detection]:
     """Score (descriptor, anchor_box) proposals against every registered class.
 
     Each proposal contributes one candidate per class whose posterior
-    probability reaches the threshold, all sharing that proposal's decoded
-    box (the regression is class-agnostic). Per-class NMS then prunes. Pure:
-    identical inputs give an identical list, order included.
+    probability reaches config.score_threshold, all sharing that proposal's
+    decoded box (the regression is class-agnostic). Per-class NMS at
+    config.nms_iou then prunes. The settings come checked, as a DetectConfig.
+    Pure: identical inputs give an identical list, order included.
     """
     proposals = list(proposals)
     if not proposals:
@@ -193,11 +197,11 @@ def detect(state, proposals, score_threshold: float = 0.05, nms_iou: float = 0.5
     feats, bg, deltas = forward_batch(state.params, descriptors)
     q = posterior_batch(feats, bg, state.prototypes)
     corners = decode_box(np.array([anchor.as_tuple() for _, anchor in proposals]), deltas)
-    rows, cols = np.nonzero(q[:, 1:] >= score_threshold)
+    rows, cols = np.nonzero(q[:, 1:] >= config.score_threshold)
     boxes = {i: Box(*corners[i].tolist()) for i in set(rows.tolist())}
     ids, scores = state.prototypes.ids, q[rows, cols + 1].tolist()
     candidates = [Detection(ids[k], score, boxes[i]) for i, k, score in zip(rows.tolist(), cols.tolist(), scores)]
-    return nms(candidates, nms_iou)
+    return nms(candidates, config.nms_iou)
 
 
 def write_exemplars_csv(path, exemplars) -> None:

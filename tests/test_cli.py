@@ -162,7 +162,7 @@ def test_train_flags_override_their_config_fields():
     assert (tcfg.seed, tcfg.learning_rate, tcfg.batch_size) == (9, 0.01, 7)
     assert replace(tcfg, em_iterations=3, lam=0.5, m_step_epochs=6, seed=0, learning_rate=0.05, batch_size=32) == TrainConfig()
     # `experiment` has only --seed of these flags; flags left out keep the config's values.
-    args = build_parser().parse_args(["experiment", "lambda", "--seed", "5"])
+    args = build_parser().parse_args(["experiment", "lambda", "--out", "o", "--seed", "5"])
     assert _apply_train_overrides(ExperimentConfig(), args).train == TrainConfig(seed=5)
 
 
@@ -265,7 +265,57 @@ def test_train_refuses_batch_size_one(cfg_path, gen_dir, tmp_path, capsys):
     rc = main(["train", "--data", str(gen_dir), "--out", str(out), "--config", cfg_path, "--batch-size", "1"])
     assert rc == 2
     assert "error: batch_size 1" in capsys.readouterr().err
-    assert not list(out.glob("*.ckpt"))
+    assert not out.exists()
+
+
+def _refused_argv(command, gen_dir, train_dir, cfg_path, out):
+    """argv of `command` with every input in place and `--out` at `out`."""
+    return {
+        "gen": ["gen", "--config", cfg_path, "--out", out],
+        "train": ["train", "--data", str(gen_dir), "--config", cfg_path, "--out", out],
+        "eval": ["eval", "--checkpoint", str(train_dir / "checkpoint_iter2.ckpt"), "--data", str(gen_dir), "--out", out],
+        "experiment": ["experiment", "zero_shot", "--config", cfg_path, "--seeds", "1", "--out", out],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "eval", "experiment"])
+def test_out_naming_a_file_is_refused(command, gen_dir, train_dir, cfg_path, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n", encoding="utf-8")
+    assert main(_refused_argv(command, gen_dir, train_dir, cfg_path, str(out))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out.read_text(encoding="utf-8") == "not a directory\n"
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("gen", ["--seed", "-1"]),
+        ("train", ["--seed", "-1"]),
+        ("train", ["--lr", "inf"]),
+        ("experiment", ["--seed", "-1"]),
+    ],
+    ids=["gen_seed", "train_seed", "train_lr_inf", "experiment_seed"],
+)
+def test_refused_settings_leave_no_out_directory(command, flags, gen_dir, train_dir, cfg_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(_refused_argv(command, gen_dir, train_dir, cfg_path, str(out)) + flags) == 2
+    err = capsys.readouterr().err
+    name = "seed" if "--seed" in flags else "learning_rate"
+    assert err.startswith(f"error: {name} must be") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("score_threshold", 0.1), ("nms_iou", 0.4), ("out_dir", "tables")])
+def test_experiment_refuses_old_flat_config_keys(key, value, tmp_path, capsys):
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({**TINY_CONFIG, key: value}), encoding="utf-8")
+    out = tmp_path / "tables"
+    assert main(["experiment", "zero_shot", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"unknown keys ['{key}']" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_morph_missing_checkpoint(gen_dir, tmp_path):
@@ -431,7 +481,7 @@ def test_eval_refuses_partial_files_and_bad_flags(train_dir, gen_dir, tmp_path, 
     assert _eval_on(data, train_dir, tmp_path, *flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    assert not (tmp_path / "eval" / "report.json").exists()
+    assert not (tmp_path / "eval").exists()
 
 
 def test_eval_refused_baseline_writes_no_report(morphed_ckpt, train_dir, gen_dir, tmp_path, capsys):
@@ -449,7 +499,7 @@ def test_eval_refused_baseline_writes_no_report(morphed_ckpt, train_dir, gen_dir
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "no prototype" in err and "Traceback" not in err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 def test_eval_refuses_checkpoint_config_of_wrong_type(train_dir, gen_dir, tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from morphdet import experiments
 from morphdet.em_trainer import TrainConfig
+from morphdet.morph_inference import DetectConfig
 from morphdet.experiments import (
     EXPERIMENTS,
     LAMBDA_GRID,
@@ -48,22 +49,20 @@ def test_default_benchmark_shape():
     assert data.proposals_per_scene == 24
     cfg = ExperimentConfig()
     assert cfg.shots == 5 and cfg.seeds == 5
+    assert cfg.detect == DetectConfig()
     assert LAMBDA_GRID == (0.0, 0.3, 0.5, 0.7)
     assert sorted(EXPERIMENTS) == ["em_iterations", "init", "lambda", "zero_shot"]
 
 
 def test_experiment_config_validation():
-    for bad in (
-        dict(shots=0),
-        dict(seeds=0),
-        dict(score_threshold=1.0),
-        dict(nms_iou=1.0),
-        dict(nms_iou=0.0),
-    ):
+    for bad in (dict(shots=0), dict(seeds=0)):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
-    det = ExperimentConfig(score_threshold=0.2, nms_iou=0.4).detect_config()
-    assert det.score_threshold == 0.2 and det.nms_iou == 0.4
+    for bad in (dict(score_threshold=1.0), dict(nms_iou=1.0), dict(nms_iou=0.0)):
+        with pytest.raises(ConfigError, match=f"detect: {next(iter(bad))}"):
+            experiment_config_from_dict({"detect": bad})
+    cfg = experiment_config_from_dict({"detect": {"score_threshold": 0.2, "nms_iou": 0.4}})
+    assert cfg.detect == DetectConfig(score_threshold=0.2, nms_iou=0.4)
 
 
 def test_config_from_dict_round_trip():
@@ -107,13 +106,17 @@ def test_config_from_dict_rejects_unknowns():
         {"train": {"batch_size": 2.5}},
         {"train": {"learning_rate": None}},
         {"seeds": 1.5},
-        {"score_threshold": "0.1"},
-        {"out_dir": 3},
+        {"detect": {"score_threshold": "0.1"}},
+        {"detect": {"nms_iou": None}},
     ):
         with pytest.raises(ConfigError):
             experiment_config_from_dict(wrong_type)
-    cfg = experiment_config_from_dict({"universe": {"sigma_sem": 1}, "out_dir": "tables"})
-    assert cfg.universe.sigma_sem == 1 and cfg.out_dir == "tables"
+    # The detection settings live in the "detect" section, the output directory only in `experiment --out`.
+    for old_key, value in (("score_threshold", 0.1), ("nms_iou", 0.4), ("out_dir", "tables")):
+        with pytest.raises(ConfigError, match=f"config root: unknown keys \\['{old_key}'\\]"):
+            experiment_config_from_dict({old_key: value})
+    cfg = experiment_config_from_dict({"universe": {"sigma_sem": 1}})
+    assert cfg.universe.sigma_sem == 1
 
 
 def test_build_world_structure_and_determinism():

@@ -10,6 +10,7 @@ from morphdet.em_trainer import DetectorState, TrainConfig
 from morphdet.embedder import clone_params, forward_batch, grad_evaluation_count, init_params, params_equal
 from morphdet.morph_inference import (
     Box,
+    DetectConfig,
     Detection,
     InvalidBox,
     decode_box,
@@ -214,7 +215,7 @@ def test_detect_finds_planted_objects():
         nudged = Box(box.x1 + 0.01, box.y1, box.x2 + 0.01, box.y2)
         proposals.append((axis, nudged))  # near-duplicate for NMS to prune
 
-    detections = detect(state, proposals, score_threshold=0.05, nms_iou=0.5)
+    detections = detect(state, proposals, DetectConfig())
     assert len(detections) == 3
     matched = {det.class_id: det for det in detections}
     assert sorted(matched) == [1, 2, 3]
@@ -230,8 +231,13 @@ def test_detect_edge_cases(tiny_state):
     first = detect(tiny_state, proposals)
     second = detect(tiny_state, proposals)
     assert first == second
-    none_pass = detect(tiny_state, proposals, score_threshold=1.1)
-    assert none_pass == []
+    feats, bg, _ = forward_batch(tiny_state.params, np.stack([d for d, _ in proposals]))
+    above_all = 0.99
+    assert posterior_batch(feats, bg, tiny_state.prototypes)[:, 1:].max() < above_all
+    assert detect(tiny_state, proposals, DetectConfig(score_threshold=above_all)) == []
+    for outside in (1.1, float("nan"), -0.1):
+        with pytest.raises(ValueError, match="score_threshold"):
+            DetectConfig(score_threshold=outside)
     with pytest.raises(EmptyInput):
         detect(replace(tiny_state, prototypes=PrototypeSet.empty(tiny_state.prototypes.dim)), proposals)
 
@@ -275,7 +281,7 @@ def test_detect_equals_the_per_pair_reference(n_classes, score_threshold):
         state, proposals = random_detector(n_classes, seed)
         expected, n_candidates = per_pair_detect(state, proposals, score_threshold)
         assert n_candidates > len(expected) > 0
-        assert detect(state, proposals, score_threshold=score_threshold) == expected
+        assert detect(state, proposals, DetectConfig(score_threshold=score_threshold)) == expected
 
 
 @pytest.mark.parametrize("bad_deltas", [[np.nan, 0.0, 0.0, 0.0], [0.0, 0.0, 800.0, 0.0]], ids=["nan", "exp_overflow"])
@@ -286,7 +292,7 @@ def test_detect_refuses_a_bad_box_on_a_proposal_with_no_passing_class(bad_deltas
     feats, bg, _ = forward_batch(state.params, np.zeros((1, 2)))
     assert np.all(posterior_batch(feats, bg, state.prototypes)[:, 1:] < 0.5)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidBox):
-        detect(state, quiet, score_threshold=0.5)
+        detect(state, quiet, DetectConfig(score_threshold=0.5))
 
 
 def test_exemplars_csv_round_trip(tmp_path, tiny_exemplars):

@@ -1,9 +1,14 @@
-"""The README's Library example runs and prints what the README shows."""
+"""The README's Library example runs and prints what the README shows, and
+its config example is a complete, valid config."""
 
 import contextlib
+import dataclasses
 import io
+import json
 import pathlib
 import re
+
+from morphdet.experiments import ExperimentConfig, experiment_config_from_dict
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,3 +20,10 @@ def test_library_example_prints_the_readme_lines():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue().splitlines() == shown.splitlines() == ["1 0.708", "21 0.639", "25 0.615", "11 0.562"]
+
+
+def test_config_example_is_a_full_valid_config():
+    example = re.search(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    data = json.loads(example)
+    assert sorted(data) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+    experiment_config_from_dict(data)

@@ -54,8 +54,14 @@ def test_train_config_validation():
         dict(momentum=1.0),
         dict(momentum=-0.1),
         dict(lam=1.5),
+        dict(learning_rate=float("inf")),
+        dict(learning_rate=float("nan")),
+        dict(seed=-3),
+        dict(fg_weight=-1.0),
+        dict(bg_weight=float("nan")),
+        dict(bbox_weight=float("inf")),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(bad))):
             TrainConfig(**bad)
 
 
