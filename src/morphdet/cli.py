@@ -117,6 +117,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _out_dir(path: str) -> str:
+    """--out type: a non-directory is refused at parse time (OSError passes argparse)."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise NotADirectoryError(f"--out {path} exists and is not a directory")
+    return path
+
+
 def _require(path: str) -> str:
     if not os.path.exists(path):
         raise FileNotFoundError(f"missing input: {path}")
@@ -230,7 +237,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p = sub.add_parser("gen", help="generate a toy benchmark directory", parents=[])
-    p.add_argument("--out", required=True, help="output directory (created if missing)")
+    p.add_argument("--out", required=True, type=_out_dir, help="output directory (created if missing)")
     p.add_argument("--config", default=None, help="experiment config JSON")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--shots", type=int, default=None)
@@ -238,7 +245,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="alternating training on a generated split")
     p.add_argument("--data", required=True, help="directory produced by gen")
-    p.add_argument("--out", required=True, help="output directory for checkpoints and metrics")
+    p.add_argument("--out", required=True, type=_out_dir, help="output directory for checkpoints and metrics")
     p.add_argument("--config", default=None, help="experiment config JSON")
     p.add_argument("--em-iterations", type=int, default=None, dest="em_iterations")
     p.add_argument("--lambda", type=float, default=None, dest="lam", help="prototype blend weight")
@@ -259,7 +266,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="directory produced by gen")
     p.add_argument("--split", choices=("base", "novel", "all"), default="all")
-    p.add_argument("--out", required=True, help="output directory for report files")
+    p.add_argument("--out", required=True, type=_out_dir, help="output directory for report files")
     p.add_argument("--baseline-checkpoint", default=None, dest="baseline_checkpoint",
                    help="second checkpoint reported side by side")
     p.add_argument("--score-threshold", type=float, default=DetectConfig.score_threshold, dest="score_threshold")
@@ -268,7 +275,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("experiment", help="run a canned study")
     p.add_argument("name", help="one of: " + ", ".join(sorted(EXPERIMENTS)))
-    p.add_argument("--out", required=True, help="output directory for the tables (created if missing)")
+    p.add_argument("--out", required=True, type=_out_dir, help="output directory for the tables (created if missing)")
     p.add_argument("--config", default=None, help="experiment config JSON")
     p.add_argument("--seeds", type=int, default=None, help="number of trials")
     p.add_argument("--seed", type=int, default=None, help="base seed for the trials")

@@ -7,13 +7,14 @@ blended with the old prototypes). Prototypes start from the base classes'
 semantic vectors. A run stacks its proposals and its ground truth into arrays
 once; both steps read those arrays, and every setting from the state's config.
 
-Each M-step works on a private copy of the network parameters, which it
-updates in place, so the state handed to it, and every snapshot, stays as it
-was. A snapshot is captured after every M-step; the K-th snapshot is "the
-detector after K iterations", which is what ablations over the iteration
-count evaluate, and the last snapshot is the detector train() returns. The
-trailing E-step still runs (its output would seed a further iteration) and is
-exposed for inspection.
+Each M-step maps its labels and plans its batches once, then trains a
+private copy of the network parameters in place, so the state handed to it,
+and every snapshot, stays as it was. A snapshot is captured after every
+M-step; the K-th snapshot is "the detector after K iterations", which is
+what ablations over the iteration count evaluate, and the last snapshot is
+the detector train() returns. The trailing E-step still runs (its output
+would seed a further iteration) and is exposed for inspection. No M-step
+reads lam, so train_lambdas trains several from one first M-step.
 
 Everything is a pure function of (dataset, semantic vectors, config): fixed
 seeds, fixed shuffle order, fixed reduction order, so reruns are bit-identical.
@@ -24,7 +25,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
-from itertools import islice
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .embedder import (
     sgd_step,
 )
 from .numkernel import DimensionMismatch, EmptyInput
-from .objective import LossWeights
+from .objective import LossWeights, scoring_matrix
 from .prototype_store import (
     PrototypeSet,
     UnknownClass,
@@ -106,6 +106,8 @@ class TrainConfig:
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
+        if not all(h >= 1 for h in self.hidden_sizes):
+            raise ValueError(f"hidden_sizes widths must all be >= 1, got {list(self.hidden_sizes)}")
 
     def loss_weights(self) -> LossWeights:
         return LossWeights(fg=self.fg_weight, bg=self.bg_weight, bbox=self.bbox_weight)
@@ -209,11 +211,18 @@ def ground_truth_arrays(dataset) -> tuple[np.ndarray, np.ndarray]:
     return np.array([int(obj.class_id) for obj in gts]), np.stack([obj.descriptor for obj in gts])
 
 
-def _shuffled_stream(pool: np.ndarray, rng: np.random.Generator):
-    """Endless stream over the indices in `pool`, one rng permutation per
-    pass, drawn only when its first index is needed; empty for an empty pool."""
-    while len(pool):
-        yield from pool[rng.permutation(len(pool))].tolist()
+def _pick_plan(fg_pool, bg_pool, n_fg: int, batch_size: int, steps: int, rng) -> np.ndarray:
+    """An M-step's picks, (steps, batch_size): n_fg foreground, then
+    background. Each pool walks through rng permutations of itself, drawing
+    the next at the step that first needs it, foreground before background."""
+    parts = ((fg_pool, n_fg), (bg_pool, batch_size - n_fg))
+    draws = sorted(((k * len(pool)) // per, side) for side, (pool, per) in enumerate(parts) if per
+                   for k in range(math.ceil(steps * per / len(pool))))  # (step, pool) of each draw
+    perms: tuple[list, list] = ([np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)])
+    for _, side in draws:
+        pool = parts[side][0]
+        perms[side].append(pool[rng.permutation(len(pool))])
+    return np.hstack([np.concatenate(p)[: steps * per].reshape(steps, per) for p, (_, per) in zip(perms, parts)])
 
 
 def _epoch_lr(config: TrainConfig, epoch: int) -> float:
@@ -251,15 +260,16 @@ def m_step(state: DetectorState, X, labels, targets, iteration: int = 0) -> tupl
     if config.m_step_epochs == 0:
         return state, []
 
-    rng = np.random.default_rng([config.seed, 17, iteration])
-    fg_stream = _shuffled_stream(fg_pool, rng)
-    bg_stream = _shuffled_stream(bg_pool, rng)
     steps_per_epoch = max(1, math.ceil(len(labels) / config.batch_size))
-    weights = config.loss_weights()
     if not len(bg_pool):
         n_fg = config.batch_size
     else:
         n_fg = max(1, config.batch_size // 4) if len(fg_pool) else 0
+    rng = np.random.default_rng([config.seed, 17, iteration])
+    plan = _pick_plan(fg_pool, bg_pool, n_fg, config.batch_size, config.m_step_epochs * steps_per_epoch, rng)
+    pmat = scoring_matrix(state.prototypes, state.params.feature_dim)
+    slots = np.searchsorted(np.asarray(state.prototypes.ids), labels)  # read on foreground rows only
+    weights = config.loss_weights()
 
     params = clone_params(state.params)
     grad = np.empty_like(params.flat)
@@ -267,13 +277,15 @@ def m_step(state: DetectorState, X, labels, targets, iteration: int = 0) -> tupl
     records: list[EpochRecord] = []
     for epoch in range(config.m_step_epochs):
         lr = _epoch_lr(config, epoch)
+        picks = plan[epoch * steps_per_epoch : (epoch + 1) * steps_per_epoch]
+        fg_picks = picks[:, :n_fg]
+        batch_X, batch_slots, batch_targets = X[picks], slots[fg_picks], targets[fg_picks]
         epoch_terms = np.zeros(4)
-        for _ in range(steps_per_epoch):
-            picks = [*islice(fg_stream, n_fg), *islice(bg_stream, config.batch_size - n_fg)]
+        for step in range(steps_per_epoch):
             breakdown, _ = forward_batch_with_grad(
-                params, X[picks], labels[picks], targets[picks], state.prototypes, weights, out=grad
+                params, batch_X[step], batch_slots[step], n_fg, batch_targets[step], pmat, weights, out=grad
             )
-            if not np.isfinite(breakdown.total):
+            if not math.isfinite(breakdown.total):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}: {breakdown}")
             sgd_step(params, grad, lr, velocity, config.momentum)
             epoch_terms += (breakdown.fg, breakdown.bg, breakdown.bbox, breakdown.total)
@@ -300,11 +312,15 @@ def e_step(state: DetectorState, gt_ids, gt_X) -> DetectorState:
 def train(dataset, semantic_vectors, config: TrainConfig = TrainConfig()) -> TrainResult:
     """Full alternating run: semantic prototype init, then em_iterations
     rounds of (M-step, E-step), snapshotting after each M-step.
+    `semantic_vectors` maps class_id -> vector and must cover every class of
+    the dataset; extra entries (e.g. novel classes kept for later) are ignored."""
+    return train_lambdas(dataset, semantic_vectors, config, (config.lam,))[0]
 
-    `semantic_vectors` maps class_id -> vector and must cover every class
-    appearing in the dataset; extra entries (e.g. novel classes kept for
-    later) are ignored.
-    """
+
+def train_lambdas(dataset, semantic_vectors, config: TrainConfig, lams) -> list[TrainResult]:
+    """train() at each blend weight in `lams`, in order, bit for bit; the
+    first M-step, which reads no lam, runs once and each run gets a copy."""
+    configs = [replace(config, lam=lam) for lam in lams]
     dataset = list(dataset)
     X, labels, targets = proposal_arrays(dataset)
     gt_ids, gt_X = ground_truth_arrays(dataset)
@@ -316,20 +332,18 @@ def train(dataset, semantic_vectors, config: TrainConfig = TrainConfig()) -> Tra
     protos = init_from_semantic({cid: semantic_vectors[cid] for cid in base_ids})
     params = init_params(X.shape[1], config.hidden_sizes, protos.dim, config.seed)
     state = DetectorState(params=params, prototypes=protos, config=config)
-
-    snapshots: list[DetectorState] = []
-    records: list[EpochRecord] = []
-    for iteration in range(1, config.em_iterations + 1):
-        state, epoch_records = m_step(state, X, labels, targets, iteration)
-        records.extend(epoch_records)
-        snapshots.append(state)
-        state = e_step(state, gt_ids, gt_X)
-    return TrainResult(
-        state=snapshots[-1],
-        snapshots=snapshots,
-        metrics=records,
-        final_prototypes=state.prototypes,
-    )
+    first, first_records = m_step(state, X, labels, targets, 1)
+    results = []
+    for run_config in configs:
+        state = replace(first, params=clone_params(first.params), config=run_config)
+        snapshots, records = [state], list(first_records)
+        for iteration in range(2, config.em_iterations + 1):
+            state, epoch_records = m_step(e_step(state, gt_ids, gt_X), X, labels, targets, iteration)
+            records.extend(epoch_records)
+            snapshots.append(state)
+        final = e_step(state, gt_ids, gt_X).prototypes
+        results.append(TrainResult(state=state, snapshots=snapshots, metrics=records, final_prototypes=final))
+    return results
 
 
 def visual_init_vectors(dataset, dim: int) -> dict[int, np.ndarray]:

@@ -6,14 +6,15 @@ topped by three linear heads sharing the trunk output -- a feature vector
 class-agnostic box-regression deltas.
 
 forward_batch embeds a batch for inference. forward_batch_with_grad computes
-the training loss of objective.py on a minibatch given as arrays
-(descriptors, labels, box targets; per-group means of foreground, background
-and box terms, each multiplied by its weight) and backpropagates it through
-the heads and the ReLU trunk in closed form, returning the gradient as one
-flat vector in the parameter layout. Both run the same forward pass, and the
-loss takes its posteriors from objective.softmax_terms, the softmax that
-detection scores with; given `out`, it writes the gradient into that
-caller-owned buffer instead of a new one. Prototypes are constants here.
+the training loss of objective.py on a minibatch given as arrays, foreground
+rows first (descriptors, the foreground rows' prototype rows and box targets;
+per-group means of foreground, background and box terms, each multiplied by
+its weight) and backpropagates it through the heads and the ReLU trunk in
+closed form, returning the gradient as one flat vector in the parameter
+layout. Labels are mapped and checked by the caller: labelled_batch for one
+batch, the M-step once for all of its batches. Both functions run the same
+forward pass, and the loss takes its posteriors from objective.softmax_terms,
+the softmax that detection scores with. Prototypes are constants here.
 sgd_step updates a parameter vector and its velocity in place.
 
 A module-level counter records every gradient evaluation; forward_batch never
@@ -194,72 +195,80 @@ def params_equal(a: EmbedderParams, b: EmbedderParams) -> bool:
     return a.sizes == b.sizes and np.array_equal(a.flat, b.flat)
 
 
-def forward_batch_with_grad(
-    params: EmbedderParams,
-    descriptors: np.ndarray,
-    labels: np.ndarray,
-    targets: np.ndarray,
-    prototypes: PrototypeSet,
-    weights: LossWeights = LossWeights(),
-    out: np.ndarray | None = None,
-) -> tuple[LossBreakdown, np.ndarray]:
-    """Composite loss and exact parameter gradients for one minibatch.
-
-    Row i of the batch is descriptors[i] (m_in,), labels[i] (0 for
-    background) and targets[i] (4,), the box targets, read on foreground rows
-    only. The loss is the weighted sum of three group means: foreground
-    negative log-probability over rows with label > 0, background negative
-    log-probability over label-0 rows, and smooth-L1 box regression over
-    foreground rows. The gradient is one float64 vector in the layout of
-    params.flat: `out` when given (its previous contents are overwritten), else
-    a new vector. Accumulation order is fixed (batch order), so the result is
-    reproducible bit-for-bit.
-    """
+def labelled_batch(descriptors, labels, targets, prototypes: PrototypeSet) -> tuple:
+    """forward_batch_with_grad's batch arguments from per-row labels (0 for
+    background), foreground rows first; refuses a label with no prototype."""
     labels = np.asarray(labels)
     if not labels.shape[0]:
         raise EmptyInput("empty batch")
-    if out is None:
-        out = np.empty_like(params.flat)
-    else:
-        _check_flat(out, params.flat.size, "gradient buffer")
-    pmat = scoring_matrix(prototypes, params.feature_dim)  # (M, d)
+    pmat = scoring_matrix(prototypes, prototypes.dim)
     fg_rows = np.flatnonzero(labels > 0)
-    bg_rows = np.flatnonzero(labels == 0)
-    n_fg, n_bg = len(fg_rows), len(bg_rows)
     fg_labels = labels[fg_rows]
     ids = np.asarray(prototypes.ids)
     slots = np.searchsorted(ids, fg_labels)
     unknown = np.take(ids, slots, mode="clip") != fg_labels
     if np.any(unknown):
         raise UnknownClass(f"foreground labels {np.unique(fg_labels[unknown]).tolist()} have no prototype")
+    X = np.asarray(descriptors, dtype=np.float64)[np.concatenate([fg_rows, np.flatnonzero(labels == 0)])]
+    return X, slots, len(fg_rows), np.asarray(targets, dtype=np.float64)[fg_rows], pmat
+
+
+def forward_batch_with_grad(
+    params: EmbedderParams,
+    descriptors: np.ndarray,
+    slots: np.ndarray,
+    n_fg: int,
+    fg_targets: np.ndarray,
+    pmat: np.ndarray,
+    weights: LossWeights = LossWeights(),
+    out: np.ndarray | None = None,
+) -> tuple[LossBreakdown, np.ndarray]:
+    """Composite loss and exact parameter gradients for one minibatch.
+
+    Rows [0, n_fg) of `descriptors` are foreground: row i is of the class in
+    row slots[i] of the prototype matrix `pmat`, with box targets
+    fg_targets[i]; the other rows are background. The loss is the weighted sum
+    of three group means: foreground and background negative log-probability,
+    and smooth-L1 box regression over foreground rows. The gradient is one
+    float64 vector in the layout of params.flat: `out` when given (its previous
+    contents are overwritten), else a new vector. Accumulation order is fixed
+    (batch order), so the result is reproducible bit-for-bit.
+    """
+    if not len(descriptors):
+        raise EmptyInput("empty batch")
+    n_bg = len(descriptors) - n_fg
+    if out is None:
+        out = np.empty_like(params.flat)
+    else:
+        _check_flat(out, params.flat.size, "gradient buffer")
     # Forward pass, keeping pre-activations for the backward sweep.
     pre_acts, acts, (feats, bg, deltas) = _forward(params, descriptors)
 
     all_logits, log_denom, q = softmax_terms(feats, bg, pmat)  # column 0 = background
 
-    d_feats = np.zeros_like(feats)
-    d_bg = np.zeros_like(bg)
+    d_feats = np.empty_like(feats)
+    d_bg = np.empty_like(bg)
     d_deltas = np.zeros_like(deltas)
     mix = q[:, 1:] @ pmat  # (N, d): sum_m q_m p_m, the log-denominator's f-gradient
 
     fg_term = bg_term = box_term = 0.0
     if n_fg:
-        fg_vals = log_denom[fg_rows] - all_logits[fg_rows, slots + 1]
+        fg_vals = log_denom[:n_fg] - all_logits[np.arange(n_fg), slots + 1]
         fg_term = weights.fg * float(np.sum(fg_vals) / n_fg)
         coef = weights.fg / n_fg
-        d_feats[fg_rows] = coef * (mix[fg_rows] - pmat[slots])
-        d_bg[fg_rows] = coef * q[fg_rows, 0]
+        d_feats[:n_fg] = coef * (mix[:n_fg] - pmat[slots])
+        d_bg[:n_fg] = coef * q[:n_fg, 0]
 
-        residual = deltas[fg_rows] - np.asarray(targets, dtype=np.float64)[fg_rows]
+        residual = deltas[:n_fg] - fg_targets
         box_vals = np.sum(smooth_l1_array(residual), axis=1)
         box_term = weights.bbox * float(np.sum(box_vals) / n_fg)
-        d_deltas[fg_rows] = (weights.bbox / n_fg) * smooth_l1_grad_array(residual)
+        d_deltas[:n_fg] = (weights.bbox / n_fg) * smooth_l1_grad_array(residual)
     if n_bg:
-        bg_vals = log_denom[bg_rows] - bg[bg_rows]
+        bg_vals = log_denom[n_fg:] - bg[n_fg:]
         bg_term = weights.bg * float(np.sum(bg_vals) / n_bg)
         coef = weights.bg / n_bg
-        d_feats[bg_rows] = coef * mix[bg_rows]
-        d_bg[bg_rows] = coef * (q[bg_rows, 0] - 1.0)
+        d_feats[n_fg:] = coef * mix[n_fg:]
+        d_bg[n_fg:] = coef * (q[n_fg:, 0] - 1.0)
 
     breakdown = LossBreakdown(
         fg=fg_term, bg=bg_term, bbox=box_term, total=fg_term + bg_term + box_term
@@ -269,14 +278,14 @@ def forward_batch_with_grad(
     # gradient is written into its slot of `out` (trunk bottom-up, then the
     # heads, each weight before its bias). np.add.reduce is np.sum's
     # arithmetic without its per-call argument handling.
-    slots = _views(out, params.sizes)
+    views = _views(out, params.sizes)
     top = acts[-1]
-    np.matmul(top.T, d_feats, out=slots[-6])
-    np.add.reduce(d_feats, axis=0, out=slots[-5])
-    np.matmul(top.T, d_bg[:, None], out=slots[-4])
-    np.add.reduce(d_bg, axis=0, keepdims=True, out=slots[-3])
-    np.matmul(top.T, d_deltas, out=slots[-2])
-    np.add.reduce(d_deltas, axis=0, out=slots[-1])
+    np.matmul(top.T, d_feats, out=views[-6])
+    np.add.reduce(d_feats, axis=0, out=views[-5])
+    np.matmul(top.T, d_bg[:, None], out=views[-4])
+    np.add.reduce(d_bg, axis=0, keepdims=True, out=views[-3])
+    np.matmul(top.T, d_deltas, out=views[-2])
+    np.add.reduce(d_deltas, axis=0, out=views[-1])
     d_h = (
         d_feats @ params.feature_head.weight.T
         + d_bg[:, None] @ params.background_head.weight.T
@@ -284,8 +293,8 @@ def forward_batch_with_grad(
     )
     for k in reversed(range(len(params.trunk))):
         d_z = d_h * (pre_acts[k] > 0.0)
-        np.matmul(acts[k].T, d_z, out=slots[2 * k])
-        np.add.reduce(d_z, axis=0, out=slots[2 * k + 1])
+        np.matmul(acts[k].T, d_z, out=views[2 * k])
+        np.add.reduce(d_z, axis=0, out=views[2 * k + 1])
         if k:  # the input descriptors take no gradient
             d_h = d_z @ params.trunk[k].weight.T
 

@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from .em_trainer import ConfigError, TrainConfig, fill_dataclass, train, visual_init_vectors
+from .em_trainer import ConfigError, TrainConfig, fill_dataclass, train, train_lambdas, visual_init_vectors
 from .evalkit import evaluate
 from .morph_inference import DetectConfig, morph
 from .prototype_store import add_novel
@@ -171,14 +171,12 @@ def run_em_iterations(config: ExperimentConfig, out_dir=None):
 
 
 def run_lambda(config: ExperimentConfig, out_dir=None):
-    """Novel-class AP50 across the prototype blend-weight grid."""
+    """Novel-class AP50 across the prototype blend-weight grid, trained from one first M-step per seed."""
     raw = []
     for seed in _trial_seeds(config):
         world = build_world(config, seed)
-        for lam in LAMBDA_GRID:
-            result = train(
-                world.train_scenes, world.semantics, replace(config.train, seed=seed, lam=lam)
-            )
+        results = train_lambdas(world.train_scenes, world.semantics, replace(config.train, seed=seed), LAMBDA_GRID)
+        for lam, result in zip(LAMBDA_GRID, results):
             raw.append((seed, lam, _novel_ap50(result.state, world, config)))
     return _tables(out_dir, "lambda", "seed,lambda,novel_ap50", raw)
 

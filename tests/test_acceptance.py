@@ -19,6 +19,7 @@ from morphdet.embedder import (
     forward_batch_with_grad,
     grad_evaluation_count,
     init_params,
+    labelled_batch,
     params_to_lines,
 )
 from morphdet.evalkit import average_precision, recall_at
@@ -253,9 +254,9 @@ def test_criterion_10_overfit_sanity():
     data = [SimpleNamespace(scene_id=0, proposals=pool)]
     batch = proposal_arrays(data)
 
-    initial = forward_batch_with_grad(params, *batch, protos, weights)[0].total
+    initial = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights)[0].total
     trained, _ = m_step(state, *batch)
-    final = forward_batch_with_grad(trained.params, *batch, protos, weights)[0].total
+    final = forward_batch_with_grad(trained.params, *labelled_batch(*batch, protos), weights)[0].total
     ratio = final / initial
     elapsed = time.perf_counter() - start
     print(

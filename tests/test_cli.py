@@ -9,7 +9,7 @@ import pytest
 
 from morphdet.cli import GEN_FILES, _apply_train_overrides, build_parser, main
 from morphdet.em_trainer import TrainConfig, load_checkpoint
-from morphdet.embedder import params_equal
+from morphdet.embedder import grad_evaluation_count, params_equal
 from morphdet.experiments import ExperimentConfig
 from morphdet.morph_inference import read_exemplars_csv
 from morphdet.textio import sha256_file
@@ -125,6 +125,11 @@ def test_gen_rejects_bad_config(tmp_path, capsys):
     wrong_type.write_text('{"universe": {"n_base": "x"}}', encoding="utf-8")
     assert main(["gen", "--out", str(tmp_path / "c"), "--config", str(wrong_type)]) == 2
     assert "n_base must be an integer" in capsys.readouterr().err
+    zero_width = tmp_path / "zero_width.json"
+    zero_width.write_text('{"train": {"hidden_sizes": [0]}}', encoding="utf-8")
+    assert main(["gen", "--out", str(tmp_path / "d"), "--config", str(zero_width)]) == 2
+    assert "error: train: hidden_sizes widths must all be >= 1, got [0]" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_train_writes_checkpoints_and_metrics(train_dir):
@@ -282,9 +287,11 @@ def _refused_argv(command, gen_dir, train_dir, cfg_path, out):
 def test_out_naming_a_file_is_refused(command, gen_dir, train_dir, cfg_path, tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("not a directory\n", encoding="utf-8")
+    grads = grad_evaluation_count()
     assert main(_refused_argv(command, gen_dir, train_dir, cfg_path, str(out))) == 2
+    assert grad_evaluation_count() == grads  # refused before any training
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith(f"error: --out {out} exists and is not a directory") and "Traceback" not in err
     assert out.read_text(encoding="utf-8") == "not a directory\n"
 
 

@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 
 from morphdet.embedder import (
+    _forward,
     EmbedderParams,
     clone_params,
     forward_batch,
     forward_batch_with_grad,
     grad_evaluation_count,
     init_params,
+    labelled_batch,
     params_equal,
     sgd_step,
     validate_params,
 )
-from morphdet.numkernel import DimensionMismatch
-from morphdet.objective import LossWeights
+from morphdet.numkernel import DimensionMismatch, smooth_l1_array, smooth_l1_grad_array
+from morphdet.objective import LossBreakdown, LossWeights, scoring_matrix, softmax_terms
 from morphdet.prototype_store import PrototypeSet, UnknownClass, init_from_semantic
 
 
@@ -107,23 +109,23 @@ def test_forward_batch_with_grad_counts_once_per_call():
     protos = make_protos(rng, 3, 4)
     batch = make_batch(rng, 5, [1, 0, 2])
     before = grad_evaluation_count()
-    forward_batch_with_grad(params, *batch, protos)
-    forward_batch_with_grad(params, *batch, protos)
+    forward_batch_with_grad(params, *labelled_batch(*batch, protos))
+    forward_batch_with_grad(params, *labelled_batch(*batch, protos))
     assert grad_evaluation_count() == before + 2
 
 
 def max_grad_error(params, batch, protos, weights, h=1e-5):
     """Central finite differences over every parameter coordinate; `batch`
     is a (descriptors, labels, targets) triple."""
-    _, grad = forward_batch_with_grad(params, *batch, protos, weights)
+    _, grad = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights)
     worst = 0.0
     flat = params.flat
     for j in range(flat.size):
         keep = flat[j]
         flat[j] = keep + h
-        up = forward_batch_with_grad(params, *batch, protos, weights)[0].total
+        up = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights)[0].total
         flat[j] = keep - h
-        down = forward_batch_with_grad(params, *batch, protos, weights)[0].total
+        down = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights)[0].total
         flat[j] = keep
         fd = (up - down) / (2 * h)
         err = abs(grad[j] - fd) / max(abs(grad[j]), abs(fd), 1e-4)
@@ -148,13 +150,15 @@ def test_grad_rejects_unknown_label_and_empty_batch():
     params = init_params(5, (6,), 4, seed=0)
     protos = make_protos(rng, 2, 4)
     with pytest.raises(UnknownClass):
-        forward_batch_with_grad(params, *make_batch(rng, 5, [9]), protos)
+        labelled_batch(*make_batch(rng, 5, [9]), protos)
     from morphdet.numkernel import EmptyInput
 
     with pytest.raises(EmptyInput):
-        forward_batch_with_grad(params, *make_batch(rng, 5, []), protos)
+        labelled_batch(*make_batch(rng, 5, []), protos)
     with pytest.raises(EmptyInput):
-        forward_batch_with_grad(params, *make_batch(rng, 5, [0]), PrototypeSet.empty(4))
+        labelled_batch(*make_batch(rng, 5, [0]), PrototypeSet.empty(4))
+    with pytest.raises(EmptyInput):
+        forward_batch_with_grad(params, np.zeros((0, 5)), np.zeros(0, dtype=int), 0, np.zeros((0, 4)), protos.matrix)
 
 
 def test_sgd_step_matches_hand_unrolled_updates():
@@ -216,14 +220,83 @@ def test_forward_batch_with_grad_writes_into_out():
     params = init_params(5, (7, 6), 4, seed=3)
     protos = make_protos(rng, 3, 4)
     batch = make_batch(rng, 5, [1, 0, 2, 0, 3])
-    loss, fresh = forward_batch_with_grad(params, *batch, protos)
+    loss, fresh = forward_batch_with_grad(params, *labelled_batch(*batch, protos))
     out = np.full_like(params.flat, np.nan)
-    loss_out, grad = forward_batch_with_grad(params, *batch, protos, out=out)
+    loss_out, grad = forward_batch_with_grad(params, *labelled_batch(*batch, protos), out=out)
     assert grad is out and loss_out == loss
     assert np.array_equal(out, fresh)
     for bad in (np.zeros(params.flat.size + 1), np.zeros(params.flat.size, dtype=np.float32)):
         with pytest.raises(DimensionMismatch):
-            forward_batch_with_grad(params, *batch, protos, out=bad)
+            forward_batch_with_grad(params, *labelled_batch(*batch, protos), out=bad)
+
+
+def labelled_reference(params, descriptors, labels, targets, prototypes, weights):
+    """The loss and gradient as computed from per-row labels: foreground and
+    background rows found by mask, labels mapped to prototype rows per call,
+    and each group's terms scattered into full-batch arrays by index."""
+    labels = np.asarray(labels)
+    pmat = scoring_matrix(prototypes, params.feature_dim)
+    fg_rows = np.flatnonzero(labels > 0)
+    bg_rows = np.flatnonzero(labels == 0)
+    n_fg, n_bg = len(fg_rows), len(bg_rows)
+    slots = np.searchsorted(np.asarray(prototypes.ids), labels[fg_rows])
+    pre_acts, acts, (feats, bg, deltas) = _forward(params, descriptors)
+    all_logits, log_denom, q = softmax_terms(feats, bg, pmat)
+    d_feats, d_bg, d_deltas = np.zeros_like(feats), np.zeros_like(bg), np.zeros_like(deltas)
+    mix = q[:, 1:] @ pmat
+    fg_term = bg_term = box_term = 0.0
+    if n_fg:
+        fg_term = weights.fg * float(np.sum(log_denom[fg_rows] - all_logits[fg_rows, slots + 1]) / n_fg)
+        coef = weights.fg / n_fg
+        d_feats[fg_rows] = coef * (mix[fg_rows] - pmat[slots])
+        d_bg[fg_rows] = coef * q[fg_rows, 0]
+        residual = deltas[fg_rows] - np.asarray(targets, dtype=np.float64)[fg_rows]
+        box_term = weights.bbox * float(np.sum(np.sum(smooth_l1_array(residual), axis=1)) / n_fg)
+        d_deltas[fg_rows] = (weights.bbox / n_fg) * smooth_l1_grad_array(residual)
+    if n_bg:
+        bg_term = weights.bg * float(np.sum(log_denom[bg_rows] - bg[bg_rows]) / n_bg)
+        coef = weights.bg / n_bg
+        d_feats[bg_rows] = coef * mix[bg_rows]
+        d_bg[bg_rows] = coef * (q[bg_rows, 0] - 1.0)
+    top = acts[-1]
+    grads = [
+        top.T @ d_feats, np.add.reduce(d_feats, axis=0),
+        top.T @ d_bg[:, None], np.add.reduce(d_bg, axis=0, keepdims=True),
+        top.T @ d_deltas, np.add.reduce(d_deltas, axis=0),
+    ]
+    d_h = (
+        d_feats @ params.feature_head.weight.T
+        + d_bg[:, None] @ params.background_head.weight.T
+        + d_deltas @ params.box_head.weight.T
+    )
+    trunk = []
+    for k in reversed(range(len(params.trunk))):
+        d_z = d_h * (pre_acts[k] > 0.0)
+        trunk[:0] = [acts[k].T @ d_z, np.add.reduce(d_z, axis=0)]
+        if k:
+            d_h = d_z @ params.trunk[k].weight.T
+    loss = LossBreakdown(fg=fg_term, bg=bg_term, bbox=box_term, total=fg_term + bg_term + box_term)
+    return loss, np.concatenate([g.ravel() for g in trunk + grads])
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[1, 3, 2, 0, 0, 0, 0, 0], [2, 0], [1, 2, 3, 1], [0, 0, 0], [3], [0], [1, 2, 3, 1, 2, 3, 1, 2] + [0] * 24],
+    ids=["mixed", "one_each", "fg_only", "bg_only", "one_fg", "one_bg", "m_step_shape"],
+)
+def test_planned_batch_equals_the_labelled_form_bit_for_bit(labels):
+    """On a foreground-first batch the planned call gives the labelled
+    computation's loss and gradient exactly, at every trunk depth."""
+    weights = LossWeights(fg=1.0, bg=0.7, bbox=1.3)
+    for seed, hidden in enumerate([(), (9,), (64, 64)]):
+        rng = np.random.default_rng([300, seed, len(labels)])
+        params = init_params(6, hidden, 5, seed=seed)
+        protos = make_protos(rng, 3, 5)
+        batch = make_batch(rng, 6, labels)
+        want_loss, want_grad = labelled_reference(params, *batch, protos, weights)
+        loss, grad = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights)
+        assert loss == want_loss
+        assert np.array_equal(grad, want_grad)
 
 
 def test_clone_and_zeros_helpers():

@@ -1,12 +1,14 @@
 """Benchmark study configs and runners at miniature sizes."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from morphdet import experiments
-from morphdet.em_trainer import TrainConfig
+from morphdet.em_trainer import TrainConfig, proposal_arrays, train, train_lambdas
+from morphdet.embedder import grad_evaluation_count
 from morphdet.morph_inference import DetectConfig
 from morphdet.experiments import (
     EXPERIMENTS,
@@ -190,6 +192,43 @@ def test_run_lambda(tmp_path):
         assert mean == float(np.mean([r[2] for r in raw if r[1] == lam]))
     _assert_csv(tmp_path / "lambda_raw.csv", "seed,lambda,novel_ap50", len(raw))
     _assert_csv(tmp_path / "lambda_summary.csv", "lambda,novel_ap50", len(summary))
+
+
+@pytest.mark.parametrize(
+    "train_config",
+    [TINY.train, replace(TINY.train, em_iterations=3, momentum=0.9), replace(TINY.train, em_iterations=1)],
+    ids=["tiny", "three_rounds_momentum", "one_round"],
+)
+def test_train_lambdas_equals_a_train_per_lambda(train_config):
+    world = build_world(TINY, seed=1)
+    results = train_lambdas(world.train_scenes, world.semantics, train_config, LAMBDA_GRID)
+    assert len(results) == len(LAMBDA_GRID)
+    for lam, shared in zip(LAMBDA_GRID, results):
+        alone = train(world.train_scenes, world.semantics, replace(train_config, lam=lam))
+        assert len(shared.snapshots) == len(alone.snapshots) == train_config.em_iterations
+        for a, b in zip(shared.snapshots, alone.snapshots):
+            assert a.config == b.config and a.config.lam == lam
+            assert np.array_equal(a.params.flat, b.params.flat)
+            assert a.prototypes.ids == b.prototypes.ids
+            assert np.array_equal(a.prototypes.matrix, b.prototypes.matrix)
+        assert shared.state is shared.snapshots[-1]
+        assert shared.final_prototypes.ids == alone.final_prototypes.ids
+        assert np.array_equal(shared.final_prototypes.matrix, alone.final_prototypes.matrix)
+        assert shared.metrics == alone.metrics
+    # The runs share their first M-step's values, not its memory.
+    firsts = [result.snapshots[0].params.flat for result in results]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(firsts) for b in firsts[i + 1 :])
+
+
+def test_run_lambda_trains_the_shared_first_m_step_once():
+    config = replace(TINY, seeds=1)
+    world = build_world(config, seed=0)
+    proposals = proposal_arrays(world.train_scenes)[0]
+    steps_per_m_step = config.train.m_step_epochs * math.ceil(len(proposals) / config.train.batch_size)
+    before = grad_evaluation_count()
+    run_lambda(config)
+    rounds = 1 + len(LAMBDA_GRID) * (config.train.em_iterations - 1)
+    assert grad_evaluation_count() - before == rounds * steps_per_m_step
 
 
 def test_run_init(tmp_path):

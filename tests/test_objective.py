@@ -9,7 +9,7 @@ import pytest
 from test_embedder import make_protos, max_grad_error, naive_forward, stack_batch
 from test_numkernel import naive_smooth_l1
 
-from morphdet.embedder import forward_batch_with_grad, init_params
+from morphdet.embedder import forward_batch_with_grad, init_params, labelled_batch
 from morphdet.numkernel import DimensionMismatch, EmptyInput
 from morphdet.objective import LossWeights, posterior_batch
 from morphdet.prototype_store import PrototypeSet, UnknownClass, add_novel, init_from_semantic
@@ -137,7 +137,7 @@ def test_fg_loss_is_negative_log_probability():
     weights = LossWeights(fg=1.5, bg=0.0, bbox=0.0)
     for seed in range(4):
         params, protos, batch = loss_setup(seed, [2, 0, 4, 7, 0, 4, 2, 0])
-        breakdown, _ = forward_batch_with_grad(params, *batch, protos, weights)
+        breakdown, _ = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights)
         fg, _, _ = naive_terms(params, protos, batch, weights)
         assert breakdown.fg == pytest.approx(fg, rel=1e-12, abs=1e-12)
 
@@ -146,7 +146,7 @@ def test_bg_loss_is_negative_log_background_probability():
     weights = LossWeights(fg=0.0, bg=0.7, bbox=0.0)
     for seed in range(4):
         params, protos, batch = loss_setup(seed, [0, 7, 0, 0, 2])
-        breakdown, _ = forward_batch_with_grad(params, *batch, protos, weights)
+        breakdown, _ = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights)
         _, bg, _ = naive_terms(params, protos, batch, weights)
         assert breakdown.bg == pytest.approx(bg, rel=1e-12, abs=1e-12)
         assert breakdown.fg == 0.0 and breakdown.bbox == 0.0
@@ -159,7 +159,7 @@ def test_bbox_loss_matches_scalar_smooth_l1():
         [np.asarray(naive_forward(params, desc)[2]) - target for desc, label, target in zip(*batch) if label > 0]
     )
     assert np.any(np.abs(residuals) < 1.0) and np.any(np.abs(residuals) > 1.0)
-    breakdown, _ = forward_batch_with_grad(params, *batch, protos, weights)
+    breakdown, _ = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights)
     _, _, bbox = naive_terms(params, protos, batch, weights)
     assert breakdown.bbox == pytest.approx(bbox, rel=1e-12, abs=1e-12)
 
@@ -167,7 +167,7 @@ def test_bbox_loss_matches_scalar_smooth_l1():
 def test_batch_loss_matches_per_group_means():
     weights = LossWeights(fg=1.5, bg=0.5, bbox=2.0)
     params, protos, batch = loss_setup(10, [4, 0, 2, 0, 0, 7, 0])
-    breakdown, _ = forward_batch_with_grad(params, *batch, protos, weights)
+    breakdown, _ = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights)
     fg, bg, bbox = naive_terms(params, protos, batch, weights)
     assert breakdown.fg == pytest.approx(fg, rel=1e-12, abs=1e-12)
     assert breakdown.bg == pytest.approx(bg, rel=1e-12, abs=1e-12)
@@ -177,15 +177,15 @@ def test_batch_loss_matches_per_group_means():
 
 def test_batch_loss_missing_groups_contribute_zero():
     fg_params, fg_protos, fg_batch = loss_setup(11, [2, 7])
-    fg_only, _ = forward_batch_with_grad(fg_params, *fg_batch, fg_protos)
+    fg_only, _ = forward_batch_with_grad(fg_params, *labelled_batch(*fg_batch, fg_protos))
     assert fg_only.bg == 0.0
     assert fg_only.total == fg_only.fg + fg_only.bbox
     bg_params, bg_protos, bg_batch = loss_setup(12, [0, 0])
-    bg_only, _ = forward_batch_with_grad(bg_params, *bg_batch, bg_protos)
+    bg_only, _ = forward_batch_with_grad(bg_params, *labelled_batch(*bg_batch, bg_protos))
     assert bg_only.fg == 0.0 and bg_only.bbox == 0.0
     assert bg_only.total == bg_only.bg
     with pytest.raises(EmptyInput):
-        forward_batch_with_grad(bg_params, *stack_batch([], 5), bg_protos)
+        labelled_batch(*stack_batch([], 5), bg_protos)
 
 
 def test_fg_loss_rejects_unknown_label():
@@ -193,7 +193,7 @@ def test_fg_loss_rejects_unknown_label():
     for label in (3, 8):
         params, protos, batch = loss_setup(13, [2, 0, label])
         with pytest.raises(UnknownClass):
-            forward_batch_with_grad(params, *batch, protos)
+            labelled_batch(*batch, protos)
 
 
 def test_fg_loss_gradients_match_finite_differences():
@@ -216,7 +216,7 @@ def test_loss_stays_finite_at_huge_logits():
     ]
     assert min(map(min, logits)) < -300.0 and 300.0 < max(map(max, logits)) < 1000.0
     weights = LossWeights()
-    breakdown, grad = forward_batch_with_grad(params, *batch, protos, weights)
+    breakdown, grad = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights)
     assert np.all(np.isfinite(grad))
     fg, bg, bbox = naive_terms(params, protos, batch, weights)
     assert breakdown.fg == pytest.approx(fg, rel=1e-9)

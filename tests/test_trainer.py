@@ -2,7 +2,6 @@
 
 import json
 from dataclasses import replace
-from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +18,7 @@ from morphdet.em_trainer import (
     TrainingDiverged,
     _class_means,
     _epoch_lr,
-    _shuffled_stream,
+    _pick_plan,
     checkpoint_text,
     e_step,
     ground_truth_arrays,
@@ -41,6 +40,7 @@ from morphdet.toyworld import semantic_vectors
 def test_train_config_validation():
     cfg = TrainConfig(hidden_sizes=[8, 4])
     assert cfg.hidden_sizes == (8, 4)
+    assert TrainConfig(hidden_sizes=()).hidden_sizes == ()  # a network with no trunk
     weights = cfg.loss_weights()
     assert (weights.fg, weights.bg, weights.bbox) == (1.0, 1.0, 1.0)
     for bad in (
@@ -60,6 +60,8 @@ def test_train_config_validation():
         dict(fg_weight=-1.0),
         dict(bg_weight=float("nan")),
         dict(bbox_weight=float("inf")),
+        dict(hidden_sizes=[0]),
+        dict(hidden_sizes=[-4, 64]),
     ):
         with pytest.raises(ValueError, match=next(iter(bad))):
             TrainConfig(**bad)
@@ -97,14 +99,14 @@ def test_proposal_arrays_preserves_order(tiny_dataset):
 
 
 def test_sampler_reshuffles_lazily_from_the_shared_rng():
-    """Two streams on one rng, a fg pool smaller than its draw: a stream asks
-    the rng for a permutation only when it needs its next index, so the fg
-    pool running out at the end of a draw leaves the bg draw that follows
-    it on the rng state the bg stream would have seen anyway."""
+    """Two pools on one rng, a fg pool smaller than its draw: the plan asks
+    the rng for a pool's next permutation only at the step that needs its
+    next index, so the fg pool running out at the end of a draw leaves the bg
+    draw that follows it on the rng state a lazy stream would have seen."""
     fg_pool, bg_pool = np.array([3, 5, 8]), np.arange(10, 17)
     rng = np.random.default_rng(7)
-    fg, bg, idle = (_shuffled_stream(pool, rng) for pool in (fg_pool, bg_pool, np.arange(4)))
-    got = [[*islice(fg, 4), *islice(bg, 5), *islice(idle, 0)] for _ in range(6)]
+    plan = _pick_plan(fg_pool, bg_pool, 4, 9, 6, rng)
+    assert plan.shape == (6, 9) and plan.dtype == np.intp
 
     ref_rng = np.random.default_rng(7)
     queues = {"fg": [], "bg": []}
@@ -121,9 +123,11 @@ def test_sampler_reshuffles_lazily_from_the_shared_rng():
     # indices); an eager reshuffle there would take the rng calls that the
     # third bg draw's reshuffle (index 15 of 7-long passes) makes next.
     want = [take("fg", fg_pool, 4) + take("bg", bg_pool, 5) for _ in range(6)]
-    assert got == want
+    assert plan.tolist() == want
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert list(islice(_shuffled_stream(np.array([], dtype=int), rng), 3)) == []
+    # A pool that no step takes from is never shuffled, empty or not.
+    empty = np.array([], dtype=np.intp)
+    assert _pick_plan(empty, np.arange(4), 0, 0, 3, rng).shape == (3, 0)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
