@@ -15,9 +15,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .em_trainer import (
+    TrainConfig,
     TrainingDiverged,
     load_checkpoint,
     save_checkpoint,
@@ -62,19 +63,10 @@ def load_experiment_config(path: str | None) -> ExperimentConfig:
     return experiment_config_from_dict(data)
 
 
-# (argparse dest, TrainConfig field) of the training flags train and experiment share.
-_TRAIN_FLAGS = (
-    ("em_iterations", "em_iterations"),
-    ("lam", "lam"),
-    ("epochs", "m_step_epochs"),
-    ("seed", "seed"),
-    ("lr", "learning_rate"),
-    ("batch_size", "batch_size"),
-)
-
-
 def _apply_train_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    given = {field: getattr(args, dest) for dest, field in _TRAIN_FLAGS if getattr(args, dest, None) is not None}
+    """`config` with each training flag given on the command line, whose
+    argparse dest is its TrainConfig field, set in its train section."""
+    given = {f.name: getattr(args, f.name) for f in fields(TrainConfig) if getattr(args, f.name, None) is not None}
     return replace(config, train=replace(config.train, **given))
 
 
@@ -239,7 +231,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen", help="generate a toy benchmark directory", parents=[])
     p.add_argument("--out", required=True, type=_out_dir, help="output directory (created if missing)")
     p.add_argument("--config", default=None, help="experiment config JSON")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, dest="seed")
     p.add_argument("--shots", type=int, default=None)
     p.set_defaults(func=cmd_gen)
 
@@ -249,9 +241,9 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None, help="experiment config JSON")
     p.add_argument("--em-iterations", type=int, default=None, dest="em_iterations")
     p.add_argument("--lambda", type=float, default=None, dest="lam", help="prototype blend weight")
-    p.add_argument("--epochs", type=int, default=None, help="epochs per M-step")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--epochs", type=int, default=None, dest="m_step_epochs", help="epochs per M-step")
+    p.add_argument("--seed", type=int, default=None, dest="seed")
+    p.add_argument("--lr", type=float, default=None, dest="learning_rate")
     p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
     p.set_defaults(func=cmd_train)
 
@@ -278,7 +270,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, type=_out_dir, help="output directory for the tables (created if missing)")
     p.add_argument("--config", default=None, help="experiment config JSON")
     p.add_argument("--seeds", type=int, default=None, help="number of trials")
-    p.add_argument("--seed", type=int, default=None, help="base seed for the trials")
+    p.add_argument("--seed", type=int, default=None, dest="seed", help="base seed for the trials")
     p.set_defaults(func=cmd_experiment)
     return parser
 

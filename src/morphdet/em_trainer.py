@@ -41,7 +41,7 @@ from .embedder import (
     sgd_step,
 )
 from .numkernel import DimensionMismatch, EmptyInput
-from .objective import LossWeights, scoring_matrix
+from .objective import scoring_matrix
 from .prototype_store import (
     PrototypeSet,
     UnknownClass,
@@ -109,9 +109,6 @@ class TrainConfig:
         if not all(h >= 1 for h in self.hidden_sizes):
             raise ValueError(f"hidden_sizes widths must all be >= 1, got {list(self.hidden_sizes)}")
 
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(fg=self.fg_weight, bg=self.bg_weight, bbox=self.bbox_weight)
-
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -119,9 +116,8 @@ def _is_int(value) -> bool:
 
 def _checked(where: str, name: str, default, value):
     """`value` for the field `name` whose default is `default`, checked against
-    the default's type: int (not bool), a finite int or float, a list of ints
-    for a tuple, str or null for a None default; a nested section is filled
-    recursively."""
+    the default's type: int (not bool), a finite int or float, or a list of
+    ints for a tuple; a nested section is filled recursively."""
     if is_dataclass(default):
         return fill_dataclass(type(default), value, name)
     if isinstance(default, int):
@@ -129,10 +125,8 @@ def _checked(where: str, name: str, default, value):
     elif isinstance(default, float):
         ok = (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
         kind = "a finite number"
-    elif isinstance(default, tuple):
-        ok, kind = isinstance(value, list) and all(map(_is_int, value)), "a list of integers"
     else:
-        ok, kind = value is None or isinstance(value, str), "a string or null"
+        ok, kind = isinstance(value, list) and all(map(_is_int, value)), "a list of integers"
     if not ok:
         raise ConfigError(f"{where}: {name} must be {kind}, got {value!r}")
     return value
@@ -269,7 +263,6 @@ def m_step(state: DetectorState, X, labels, targets, iteration: int = 0) -> tupl
     plan = _pick_plan(fg_pool, bg_pool, n_fg, config.batch_size, config.m_step_epochs * steps_per_epoch, rng)
     pmat = scoring_matrix(state.prototypes, state.params.feature_dim)
     slots = np.searchsorted(np.asarray(state.prototypes.ids), labels)  # read on foreground rows only
-    weights = config.loss_weights()
 
     params = clone_params(state.params)
     grad = np.empty_like(params.flat)
@@ -283,7 +276,7 @@ def m_step(state: DetectorState, X, labels, targets, iteration: int = 0) -> tupl
         epoch_terms = np.zeros(4)
         for step in range(steps_per_epoch):
             breakdown, _ = forward_batch_with_grad(
-                params, batch_X[step], batch_slots[step], n_fg, batch_targets[step], pmat, weights, out=grad
+                params, batch_X[step], batch_slots[step], n_fg, batch_targets[step], pmat, config, out=grad
             )
             if not math.isfinite(breakdown.total):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}: {breakdown}")

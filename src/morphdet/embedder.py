@@ -26,14 +26,17 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .numkernel import DimensionMismatch, EmptyInput, smooth_l1_array, smooth_l1_grad_array
-from .objective import LossBreakdown, LossWeights, scoring_matrix, softmax_terms
+from .objective import LossBreakdown, scoring_matrix, softmax_terms
 from .prototype_store import PrototypeSet, UnknownClass
 from .textio import tensor_lines
+
+if TYPE_CHECKING:  # em_trainer imports this module
+    from .em_trainer import TrainConfig
 
 _grad_evaluations = 0
 
@@ -220,19 +223,20 @@ def forward_batch_with_grad(
     n_fg: int,
     fg_targets: np.ndarray,
     pmat: np.ndarray,
-    weights: LossWeights = LossWeights(),
+    config: TrainConfig,
     out: np.ndarray | None = None,
 ) -> tuple[LossBreakdown, np.ndarray]:
     """Composite loss and exact parameter gradients for one minibatch.
 
     Rows [0, n_fg) of `descriptors` are foreground: row i is of the class in
     row slots[i] of the prototype matrix `pmat`, with box targets
-    fg_targets[i]; the other rows are background. The loss is the weighted sum
-    of three group means: foreground and background negative log-probability,
-    and smooth-L1 box regression over foreground rows. The gradient is one
-    float64 vector in the layout of params.flat: `out` when given (its previous
-    contents are overwritten), else a new vector. Accumulation order is fixed
-    (batch order), so the result is reproducible bit-for-bit.
+    fg_targets[i]; the other rows are background. The loss is the sum of three
+    group means, weighted by config.fg_weight, bg_weight and bbox_weight:
+    foreground and background negative log-probability, and smooth-L1 box
+    regression over foreground rows. The gradient is one float64 vector in the
+    layout of params.flat: `out` when given (its previous contents are
+    overwritten), else a new vector. Accumulation order is fixed (batch
+    order), so the result is reproducible bit-for-bit.
     """
     if not len(descriptors):
         raise EmptyInput("empty batch")
@@ -254,19 +258,19 @@ def forward_batch_with_grad(
     fg_term = bg_term = box_term = 0.0
     if n_fg:
         fg_vals = log_denom[:n_fg] - all_logits[np.arange(n_fg), slots + 1]
-        fg_term = weights.fg * float(np.sum(fg_vals) / n_fg)
-        coef = weights.fg / n_fg
+        fg_term = config.fg_weight * float(np.sum(fg_vals) / n_fg)
+        coef = config.fg_weight / n_fg
         d_feats[:n_fg] = coef * (mix[:n_fg] - pmat[slots])
         d_bg[:n_fg] = coef * q[:n_fg, 0]
 
         residual = deltas[:n_fg] - fg_targets
         box_vals = np.sum(smooth_l1_array(residual), axis=1)
-        box_term = weights.bbox * float(np.sum(box_vals) / n_fg)
-        d_deltas[:n_fg] = (weights.bbox / n_fg) * smooth_l1_grad_array(residual)
+        box_term = config.bbox_weight * float(np.sum(box_vals) / n_fg)
+        d_deltas[:n_fg] = (config.bbox_weight / n_fg) * smooth_l1_grad_array(residual)
     if n_bg:
         bg_vals = log_denom[n_fg:] - bg[n_fg:]
-        bg_term = weights.bg * float(np.sum(bg_vals) / n_bg)
-        coef = weights.bg / n_bg
+        bg_term = config.bg_weight * float(np.sum(bg_vals) / n_bg)
+        coef = config.bg_weight / n_bg
         d_feats[n_fg:] = coef * mix[n_fg:]
         d_bg[n_fg:] = coef * (q[n_fg:, 0] - 1.0)
 

@@ -20,29 +20,9 @@ from .evalkit import evaluate
 from .morph_inference import DetectConfig, morph
 from .prototype_store import add_novel
 from .textio import fmt
-from .toyworld import exemplars_for, make_dataset, make_universe, semantic_vectors
+from .toyworld import DataConfig, UniverseConfig, exemplars_for, make_dataset, make_universe, semantic_vectors
 
 LAMBDA_GRID = (0.0, 0.3, 0.5, 0.7)
-
-
-@dataclass(frozen=True)
-class UniverseConfig:
-    n_base: int = 20
-    n_novel: int = 5
-    k: int = 6
-    d_sem: int = 16
-    m_in: int = 12
-    sigma_sem: float = 0.4
-    sigma_inst: float = 0.3
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    train_scenes_per_class: int = 3
-    eval_scenes_per_class: int = 12
-    objects_per_scene: int = 2
-    proposals_per_scene: int = 24
-    jitter: float = 0.12
 
 
 @dataclass(frozen=True)
@@ -92,7 +72,7 @@ class World:
         from their own seed stream, so when, or whether, they are built moves
         no other draw of the world."""
         d = self.data
-        return _scenes(self.universe, self.universe.base, d.eval_scenes_per_class, d, self.seed + _EVAL_BASE)
+        return make_dataset(self.universe, self.universe.base, d.eval_scenes_per_class, d, self.seed + _EVAL_BASE)
 
 
 # Stream offsets keeping the world's independent draws decoupled from the seed.
@@ -103,26 +83,15 @@ _EXEMPLARS = 404
 _RANDOM_PROTOS = 505
 
 
-def _scenes(universe, classes, scenes_per_class: int, data: DataConfig, seed: int) -> list:
-    return make_dataset(
-        universe, classes, scenes_per_class, data.objects_per_scene, data.proposals_per_scene, seed,
-        jitter=data.jitter,
-    )
-
-
 def build_world(config: ExperimentConfig, seed: int) -> World:
-    u = config.universe
     d = config.data
-    universe = make_universe(
-        n_base=u.n_base, n_novel=u.n_novel, k=u.k, d_sem=u.d_sem, m_in=u.m_in,
-        sigma_sem=u.sigma_sem, sigma_inst=u.sigma_inst, seed=seed,
-    )
+    universe = make_universe(config.universe, seed)
     return World(
         universe=universe,
         data=d,
         seed=seed,
-        train_scenes=_scenes(universe, universe.base, d.train_scenes_per_class, d, seed + _TRAIN_DATA),
-        eval_novel=_scenes(universe, universe.novel, d.eval_scenes_per_class, d, seed + _EVAL_NOVEL),
+        train_scenes=make_dataset(universe, universe.base, d.train_scenes_per_class, d, seed + _TRAIN_DATA),
+        eval_novel=make_dataset(universe, universe.novel, d.eval_scenes_per_class, d, seed + _EVAL_NOVEL),
         exemplars=exemplars_for(universe, universe.novel, config.shots, seed + _EXEMPLARS),
         semantics=semantic_vectors(universe),
         base_ids=[c.class_id for c in universe.base],

@@ -17,7 +17,8 @@ differentiates. In the loss the foreground term is the negative
 log-probability of the labelled class, the background term that of the
 background slot, and box regression a smooth-L1 penalty on the deltas of
 foreground proposals. Each term is averaged over its own group and weighted
-by LossWeights; LossBreakdown holds the weighted terms.
+by the training config's fg_weight, bg_weight and bbox_weight; LossBreakdown
+holds the weighted terms.
 """
 
 from __future__ import annotations
@@ -28,13 +29,6 @@ import numpy as np
 
 from .numkernel import DimensionMismatch, EmptyInput
 from .prototype_store import PrototypeSet
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    fg: float = 1.0
-    bg: float = 1.0
-    bbox: float = 1.0
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ exemplar seed never perturbs the dataset, and vice versa.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,58 @@ DATASET_HEADER = "toyworld-dataset v1"
 _STREAM_UNIVERSE = 0
 _STREAM_DATASET = 1
 _STREAM_EXEMPLARS = 2
+
+
+@dataclass(frozen=True)
+class UniverseConfig:
+    """The universe's sizes and noise scales, checked on construction; the one
+    place their defaults are written."""
+
+    n_base: int = 20
+    n_novel: int = 5
+    k: int = 6  # attribute dimension
+    d_sem: int = 16
+    m_in: int = 12  # descriptor length, GEOMETRY_FEATURES of them box geometry
+    sigma_sem: float = 0.4
+    sigma_inst: float = 0.3
+
+    def __post_init__(self):
+        if self.n_base < 1:
+            raise ValueError(f"n_base must be >= 1, got {self.n_base}")
+        if self.n_novel < 0:
+            raise ValueError(f"n_novel must be >= 0, got {self.n_novel}")
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.d_sem < self.k:
+            raise ValueError(f"d_sem must be >= k ({self.k}), got {self.d_sem}")
+        if self.m_in - GEOMETRY_FEATURES < self.k:
+            raise ValueError(
+                f"m_in must leave >= k ({self.k}) appearance channels beside {GEOMETRY_FEATURES} geometry ones, "
+                f"got {self.m_in}"
+            )
+        for name in ("sigma_sem", "sigma_inst"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+
+
+@dataclass(frozen=True)
+class DataConfig:
+    """Scene counts per anchor class of the train and eval splits, objects
+    and proposals per scene, and the box jitter of the proposals drawn around
+    objects; checked on construction, the one place their defaults are written."""
+
+    train_scenes_per_class: int = 3
+    eval_scenes_per_class: int = 12
+    objects_per_scene: int = 2
+    proposals_per_scene: int = 24
+    jitter: float = 0.12
+
+    def __post_init__(self):
+        for name in ("train_scenes_per_class", "eval_scenes_per_class", "objects_per_scene", "proposals_per_scene"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 <= self.jitter < math.inf:
+            raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,47 +191,27 @@ def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.n
     return q * signs
 
 
-def make_universe(
-    n_base: int = 20,
-    n_novel: int = 5,
-    k: int = 6,
-    d_sem: int = 16,
-    m_in: int = 12,
-    sigma_sem: float = 0.02,
-    sigma_inst: float = 0.3,
-    seed: int = 0,
-) -> Universe:
+def make_universe(config: UniverseConfig = UniverseConfig(), seed: int = 0) -> Universe:
     """Draw base and novel classes with disjoint ids (base first, from 1)."""
-    if n_base < 1 or n_novel < 0:
-        raise ValueError(f"need n_base >= 1 and n_novel >= 0, got {n_base}, {n_novel}")
-    if k < 1:
-        raise ValueError(f"attribute dim must be >= 1, got {k}")
-    if d_sem < k:
-        raise ValueError(f"semantic dim {d_sem} must be >= attribute dim {k}")
-    if m_in - GEOMETRY_FEATURES < k:
-        raise ValueError(
-            f"descriptor dim {m_in} leaves {m_in - GEOMETRY_FEATURES} appearance channels, need >= {k}"
-        )
-    if sigma_sem < 0 or sigma_inst < 0:
-        raise ValueError("noise scales must be >= 0")
     rng = np.random.default_rng([seed, _STREAM_UNIVERSE])
-    sem_proj = _orthonormal_columns(rng, d_sem, k)
-    desc_proj = _orthonormal_columns(rng, m_in - GEOMETRY_FEATURES, k)
+    sem_proj = _orthonormal_columns(rng, config.d_sem, config.k)
+    desc_proj = _orthonormal_columns(rng, config.m_in - GEOMETRY_FEATURES, config.k)
 
     def draw_class(cid: int) -> ToyClass:
-        attribute = rng.normal(size=k)
-        semantic = sem_proj @ attribute + sigma_sem * rng.normal(size=d_sem)
+        attribute = rng.normal(size=config.k)
+        semantic = sem_proj @ attribute + config.sigma_sem * rng.normal(size=config.d_sem)
         return ToyClass(class_id=cid, name=f"toy{cid:03d}", attribute=attribute, semantic=semantic)
 
+    n_base = config.n_base
     base = tuple(draw_class(cid) for cid in range(1, n_base + 1))
-    novel = tuple(draw_class(cid) for cid in range(n_base + 1, n_base + n_novel + 1))
+    novel = tuple(draw_class(cid) for cid in range(n_base + 1, n_base + config.n_novel + 1))
     return Universe(
         base=base,
         novel=novel,
         semantic_projection=sem_proj,
         descriptor_projection=desc_proj,
-        sigma_sem=float(sigma_sem),
-        sigma_inst=float(sigma_inst),
+        sigma_sem=float(config.sigma_sem),
+        sigma_inst=float(config.sigma_inst),
         seed=int(seed),
     )
 
@@ -217,17 +250,10 @@ def _descriptor(universe: Universe, box: Box, overlaps, rng: np.random.Generator
 
 
 def _make_scene(
-    universe: Universe,
-    anchor_class: ToyClass,
-    pool,
-    scene_id: int,
-    objects_per_scene: int,
-    proposals_per_scene: int,
-    jitter: float,
-    rng: np.random.Generator,
+    universe: Universe, anchor_class: ToyClass, pool, scene_id: int, data: DataConfig, rng: np.random.Generator
 ) -> Scene:
     placed = [(anchor_class, _sample_box(rng))]
-    for _ in range(objects_per_scene - 1):
+    for _ in range(data.objects_per_scene - 1):
         cls = pool[rng.integers(0, len(pool))]
         placed.append((cls, _sample_box(rng)))
 
@@ -237,11 +263,11 @@ def _make_scene(
     )
 
     anchors: list[Box] = []
-    n_jittered = proposals_per_scene // 2
+    n_jittered = data.proposals_per_scene // 2
     for j in range(n_jittered):
         _, source_box = placed[j % len(placed)]
-        anchors.append(_jitter_box(rng, source_box, jitter))
-    for _ in range(proposals_per_scene - n_jittered):
+        anchors.append(_jitter_box(rng, source_box, data.jitter))
+    for _ in range(data.proposals_per_scene - n_jittered):
         anchors.append(_sample_box(rng))
 
     proposals = []
@@ -262,34 +288,21 @@ def _make_scene(
     return Scene(scene_id=scene_id, objects=objects, proposals=tuple(proposals))
 
 
-def make_dataset(
-    universe: Universe,
-    classes,
-    scenes_per_class: int,
-    objects_per_scene: int,
-    proposals_per_scene: int,
-    seed: int,
-    jitter: float = 0.12,
-) -> list[Scene]:
+def make_dataset(universe: Universe, classes, scenes_per_class: int, data: DataConfig, seed: int) -> list[Scene]:
     """Scenes grouped per anchor class (each class fronts `scenes_per_class`
-    scenes; extra objects are drawn from the same class pool)."""
+    scenes; extra objects are drawn from the same class pool), shaped by
+    `data`'s per-scene counts and jitter."""
     pool = sorted(classes, key=lambda c: c.class_id)
     if not pool:
         raise ValueError("no classes to generate scenes for")
-    if scenes_per_class < 1 or objects_per_scene < 1 or proposals_per_scene < 1:
-        raise ValueError("scene, object and proposal counts must all be >= 1")
-    if jitter < 0:
-        raise ValueError(f"jitter must be >= 0, got {jitter}")
+    if scenes_per_class < 1:
+        raise ValueError(f"scenes_per_class must be >= 1, got {scenes_per_class}")
     rng = np.random.default_rng([seed, _STREAM_DATASET])
     scenes: list[Scene] = []
     scene_id = 0
     for cls in pool:
         for _ in range(scenes_per_class):
-            scenes.append(
-                _make_scene(
-                    universe, cls, pool, scene_id, objects_per_scene, proposals_per_scene, jitter, rng
-                )
-            )
+            scenes.append(_make_scene(universe, cls, pool, scene_id, data, rng))
             scene_id += 1
     return scenes
 

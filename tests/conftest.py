@@ -9,19 +9,19 @@ import pytest
 from morphdet.em_trainer import DetectorState, TrainConfig, train
 from morphdet.embedder import EmbedderParams
 from morphdet.prototype_store import PrototypeSet
-from morphdet.toyworld import exemplars_for, make_dataset, make_universe, semantic_vectors
+from morphdet.toyworld import DataConfig, UniverseConfig, exemplars_for, make_dataset, make_universe, semantic_vectors
 
 TINY_TRAIN = TrainConfig(em_iterations=2, m_step_epochs=3, batch_size=16, seed=0)
 
 
 @pytest.fixture(scope="session")
 def tiny_universe():
-    return make_universe(n_base=6, n_novel=2, k=4, d_sem=8, m_in=10, seed=0)
+    return make_universe(UniverseConfig(n_base=6, n_novel=2, k=4, d_sem=8, m_in=10, sigma_sem=0.02), seed=0)
 
 
 @pytest.fixture(scope="session")
 def tiny_dataset(tiny_universe):
-    return make_dataset(tiny_universe, tiny_universe.base, 2, 2, 16, seed=0)
+    return make_dataset(tiny_universe, tiny_universe.base, 2, DataConfig(proposals_per_scene=16), seed=0)
 
 
 @pytest.fixture(scope="session")

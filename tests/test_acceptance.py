@@ -32,9 +32,9 @@ from morphdet.experiments import (
 )
 from morphdet.morph_inference import Box, decode_box, encode_box, morph
 from morphdet.numkernel import l2_normalize
-from morphdet.objective import LossWeights, posterior_batch
+from morphdet.objective import posterior_batch
 from morphdet.prototype_store import PrototypeSet, e_step_update, init_from_semantic
-from morphdet.toyworld import make_dataset, make_universe, semantic_vectors
+from morphdet.toyworld import DataConfig, make_dataset, make_universe, semantic_vectors
 
 
 def test_criterion_01_gradient_correctness():
@@ -45,7 +45,7 @@ def test_criterion_01_gradient_correctness():
         rng = np.random.default_rng([900, seed])
         params = init_params(6, (8,), 5, seed=seed)
         protos = make_protos(rng, 3, 5)
-        weights = LossWeights(fg=1.0, bg=0.7, bbox=1.3)
+        weights = TrainConfig(fg_weight=1.0, bg_weight=0.7, bbox_weight=1.3)
         for labels in compositions:
             batch = make_batch(rng, 6, labels)
             worst = max(worst, max_grad_error(params, batch, protos, weights, h=1e-5))
@@ -238,8 +238,8 @@ def test_criterion_09_zero_shot_recall(tmp_path):
 
 def test_criterion_10_overfit_sanity():
     start = time.perf_counter()
-    universe = make_universe(n_base=6, n_novel=2, k=4, d_sem=8, m_in=10, seed=0)
-    scenes = make_dataset(universe, universe.base, 2, 2, 16, seed=0)
+    universe = make_universe(UniverseConfig(n_base=6, n_novel=2, k=4, d_sem=8, m_in=10, sigma_sem=0.02), seed=0)
+    scenes = make_dataset(universe, universe.base, 2, DataConfig(proposals_per_scene=16), seed=0)
     pool = [p for s in scenes for p in s.proposals if p.label > 0][:5]
     pool += [p for s in scenes for p in s.proposals if p.label == 0][:15]
     assert len(pool) == 20
@@ -250,13 +250,12 @@ def test_criterion_10_overfit_sanity():
     protos = init_from_semantic({cid: table[cid] for cid in base_ids})
     params = init_params(universe.m_in, config.hidden_sizes, protos.dim, config.seed)
     state = DetectorState(params=params, prototypes=protos, config=config)
-    weights = config.loss_weights()
     data = [SimpleNamespace(scene_id=0, proposals=pool)]
     batch = proposal_arrays(data)
 
-    initial = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights)[0].total
+    initial = forward_batch_with_grad(params, *labelled_batch(*batch, protos), config)[0].total
     trained, _ = m_step(state, *batch)
-    final = forward_batch_with_grad(trained.params, *labelled_batch(*batch, protos), weights)[0].total
+    final = forward_batch_with_grad(trained.params, *labelled_batch(*batch, protos), config)[0].total
     ratio = final / initial
     elapsed = time.perf_counter() - start
     print(

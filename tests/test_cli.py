@@ -314,6 +314,21 @@ def test_refused_settings_leave_no_out_directory(command, flags, gen_dir, train_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "train", "experiment"])
+@pytest.mark.parametrize("section", [{"universe": {"n_base": 0}}, {"data": {"jitter": -1.0}}], ids=["universe", "data"])
+def test_bad_world_sections_are_refused_when_the_config_is_read(command, section, gen_dir, train_dir, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(section), encoding="utf-8")
+    out = tmp_path / "out"
+    grads = grad_evaluation_count()
+    assert main(_refused_argv(command, gen_dir, train_dir, str(path), str(out))) == 2
+    assert grad_evaluation_count() == grads
+    name, fields = next(iter(section.items()))
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}: {next(iter(fields))} must be") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [("score_threshold", 0.1), ("nms_iou", 0.4), ("out_dir", "tables")])
 def test_experiment_refuses_old_flat_config_keys(key, value, tmp_path, capsys):
     path = tmp_path / "flat.json"

@@ -10,7 +10,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from morphdet.em_trainer import DetectorState, TrainConfig, checkpoint_text, load_checkpoint
 from morphdet.embedder import CheckpointError, init_params
 from morphdet.prototype_store import PrototypeSet
-from morphdet.toyworld import load_dataset, load_universe, make_dataset, make_universe, save_dataset, save_universe
+from morphdet.toyworld import (
+    DataConfig,
+    UniverseConfig,
+    load_dataset,
+    load_universe,
+    make_dataset,
+    make_universe,
+    save_dataset,
+    save_universe,
+)
 
 FUZZ = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 # Appended text: anything encodable, or a copy of one of the file's own lines.
@@ -53,7 +62,7 @@ def fuzz_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def small_universe():
-    return make_universe(n_base=2, n_novel=1, k=2, d_sem=3, m_in=6, seed=3)
+    return make_universe(UniverseConfig(n_base=2, n_novel=1, k=2, d_sem=3, m_in=6, sigma_sem=0.02), seed=3)
 
 
 @FUZZ
@@ -71,7 +80,8 @@ def test_universe_file_loads_exactly_or_is_refused(fuzz_dir, small_universe, dat
 @given(data=st.data())
 def test_dataset_file_loads_exactly_or_is_refused(fuzz_dir, small_universe, data):
     path = fuzz_dir / "dataset.txt"
-    save_dataset(path, make_dataset(small_universe, small_universe.base, 1, 1, 3, seed=4))
+    data_config = DataConfig(objects_per_scene=1, proposals_per_scene=3)
+    save_dataset(path, make_dataset(small_universe, small_universe.base, 1, data_config, seed=4))
     text = path.read_text(encoding="utf-8")
     extra = data.draw(_TEXT | st.sampled_from(text.splitlines()))
     dump = _saved_text(save_dataset, fuzz_dir)

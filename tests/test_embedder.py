@@ -4,6 +4,7 @@ the flat parameter layout, and the gradient-evaluation counter discipline."""
 import numpy as np
 import pytest
 
+from morphdet.em_trainer import TrainConfig
 from morphdet.embedder import (
     _forward,
     EmbedderParams,
@@ -18,7 +19,7 @@ from morphdet.embedder import (
     validate_params,
 )
 from morphdet.numkernel import DimensionMismatch, smooth_l1_array, smooth_l1_grad_array
-from morphdet.objective import LossBreakdown, LossWeights, scoring_matrix, softmax_terms
+from morphdet.objective import LossBreakdown, scoring_matrix, softmax_terms
 from morphdet.prototype_store import PrototypeSet, UnknownClass, init_from_semantic
 
 
@@ -109,8 +110,8 @@ def test_forward_batch_with_grad_counts_once_per_call():
     protos = make_protos(rng, 3, 4)
     batch = make_batch(rng, 5, [1, 0, 2])
     before = grad_evaluation_count()
-    forward_batch_with_grad(params, *labelled_batch(*batch, protos))
-    forward_batch_with_grad(params, *labelled_batch(*batch, protos))
+    forward_batch_with_grad(params, *labelled_batch(*batch, protos), TrainConfig())
+    forward_batch_with_grad(params, *labelled_batch(*batch, protos), TrainConfig())
     assert grad_evaluation_count() == before + 2
 
 
@@ -134,7 +135,7 @@ def max_grad_error(params, batch, protos, weights, h=1e-5):
 
 
 def test_gradients_match_finite_differences():
-    weights = LossWeights(fg=1.0, bg=0.7, bbox=1.3)
+    weights = TrainConfig(fg_weight=1.0, bg_weight=0.7, bbox_weight=1.3)
     compositions = [[1, 0, 2, 0, 3, 0], [1, 2, 3, 1], [0, 0, 0, 0]]
     for seed in range(3):
         rng = np.random.default_rng([100, seed])
@@ -158,7 +159,9 @@ def test_grad_rejects_unknown_label_and_empty_batch():
     with pytest.raises(EmptyInput):
         labelled_batch(*make_batch(rng, 5, [0]), PrototypeSet.empty(4))
     with pytest.raises(EmptyInput):
-        forward_batch_with_grad(params, np.zeros((0, 5)), np.zeros(0, dtype=int), 0, np.zeros((0, 4)), protos.matrix)
+        forward_batch_with_grad(
+            params, np.zeros((0, 5)), np.zeros(0, dtype=int), 0, np.zeros((0, 4)), protos.matrix, TrainConfig()
+        )
 
 
 def test_sgd_step_matches_hand_unrolled_updates():
@@ -220,14 +223,14 @@ def test_forward_batch_with_grad_writes_into_out():
     params = init_params(5, (7, 6), 4, seed=3)
     protos = make_protos(rng, 3, 4)
     batch = make_batch(rng, 5, [1, 0, 2, 0, 3])
-    loss, fresh = forward_batch_with_grad(params, *labelled_batch(*batch, protos))
+    loss, fresh = forward_batch_with_grad(params, *labelled_batch(*batch, protos), TrainConfig())
     out = np.full_like(params.flat, np.nan)
-    loss_out, grad = forward_batch_with_grad(params, *labelled_batch(*batch, protos), out=out)
+    loss_out, grad = forward_batch_with_grad(params, *labelled_batch(*batch, protos), TrainConfig(), out=out)
     assert grad is out and loss_out == loss
     assert np.array_equal(out, fresh)
     for bad in (np.zeros(params.flat.size + 1), np.zeros(params.flat.size, dtype=np.float32)):
         with pytest.raises(DimensionMismatch):
-            forward_batch_with_grad(params, *labelled_batch(*batch, protos), out=bad)
+            forward_batch_with_grad(params, *labelled_batch(*batch, protos), TrainConfig(), out=bad)
 
 
 def labelled_reference(params, descriptors, labels, targets, prototypes, weights):
@@ -246,16 +249,16 @@ def labelled_reference(params, descriptors, labels, targets, prototypes, weights
     mix = q[:, 1:] @ pmat
     fg_term = bg_term = box_term = 0.0
     if n_fg:
-        fg_term = weights.fg * float(np.sum(log_denom[fg_rows] - all_logits[fg_rows, slots + 1]) / n_fg)
-        coef = weights.fg / n_fg
+        fg_term = weights.fg_weight * float(np.sum(log_denom[fg_rows] - all_logits[fg_rows, slots + 1]) / n_fg)
+        coef = weights.fg_weight / n_fg
         d_feats[fg_rows] = coef * (mix[fg_rows] - pmat[slots])
         d_bg[fg_rows] = coef * q[fg_rows, 0]
         residual = deltas[fg_rows] - np.asarray(targets, dtype=np.float64)[fg_rows]
-        box_term = weights.bbox * float(np.sum(np.sum(smooth_l1_array(residual), axis=1)) / n_fg)
-        d_deltas[fg_rows] = (weights.bbox / n_fg) * smooth_l1_grad_array(residual)
+        box_term = weights.bbox_weight * float(np.sum(np.sum(smooth_l1_array(residual), axis=1)) / n_fg)
+        d_deltas[fg_rows] = (weights.bbox_weight / n_fg) * smooth_l1_grad_array(residual)
     if n_bg:
-        bg_term = weights.bg * float(np.sum(log_denom[bg_rows] - bg[bg_rows]) / n_bg)
-        coef = weights.bg / n_bg
+        bg_term = weights.bg_weight * float(np.sum(log_denom[bg_rows] - bg[bg_rows]) / n_bg)
+        coef = weights.bg_weight / n_bg
         d_feats[bg_rows] = coef * mix[bg_rows]
         d_bg[bg_rows] = coef * (q[bg_rows, 0] - 1.0)
     top = acts[-1]
@@ -287,7 +290,7 @@ def labelled_reference(params, descriptors, labels, targets, prototypes, weights
 def test_planned_batch_equals_the_labelled_form_bit_for_bit(labels):
     """On a foreground-first batch the planned call gives the labelled
     computation's loss and gradient exactly, at every trunk depth."""
-    weights = LossWeights(fg=1.0, bg=0.7, bbox=1.3)
+    weights = TrainConfig(fg_weight=1.0, bg_weight=0.7, bbox_weight=1.3)
     for seed, hidden in enumerate([(), (9,), (64, 64)]):
         rng = np.random.default_rng([300, seed, len(labels)])
         params = init_params(6, hidden, 5, seed=seed)

@@ -253,6 +253,8 @@ def test_evaluate_validation():
         evaluate(state, scenes, base_ids=[1, 2], novel_ids=[9])
     with pytest.raises(EmptyInput):
         evaluate(state, scenes, base_ids=[], novel_ids=[])
+    with pytest.raises(EmptyInput, match="no ground truth for the listed classes"):
+        evaluate(state, scenes[:1], base_ids=[], novel_ids=[3])  # scene 0 holds classes 1 and 2 only
 
 
 def test_report_serialization(tmp_path):

@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from test_toyworld import DATA_REFUSALS, UNIVERSE_REFUSALS
+
 from morphdet import experiments
 from morphdet.em_trainer import TrainConfig, proposal_arrays, train, train_lambdas
 from morphdet.embedder import grad_evaluation_count
@@ -65,6 +67,11 @@ def test_experiment_config_validation():
             experiment_config_from_dict({"detect": bad})
     cfg = experiment_config_from_dict({"detect": {"score_threshold": 0.2, "nms_iou": 0.4}})
     assert cfg.detect == DetectConfig(score_threshold=0.2, nms_iou=0.4)
+    # The universe and data sections check themselves when the config is read.
+    for section, refusals in (("universe", UNIVERSE_REFUSALS), ("data", DATA_REFUSALS)):
+        for field, value in refusals:
+            with pytest.raises(ConfigError, match=f"^{section}: {field} must"):
+                experiment_config_from_dict({section: {field: value}})
 
 
 def test_config_from_dict_round_trip():

@@ -9,9 +9,10 @@ import pytest
 from test_embedder import make_protos, max_grad_error, naive_forward, stack_batch
 from test_numkernel import naive_smooth_l1
 
+from morphdet.em_trainer import TrainConfig
 from morphdet.embedder import forward_batch_with_grad, init_params, labelled_batch
 from morphdet.numkernel import DimensionMismatch, EmptyInput
-from morphdet.objective import LossWeights, posterior_batch
+from morphdet.objective import posterior_batch
 from morphdet.prototype_store import PrototypeSet, UnknownClass, add_novel, init_from_semantic
 
 
@@ -130,11 +131,11 @@ def naive_terms(params, protos, batch, weights):
     def term(weight, vals):
         return weight * sum(vals) / len(vals) if vals else 0.0
 
-    return term(weights.fg, fg_vals), term(weights.bg, bg_vals), term(weights.bbox, box_vals)
+    return term(weights.fg_weight, fg_vals), term(weights.bg_weight, bg_vals), term(weights.bbox_weight, box_vals)
 
 
 def test_fg_loss_is_negative_log_probability():
-    weights = LossWeights(fg=1.5, bg=0.0, bbox=0.0)
+    weights = TrainConfig(fg_weight=1.5, bg_weight=0.0, bbox_weight=0.0)
     for seed in range(4):
         params, protos, batch = loss_setup(seed, [2, 0, 4, 7, 0, 4, 2, 0])
         breakdown, _ = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights)
@@ -143,7 +144,7 @@ def test_fg_loss_is_negative_log_probability():
 
 
 def test_bg_loss_is_negative_log_background_probability():
-    weights = LossWeights(fg=0.0, bg=0.7, bbox=0.0)
+    weights = TrainConfig(fg_weight=0.0, bg_weight=0.7, bbox_weight=0.0)
     for seed in range(4):
         params, protos, batch = loss_setup(seed, [0, 7, 0, 0, 2])
         breakdown, _ = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights)
@@ -153,7 +154,7 @@ def test_bg_loss_is_negative_log_background_probability():
 
 
 def test_bbox_loss_matches_scalar_smooth_l1():
-    weights = LossWeights(fg=0.0, bg=0.0, bbox=2.0)
+    weights = TrainConfig(fg_weight=0.0, bg_weight=0.0, bbox_weight=2.0)
     params, protos, batch = loss_setup(9, [2, 4, 7, 2, 0, 4, 7, 7])
     residuals = np.concatenate(
         [np.asarray(naive_forward(params, desc)[2]) - target for desc, label, target in zip(*batch) if label > 0]
@@ -165,7 +166,7 @@ def test_bbox_loss_matches_scalar_smooth_l1():
 
 
 def test_batch_loss_matches_per_group_means():
-    weights = LossWeights(fg=1.5, bg=0.5, bbox=2.0)
+    weights = TrainConfig(fg_weight=1.5, bg_weight=0.5, bbox_weight=2.0)
     params, protos, batch = loss_setup(10, [4, 0, 2, 0, 0, 7, 0])
     breakdown, _ = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights)
     fg, bg, bbox = naive_terms(params, protos, batch, weights)
@@ -177,11 +178,11 @@ def test_batch_loss_matches_per_group_means():
 
 def test_batch_loss_missing_groups_contribute_zero():
     fg_params, fg_protos, fg_batch = loss_setup(11, [2, 7])
-    fg_only, _ = forward_batch_with_grad(fg_params, *labelled_batch(*fg_batch, fg_protos))
+    fg_only, _ = forward_batch_with_grad(fg_params, *labelled_batch(*fg_batch, fg_protos), TrainConfig())
     assert fg_only.bg == 0.0
     assert fg_only.total == fg_only.fg + fg_only.bbox
     bg_params, bg_protos, bg_batch = loss_setup(12, [0, 0])
-    bg_only, _ = forward_batch_with_grad(bg_params, *labelled_batch(*bg_batch, bg_protos))
+    bg_only, _ = forward_batch_with_grad(bg_params, *labelled_batch(*bg_batch, bg_protos), TrainConfig())
     assert bg_only.fg == 0.0 and bg_only.bbox == 0.0
     assert bg_only.total == bg_only.bg
     with pytest.raises(EmptyInput):
@@ -198,12 +199,12 @@ def test_fg_loss_rejects_unknown_label():
 
 def test_fg_loss_gradients_match_finite_differences():
     params, protos, batch = loss_setup(14, [2, 0, 4, 7, 0])
-    assert max_grad_error(params, batch, protos, LossWeights(fg=1.0, bg=0.0, bbox=0.0)) < 1e-4
+    assert max_grad_error(params, batch, protos, TrainConfig(fg_weight=1.0, bg_weight=0.0, bbox_weight=0.0)) < 1e-4
 
 
 def test_bg_loss_gradients_match_finite_differences():
     params, protos, batch = loss_setup(15, [0, 2, 0, 0, 7])
-    assert max_grad_error(params, batch, protos, LossWeights(fg=0.0, bg=1.0, bbox=0.0)) < 1e-4
+    assert max_grad_error(params, batch, protos, TrainConfig(fg_weight=0.0, bg_weight=1.0, bbox_weight=0.0)) < 1e-4
 
 
 def test_loss_stays_finite_at_huge_logits():
@@ -215,7 +216,7 @@ def test_loss_stays_finite_at_huge_logits():
         for feature, bg_logit, _ in (naive_forward(params, desc) for desc in batch[0])
     ]
     assert min(map(min, logits)) < -300.0 and 300.0 < max(map(max, logits)) < 1000.0
-    weights = LossWeights()
+    weights = TrainConfig()
     breakdown, grad = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights)
     assert np.all(np.isfinite(grad))
     fg, bg, bbox = naive_terms(params, protos, batch, weights)

@@ -11,6 +11,8 @@ from morphdet.morph_inference import encode_box, iou
 from morphdet.toyworld import (
     FG_IOU_THRESHOLD,
     GEOMETRY_SCALE,
+    DataConfig,
+    UniverseConfig,
     exemplars_for,
     load_dataset,
     load_universe,
@@ -23,7 +25,7 @@ from morphdet.toyworld import (
 
 
 def test_make_universe_ids_names_and_split():
-    uni = make_universe(n_base=5, n_novel=3, seed=0)
+    uni = make_universe(UniverseConfig(n_base=5, n_novel=3, sigma_sem=0.02), seed=0)
     assert [c.class_id for c in uni.base] == [1, 2, 3, 4, 5]
     assert [c.class_id for c in uni.novel] == [6, 7, 8]
     assert uni.base[0].name == "toy001"
@@ -35,35 +37,54 @@ def test_make_universe_ids_names_and_split():
 
 
 def test_make_universe_deterministic_per_seed():
-    a = make_universe(n_base=4, n_novel=2, seed=9)
-    b = make_universe(n_base=4, n_novel=2, seed=9)
-    c = make_universe(n_base=4, n_novel=2, seed=10)
+    a = make_universe(UniverseConfig(n_base=4, n_novel=2, sigma_sem=0.02), seed=9)
+    b = make_universe(UniverseConfig(n_base=4, n_novel=2, sigma_sem=0.02), seed=9)
+    c = make_universe(UniverseConfig(n_base=4, n_novel=2, sigma_sem=0.02), seed=10)
     for ca, cb in zip(a.classes(), b.classes()):
         assert np.array_equal(ca.attribute, cb.attribute)
         assert np.array_equal(ca.semantic, cb.semantic)
     assert not np.array_equal(a.base[0].attribute, c.base[0].attribute)
 
 
+# (field, value) pairs each config section refuses; the default k is 6, so
+# d_sem 5 is below it and m_in 9 leaves 5 appearance channels.
+UNIVERSE_REFUSALS = (
+    ("n_base", 0), ("n_novel", -1), ("k", 0), ("d_sem", 5), ("m_in", 9), ("sigma_sem", -0.1), ("sigma_inst", -0.1),
+)
+DATA_REFUSALS = (
+    ("train_scenes_per_class", 0), ("eval_scenes_per_class", 0), ("objects_per_scene", 0),
+    ("proposals_per_scene", 0), ("jitter", -0.1),
+)
+
+
 def test_make_universe_validates_sizes():
-    with pytest.raises(ValueError):
-        make_universe(n_base=0, n_novel=2)
-    with pytest.raises(ValueError):
-        make_universe(n_base=2, n_novel=-1)
-    with pytest.raises(ValueError):
-        make_universe(n_base=2, n_novel=1, k=0)
+    for field, value in UNIVERSE_REFUSALS:
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            UniverseConfig(**{field: value})
     # a world with no novel classes is legal (pure base training)
-    assert make_universe(n_base=2, n_novel=0).novel == ()
+    assert make_universe(UniverseConfig(n_base=2, n_novel=0, sigma_sem=0.02)).novel == ()
+
+
+def test_make_dataset_validates_counts_and_jitter():
+    for field, value in DATA_REFUSALS:
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            DataConfig(**{field: value})
+    uni = make_universe(UniverseConfig(n_base=2, n_novel=1), seed=0)
+    with pytest.raises(ValueError, match="no classes"):
+        make_dataset(uni, (), 1, DataConfig(), seed=0)
+    with pytest.raises(ValueError, match="^scenes_per_class must"):
+        make_dataset(uni, uni.base, 0, DataConfig(), seed=0)
 
 
 def test_projections_have_orthonormal_columns():
-    uni = make_universe(n_base=4, n_novel=2, k=5, d_sem=9, m_in=11, seed=1)
+    uni = make_universe(UniverseConfig(n_base=4, n_novel=2, k=5, d_sem=9, m_in=11, sigma_sem=0.02), seed=1)
     for proj in (uni.semantic_projection, uni.descriptor_projection):
         gram = proj.T @ proj
         assert np.max(np.abs(gram - np.eye(proj.shape[1]))) < 1e-9
 
 
 def test_zero_semantic_noise_is_an_isometry():
-    uni = make_universe(n_base=6, n_novel=2, sigma_sem=0.0, seed=2)
+    uni = make_universe(UniverseConfig(n_base=6, n_novel=2, sigma_sem=0.0), seed=2)
     classes = uni.classes()
     for a in classes:
         for b in classes:
@@ -73,7 +94,7 @@ def test_zero_semantic_noise_is_an_isometry():
 
 
 def test_zero_noise_nearest_neighbor_invariant():
-    uni = make_universe(n_base=8, n_novel=3, sigma_sem=0.0, sigma_inst=0.0, seed=3)
+    uni = make_universe(UniverseConfig(n_base=8, n_novel=3, sigma_sem=0.0, sigma_inst=0.0), seed=3)
     classes = uni.classes()
     for cls in classes:
         others = [c for c in classes if c.class_id != cls.class_id]
@@ -83,9 +104,9 @@ def test_zero_noise_nearest_neighbor_invariant():
 
 
 def test_dataset_shape_and_determinism():
-    uni = make_universe(n_base=4, n_novel=2, seed=4)
-    a = make_dataset(uni, uni.base, 3, 2, 10, seed=5)
-    b = make_dataset(uni, uni.base, 3, 2, 10, seed=5)
+    uni = make_universe(UniverseConfig(n_base=4, n_novel=2, sigma_sem=0.02), seed=4)
+    a = make_dataset(uni, uni.base, 3, DataConfig(proposals_per_scene=10), seed=5)
+    b = make_dataset(uni, uni.base, 3, DataConfig(proposals_per_scene=10), seed=5)
     assert len(a) == 4 * 3
     for sa, sb in zip(a, b):
         assert sa.scene_id == sb.scene_id
@@ -97,13 +118,13 @@ def test_dataset_shape_and_determinism():
         for pa, pb in zip(sa.proposals, sb.proposals):
             assert pa.label == pb.label
             assert np.array_equal(pa.descriptor, pb.descriptor)
-    other = make_dataset(uni, uni.base, 3, 2, 10, seed=6)
+    other = make_dataset(uni, uni.base, 3, DataConfig(proposals_per_scene=10), seed=6)
     assert not np.array_equal(a[0].proposals[0].descriptor, other[0].proposals[0].descriptor)
 
 
 def test_labels_match_independent_iou_rule():
-    uni = make_universe(n_base=5, n_novel=2, seed=7)
-    scenes = make_dataset(uni, uni.base, 3, 2, 24, seed=8)
+    uni = make_universe(UniverseConfig(n_base=5, n_novel=2, sigma_sem=0.02), seed=7)
+    scenes = make_dataset(uni, uni.base, 3, DataConfig(), seed=8)
     checked = 0
     for scene in scenes:
         for prop in scene.proposals:
@@ -121,14 +142,14 @@ def test_labels_match_independent_iou_rule():
 def test_scene_generation_computes_each_iou_once(monkeypatch):
     calls = []
     monkeypatch.setattr(toyworld, "iou", lambda a, b: calls.append(1) or iou(a, b))
-    uni = make_universe(n_base=3, n_novel=1, seed=7)
-    make_dataset(uni, uni.base, 1, 3, 10, seed=8)
+    uni = make_universe(UniverseConfig(n_base=3, n_novel=1, sigma_sem=0.02), seed=7)
+    make_dataset(uni, uni.base, 1, DataConfig(objects_per_scene=3, proposals_per_scene=10), seed=8)
     assert len(calls) == 3 * (3 * 3 + 10 * 3)  # per scene: objects^2 + proposals x objects
 
 
 def test_foreground_targets_encode_matched_object():
-    uni = make_universe(n_base=4, n_novel=2, seed=9)
-    scenes = make_dataset(uni, uni.base, 2, 2, 24, seed=10)
+    uni = make_universe(UniverseConfig(n_base=4, n_novel=2, sigma_sem=0.02), seed=9)
+    scenes = make_dataset(uni, uni.base, 2, DataConfig(), seed=10)
     fg_seen = 0
     for scene in scenes:
         for prop in scene.proposals:
@@ -142,8 +163,8 @@ def test_foreground_targets_encode_matched_object():
 
 
 def test_zero_jitter_copies_sit_on_their_objects():
-    uni = make_universe(n_base=4, n_novel=2, seed=11)
-    scenes = make_dataset(uni, uni.base, 2, 2, 12, seed=12, jitter=0.0)
+    uni = make_universe(UniverseConfig(n_base=4, n_novel=2, sigma_sem=0.02), seed=11)
+    scenes = make_dataset(uni, uni.base, 2, DataConfig(proposals_per_scene=12, jitter=0.0), seed=12)
     for scene in scenes:
         for obj in scene.objects:
             # copies are rebuilt from center/size, exact only up to rounding
@@ -158,8 +179,8 @@ def test_zero_jitter_copies_sit_on_their_objects():
 
 
 def test_descriptor_geometry_channels_are_scaled_box_features():
-    uni = make_universe(n_base=3, n_novel=1, seed=13)
-    scenes = make_dataset(uni, uni.base, 1, 1, 8, seed=14)
+    uni = make_universe(UniverseConfig(n_base=3, n_novel=1, sigma_sem=0.02), seed=13)
+    scenes = make_dataset(uni, uni.base, 1, DataConfig(objects_per_scene=1, proposals_per_scene=8), seed=14)
     for scene in scenes:
         for prop in scene.proposals:
             a = prop.anchor
@@ -168,8 +189,9 @@ def test_descriptor_geometry_channels_are_scaled_box_features():
 
 
 def test_proposal_descriptors_carry_overlapped_appearance():
-    uni = make_universe(n_base=3, n_novel=1, sigma_inst=0.0, seed=15)
-    scenes = make_dataset(uni, uni.base, 1, 1, 12, seed=16, jitter=0.0)
+    uni = make_universe(UniverseConfig(n_base=3, n_novel=1, sigma_inst=0.0, sigma_sem=0.02), seed=15)
+    data = DataConfig(objects_per_scene=1, proposals_per_scene=12, jitter=0.0)
+    scenes = make_dataset(uni, uni.base, 1, data, seed=16)
     by_id = {cls.class_id: cls for cls in uni.classes()}
     for scene in scenes:
         obj = scene.objects[0]
@@ -181,7 +203,7 @@ def test_proposal_descriptors_carry_overlapped_appearance():
 
 
 def test_exemplars_shape_and_stream_separation():
-    uni = make_universe(n_base=3, n_novel=2, seed=17)
+    uni = make_universe(UniverseConfig(n_base=3, n_novel=2, sigma_sem=0.02), seed=17)
     ex5 = exemplars_for(uni, uni.novel, shots=5, seed=1)
     assert sorted(ex5) == [4, 5]
     assert all(len(v) == 5 for v in ex5.values())
@@ -194,8 +216,8 @@ def test_exemplars_shape_and_stream_separation():
     different = exemplars_for(uni, uni.novel, shots=5, seed=2)
     assert not np.array_equal(ex5[4][0], different[4][0])
 
-    data_a = make_dataset(uni, uni.base, 1, 1, 6, seed=1)
-    data_b = make_dataset(uni, uni.base, 1, 1, 6, seed=2)
+    data_a = make_dataset(uni, uni.base, 1, DataConfig(objects_per_scene=1, proposals_per_scene=6), seed=1)
+    data_b = make_dataset(uni, uni.base, 1, DataConfig(objects_per_scene=1, proposals_per_scene=6), seed=2)
     assert not np.array_equal(
         data_a[0].proposals[0].descriptor, data_b[0].proposals[0].descriptor
     )
@@ -204,7 +226,7 @@ def test_exemplars_shape_and_stream_separation():
 
 
 def test_semantic_vectors_cover_requested_classes():
-    uni = make_universe(n_base=3, n_novel=2, seed=18)
+    uni = make_universe(UniverseConfig(n_base=3, n_novel=2, sigma_sem=0.02), seed=18)
     table = semantic_vectors(uni)
     assert sorted(table) == [1, 2, 3, 4, 5]
     subset = semantic_vectors(uni, uni.novel)
@@ -213,7 +235,7 @@ def test_semantic_vectors_cover_requested_classes():
 
 
 def test_universe_round_trip(tmp_path):
-    uni = make_universe(n_base=4, n_novel=2, k=5, d_sem=7, m_in=11, seed=19)
+    uni = make_universe(UniverseConfig(n_base=4, n_novel=2, k=5, d_sem=7, m_in=11, sigma_sem=0.02), seed=19)
     path = tmp_path / "universe.txt"
     save_universe(path, uni)
     back = load_universe(path)
@@ -228,9 +250,19 @@ def test_universe_round_trip(tmp_path):
     assert back.split_manifest() == uni.split_manifest()
 
 
+def test_universe_load_refuses_a_meta_line_its_body_disagrees_with(tmp_path):
+    path = tmp_path / "universe.txt"
+    save_universe(path, make_universe(UniverseConfig(n_base=2, n_novel=1, k=2, d_sem=3, m_in=6), seed=3))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert '"k": 2' in lines[1]
+    path.write_text("\n".join([lines[0], lines[1].replace('"k": 2', '"k": 3'), *lines[2:]]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="does not match its meta line"):
+        load_universe(path)
+
+
 def test_dataset_round_trip(tmp_path):
-    uni = make_universe(n_base=3, n_novel=2, seed=20)
-    generated = make_dataset(uni, uni.base, 2, 2, 9, seed=21)
+    uni = make_universe(UniverseConfig(n_base=3, n_novel=2, sigma_sem=0.02), seed=20)
+    generated = make_dataset(uni, uni.base, 2, DataConfig(proposals_per_scene=9), seed=21)
     bare = replace(generated[0], proposals=())
     # The meta's m_in must come from a scene that has descriptors.
     for scenes in (generated, [bare, *generated[1:]], [bare]):
@@ -257,9 +289,9 @@ def test_dataset_round_trip(tmp_path):
 
 
 def test_dataset_load_rejects_non_finite_values_and_wrong_scene_count(tmp_path):
-    uni = make_universe(n_base=2, n_novel=1, seed=22)
+    uni = make_universe(UniverseConfig(n_base=2, n_novel=1, sigma_sem=0.02), seed=22)
     path = tmp_path / "dataset.txt"
-    save_dataset(path, make_dataset(uni, uni.base, 2, 1, 3, seed=23))
+    save_dataset(path, make_dataset(uni, uni.base, 2, DataConfig(objects_per_scene=1, proposals_per_scene=3), seed=23))
     lines = path.read_text(encoding="utf-8").splitlines()
     at = next(k for k, line in enumerate(lines) if line.startswith("proposal "))
     spoiled = {

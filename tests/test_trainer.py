@@ -41,8 +41,7 @@ def test_train_config_validation():
     cfg = TrainConfig(hidden_sizes=[8, 4])
     assert cfg.hidden_sizes == (8, 4)
     assert TrainConfig(hidden_sizes=()).hidden_sizes == ()  # a network with no trunk
-    weights = cfg.loss_weights()
-    assert (weights.fg, weights.bg, weights.bbox) == (1.0, 1.0, 1.0)
+    assert (cfg.fg_weight, cfg.bg_weight, cfg.bbox_weight) == (1.0, 1.0, 1.0)
     for bad in (
         dict(em_iterations=0),
         dict(m_step_epochs=-1),
