@@ -116,16 +116,10 @@ def _out_dir(path: str) -> str:
     return path
 
 
-def _require(path: str) -> str:
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"missing input: {path}")
-    return path
-
-
 def cmd_train(args) -> int:
     config = _apply_train_overrides(load_experiment_config(args.config), args)
-    dataset = load_dataset(_require(os.path.join(args.data, "train_base.txt")))
-    semantics = read_vector_file(_require(os.path.join(args.data, "semantics.txt")))
+    dataset = load_dataset(os.path.join(args.data, "train_base.txt"))
+    semantics = read_vector_file(os.path.join(args.data, "semantics.txt"))
     result = train(dataset, semantics, config.train)
     os.makedirs(args.out, exist_ok=True)
     for k, snap in enumerate(result.snapshots, start=1):
@@ -142,8 +136,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_morph(args) -> int:
-    state = load_checkpoint(_require(args.checkpoint))
-    exemplars = read_exemplars_csv(_require(args.exemplars))
+    state = load_checkpoint(args.checkpoint)
+    exemplars = read_exemplars_csv(args.exemplars)
     if args.shots is not None:
         if args.shots < 1:
             raise ValueError(f"--shots must be >= 1, got {args.shots}")
@@ -174,12 +168,12 @@ _SPLIT_FILES = {"base": ("eval_base.txt",), "novel": ("eval_novel.txt",), "all":
 
 def cmd_eval(args) -> int:
     detect_config = DetectConfig(score_threshold=args.score_threshold, nms_iou=args.nms_iou)
-    split = load_universe(_require(os.path.join(args.data, "universe.txt"))).split_manifest()
+    split = load_universe(os.path.join(args.data, "universe.txt")).split_manifest()
     base_ids = split["base_class_ids"] if args.split != "novel" else []
     novel_ids = split["novel_class_ids"] if args.split != "base" else []
     scenes = []
     for name in _SPLIT_FILES[args.split]:
-        scenes += load_dataset(_require(os.path.join(args.data, name)))
+        scenes += load_dataset(os.path.join(args.data, name))
     known = {*split["base_class_ids"], *split["novel_class_ids"]}
     stray = sorted({obj.class_id for scene in scenes for obj in scene.objects} - known)
     if stray:
@@ -190,7 +184,7 @@ def cmd_eval(args) -> int:
     reports = []
     for stem, path in (("report", args.checkpoint), ("baseline_report", args.baseline_checkpoint)):
         if path is not None:
-            state = load_checkpoint(_require(path))
+            state = load_checkpoint(path)
             # An "all" report leaves out novel classes the checkpoint has not
             # registered yet: a pre-morph eval just lacks a novel section.
             present = [cid for cid in novel_ids if args.split != "all" or state.prototypes.has_class(cid)]
@@ -211,9 +205,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.name not in EXPERIMENTS:
-        names = ", ".join(sorted(EXPERIMENTS))
-        raise UsageError(f"unknown experiment {args.name!r}; valid names: {names}")
     config = _apply_train_overrides(load_experiment_config(args.config), args)
     if args.seeds is not None:
         config = replace(config, seeds=args.seeds)
@@ -266,7 +257,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("experiment", help="run a canned study")
-    p.add_argument("name", help="one of: " + ", ".join(sorted(EXPERIMENTS)))
+    p.add_argument("name", choices=sorted(EXPERIMENTS), help="the study to run")
     p.add_argument("--out", required=True, type=_out_dir, help="output directory for the tables (created if missing)")
     p.add_argument("--config", default=None, help="experiment config JSON")
     p.add_argument("--seeds", type=int, default=None, help="number of trials")

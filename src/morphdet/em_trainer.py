@@ -151,7 +151,7 @@ def fill_dataclass(cls, data, where: str):
 @dataclass(frozen=True, eq=False)
 class DetectorState:
     """The full detector: network parameters, prototypes, and the config that
-    produced them."""
+    produced them, whose hidden_sizes must be the network's."""
 
     params: EmbedderParams
     prototypes: PrototypeSet
@@ -162,6 +162,9 @@ class DetectorState:
             raise DimensionMismatch(
                 f"feature dim {self.params.feature_dim} != prototype dim {self.prototypes.dim}"
             )
+        config_sizes, network_sizes = self.config.hidden_sizes, self.params.hidden_sizes
+        if config_sizes != network_sizes:
+            raise DimensionMismatch(f"train config hidden_sizes {list(config_sizes)} != network {list(network_sizes)}")
 
 
 @dataclass(frozen=True)
@@ -388,10 +391,6 @@ def load_checkpoint(path) -> DetectorState:
         cut = body.index("prototypes")
         params = params_from_tensors(tensor_blocks(body[:cut]), config["arch"])
         protos = prototypes_from_lines(body[cut + 1 :], params.feature_dim)
-        if tconfig.hidden_sizes != params.hidden_sizes:
-            raise ValueError(
-                f"train config hidden_sizes {list(tconfig.hidden_sizes)} != network {list(params.hidden_sizes)}"
-            )
+        return DetectorState(params=params, prototypes=protos, config=tconfig)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: {exc!r}") from exc
-    return DetectorState(params=params, prototypes=protos, config=tconfig)

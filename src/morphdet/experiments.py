@@ -58,7 +58,6 @@ class World:
 
     universe: object
     data: DataConfig
-    seed: int
     train_scenes: list
     eval_novel: list
     exemplars: dict
@@ -71,8 +70,8 @@ class World:
         """Base-class evaluation scenes, generated on first read. They come
         from their own seed stream, so when, or whether, they are built moves
         no other draw of the world."""
-        d = self.data
-        return make_dataset(self.universe, self.universe.base, d.eval_scenes_per_class, d, self.seed + _EVAL_BASE)
+        d, u = self.data, self.universe
+        return make_dataset(u, u.base, d.eval_scenes_per_class, d, u.seed + _EVAL_BASE)
 
 
 # Stream offsets keeping the world's independent draws decoupled from the seed.
@@ -89,7 +88,6 @@ def build_world(config: ExperimentConfig, seed: int) -> World:
     return World(
         universe=universe,
         data=d,
-        seed=seed,
         train_scenes=make_dataset(universe, universe.base, d.train_scenes_per_class, d, seed + _TRAIN_DATA),
         eval_novel=make_dataset(universe, universe.novel, d.eval_scenes_per_class, d, seed + _EVAL_NOVEL),
         exemplars=exemplars_for(universe, universe.novel, config.shots, seed + _EXEMPLARS),
@@ -158,7 +156,7 @@ def run_init(config: ExperimentConfig, out_dir=None):
         world = build_world(config, seed)
         tcfg = replace(config.train, seed=seed)
         sem = train(world.train_scenes, world.semantics, tcfg)
-        visual_seeds = visual_init_vectors(world.train_scenes, world.universe.d_sem)
+        visual_seeds = visual_init_vectors(world.train_scenes, world.universe.config.d_sem)
         vis = train(world.train_scenes, visual_seeds, tcfg)
         raw.append((seed, "semantic", _novel_ap50(sem.state, world, config)))
         raw.append((seed, "visual", _novel_ap50(vis.state, world, config)))

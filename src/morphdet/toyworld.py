@@ -24,10 +24,11 @@ exemplar seed never perturbs the dataset, and vice versa.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .em_trainer import fill_dataclass
 from .morph_inference import Box, encode_box, iou
 from .textio import fmt, fmt_vector, parse_floats, read_record_file, tensor_blocks, tensor_lines, write_record_file
 
@@ -50,8 +51,8 @@ _STREAM_EXEMPLARS = 2
 
 @dataclass(frozen=True)
 class UniverseConfig:
-    """The universe's sizes and noise scales, checked on construction; the one
-    place their defaults are written."""
+    """The universe's sizes and noise scales, checked on construction (noise
+    scales stored as float); the one place their defaults are written."""
 
     n_base: int = 20
     n_novel: int = 5
@@ -64,8 +65,8 @@ class UniverseConfig:
     def __post_init__(self):
         if self.n_base < 1:
             raise ValueError(f"n_base must be >= 1, got {self.n_base}")
-        if self.n_novel < 0:
-            raise ValueError(f"n_novel must be >= 0, got {self.n_novel}")
+        if self.n_novel < 1:
+            raise ValueError(f"n_novel must be >= 1, got {self.n_novel}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.d_sem < self.k:
@@ -78,6 +79,7 @@ class UniverseConfig:
         for name in ("sigma_sem", "sigma_inst"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -142,40 +144,25 @@ class Scene:
 
 @dataclass(frozen=True, eq=False)
 class Universe:
-    """The classes plus the shared generative model that renders them."""
+    """The classes and the shared generative model drawn from `config` and `seed`."""
 
     base: tuple[ToyClass, ...]
     novel: tuple[ToyClass, ...]
     semantic_projection: np.ndarray  # (d_sem, k), orthonormal columns
     descriptor_projection: np.ndarray  # (m_in - 4, k), orthonormal columns
-    sigma_sem: float
-    sigma_inst: float
+    config: UniverseConfig
     seed: int
-
-    @property
-    def k(self) -> int:
-        return self.semantic_projection.shape[1]
-
-    @property
-    def d_sem(self) -> int:
-        return self.semantic_projection.shape[0]
-
-    @property
-    def m_in(self) -> int:
-        return self.descriptor_projection.shape[0] + GEOMETRY_FEATURES
 
     def classes(self) -> tuple[ToyClass, ...]:
         return self.base + self.novel
 
     def split_manifest(self) -> dict:
+        """The class ids of each role, the config less its two counts, and the seed."""
+        settings = {key: value for key, value in asdict(self.config).items() if key not in ("n_base", "n_novel")}
         return {
             "base_class_ids": [c.class_id for c in self.base],
             "novel_class_ids": [c.class_id for c in self.novel],
-            "k": self.k,
-            "d_sem": self.d_sem,
-            "m_in": self.m_in,
-            "sigma_sem": self.sigma_sem,
-            "sigma_inst": self.sigma_inst,
+            **settings,
             "seed": self.seed,
         }
 
@@ -210,8 +197,7 @@ def make_universe(config: UniverseConfig = UniverseConfig(), seed: int = 0) -> U
         novel=novel,
         semantic_projection=sem_proj,
         descriptor_projection=desc_proj,
-        sigma_sem=float(config.sigma_sem),
-        sigma_inst=float(config.sigma_inst),
+        config=config,
         seed=int(seed),
     )
 
@@ -245,7 +231,7 @@ def _descriptor(universe: Universe, box: Box, overlaps, rng: np.random.Generator
     for cls, overlap in overlaps:
         if overlap > 0.0:
             appearance += overlap * (universe.descriptor_projection @ cls.attribute)
-    appearance += universe.sigma_inst * rng.normal(size=app_dim)
+    appearance += universe.config.sigma_inst * rng.normal(size=app_dim)
     return np.concatenate([appearance, _geometry_features(box)])
 
 
@@ -329,13 +315,6 @@ def semantic_vectors(universe: Universe, classes=None) -> dict[int, np.ndarray]:
     return {cls.class_id: cls.semantic for cls in chosen}
 
 
-def _universe_meta(universe: Universe) -> dict:
-    meta = universe.split_manifest()
-    meta["n_base"] = len(meta.pop("base_class_ids"))
-    meta["n_novel"] = len(meta.pop("novel_class_ids"))
-    return meta
-
-
 def save_universe(path, universe: Universe) -> None:
     body = [
         f"class {cls.class_id} {role} {cls.name} "
@@ -345,7 +324,7 @@ def save_universe(path, universe: Universe) -> None:
     ]
     body += tensor_lines("semantic_projection", universe.semantic_projection, "matrix")
     body += tensor_lines("descriptor_projection", universe.descriptor_projection, "matrix")
-    write_record_file(path, UNIVERSE_HEADER, "meta", _universe_meta(universe), body)
+    write_record_file(path, UNIVERSE_HEADER, "meta", {**asdict(universe.config), "seed": universe.seed}, body)
 
 
 def _parse_class(line: str, role: str) -> ToyClass:
@@ -358,31 +337,36 @@ def _parse_class(line: str, role: str) -> ToyClass:
 
 
 def load_universe(path) -> Universe:
-    """Inverse of save_universe: the meta counts say how many class lines
-    lead the body (base first); two matrix blocks follow. The meta must equal
-    the one the loaded universe would be saved with."""
+    """Inverse of save_universe. The meta line must be what save_universe
+    writes: a UniverseConfig, checked like a config file's universe section,
+    plus an integer seed >= 0. Its counts say how many class lines lead the
+    body (base first); two matrix blocks of its shapes follow."""
     meta, body = read_record_file(path, UNIVERSE_HEADER, "meta")
-    try:
-        n_base = int(meta["n_base"])
-        n_classes = n_base + int(meta["n_novel"])
-        classes = [_parse_class(line, "base" if i < n_base else "novel") for i, line in enumerate(body[:n_classes])]
-        matrices = tensor_blocks(body[n_classes:], "matrix")
-        universe = Universe(
-            base=tuple(classes[:n_base]),
-            novel=tuple(classes[n_base:]),
-            semantic_projection=matrices.pop("semantic_projection"),
-            descriptor_projection=matrices.pop("descriptor_projection"),
-            sigma_sem=float(meta["sigma_sem"]),
-            sigma_inst=float(meta["sigma_inst"]),
-            seed=int(meta["seed"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: universe file lacks or mistypes {exc} (matrix block or meta key)") from exc
-    if matrices or _universe_meta(universe) != meta or any(
-        cls.attribute.shape != (universe.k,) or cls.semantic.shape != (universe.d_sem,) for cls in classes
+    config = fill_dataclass(UniverseConfig, {key: v for key, v in meta.items() if key != "seed"}, f"{path}: universe")
+    seed = meta.get("seed")
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"{path}: universe seed must be an integer >= 0, got {seed!r}")
+    if {**asdict(config), "seed": seed} != meta:
+        raise ValueError(f"{path}: universe meta line lacks {sorted(set(asdict(config)) - set(meta))}")
+    n_base, n_classes = config.n_base, config.n_base + config.n_novel
+    classes = [_parse_class(line, "base" if i < n_base else "novel") for i, line in enumerate(body[:n_classes])]
+    matrices = tensor_blocks(body[n_classes:], "matrix")
+    shapes = {
+        "semantic_projection": (config.d_sem, config.k),
+        "descriptor_projection": (config.m_in - GEOMETRY_FEATURES, config.k),
+    }
+    if {name: m.shape for name, m in matrices.items()} != shapes or any(
+        cls.attribute.shape != (config.k,) or cls.semantic.shape != (config.d_sem,) for cls in classes
     ):
         raise ValueError(f"{path}: universe body does not match its meta line {meta}")
-    return universe
+    return Universe(
+        base=tuple(classes[:n_base]),
+        novel=tuple(classes[n_base:]),
+        semantic_projection=matrices["semantic_projection"],
+        descriptor_projection=matrices["descriptor_projection"],
+        config=config,
+        seed=seed,
+    )
 
 
 def _box_tokens(box: Box) -> str:

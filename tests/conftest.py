@@ -49,4 +49,4 @@ def identity_detector(class_axes, scale=8.0):
     protos = PrototypeSet(ids=ids, matrix=np.array([axes[cid] for cid in ids], dtype=np.float64))
     params = EmbedderParams((protos.dim, protos.dim))
     params.feature_head.weight[:] = np.eye(protos.dim) * scale
-    return DetectorState(params=params, prototypes=protos, config=TrainConfig())
+    return DetectorState(params=params, prototypes=protos, config=TrainConfig(hidden_sizes=()))

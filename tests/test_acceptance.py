@@ -248,7 +248,7 @@ def test_criterion_10_overfit_sanity():
     base_ids = sorted({c.class_id for c in universe.base})
     table = semantic_vectors(universe)
     protos = init_from_semantic({cid: table[cid] for cid in base_ids})
-    params = init_params(universe.m_in, config.hidden_sizes, protos.dim, config.seed)
+    params = init_params(universe.config.m_in, config.hidden_sizes, protos.dim, config.seed)
     state = DetectorState(params=params, prototypes=protos, config=config)
     data = [SimpleNamespace(scene_id=0, proposals=pool)]
     batch = proposal_arrays(data)

@@ -315,7 +315,11 @@ def test_refused_settings_leave_no_out_directory(command, flags, gen_dir, train_
 
 
 @pytest.mark.parametrize("command", ["gen", "train", "experiment"])
-@pytest.mark.parametrize("section", [{"universe": {"n_base": 0}}, {"data": {"jitter": -1.0}}], ids=["universe", "data"])
+@pytest.mark.parametrize(
+    "section",
+    [{"universe": {"n_base": 0}}, {"data": {"jitter": -1.0}}, {"universe": {"n_novel": 0}}],
+    ids=["universe", "data", "no_novel"],
+)
 def test_bad_world_sections_are_refused_when_the_config_is_read(command, section, gen_dir, train_dir, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(section), encoding="utf-8")
@@ -337,6 +341,28 @@ def test_experiment_refuses_old_flat_config_keys(key, value, tmp_path, capsys):
     assert main(["experiment", "zero_shot", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"unknown keys ['{key}']" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "morph", "eval"])
+def test_missing_inputs_are_named_and_leave_no_out(command, gen_dir, train_dir, tmp_path, capsys):
+    out, data = tmp_path / "out", tmp_path / "data"
+    checkpoint = str(train_dir / "checkpoint_iter2.ckpt")
+    if command == "train":
+        data.mkdir()
+        missing = data / "train_base.txt"
+        argv = ["train", "--data", str(data), "--out", str(out)]
+    elif command == "morph":
+        missing = tmp_path / "nope.csv"
+        argv = ["morph", "--checkpoint", checkpoint, "--exemplars", str(missing), "--out", str(out)]
+    else:
+        shutil.copytree(gen_dir, data)
+        missing = data / "eval_novel.txt"
+        missing.unlink()
+        argv = ["eval", "--checkpoint", checkpoint, "--data", str(data), "--split", "all", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(missing) in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -550,9 +576,25 @@ def test_eval_universe_without_descriptor_projection(train_dir, gen_dir, tmp_pat
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_refuses_a_universe_meta_its_config_refuses(train_dir, gen_dir, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(gen_dir, data)
+    path = data / "universe.txt"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert '"sigma_sem": 0.2' in lines[1]
+    lines[1] = lines[1].replace('"sigma_sem": 0.2', '"sigma_sem": -0.4')
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert _eval_on(data, train_dir, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "universe: sigma_sem must be finite and >= 0, got -0.4" in err
+    assert not (tmp_path / "eval").exists()
+
+
 def test_experiment_unknown_name(tmp_path, capsys):
     assert main(["experiment", "nope", "--out", str(tmp_path)]) == 1
-    assert "valid names" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid choice" in err
+    assert all(name in err for name in ("em_iterations", "lambda", "init", "zero_shot"))
 
 
 def test_experiment_requires_out(cfg_path):

@@ -247,7 +247,8 @@ def random_detector(n_classes, seed, m_in=12, dim=8):
     and n_classes random unit prototypes, so a few classes pass per proposal;
     the 24 anchors cluster around 4 boxes, so NMS has work to do."""
     rng = np.random.default_rng(seed)
-    params = init_params(m_in, (16,), dim, seed)
+    config = TrainConfig(hidden_sizes=(16,))
+    params = init_params(m_in, config.hidden_sizes, dim, seed)
     params.feature_head.weight[:] *= 6.0
     params.box_head.weight[:] *= 0.05
     rows = rng.normal(size=(n_classes, dim))
@@ -257,7 +258,7 @@ def random_detector(n_classes, seed, m_in=12, dim=8):
         (2.0 * rng.normal(size=m_in), Box(*(np.array(centers[j % 4].as_tuple()) + rng.uniform(-0.02, 0.02))))
         for j in range(24)
     ]
-    return DetectorState(params=params, prototypes=protos, config=TrainConfig()), proposals
+    return DetectorState(params=params, prototypes=protos, config=config), proposals
 
 
 def per_pair_detect(state, proposals, score_threshold, nms_iou=0.5):

@@ -1,6 +1,7 @@
 """Toy world generation: determinism, labeling oracle, correlation knobs,
 stream separation, and the serialization formats."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -61,8 +62,9 @@ def test_make_universe_validates_sizes():
     for field, value in UNIVERSE_REFUSALS:
         with pytest.raises(ValueError, match=f"^{field} must"):
             UniverseConfig(**{field: value})
-    # a world with no novel classes is legal (pure base training)
-    assert make_universe(UniverseConfig(n_base=2, n_novel=0, sigma_sem=0.02)).novel == ()
+    # every world needs novel classes to evaluate and morph
+    with pytest.raises(ValueError, match="^n_novel must be >= 1, got 0"):
+        UniverseConfig(n_base=2, n_novel=0, sigma_sem=0.02)
 
 
 def test_make_dataset_validates_counts_and_jitter():
@@ -207,7 +209,7 @@ def test_exemplars_shape_and_stream_separation():
     ex5 = exemplars_for(uni, uni.novel, shots=5, seed=1)
     assert sorted(ex5) == [4, 5]
     assert all(len(v) == 5 for v in ex5.values())
-    assert all(d.shape == (uni.m_in,) for v in ex5.values() for d in v)
+    assert all(d.shape == (uni.config.m_in,) for v in ex5.values() for d in v)
 
     again = exemplars_for(uni, uni.novel, shots=5, seed=1)
     for cid in ex5:
@@ -239,7 +241,7 @@ def test_universe_round_trip(tmp_path):
     path = tmp_path / "universe.txt"
     save_universe(path, uni)
     back = load_universe(path)
-    assert back.sigma_sem == uni.sigma_sem and back.sigma_inst == uni.sigma_inst
+    assert back.config == uni.config
     assert back.seed == uni.seed
     assert np.array_equal(back.semantic_projection, uni.semantic_projection)
     assert np.array_equal(back.descriptor_projection, uni.descriptor_projection)
@@ -250,13 +252,54 @@ def test_universe_round_trip(tmp_path):
     assert back.split_manifest() == uni.split_manifest()
 
 
+def test_universe_config_stores_noise_scales_as_floats(tmp_path):
+    config = UniverseConfig(n_base=2, n_novel=1, sigma_sem=1, sigma_inst=0)
+    assert type(config.sigma_sem) is float and type(config.sigma_inst) is float
+    path = tmp_path / "universe.txt"
+    save_universe(path, make_universe(config, seed=0))
+    assert '"sigma_inst": 0.0' in path.read_text(encoding="utf-8").splitlines()[1]
+    assert load_universe(path).config == config
+
+
 def test_universe_load_refuses_a_meta_line_its_body_disagrees_with(tmp_path):
     path = tmp_path / "universe.txt"
     save_universe(path, make_universe(UniverseConfig(n_base=2, n_novel=1, k=2, d_sem=3, m_in=6), seed=3))
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert '"k": 2' in lines[1]
-    path.write_text("\n".join([lines[0], lines[1].replace('"k": 2', '"k": 3'), *lines[2:]]) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="does not match its meta line"):
+    # k 3 leaves m_in 6 too few appearance channels, so the config refuses it
+    # before the body is read.
+    cases = (('"d_sem": 3', '"d_sem": 4', "does not match its meta line"), ('"k": 2', '"k": 3', "m_in"))
+    for old, new, message in cases:
+        assert old in lines[1]
+        path.write_text("\n".join([lines[0], lines[1].replace(old, new), *lines[2:]]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_universe(path)
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"sigma_sem": -0.4}, "sigma_sem must be finite and >= 0"),
+        ({"sigma_inst": float("nan")}, "sigma_inst must be a finite number"),
+        ({"seed": -7}, "seed must be an integer >= 0, got -7"),
+        ({"seed": None}, "seed must be an integer >= 0, got None"),
+        ({"colour": 1}, r"unknown keys \['colour'\]"),
+        ({"n_novel": 0}, "n_novel must be >= 1, got 0"),
+        ({"sigma_inst": None}, r"lacks \['sigma_inst'\]"),
+    ],
+    ids=[
+        "negative_sigma_sem", "nan_sigma_inst", "negative_seed", "no_seed", "unknown_key", "no_novel", "no_sigma_inst",
+    ],
+)
+def test_universe_load_refuses_a_meta_line_its_config_refuses(tmp_path, change, field):
+    path = tmp_path / "universe.txt"
+    save_universe(path, make_universe(UniverseConfig(n_base=2, n_novel=1, k=2, d_sem=3, m_in=6), seed=3))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    meta = json.loads(lines[1].partition(" ")[2])
+    meta.update(change)
+    meta = {key: value for key, value in meta.items() if value is not None}
+    lines[1] = f"meta {json.dumps(meta, sort_keys=True)}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=field):
         load_universe(path)
 
 

@@ -1,6 +1,7 @@
 """Alternating-training loop: M-step, E-step, the full run, and checkpoints."""
 
 import json
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -70,6 +71,15 @@ def test_detector_state_checks_dimensions():
     params = init_params(4, (), 3, seed=0)
     with pytest.raises(DimensionMismatch):
         DetectorState(params=params, prototypes=PrototypeSet.empty(2), config=TrainConfig())
+
+
+def test_detector_state_refuses_a_config_of_other_hidden_sizes():
+    params = init_params(4, (5,), 3, seed=0)
+    protos = PrototypeSet.empty(3)
+    assert DetectorState(params, protos, TrainConfig(hidden_sizes=(5,))).config.hidden_sizes == (5,)
+    for sizes in ((64, 64), (), (5, 5), (6,)):
+        with pytest.raises(DimensionMismatch, match=re.escape(f"hidden_sizes {list(sizes)} != network [5]")):
+            DetectorState(params, protos, TrainConfig(hidden_sizes=sizes))
 
 
 def test_epoch_lr_schedule():
@@ -441,6 +451,17 @@ def test_checkpoint_round_trip(tmp_path, tiny_state, tiny_exemplars):
         assert np.array_equal(back.prototypes.vector_for(cid), state.prototypes.vector_for(cid))
     # Value-exact round trip implies byte-stable re-serialization.
     assert checkpoint_text(back) == checkpoint_text(state)
+
+
+def test_checkpoint_of_a_trunk_free_detector_loads_back_equal(tmp_path):
+    state = _identity3()
+    path = tmp_path / "identity.ckpt"
+    save_checkpoint(path, state)
+    back = load_checkpoint(path)
+    assert back.config == state.config and back.params.hidden_sizes == ()
+    assert params_equal(back.params, state.params)
+    assert back.prototypes.ids == state.prototypes.ids
+    assert np.array_equal(back.prototypes.matrix, state.prototypes.matrix)
 
 
 def test_checkpoint_rejects_corruption(tmp_path, tiny_state, tiny_exemplars):
