@@ -87,10 +87,7 @@ def cmd_gen(args) -> int:
     write_exemplars_csv(paths["exemplars.csv"], world.exemplars)
 
     manifest = {
-        "seed": seed,
         "shots": config.shots,
-        "base_class_ids": world.base_ids,
-        "novel_class_ids": world.novel_ids,
         "universe": world.universe.split_manifest(),
         "scene_counts": {
             "train_base": len(world.train_scenes),
@@ -240,7 +237,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("morph", help="register novel classes from exemplars (no training)")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--exemplars", required=True, help="exemplar CSV (class_id, descriptor...)")
+    p.add_argument("--exemplars", required=True, help="exemplar file written by gen")
     p.add_argument("--out", required=True, help="path for the morphed checkpoint")
     p.add_argument("--shots", type=int, default=None, help="cap exemplars per class")
     p.set_defaults(func=cmd_morph)

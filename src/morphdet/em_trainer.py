@@ -35,24 +35,16 @@ from .embedder import (
     forward_batch,
     forward_batch_with_grad,
     init_params,
-    params_config,
     params_from_tensors,
     params_to_lines,
     sgd_step,
 )
 from .numkernel import DimensionMismatch, EmptyInput
 from .objective import scoring_matrix
-from .prototype_store import (
-    PrototypeSet,
-    UnknownClass,
-    e_step_update,
-    init_from_semantic,
-    prototypes_from_lines,
-    prototypes_to_lines,
-)
-from .textio import read_record_file, record_text, tensor_blocks
+from .prototype_store import PrototypeSet, UnknownClass, e_step_update, init_from_semantic
+from .textio import read_record_file, record_text, tensor_blocks, tensor_lines
 
-CHECKPOINT_HEADER = "morphdet-checkpoint v1"
+CHECKPOINT_HEADER = "morphdet-checkpoint v2"
 
 
 class TrainingDiverged(RuntimeError):
@@ -150,8 +142,8 @@ def fill_dataclass(cls, data, where: str):
 
 @dataclass(frozen=True, eq=False)
 class DetectorState:
-    """The full detector: network parameters, prototypes, and the config that
-    produced them, whose hidden_sizes must be the network's."""
+    """The full detector: network parameters, at least one prototype, and the
+    config that produced them, whose hidden_sizes must be the network's."""
 
     params: EmbedderParams
     prototypes: PrototypeSet
@@ -165,6 +157,8 @@ class DetectorState:
         config_sizes, network_sizes = self.config.hidden_sizes, self.params.hidden_sizes
         if config_sizes != network_sizes:
             raise DimensionMismatch(f"train config hidden_sizes {list(config_sizes)} != network {list(network_sizes)}")
+        if not self.prototypes.ids:
+            raise EmptyInput("a detector needs at least one class prototype")
 
 
 @dataclass(frozen=True)
@@ -371,10 +365,11 @@ def write_metrics_csv(path, records) -> None:
 
 
 def checkpoint_text(state: DetectorState) -> str:
-    """Full-detector checkpoint: versioned header, config JSON (training plus
-    architecture), every network tensor, then the prototype sections."""
-    config = {"train": asdict(state.config), "arch": params_config(state.params)}
-    body = params_to_lines(state.params) + ["prototypes"] + prototypes_to_lines(state.prototypes)
+    """Full-detector checkpoint: versioned header, config line (training config,
+    class ids, novel ids), every network tensor, then the prototype matrix."""
+    protos = state.prototypes
+    config = {"train": asdict(state.config), "class_ids": list(protos.ids), "novel_ids": sorted(protos.novel)}
+    body = params_to_lines(state.params) + tensor_lines("prototypes", protos.matrix)
     return record_text(CHECKPOINT_HEADER, "config", config, body)
 
 
@@ -387,10 +382,16 @@ def load_checkpoint(path) -> DetectorState:
     """Inverse of save_checkpoint; every defect raises CheckpointError."""
     try:
         config, body = read_record_file(path, CHECKPOINT_HEADER, "config")
+        if sorted(config) != ["class_ids", "novel_ids", "train"]:
+            raise ValueError(f"config keys {sorted(config)} are not class_ids, novel_ids and train")
         tconfig = fill_dataclass(TrainConfig, config["train"], "checkpoint train config")
-        cut = body.index("prototypes")
-        params = params_from_tensors(tensor_blocks(body[:cut]), config["arch"])
-        protos = prototypes_from_lines(body[cut + 1 :], params.feature_dim)
-        return DetectorState(params=params, prototypes=protos, config=tconfig)
+        ids, novel = config["class_ids"], config["novel_ids"]
+        if not all(isinstance(group, list) and all(map(_is_int, group)) for group in (ids, novel)):
+            raise ValueError(f"class_ids {ids!r} and novel_ids {novel!r} must be lists of integers")
+        tensors = tensor_blocks(body)
+        protos = PrototypeSet(ids=tuple(ids), matrix=tensors.pop("prototypes"), novel=frozenset(novel))
+        if sorted(protos.novel) != novel:
+            raise ValueError(f"novel_ids must ascend without repeats, got {novel}")
+        return DetectorState(params_from_tensors(tensors, tconfig.hidden_sizes), protos, tconfig)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: {exc!r}") from exc

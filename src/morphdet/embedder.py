@@ -333,27 +333,21 @@ def sgd_step(
     np.subtract(params.flat, lr * velocity, out=params.flat)
 
 
-def params_config(params: EmbedderParams) -> dict:
-    return {
-        "m_in": params.m_in,
-        "hidden_sizes": list(params.hidden_sizes),
-        "feature_dim": params.feature_dim,
-    }
-
-
 def params_to_lines(params: EmbedderParams) -> list[str]:
     """Tensor block lines (no header/config) for the detector checkpoint."""
     return [line for name, arr in params.named_tensors() for line in tensor_lines(name, arr)]
 
 
-def params_from_tensors(tensors: dict[str, np.ndarray], config: dict) -> EmbedderParams:
-    """Rebuild parameters from named tensors, validating shapes against the
-    declared architecture."""
+def params_from_tensors(tensors: dict[str, np.ndarray], hidden_sizes) -> EmbedderParams:
+    """Rebuild parameters of the given hidden widths from named tensors; m_in
+    and the feature dimension are the shapes of the bottom weight and the
+    feature head, and every tensor's shape is checked against the layout."""
     tensors = dict(tensors)
+    bottom = "trunk.0.weight" if hidden_sizes else "feature_head.weight"
     try:
-        params = EmbedderParams((config["m_in"], *config["hidden_sizes"], config["feature_dim"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"bad architecture config: {exc}") from exc
+        params = EmbedderParams((tensors[bottom].shape[0], *hidden_sizes, tensors["feature_head.weight"].shape[1]))
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint is missing tensor {exc}") from exc
     for name, view in params.named_tensors():
         if name not in tensors:
             raise CheckpointError(f"checkpoint is missing tensor {name!r}")

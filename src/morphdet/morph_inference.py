@@ -12,7 +12,6 @@ runs per-class greedy NMS with a deterministic ordering.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -22,7 +21,9 @@ from .embedder import forward_batch
 from .numkernel import DimensionMismatch, EmptyInput
 from .objective import posterior_batch
 from .prototype_store import add_novel
-from .textio import fmt, parse_floats
+from .textio import read_record_file, tensor_blocks, tensor_lines, write_record_file
+
+EXEMPLARS_HEADER = "morphdet-exemplars v2"
 
 
 class InvalidBox(ValueError):
@@ -205,24 +206,17 @@ def detect(state, proposals, config: DetectConfig = DetectConfig()) -> list[Dete
 
 
 def write_exemplars_csv(path, exemplars) -> None:
-    """Exemplar file: one row per exemplar, class_id first, then the
-    descriptor components (full float precision, no header)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        for cid in sorted(exemplars):
-            for desc in exemplars[cid]:
-                writer.writerow([int(cid), *[fmt(x) for x in np.asarray(desc, dtype=np.float64)]])
+    """Exemplar file: an empty meta line, then per class in ascending id order
+    one tensor named by the id, with a descriptor per row."""
+    body = [line for cid in sorted(exemplars) for line in tensor_lines(str(int(cid)), exemplars[cid])]
+    write_record_file(path, EXEMPLARS_HEADER, "meta", {}, body)
 
 
 def read_exemplars_csv(path) -> dict[int, list[np.ndarray]]:
-    """Inverse of write_exemplars_csv; preserves per-class row order."""
-    out: dict[int, list[np.ndarray]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            cid = int(row[0])
-            if len(row) < 2:
-                raise ValueError(f"exemplar row for class {cid} has no descriptor")
-            out.setdefault(cid, []).append(parse_floats(row[1:]))
-    return out
+    """Inverse of write_exemplars_csv: class id -> its descriptors, as rows."""
+    meta, body = read_record_file(path, EXEMPLARS_HEADER, "meta")
+    blocks = tensor_blocks(body)
+    ids = sorted(int(name) for name in blocks)
+    if meta or list(blocks) != [str(cid) for cid in ids]:
+        raise ValueError(f"{path}: want an empty meta and tensors named by ascending class ids, got {list(blocks)}")
+    return {cid: list(blocks[str(cid)]) for cid in ids}

@@ -26,8 +26,6 @@ from .textio import fmt_vector, parse_floats
 
 UNIT_NORM_TOL = 1e-9
 
-SECTION_SEPARATOR = "---"
-
 
 class ClassCollision(ValueError):
     """A class id is already registered."""
@@ -174,62 +172,27 @@ def add_novel(protos: PrototypeSet, class_id: int, vector) -> PrototypeSet:
     )
 
 
-def prototypes_to_lines(protos: PrototypeSet) -> list[str]:
-    """One line per prototype, 'class_id<TAB>components': the base section,
-    then a '---' line, then the novel section, each in ascending id order."""
-    lines = {cid: f"{cid}\t{fmt_vector(row)}" for cid, row in zip(protos.ids, protos.matrix)}
-    novel = sorted(protos.novel)
-    return [lines[cid] for cid in protos.base] + [SECTION_SEPARATOR] + [lines[cid] for cid in novel]
-
-
-def _parse_line(line: str) -> tuple[int, np.ndarray]:
-    head, _, tail = line.partition("\t")
-    if not tail:
-        raise ValueError(f"malformed prototype line (missing tab): {line!r}")
-    return int(head), parse_floats(tail)
-
-
-def prototypes_from_lines(lines: list[str], dim: int) -> PrototypeSet:
-    """Inverse of prototypes_to_lines for prototypes of dimension `dim`. An
-    id on two lines, within a section or across both, raises ClassCollision."""
-    if SECTION_SEPARATOR not in lines:
-        raise ValueError("prototype lines are missing the '---' base/novel separator")
-    cut = lines.index(SECTION_SEPARATOR)
-    base_lines, novel_lines = lines[:cut], lines[cut + 1 :]
-    rows: dict[int, np.ndarray] = {}
-    for line in base_lines + novel_lines:
-        cid, vec = _parse_line(line)
-        if cid in rows:
-            raise ClassCollision(f"duplicate prototype line for class {cid}")
-        if vec.shape != (dim,):
-            raise DimensionMismatch(f"prototype for class {cid} has dim {vec.shape[0]}, expected {dim}")
-        rows[cid] = vec
-    ids = tuple(sorted(rows))
-    return PrototypeSet(
-        ids=ids,
-        matrix=np.array([rows[cid] for cid in ids]).reshape(len(ids), dim),
-        novel=frozenset(list(rows)[len(base_lines) :]),
-    )
-
-
 def write_vector_file(path, vectors: Mapping[int, np.ndarray]) -> None:
-    """Plain class_id -> vector map in the same per-line format (no sections).
-    Used for semantic-vector files, so real word-vector dumps can be swapped in."""
+    """Plain class_id -> vector map, one 'class_id<TAB>components' line per
+    class in ascending id order. Used for semantic-vector files, so real
+    word-vector dumps can be swapped in."""
     with open(path, "w", encoding="utf-8") as fh:
         for cid in sorted(vectors):
             fh.write(f"{int(cid)}\t{fmt_vector(vectors[cid])}\n")
 
 
 def read_vector_file(path) -> dict[int, np.ndarray]:
-    """Read a class_id -> vector map; tolerates (and skips) section separators."""
+    """Read a class_id -> vector map; blank lines are skipped."""
     out: dict[int, np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip() or line.strip() == SECTION_SEPARATOR:
+            if not line.strip():
                 continue
-            cid, vec = _parse_line(line)
+            head, _, tail = line.rstrip("\n").partition("\t")
+            if not tail:
+                raise ValueError(f"malformed vector line (missing tab): {line[:80]!r}")
+            cid = int(head)
             if cid in out:
                 raise ClassCollision(f"duplicate vector line for class {cid}")
-            out[cid] = vec
+            out[cid] = parse_floats(tail)
     return out

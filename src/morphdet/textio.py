@@ -1,10 +1,11 @@
-"""The text container of the universe, dataset and checkpoint files, and
-the float helpers their bodies use.
+"""The text container of the universe, dataset, checkpoint and exemplar
+files, and the float and tensor codec their bodies use.
 
-A container file is a header line, a '<meta key> <sorted JSON object>' line,
-the body lines and a last line `end`. A file cut short or with text after
-`end` is refused, never loaded in part. Floats are written with %.17g, which
-round-trips float64 exactly, so every format is bit-stable across save/load.
+A container file is a '<kind> v2' header, a '<meta key> <sorted JSON object>'
+line, the body lines and a last line 'end sha256=<hex>' over every byte before
+it, so a file cut, edited or extended in any line is refused, never loaded in
+part. Floats are written with %.17g, which round-trips float64 exactly, so
+every format is bit-stable across save/load.
 """
 
 from __future__ import annotations
@@ -36,74 +37,85 @@ def parse_floats(tokens) -> np.ndarray:
     return values
 
 
-def tensor_lines(name: str, arr: np.ndarray, keyword: str = "tensor") -> list[str]:
-    """Two lines per tensor: a '<keyword> <name> <rows> <cols>' header, then
+def tensor_lines(name: str, arr: np.ndarray) -> list[str]:
+    """Two lines per tensor: a 'tensor <name> <rows> <cols>' header, then
     the row-major values. 1-D arrays are stored as a single row."""
     mat = np.atleast_2d(np.asarray(arr, dtype=np.float64))
     if mat.ndim != 2:
         raise ValueError(f"tensor {name!r} must be 1-D or 2-D, got shape {arr.shape}")
-    header = f"{keyword} {name} {mat.shape[0]} {mat.shape[1]}"
-    return [header, " ".join(fmt(x) for x in mat.ravel())]
+    return [f"tensor {name} {mat.shape[0]} {mat.shape[1]}", " ".join(fmt(x) for x in mat.ravel())]
 
 
-def parse_tensor(header: str, data: str, keyword: str = "tensor") -> tuple[str, np.ndarray]:
+def parse_tensor(header: str, data: str) -> tuple[str, np.ndarray]:
     parts = header.split()
-    if len(parts) != 4 or parts[0] != keyword:
-        raise ValueError(f"malformed {keyword} header: {header!r}")
+    if len(parts) != 4 or parts[0] != "tensor" or not (parts[2].isdigit() and parts[3].isdigit()):
+        raise ValueError(f"malformed tensor header: {header!r}")
     name, rows, cols = parts[1], int(parts[2]), int(parts[3])
     values = parse_floats(data)
     if values.size != rows * cols:
-        raise ValueError(
-            f"{keyword} {name!r} declares {rows}x{cols} but carries {values.size} values"
-        )
+        raise ValueError(f"tensor {name!r} declares {rows}x{cols} but carries {values.size} values")
     return name, values.reshape(rows, cols)
 
 
-def tensor_blocks(lines, keyword: str = "tensor") -> dict[str, np.ndarray]:
+def tensor_blocks(lines) -> dict[str, np.ndarray]:
     """Inverse of concatenated tensor_lines: name -> 2-D array, in file order.
     A header without its data line or a repeated name is an error."""
     if len(lines) % 2:
-        raise ValueError(f"dangling {keyword} header: {lines[-1]!r}")
+        raise ValueError(f"dangling tensor header: {lines[-1]!r}")
     out: dict[str, np.ndarray] = {}
     for header, data in zip(lines[0::2], lines[1::2]):
-        name, arr = parse_tensor(header, data, keyword)
+        name, arr = parse_tensor(header, data)
         if name in out:
-            raise ValueError(f"duplicate {keyword} {name!r}")
+            raise ValueError(f"duplicate tensor {name!r}")
         out[name] = arr
     return out
 
 
+def _record_bytes(header: str, meta_key: str, meta: dict, body) -> bytes:
+    head = "\n".join([header, f"{meta_key} {json.dumps(meta, sort_keys=True)}", *body, ""]).encode("utf-8")
+    return head + f"{END} sha256={hashlib.sha256(head).hexdigest()}\n".encode("utf-8")
+
+
 def record_text(header: str, meta_key: str, meta: dict, body) -> str:
-    """One container as text: header, meta line, body lines, `end`."""
-    lines = [header, f"{meta_key} {json.dumps(meta, sort_keys=True)}", *body, END]
-    return "\n".join(lines) + "\n"
+    """One container as text: header, meta line, body lines, end line."""
+    return _record_bytes(header, meta_key, meta, body).decode("utf-8")
 
 
 def write_record_file(path, header: str, meta_key: str, meta: dict, body) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(record_text(header, meta_key, meta, body))
+    with open(path, "wb") as fh:
+        fh.write(_record_bytes(header, meta_key, meta, body))
 
 
 def read_record_file(path, header: str, meta_key: str) -> tuple[dict, list[str]]:
     """Inverse of write_record_file: (meta, body lines). Raises ValueError
-    unless the file opens with `header` and a JSON-object meta line, ends with
-    `end` as its last line, and holds no blank line or other `end` between."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    unless the file opens with `header` (naming an older version of its kind
+    as such) and a JSON-object meta line, ends with the end line its other
+    bytes hash to, and holds no blank line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    cut = raw.rfind(b"\n", 0, len(raw) - 1) + 1  # where the last line starts
+    with memoryview(raw)[:cut] as head:
+        intact = raw[cut:] == f"{END} sha256={hashlib.sha256(head).hexdigest()}\n".encode("utf-8")
+        text = str(head, "utf-8")
+    del raw  # the bytes go before the text is split, as they would in text mode
+    lines = text.split("\n")[:-1]
     if not lines or lines[0] != header:
+        if lines and lines[0].startswith(header.rsplit(" ", 1)[0] + " v"):
+            raise ValueError(f"{path}: {lines[0]!r} is an older format than {header!r}; "
+                             "re-run `morphdet gen` (world files) or `morphdet train` (checkpoints) to rewrite it")
         raise ValueError(f"{path}: not a {header!r} file")
-    if len(lines) < 3 or lines[-1] != END:
-        raise ValueError(f"{path}: last line is not {END!r} (truncated file or trailing text)")
+    if len(lines) < 2 or not intact:
+        raise ValueError(f"{path}: last line is not the {END!r} line of its sha256 (cut, edited or trailing text)")
     key, _, payload = lines[1].partition(" ")
     if key != meta_key:
         raise ValueError(f"{path}: line 2 is not a {meta_key!r} line")
     meta = json.loads(payload)
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: {meta_key} line is not a JSON object")
-    body = lines[2:-1]
+    body = lines[2:]
     for number, line in enumerate(body, start=3):
-        if line == END or not line.strip():
-            raise ValueError(f"{path}: line {number} is blank or a second {END!r}")
+        if not line.strip():
+            raise ValueError(f"{path}: line {number} is blank")
     return meta, body
 
 

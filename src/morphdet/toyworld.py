@@ -40,8 +40,8 @@ GEOMETRY_FEATURES = 4
 GEOMETRY_SCALE = 3.0
 FG_IOU_THRESHOLD = 0.5
 
-UNIVERSE_HEADER = "toyworld-universe v1"
-DATASET_HEADER = "toyworld-dataset v1"
+UNIVERSE_HEADER = "toyworld-universe v2"
+DATASET_HEADER = "toyworld-dataset v2"
 
 # Sub-stream tags so one seed drives several independent generators.
 _STREAM_UNIVERSE = 0
@@ -105,7 +105,6 @@ class DataConfig:
 @dataclass(frozen=True, eq=False)
 class ToyClass:
     class_id: int
-    name: str
     attribute: np.ndarray
     semantic: np.ndarray
 
@@ -187,7 +186,7 @@ def make_universe(config: UniverseConfig = UniverseConfig(), seed: int = 0) -> U
     def draw_class(cid: int) -> ToyClass:
         attribute = rng.normal(size=config.k)
         semantic = sem_proj @ attribute + config.sigma_sem * rng.normal(size=config.d_sem)
-        return ToyClass(class_id=cid, name=f"toy{cid:03d}", attribute=attribute, semantic=semantic)
+        return ToyClass(class_id=cid, attribute=attribute, semantic=semantic)
 
     n_base = config.n_base
     base = tuple(draw_class(cid) for cid in range(1, n_base + 1))
@@ -316,31 +315,25 @@ def semantic_vectors(universe: Universe, classes=None) -> dict[int, np.ndarray]:
 
 
 def save_universe(path, universe: Universe) -> None:
-    body = [
-        f"class {cls.class_id} {role} {cls.name} "
-        f"attr {fmt_vector(cls.attribute)} sem {fmt_vector(cls.semantic)}"
-        for role, group in (("base", universe.base), ("novel", universe.novel))
-        for cls in group
-    ]
-    body += tensor_lines("semantic_projection", universe.semantic_projection, "matrix")
-    body += tensor_lines("descriptor_projection", universe.descriptor_projection, "matrix")
+    """The meta line is the universe's config plus its seed; the body holds
+    four tensors: attributes and semantics, whose row i is class i + 1, base
+    first, then the semantic and descriptor projections."""
+    classes = universe.classes()
+    tensors = {
+        "attributes": np.stack([cls.attribute for cls in classes]),
+        "semantics": np.stack([cls.semantic for cls in classes]),
+        "semantic_projection": universe.semantic_projection,
+        "descriptor_projection": universe.descriptor_projection,
+    }
+    body = [line for name, arr in tensors.items() for line in tensor_lines(name, arr)]
     write_record_file(path, UNIVERSE_HEADER, "meta", {**asdict(universe.config), "seed": universe.seed}, body)
-
-
-def _parse_class(line: str, role: str) -> ToyClass:
-    tokens = line.split()
-    if len(tokens) < 6 or tokens[0] != "class" or tokens[2] != role or tokens[4] != "attr" or "sem" not in tokens[5:]:
-        raise ValueError(f"expected a {role} class line, got {line[:80]!r}")
-    sem_at = tokens.index("sem", 5)
-    attribute, semantic = parse_floats(tokens[5:sem_at]), parse_floats(tokens[sem_at + 1 :])
-    return ToyClass(class_id=int(tokens[1]), name=tokens[3], attribute=attribute, semantic=semantic)
 
 
 def load_universe(path) -> Universe:
     """Inverse of save_universe. The meta line must be what save_universe
     writes: a UniverseConfig, checked like a config file's universe section,
-    plus an integer seed >= 0. Its counts say how many class lines lead the
-    body (base first); two matrix blocks of its shapes follow."""
+    plus an integer seed >= 0. The body's four tensors must come in
+    save_universe's order, in the shapes the meta line gives."""
     meta, body = read_record_file(path, UNIVERSE_HEADER, "meta")
     config = fill_dataclass(UniverseConfig, {key: v for key, v in meta.items() if key != "seed"}, f"{path}: universe")
     seed = meta.get("seed")
@@ -348,22 +341,25 @@ def load_universe(path) -> Universe:
         raise ValueError(f"{path}: universe seed must be an integer >= 0, got {seed!r}")
     if {**asdict(config), "seed": seed} != meta:
         raise ValueError(f"{path}: universe meta line lacks {sorted(set(asdict(config)) - set(meta))}")
+    tensors = tensor_blocks(body)
     n_base, n_classes = config.n_base, config.n_base + config.n_novel
-    classes = [_parse_class(line, "base" if i < n_base else "novel") for i, line in enumerate(body[:n_classes])]
-    matrices = tensor_blocks(body[n_classes:], "matrix")
-    shapes = {
-        "semantic_projection": (config.d_sem, config.k),
-        "descriptor_projection": (config.m_in - GEOMETRY_FEATURES, config.k),
-    }
-    if {name: m.shape for name, m in matrices.items()} != shapes or any(
-        cls.attribute.shape != (config.k,) or cls.semantic.shape != (config.d_sem,) for cls in classes
-    ):
+    shapes = [
+        ("attributes", (n_classes, config.k)),
+        ("semantics", (n_classes, config.d_sem)),
+        ("semantic_projection", (config.d_sem, config.k)),
+        ("descriptor_projection", (config.m_in - GEOMETRY_FEATURES, config.k)),
+    ]
+    if [(name, arr.shape) for name, arr in tensors.items()] != shapes:
         raise ValueError(f"{path}: universe body does not match its meta line {meta}")
+    classes = [
+        ToyClass(class_id=cid, attribute=attribute, semantic=semantic)
+        for cid, attribute, semantic in zip(range(1, n_classes + 1), tensors["attributes"], tensors["semantics"])
+    ]
     return Universe(
         base=tuple(classes[:n_base]),
         novel=tuple(classes[n_base:]),
-        semantic_projection=matrices["semantic_projection"],
-        descriptor_projection=matrices["descriptor_projection"],
+        semantic_projection=tensors["semantic_projection"],
+        descriptor_projection=tensors["descriptor_projection"],
         config=config,
         seed=seed,
     )

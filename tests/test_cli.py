@@ -7,12 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import reframe
 from morphdet.cli import GEN_FILES, _apply_train_overrides, build_parser, main
-from morphdet.em_trainer import TrainConfig, load_checkpoint
+from morphdet.em_trainer import CHECKPOINT_HEADER, TrainConfig, load_checkpoint
 from morphdet.embedder import grad_evaluation_count, params_equal
 from morphdet.experiments import ExperimentConfig
-from morphdet.morph_inference import read_exemplars_csv
-from morphdet.textio import sha256_file
+from morphdet.morph_inference import EXEMPLARS_HEADER, read_exemplars_csv
+from morphdet.textio import record_text, sha256_file
+from morphdet.toyworld import DATASET_HEADER, UNIVERSE_HEADER
 
 TINY_CONFIG = {
     "universe": {"n_base": 4, "n_novel": 2, "k": 4, "d_sem": 8, "m_in": 10, "sigma_sem": 0.2, "sigma_inst": 0.2},
@@ -79,9 +81,11 @@ def test_gen_writes_split_and_manifest(gen_dir):
     for name in GEN_FILES:
         assert (gen_dir / name).is_file()
     manifest = json.loads((gen_dir / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["seed"] == 0 and manifest["shots"] == 2
-    assert manifest["base_class_ids"] == [1, 2, 3, 4]
-    assert manifest["novel_class_ids"] == [5, 6]
+    # The class split and the seed are written once, in the universe's entry.
+    assert sorted(manifest) == ["files", "scene_counts", "shots", "universe"]
+    assert manifest["universe"]["seed"] == 0 and manifest["shots"] == 2
+    assert manifest["universe"]["base_class_ids"] == [1, 2, 3, 4]
+    assert manifest["universe"]["novel_class_ids"] == [5, 6]
     assert manifest["scene_counts"] == {"train_base": 4, "eval_base": 4, "eval_novel": 2}
     for name, digest in manifest["files"].items():
         assert sha256_file(gen_dir / name) == digest
@@ -100,7 +104,7 @@ def test_gen_seed_and_shot_flags(cfg_path, tmp_path):
     out = tmp_path / "shot1"
     assert main(["gen", "--out", str(out), "--config", cfg_path, "--seed", "3", "--shots", "1"]) == 0
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["seed"] == 3 and manifest["shots"] == 1
+    assert manifest["universe"]["seed"] == 3 and manifest["shots"] == 1
     exemplars = read_exemplars_csv(out / "exemplars.csv")
     assert all(len(vecs) == 1 for vecs in exemplars.values())
 
@@ -109,8 +113,8 @@ def test_gen_default_world_is_twenty_five(tmp_path):
     out = tmp_path / "full"
     assert main(["gen", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["base_class_ids"] == list(range(1, 21))
-    assert manifest["novel_class_ids"] == list(range(21, 26))
+    assert manifest["universe"]["base_class_ids"] == list(range(1, 21))
+    assert manifest["universe"]["novel_class_ids"] == list(range(21, 26))
     assert manifest["scene_counts"]["train_base"] == 60
 
 
@@ -465,52 +469,50 @@ def _universe_cut_beside_manifest(data):
     _edit_lines(data / "universe.txt", lambda lines: lines[:-2])
 
 
-def _universe_ends_after_matrix_header(data):
+def _universe_cut_without_manifest(data):
     (data / "manifest.json").unlink()
     _universe_cut_beside_manifest(data)
 
 
 def _universe_with_short_class_line(data):
     (data / "manifest.json").unlink()
-    _edit_lines(data / "universe.txt", lambda lines: lines[:2] + ["class 1 base"] + lines[3:])
+
+    def short_row(body):  # the attributes tensor, one row per class, loses its last value
+        return [body[0], body[1].rsplit(" ", 1)[0], *body[2:]]
+
+    reframe(data / "universe.txt", UNIVERSE_HEADER, "meta", body=short_row)
 
 
-def _first_novel_object_as_class(class_id):
+def _edit_first_novel_object(edit):
     def spoil(data):
-        def edit(lines):
+        def body(lines):
             at = next(i for i, line in enumerate(lines) if line.startswith("object "))
-            lines[at] = " ".join(["object", class_id, *lines[at].split()[2:]])
-            return lines
+            return lines[:at] + [edit(lines[at])] + lines[at + 1 :]
 
-        _edit_lines(data / "eval_novel.txt", edit)
+        reframe(data / "eval_novel.txt", DATASET_HEADER, "meta", body=body)
 
     return spoil
 
 
-def _first_novel_object_with_extra_value(data):
-    def edit(lines):
-        at = next(i for i, line in enumerate(lines) if line.startswith("object "))
-        lines[at] += " 0.5"
-        return lines
-
-    _edit_lines(data / "eval_novel.txt", edit)
+def _first_novel_object_as_class(class_id):
+    return _edit_first_novel_object(lambda line: " ".join(["object", class_id, *line.split()[2:]]))
 
 
 def _eval_split_with_blank_line(data):
-    _edit_lines(data / "eval_base.txt", lambda lines: lines[:4] + [""] + lines[4:])
+    reframe(data / "eval_base.txt", DATASET_HEADER, "meta", body=lambda body: body[:2] + [""] + body[2:])
 
 
 @pytest.mark.parametrize(
     "spoil, flags",
     [
-        (_universe_ends_after_matrix_header, []),
+        (_universe_cut_without_manifest, []),
         (_universe_cut_beside_manifest, []),
         (_universe_with_short_class_line, []),
         (_eval_split_with_blank_line, []),
         (_first_novel_object_as_class("0"), []),
         (_first_novel_object_as_class("-3"), []),
         (_first_novel_object_as_class("99"), []),
-        (_first_novel_object_with_extra_value, []),
+        (_edit_first_novel_object(lambda line: line + " 0.5"), []),
         (None, ["--score-threshold", "nan"]),
         (None, ["--score-threshold", "-5"]),
         (None, ["--nms-iou", "1"]),
@@ -554,40 +556,90 @@ def test_eval_refuses_checkpoint_config_of_wrong_type(train_dir, gen_dir, tmp_pa
     spoiled = tmp_path / "train"
     shutil.copytree(train_dir, spoiled)
 
-    def fractional_batch_size(lines):
-        config = json.loads(lines[1].partition(" ")[2])
+    def fractional_batch_size(config):
         config["train"]["batch_size"] = 2.5
-        return [lines[0], "config " + json.dumps(config, sort_keys=True)] + lines[2:]
+        return config
 
-    _edit_lines(spoiled / "checkpoint_iter2.ckpt", fractional_batch_size)
+    reframe(spoiled / "checkpoint_iter2.ckpt", CHECKPOINT_HEADER, "config", meta=fractional_batch_size)
     assert _eval_on(gen_dir, spoiled, tmp_path) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and "batch_size must be an integer, got 2.5" in err and "Traceback" not in err
 
 
 def test_eval_universe_without_descriptor_projection(train_dir, gen_dir, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(gen_dir, data)
     (data / "manifest.json").unlink()
-    lines = (data / "universe.txt").read_text(encoding="utf-8").splitlines()
-    at = next(k for k, line in enumerate(lines) if line.startswith("matrix descriptor_projection "))
-    (data / "universe.txt").write_text("\n".join(lines[:at] + lines[at + 2 :]) + "\n", encoding="utf-8")
+    reframe(data / "universe.txt", UNIVERSE_HEADER, "meta", body=lambda body: body[:-2])
     assert _eval_on(data, train_dir, tmp_path) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "universe body does not match its meta line" in err
 
 
 def test_eval_refuses_a_universe_meta_its_config_refuses(train_dir, gen_dir, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(gen_dir, data)
-    path = data / "universe.txt"
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert '"sigma_sem": 0.2' in lines[1]
-    lines[1] = lines[1].replace('"sigma_sem": 0.2', '"sigma_sem": -0.4')
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    reframe(data / "universe.txt", UNIVERSE_HEADER, "meta", meta=lambda meta: {**meta, "sigma_sem": -0.4})
     assert _eval_on(data, train_dir, tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "universe: sigma_sem must be finite and >= 0, got -0.4" in err
     assert not (tmp_path / "eval").exists()
+
+
+def _refused_without_output(argv, out, capsys, message=""):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_checkpoint_that_lost_a_prototype_row_is_refused(morphed_ckpt, gen_dir, tmp_path, capsys):
+    path = tmp_path / "cut.ckpt"
+    lines = morphed_ckpt.read_text(encoding="utf-8").splitlines()
+    rows, cols = map(int, lines[-3].split()[2:])
+    assert lines[-3].startswith("tensor prototypes ") and rows == 6
+    # The last class's row goes, and the tensor header follows it.
+    cut = lines[:-3] + [f"tensor prototypes {rows - 1} {cols}", " ".join(lines[-2].split()[:-cols]), lines[-1]]
+    path.write_text("".join(line + "\n" for line in cut), encoding="utf-8")
+    out = tmp_path / "eval"
+    argv = ["eval", "--checkpoint", str(path), "--data", str(gen_dir), "--out", str(out)]
+    _refused_without_output(argv, out, capsys, "sha256")
+
+
+def test_exemplar_block_cut_by_one_row_is_refused(train_dir, gen_dir, tmp_path, capsys):
+    path = tmp_path / "exemplars.csv"
+    lines = (gen_dir / "exemplars.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[-3].startswith("tensor 6 2 ")
+    cols = int(lines[-3].split()[3])
+    cut = lines[:-3] + [f"tensor 6 1 {cols}", " ".join(lines[-2].split()[:-cols]), lines[-1]]
+    path.write_text("".join(line + "\n" for line in cut), encoding="utf-8")
+    out = tmp_path / "out.ckpt"
+    checkpoint = str(train_dir / "checkpoint_iter2.ckpt")
+    argv = ["morph", "--checkpoint", checkpoint, "--exemplars", str(path), "--out", str(out)]
+    _refused_without_output(argv, out, capsys, "sha256")
+    # Framed anew, the cut block loads with one shot less; a renamed one does not.
+    path.write_text(record_text(EXEMPLARS_HEADER, "meta", {}, cut[2:-1]), encoding="utf-8")
+    assert [len(rows) for rows in read_exemplars_csv(path).values()] == [2, 1]
+    reframe(path, EXEMPLARS_HEADER, "meta", body=lambda body: [body[0].replace("tensor 5 ", "tensor 05 "), *body[1:]])
+    _refused_without_output(argv, out, capsys, "tensors named by ascending class ids")
+
+
+@pytest.mark.parametrize("name", ["universe.txt", "eval_novel.txt", "exemplars.csv", "checkpoint"])
+def test_an_older_format_version_is_refused_by_name(name, gen_dir, train_dir, tmp_path, capsys):
+    data, run = tmp_path / "data", tmp_path / "run"
+    shutil.copytree(gen_dir, data)
+    shutil.copytree(train_dir, run)
+    path = run / "checkpoint_iter2.ckpt" if name == "checkpoint" else data / name
+    text = path.read_text(encoding="utf-8")
+    header = text.partition("\n")[0]
+    path.write_text(text.replace(header, header.replace(" v2", " v1"), 1), encoding="utf-8")
+    out = tmp_path / "out"
+    checkpoint = str(run / "checkpoint_iter2.ckpt")
+    if name == "exemplars.csv":
+        argv = ["morph", "--checkpoint", checkpoint, "--exemplars", str(path), "--out", str(out)]
+    else:
+        argv = ["eval", "--checkpoint", checkpoint, "--data", str(data), "--out", str(out)]
+    _refused_without_output(argv, out, capsys, f"{header.replace(' v2', ' v1')}' is an older format than '{header}'")
 
 
 def test_experiment_unknown_name(tmp_path, capsys):

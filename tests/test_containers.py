@@ -1,7 +1,8 @@
-"""Every universe, dataset and checkpoint file either loads back exactly what
-it holds or is refused: each line cut, dropped or repeated, and any text
-appended after `end`, must give a file that saves back byte for byte after
-loading, or raise a ValueError subclass (CheckpointError for checkpoints)."""
+"""Every universe, dataset, checkpoint and exemplar file either loads back
+exactly what it holds or is refused: each line cut, dropped, repeated or
+edited, and any text appended after its end line, must give a file that saves
+back byte for byte after loading, or raise a ValueError subclass
+(CheckpointError for checkpoints)."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from morphdet.em_trainer import DetectorState, TrainConfig, checkpoint_text, load_checkpoint
 from morphdet.embedder import CheckpointError, init_params
+from morphdet.morph_inference import read_exemplars_csv, write_exemplars_csv
 from morphdet.prototype_store import PrototypeSet
 from morphdet.toyworld import (
     DataConfig,
@@ -16,6 +18,7 @@ from morphdet.toyworld import (
     load_dataset,
     load_universe,
     make_dataset,
+    exemplars_for,
     make_universe,
     save_dataset,
     save_universe,
@@ -26,17 +29,27 @@ FUZZ = settings(max_examples=25, deadline=None, suppress_health_check=[HealthChe
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=30)
 
 
-def _variants(lines, extra):
+def _variants(lines, extra, edit):
     yield lines
     for k in range(len(lines)):
         yield lines[:k]
         yield lines[:k] + lines[k + 1 :]
         yield lines[: k + 1] + lines[k:]
+        yield lines[:k] + [edit(lines[k])] + lines[k + 1 :]
     yield lines + [extra]
 
 
-def _check_every_variant(path, text, extra, load, dump, error):
-    for lines in _variants(text.splitlines(), extra):
+def _check_every_variant(path, text, data, load, dump, error):
+    extra = data.draw(_TEXT | st.sampled_from(text.splitlines()))
+    # One token of a line gains a character: a changed digit, name or count.
+    token_edit = data.draw(st.tuples(st.integers(0, 64), st.sampled_from("0123456789.-e x")))
+
+    def edit(line):
+        tokens = line.split(" ")
+        k = token_edit[0] % len(tokens)
+        return " ".join(tokens[:k] + [tokens[k] + token_edit[1]] + tokens[k + 1 :])
+
+    for lines in _variants(text.splitlines(), extra, edit):
         mutated = "".join(line + "\n" for line in lines)
         path.write_text(mutated, encoding="utf-8")
         try:
@@ -71,9 +84,8 @@ def test_universe_file_loads_exactly_or_is_refused(fuzz_dir, small_universe, dat
     path = fuzz_dir / "universe.txt"
     save_universe(path, small_universe)
     text = path.read_text(encoding="utf-8")
-    extra = data.draw(_TEXT | st.sampled_from(text.splitlines()))
     dump = _saved_text(save_universe, fuzz_dir)
-    _check_every_variant(path, text, extra, load_universe, dump, ValueError)
+    _check_every_variant(path, text, data, load_universe, dump, ValueError)
 
 
 @FUZZ
@@ -83,9 +95,8 @@ def test_dataset_file_loads_exactly_or_is_refused(fuzz_dir, small_universe, data
     data_config = DataConfig(objects_per_scene=1, proposals_per_scene=3)
     save_dataset(path, make_dataset(small_universe, small_universe.base, 1, data_config, seed=4))
     text = path.read_text(encoding="utf-8")
-    extra = data.draw(_TEXT | st.sampled_from(text.splitlines()))
     dump = _saved_text(save_dataset, fuzz_dir)
-    _check_every_variant(path, text, extra, load_dataset, dump, ValueError)
+    _check_every_variant(path, text, data, load_dataset, dump, ValueError)
 
 
 @FUZZ
@@ -100,6 +111,14 @@ def test_checkpoint_file_loads_exactly_or_is_refused(fuzz_dir, data):
     path = fuzz_dir / "detector.ckpt"
     for protos in sets:
         state = DetectorState(init_params(3, (2,), 2, seed=5), protos, TrainConfig(hidden_sizes=(2,)))
-        text = checkpoint_text(state)
-        extra = data.draw(_TEXT | st.sampled_from(text.splitlines()))
-        _check_every_variant(path, text, extra, load_checkpoint, checkpoint_text, CheckpointError)
+        _check_every_variant(path, checkpoint_text(state), data, load_checkpoint, checkpoint_text, CheckpointError)
+
+
+@FUZZ
+@given(data=st.data())
+def test_exemplar_file_loads_exactly_or_is_refused(fuzz_dir, small_universe, data):
+    path = fuzz_dir / "exemplars.csv"
+    write_exemplars_csv(path, exemplars_for(small_universe, small_universe.classes(), shots=2, seed=6))
+    text = path.read_text(encoding="utf-8")
+    dump = _saved_text(write_exemplars_csv, fuzz_dir)
+    _check_every_variant(path, text, data, read_exemplars_csv, dump, ValueError)

@@ -166,9 +166,10 @@ def test_world_builds_eval_base_on_first_read(monkeypatch, tmp_path):
     assert len(calls) == 2
     scenes = world.eval_base
     assert len(calls) == 3 and world.eval_base is scenes
-    # The bytes an eager build wrote before eval_base became lazy.
+    # The bytes an eager build wrote before eval_base became lazy, framed as
+    # format v2 (the v1 file's body lines, a v2 header and a sha256 end line).
     save_dataset(tmp_path / "eval_base.txt", scenes)
-    assert sha256_file(tmp_path / "eval_base.txt") == "fbf2f83d676f06d02db789bf1e320e65eef9e1b5820f1aa092cfb3ec4a0fc63a"
+    assert sha256_file(tmp_path / "eval_base.txt") == "8b68806633d170007ab4dd9c4f5f7e428461c0381e4b49a1f87f5f6151e456ed"
 
 
 def _assert_csv(path, header, n_rows):

@@ -1,6 +1,6 @@
 """Boxes, NMS against a brute-force oracle, morphing, and detection flow."""
 
-from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -238,8 +238,11 @@ def test_detect_edge_cases(tiny_state):
     for outside in (1.1, float("nan"), -0.1):
         with pytest.raises(ValueError, match="score_threshold"):
             DetectConfig(score_threshold=outside)
+    # A DetectorState refuses an empty prototype set, so detect's own refusal
+    # is reached with a bare state.
+    bare = SimpleNamespace(params=tiny_state.params, prototypes=PrototypeSet.empty(tiny_state.prototypes.dim))
     with pytest.raises(EmptyInput):
-        detect(replace(tiny_state, prototypes=PrototypeSet.empty(tiny_state.prototypes.dim)), proposals)
+        detect(bare, proposals)
 
 
 def random_detector(n_classes, seed, m_in=12, dim=8):

@@ -1,4 +1,4 @@
-"""Prototype store: matrix invariants, E-step blend algebra, text formats."""
+"""Prototype store: matrix invariants, E-step blend algebra, vector files."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,6 @@ from morphdet.prototype_store import (
     add_novel,
     e_step_update,
     init_from_semantic,
-    prototypes_from_lines,
-    prototypes_to_lines,
     read_vector_file,
     write_vector_file,
 )
@@ -176,33 +174,6 @@ def test_add_novel_keeps_rows_in_id_order():
     assert protos.ids == (1, 2, 7) and protos.matrix.shape == (3, 3)
 
 
-def test_text_round_trip_bitwise():
-    rng = np.random.default_rng(6)
-    ids = (1, 2, 3, 10, 11, 12)
-    matrix = np.stack([unit(rng.normal(size=5)) for _ in ids])
-    protos = PrototypeSet(ids=ids, matrix=matrix, novel={2, 10, 11})
-    lines = prototypes_to_lines(protos)
-    assert [line.split("\t")[0] for line in lines] == ["1", "3", "12", "---", "2", "10", "11"]
-    back = prototypes_from_lines(lines, 5)
-    assert back.ids == ids and back.novel == {2, 10, 11}
-    assert np.array_equal(back.matrix, matrix)
-
-
-def test_from_lines_validation():
-    with pytest.raises(ValueError):
-        prototypes_from_lines(["1\t1 0", "2\t0 1"], 2)  # no separator
-    with pytest.raises(ClassCollision):
-        prototypes_from_lines(["1\t1 0", "1\t0 1", "---"], 2)
-    with pytest.raises(ClassCollision):
-        prototypes_from_lines(["1\t1 0", "---", "1\t0 1"], 2)  # base and novel
-    with pytest.raises(ValueError):
-        prototypes_from_lines(["not-a-line", "---"], 2)
-    empty = prototypes_from_lines(["---"], 4)
-    assert empty.dim == 4 and empty.ids == ()
-    with pytest.raises(DimensionMismatch):
-        prototypes_from_lines(["1\t1 0", "---"], 3)
-
-
 def test_vector_file_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     vectors = {cid: rng.normal(size=6) for cid in (4, 1, 9)}
@@ -214,11 +185,16 @@ def test_vector_file_round_trip(tmp_path):
         assert np.array_equal(back[cid], vec)
 
 
-def test_vector_file_tolerates_separators_and_rejects_duplicates(tmp_path):
+def test_vector_file_skips_blank_lines_and_rejects_malformed_ones(tmp_path):
     path = tmp_path / "vectors.txt"
-    path.write_text("1\t1 0\n---\n2\t0 1\n\n")
+    path.write_text("1\t1 0\n\n2\t0 1\n\n")
     back = read_vector_file(path)
     assert sorted(back) == [1, 2]
     path.write_text("1\t1 0\n1\t0 1\n")
     with pytest.raises(ClassCollision):
         read_vector_file(path)
+    # A section separator is no vector line.
+    for bad in ("1\t1 0\n---\n2\t0 1\n", "1 1 0\n", "x\t1 0\n", "1\t1 nan\n"):
+        path.write_text(bad)
+        with pytest.raises(ValueError):
+            read_vector_file(path)

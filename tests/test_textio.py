@@ -1,4 +1,5 @@
-"""Text format helpers: %.17g round trips float64 bit-for-bit."""
+"""Text format helpers: %.17g round trips float64 bit-for-bit, and the
+container refuses any file whose end line is not the sha256 of the rest."""
 
 import hashlib
 
@@ -78,9 +79,11 @@ def test_parse_tensor_rejects_malformed():
     with pytest.raises(ValueError):
         parse_tensor("tensor w 2", "1 2")
     with pytest.raises(ValueError):
-        parse_tensor("matrix w 1 2", "1 2")
+        parse_tensor("matrix w 1 2", "1 2")  # the one block keyword is `tensor`
     with pytest.raises(ValueError):
         parse_tensor("tensor w 2 2", "1 2 3")
+    with pytest.raises(ValueError, match="malformed"):
+        parse_tensor("tensor w -1 2", "1 2")  # reshape would take -1 as "whatever fits"
 
 
 def test_sha256_file_matches_hashlib(tmp_path):
@@ -90,39 +93,58 @@ def test_sha256_file_matches_hashlib(tmp_path):
     assert sha256_file(path) == hashlib.sha256(payload).hexdigest()
 
 
-def test_tensor_blocks_share_one_parser_across_keywords():
-    lines = tensor_lines("a", np.eye(2), "matrix") + tensor_lines("b", np.ones(3), "matrix")
-    blocks = tensor_blocks(lines, "matrix")
+def test_tensor_blocks_keep_file_order_and_refuse_broken_blocks():
+    lines = tensor_lines("a", np.eye(2)) + tensor_lines("b", np.ones(3))
+    blocks = tensor_blocks(lines)
     assert list(blocks) == ["a", "b"]
     assert np.array_equal(blocks["a"], np.eye(2)) and blocks["b"].shape == (1, 3)
     with pytest.raises(ValueError, match="dangling"):
-        tensor_blocks(lines[:3], "matrix")
+        tensor_blocks(lines[:3])
     with pytest.raises(ValueError, match="duplicate"):
-        tensor_blocks(lines[:2] + lines[:2], "matrix")
+        tensor_blocks(lines[:2] + lines[:2])
     with pytest.raises(ValueError, match="malformed"):
-        tensor_blocks(lines, "tensor")
+        tensor_blocks(["matrix" + lines[0].removeprefix("tensor"), lines[1]])
 
 
 def test_record_file_round_trip_and_framing(tmp_path):
     path = tmp_path / "rec.txt"
-    write_record_file(path, "kind v1", "meta", {"b": 2, "a": 1}, ["x 1", "y 2"])
-    text = path.read_text(encoding="utf-8")
-    assert text == record_text("kind v1", "meta", {"a": 1, "b": 2}, ["x 1", "y 2"])
-    assert text.splitlines()[1] == 'meta {"a": 1, "b": 2}'
-    assert read_record_file(path, "kind v1", "meta") == ({"a": 1, "b": 2}, ["x 1", "y 2"])
+    write_record_file(path, "kind v2", "meta", {"b": 2, "a": 1}, ["x 1", "y 2"])
+    raw = path.read_bytes()
+    text = raw.decode("utf-8")
+    assert text == record_text("kind v2", "meta", {"a": 1, "b": 2}, ["x 1", "y 2"])
     lines = text.splitlines()
+    assert lines[:4] == ["kind v2", 'meta {"a": 1, "b": 2}', "x 1", "y 2"]
+    head = raw[: raw.rindex(b"end sha256=")]
+    assert lines[4] == f"end sha256={hashlib.sha256(head).hexdigest()}" and len(lines) == 5
+    assert read_record_file(path, "kind v2", "meta") == ({"a": 1, "b": 2}, ["x 1", "y 2"])
     spoiled = {
-        "other header": ["kind v2"] + lines[1:],
+        "other kind": ["other v2"] + lines[1:],
         "other meta key": [lines[0], "config {}"] + lines[2:],
-        "meta not an object": [lines[0], "meta [1]"] + lines[2:],
-        "meta not json": [lines[0], "meta {"] + lines[2:],
+        "edited meta": [lines[0], 'meta {"a": 1, "b": 3}'] + lines[2:],
+        "dropped line": lines[:2] + lines[3:],
+        "repeated line": lines[:3] + lines[2:],
+        "edited line": lines[:2] + ["x 2"] + lines[3:],
         "no end": lines[:-1],
+        "bare end": lines[:-1] + ["end"],
         "text after end": lines + ["x 3"],
-        "second end": lines + ["end"],
-        "blank body line": lines[:3] + [" "] + lines[3:],
+        "second end": lines + lines[-1:],
         "empty file": [],
     }
     for name, spoilt in spoiled.items():
         path.write_text("".join(line + "\n" for line in spoilt), encoding="utf-8")
         with pytest.raises(ValueError):
-            read_record_file(path, "kind v1", "meta")
+            read_record_file(path, "kind v2", "meta")
+    path.write_bytes(raw.rstrip(b"\n"))
+    with pytest.raises(ValueError, match="sha256"):
+        read_record_file(path, "kind v2", "meta")
+    # A file whose digest holds is still refused for what its checks see.
+    framed = {
+        "other meta key": (record_text("kind v2", "config", {}, ["x 1"]), "line 2 is not a 'meta' line"),
+        "meta not an object": (record_text("kind v2", "meta", [1], ["x 1"]), "not a JSON object"),
+        "blank body line": (record_text("kind v2", "meta", {}, ["x 1", " "]), "line 4 is blank"),
+        "older version": (record_text("kind v1", "meta", {}, ["x 1"]), "'kind v1' is an older format than 'kind v2'"),
+    }
+    for name, (payload, message) in framed.items():
+        path.write_text(payload, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            read_record_file(path, "kind v2", "meta")

@@ -1,17 +1,19 @@
 """Toy world generation: determinism, labeling oracle, correlation knobs,
 stream separation, and the serialization formats."""
 
-import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import reframe
 from morphdet import toyworld
 from morphdet.morph_inference import encode_box, iou
 from morphdet.toyworld import (
+    DATASET_HEADER,
     FG_IOU_THRESHOLD,
     GEOMETRY_SCALE,
+    UNIVERSE_HEADER,
     DataConfig,
     UniverseConfig,
     exemplars_for,
@@ -25,12 +27,10 @@ from morphdet.toyworld import (
 )
 
 
-def test_make_universe_ids_names_and_split():
+def test_make_universe_ids_and_split():
     uni = make_universe(UniverseConfig(n_base=5, n_novel=3, sigma_sem=0.02), seed=0)
     assert [c.class_id for c in uni.base] == [1, 2, 3, 4, 5]
     assert [c.class_id for c in uni.novel] == [6, 7, 8]
-    assert uni.base[0].name == "toy001"
-    assert uni.novel[-1].name == "toy008"
     manifest = uni.split_manifest()
     assert manifest["base_class_ids"] == [1, 2, 3, 4, 5]
     assert manifest["novel_class_ids"] == [6, 7, 8]
@@ -246,7 +246,7 @@ def test_universe_round_trip(tmp_path):
     assert np.array_equal(back.semantic_projection, uni.semantic_projection)
     assert np.array_equal(back.descriptor_projection, uni.descriptor_projection)
     for ca, cb in zip(uni.classes(), back.classes()):
-        assert ca.class_id == cb.class_id and ca.name == cb.name
+        assert ca.class_id == cb.class_id
         assert np.array_equal(ca.attribute, cb.attribute)
         assert np.array_equal(ca.semantic, cb.semantic)
     assert back.split_manifest() == uni.split_manifest()
@@ -263,14 +263,21 @@ def test_universe_config_stores_noise_scales_as_floats(tmp_path):
 
 def test_universe_load_refuses_a_meta_line_its_body_disagrees_with(tmp_path):
     path = tmp_path / "universe.txt"
-    save_universe(path, make_universe(UniverseConfig(n_base=2, n_novel=1, k=2, d_sem=3, m_in=6), seed=3))
-    lines = path.read_text(encoding="utf-8").splitlines()
+    universe = make_universe(UniverseConfig(n_base=2, n_novel=1, k=2, d_sem=3, m_in=6), seed=3)
     # k 3 leaves m_in 6 too few appearance channels, so the config refuses it
     # before the body is read.
-    cases = (('"d_sem": 3', '"d_sem": 4', "does not match its meta line"), ('"k": 2', '"k": 3', "m_in"))
-    for old, new, message in cases:
-        assert old in lines[1]
-        path.write_text("\n".join([lines[0], lines[1].replace(old, new), *lines[2:]]) + "\n", encoding="utf-8")
+    cases = (
+        ({"meta": lambda meta: {**meta, "d_sem": 4}}, "does not match its meta line"),
+        ({"meta": lambda meta: {**meta, "n_novel": 2}}, "does not match its meta line"),
+        ({"meta": lambda meta: {**meta, "k": 3}}, "m_in"),
+        # The four tensors come in save_universe's order.
+        ({"body": lambda body: body[2:4] + body[:2] + body[4:]}, "does not match its meta line"),
+        ({"body": lambda body: body[:-2]}, "does not match its meta line"),
+        ({"body": lambda body: [body[0], body[1].rsplit(" ", 1)[0], *body[2:]]}, "declares 3x2 but carries 5 values"),
+    )
+    for edit, message in cases:
+        save_universe(path, universe)
+        reframe(path, UNIVERSE_HEADER, "meta", **edit)
         with pytest.raises(ValueError, match=message):
             load_universe(path)
 
@@ -293,12 +300,9 @@ def test_universe_load_refuses_a_meta_line_its_body_disagrees_with(tmp_path):
 def test_universe_load_refuses_a_meta_line_its_config_refuses(tmp_path, change, field):
     path = tmp_path / "universe.txt"
     save_universe(path, make_universe(UniverseConfig(n_base=2, n_novel=1, k=2, d_sem=3, m_in=6), seed=3))
-    lines = path.read_text(encoding="utf-8").splitlines()
-    meta = json.loads(lines[1].partition(" ")[2])
-    meta.update(change)
-    meta = {key: value for key, value in meta.items() if value is not None}
-    lines[1] = f"meta {json.dumps(meta, sort_keys=True)}"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    reframe(path, UNIVERSE_HEADER, "meta", meta=lambda meta: {
+        key: value for key, value in {**meta, **change}.items() if value is not None
+    })
     with pytest.raises(ValueError, match=field):
         load_universe(path)
 
@@ -334,15 +338,28 @@ def test_dataset_round_trip(tmp_path):
 def test_dataset_load_rejects_non_finite_values_and_wrong_scene_count(tmp_path):
     uni = make_universe(UniverseConfig(n_base=2, n_novel=1, sigma_sem=0.02), seed=22)
     path = tmp_path / "dataset.txt"
-    save_dataset(path, make_dataset(uni, uni.base, 2, DataConfig(objects_per_scene=1, proposals_per_scene=3), seed=23))
-    lines = path.read_text(encoding="utf-8").splitlines()
-    at = next(k for k, line in enumerate(lines) if line.startswith("proposal "))
-    spoiled = {
-        "nan descriptor": lines[:at] + [lines[at].rsplit(" ", 1)[0] + " nan"] + lines[at + 1 :],
-        "scene count": [lines[0], lines[1].replace('"scene_count": 4', '"scene_count": 5')] + lines[2:],
-        "object before scene": lines[:2] + lines[3:],
+    scenes = make_dataset(uni, uni.base, 2, DataConfig(objects_per_scene=1, proposals_per_scene=3), seed=23)
+
+    def nan_descriptor(body):
+        at = next(k for k, line in enumerate(body) if line.startswith("proposal "))
+        return body[:at] + [body[at].rsplit(" ", 1)[0] + " nan"] + body[at + 1 :]
+
+    cases = {
+        "nan descriptor": ({"body": nan_descriptor}, "non-finite"),
+        "scene count": ({"meta": lambda meta: {**meta, "scene_count": 5}}, "meta says"),
+        "object before scene": ({"body": lambda body: body[1:]}, "unexpected dataset line"),
+        "short descriptor": (
+            {"body": lambda body: [body[0], body[1].rsplit(" ", 1)[0], *body[2:]]}, "has 11 values, meta says 12"
+        ),
     }
-    for payload in spoiled.values():
-        path.write_text("\n".join(payload) + "\n", encoding="utf-8")
-        with pytest.raises(ValueError):
+    for edit, message in cases.values():
+        save_dataset(path, scenes)
+        reframe(path, DATASET_HEADER, "meta", **edit)
+        with pytest.raises(ValueError, match=message):
             load_dataset(path)
+    # An older version of the format is refused by name.
+    save_dataset(path, scenes)
+    older = path.read_text(encoding="utf-8").replace(DATASET_HEADER, "toyworld-dataset v1", 1)
+    path.write_text(older, encoding="utf-8")
+    with pytest.raises(ValueError, match="older format"):
+        load_dataset(path)

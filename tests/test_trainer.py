@@ -8,9 +8,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import TINY_TRAIN, identity_detector
+from conftest import TINY_TRAIN, identity_detector, reframe
 from morphdet import em_trainer
 from morphdet.em_trainer import (
+    CHECKPOINT_HEADER,
     ConfigError,
     DetectorState,
     EpochRecord,
@@ -75,7 +76,7 @@ def test_detector_state_checks_dimensions():
 
 def test_detector_state_refuses_a_config_of_other_hidden_sizes():
     params = init_params(4, (5,), 3, seed=0)
-    protos = PrototypeSet.empty(3)
+    protos = PrototypeSet(ids=(1,), matrix=np.array([[1.0, 0.0, 0.0]]))
     assert DetectorState(params, protos, TrainConfig(hidden_sizes=(5,))).config.hidden_sizes == (5,)
     for sizes in ((64, 64), (), (5, 5), (6,)):
         with pytest.raises(DimensionMismatch, match=re.escape(f"hidden_sizes {list(sizes)} != network [5]")):
@@ -465,50 +466,107 @@ def test_checkpoint_of_a_trunk_free_detector_loads_back_equal(tmp_path):
 
 
 def test_checkpoint_rejects_corruption(tmp_path, tiny_state, tiny_exemplars):
-    text = checkpoint_text(tiny_state)
+    morphed = morph(tiny_state, tiny_exemplars)
+    text = checkpoint_text(morphed)
     lines = text.splitlines()
-    first_tensor = next(i for i, line in enumerate(lines) if line.startswith("tensor "))
-    box_bias = next(i for i, line in enumerate(lines) if line.startswith("tensor box_head.bias"))
-    protos_at = lines.index("prototypes")
-    m_in = tiny_state.params.m_in
-    # Dropping the last novel prototype and the trailer must not load as a
-    # detector that silently lacks that class.
-    morphed_lines = checkpoint_text(morph(tiny_state, tiny_exemplars)).splitlines()
+    ids, novel = list(morphed.prototypes.ids), sorted(morphed.prototypes.novel)
+    m_in, hidden = tiny_state.params.m_in, tiny_state.params.hidden_sizes[0]
 
-    def with_config(section, key, value):
-        config = json.loads(lines[1].partition(" ")[2])
-        config[section][key] = value
-        return "\n".join([lines[0], "config " + json.dumps(config, sort_keys=True)] + lines[2:]) + "\n"
-
-    cases = {
-        "bad_header.ckpt": "\n".join(["junk"] + lines[1:]) + "\n",
-        "no_config.ckpt": "\n".join([lines[0]] + lines[2:]) + "\n",
-        "bad_config.ckpt": text.replace('"em_iterations": 2', '"em_iterations": 0', 1),
-        "no_prototypes.ckpt": "\n".join(line for line in lines if line != "prototypes") + "\n",
-        "dangling.ckpt": "\n".join(lines[: first_tensor + 1]) + "\n",
-        "duplicate.ckpt": "\n".join(
-            lines[: first_tensor + 2]
-            + lines[first_tensor : first_tensor + 2]
-            + lines[first_tensor + 2 :]
-        )
-        + "\n",
-        "missing_tensor.ckpt": "\n".join(lines[:box_bias] + lines[box_bias + 2 :]) + "\n",
-        "arch_mismatch.ckpt": text.replace(f'"m_in": {m_in}', f'"m_in": {m_in + 1}', 1),
-        "extra_tensor.ckpt": "\n".join(lines[:protos_at] + ["tensor extra 1 1", "1"] + lines[protos_at:]) + "\n",
-        "truncated.ckpt": "\n".join(morphed_lines[:-2]) + "\n",
-        "junk_after_end.ckpt": "\n".join(morphed_lines + ["junk"]) + "\n",
-        # Config values of the wrong type must not be truncated or accepted.
-        "m_in_fraction.ckpt": with_config("arch", "m_in", m_in + 0.5),
-        "m_in_float.ckpt": with_config("arch", "m_in", float(m_in)),
-        "arch_hidden_fraction.ckpt": with_config("arch", "hidden_sizes", [64.9, 64]),
-        "train_hidden_fraction.ckpt": with_config("train", "hidden_sizes", [64.9, 64]),
-        "batch_size_fraction.ckpt": with_config("train", "batch_size", 2.5),
-        "em_iterations_bool.ckpt": with_config("train", "em_iterations", True),
-        # The training config must describe the network it trained.
-        "train_hidden_mismatch.ckpt": with_config("train", "hidden_sizes", [32]),
+    # Any edit that does not rewrite the end line is refused by the digest.
+    raw_cases = {
+        "bad_header.ckpt": ["junk"] + lines[1:],
+        "older_format.ckpt": [CHECKPOINT_HEADER.replace("v2", "v1")] + lines[1:],
+        "no_config.ckpt": [lines[0]] + lines[2:],
+        "edited_novel_ids.ckpt": [lines[0], lines[1].replace(f'"novel_ids": {novel}', f'"novel_ids": {novel[:-1]}')]
+        + lines[2:],
+        "truncated.ckpt": lines[:-2],
+        "junk_after_end.ckpt": lines + ["junk"],
     }
-    for name, payload in cases.items():
+    for name, payload in raw_cases.items():
         path = tmp_path / name
-        path.write_text(payload, encoding="utf-8")
+        path.write_text("".join(line + "\n" for line in payload), encoding="utf-8")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def config_with(**change):
+        def edit(config):
+            config = json.loads(json.dumps(config))
+            for key, value in change.items():
+                section, _, field = key.partition("__")
+                if field:
+                    config[section][field] = value
+                elif value is None:
+                    del config[section]
+                else:
+                    config[section] = value
+            return config
+
+        return {"meta": edit}
+
+    def tensor_at(body, name):
+        return next(k for k, line in enumerate(body) if line.startswith(f"tensor {name} "))
+
+    def drop_tensor(name):
+        return {"body": lambda body: body[: tensor_at(body, name)] + body[tensor_at(body, name) + 2 :]}
+
+    def without_last_prototype_row(body):
+        at = tensor_at(body, "prototypes")
+        rows, cols = map(int, body[at].split()[2:])
+        return body[:at] + [f"tensor prototypes {rows - 1} {cols}", " ".join(body[at + 1].split()[:-cols])]
+
+    # A file whose digest holds is refused by the loader check it breaks.
+    cases = {
+        "bad_config": (config_with(train__em_iterations=0), "em_iterations must be >= 1"),
+        "unknown_config_key": (config_with(arch={"m_in": m_in}), "config keys"),
+        "no_class_ids": (config_with(class_ids=None), "config keys"),
+        "dangling": ({"body": lambda body: body[:1]}, "dangling tensor header"),
+        "duplicate": ({"body": lambda body: body[:2] + body}, "duplicate tensor 'trunk.0.weight'"),
+        "missing_tensor": (drop_tensor("box_head.bias"), "missing tensor 'box_head.bias'"),
+        "missing_bottom_tensor": (drop_tensor("trunk.0.weight"), "missing tensor 'trunk.0.weight'"),
+        "no_prototypes": (drop_tensor("prototypes"), "KeyError('prototypes')"),
+        "extra_tensor": ({"body": lambda body: body + ["tensor extra 1 1", "1"]}, "unexpected tensors: ['extra']"),
+        "trunk_shape": (
+            {"body": lambda body: [f"tensor trunk.0.weight {2 * m_in} {hidden // 2}", *body[1:]]},
+            f"has shape ({2 * m_in}, {hidden // 2}), expected ({2 * m_in}, {hidden})",
+        ),
+        # Config values of the wrong type must not be truncated or accepted.
+        "train_hidden_fraction": (
+            config_with(train__hidden_sizes=[64.9, 64]), "hidden_sizes must be a list of integers"
+        ),
+        "batch_size_fraction": (config_with(train__batch_size=2.5), "batch_size must be an integer"),
+        "em_iterations_bool": (config_with(train__em_iterations=True), "em_iterations must be an integer"),
+        # The training config must describe the network it trained.
+        "train_hidden_mismatch": (
+            config_with(train__hidden_sizes=[32]),
+            f"'trunk.0.weight' has shape ({m_in}, {hidden}), expected ({m_in}, 32)",
+        ),
+        # The class ids, the novel ids and the prototype rows must agree.
+        "fractional_class_id": (config_with(class_ids=[1.5, *ids[1:]]), "must be lists of integers"),
+        "bool_novel_id": (config_with(novel_ids=[True]), "must be lists of integers"),
+        "class_ids_not_a_list": (config_with(class_ids=7), "must be lists of integers"),
+        "repeated_class_id": (config_with(class_ids=[1, 1, *ids[2:]]), "ascend without repeats"),
+        "descending_class_ids": (config_with(class_ids=ids[::-1]), "ascend without repeats"),
+        "background_class_id": (config_with(class_ids=[0, *ids[1:]]), "must be >= 1"),
+        "repeated_novel_id": (config_with(novel_ids=[novel[0], *novel]), "novel_ids must ascend without repeats"),
+        "descending_novel_ids": (config_with(novel_ids=novel[::-1]), "novel_ids must ascend without repeats"),
+        "novel_id_not_a_class": (config_with(novel_ids=[*novel, ids[-1] + 1]), "novel classes without a prototype"),
+        "fewer_class_ids_than_rows": (
+            config_with(class_ids=ids[:-1], novel_ids=novel[:-1]), "prototype matrix has shape"
+        ),
+        "prototype_row_lost": ({"body": without_last_prototype_row}, "prototype matrix has shape"),
+        "prototype_not_unit": (
+            {"body": lambda body: body[:-1] + [body[-1].rsplit(" ", 1)[0] + " 0.5"]},
+            f"prototype for class {ids[-1]} is not a finite unit vector",
+        ),
+    }
+    for name, (edit, message) in cases.items():
+        path = tmp_path / f"{name}.ckpt"
+        path.write_text(text, encoding="utf-8")
+        reframe(path, CHECKPOINT_HEADER, "config", **edit)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(path)
+
+
+def test_detector_state_refuses_an_empty_prototype_set(tiny_state):
+    with pytest.raises(EmptyInput):
+        replace(tiny_state, prototypes=PrototypeSet.empty(tiny_state.prototypes.dim))
