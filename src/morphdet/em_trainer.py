@@ -379,7 +379,7 @@ def save_checkpoint(path, state: DetectorState) -> None:
 
 
 def load_checkpoint(path) -> DetectorState:
-    """Inverse of save_checkpoint; every defect raises CheckpointError."""
+    """Inverse of save_checkpoint; every defect raises a CheckpointError that names the path once."""
     try:
         config, body = read_record_file(path, CHECKPOINT_HEADER, "config")
         if sorted(config) != ["class_ids", "novel_ids", "train"]:
@@ -389,9 +389,11 @@ def load_checkpoint(path) -> DetectorState:
         if not all(isinstance(group, list) and all(map(_is_int, group)) for group in (ids, novel)):
             raise ValueError(f"class_ids {ids!r} and novel_ids {novel!r} must be lists of integers")
         tensors = tensor_blocks(body)
+        if "prototypes" not in tensors:
+            raise ValueError("checkpoint is missing tensor 'prototypes'")
         protos = PrototypeSet(ids=tuple(ids), matrix=tensors.pop("prototypes"), novel=frozenset(novel))
         if sorted(protos.novel) != novel:
             raise ValueError(f"novel_ids must ascend without repeats, got {novel}")
         return DetectorState(params_from_tensors(tensors, tconfig.hidden_sizes), protos, tconfig)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: {exc!r}") from exc
+    except (KeyError, TypeError, ValueError) as exc:  # the container reader's messages open with the path
+        raise CheckpointError(f"{path}: {str(exc).removeprefix(f'{path}: ')}") from exc

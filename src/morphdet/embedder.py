@@ -1,9 +1,9 @@
 """The feature-embedding network and its exact gradients.
 
 Architecture: a trunk of affine + ReLU layers over proposal descriptors,
-topped by three linear heads sharing the trunk output -- a feature vector
-(scored against class prototypes), a single background logit, and four
-class-agnostic box-regression deltas.
+topped by one linear head block whose d + 5 columns are three heads: a
+feature vector (scored against class prototypes), a single background logit,
+and four class-agnostic box-regression deltas.
 
 forward_batch embeds a batch for inference. forward_batch_with_grad computes
 the training loss of objective.py on a minibatch given as arrays, foreground
@@ -57,24 +57,22 @@ class AffineLayer(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _layout(sizes: tuple[int, ...]) -> tuple[tuple, int]:
-    """((name, start, stop, shape) per tensor, total length) of the flat vector:
-    trunk bottom-up, then the feature, background and box heads, each weight
-    before its bias. This is also the tensor order of checkpoints."""
-    top = sizes[-2]
-    blocks = [(f"trunk.{k}", sizes[k], sizes[k + 1]) for k in range(len(sizes) - 2)]
-    blocks += [("feature_head", top, sizes[-1]), ("background_head", top, 1), ("box_head", top, 4)]
-    slots = []
-    offset = 0
-    for name, n_in, n_out in blocks:
-        for suffix, shape in (("weight", (n_in, n_out)), ("bias", (n_out,))):
+    """((start, stop, shape) per tensor, total length) of the flat vector: the
+    trunk layers bottom-up, then the head block, each weight before its bias.
+    The head block is a (top, d + 5) weight and a (d + 5,) bias; its columns
+    are the feature (d), background (1) and box (4) heads."""
+    widths = (*sizes[:-1], sizes[-1] + 5)
+    slots, offset = [], 0
+    for n_in, n_out in zip(widths, widths[1:]):
+        for shape in ((n_in, n_out), (n_out,)):
             start, offset = offset, offset + math.prod(shape)
-            slots.append((f"{name}.{suffix}", start, offset, shape))
+            slots.append((start, offset, shape))
     return tuple(slots), offset
 
 
 def _views(flat: np.ndarray, sizes: tuple[int, ...]) -> list[np.ndarray]:
     """One view into `flat` per tensor of the layout, in layout order."""
-    return [flat[start:stop].reshape(shape) for _, start, stop, shape in _layout(sizes)[0]]
+    return [flat[start:stop].reshape(shape) for start, stop, shape in _layout(sizes)[0]]
 
 
 def _check_flat(flat: np.ndarray, total: int, what: str) -> None:
@@ -90,17 +88,18 @@ class EmbedderParams:
     """Every network tensor in one contiguous float64 vector `flat`.
 
     `sizes` is (m_in, *hidden_sizes, feature_dim); it fixes the layout, and
-    the per-layer arrays are views into `flat`, built once here.
+    the per-layer arrays are views into `flat`, built once here. The three
+    heads, and so their checkpoint tensors, are column views of `heads`.
     """
 
-    __slots__ = ("sizes", "flat", "_tensors", "_blocks")
+    __slots__ = ("sizes", "flat", "trunk", "heads", "feature_head", "background_head", "box_head", "_tensors")
 
     def __init__(self, sizes, flat: np.ndarray | None = None):
         sizes = tuple(sizes)
         if len(sizes) < 2 or not all(_is_size(s) for s in sizes):
             raise ValueError(f"layer sizes (m_in, *hidden, d) must all be integers >= 1, got {sizes}")
         sizes = tuple(map(int, sizes))
-        slots, total = _layout(sizes)
+        total = _layout(sizes)[1]
         if flat is None:
             flat = np.zeros(total)
         else:
@@ -108,8 +107,14 @@ class EmbedderParams:
         self.sizes = sizes
         self.flat = flat
         arrays = _views(flat, sizes)
-        self._tensors = tuple((slot[0], arr) for slot, arr in zip(slots, arrays))
-        self._blocks = tuple(AffineLayer(arrays[k], arrays[k + 1]) for k in range(0, len(arrays), 2))
+        self.trunk = tuple(AffineLayer(*arrays[k : k + 2]) for k in range(0, len(arrays) - 2, 2))
+        self.heads = heads = AffineLayer(*arrays[-2:])
+        d = sizes[-1]
+        self.feature_head, self.background_head, self.box_head = (
+            AffineLayer(heads.weight[:, cols], heads.bias[cols]) for cols in (slice(d), slice(d, d + 1), slice(d + 1, None))
+        )
+        names = [f"trunk.{k}" for k in range(len(self.trunk))] + ["feature_head", "background_head", "box_head"]
+        self._tensors = tuple((f"{name}.{field}", arr) for name, b in zip(names, self.blocks()) for field, arr in zip(b._fields, b))
 
     @property
     def m_in(self) -> int:
@@ -123,24 +128,8 @@ class EmbedderParams:
     def feature_dim(self) -> int:
         return self.sizes[-1]
 
-    @property
-    def trunk(self) -> tuple[AffineLayer, ...]:
-        return self._blocks[:-3]
-
-    @property
-    def feature_head(self) -> AffineLayer:
-        return self._blocks[-3]
-
-    @property
-    def background_head(self) -> AffineLayer:
-        return self._blocks[-2]
-
-    @property
-    def box_head(self) -> AffineLayer:
-        return self._blocks[-1]
-
     def blocks(self) -> list[AffineLayer]:
-        return list(self._blocks)
+        return [*self.trunk, self.feature_head, self.background_head, self.box_head]
 
     def named_tensors(self) -> tuple[tuple[str, np.ndarray], ...]:
         """(checkpoint name, view) pairs in layout order."""
@@ -155,8 +144,8 @@ def validate_params(params: EmbedderParams) -> None:
 
 def init_params(m_in: int, hidden_sizes, feature_dim: int, seed: int) -> EmbedderParams:
     """Deterministic initialization: weights uniform in +-1/sqrt(fan_in),
-    biases zero. Layers are drawn in a fixed order (trunk bottom-up, then
-    feature, background, box heads), so a seed pins every tensor."""
+    biases zero. Layers are drawn in a fixed order (trunk bottom-up, then the
+    feature, background and box head columns), so a seed pins every tensor."""
     params = EmbedderParams((m_in, *hidden_sizes, feature_dim))
     rng = np.random.default_rng(seed)
     for layer in params.blocks():
@@ -167,7 +156,8 @@ def init_params(m_in: int, hidden_sizes, feature_dim: int, seed: int) -> Embedde
 
 def _forward(params: EmbedderParams, descriptors):
     """Trunk pre-activations, trunk activations (input first) and the three
-    heads (features, background logits, box deltas) for a descriptor batch."""
+    heads (features, background logits, box deltas) for a descriptor batch,
+    as column views of one head-block product."""
     x = np.asarray(descriptors, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.m_in:
         raise DimensionMismatch(f"descriptor batch has shape {x.shape}, expected (n, {params.m_in})")
@@ -176,11 +166,9 @@ def _forward(params: EmbedderParams, descriptors):
     for layer in params.trunk:
         pre_acts.append(acts[-1] @ layer.weight + layer.bias)
         acts.append(np.maximum(pre_acts[-1], 0.0))
-    top = acts[-1]
-    features = top @ params.feature_head.weight + params.feature_head.bias
-    bg = (top @ params.background_head.weight + params.background_head.bias)[:, 0]
-    deltas = top @ params.box_head.weight + params.box_head.bias
-    return pre_acts, acts, (features, bg, deltas)
+    heads = acts[-1] @ params.heads.weight + params.heads.bias
+    d = params.feature_dim
+    return pre_acts, acts, (heads[:, :d], heads[:, d], heads[:, d + 1 :])
 
 
 def forward_batch(params: EmbedderParams, descriptors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -250,9 +238,10 @@ def forward_batch_with_grad(
 
     all_logits, log_denom, q = softmax_terms(feats, bg, pmat)  # column 0 = background
 
-    d_feats = np.empty_like(feats)
-    d_bg = np.empty_like(bg)
-    d_deltas = np.zeros_like(deltas)
+    # The head block's gradient; background rows keep zero box columns.
+    d_heads = np.zeros((len(descriptors), params.heads.bias.size))
+    d = params.feature_dim
+    d_feats, d_bg, d_deltas = d_heads[:, :d], d_heads[:, d], d_heads[:, d + 1 :]
     mix = q[:, 1:] @ pmat  # (N, d): sum_m q_m p_m, the log-denominator's f-gradient
 
     fg_term = bg_term = box_term = 0.0
@@ -278,23 +267,14 @@ def forward_batch_with_grad(
         fg=fg_term, bg=bg_term, bbox=box_term, total=fg_term + bg_term + box_term
     )
 
-    # Backward through the heads, then the ReLU trunk; each weight and bias
-    # gradient is written into its slot of `out` (trunk bottom-up, then the
-    # heads, each weight before its bias). np.add.reduce is np.sum's
+    # Backward through the head block, then the ReLU trunk; each weight and
+    # bias gradient is written into its slot of `out` (trunk bottom-up, then
+    # the head block, each weight before its bias). np.add.reduce is np.sum's
     # arithmetic without its per-call argument handling.
     views = _views(out, params.sizes)
-    top = acts[-1]
-    np.matmul(top.T, d_feats, out=views[-6])
-    np.add.reduce(d_feats, axis=0, out=views[-5])
-    np.matmul(top.T, d_bg[:, None], out=views[-4])
-    np.add.reduce(d_bg, axis=0, keepdims=True, out=views[-3])
-    np.matmul(top.T, d_deltas, out=views[-2])
-    np.add.reduce(d_deltas, axis=0, out=views[-1])
-    d_h = (
-        d_feats @ params.feature_head.weight.T
-        + d_bg[:, None] @ params.background_head.weight.T
-        + d_deltas @ params.box_head.weight.T
-    )
+    np.matmul(acts[-1].T, d_heads, out=views[-2])
+    np.add.reduce(d_heads, axis=0, out=views[-1])
+    d_h = d_heads @ params.heads.weight.T
     for k in reversed(range(len(params.trunk))):
         d_z = d_h * (pre_acts[k] > 0.0)
         np.matmul(acts[k].T, d_z, out=views[2 * k])

@@ -26,11 +26,13 @@ class EmptyInput(ValueError):
 
 
 def l2_normalize(a) -> np.ndarray:
-    """Scale to unit Euclidean norm. Rejects vectors with norm <= 1e-12."""
+    """Scale to unit Euclidean norm, taken from numpy's own sum of squares
+    (not BLAS), so its bits do not depend on the BLAS kernel. Rejects a norm
+    <= 1e-12, and one that is not finite (a sum of squares that overflows)."""
     a = np.asarray(a, dtype=np.float64)
-    norm = float(np.linalg.norm(a))
-    if not norm > NORM_EPS:
-        raise DegenerateVector(f"cannot normalize: norm {norm!r} <= {NORM_EPS}")
+    norm = float(np.sqrt(np.add.reduce(a * a, axis=None)))
+    if not NORM_EPS < norm < np.inf:
+        raise DegenerateVector(f"cannot normalize: norm {norm!r} is not a finite value > {NORM_EPS}")
     return a / norm
 
 

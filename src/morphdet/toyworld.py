@@ -30,6 +30,7 @@ import numpy as np
 
 from .em_trainer import fill_dataclass
 from .morph_inference import Box, encode_box, iou
+from .numkernel import l2_normalize
 from .textio import fmt, fmt_vector, parse_floats, read_record_file, tensor_blocks, tensor_lines, write_record_file
 
 GEOMETRY_FEATURES = 4
@@ -167,14 +168,15 @@ class Universe:
 
 
 def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """QR of a gaussian draw: `cols` orthonormal directions in R^rows, so the
-    projection is an isometry on the attribute space."""
-    gauss = rng.normal(size=(rows, cols))
-    q, r = np.linalg.qr(gauss)
-    # Fix each column's sign so the draw is a deterministic function of rng state.
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    return q * signs
+    """Modified Gram-Schmidt on a gaussian draw: `cols` orthonormal directions
+    in R^rows, so the projection is an isometry on the attribute space. With
+    no LAPACK, its bits do not depend on the BLAS kernel; R's diagonal is a
+    positive norm, so this is the QR factor Q with no sign left to fix."""
+    basis = rng.normal(size=(rows, cols)).T.copy()  # one row per direction
+    for j in range(cols):
+        basis[j] = l2_normalize(basis[j])
+        basis[j + 1 :] -= np.add.reduce(basis[j + 1 :] * basis[j], axis=1)[:, None] * basis[j]
+    return np.ascontiguousarray(basis.T)
 
 
 def make_universe(config: UniverseConfig = UniverseConfig(), seed: int = 0) -> Universe:

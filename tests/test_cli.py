@@ -642,6 +642,32 @@ def test_an_older_format_version_is_refused_by_name(name, gen_dir, train_dir, tm
     _refused_without_output(argv, out, capsys, f"{header.replace(' v2', ' v1')}' is an older format than '{header}'")
 
 
+@pytest.mark.parametrize(
+    "name, spoil",
+    [(name, "older_version") for name in ("universe.txt", "eval_novel.txt", "exemplars.csv", "checkpoint")]
+    + [("checkpoint", "no_prototypes")],
+)
+def test_a_refused_file_is_named_once_in_a_plain_message(name, spoil, gen_dir, train_dir, tmp_path, capsys):
+    data, run = tmp_path / "data", tmp_path / "run"
+    shutil.copytree(gen_dir, data)
+    shutil.copytree(train_dir, run)
+    checkpoint = run / "checkpoint_iter2.ckpt"
+    path = checkpoint if name == "checkpoint" else data / name
+    if spoil == "no_prototypes":  # refused by the checkpoint loader's own check, not by the container
+        reframe(path, CHECKPOINT_HEADER, "config", body=lambda body: body[:-2])
+    else:
+        path.write_text(path.read_text(encoding="utf-8").replace(" v2\n", " v1\n", 1), encoding="utf-8")
+    out = tmp_path / "out"
+    if name == "exemplars.csv":
+        argv = ["morph", "--checkpoint", str(checkpoint), "--exemplars", str(path), "--out", str(out)]
+    else:
+        argv = ["eval", "--checkpoint", str(checkpoint), "--data", str(data), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count(str(path)) == 1
+    assert "Error(" not in err and "Traceback" not in err
+
+
 def test_experiment_unknown_name(tmp_path, capsys):
     assert main(["experiment", "nope", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err

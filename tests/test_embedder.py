@@ -236,7 +236,8 @@ def test_forward_batch_with_grad_writes_into_out():
 def labelled_reference(params, descriptors, labels, targets, prototypes, weights):
     """The loss and gradient as computed from per-row labels: foreground and
     background rows found by mask, labels mapped to prototype rows per call,
-    and each group's terms scattered into full-batch arrays by index."""
+    and each group's terms scattered by index into the column slices of one
+    full-batch head-block gradient."""
     labels = np.asarray(labels)
     pmat = scoring_matrix(prototypes, params.feature_dim)
     fg_rows = np.flatnonzero(labels > 0)
@@ -245,7 +246,9 @@ def labelled_reference(params, descriptors, labels, targets, prototypes, weights
     slots = np.searchsorted(np.asarray(prototypes.ids), labels[fg_rows])
     pre_acts, acts, (feats, bg, deltas) = _forward(params, descriptors)
     all_logits, log_denom, q = softmax_terms(feats, bg, pmat)
-    d_feats, d_bg, d_deltas = np.zeros_like(feats), np.zeros_like(bg), np.zeros_like(deltas)
+    d = params.feature_dim
+    d_heads = np.zeros((len(labels), d + 5))
+    d_feats, d_bg, d_deltas = d_heads[:, :d], d_heads[:, d], d_heads[:, d + 1 :]
     mix = q[:, 1:] @ pmat
     fg_term = bg_term = box_term = 0.0
     if n_fg:
@@ -261,17 +264,8 @@ def labelled_reference(params, descriptors, labels, targets, prototypes, weights
         coef = weights.bg_weight / n_bg
         d_feats[bg_rows] = coef * mix[bg_rows]
         d_bg[bg_rows] = coef * (q[bg_rows, 0] - 1.0)
-    top = acts[-1]
-    grads = [
-        top.T @ d_feats, np.add.reduce(d_feats, axis=0),
-        top.T @ d_bg[:, None], np.add.reduce(d_bg, axis=0, keepdims=True),
-        top.T @ d_deltas, np.add.reduce(d_deltas, axis=0),
-    ]
-    d_h = (
-        d_feats @ params.feature_head.weight.T
-        + d_bg[:, None] @ params.background_head.weight.T
-        + d_deltas @ params.box_head.weight.T
-    )
+    grads = [acts[-1].T @ d_heads, np.add.reduce(d_heads, axis=0)]
+    d_h = d_heads @ params.heads.weight.T
     trunk = []
     for k in reversed(range(len(params.trunk))):
         d_z = d_h * (pre_acts[k] > 0.0)
@@ -323,7 +317,12 @@ def test_flat_vector_backs_every_named_view():
     ]
     views = [arr for _, arr in params.named_tensors()]
     assert params.flat.size == sum(v.size for v in views)
-    assert np.array_equal(np.concatenate([v.ravel() for v in views]), params.flat)
+    # The flat order: the trunk, then the head block's weight row-major, then its bias.
+    trunk = [arr.ravel() for layer in params.trunk for arr in layer]
+    assert np.array_equal(np.concatenate([*trunk, params.heads.weight.ravel(), params.heads.bias]), params.flat)
+    heads = [params.feature_head, params.background_head, params.box_head]
+    assert np.array_equal(np.hstack([h.weight for h in heads]), params.heads.weight)
+    assert np.array_equal(np.concatenate([h.bias for h in heads]), params.heads.bias)
     assert all(np.shares_memory(v, params.flat) for v in views)
     assert [b.weight.shape for b in params.blocks()] == [(6, 8), (8, 5), (5, 4), (5, 1), (5, 4)]
     params.box_head.bias[2] = 7.5

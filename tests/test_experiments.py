@@ -167,9 +167,10 @@ def test_world_builds_eval_base_on_first_read(monkeypatch, tmp_path):
     scenes = world.eval_base
     assert len(calls) == 3 and world.eval_base is scenes
     # The bytes an eager build wrote before eval_base became lazy, framed as
-    # format v2 (the v1 file's body lines, a v2 header and a sha256 end line).
+    # format v2 and drawn from BLAS-free projections, so the same under the
+    # AVX2 and AVX-512 kernels of numpy's bundled OpenBLAS.
     save_dataset(tmp_path / "eval_base.txt", scenes)
-    assert sha256_file(tmp_path / "eval_base.txt") == "8b68806633d170007ab4dd9c4f5f7e428461c0381e4b49a1f87f5f6151e456ed"
+    assert sha256_file(tmp_path / "eval_base.txt") == "ad79f4de53ebc56de11203101625d0c86cc5c85e5d6d5df5992718e675b152be"
 
 
 def _assert_csv(path, header, n_rows):

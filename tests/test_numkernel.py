@@ -28,6 +28,22 @@ def test_l2_normalize_rejects_near_zero():
         l2_normalize(np.full(3, 1e-14))
 
 
+def test_l2_normalize_matches_the_library_norm_over_ten_decades():
+    rng = np.random.default_rng(16)
+    for scale in 10.0 ** np.arange(-5, 5):
+        for _ in range(40):
+            v = scale * rng.normal(size=rng.integers(1, 80))
+            assert np.max(np.abs(l2_normalize(v) - v / np.linalg.norm(v))) <= 4e-16
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_l2_normalize_refuses_a_sum_of_squares_that_overflows():
+    # The norm, 1.4e200, is finite, but its square is not; scaling by an
+    # infinite norm would return zeros.
+    with pytest.raises(DegenerateVector):
+        l2_normalize([1e200, 1e200])
+
+
 def naive_smooth_l1(x: float) -> float:
     return 0.5 * x * x if abs(x) < 1.0 else abs(x) - 0.5
 

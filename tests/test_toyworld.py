@@ -85,6 +85,17 @@ def test_projections_have_orthonormal_columns():
         assert np.max(np.abs(gram - np.eye(proj.shape[1]))) < 1e-9
 
 
+def test_orthonormal_columns_are_the_sign_fixed_qr_factor():
+    """Modified Gram-Schmidt gives LAPACK's Q, each column's sign fixed so that
+    R's diagonal is positive."""
+    for rows, cols in [(16, 6), (8, 6), (6, 6), (40, 10)]:
+        for seed in range(200):
+            q = toyworld._orthonormal_columns(np.random.default_rng(seed), rows, cols)
+            ref, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(rows, cols)))
+            assert np.max(np.abs(q - ref * np.sign(np.diag(r)))) <= 1e-12
+            assert np.max(np.abs(q.T @ q - np.eye(cols))) <= 1e-12
+
+
 def test_zero_semantic_noise_is_an_isometry():
     uni = make_universe(UniverseConfig(n_base=6, n_novel=2, sigma_sem=0.0), seed=2)
     classes = uni.classes()

@@ -523,7 +523,7 @@ def test_checkpoint_rejects_corruption(tmp_path, tiny_state, tiny_exemplars):
         "duplicate": ({"body": lambda body: body[:2] + body}, "duplicate tensor 'trunk.0.weight'"),
         "missing_tensor": (drop_tensor("box_head.bias"), "missing tensor 'box_head.bias'"),
         "missing_bottom_tensor": (drop_tensor("trunk.0.weight"), "missing tensor 'trunk.0.weight'"),
-        "no_prototypes": (drop_tensor("prototypes"), "KeyError('prototypes')"),
+        "no_prototypes": (drop_tensor("prototypes"), "missing tensor 'prototypes'"),
         "extra_tensor": ({"body": lambda body: body + ["tensor extra 1 1", "1"]}, "unexpected tensors: ['extra']"),
         "trunk_shape": (
             {"body": lambda body: [f"tensor trunk.0.weight {2 * m_in} {hidden // 2}", *body[1:]]},
