@@ -168,11 +168,9 @@ def cmd_eval(args) -> int:
     split = load_universe(os.path.join(args.data, "universe.txt")).split_manifest()
     base_ids = split["base_class_ids"] if args.split != "novel" else []
     novel_ids = split["novel_class_ids"] if args.split != "base" else []
-    scenes = []
-    for name in _SPLIT_FILES[args.split]:
-        scenes += load_dataset(os.path.join(args.data, name))
+    scenes = [scene for name in _SPLIT_FILES[args.split] for scene in load_dataset(os.path.join(args.data, name))]
     known = {*split["base_class_ids"], *split["novel_class_ids"]}
-    stray = sorted({obj.class_id for scene in scenes for obj in scene.objects} - known)
+    stray = sorted({cid for scene in scenes for cid in scene.gt_ids.tolist()} - known)
     if stray:
         raise ValueError(f"{args.data}: objects of classes {stray} that universe.txt does not list")
 

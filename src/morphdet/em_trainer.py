@@ -182,24 +182,19 @@ class TrainResult:
 def proposal_arrays(dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every proposal of `dataset`, in scene order, as descriptors (N, m_in),
     labels (N,) and box targets (N, 4), zero on background rows."""
-    props = [prop for scene in dataset for prop in scene.proposals]
-    if not props:
+    scenes = [scene for scene in dataset if len(scene.labels)]
+    if not scenes:
         raise EmptyInput("dataset has no proposals")
-    no_target = np.zeros(4)
-    return (
-        np.stack([prop.descriptor for prop in props]),
-        np.array([int(prop.label) for prop in props]),
-        np.array([prop.target_deltas if prop.label > 0 else no_target for prop in props], dtype=np.float64),
-    )
+    return tuple(np.concatenate([getattr(scene, key) for scene in scenes]) for key in ("descriptors", "labels", "targets"))
 
 
 def ground_truth_arrays(dataset) -> tuple[np.ndarray, np.ndarray]:
     """Every ground-truth object of `dataset`, in scene order, as class ids
     (G,) and descriptors (G, m_in)."""
-    gts = [obj for scene in dataset for obj in scene.objects]
-    if not gts:
+    scenes = [scene for scene in dataset if len(scene.gt_ids)]
+    if not scenes:
         raise EmptyInput("dataset has no ground-truth objects")
-    return np.array([int(obj.class_id) for obj in gts]), np.stack([obj.descriptor for obj in gts])
+    return np.concatenate([scene.gt_ids for scene in scenes]), np.concatenate([scene.gt_descriptors for scene in scenes])
 
 
 def _pick_plan(fg_pool, bg_pool, n_fg: int, batch_size: int, steps: int, rng) -> np.ndarray:

@@ -11,8 +11,8 @@ rows first (descriptors, the foreground rows' prototype rows and box targets;
 per-group means of foreground, background and box terms, each multiplied by
 its weight) and backpropagates it through the heads and the ReLU trunk in
 closed form, returning the gradient as one flat vector in the parameter
-layout. Labels are mapped and checked by the caller: labelled_batch for one
-batch, the M-step once for all of its batches. Both functions run the same
+layout. Labels are mapped and checked by the caller, the M-step once for all
+of its batches. Both functions run the same
 forward pass, and the loss takes its posteriors from objective.softmax_terms,
 the softmax that detection scores with. Prototypes are constants here.
 sgd_step updates a parameter vector and its velocity in place.
@@ -31,8 +31,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .numkernel import DimensionMismatch, EmptyInput, smooth_l1_array, smooth_l1_grad_array
-from .objective import LossBreakdown, scoring_matrix, softmax_terms
-from .prototype_store import PrototypeSet, UnknownClass
+from .objective import LossBreakdown, softmax_terms
 from .textio import tensor_lines
 
 if TYPE_CHECKING:  # em_trainer imports this module
@@ -179,29 +178,6 @@ def forward_batch(params: EmbedderParams, descriptors) -> tuple[np.ndarray, np.n
 
 def clone_params(params: EmbedderParams) -> EmbedderParams:
     return EmbedderParams(params.sizes, params.flat.copy())
-
-
-def params_equal(a: EmbedderParams, b: EmbedderParams) -> bool:
-    """Exact (bitwise-value) equality of two parameter sets."""
-    return a.sizes == b.sizes and np.array_equal(a.flat, b.flat)
-
-
-def labelled_batch(descriptors, labels, targets, prototypes: PrototypeSet) -> tuple:
-    """forward_batch_with_grad's batch arguments from per-row labels (0 for
-    background), foreground rows first; refuses a label with no prototype."""
-    labels = np.asarray(labels)
-    if not labels.shape[0]:
-        raise EmptyInput("empty batch")
-    pmat = scoring_matrix(prototypes, prototypes.dim)
-    fg_rows = np.flatnonzero(labels > 0)
-    fg_labels = labels[fg_rows]
-    ids = np.asarray(prototypes.ids)
-    slots = np.searchsorted(ids, fg_labels)
-    unknown = np.take(ids, slots, mode="clip") != fg_labels
-    if np.any(unknown):
-        raise UnknownClass(f"foreground labels {np.unique(fg_labels[unknown]).tolist()} have no prototype")
-    X = np.asarray(descriptors, dtype=np.float64)[np.concatenate([fg_rows, np.flatnonzero(labels == 0)])]
-    return X, slots, len(fg_rows), np.asarray(targets, dtype=np.float64)[fg_rows], pmat
 
 
 def forward_batch_with_grad(

@@ -17,37 +17,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .morph_inference import DetectConfig, detect, iou
+from .morph_inference import Box, DetectConfig, detect, iou
 from .numkernel import EmptyInput
 from .prototype_store import UnknownClass
 
 IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 
 
-def _match_detections(detections, ground_truths, iou_threshold: float) -> list[bool]:
-    """Greedy matching in (stable) descending-score order. Returns a
-    true/false flag per detection, aligned with that order's permutation of
-    the input; callers that need the order use _score_order."""
-    order = _score_order(detections)
+def iou_table(detections, ground_truths) -> list[list[tuple[int, float]]]:
+    """Per detection in descending-score order (stable on ties), the (index, IoU)
+    of each ground truth of its scene that it overlaps: all that matching reads."""
     by_scene: dict = {}
-    for scene_id, gt_box in ground_truths:
-        by_scene.setdefault(scene_id, []).append(gt_box)
-    taken = {scene_id: [False] * len(boxes) for scene_id, boxes in by_scene.items()}
-    flags: list[bool] = []
-    for idx in order:
+    for j, (scene_id, gt_box) in enumerate(ground_truths):
+        by_scene.setdefault(scene_id, []).append((j, gt_box))
+    table = []
+    for idx in _score_order(detections):
         scene_id, _score, box = detections[idx]
-        best_iou, best_j = 0.0, -1
-        for j, gt_box in enumerate(by_scene.get(scene_id, [])):
-            if taken[scene_id][j]:
-                continue
+        row = []
+        for j, gt_box in by_scene.get(scene_id, ()):
             overlap = iou(box, gt_box)
-            if overlap >= iou_threshold and overlap > best_iou:
+            if overlap > 0.0:
+                row.append((j, overlap))
+        table.append(row)
+    return table
+
+
+def _match_detections(table, gt_count: int, iou_threshold: float) -> list[bool]:
+    """Greedy matching down an iou_table: a flag per row, true where the row
+    takes the highest-IoU ground truth (the first on ties) no earlier row took."""
+    taken = [False] * gt_count
+    flags: list[bool] = []
+    for overlaps in table:
+        best_iou, best_j = 0.0, -1
+        for j, overlap in overlaps:
+            if overlap >= iou_threshold and overlap > best_iou and not taken[j]:
                 best_iou, best_j = overlap, j
         if best_j >= 0:
-            taken[scene_id][best_j] = True
-            flags.append(True)
-        else:
-            flags.append(False)
+            taken[best_j] = True
+        flags.append(best_j >= 0)
     return flags
 
 
@@ -55,18 +62,20 @@ def _score_order(detections) -> list[int]:
     return sorted(range(len(detections)), key=lambda i: -detections[i][1])
 
 
-def average_precision(detections, ground_truths, iou_threshold: float) -> float:
+def average_precision(detections, ground_truths, iou_threshold: float, table=None) -> float:
     """AP for one class.
 
     `detections` are (scene_id, score, Box) triples, `ground_truths` are
-    (scene_id, Box) pairs. No ground truth yields 0.0 by convention (callers
+    (scene_id, Box) pairs; `table`, their iou_table, saves recomputing it at
+    each threshold. No ground truth yields 0.0 by convention (callers
     normally exclude such classes).
     """
     detections = list(detections)
     ground_truths = list(ground_truths)
     if not ground_truths or not detections:
         return 0.0
-    flags = _match_detections(detections, ground_truths, iou_threshold)
+    table = iou_table(detections, ground_truths) if table is None else table
+    flags = _match_detections(table, len(ground_truths), iou_threshold)
     tp = np.cumsum([1.0 if f else 0.0 for f in flags])
     fp = np.cumsum([0.0 if f else 1.0 for f in flags])
     recall = tp / len(ground_truths)
@@ -91,14 +100,12 @@ def recall_at(detections, ground_truths, n: int, iou_threshold: float) -> float:
     if not ground_truths:
         return 0.0
     by_scene: dict = {}
-    for scene_id, score, box in detections:
-        by_scene.setdefault(scene_id, []).append((scene_id, score, box))
+    for det in detections:
+        by_scene.setdefault(det[0], []).append(det)
     budgeted = []
-    for scene_id in sorted(by_scene):
-        scene_dets = by_scene[scene_id]
-        order = _score_order(scene_dets)[:n]
-        budgeted.extend(scene_dets[i] for i in order)
-    flags = _match_detections(budgeted, ground_truths, iou_threshold)
+    for _, scene_dets in sorted(by_scene.items()):
+        budgeted.extend(scene_dets[i] for i in _score_order(scene_dets)[:n])
+    flags = _match_detections(iou_table(budgeted, ground_truths), len(ground_truths), iou_threshold)
     return float(sum(flags)) / len(ground_truths)
 
 
@@ -171,10 +178,10 @@ def evaluate(
     gts_by_class: dict[int, list] = {cid: [] for cid in all_ids}
     dets_by_class: dict[int, list] = {cid: [] for cid in all_ids}
     for pos, scene in enumerate(scenes):
-        for obj in scene.objects:
-            if obj.class_id in gts_by_class:
-                gts_by_class[obj.class_id].append((pos, obj.box))
-        pairs = [(p.descriptor, p.anchor) for p in scene.proposals]
+        for cid, corners in zip(scene.gt_ids.tolist(), scene.gt_boxes.tolist()):
+            if cid in gts_by_class:
+                gts_by_class[cid].append((pos, Box(*corners)))
+        pairs = list(zip(scene.descriptors, scene.anchors.tolist()))
         for det in detect(state, pairs, config):
             if det.class_id in dets_by_class:
                 dets_by_class[det.class_id].append((pos, det.score, det.box))
@@ -182,13 +189,11 @@ def evaluate(
     evaluated = [cid for cid in all_ids if gts_by_class[cid]]
     if not evaluated:
         raise EmptyInput("nothing to evaluate: no ground truth for the listed classes")
-    per_class = {
-        cid: {
-            thr: average_precision(dets_by_class[cid], gts_by_class[cid], thr)
-            for thr in IOU_THRESHOLDS
-        }
-        for cid in evaluated
-    }
+    per_class = {}
+    for cid in evaluated:
+        dets, gts = dets_by_class[cid], gts_by_class[cid]
+        table = iou_table(dets, gts)
+        per_class[cid] = {thr: average_precision(dets, gts, thr, table) for thr in IOU_THRESHOLDS}
 
     overall = _subset(per_class, evaluated)
     recall_dets = [row for cid in evaluated for row in dets_by_class[cid]]

@@ -81,7 +81,8 @@ def iou(a: Box, b: Box) -> float:
     if ix <= 0.0 or iy <= 0.0:
         return 0.0
     inter = ix * iy
-    return inter / (a.area + b.area - inter)
+    # Box.area's arithmetic, without its property calls.
+    return inter / ((a.x2 - a.x1) * (a.y2 - a.y1) + (b.x2 - b.x1) * (b.y2 - b.y1) - inter)
 
 
 def encode_box(anchor: Box, target: Box) -> np.ndarray:
@@ -183,7 +184,8 @@ def nms(detections, iou_threshold: float) -> list[Detection]:
 
 
 def detect(state, proposals, config: DetectConfig = DetectConfig()) -> list[Detection]:
-    """Score (descriptor, anchor_box) proposals against every registered class.
+    """Score (descriptor, anchor) proposals against every registered class;
+    an anchor is a Box or a row of its corners (x1, y1, x2, y2).
 
     Each proposal contributes one candidate per class whose posterior
     probability reaches config.score_threshold, all sharing that proposal's
@@ -197,7 +199,7 @@ def detect(state, proposals, config: DetectConfig = DetectConfig()) -> list[Dete
     descriptors = np.stack([np.asarray(d, dtype=np.float64) for d, _ in proposals])
     feats, bg, deltas = forward_batch(state.params, descriptors)
     q = posterior_batch(feats, bg, state.prototypes)
-    corners = decode_box(np.array([anchor.as_tuple() for _, anchor in proposals]), deltas)
+    corners = decode_box(np.array([a.as_tuple() if isinstance(a, Box) else a for _, a in proposals]), deltas)
     rows, cols = np.nonzero(q[:, 1:] >= config.score_threshold)
     boxes = {i: Box(*corners[i].tolist()) for i in set(rows.tolist())}
     ids, scores = state.prototypes.ids, q[rows, cols + 1].tolist()

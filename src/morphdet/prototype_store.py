@@ -72,10 +72,6 @@ class PrototypeSet:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "novel", novel)
 
-    @staticmethod
-    def empty(dim: int) -> "PrototypeSet":
-        return PrototypeSet(ids=(), matrix=np.zeros((0, int(dim))))
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]

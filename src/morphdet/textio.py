@@ -22,8 +22,14 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def row_format(width: int) -> str:
+    """'%.17g %.17g ...': formats `width` values as fmt does, joined by spaces."""
+    return " ".join(["%.17g"] * width)
+
+
 def fmt_vector(vec) -> str:
-    return " ".join(fmt(x) for x in np.asarray(vec, dtype=np.float64))
+    values = np.asarray(vec, dtype=np.float64).tolist()
+    return row_format(len(values)) % tuple(values)
 
 
 def parse_floats(tokens) -> np.ndarray:
@@ -43,7 +49,7 @@ def tensor_lines(name: str, arr: np.ndarray) -> list[str]:
     mat = np.atleast_2d(np.asarray(arr, dtype=np.float64))
     if mat.ndim != 2:
         raise ValueError(f"tensor {name!r} must be 1-D or 2-D, got shape {arr.shape}")
-    return [f"tensor {name} {mat.shape[0]} {mat.shape[1]}", " ".join(fmt(x) for x in mat.ravel())]
+    return [f"tensor {name} {mat.shape[0]} {mat.shape[1]}", fmt_vector(mat.ravel())]
 
 
 def parse_tensor(header: str, data: str) -> tuple[str, np.ndarray]:

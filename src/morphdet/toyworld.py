@@ -24,14 +24,15 @@ exemplar seed never perturbs the dataset, and vice versa.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .em_trainer import fill_dataclass
-from .morph_inference import Box, encode_box, iou
+from .morph_inference import Box, InvalidBox, encode_box, iou
 from .numkernel import l2_normalize
-from .textio import fmt, fmt_vector, parse_floats, read_record_file, tensor_blocks, tensor_lines, write_record_file
+from .textio import read_record_file, row_format, tensor_blocks, tensor_lines, write_record_file
 
 GEOMETRY_FEATURES = 4
 # Weight on the box-geometry channels relative to unit-variance appearance
@@ -43,6 +44,7 @@ FG_IOU_THRESHOLD = 0.5
 
 UNIVERSE_HEADER = "toyworld-universe v2"
 DATASET_HEADER = "toyworld-dataset v2"
+_LINE_KINDS = {"scene": 0, "object": 1, "proposal": 2}
 
 # Sub-stream tags so one seed drives several independent generators.
 _STREAM_UNIVERSE = 0
@@ -110,36 +112,35 @@ class ToyClass:
     semantic: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class GroundTruth:
-    """One annotated object: its class, box, and an IoU-1 descriptor drawn by
-    the same instance model as proposals."""
-
-    class_id: int
-    box: Box
-    descriptor: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class Proposal:
-    """A candidate region. label 0 means background; foreground proposals
-    carry encode_box targets onto their matched object."""
-
-    descriptor: np.ndarray
-    anchor: Box
-    label: int
-    target_deltas: np.ndarray | None
-
-    def __post_init__(self):
-        if (self.label == 0) != (self.target_deltas is None):
-            raise ValueError("background proposals carry no targets; foreground ones must")
+# What Scene.objects and Scene.proposals build on demand; a background proposal (label 0) has no targets.
+GroundTruth = namedtuple("GroundTruth", "class_id box descriptor")
+Proposal = namedtuple("Proposal", "descriptor anchor label target_deltas")
 
 
 @dataclass(frozen=True, eq=False)
 class Scene:
+    """One scene as arrays: proposal descriptors (n, m_in), anchor corners (n, 4), labels (n,)
+    and box targets (n, 4, zero on background rows); object class ids (g,), boxes (g, 4) and
+    descriptors (g, m_in). A loaded scene's arrays are slices of its file's array store."""
+
     scene_id: int
-    objects: tuple[GroundTruth, ...]
-    proposals: tuple[Proposal, ...]
+    descriptors: np.ndarray
+    anchors: np.ndarray
+    labels: np.ndarray
+    targets: np.ndarray
+    gt_ids: np.ndarray
+    gt_boxes: np.ndarray
+    gt_descriptors: np.ndarray
+
+    @property
+    def proposals(self) -> tuple[Proposal, ...]:
+        rows = zip(self.descriptors, self.anchors.tolist(), self.labels.tolist(), self.targets)
+        return tuple(Proposal(d, Box(*a), label, t if label > 0 else None) for d, a, label, t in rows)
+
+    @property
+    def objects(self) -> tuple[GroundTruth, ...]:
+        rows = zip(self.gt_ids.tolist(), self.gt_boxes.tolist(), self.gt_descriptors)
+        return tuple(GroundTruth(cid, Box(*box), d) for cid, box, d in rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,10 +245,7 @@ def _make_scene(
         cls = pool[rng.integers(0, len(pool))]
         placed.append((cls, _sample_box(rng)))
 
-    objects = tuple(
-        GroundTruth(cls.class_id, box, _descriptor(universe, box, [(c, iou(box, b)) for c, b in placed], rng))
-        for cls, box in placed
-    )
+    gt_descriptors = [_descriptor(universe, box, [(c, iou(box, b)) for c, b in placed], rng) for _, box in placed]
 
     anchors: list[Box] = []
     n_jittered = data.proposals_per_scene // 2
@@ -257,22 +255,18 @@ def _make_scene(
     for _ in range(data.proposals_per_scene - n_jittered):
         anchors.append(_sample_box(rng))
 
-    proposals = []
+    descriptors, labels, targets = [], [], []
     for anchor in anchors:
         overlaps = [(cls, iou(anchor, obj_box)) for cls, obj_box in placed]
         # IoU >= 0.5 rule against the max-overlap object (the first on ties).
         best = max(range(len(placed)), key=lambda j: overlaps[j][1])
         matched = overlaps[best][1] >= FG_IOU_THRESHOLD
-        proposals.append(
-            Proposal(
-                descriptor=_descriptor(universe, anchor, overlaps, rng),
-                anchor=anchor,
-                label=placed[best][0].class_id if matched else 0,
-                target_deltas=encode_box(anchor, placed[best][1]) if matched else None,
-            )
-        )
+        descriptors.append(_descriptor(universe, anchor, overlaps, rng))
+        labels.append(placed[best][0].class_id if matched else 0)
+        targets.append(encode_box(anchor, placed[best][1]) if matched else np.zeros(4))
 
-    return Scene(scene_id=scene_id, objects=objects, proposals=tuple(proposals))
+    objects = ([cls.class_id for cls, _ in placed], [box.as_tuple() for _, box in placed], gt_descriptors)
+    return Scene(scene_id, *map(np.array, (descriptors, [a.as_tuple() for a in anchors], labels, targets, *objects)))
 
 
 def make_dataset(universe: Universe, classes, scenes_per_class: int, data: DataConfig, seed: int) -> list[Scene]:
@@ -367,57 +361,85 @@ def load_universe(path) -> Universe:
     )
 
 
-def _box_tokens(box: Box) -> str:
-    return f"{fmt(box.x1)} {fmt(box.y1)} {fmt(box.x2)} {fmt(box.y2)}"
-
-
 def _dataset_meta(scenes) -> dict:
-    descriptors = (item.descriptor for scene in scenes for item in (*scene.proposals, *scene.objects))
-    return {"scene_count": len(scenes), "m_in": next(descriptors, np.zeros(0)).shape[0]}
+    widths = (rows.shape[1] for scene in scenes for rows in (scene.descriptors, scene.gt_descriptors) if len(rows))
+    return {"scene_count": len(scenes), "m_in": next(widths, 0)}
 
 
 def save_dataset(path, scenes) -> None:
+    """Per scene a 'scene <id>' line, an 'object <class id> <box> <descriptor>' line per object,
+    then a 'proposal <label> <anchor> [<targets>] <descriptor>' line per proposal (targets if fg)."""
     scenes = list(scenes)
+    meta = _dataset_meta(scenes)
+    width = 4 + meta["m_in"]
+    obj = "object %d " + row_format(width)
+    fg, bg = ("proposal %d " + row_format(width + extra) for extra in (4, 0))
     body = []
     for scene in scenes:
         body.append(f"scene {scene.scene_id}")
-        for obj in scene.objects:
-            body.append(f"object {obj.class_id} {_box_tokens(obj.box)} {fmt_vector(obj.descriptor)}")
-        for prop in scene.proposals:
-            head = f"proposal {prop.label} {_box_tokens(prop.anchor)}"
-            if prop.label > 0:
-                head += f" {fmt_vector(prop.target_deltas)}"
-            body.append(f"{head} {fmt_vector(prop.descriptor)}")
-    write_record_file(path, DATASET_HEADER, "meta", _dataset_meta(scenes), body)
+        rows = np.hstack([scene.gt_boxes, scene.gt_descriptors]).tolist()
+        body += [obj % (cid, *row) for cid, row in zip(scene.gt_ids.tolist(), rows)]
+        rows = np.hstack([scene.anchors, scene.targets, scene.descriptors]).tolist()
+        body += [fg % (n, *row) if n > 0 else bg % (n, *row[:4], *row[8:]) for n, row in zip(scene.labels.tolist(), rows)]
+    write_record_file(path, DATASET_HEADER, "meta", meta, body)
+
+
+def _gather(values, starts, offset: int, width: int) -> np.ndarray:
+    """(rows, width): `width` values from `offset` past each start, clipped into `values`."""
+    return np.take(values, (starts + offset)[:, None] + np.arange(width), mode="clip")
 
 
 def load_dataset(path) -> list[Scene]:
-    """Inverse of save_dataset. Each 'scene' line opens a scene; its object
-    and proposal lines follow. The meta must equal the one the loaded scenes
-    would be saved with, so a scene count that disagrees is an error."""
+    """Inverse of save_dataset: the body is parsed in one pass into one array store,
+    and each 'scene' line opens a scene whose arrays are slices of it. The meta must
+    equal the one the loaded scenes would be saved with."""
     meta, body = read_record_file(path, DATASET_HEADER, "meta")
     m_in = meta.get("m_in")
-    parts: list[tuple[int, list[GroundTruth], list[Proposal]]] = []
-    for line in body:
-        tokens = line.split()
-        if tokens[0] == "scene" and len(tokens) == 2:
-            parts.append((int(tokens[1]), [], []))
-            continue
-        if not parts or tokens[0] not in ("object", "proposal") or len(tokens) < 6:
-            raise ValueError(f"{path}: unexpected dataset line {line[:80]!r}")
-        head = int(tokens[1])
-        box = Box(*map(float, tokens[2:6]))
-        values = parse_floats(tokens[6:])
-        targets, descriptor = (values[:4], values[4:]) if tokens[0] == "proposal" and head > 0 else (None, values)
-        if descriptor.shape[0] != m_in:
-            raise ValueError(f"{path}: {tokens[0]} descriptor has {descriptor.shape[0]} values, meta says {m_in}")
-        if tokens[0] == "object":
-            if head < 1:
-                raise ValueError(f"{path}: object class id must be >= 1 (0 is background), got {head}")
-            parts[-1][1].append(GroundTruth(class_id=head, box=box, descriptor=descriptor))
-            continue
-        parts[-1][2].append(Proposal(descriptor=descriptor, anchor=box, label=head, target_deltas=targets))
-    scenes = [Scene(scene_id=sid, objects=tuple(objs), proposals=tuple(props)) for sid, objs, props in parts]
+    if type(m_in) is not int or m_in < 0:
+        raise ValueError(f"{path}: meta m_in must be an integer >= 0, got {m_in!r}")
+    codes = np.array([_LINE_KINDS.get(line.partition(" ")[0], -1) for line in body], dtype=np.int8)
+    counts = np.array([line.count(" ") for line in body], dtype=np.intp)  # the values after the kind word
+    scene_of = np.cumsum(codes == 0) - 1  # the scene each line belongs to
+    stray = (codes < 0) | (scene_of < 0) | (counts < 1) | ((codes == 0) & (counts != 1))  # a scene line holds its id
+    if stray.any():
+        raise ValueError(f"{path}: unexpected dataset line {body[np.argmax(stray)][:80]!r}")
+    text = "\n".join([line.partition(" ")[2] for line in body])
+    del body  # the lines, then the text, go once parsed: what they hold at once is a load's peak memory
+    try:  # a line holds at most its spaces + 1 values, so equal totals mean each holds that many
+        values = np.fromstring(text, sep=" ")
+        if values.size != counts.sum() or any(c in text for c in "\t\r\x0b\x0c"):
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{path}: a dataset line holds a token that is not a number, or a stray space") from None
+    del text
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: non-finite value in the dataset body")
+    starts = np.cumsum(counts) - counts
+    heads = values[starts]
+    fg = (codes == 2) & (heads > 0)
+    lengths = counts - 5 - 4 * fg
+    corners = _gather(values, starts, 1, 4)
+    checks = (
+        (ValueError, (heads != np.trunc(heads)) | (abs(heads) > 2**53), "line head {head:g} is not an integer"),
+        (ValueError, (codes == 1) & (heads < 1), "object class id must be >= 1 (0 is background), got {head:g}"),
+        (ValueError, (codes == 2) & (heads < 0), "proposal label must be >= 0 (0 is background), got {head:g}"),
+        (ValueError, (codes > 0) & (lengths != m_in), f"{{kind}} descriptor has {{length}} values, meta says {m_in}"),
+        (InvalidBox, (codes > 0) & ~(corners[:, :2] < corners[:, 2:]).all(axis=1), "degenerate box corners: {box}"),
+    )
+    for error, bad, message in checks:
+        if bad.any():
+            at = np.argmax(bad)
+            details = dict(head=heads[at], kind=list(_LINE_KINDS)[codes[at]], length=lengths[at], box=corners[at].tolist())
+            raise error(f"{path}: " + message.format(**details))
+    heads = heads.astype(np.int64)
+    targets = np.where(fg[:, None], _gather(values, starts, 5, 4), 0.0)
+    descriptors = _gather(values, starts + counts - m_in, 0, m_in)
+    store = [arr[codes == 2] for arr in (descriptors, corners, heads, targets)]
+    store += [arr[codes == 1] for arr in (heads, corners, descriptors)]
+    ids = heads[codes == 0].tolist()
+    p_ends, o_ends = (np.searchsorted(scene_of[codes == code], np.arange(len(ids) + 1)) for code in (2, 1))
+    ends = [p_ends] * 4 + [o_ends] * 3
+    scenes = [Scene(sid, *(arr[end[k] : end[k + 1]] for arr, end in zip(store, ends))) for k, sid in enumerate(ids)]
     if _dataset_meta(scenes) != meta:
         raise ValueError(f"{path}: body holds {_dataset_meta(scenes)}, meta says {meta}")
     return scenes

@@ -4,7 +4,6 @@ trends, overfit sanity, determinism, and the box codec. One test per check;
 each prints a single summary line with the measured figure and its budget."""
 
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ import pytest
 from test_embedder import make_batch, make_protos, max_grad_error
 from test_evalkit import random_box, ref_average_precision, ref_recall_at
 
+from helpers import labelled_batch, scene_of
 from morphdet.cli import main
 from morphdet.em_trainer import DetectorState, TrainConfig, m_step, proposal_arrays
 from morphdet.embedder import (
@@ -19,7 +19,6 @@ from morphdet.embedder import (
     forward_batch_with_grad,
     grad_evaluation_count,
     init_params,
-    labelled_batch,
     params_to_lines,
 )
 from morphdet.evalkit import average_precision, recall_at
@@ -250,7 +249,7 @@ def test_criterion_10_overfit_sanity():
     protos = init_from_semantic({cid: table[cid] for cid in base_ids})
     params = init_params(universe.config.m_in, config.hidden_sizes, protos.dim, config.seed)
     state = DetectorState(params=params, prototypes=protos, config=config)
-    data = [SimpleNamespace(scene_id=0, proposals=pool)]
+    data = [scene_of(proposals=pool)]
     batch = proposal_arrays(data)
 
     initial = forward_batch_with_grad(params, *labelled_batch(*batch, protos), config)[0].total

@@ -1,6 +1,7 @@
 """End-to-end command-line flows on a miniature benchmark."""
 
 import json
+import pathlib
 import shutil
 from dataclasses import replace
 
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 
 from conftest import reframe
+from helpers import params_equal
 from morphdet.cli import GEN_FILES, _apply_train_overrides, build_parser, main
 from morphdet.em_trainer import CHECKPOINT_HEADER, TrainConfig, load_checkpoint
-from morphdet.embedder import grad_evaluation_count, params_equal
+from morphdet.embedder import grad_evaluation_count
 from morphdet.experiments import ExperimentConfig
 from morphdet.morph_inference import EXEMPLARS_HEADER, read_exemplars_csv
 from morphdet.textio import record_text, sha256_file
@@ -688,3 +690,29 @@ def test_experiment_writes_tables(cfg_path, tmp_path, capsys):
     assert "wrote em_iterations tables" in capsys.readouterr().out
     assert (out / "em_iterations_raw.csv").is_file()
     assert (out / "em_iterations_summary.csv").is_file()
+
+
+# A morphed checkpoint's bytes depend on the BLAS kernel (README, Reproducibility);
+# every other quickstart output does not.
+KERNEL_SPECIFIC = {"morphed.ckpt"}
+
+
+def test_seed0_quickstart_reproduces_the_recorded_digests(tmp_path, capsys):
+    """The README quickstart at seed 0, in process: every kernel-independent
+    output has the sha256 that BENCH_16.json records."""
+    record = pathlib.Path(__file__).resolve().parent.parent / "BENCH_16.json"
+    recorded = json.loads(record.read_text(encoding="utf-8"))["quickstart_digests"]
+    world, run = tmp_path / "world", tmp_path / "run"
+    for argv in (
+        ["gen", "--out", world, "--seed", "0"],
+        ["train", "--data", world, "--out", run, "--seed", "0"],
+        ["morph", "--checkpoint", run / "checkpoint_iter3.ckpt", "--exemplars", world / "exemplars.csv",
+         "--out", run / "morphed.ckpt"],
+        ["eval", "--checkpoint", run / "morphed.ckpt", "--data", world, "--split", "all", "--out", run / "eval"],
+    ):
+        assert main([str(arg) for arg in argv]) == 0
+    outputs = {path.name: path for path in tmp_path.rglob("*") if path.is_file()}
+    assert sorted(outputs) == sorted(recorded)
+    digests = {name: sha256_file(path) for name, path in outputs.items() if name not in KERNEL_SPECIFIC}
+    assert len(digests) == 13
+    assert digests == {name: digest for name, digest in recorded.items() if name not in KERNEL_SPECIFIC}

@@ -4,6 +4,7 @@ the flat parameter layout, and the gradient-evaluation counter discipline."""
 import numpy as np
 import pytest
 
+from helpers import empty_prototypes, labelled_batch, params_equal
 from morphdet.em_trainer import TrainConfig
 from morphdet.embedder import (
     _forward,
@@ -13,14 +14,12 @@ from morphdet.embedder import (
     forward_batch_with_grad,
     grad_evaluation_count,
     init_params,
-    labelled_batch,
-    params_equal,
     sgd_step,
     validate_params,
 )
 from morphdet.numkernel import DimensionMismatch, smooth_l1_array, smooth_l1_grad_array
 from morphdet.objective import LossBreakdown, scoring_matrix, softmax_terms
-from morphdet.prototype_store import PrototypeSet, UnknownClass, init_from_semantic
+from morphdet.prototype_store import UnknownClass, init_from_semantic
 
 
 def make_protos(rng, count, dim):
@@ -157,7 +156,7 @@ def test_grad_rejects_unknown_label_and_empty_batch():
     with pytest.raises(EmptyInput):
         labelled_batch(*make_batch(rng, 5, []), protos)
     with pytest.raises(EmptyInput):
-        labelled_batch(*make_batch(rng, 5, [0]), PrototypeSet.empty(4))
+        labelled_batch(*make_batch(rng, 5, [0]), empty_prototypes(4))
     with pytest.raises(EmptyInput):
         forward_batch_with_grad(
             params, np.zeros((0, 5)), np.zeros(0, dtype=int), 0, np.zeros((0, 4)), protos.matrix, TrainConfig()

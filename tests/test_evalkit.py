@@ -4,12 +4,14 @@ The references below re-derive all-point AP and budgeted recall in plain
 Python (no numpy) so the library versions have something independent to agree
 with, bit for bit, on random inputs."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import identity_detector
+from helpers import scene_of
 from morphdet.evalkit import (
     IOU_THRESHOLDS,
     average_precision,
@@ -186,7 +188,7 @@ def _eval_world():
     box_b = Box(0.6, 0.6, 0.85, 0.85)
     box_c = Box(0.4, 0.1, 0.55, 0.2)
     box_d = Box(0.2, 0.5, 0.45, 0.75)
-    scene1 = SimpleNamespace(
+    scene1 = scene_of(
         scene_id=11,
         objects=[
             SimpleNamespace(class_id=1, box=box_a),
@@ -198,7 +200,7 @@ def _eval_world():
             SimpleNamespace(descriptor=np.zeros(dim), anchor=box_c),
         ],
     )
-    scene2 = SimpleNamespace(
+    scene2 = scene_of(
         scene_id=12,
         objects=[SimpleNamespace(class_id=3, box=box_d)],
         proposals=[SimpleNamespace(descriptor=_axis(dim, 2), anchor=box_d)],
@@ -228,7 +230,7 @@ def test_evaluate_scores_a_perfect_detector():
 def test_evaluate_tells_apart_scenes_that_share_an_id():
     # `eval --split all` joins two splits whose scene ids both start at 0.
     state, scenes = _eval_world()
-    shared = [SimpleNamespace(**{**vars(scene), "scene_id": 0}) for scene in scenes]
+    shared = [replace(scene, scene_id=0) for scene in scenes]
     distinct = evaluate(state, scenes, base_ids=[1, 2], novel_ids=[3], recall_budgets=(1, 100))
     joined = evaluate(state, shared, base_ids=[1, 2], novel_ids=[3], recall_budgets=(1, 100))
     assert joined == distinct

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import identity_detector
+from helpers import empty_prototypes, params_equal
 from morphdet.em_trainer import DetectorState, TrainConfig
-from morphdet.embedder import clone_params, forward_batch, grad_evaluation_count, init_params, params_equal
+from morphdet.embedder import clone_params, forward_batch, grad_evaluation_count, init_params
 from morphdet.morph_inference import (
     Box,
     DetectConfig,
@@ -240,7 +241,7 @@ def test_detect_edge_cases(tiny_state):
             DetectConfig(score_threshold=outside)
     # A DetectorState refuses an empty prototype set, so detect's own refusal
     # is reached with a bare state.
-    bare = SimpleNamespace(params=tiny_state.params, prototypes=PrototypeSet.empty(tiny_state.prototypes.dim))
+    bare = SimpleNamespace(params=tiny_state.params, prototypes=empty_prototypes(tiny_state.prototypes.dim))
     with pytest.raises(EmptyInput):
         detect(bare, proposals)
 

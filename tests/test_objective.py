@@ -9,11 +9,12 @@ import pytest
 from test_embedder import make_protos, max_grad_error, naive_forward, stack_batch
 from test_numkernel import naive_smooth_l1
 
+from helpers import empty_prototypes, labelled_batch
 from morphdet.em_trainer import TrainConfig
-from morphdet.embedder import forward_batch_with_grad, init_params, labelled_batch
+from morphdet.embedder import forward_batch_with_grad, init_params
 from morphdet.numkernel import DimensionMismatch, EmptyInput
 from morphdet.objective import posterior_batch
-from morphdet.prototype_store import PrototypeSet, UnknownClass, add_novel, init_from_semantic
+from morphdet.prototype_store import UnknownClass, add_novel, init_from_semantic
 
 
 def naive_posterior(feature, bg_logit, protos):
@@ -86,7 +87,7 @@ def test_posterior_validation():
     rng = np.random.default_rng(3)
     protos = make_protos(rng, 2, 3)
     with pytest.raises(EmptyInput):
-        posterior_batch(np.zeros((1, 3)), np.zeros(1), PrototypeSet.empty(3))
+        posterior_batch(np.zeros((1, 3)), np.zeros(1), empty_prototypes(3))
     with pytest.raises(DimensionMismatch):
         posterior_batch(np.zeros((1, 4)), np.zeros(1), protos)
     with pytest.raises(DimensionMismatch):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import empty_prototypes
 from morphdet.numkernel import DimensionMismatch, EmptyInput, l2_normalize
 from morphdet.prototype_store import (
     ClassCollision,
@@ -70,7 +71,7 @@ def test_set_lookup_surface():
     assert np.array_equal(protos.vector_for(2), unit([0.0, 1.0, 1.0]))
     with pytest.raises(UnknownClass):
         protos.vector_for(3)
-    empty = PrototypeSet.empty(4)
+    empty = empty_prototypes(4)
     assert empty.dim == 4 and empty.ids == () and empty.base == ()
     assert not empty.has_class(1)
 

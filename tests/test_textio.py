@@ -14,6 +14,7 @@ from morphdet.textio import (
     parse_tensor,
     read_record_file,
     record_text,
+    row_format,
     sha256_file,
     tensor_blocks,
     tensor_lines,
@@ -35,6 +36,27 @@ def test_fmt_round_trips_awkward_floats():
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_fmt_round_trip_property(x):
     assert float(fmt(x)) == x
+
+
+# Awkward values the row format must write as fmt does: signed zero,
+# subnormals, the largest finite magnitudes, and the non-finite values.
+AWKWARD = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308,
+           float("nan"), float("inf"), float("-inf"))
+
+
+@given(st.lists(st.floats() | st.sampled_from(AWKWARD), max_size=40))
+def test_row_format_writes_what_fmt_writes(values):
+    expected = " ".join(fmt(x) for x in values)
+    assert row_format(len(values)) % tuple(values) == expected
+    assert fmt_vector(values) == expected
+
+
+def test_tensor_lines_keep_their_bytes():
+    assert tensor_lines("w", np.array([[0.1, -0.0, 1e-320], [1 / 3, -1e308, 2.0**-1074]])) == [
+        "tensor w 2 3",
+        "0.10000000000000001 -0 9.9998886718268301e-321 0.33333333333333331 -1e+308 4.9406564584124654e-324",
+    ]
+    assert tensor_lines("b", np.array([np.pi, 1e22, -2.5])) == ["tensor b 1 3", "3.1415926535897931 1e+22 -2.5"]
 
 
 def test_vector_round_trip_bitwise():

@@ -1,12 +1,12 @@
 """Toy world generation: determinism, labeling oracle, correlation knobs,
 stream separation, and the serialization formats."""
 
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import reframe
+from helpers import scene_of
 from morphdet import toyworld
 from morphdet.morph_inference import encode_box, iou
 from morphdet.toyworld import (
@@ -321,7 +321,7 @@ def test_universe_load_refuses_a_meta_line_its_config_refuses(tmp_path, change, 
 def test_dataset_round_trip(tmp_path):
     uni = make_universe(UniverseConfig(n_base=3, n_novel=2, sigma_sem=0.02), seed=20)
     generated = make_dataset(uni, uni.base, 2, DataConfig(proposals_per_scene=9), seed=21)
-    bare = replace(generated[0], proposals=())
+    bare = scene_of(generated[0].objects, (), generated[0].scene_id)
     # The meta's m_in must come from a scene that has descriptors.
     for scenes in (generated, [bare, *generated[1:]], [bare]):
         path = tmp_path / "dataset.txt"
@@ -373,4 +373,44 @@ def test_dataset_load_rejects_non_finite_values_and_wrong_scene_count(tmp_path):
     older = path.read_text(encoding="utf-8").replace(DATASET_HEADER, "toyworld-dataset v1", 1)
     path.write_text(older, encoding="utf-8")
     with pytest.raises(ValueError, match="older format"):
+        load_dataset(path)
+
+
+def _edit_first(prefix, edit):
+    """A body edit: `edit` applied to the tokens of the first line that starts with `prefix`."""
+
+    def apply(body):
+        at = next(k for k, line in enumerate(body) if line.startswith(prefix))
+        return body[:at] + [" ".join(edit(body[at].split(" ")))] + body[at + 1 :]
+
+    return apply
+
+
+def _swapped_x(tokens):
+    return tokens[:2] + [tokens[4], tokens[3], tokens[2]] + tokens[5:]
+
+
+# One body defect per case, each refused by the dataset loader's own checks;
+# the regex matches the message naming that defect.
+DATASET_BODY_REFUSALS = {
+    "object class id 0": (_edit_first("object ", lambda t: [t[0], "0", *t[2:]]), "class id must be >= 1"),
+    "proposal label -1": (_edit_first("proposal 0 ", lambda t: [t[0], "-1", *t[2:]]), "background"),
+    "inverted anchor": (_edit_first("proposal ", _swapped_x), "degenerate box corners"),
+    "nan box corner": (_edit_first("object ", lambda t: [*t[:2], "nan", *t[3:]]), "non-finite"),
+    "unknown line kind": (_edit_first("object ", lambda t: ["thing", *t[1:]]), "unexpected dataset line"),
+    "scene with two ids": (_edit_first("scene ", lambda t: [*t, "2"]), "unexpected dataset line"),
+    "non-integer head": (_edit_first("object ", lambda t: [t[0], "2.5", *t[2:]]), r"2\.5"),
+    "head beyond exact integers": (_edit_first("object ", lambda t: [t[0], "1e300", *t[2:]]), r"1e\+?300"),
+}
+
+
+@pytest.mark.parametrize("case", DATASET_BODY_REFUSALS)
+def test_dataset_load_refuses_each_bad_body_line(tmp_path, case):
+    uni = make_universe(UniverseConfig(n_base=2, n_novel=1, sigma_sem=0.02), seed=22)
+    scenes = make_dataset(uni, uni.base, 2, DataConfig(objects_per_scene=1, proposals_per_scene=3), seed=23)
+    path = tmp_path / "dataset.txt"
+    save_dataset(path, scenes)
+    edit, message = DATASET_BODY_REFUSALS[case]
+    reframe(path, DATASET_HEADER, "meta", body=edit)
+    with pytest.raises(ValueError, match=message):
         load_dataset(path)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import TINY_TRAIN, identity_detector, reframe
+from helpers import empty_prototypes, params_equal, scene_of
 from morphdet import em_trainer
 from morphdet.em_trainer import (
     CHECKPOINT_HEADER,
@@ -32,7 +33,7 @@ from morphdet.em_trainer import (
     visual_init_vectors,
     write_metrics_csv,
 )
-from morphdet.embedder import CheckpointError, forward_batch, init_params, params_equal
+from morphdet.embedder import CheckpointError, forward_batch, init_params
 from morphdet.morph_inference import morph
 from morphdet.numkernel import DimensionMismatch, EmptyInput
 from morphdet.prototype_store import PrototypeSet, UnknownClass, e_step_update
@@ -71,7 +72,7 @@ def test_train_config_validation():
 def test_detector_state_checks_dimensions():
     params = init_params(4, (), 3, seed=0)
     with pytest.raises(DimensionMismatch):
-        DetectorState(params=params, prototypes=PrototypeSet.empty(2), config=TrainConfig())
+        DetectorState(params=params, prototypes=empty_prototypes(2), config=TrainConfig())
 
 
 def test_detector_state_refuses_a_config_of_other_hidden_sizes():
@@ -152,7 +153,7 @@ def _identity3():
 
 
 def _scene(objects=(), proposals=(), scene_id=0):
-    return SimpleNamespace(scene_id=scene_id, objects=list(objects), proposals=list(proposals))
+    return scene_of(objects, proposals, scene_id)
 
 
 def _fg(label, descriptor):
@@ -569,4 +570,4 @@ def test_checkpoint_rejects_corruption(tmp_path, tiny_state, tiny_exemplars):
 
 def test_detector_state_refuses_an_empty_prototype_set(tiny_state):
     with pytest.raises(EmptyInput):
-        replace(tiny_state, prototypes=PrototypeSet.empty(tiny_state.prototypes.dim))
+        replace(tiny_state, prototypes=empty_prototypes(tiny_state.prototypes.dim))
