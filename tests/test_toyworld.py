@@ -2,6 +2,8 @@
 stream separation, and the serialization formats."""
 
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -414,3 +416,63 @@ def test_dataset_load_refuses_each_bad_body_line(tmp_path, case):
     reframe(path, DATASET_HEADER, "meta", body=edit)
     with pytest.raises(ValueError, match=message):
         load_dataset(path)
+
+
+def _digest(arrays) -> str:
+    """sha256 over each array's dtype, shape and bytes, in order."""
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(f"{arr.dtype.str}{arr.shape}".encode() + np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _scene_arrays(scenes):
+    for scene in scenes:
+        yield np.array(scene.scene_id)
+        yield from (scene.descriptors, scene.anchors, scene.labels, scene.targets)
+        yield from (scene.gt_ids, scene.gt_boxes, scene.gt_descriptors)
+
+
+# Generator output pinned for shapes the default quickstart does not exercise:
+# (universe config, data config, pool, scenes per class, seed) -> digest. The
+# digests were taken from the per-box generator that scenes drawn in bulk replaced.
+PINNED_DATASETS = {
+    "one object, odd proposals": (
+        UniverseConfig(), DataConfig(objects_per_scene=1, proposals_per_scene=7), "base", 2, 0, "b2b99f4af30208e0"
+    ),
+    "three objects, one proposal": (
+        UniverseConfig(), DataConfig(objects_per_scene=3, proposals_per_scene=1), "base", 2, 1, "d093ee60c682a81c"
+    ),
+    "five objects, 40 proposals, jitter 0.5": (
+        UniverseConfig(), DataConfig(objects_per_scene=5, proposals_per_scene=40, jitter=0.5), "base", 1, 2, "cf106a5ef72ac41d"
+    ),
+    "zero jitter": (UniverseConfig(), DataConfig(proposals_per_scene=9, jitter=0.0), "base", 2, 3, "e46dc01d619687ad"),
+    "60 novel classes": (
+        UniverseConfig(n_novel=60), DataConfig(objects_per_scene=3, proposals_per_scene=5), "novel", 1, 0, "3420d846bd361e35"
+    ),
+    "m_in 16": (UniverseConfig(m_in=16), DataConfig(), "base", 1, 1, "39e01591583614a7"),
+    "no instance noise": (
+        UniverseConfig(sigma_inst=0.0), DataConfig(objects_per_scene=3, proposals_per_scene=11), "base", 1, 2, "867ef59fa4a71a94"
+    ),
+}
+PINNED_EXEMPLARS = {
+    "one shot, 60 novel classes": (UniverseConfig(n_novel=60), 1, 3, "415fe4aea7770afc"),
+    "five shots, m_in 16, no instance noise": (UniverseConfig(m_in=16, sigma_inst=0.0), 5, 4, "e357a0f0504e21c3"),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_DATASETS)
+def test_make_dataset_output_is_pinned(case):
+    config, data, pool, scenes_per_class, seed, digest = PINNED_DATASETS[case]
+    uni = make_universe(config, seed=seed)
+    scenes = make_dataset(uni, getattr(uni, pool), scenes_per_class, data, seed=seed)
+    assert _digest(_scene_arrays(scenes)) == digest
+
+
+@pytest.mark.parametrize("case", PINNED_EXEMPLARS)
+def test_exemplars_for_output_is_pinned(case):
+    config, shots, seed, digest = PINNED_EXEMPLARS[case]
+    uni = make_universe(config, seed=seed)
+    exemplars = exemplars_for(uni, uni.novel, shots, seed=seed)
+    assert list(exemplars) == sorted(exemplars)
+    assert _digest(np.array(vecs) for vecs in exemplars.values()) == digest
