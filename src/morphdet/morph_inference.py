@@ -85,17 +85,12 @@ def iou(a: Box, b: Box) -> float:
     return inter / ((a.x2 - a.x1) * (a.y2 - a.y1) + (b.x2 - b.x1) * (b.y2 - b.y1) - inter)
 
 
-def encode_box(anchor: Box, target: Box) -> np.ndarray:
-    """Regression deltas taking `anchor` onto `target`: center offsets in
-    anchor units, log size ratios."""
-    return np.array(
-        [
-            (target.center_x - anchor.center_x) / anchor.width,
-            (target.center_y - anchor.center_y) / anchor.height,
-            np.log(target.width / anchor.width),
-            np.log(target.height / anchor.height),
-        ]
-    )
+def encode_box(anchors, targets) -> np.ndarray:
+    """Regression deltas taking each (n, 4) anchor row onto its target row, in
+    Box's operation order: center offsets in anchor units, log size ratios."""
+    a, t = np.asarray(anchors, dtype=np.float64), np.asarray(targets, dtype=np.float64)
+    a_size, t_size = a[:, 2:] - a[:, :2], t[:, 2:] - t[:, :2]
+    return np.hstack([(0.5 * (t[:, :2] + t[:, 2:]) - 0.5 * (a[:, :2] + a[:, 2:])) / a_size, np.log(t_size / a_size)])
 
 
 def decode_box(anchors, deltas) -> np.ndarray:
@@ -110,9 +105,11 @@ def decode_box(anchors, deltas) -> np.ndarray:
     center = 0.5 * (a[:, :2] + a[:, 2:]) + d[:, :2] * size
     half = 0.5 * (size * np.exp(d[:, 2:]))
     out = np.concatenate([center - half, center + half], axis=1)
-    ok = np.isfinite(out).all(axis=1) & (out[:, :2] < out[:, 2:]).all(axis=1)
+    finite = np.isfinite(out).all(axis=1)
+    ok = finite & (out[:, :2] < out[:, 2:]).all(axis=1)
     if not ok.all():
-        raise InvalidBox(f"deltas decode to non-finite or degenerate boxes in rows {np.flatnonzero(~ok).tolist()}")
+        at = np.argmin(ok)  # the first bad row, named as Box would name it
+        raise InvalidBox(f"{'degenerate' if finite[at] else 'non-finite'} box corners: {tuple(out[at].tolist())}")
     return out
 
 

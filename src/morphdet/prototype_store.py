@@ -178,17 +178,25 @@ def write_vector_file(path, vectors: Mapping[int, np.ndarray]) -> None:
 
 
 def read_vector_file(path) -> dict[int, np.ndarray]:
-    """Read a class_id -> vector map; blank lines are skipped."""
+    """Read a class_id -> vector map; blank lines are skipped. A refusal names
+    the path and line once. A row whose sum of squares overflows is refused
+    here, as it could never be normalized into a prototype."""
     out: dict[int, np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            head, _, tail = line.rstrip("\n").partition("\t")
-            if not tail:
-                raise ValueError(f"malformed vector line (missing tab): {line[:80]!r}")
-            cid = int(head)
-            if cid in out:
-                raise ClassCollision(f"duplicate vector line for class {cid}")
-            out[cid] = parse_floats(tail)
+            try:
+                head, _, tail = line.rstrip("\n").partition("\t")
+                if not tail:
+                    raise ValueError(f"malformed vector line (missing tab): {line[:80]!r}")
+                cid = int(head)
+                if cid in out:
+                    raise ClassCollision(f"duplicate vector line for class {cid}")
+                vec = out[cid] = parse_floats(tail)
+                with np.errstate(over="ignore"):
+                    if not np.isfinite(np.add.reduce(vec * vec)):
+                        raise ValueError(f"the sum of squares of class {cid}'s vector overflows")
+            except ValueError as exc:
+                raise type(exc)(f"{path}: line {number}: {exc}") from None
     return out

@@ -13,9 +13,11 @@ Scenes live in the unit square. Dataset proposals are jittered copies of the
 ground-truth boxes plus uniform random boxes, each labelled by the IoU >= 0.5
 rule against the scene's objects; foreground proposals carry box-regression
 targets. Each proposal's IoU with each object is computed once and serves both
-the label and the descriptor. Ground-truth entries keep a descriptor of their
-own (the instance model at IoU 1), which prototype refits embed; exemplars are
-drawn by the same model on a box that holds only their class's object.
+the label and the descriptor. A dataset takes each scene's draws in a fixed
+order, then computes all scenes at once as arrays, in Box's and iou's operation
+order. Ground-truth entries keep a descriptor of their own (the instance model
+at IoU 1), which prototype refits embed; exemplars are drawn by the same model
+on a box that holds only their class's object.
 
 Exemplar draws and dataset draws use separate seed streams: changing the
 exemplar seed never perturbs the dataset, and vice versa.
@@ -30,7 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .em_trainer import fill_dataclass
-from .morph_inference import Box, InvalidBox, encode_box, iou
+from .morph_inference import Box, InvalidBox, decode_box, encode_box
 from .numkernel import l2_normalize
 from .textio import read_record_file, row_format, tensor_blocks, tensor_lines, write_record_file
 
@@ -121,7 +123,7 @@ Proposal = namedtuple("Proposal", "descriptor anchor label target_deltas")
 class Scene:
     """One scene as arrays: proposal descriptors (n, m_in), anchor corners (n, 4), labels (n,)
     and box targets (n, 4, zero on background rows); object class ids (g,), boxes (g, 4) and
-    descriptors (g, m_in). A loaded scene's arrays are slices of its file's array store."""
+    descriptors (g, m_in). A scene's arrays are slices of one array store: its file's, or its generated dataset's."""
 
     scene_id: int
     descriptors: np.ndarray
@@ -204,105 +206,98 @@ def make_universe(config: UniverseConfig = UniverseConfig(), seed: int = 0) -> U
     )
 
 
-def _sample_box(rng: np.random.Generator) -> Box:
-    w = rng.uniform(0.12, 0.35)
-    h = rng.uniform(0.12, 0.35)
-    cx = rng.uniform(0.5 * w, 1.0 - 0.5 * w)
-    cy = rng.uniform(0.5 * h, 1.0 - 0.5 * h)
-    return Box(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h)
+def _sampled_boxes(u: np.ndarray) -> np.ndarray:
+    """Boxes from (..., 4) uniforms: width and height on [0.12, 0.35), then a center that keeps the box in
+    the unit square. `lo + (hi - lo) * u` is rng.uniform(lo, hi)'s own arithmetic on its draw u."""
+    size = 0.12 + (0.35 - 0.12) * u[..., :2]
+    center = 0.5 * size + ((1.0 - 0.5 * size) - 0.5 * size) * u[..., 2:]
+    return np.concatenate([center - 0.5 * size, center + 0.5 * size], axis=-1)
 
 
-def _jitter_box(rng: np.random.Generator, box: Box, jitter: float) -> Box:
-    cx = box.center_x + rng.uniform(-jitter, jitter) * box.width
-    cy = box.center_y + rng.uniform(-jitter, jitter) * box.height
-    w = box.width * np.exp(rng.uniform(-jitter, jitter))
-    h = box.height * np.exp(rng.uniform(-jitter, jitter))
-    return Box(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h)
+def _iou_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(..., rows of a, rows of b) IoU of corner rows, scene by scene, in iou's operation order."""
+    a, b = a[..., :, None, :], b[..., None, :, :]
+    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.where((ix > 0.0) & (iy > 0.0), ix * iy, 0.0)
+    area_a, area_b = ((x[..., 2] - x[..., 0]) * (x[..., 3] - x[..., 1]) for x in (a, b))
+    return inter / (area_a + area_b - inter)
 
 
-def _geometry_features(box: Box) -> np.ndarray:
-    return GEOMETRY_SCALE * np.array([box.center_x, box.center_y, box.width, box.height])
-
-
-def _descriptor(universe: Universe, box: Box, overlaps, rng: np.random.Generator) -> np.ndarray:
-    """Instance model: IoU-weighted appearance of overlapped objects, plus
-    per-instance noise, plus the box's own geometry features. `overlaps`
-    holds (class, IoU of `box` with that class's object) pairs."""
-    app_dim = universe.descriptor_projection.shape[0]
-    appearance = np.zeros(app_dim)
-    for cls, overlap in overlaps:
-        if overlap > 0.0:
-            appearance += overlap * (universe.descriptor_projection @ cls.attribute)
-    appearance += universe.config.sigma_inst * rng.normal(size=app_dim)
-    return np.concatenate([appearance, _geometry_features(box)])
-
-
-def _make_scene(
-    universe: Universe, anchor_class: ToyClass, pool, scene_id: int, data: DataConfig, rng: np.random.Generator
-) -> Scene:
-    placed = [(anchor_class, _sample_box(rng))]
-    for _ in range(data.objects_per_scene - 1):
-        cls = pool[rng.integers(0, len(pool))]
-        placed.append((cls, _sample_box(rng)))
-
-    gt_descriptors = [_descriptor(universe, box, [(c, iou(box, b)) for c, b in placed], rng) for _, box in placed]
-
-    anchors: list[Box] = []
-    n_jittered = data.proposals_per_scene // 2
-    for j in range(n_jittered):
-        _, source_box = placed[j % len(placed)]
-        anchors.append(_jitter_box(rng, source_box, data.jitter))
-    for _ in range(data.proposals_per_scene - n_jittered):
-        anchors.append(_sample_box(rng))
-
-    descriptors, labels, targets = [], [], []
-    for anchor in anchors:
-        overlaps = [(cls, iou(anchor, obj_box)) for cls, obj_box in placed]
-        # IoU >= 0.5 rule against the max-overlap object (the first on ties).
-        best = max(range(len(placed)), key=lambda j: overlaps[j][1])
-        matched = overlaps[best][1] >= FG_IOU_THRESHOLD
-        descriptors.append(_descriptor(universe, anchor, overlaps, rng))
-        labels.append(placed[best][0].class_id if matched else 0)
-        targets.append(encode_box(anchor, placed[best][1]) if matched else np.zeros(4))
-
-    objects = ([cls.class_id for cls, _ in placed], [box.as_tuple() for _, box in placed], gt_descriptors)
-    return Scene(scene_id, *map(np.array, (descriptors, [a.as_tuple() for a in anchors], labels, targets, *objects)))
+def _descriptors(appearances: np.ndarray, boxes: np.ndarray, overlaps: np.ndarray, noise: np.ndarray, sigma: float):
+    """Instance model, scene by scene: each box's IoU-weighted appearance of the scene's objects, summed in
+    object order (a zero overlap adds a signed zero, which changes no sum), plus per-instance noise, plus
+    its geometry features. `appearances` is (scenes, objects, a), `overlaps` (scenes, boxes, objects)."""
+    appearance = np.zeros_like(noise)
+    for j in range(appearances.shape[1]):
+        appearance += overlaps[:, :, j, None] * appearances[:, j, None, :]
+    appearance += sigma * noise
+    geometry = [0.5 * (boxes[..., :2] + boxes[..., 2:]), boxes[..., 2:] - boxes[..., :2]]  # Box's centers and sizes
+    return np.concatenate([appearance, GEOMETRY_SCALE * np.concatenate(geometry, axis=-1)], axis=-1)
 
 
 def make_dataset(universe: Universe, classes, scenes_per_class: int, data: DataConfig, seed: int) -> list[Scene]:
     """Scenes grouped per anchor class (each class fronts `scenes_per_class`
     scenes; extra objects are drawn from the same class pool), shaped by
-    `data`'s per-scene counts and jitter."""
+    `data`'s per-scene counts and jitter. An anchor that is not a finite,
+    positive-area box (an extreme jitter) raises InvalidBox."""
     pool = sorted(classes, key=lambda c: c.class_id)
     if not pool:
         raise ValueError("no classes to generate scenes for")
     if scenes_per_class < 1:
         raise ValueError(f"scenes_per_class must be >= 1, got {scenes_per_class}")
     rng = np.random.default_rng([seed, _STREAM_DATASET])
-    scenes: list[Scene] = []
-    scene_id = 0
-    for cls in pool:
-        for _ in range(scenes_per_class):
-            scenes.append(_make_scene(universe, cls, pool, scene_id, data, rng))
-            scene_id += 1
-    return scenes
+    count, g, n = len(pool) * scenes_per_class, data.objects_per_scene, data.proposals_per_scene
+    app = universe.descriptor_projection.shape[0]
+    picks = np.repeat(np.arange(count) // scenes_per_class, g).reshape(count, g)  # object 0: the anchor class
+    box_u, anchor_u, noise = np.empty((count, g, 4)), np.empty((count, n, 4)), np.empty((count, g + n, app))
+    for k in range(count):  # objects' pool indices and box uniforms, their noise, anchor uniforms, proposals' noise
+        box_u[k, 0] = rng.random(4)
+        for j in range(1, g):
+            picks[k, j] = rng.integers(0, len(pool))
+            box_u[k, j] = rng.random(4)
+        noise[k, :g] = rng.normal(size=(g, app))
+        anchor_u[k] = rng.random((n, 4))
+        noise[k, g:] = rng.normal(size=(n, app))
+    # Each class's appearance, one mat-vec per class as the instance model has always taken it.
+    appearances = np.array([universe.descriptor_projection @ cls.attribute for cls in pool])
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused as a box, not warned about
+        boxes, half = _sampled_boxes(box_u), n // 2
+        # A jittered copy moves its object's center, and scales its size by exp of, up to `jitter` of that
+        # size: decode_box's arithmetic, which refuses a copy that is not a finite, positive-area box.
+        jitter = (-data.jitter + (data.jitter - -data.jitter) * anchor_u[:, :half]).reshape(-1, 4)
+        jittered = decode_box(boxes[:, np.arange(half) % g].reshape(-1, 4), jitter).reshape(count, half, 4)
+        rows = np.concatenate([boxes, jittered, _sampled_boxes(anchor_u[:, half:])], axis=1)  # objects, then anchors
+        overlaps = _iou_table(rows, boxes)
+        descriptors = _descriptors(appearances[picks], rows, overlaps, noise, universe.config.sigma_inst)
+        # IoU >= 0.5 rule against the max-overlap object (the first on ties).
+        anchors, best = rows[:, g:], overlaps[:, g:].argmax(axis=2)
+        matched = np.take_along_axis(overlaps[:, g:], best[..., None], 2)[..., 0] >= FG_IOU_THRESHOLD
+        targets = encode_box(anchors.reshape(-1, 4), np.take_along_axis(boxes, best[..., None], 1).reshape(-1, 4))
+    targets = np.where(matched[..., None], targets.reshape(count, n, 4), 0.0)
+    gt_ids = np.array([cls.class_id for cls in pool])[picks]
+    labels = np.where(matched, np.take_along_axis(gt_ids, best, 1), 0)
+    parts = zip(descriptors[:, g:], anchors, labels, targets, gt_ids, boxes, descriptors[:, :g])
+    return [Scene(k, *arrays) for k, arrays in enumerate(parts)]
 
 
 def exemplars_for(universe: Universe, classes, shots: int, seed: int) -> dict[int, list[np.ndarray]]:
-    """Draw `shots` isolated exemplars per class: the instance model
-    (_descriptor) on a fresh random box that holds only the class's own
-    object, so at IoU 1, full appearance weight. Uses its own seed stream."""
+    """Draw `shots` isolated exemplars per class: the instance model on a
+    fresh random box that holds only the class's own object, so at IoU 1,
+    full appearance weight. Uses its own seed stream."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     rng = np.random.default_rng([seed, _STREAM_EXEMPLARS])
-    out: dict[int, list[np.ndarray]] = {}
-    for cls in sorted(classes, key=lambda c: c.class_id):
-        draws = []
-        for _ in range(shots):
-            box = _sample_box(rng)
-            draws.append(_descriptor(universe, box, [(cls, 1.0)], rng))
-        out[cls.class_id] = draws
-    return out
+    pool, app = sorted(classes, key=lambda c: c.class_id), universe.descriptor_projection.shape[0]
+    box_u, noise = np.empty((len(pool), shots, 4)), np.empty((len(pool), shots, app))
+    for k in range(len(pool)):
+        for s in range(shots):  # each shot's box, then its noise
+            box_u[k, s] = rng.random(4)
+            noise[k, s] = rng.normal(size=app)
+    appearances = np.array([universe.descriptor_projection @ cls.attribute for cls in pool]).reshape(len(pool), 1, app)
+    boxes, overlaps = _sampled_boxes(box_u), np.ones((len(pool), shots, 1))  # each exemplar at IoU 1 with its object
+    descriptors = _descriptors(appearances, boxes, overlaps, noise, universe.config.sigma_inst)
+    return {cls.class_id: list(rows) for cls, rows in zip(pool, descriptors)}
 
 
 def semantic_vectors(universe: Universe, classes=None) -> dict[int, np.ndarray]:

@@ -4,13 +4,18 @@ comparisons that only tests make."""
 import numpy as np
 
 from morphdet.embedder import EmbedderParams
-from morphdet.morph_inference import Box
+from morphdet.morph_inference import Box, encode_box
 from morphdet.numkernel import EmptyInput
 from morphdet.objective import scoring_matrix
 from morphdet.prototype_store import PrototypeSet, UnknownClass
 from morphdet.toyworld import Scene
 
 UNIT_BOX = Box(0.0, 0.0, 1.0, 1.0)
+
+
+def encode_one(anchor: Box, target: Box) -> np.ndarray:
+    """encode_box on a single (anchor, target) pair of Boxes."""
+    return encode_box(np.array([anchor.as_tuple()]), np.array([target.as_tuple()]))[0]
 
 
 def params_equal(a: EmbedderParams, b: EmbedderParams) -> bool:

@@ -11,7 +11,7 @@ import pytest
 from test_embedder import make_batch, make_protos, max_grad_error
 from test_evalkit import random_box, ref_average_precision, ref_recall_at
 
-from helpers import labelled_batch, scene_of
+from helpers import encode_one, labelled_batch, scene_of
 from morphdet.cli import main
 from morphdet.em_trainer import DetectorState, TrainConfig, m_step, proposal_arrays
 from morphdet.embedder import (
@@ -29,7 +29,7 @@ from morphdet.experiments import (
     run_init,
     run_zero_shot,
 )
-from morphdet.morph_inference import Box, decode_box, encode_box, morph
+from morphdet.morph_inference import Box, decode_box, morph
 from morphdet.numkernel import l2_normalize
 from morphdet.objective import posterior_batch
 from morphdet.prototype_store import PrototypeSet, e_step_update, init_from_semantic
@@ -295,11 +295,11 @@ def test_criterion_12_box_codec_round_trip():
     for _ in range(1000):
         anchor = random_box(rng)
         target = random_box(rng)
-        deltas = encode_box(anchor, target)
+        deltas = encode_one(anchor, target)
         back = Box(*decode_box(np.array([anchor.as_tuple()]), deltas[None, :])[0])
         worst = max(worst, float(np.max(np.abs(np.array(back.as_tuple()) - target.as_tuple()))))
         free = np.concatenate([rng.uniform(-2, 2, size=2), rng.uniform(-1, 1, size=2)])
-        redone = encode_box(anchor, Box(*decode_box(np.array([anchor.as_tuple()]), free[None, :])[0]))
+        redone = encode_one(anchor, Box(*decode_box(np.array([anchor.as_tuple()]), free[None, :])[0]))
         worst = max(worst, float(np.max(np.abs(redone - free))))
     print(f"criterion 12: worst round-trip error {worst:.3e} < 1e-9 over 1000 pairs")
     assert worst < 1e-9

@@ -301,6 +301,46 @@ def test_out_naming_a_file_is_refused(command, gen_dir, train_dir, cfg_path, tmp
     assert out.read_text(encoding="utf-8") == "not a directory\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("jitter, message", [(300, "degenerate box corners"), (1000, "non-finite box corners")])
+def test_gen_refuses_an_extreme_jitter_without_a_numpy_warning(jitter, message, tmp_path, capsys):
+    config = tmp_path / "jitter.json"
+    config.write_text(json.dumps({"data": {"jitter": jitter}}), encoding="utf-8")
+    out = tmp_path / "world"
+    _refused_without_output(["gen", "--out", str(out), "--config", str(config)], out, capsys, message)
+
+
+def _first_line(edit):
+    return lambda lines: [edit(lines[0]), *lines[1:]]
+
+
+# One edit of semantics.txt per case, each refused as train reads the file.
+SEMANTICS_REFUSALS = {
+    "missing tab": (_first_line(lambda line: line.replace("\t", " ", 1)), "malformed vector line (missing tab)"),
+    "class id not an integer": (_first_line(lambda line: "x" + line[1:]), "invalid literal for int() with base 10: 'x'"),
+    "duplicate class": (lambda lines: [lines[0], *lines], "duplicate vector line for class 1"),
+    "non-finite value": (_first_line(lambda line: line.rsplit(" ", 1)[0] + " inf"), "non-finite value among 8 floats"),
+    "sum of squares overflows": (
+        _first_line(lambda line: "1\t" + " ".join(["1e200"] * 8)), "the sum of squares of class 1's vector overflows"
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", SEMANTICS_REFUSALS)
+def test_a_refused_semantics_file_is_named_once(case, gen_dir, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(gen_dir, data)
+    path = data / "semantics.txt"
+    edit, message = SEMANTICS_REFUSALS[case]
+    path.write_text("".join(line + "\n" for line in edit(path.read_text(encoding="utf-8").splitlines())), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line ") and message in err and err.count(str(path)) == 1
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, flags",
     [

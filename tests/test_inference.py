@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import identity_detector
-from helpers import empty_prototypes, params_equal
+from helpers import empty_prototypes, encode_one, params_equal
 from morphdet.em_trainer import DetectorState, TrainConfig
 from morphdet.embedder import clone_params, forward_batch, grad_evaluation_count, init_params
 from morphdet.morph_inference import (
@@ -16,7 +16,6 @@ from morphdet.morph_inference import (
     InvalidBox,
     decode_box,
     detect,
-    encode_box,
     iou,
     morph,
     nms,
@@ -87,16 +86,16 @@ def test_box_codec_round_trips():
     rng = np.random.default_rng(1)
     for _ in range(300):
         anchor, target = random_box(rng), random_box(rng)
-        deltas = encode_box(anchor, target)
+        deltas = encode_one(anchor, target)
         back = decode_one(anchor, deltas)
         assert np.max(np.abs(np.array(back.as_tuple()) - np.array(target.as_tuple()))) < 1e-9
-        redone = encode_box(anchor, decode_one(anchor, deltas))
+        redone = encode_one(anchor, decode_one(anchor, deltas))
         assert np.max(np.abs(redone - deltas)) < 1e-9
 
 
 def test_box_codec_identity_and_validation():
     anchor = Box(0.2, 0.2, 0.6, 0.7)
-    assert np.allclose(encode_box(anchor, anchor), np.zeros(4), atol=1e-15)
+    assert np.allclose(encode_one(anchor, anchor), np.zeros(4), atol=1e-15)
     assert decode_one(anchor, np.zeros(4)).as_tuple() == pytest.approx(anchor.as_tuple())
     with pytest.raises(DimensionMismatch):
         decode_one(anchor, np.zeros(3))

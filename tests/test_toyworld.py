@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import reframe
-from helpers import scene_of
+from helpers import encode_one, scene_of
 from morphdet import toyworld
-from morphdet.morph_inference import encode_box, iou
+from morphdet.morph_inference import iou
 from morphdet.toyworld import (
     DATASET_HEADER,
     FG_IOU_THRESHOLD,
@@ -155,11 +155,12 @@ def test_labels_match_independent_iou_rule():
 
 
 def test_scene_generation_computes_each_iou_once(monkeypatch):
-    calls = []
-    monkeypatch.setattr(toyworld, "iou", lambda a, b: calls.append(1) or iou(a, b))
+    tables = []
+    iou_table = toyworld._iou_table
+    monkeypatch.setattr(toyworld, "_iou_table", lambda a, b: tables.append(iou_table(a, b)) or tables[-1])
     uni = make_universe(UniverseConfig(n_base=3, n_novel=1, sigma_sem=0.02), seed=7)
     make_dataset(uni, uni.base, 1, DataConfig(objects_per_scene=3, proposals_per_scene=10), seed=8)
-    assert len(calls) == 3 * (3 * 3 + 10 * 3)  # per scene: objects^2 + proposals x objects
+    assert sum(table.size for table in tables) == 3 * (3 * 3 + 10 * 3)  # per scene: objects^2 + proposals x objects
 
 
 def test_foreground_targets_encode_matched_object():
@@ -173,7 +174,7 @@ def test_foreground_targets_encode_matched_object():
                 continue
             fg_seen += 1
             best = max(scene.objects, key=lambda o: iou(prop.anchor, o.box))
-            assert np.allclose(prop.target_deltas, encode_box(prop.anchor, best.box), atol=1e-12)
+            assert np.allclose(prop.target_deltas, encode_one(prop.anchor, best.box), atol=1e-12)
     assert fg_seen > 0
 
 
