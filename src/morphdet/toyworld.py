@@ -13,11 +13,10 @@ Scenes live in the unit square. Dataset proposals are jittered copies of the
 ground-truth boxes plus uniform random boxes, each labelled by the IoU >= 0.5
 rule against the scene's objects; foreground proposals carry box-regression
 targets. Each proposal's IoU with each object is computed once and serves both
-the label and the descriptor. A dataset takes each scene's draws in a fixed
-order, then computes all scenes at once as arrays, in Box's and iou's operation
-order. Ground-truth entries keep a descriptor of their own (the instance model
-at IoU 1), which prototype refits embed; exemplars are drawn by the same model
-on a box that holds only their class's object.
+the label and the descriptor. Scenes are drawn in a fixed order and computed as
+arrays, in Box's and iou's operation order. Ground-truth entries keep a
+descriptor of their own (the instance model at IoU 1), which prototype refits
+embed; exemplars are one-object scenes' ground truth.
 
 Exemplar draws and dataset draws use separate seed streams: changing the
 exemplar seed never perturbs the dataset, and vice versa.
@@ -225,15 +224,47 @@ def _iou_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _descriptors(appearances: np.ndarray, boxes: np.ndarray, overlaps: np.ndarray, noise: np.ndarray, sigma: float):
-    """Instance model, scene by scene: each box's IoU-weighted appearance of the scene's objects, summed in
-    object order (a zero overlap adds a signed zero, which changes no sum), plus per-instance noise, plus
-    its geometry features. `appearances` is (scenes, objects, a), `overlaps` (scenes, boxes, objects)."""
+    """Instance model per scene: each box's IoU-weighted appearance of the scene's objects, summed in object
+    order (a zero overlap adds a signed zero, which changes no sum), plus per-instance noise, plus the box's
+    geometry features. `appearances` is (scenes, objects, a), `overlaps` (scenes, boxes, objects)."""
     appearance = np.zeros_like(noise)
     for j in range(appearances.shape[1]):
         appearance += overlaps[:, :, j, None] * appearances[:, j, None, :]
     appearance += sigma * noise
     geometry = [0.5 * (boxes[..., :2] + boxes[..., 2:]), boxes[..., 2:] - boxes[..., :2]]  # Box's centers and sizes
     return np.concatenate([appearance, GEOMETRY_SCALE * np.concatenate(geometry, axis=-1)], axis=-1)
+
+
+def _scenes(universe: Universe, pool, appearances, scene_ids, per: int, rng, g: int, n: int, jitter=0.0) -> list:
+    """Scenes of `g` objects and `n` proposals, scene i fronted by pool class i // per. Each scene's draws come in
+    turn, in a fixed order (per object a pool index, but for the first, and four box uniforms; the objects' noise;
+    four uniforms per anchor; the proposals' noise); then all the scenes are computed at once, as arrays."""
+    count, app, ids = len(scene_ids), appearances.shape[1], np.array([cls.class_id for cls in pool])
+    picks = np.repeat(np.array(scene_ids)[:, None] // per, g, axis=1)  # object 0 is the scene's anchor class
+    box_u, anchor_u, noise = np.empty((count, g, 4)), np.empty((count, n, 4)), np.empty((count, g + n, app))
+    for k in range(count):
+        box_u[k, 0] = rng.random(4)
+        for j in range(1, g):
+            picks[k, j] = rng.integers(0, len(ids))
+            box_u[k, j] = rng.random(4)
+        noise[k, :g] = rng.normal(size=(g, app))
+        anchor_u[k] = rng.random((n, 4))
+        noise[k, g:] = rng.normal(size=(n, app))
+    boxes, half = _sampled_boxes(box_u), n // 2
+    # A jittered copy is decode_box's arithmetic on deltas within +-jitter, which refuses a non-finite or empty box.
+    deltas = (-jitter + (jitter - -jitter) * anchor_u[:, :half]).reshape(-1, 4)
+    jittered = decode_box(boxes[:, np.arange(half) % g].reshape(-1, 4), deltas).reshape(count, half, 4)
+    rows = np.concatenate([boxes, jittered, _sampled_boxes(anchor_u[:, half:])], axis=1)  # objects, then anchors
+    overlaps = _iou_table(rows, boxes)
+    descriptors = _descriptors(appearances[picks], rows, overlaps, noise, universe.config.sigma_inst)
+    # IoU >= 0.5 rule against the max-overlap object (the first on ties).
+    anchors, best = rows[:, g:], overlaps[:, g:].argmax(axis=2)
+    matched = np.take_along_axis(overlaps[:, g:], best[..., None], 2)[..., 0] >= FG_IOU_THRESHOLD
+    targets = encode_box(anchors.reshape(-1, 4), np.take_along_axis(boxes, best[..., None], 1).reshape(-1, 4))
+    targets, gt_ids = np.where(matched[..., None], targets.reshape(count, n, 4), 0.0), ids[picks]
+    labels = np.where(matched, np.take_along_axis(gt_ids, best, 1), 0)
+    parts = zip(descriptors[:, g:], anchors, labels, targets, gt_ids, boxes, descriptors[:, :g])
+    return [Scene(scene_id, *arrays) for scene_id, arrays in zip(scene_ids, parts)]
 
 
 def make_dataset(universe: Universe, classes, scenes_per_class: int, data: DataConfig, seed: int) -> list[Scene]:
@@ -246,58 +277,27 @@ def make_dataset(universe: Universe, classes, scenes_per_class: int, data: DataC
         raise ValueError("no classes to generate scenes for")
     if scenes_per_class < 1:
         raise ValueError(f"scenes_per_class must be >= 1, got {scenes_per_class}")
-    rng = np.random.default_rng([seed, _STREAM_DATASET])
-    count, g, n = len(pool) * scenes_per_class, data.objects_per_scene, data.proposals_per_scene
-    app = universe.descriptor_projection.shape[0]
-    picks = np.repeat(np.arange(count) // scenes_per_class, g).reshape(count, g)  # object 0: the anchor class
-    box_u, anchor_u, noise = np.empty((count, g, 4)), np.empty((count, n, 4)), np.empty((count, g + n, app))
-    for k in range(count):  # objects' pool indices and box uniforms, their noise, anchor uniforms, proposals' noise
-        box_u[k, 0] = rng.random(4)
-        for j in range(1, g):
-            picks[k, j] = rng.integers(0, len(pool))
-            box_u[k, j] = rng.random(4)
-        noise[k, :g] = rng.normal(size=(g, app))
-        anchor_u[k] = rng.random((n, 4))
-        noise[k, g:] = rng.normal(size=(n, app))
-    # Each class's appearance, one mat-vec per class as the instance model has always taken it.
-    appearances = np.array([universe.descriptor_projection @ cls.attribute for cls in pool])
+    rng, scenes, per = np.random.default_rng([seed, _STREAM_DATASET]), [], scenes_per_class
+    shape = (data.objects_per_scene, data.proposals_per_scene, data.jitter)
+    appearances = np.array([universe.descriptor_projection @ c.attribute for c in pool])  # mat-vecs, not a GEMM
+    # A class's scenes at a time: arrays this small the allocator reuses, so repeated calls raise no peak memory.
     with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused as a box, not warned about
-        boxes, half = _sampled_boxes(box_u), n // 2
-        # A jittered copy moves its object's center, and scales its size by exp of, up to `jitter` of that
-        # size: decode_box's arithmetic, which refuses a copy that is not a finite, positive-area box.
-        jitter = (-data.jitter + (data.jitter - -data.jitter) * anchor_u[:, :half]).reshape(-1, 4)
-        jittered = decode_box(boxes[:, np.arange(half) % g].reshape(-1, 4), jitter).reshape(count, half, 4)
-        rows = np.concatenate([boxes, jittered, _sampled_boxes(anchor_u[:, half:])], axis=1)  # objects, then anchors
-        overlaps = _iou_table(rows, boxes)
-        descriptors = _descriptors(appearances[picks], rows, overlaps, noise, universe.config.sigma_inst)
-        # IoU >= 0.5 rule against the max-overlap object (the first on ties).
-        anchors, best = rows[:, g:], overlaps[:, g:].argmax(axis=2)
-        matched = np.take_along_axis(overlaps[:, g:], best[..., None], 2)[..., 0] >= FG_IOU_THRESHOLD
-        targets = encode_box(anchors.reshape(-1, 4), np.take_along_axis(boxes, best[..., None], 1).reshape(-1, 4))
-    targets = np.where(matched[..., None], targets.reshape(count, n, 4), 0.0)
-    gt_ids = np.array([cls.class_id for cls in pool])[picks]
-    labels = np.where(matched, np.take_along_axis(gt_ids, best, 1), 0)
-    parts = zip(descriptors[:, g:], anchors, labels, targets, gt_ids, boxes, descriptors[:, :g])
-    return [Scene(k, *arrays) for k, arrays in enumerate(parts)]
+        for k in range(len(pool)):
+            scenes += _scenes(universe, pool, appearances, range(k * per, (k + 1) * per), per, rng, *shape)
+    return scenes
 
 
 def exemplars_for(universe: Universe, classes, shots: int, seed: int) -> dict[int, list[np.ndarray]]:
-    """Draw `shots` isolated exemplars per class: the instance model on a
-    fresh random box that holds only the class's own object, so at IoU 1,
-    full appearance weight. Uses its own seed stream."""
+    """Draw `shots` isolated exemplars per class, each the object of a scene
+    with that one object and no proposal: the instance model at IoU 1, on a
+    fresh random box, drawn before its noise. Uses its own seed stream."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    rng = np.random.default_rng([seed, _STREAM_EXEMPLARS])
-    pool, app = sorted(classes, key=lambda c: c.class_id), universe.descriptor_projection.shape[0]
-    box_u, noise = np.empty((len(pool), shots, 4)), np.empty((len(pool), shots, app))
-    for k in range(len(pool)):
-        for s in range(shots):  # each shot's box, then its noise
-            box_u[k, s] = rng.random(4)
-            noise[k, s] = rng.normal(size=app)
-    appearances = np.array([universe.descriptor_projection @ cls.attribute for cls in pool]).reshape(len(pool), 1, app)
-    boxes, overlaps = _sampled_boxes(box_u), np.ones((len(pool), shots, 1))  # each exemplar at IoU 1 with its object
-    descriptors = _descriptors(appearances, boxes, overlaps, noise, universe.config.sigma_inst)
-    return {cls.class_id: list(rows) for cls, rows in zip(pool, descriptors)}
+    rng, pool = np.random.default_rng([seed, _STREAM_EXEMPLARS]), sorted(classes, key=lambda c: c.class_id)
+    appearances = np.array([universe.descriptor_projection @ cls.attribute for cls in pool])
+    scenes = _scenes(universe, pool, appearances, range(len(pool) * shots), shots, rng, 1, 0)  # one object, no proposal
+    rows = [scene.gt_descriptors[0] for scene in scenes]
+    return {cls.class_id: rows[k * shots : (k + 1) * shots] for k, cls in enumerate(pool)}
 
 
 def semantic_vectors(universe: Universe, classes=None) -> dict[int, np.ndarray]:
