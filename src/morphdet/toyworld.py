@@ -240,8 +240,8 @@ def _scenes(universe: Universe, pool, appearances, scene_ids, per: int, rng, g: 
     turn, in a fixed order (per object a pool index, but for the first, and four box uniforms; the objects' noise;
     four uniforms per anchor; the proposals' noise); then all the scenes are computed at once, as arrays."""
     count, app, ids = len(scene_ids), appearances.shape[1], np.array([cls.class_id for cls in pool])
-    picks = np.repeat(np.array(scene_ids)[:, None] // per, g, axis=1)  # object 0 is the scene's anchor class
-    box_u, anchor_u, noise = np.empty((count, g, 4)), np.empty((count, n, 4)), np.empty((count, g + n, app))
+    picks, box_u, anchor_u = np.empty((count, g), dtype=np.intp), np.empty((count, g, 4)), np.empty((count, n, 4))
+    picks[:, 0], noise = np.array(scene_ids) // per, np.empty((count, g + n, app))  # object 0: the anchor class
     for k in range(count):
         box_u[k, 0] = rng.random(4)
         for j in range(1, g):
@@ -258,11 +258,11 @@ def _scenes(universe: Universe, pool, appearances, scene_ids, per: int, rng, g: 
     overlaps = _iou_table(rows, boxes)
     descriptors = _descriptors(appearances[picks], rows, overlaps, noise, universe.config.sigma_inst)
     # IoU >= 0.5 rule against the max-overlap object (the first on ties).
-    anchors, best = rows[:, g:], overlaps[:, g:].argmax(axis=2)
-    matched = np.take_along_axis(overlaps[:, g:], best[..., None], 2)[..., 0] >= FG_IOU_THRESHOLD
-    targets = encode_box(anchors.reshape(-1, 4), np.take_along_axis(boxes, best[..., None], 1).reshape(-1, 4))
+    anchors, best, scene = rows[:, g:], overlaps[:, g:].argmax(axis=2), np.arange(count)[:, None]
+    matched = overlaps[:, g:].max(axis=2) >= FG_IOU_THRESHOLD
+    targets = encode_box(anchors.reshape(-1, 4), boxes[scene, best].reshape(-1, 4))
     targets, gt_ids = np.where(matched[..., None], targets.reshape(count, n, 4), 0.0), ids[picks]
-    labels = np.where(matched, np.take_along_axis(gt_ids, best, 1), 0)
+    labels = np.where(matched, gt_ids[scene, best], 0)
     parts = zip(descriptors[:, g:], anchors, labels, targets, gt_ids, boxes, descriptors[:, :g])
     return [Scene(scene_id, *arrays) for scene_id, arrays in zip(scene_ids, parts)]
 
