@@ -16,7 +16,7 @@ targets. Each proposal's IoU with each object is computed once and serves both
 the label and the descriptor. Scenes are drawn in a fixed order and computed as
 arrays, in Box's and iou's operation order. Ground-truth entries keep a
 descriptor of their own (the instance model at IoU 1), which prototype refits
-embed; exemplars are one-object scenes' ground truth.
+embed; exemplars are the objects of one-object scenes.
 
 Exemplar draws and dataset draws use separate seed streams: changing the
 exemplar seed never perturbs the dataset, and vice versa.
@@ -122,7 +122,7 @@ Proposal = namedtuple("Proposal", "descriptor anchor label target_deltas")
 class Scene:
     """One scene as arrays: proposal descriptors (n, m_in), anchor corners (n, 4), labels (n,)
     and box targets (n, 4, zero on background rows); object class ids (g,), boxes (g, 4) and
-    descriptors (g, m_in). A scene's arrays are slices of one array store: its file's, or its generated dataset's."""
+    descriptors (g, m_in). A scene's arrays are slices of one array store: its file's, or its anchor class's batch's."""
 
     scene_id: int
     descriptors: np.ndarray
