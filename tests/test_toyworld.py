@@ -477,3 +477,38 @@ def test_exemplars_for_output_is_pinned(case):
     exemplars = exemplars_for(uni, uni.novel, shots, seed=seed)
     assert list(exemplars) == sorted(exemplars)
     assert _digest(np.array(vecs) for vecs in exemplars.values()) == digest
+
+
+# universe.txt pinned for shapes the default quickstart does not exercise: config -> the file's
+# sha256 (first 16 hex digits) at seeds 0-3, taken from the per-class generator that the one-draw universe replaced.
+PINNED_UNIVERSES = {
+    "one base, one novel": (
+        UniverseConfig(n_base=1, n_novel=1),
+        ("0c531608137f104b", "c7cbf5ab2106604a", "91e5f1fab6f85b00", "3176986160adf2c6"),
+    ),
+    "60 novel classes": (
+        UniverseConfig(n_novel=60),
+        ("4303eb5889bd51bc", "abda4cb87cf39808", "74ed484d9965998e", "14a8866a9f124685"),
+    ),
+    "k 2, d_sem 2, m_in 6": (
+        UniverseConfig(k=2, d_sem=2, m_in=6),
+        ("fae6fa9a16100297", "ff77f583460f513f", "fbbcc2341f595dea", "b7d69c0620765a23"),
+    ),
+    "no semantic noise": (
+        UniverseConfig(sigma_sem=0.0),
+        ("40249bca4dd07204", "83b991baf883cee7", "40642bb8b1d34d4f", "64faa7f8672b7f51"),
+    ),
+    "m_in 16": (
+        UniverseConfig(m_in=16),
+        ("a2b6195be6fa8519", "1d7c847eb020d758", "21441a6dd8b8afdf", "4290a19ee07c2047"),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("case", PINNED_UNIVERSES)
+def test_universe_file_is_pinned(tmp_path, case, seed):
+    config, digests = PINNED_UNIVERSES[case]
+    path = tmp_path / "universe.txt"
+    save_universe(path, make_universe(config, seed=seed))
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digests[seed]
