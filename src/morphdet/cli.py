@@ -102,7 +102,7 @@ def cmd_gen(args) -> int:
         fh.write("\n")
     for name in GEN_FILES + ("manifest.json",):
         print(f"wrote {os.path.join(args.out, name)}")
-    print(f"{len(world.base_ids)} base / {len(world.novel_ids)} novel classes, seed {seed}")
+    print(f"{len(world.universe.base)} base / {len(world.universe.novel)} novel classes, seed {seed}")
     return 0
 
 

@@ -62,8 +62,6 @@ class World:
     eval_novel: list
     exemplars: dict
     semantics: dict
-    base_ids: list
-    novel_ids: list
 
     @cached_property
     def eval_base(self) -> list:
@@ -92,8 +90,6 @@ def build_world(config: ExperimentConfig, seed: int) -> World:
         eval_novel=make_dataset(universe, universe.novel, d.eval_scenes_per_class, d, seed + _EVAL_NOVEL),
         exemplars=exemplars_for(universe, universe.novel, config.shots, seed + _EXEMPLARS),
         semantics=semantic_vectors(universe),
-        base_ids=[c.class_id for c in universe.base],
-        novel_ids=[c.class_id for c in universe.novel],
     )
 
 
@@ -122,7 +118,7 @@ def _trial_seeds(config: ExperimentConfig):
 
 def _novel_ap50(state, world: World, config: ExperimentConfig) -> float:
     morphed = morph(state, world.exemplars)
-    return evaluate(morphed, world.eval_novel, world.base_ids, world.novel_ids, config.detect).novel.ap50
+    return evaluate(morphed, world.eval_novel, world.universe.base, world.universe.novel, config.detect).novel.ap50
 
 
 def run_em_iterations(config: ExperimentConfig, out_dir=None):
@@ -171,21 +167,21 @@ def run_zero_shot(config: ExperimentConfig, out_dir=None):
     for seed in _trial_seeds(config):
         world = build_world(config, seed)
         result = train(world.train_scenes, world.semantics, replace(config.train, seed=seed))
-        state = result.state
+        state, base, novel = result.state, world.universe.base, world.universe.novel
 
         sem_protos = state.prototypes
-        for cid in world.novel_ids:
+        for cid in novel:
             sem_protos = add_novel(sem_protos, cid, world.semantics[cid])
         sem_state = replace(state, prototypes=sem_protos)
 
         rng = np.random.default_rng([seed + _RANDOM_PROTOS, 7])
         protos = state.prototypes
-        for cid in world.novel_ids:
+        for cid in novel:
             protos = add_novel(protos, cid, rng.normal(size=protos.dim))
         rand_state = replace(state, prototypes=protos)
 
         for method, st in (("semantic", sem_state), ("random", rand_state)):
-            report = evaluate(st, world.eval_novel, world.base_ids, world.novel_ids, config.detect, recall_budgets=(100,))
+            report = evaluate(st, world.eval_novel, base, novel, config.detect, recall_budgets=(100,))
             raw.append((seed, method, report.recall[100], report.novel.ap50))
     return _tables(out_dir, "zero_shot", "seed,method,recall100,novel_ap50", raw)
 

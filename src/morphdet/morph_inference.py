@@ -50,26 +50,6 @@ class Box:
         object.__setattr__(self, "x2", coords[2])
         object.__setattr__(self, "y2", coords[3])
 
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    @property
-    def center_x(self) -> float:
-        return 0.5 * (self.x1 + self.x2)
-
-    @property
-    def center_y(self) -> float:
-        return 0.5 * (self.y1 + self.y2)
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
 
@@ -81,20 +61,19 @@ def iou(a: Box, b: Box) -> float:
     if ix <= 0.0 or iy <= 0.0:
         return 0.0
     inter = ix * iy
-    # Box.area's arithmetic, without its property calls.
     return inter / ((a.x2 - a.x1) * (a.y2 - a.y1) + (b.x2 - b.x1) * (b.y2 - b.y1) - inter)
 
 
 def encode_box(anchors, targets) -> np.ndarray:
-    """Regression deltas taking each (n, 4) anchor row onto its target row, in
-    Box's operation order: center offsets in anchor units, log size ratios."""
+    """Regression deltas taking each (n, 4) anchor row onto its target row:
+    center offsets in anchor units, log size ratios."""
     a, t = np.asarray(anchors, dtype=np.float64), np.asarray(targets, dtype=np.float64)
     a_size, t_size = a[:, 2:] - a[:, :2], t[:, 2:] - t[:, :2]
     return np.hstack([(0.5 * (t[:, :2] + t[:, 2:]) - 0.5 * (a[:, :2] + a[:, 2:])) / a_size, np.log(t_size / a_size)])
 
 
 def decode_box(anchors, deltas) -> np.ndarray:
-    """Inverse of encode_box, row by row in Box's operation order: (n, 4)
+    """Inverse of encode_box, row by row in its operation order: (n, 4)
     anchor corners and deltas give (n, 4) corners. A row that is not a finite
     box with x1 < x2 and y1 < y2 (NaN deltas, an overflowing exp) raises InvalidBox."""
     a = np.asarray(anchors, dtype=np.float64)
@@ -212,10 +191,11 @@ def write_exemplars_csv(path, exemplars) -> None:
 
 
 def read_exemplars_csv(path) -> dict[int, list[np.ndarray]]:
-    """Inverse of write_exemplars_csv: class id -> its descriptors, as rows."""
+    """Inverse of write_exemplars_csv: class id -> its descriptors, as rows. Each tensor
+    name must be a class id as the writer writes it: digits for an integer >= 1, no leading zero."""
     meta, body = read_record_file(path, EXEMPLARS_HEADER, "meta")
     blocks = tensor_blocks(body)
-    ids = sorted(int(name) for name in blocks)
+    ids = sorted(int(name) for name in blocks if name.isascii() and name.isdigit() and name[0] != "0")
     if meta or list(blocks) != [str(cid) for cid in ids]:
         raise ValueError(f"{path}: want an empty meta and tensors named by ascending class ids, got {list(blocks)}")
     return {cid: list(blocks[str(cid)]) for cid in ids}

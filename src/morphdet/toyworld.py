@@ -14,7 +14,7 @@ ground-truth boxes plus uniform random boxes, each labelled by the IoU >= 0.5
 rule against the scene's objects; foreground proposals carry box-regression
 targets. Each proposal's IoU with each object is computed once and serves both
 the label and the descriptor. Scenes are drawn in a fixed order and computed as
-arrays, in Box's and iou's operation order. Ground-truth entries keep a
+arrays, in iou's and encode_box's operation order. Ground-truth entries keep a
 descriptor of their own (the instance model at IoU 1), which prototype refits
 embed; exemplars are the objects of one-object scenes.
 
@@ -46,6 +46,7 @@ FG_IOU_THRESHOLD = 0.5
 UNIVERSE_HEADER = "toyworld-universe v2"
 DATASET_HEADER = "toyworld-dataset v2"
 _LINE_KINDS = {"scene": 0, "object": 1, "proposal": 2}
+_UNIVERSE_TENSORS = ("attributes", "semantics", "semantic_projection", "descriptor_projection")
 
 # Sub-stream tags so one seed drives several independent generators.
 _STREAM_UNIVERSE = 0
@@ -106,15 +107,7 @@ class DataConfig:
             raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
 
 
-@dataclass(frozen=True, eq=False)
-class ToyClass:
-    class_id: int
-    attribute: np.ndarray
-    semantic: np.ndarray
-
-
-# What Scene.objects and Scene.proposals build on demand; a background proposal (label 0) has no targets.
-GroundTruth = namedtuple("GroundTruth", "class_id box descriptor")
+# What Scene.proposals builds on demand; a background proposal (label 0) has no targets.
 Proposal = namedtuple("Proposal", "descriptor anchor label target_deltas")
 
 
@@ -138,32 +131,33 @@ class Scene:
         rows = zip(self.descriptors, self.anchors.tolist(), self.labels.tolist(), self.targets)
         return tuple(Proposal(d, Box(*a), label, t if label > 0 else None) for d, a, label, t in rows)
 
-    @property
-    def objects(self) -> tuple[GroundTruth, ...]:
-        rows = zip(self.gt_ids.tolist(), self.gt_boxes.tolist(), self.gt_descriptors)
-        return tuple(GroundTruth(cid, Box(*box), d) for cid, box, d in rows)
-
 
 @dataclass(frozen=True, eq=False)
 class Universe:
-    """The classes and the shared generative model drawn from `config` and `seed`."""
+    """The classes and the shared generative model drawn from `config` and `seed`. Row i of
+    `attributes` and `semantics` is class i + 1, base classes first, as in universe.txt."""
 
-    base: tuple[ToyClass, ...]
-    novel: tuple[ToyClass, ...]
+    attributes: np.ndarray  # (n_base + n_novel, k)
+    semantics: np.ndarray  # (n_base + n_novel, d_sem)
     semantic_projection: np.ndarray  # (d_sem, k), orthonormal columns
     descriptor_projection: np.ndarray  # (m_in - 4, k), orthonormal columns
     config: UniverseConfig
     seed: int
 
-    def classes(self) -> tuple[ToyClass, ...]:
-        return self.base + self.novel
+    @property
+    def base(self) -> tuple[int, ...]:
+        return tuple(range(1, self.config.n_base + 1))
+
+    @property
+    def novel(self) -> tuple[int, ...]:
+        return tuple(range(self.config.n_base + 1, self.config.n_base + self.config.n_novel + 1))
 
     def split_manifest(self) -> dict:
         """The class ids of each role, the config less its two counts, and the seed."""
         settings = {key: value for key, value in asdict(self.config).items() if key not in ("n_base", "n_novel")}
         return {
-            "base_class_ids": [c.class_id for c in self.base],
-            "novel_class_ids": [c.class_id for c in self.novel],
+            "base_class_ids": list(self.base),
+            "novel_class_ids": list(self.novel),
             **settings,
             "seed": self.seed,
         }
@@ -182,27 +176,15 @@ def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.n
 
 
 def make_universe(config: UniverseConfig = UniverseConfig(), seed: int = 0) -> Universe:
-    """Draw base and novel classes with disjoint ids (base first, from 1)."""
+    """Draw base and novel classes with disjoint ids (base first, from 1) in one call: row i is class
+    i + 1's attribute, then its semantic noise."""
     rng = np.random.default_rng([seed, _STREAM_UNIVERSE])
     sem_proj = _orthonormal_columns(rng, config.d_sem, config.k)
     desc_proj = _orthonormal_columns(rng, config.m_in - GEOMETRY_FEATURES, config.k)
-
-    def draw_class(cid: int) -> ToyClass:
-        attribute = rng.normal(size=config.k)
-        semantic = sem_proj @ attribute + config.sigma_sem * rng.normal(size=config.d_sem)
-        return ToyClass(class_id=cid, attribute=attribute, semantic=semantic)
-
-    n_base = config.n_base
-    base = tuple(draw_class(cid) for cid in range(1, n_base + 1))
-    novel = tuple(draw_class(cid) for cid in range(n_base + 1, n_base + config.n_novel + 1))
-    return Universe(
-        base=base,
-        novel=novel,
-        semantic_projection=sem_proj,
-        descriptor_projection=desc_proj,
-        config=config,
-        seed=int(seed),
-    )
+    draws = rng.normal(size=(config.n_base + config.n_novel, config.k + config.d_sem))
+    attributes = draws[:, : config.k].copy()
+    semantics = np.array([sem_proj @ a for a in attributes]) + config.sigma_sem * draws[:, config.k :]  # not a GEMM
+    return Universe(attributes, semantics, sem_proj, desc_proj, config, int(seed))
 
 
 def _sampled_boxes(u: np.ndarray) -> np.ndarray:
@@ -231,15 +213,15 @@ def _descriptors(appearances: np.ndarray, boxes: np.ndarray, overlaps: np.ndarra
     for j in range(appearances.shape[1]):
         appearance += overlaps[:, :, j, None] * appearances[:, j, None, :]
     appearance += sigma * noise
-    geometry = [0.5 * (boxes[..., :2] + boxes[..., 2:]), boxes[..., 2:] - boxes[..., :2]]  # Box's centers and sizes
+    geometry = [0.5 * (boxes[..., :2] + boxes[..., 2:]), boxes[..., 2:] - boxes[..., :2]]  # as encode_box has them
     return np.concatenate([appearance, GEOMETRY_SCALE * np.concatenate(geometry, axis=-1)], axis=-1)
 
 
-def _scenes(universe: Universe, pool, appearances, scene_ids, per: int, rng, g: int, n: int, jitter=0.0) -> list:
-    """Scenes of `g` objects and `n` proposals, scene i fronted by pool class i // per. Each scene's draws come in
+def _scenes(universe: Universe, ids, appearances, scene_ids, per: int, rng, g: int, n: int, jitter=0.0) -> list:
+    """Scenes of `g` objects and `n` proposals, scene i fronted by class ids[i // per]. Each scene's draws come in
     turn, in a fixed order (per object a pool index, but for the first, and four box uniforms; the objects' noise;
     four uniforms per anchor; the proposals' noise); then all the scenes are computed at once, as arrays."""
-    count, app, ids = len(scene_ids), appearances.shape[1], np.array([cls.class_id for cls in pool])
+    count, app = len(scene_ids), appearances.shape[1]
     picks, box_u, anchor_u = np.empty((count, g), dtype=np.intp), np.empty((count, g, 4)), np.empty((count, n, 4))
     picks[:, 0], noise = np.array(scene_ids) // per, np.empty((count, g + n, app))  # object 0: the anchor class
     for k in range(count):
@@ -267,56 +249,56 @@ def _scenes(universe: Universe, pool, appearances, scene_ids, per: int, rng, g: 
     return [Scene(scene_id, *arrays) for scene_id, arrays in zip(scene_ids, parts)]
 
 
+def _pool(universe: Universe, classes) -> tuple[np.ndarray, np.ndarray]:
+    """The class ids, ascending, as int64, and each one's appearance: the descriptor projection of its
+    attribute, one mat-vec per class (not a GEMM). Refuses an empty list and an id outside 1..n."""
+    ids, n = np.array(sorted(classes), dtype=np.int64), len(universe.attributes)
+    if not len(ids):
+        raise ValueError("no classes to generate for")
+    if ids[0] < 1 or ids[-1] > n:
+        raise ValueError(f"class ids must lie in 1..{n}, got {ids.tolist()}")
+    return ids, np.array([universe.descriptor_projection @ universe.attributes[cid - 1] for cid in ids.tolist()])
+
+
 def make_dataset(universe: Universe, classes, scenes_per_class: int, data: DataConfig, seed: int) -> list[Scene]:
-    """Scenes grouped per anchor class (each class fronts `scenes_per_class`
+    """Scenes grouped per anchor class id (each class fronts `scenes_per_class`
     scenes; extra objects are drawn from the same class pool), shaped by
     `data`'s per-scene counts and jitter. An anchor that is not a finite,
     positive-area box (an extreme jitter) raises InvalidBox."""
-    pool = sorted(classes, key=lambda c: c.class_id)
-    if not pool:
-        raise ValueError("no classes to generate scenes for")
+    ids, appearances = _pool(universe, classes)
     if scenes_per_class < 1:
         raise ValueError(f"scenes_per_class must be >= 1, got {scenes_per_class}")
     rng, scenes, per = np.random.default_rng([seed, _STREAM_DATASET]), [], scenes_per_class
     shape = (data.objects_per_scene, data.proposals_per_scene, data.jitter)
-    appearances = np.array([universe.descriptor_projection @ c.attribute for c in pool])  # mat-vecs, not a GEMM
     # A class's scenes at a time: arrays this small the allocator reuses, so repeated calls raise no peak memory.
     with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused as a box, not warned about
-        for k in range(len(pool)):
-            scenes += _scenes(universe, pool, appearances, range(k * per, (k + 1) * per), per, rng, *shape)
+        for k in range(len(ids)):
+            scenes += _scenes(universe, ids, appearances, range(k * per, (k + 1) * per), per, rng, *shape)
     return scenes
 
 
 def exemplars_for(universe: Universe, classes, shots: int, seed: int) -> dict[int, list[np.ndarray]]:
-    """Draw `shots` isolated exemplars per class, each the object of a scene
+    """Draw `shots` isolated exemplars per class id, each the object of a scene
     with that one object and no proposal: the instance model at IoU 1, on a
     fresh random box, drawn before its noise. Uses its own seed stream."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    rng, pool = np.random.default_rng([seed, _STREAM_EXEMPLARS]), sorted(classes, key=lambda c: c.class_id)
-    appearances = np.array([universe.descriptor_projection @ cls.attribute for cls in pool])
-    scenes = _scenes(universe, pool, appearances, range(len(pool) * shots), shots, rng, 1, 0)  # one object, no proposal
+    ids, appearances = _pool(universe, classes)
+    rng = np.random.default_rng([seed, _STREAM_EXEMPLARS])
+    scenes = _scenes(universe, ids, appearances, range(len(ids) * shots), shots, rng, 1, 0)  # one object, no proposal
     rows = [scene.gt_descriptors[0] for scene in scenes]
-    return {cls.class_id: rows[k * shots : (k + 1) * shots] for k, cls in enumerate(pool)}
+    return {cid: rows[k * shots : (k + 1) * shots] for k, cid in enumerate(ids.tolist())}
 
 
-def semantic_vectors(universe: Universe, classes=None) -> dict[int, np.ndarray]:
-    chosen = universe.classes() if classes is None else classes
-    return {cls.class_id: cls.semantic for cls in chosen}
+def semantic_vectors(universe: Universe) -> dict[int, np.ndarray]:
+    return dict(enumerate(universe.semantics, start=1))
 
 
 def save_universe(path, universe: Universe) -> None:
     """The meta line is the universe's config plus its seed; the body holds
     four tensors: attributes and semantics, whose row i is class i + 1, base
     first, then the semantic and descriptor projections."""
-    classes = universe.classes()
-    tensors = {
-        "attributes": np.stack([cls.attribute for cls in classes]),
-        "semantics": np.stack([cls.semantic for cls in classes]),
-        "semantic_projection": universe.semantic_projection,
-        "descriptor_projection": universe.descriptor_projection,
-    }
-    body = [line for name, arr in tensors.items() for line in tensor_lines(name, arr)]
+    body = [line for name in _UNIVERSE_TENSORS for line in tensor_lines(name, getattr(universe, name))]
     write_record_file(path, UNIVERSE_HEADER, "meta", {**asdict(universe.config), "seed": universe.seed}, body)
 
 
@@ -333,27 +315,11 @@ def load_universe(path) -> Universe:
     if {**asdict(config), "seed": seed} != meta:
         raise ValueError(f"{path}: universe meta line lacks {sorted(set(asdict(config)) - set(meta))}")
     tensors = tensor_blocks(body)
-    n_base, n_classes = config.n_base, config.n_base + config.n_novel
-    shapes = [
-        ("attributes", (n_classes, config.k)),
-        ("semantics", (n_classes, config.d_sem)),
-        ("semantic_projection", (config.d_sem, config.k)),
-        ("descriptor_projection", (config.m_in - GEOMETRY_FEATURES, config.k)),
-    ]
-    if [(name, arr.shape) for name, arr in tensors.items()] != shapes:
+    n = config.n_base + config.n_novel
+    shapes = [(n, config.k), (n, config.d_sem), (config.d_sem, config.k), (config.m_in - GEOMETRY_FEATURES, config.k)]
+    if [(name, arr.shape) for name, arr in tensors.items()] != list(zip(_UNIVERSE_TENSORS, shapes)):
         raise ValueError(f"{path}: universe body does not match its meta line {meta}")
-    classes = [
-        ToyClass(class_id=cid, attribute=attribute, semantic=semantic)
-        for cid, attribute, semantic in zip(range(1, n_classes + 1), tensors["attributes"], tensors["semantics"])
-    ]
-    return Universe(
-        base=tuple(classes[:n_base]),
-        novel=tuple(classes[n_base:]),
-        semantic_projection=tensors["semantic_projection"],
-        descriptor_projection=tensors["descriptor_projection"],
-        config=config,
-        seed=seed,
-    )
+    return Universe(**tensors, config=config, seed=seed)
 
 
 def _dataset_meta(scenes) -> dict:

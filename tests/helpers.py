@@ -1,6 +1,8 @@
 """Test-only helpers: forms of the library's data that only tests build, and
 comparisons that only tests make."""
 
+from collections import namedtuple
+
 import numpy as np
 
 from morphdet.embedder import EmbedderParams
@@ -11,6 +13,18 @@ from morphdet.prototype_store import PrototypeSet, UnknownClass
 from morphdet.toyworld import Scene
 
 UNIT_BOX = Box(0.0, 0.0, 1.0, 1.0)
+GroundTruth = namedtuple("GroundTruth", "class_id box descriptor")
+
+
+def box_geometry(box: Box) -> tuple[float, float, float, float]:
+    """A box's center x, center y, width and height, from its corners."""
+    return 0.5 * (box.x1 + box.x2), 0.5 * (box.y1 + box.y2), box.x2 - box.x1, box.y2 - box.y1
+
+
+def objects_of(scene: Scene) -> tuple[GroundTruth, ...]:
+    """A scene's objects, one (class_id, box, descriptor) per row of its ground-truth arrays."""
+    rows = zip(scene.gt_ids.tolist(), scene.gt_boxes.tolist(), scene.gt_descriptors)
+    return tuple(GroundTruth(cid, Box(*box), d) for cid, box, d in rows)
 
 
 def encode_one(anchor: Box, target: Box) -> np.ndarray:

@@ -244,7 +244,7 @@ def test_criterion_10_overfit_sanity():
     assert len(pool) == 20
 
     config = TrainConfig(m_step_epochs=50, batch_size=20, learning_rate=0.1, momentum=0.8, seed=0)
-    base_ids = sorted({c.class_id for c in universe.base})
+    base_ids = sorted(universe.base)
     table = semantic_vectors(universe)
     protos = init_from_semantic({cid: table[cid] for cid in base_ids})
     params = init_params(universe.config.m_in, config.hidden_sizes, protos.dim, config.seed)

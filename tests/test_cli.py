@@ -666,6 +666,19 @@ def test_exemplar_block_cut_by_one_row_is_refused(train_dir, gen_dir, tmp_path, 
     _refused_without_output(argv, out, capsys, "tensors named by ascending class ids")
 
 
+@pytest.mark.parametrize("name", ["x", "1.5", "0", "-3"])
+def test_an_exemplar_tensor_not_named_by_a_class_id_is_refused_by_file(name, train_dir, gen_dir, tmp_path, capsys):
+    path = tmp_path / "exemplars.csv"
+    shutil.copy(gen_dir / "exemplars.csv", path)
+    reframe(path, EXEMPLARS_HEADER, "meta", body=lambda body: [body[0].replace("tensor 5 ", f"tensor {name} "), *body[1:]])
+    out = tmp_path / "out.ckpt"
+    checkpoint = str(train_dir / "checkpoint_iter2.ckpt")
+    assert main(["morph", "--checkpoint", checkpoint, "--exemplars", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and f"['{name}', '6']" in err and err.count(str(path)) == 1
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("name", ["universe.txt", "eval_novel.txt", "exemplars.csv", "checkpoint"])
 def test_an_older_format_version_is_refused_by_name(name, gen_dir, train_dir, tmp_path, capsys):
     data, run = tmp_path / "data", tmp_path / "run"

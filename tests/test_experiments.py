@@ -130,8 +130,8 @@ def test_config_from_dict_rejects_unknowns():
 
 def test_build_world_structure_and_determinism():
     world = build_world(TINY, seed=3)
-    assert world.base_ids == [1, 2, 3, 4]
-    assert world.novel_ids == [5, 6]
+    assert world.universe.base == (1, 2, 3, 4)
+    assert world.universe.novel == (5, 6)
     assert len(world.train_scenes) == 4
     assert len(world.eval_base) == 4 and len(world.eval_novel) == 2
     assert sorted(world.exemplars) == [5, 6]

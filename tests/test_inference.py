@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import identity_detector
-from helpers import empty_prototypes, encode_one, params_equal
+from helpers import box_geometry, empty_prototypes, encode_one, params_equal
 from morphdet.em_trainer import DetectorState, TrainConfig
 from morphdet.embedder import clone_params, forward_batch, grad_evaluation_count, init_params
 from morphdet.morph_inference import (
@@ -35,11 +35,12 @@ def random_box(rng, lo=0.0, hi=1.0):
 
 def test_box_validation_and_properties():
     box = Box(0.1, 0.2, 0.5, 0.6)
-    assert box.width == pytest.approx(0.4)
-    assert box.height == pytest.approx(0.4)
-    assert box.center_x == pytest.approx(0.3)
-    assert box.center_y == pytest.approx(0.4)
-    assert box.area == pytest.approx(0.16)
+    center_x, center_y, width, height = box_geometry(box)
+    assert width == pytest.approx(0.4)
+    assert height == pytest.approx(0.4)
+    assert center_x == pytest.approx(0.3)
+    assert center_y == pytest.approx(0.4)
+    assert width * height == pytest.approx(0.16)
     assert box.as_tuple() == (0.1, 0.2, 0.5, 0.6)
     with pytest.raises(InvalidBox):
         Box(0.5, 0.0, 0.5, 1.0)
@@ -74,11 +75,12 @@ def decode_one(anchor, deltas):
 
 
 def scalar_decode(anchor, d):
-    """Per-box reference decode, written in Box's operation order."""
-    cx = anchor.center_x + d[0] * anchor.width
-    cy = anchor.center_y + d[1] * anchor.height
-    w = anchor.width * np.exp(d[2])
-    h = anchor.height * np.exp(d[3])
+    """Per-box reference decode, from the anchor's center and size."""
+    center_x, center_y, width, height = box_geometry(anchor)
+    cx = center_x + d[0] * width
+    cy = center_y + d[1] * height
+    w = width * np.exp(d[2])
+    h = height * np.exp(d[3])
     return Box(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h)
 
 

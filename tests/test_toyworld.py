@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import reframe
-from helpers import encode_one, scene_of
+from helpers import box_geometry, encode_one, objects_of, scene_of
 from morphdet import toyworld
 from morphdet.morph_inference import iou
 from morphdet.toyworld import (
@@ -31,8 +31,8 @@ from morphdet.toyworld import (
 
 def test_make_universe_ids_and_split():
     uni = make_universe(UniverseConfig(n_base=5, n_novel=3, sigma_sem=0.02), seed=0)
-    assert [c.class_id for c in uni.base] == [1, 2, 3, 4, 5]
-    assert [c.class_id for c in uni.novel] == [6, 7, 8]
+    assert uni.base == (1, 2, 3, 4, 5)
+    assert uni.novel == (6, 7, 8)
     manifest = uni.split_manifest()
     assert manifest["base_class_ids"] == [1, 2, 3, 4, 5]
     assert manifest["novel_class_ids"] == [6, 7, 8]
@@ -43,10 +43,9 @@ def test_make_universe_deterministic_per_seed():
     a = make_universe(UniverseConfig(n_base=4, n_novel=2, sigma_sem=0.02), seed=9)
     b = make_universe(UniverseConfig(n_base=4, n_novel=2, sigma_sem=0.02), seed=9)
     c = make_universe(UniverseConfig(n_base=4, n_novel=2, sigma_sem=0.02), seed=10)
-    for ca, cb in zip(a.classes(), b.classes()):
-        assert np.array_equal(ca.attribute, cb.attribute)
-        assert np.array_equal(ca.semantic, cb.semantic)
-    assert not np.array_equal(a.base[0].attribute, c.base[0].attribute)
+    assert np.array_equal(a.attributes, b.attributes)
+    assert np.array_equal(a.semantics, b.semantics)
+    assert not np.array_equal(a.attributes[0], c.attributes[0])
 
 
 # (field, value) pairs each config section refuses; the default k is 6, so
@@ -80,6 +79,24 @@ def test_make_dataset_validates_counts_and_jitter():
         make_dataset(uni, uni.base, 0, DataConfig(), seed=0)
 
 
+GENERATORS = {
+    "make_dataset": lambda uni, classes: make_dataset(uni, classes, 1, DataConfig(), seed=0),
+    "exemplars_for": lambda uni, classes: exemplars_for(uni, classes, 1, seed=0),
+}
+
+
+@pytest.mark.parametrize(
+    "classes, message",
+    [((), "^no classes to generate for$"), ((0, 1), r"^class ids must lie in 1\.\.3, got \[0, 1\]$"), ((4,), r"got \[4\]$")],
+    ids=["empty", "id 0", "id past the last class"],
+)
+@pytest.mark.parametrize("generator", GENERATORS)
+def test_generation_refuses_an_empty_or_out_of_range_class_list(generator, classes, message):
+    uni = make_universe(UniverseConfig(n_base=2, n_novel=1), seed=0)
+    with pytest.raises(ValueError, match=message):
+        GENERATORS[generator](uni, classes)
+
+
 def test_projections_have_orthonormal_columns():
     uni = make_universe(UniverseConfig(n_base=4, n_novel=2, k=5, d_sem=9, m_in=11, sigma_sem=0.02), seed=1)
     for proj in (uni.semantic_projection, uni.descriptor_projection):
@@ -100,22 +117,22 @@ def test_orthonormal_columns_are_the_sign_fixed_qr_factor():
 
 def test_zero_semantic_noise_is_an_isometry():
     uni = make_universe(UniverseConfig(n_base=6, n_novel=2, sigma_sem=0.0), seed=2)
-    classes = uni.classes()
-    for a in classes:
-        for b in classes:
-            attr_dist = np.linalg.norm(a.attribute - b.attribute)
-            sem_dist = np.linalg.norm(a.semantic - b.semantic)
+    rows = list(zip(uni.attributes, uni.semantics))
+    for a_attribute, a_semantic in rows:
+        for b_attribute, b_semantic in rows:
+            attr_dist = np.linalg.norm(a_attribute - b_attribute)
+            sem_dist = np.linalg.norm(a_semantic - b_semantic)
             assert sem_dist == pytest.approx(attr_dist, abs=1e-9)
 
 
 def test_zero_noise_nearest_neighbor_invariant():
     uni = make_universe(UniverseConfig(n_base=8, n_novel=3, sigma_sem=0.0, sigma_inst=0.0), seed=3)
-    classes = uni.classes()
+    classes = range(len(uni.attributes))
     for cls in classes:
-        others = [c for c in classes if c.class_id != cls.class_id]
-        nn_attr = min(others, key=lambda c: np.linalg.norm(c.attribute - cls.attribute))
-        nn_sem = min(others, key=lambda c: np.linalg.norm(c.semantic - cls.semantic))
-        assert nn_attr.class_id == nn_sem.class_id
+        others = [c for c in classes if c != cls]
+        nn_attr = min(others, key=lambda c: np.linalg.norm(uni.attributes[c] - uni.attributes[cls]))
+        nn_sem = min(others, key=lambda c: np.linalg.norm(uni.semantics[c] - uni.semantics[cls]))
+        assert nn_attr == nn_sem
 
 
 def test_dataset_shape_and_determinism():
@@ -125,8 +142,8 @@ def test_dataset_shape_and_determinism():
     assert len(a) == 4 * 3
     for sa, sb in zip(a, b):
         assert sa.scene_id == sb.scene_id
-        assert len(sa.objects) == 2 and len(sa.proposals) == 10
-        for oa, ob in zip(sa.objects, sb.objects):
+        assert len(objects_of(sa)) == 2 and len(sa.proposals) == 10
+        for oa, ob in zip(objects_of(sa), objects_of(sb)):
             assert oa.class_id == ob.class_id
             assert oa.box == ob.box
             assert np.array_equal(oa.descriptor, ob.descriptor)
@@ -144,7 +161,7 @@ def test_labels_match_independent_iou_rule():
     for scene in scenes:
         for prop in scene.proposals:
             best_iou, best_cid = 0.0, 0
-            for obj in scene.objects:
+            for obj in objects_of(scene):
                 overlap = iou(prop.anchor, obj.box)
                 if overlap > best_iou:
                     best_iou, best_cid = overlap, obj.class_id
@@ -173,7 +190,7 @@ def test_foreground_targets_encode_matched_object():
                 assert prop.target_deltas is None
                 continue
             fg_seen += 1
-            best = max(scene.objects, key=lambda o: iou(prop.anchor, o.box))
+            best = max(objects_of(scene), key=lambda o: iou(prop.anchor, o.box))
             assert np.allclose(prop.target_deltas, encode_one(prop.anchor, best.box), atol=1e-12)
     assert fg_seen > 0
 
@@ -182,7 +199,7 @@ def test_zero_jitter_copies_sit_on_their_objects():
     uni = make_universe(UniverseConfig(n_base=4, n_novel=2, sigma_sem=0.02), seed=11)
     scenes = make_dataset(uni, uni.base, 2, DataConfig(proposals_per_scene=12, jitter=0.0), seed=12)
     for scene in scenes:
-        for obj in scene.objects:
+        for obj in objects_of(scene):
             # copies are rebuilt from center/size, exact only up to rounding
             exact = [
                 p
@@ -199,8 +216,7 @@ def test_descriptor_geometry_channels_are_scaled_box_features():
     scenes = make_dataset(uni, uni.base, 1, DataConfig(objects_per_scene=1, proposals_per_scene=8), seed=14)
     for scene in scenes:
         for prop in scene.proposals:
-            a = prop.anchor
-            expected = GEOMETRY_SCALE * np.array([a.center_x, a.center_y, a.width, a.height])
+            expected = GEOMETRY_SCALE * np.array(box_geometry(prop.anchor))
             assert np.allclose(prop.descriptor[-4:], expected, atol=1e-12)
 
 
@@ -208,10 +224,9 @@ def test_proposal_descriptors_carry_overlapped_appearance():
     uni = make_universe(UniverseConfig(n_base=3, n_novel=1, sigma_inst=0.0, sigma_sem=0.02), seed=15)
     data = DataConfig(objects_per_scene=1, proposals_per_scene=12, jitter=0.0)
     scenes = make_dataset(uni, uni.base, 1, data, seed=16)
-    by_id = {cls.class_id: cls for cls in uni.classes()}
     for scene in scenes:
-        obj = scene.objects[0]
-        pure = uni.descriptor_projection @ by_id[obj.class_id].attribute
+        obj = objects_of(scene)[0]
+        pure = uni.descriptor_projection @ uni.attributes[obj.class_id - 1]
         exact = [p for p in scene.proposals if iou(p.anchor, obj.box) > 1.0 - 1e-12]
         assert exact
         for p in exact:
@@ -245,9 +260,7 @@ def test_semantic_vectors_cover_requested_classes():
     uni = make_universe(UniverseConfig(n_base=3, n_novel=2, sigma_sem=0.02), seed=18)
     table = semantic_vectors(uni)
     assert sorted(table) == [1, 2, 3, 4, 5]
-    subset = semantic_vectors(uni, uni.novel)
-    assert sorted(subset) == [4, 5]
-    assert np.array_equal(table[4], uni.novel[0].semantic)
+    assert np.array_equal(table[4], uni.semantics[3])
 
 
 def test_universe_round_trip(tmp_path):
@@ -259,10 +272,9 @@ def test_universe_round_trip(tmp_path):
     assert back.seed == uni.seed
     assert np.array_equal(back.semantic_projection, uni.semantic_projection)
     assert np.array_equal(back.descriptor_projection, uni.descriptor_projection)
-    for ca, cb in zip(uni.classes(), back.classes()):
-        assert ca.class_id == cb.class_id
-        assert np.array_equal(ca.attribute, cb.attribute)
-        assert np.array_equal(ca.semantic, cb.semantic)
+    assert (back.base, back.novel) == (uni.base, uni.novel)
+    assert np.array_equal(back.attributes, uni.attributes)
+    assert np.array_equal(back.semantics, uni.semantics)
     assert back.split_manifest() == uni.split_manifest()
 
 
@@ -324,7 +336,7 @@ def test_universe_load_refuses_a_meta_line_its_config_refuses(tmp_path, change, 
 def test_dataset_round_trip(tmp_path):
     uni = make_universe(UniverseConfig(n_base=3, n_novel=2, sigma_sem=0.02), seed=20)
     generated = make_dataset(uni, uni.base, 2, DataConfig(proposals_per_scene=9), seed=21)
-    bare = scene_of(generated[0].objects, (), generated[0].scene_id)
+    bare = scene_of(objects_of(generated[0]), (), generated[0].scene_id)
     # The meta's m_in must come from a scene that has descriptors.
     for scenes in (generated, [bare, *generated[1:]], [bare]):
         path = tmp_path / "dataset.txt"
@@ -333,9 +345,9 @@ def test_dataset_round_trip(tmp_path):
         assert len(back) == len(scenes)
         for sa, sb in zip(scenes, back):
             assert sa.scene_id == sb.scene_id
-            assert len(sa.objects) == len(sb.objects)
+            assert len(objects_of(sa)) == len(objects_of(sb))
             assert len(sa.proposals) == len(sb.proposals)
-            for oa, ob in zip(sa.objects, sb.objects):
+            for oa, ob in zip(objects_of(sa), objects_of(sb)):
                 assert oa.class_id == ob.class_id
                 assert oa.box.as_tuple() == ob.box.as_tuple()
                 assert np.array_equal(oa.descriptor, ob.descriptor)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import TINY_TRAIN, identity_detector, reframe
-from helpers import empty_prototypes, params_equal, scene_of
+from helpers import empty_prototypes, objects_of, params_equal, scene_of
 from morphdet import em_trainer
 from morphdet.em_trainer import (
     CHECKPOINT_HEADER,
@@ -278,7 +278,7 @@ def test_m_step_divergence_is_reported(tiny_state, tiny_dataset):
 
 
 def test_e_step_matches_manual_means(tiny_state, tiny_dataset):
-    gts = [obj for scene in tiny_dataset for obj in scene.objects]
+    gts = [obj for scene in tiny_dataset for obj in objects_of(scene)]
     feats, _, _ = forward_batch(tiny_state.params, np.stack([o.descriptor for o in gts]))
     rows: dict[int, list] = {}
     for row, obj in zip(feats, gts):
@@ -366,7 +366,7 @@ def test_train_stacks_its_data_once(tiny_universe, tiny_dataset, tiny_result, mo
 
 def test_train_prototypes_cover_exactly_the_dataset_classes(tiny_result, tiny_universe):
     protos = tiny_result.state.prototypes
-    assert sorted(protos.base) == [c.class_id for c in tiny_universe.base]
+    assert sorted(protos.base) == list(tiny_universe.base)
     assert protos.novel == frozenset()
 
 
