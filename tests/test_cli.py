@@ -666,19 +666,6 @@ def test_exemplar_block_cut_by_one_row_is_refused(train_dir, gen_dir, tmp_path, 
     _refused_without_output(argv, out, capsys, "tensors named by ascending class ids")
 
 
-@pytest.mark.parametrize("name", ["x", "1.5", "0", "-3"])
-def test_an_exemplar_tensor_not_named_by_a_class_id_is_refused_by_file(name, train_dir, gen_dir, tmp_path, capsys):
-    path = tmp_path / "exemplars.csv"
-    shutil.copy(gen_dir / "exemplars.csv", path)
-    reframe(path, EXEMPLARS_HEADER, "meta", body=lambda body: [body[0].replace("tensor 5 ", f"tensor {name} "), *body[1:]])
-    out = tmp_path / "out.ckpt"
-    checkpoint = str(train_dir / "checkpoint_iter2.ckpt")
-    assert main(["morph", "--checkpoint", checkpoint, "--exemplars", str(path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: ") and f"['{name}', '6']" in err and err.count(str(path)) == 1
-    assert "Traceback" not in err and not out.exists()
-
-
 @pytest.mark.parametrize("name", ["universe.txt", "eval_novel.txt", "exemplars.csv", "checkpoint"])
 def test_an_older_format_version_is_refused_by_name(name, gen_dir, train_dir, tmp_path, capsys):
     data, run = tmp_path / "data", tmp_path / "run"
@@ -700,7 +687,8 @@ def test_an_older_format_version_is_refused_by_name(name, gen_dir, train_dir, tm
 @pytest.mark.parametrize(
     "name, spoil",
     [(name, "older_version") for name in ("universe.txt", "eval_novel.txt", "exemplars.csv", "checkpoint")]
-    + [("checkpoint", "no_prototypes")],
+    + [("checkpoint", "no_prototypes")]
+    + [("exemplars.csv", f"tensor named {tensor}") for tensor in ("x", "1.5", "0", "-3")],
 )
 def test_a_refused_file_is_named_once_in_a_plain_message(name, spoil, gen_dir, train_dir, tmp_path, capsys):
     data, run = tmp_path / "data", tmp_path / "run"
@@ -710,6 +698,9 @@ def test_a_refused_file_is_named_once_in_a_plain_message(name, spoil, gen_dir, t
     path = checkpoint if name == "checkpoint" else data / name
     if spoil == "no_prototypes":  # refused by the checkpoint loader's own check, not by the container
         reframe(path, CHECKPOINT_HEADER, "config", body=lambda body: body[:-2])
+    elif spoil.startswith("tensor named "):  # refused by the exemplar reader's own check: not a class id >= 1
+        renamed = f"tensor {spoil.removeprefix('tensor named ')} "
+        reframe(path, EXEMPLARS_HEADER, "meta", body=lambda body: [renamed + body[0].split(" ", 2)[2], *body[1:]])
     else:
         path.write_text(path.read_text(encoding="utf-8").replace(" v2\n", " v1\n", 1), encoding="utf-8")
     out = tmp_path / "out"
@@ -720,7 +711,7 @@ def test_a_refused_file_is_named_once_in_a_plain_message(name, spoil, gen_dir, t
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count(str(path)) == 1
-    assert "Error(" not in err and "Traceback" not in err
+    assert "Error(" not in err and "Traceback" not in err and not out.exists()
 
 
 def test_experiment_unknown_name(tmp_path, capsys):
