@@ -118,7 +118,8 @@ def test_checkpoint_file_loads_exactly_or_is_refused(fuzz_dir, data):
 @given(data=st.data())
 def test_exemplar_file_loads_exactly_or_is_refused(fuzz_dir, small_universe, data):
     path = fuzz_dir / "exemplars.csv"
-    write_exemplars_csv(path, exemplars_for(small_universe, small_universe.base + small_universe.novel, shots=2, seed=6))
+    every_class = small_universe.base + small_universe.novel
+    write_exemplars_csv(path, exemplars_for(small_universe, every_class, shots=2, seed=6))
     text = path.read_text(encoding="utf-8")
     dump = _saved_text(write_exemplars_csv, fuzz_dir)
     _check_every_variant(path, text, data, read_exemplars_csv, dump, ValueError)

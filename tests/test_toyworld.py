@@ -87,7 +87,11 @@ GENERATORS = {
 
 @pytest.mark.parametrize(
     "classes, message",
-    [((), "^no classes to generate for$"), ((0, 1), r"^class ids must lie in 1\.\.3, got \[0, 1\]$"), ((4,), r"got \[4\]$")],
+    [
+        ((), "^no classes to generate for$"),
+        ((0, 1), r"^class ids must lie in 1\.\.3, got \[0, 1\]$"),
+        ((4,), r"^class ids must lie in 1\.\.3, got \[4\]$"),
+    ],
     ids=["empty", "id 0", "id past the last class"],
 )
 @pytest.mark.parametrize("generator", GENERATORS)
