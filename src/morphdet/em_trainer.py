@@ -42,7 +42,7 @@ from .embedder import (
 from .numkernel import DimensionMismatch, EmptyInput
 from .objective import scoring_matrix
 from .prototype_store import PrototypeSet, UnknownClass, e_step_update, init_from_semantic
-from .textio import read_record_file, record_text, tensor_blocks, tensor_lines
+from .textio import read_tensor_file, tensor_lines, write_record_file
 
 CHECKPOINT_HEADER = "morphdet-checkpoint v2"
 
@@ -359,31 +359,25 @@ def write_metrics_csv(path, records) -> None:
             )
 
 
-def checkpoint_text(state: DetectorState) -> str:
+def save_checkpoint(path, state: DetectorState) -> None:
     """Full-detector checkpoint: versioned header, config line (training config,
     class ids, novel ids), every network tensor, then the prototype matrix."""
     protos = state.prototypes
     config = {"train": asdict(state.config), "class_ids": list(protos.ids), "novel_ids": sorted(protos.novel)}
     body = params_to_lines(state.params) + tensor_lines("prototypes", protos.matrix)
-    return record_text(CHECKPOINT_HEADER, "config", config, body)
-
-
-def save_checkpoint(path, state: DetectorState) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(checkpoint_text(state))
+    write_record_file(path, CHECKPOINT_HEADER, "config", config, body)
 
 
 def load_checkpoint(path) -> DetectorState:
     """Inverse of save_checkpoint; every defect raises a CheckpointError that names the path once."""
     try:
-        config, body = read_record_file(path, CHECKPOINT_HEADER, "config")
+        config, tensors = read_tensor_file(path, CHECKPOINT_HEADER, "config")
         if sorted(config) != ["class_ids", "novel_ids", "train"]:
             raise ValueError(f"config keys {sorted(config)} are not class_ids, novel_ids and train")
         tconfig = fill_dataclass(TrainConfig, config["train"], "checkpoint train config")
         ids, novel = config["class_ids"], config["novel_ids"]
         if not all(isinstance(group, list) and all(map(_is_int, group)) for group in (ids, novel)):
             raise ValueError(f"class_ids {ids!r} and novel_ids {novel!r} must be lists of integers")
-        tensors = tensor_blocks(body)
         if "prototypes" not in tensors:
             raise ValueError("checkpoint is missing tensor 'prototypes'")
         protos = PrototypeSet(ids=tuple(ids), matrix=tensors.pop("prototypes"), novel=frozenset(novel))

@@ -21,7 +21,7 @@ from .embedder import forward_batch
 from .numkernel import DimensionMismatch, EmptyInput
 from .objective import posterior_batch
 from .prototype_store import add_novel
-from .textio import read_record_file, tensor_blocks, tensor_lines, write_record_file
+from .textio import read_tensor_file, tensor_lines, write_record_file
 
 EXEMPLARS_HEADER = "morphdet-exemplars v2"
 
@@ -117,19 +117,19 @@ class DetectConfig:
 def morph(state, exemplars):
     """Register novel classes on a trained detector from exemplar descriptors.
 
-    `exemplars` maps class_id -> non-empty sequence of descriptors. Each
-    class's prototype is the unit-normalized mean of its exemplars' feature
-    vectors under the frozen network. Returns a new state sharing the same
-    network parameters object; an empty mapping returns the state unchanged.
+    `exemplars` maps class_id -> its descriptors: one non-empty (shots, m_in) array, or
+    a sequence of its rows. Each class's prototype is the unit-normalized mean of its
+    exemplars' feature vectors under the frozen network. Returns a new state sharing the
+    same network parameters object; an empty mapping returns the state unchanged.
     """
     if not exemplars:
         return state
     protos = state.prototypes
     for cid in sorted(exemplars):
-        descs = list(exemplars[cid])
-        if not descs:
+        descs = np.asarray(exemplars[cid], dtype=np.float64)
+        if not len(descs):
             raise EmptyInput(f"class {cid} has no exemplars")
-        feats, _, _ = forward_batch(state.params, np.stack([np.asarray(d, dtype=np.float64) for d in descs]))
+        feats, _, _ = forward_batch(state.params, descs)
         protos = add_novel(protos, cid, feats.mean(axis=0))
     return replace(state, prototypes=protos)
 
@@ -190,12 +190,11 @@ def write_exemplars_csv(path, exemplars) -> None:
     write_record_file(path, EXEMPLARS_HEADER, "meta", {}, body)
 
 
-def read_exemplars_csv(path) -> dict[int, list[np.ndarray]]:
-    """Inverse of write_exemplars_csv: class id -> its descriptors, as rows. Each tensor
+def read_exemplars_csv(path) -> dict[int, np.ndarray]:
+    """Inverse of write_exemplars_csv: class id -> its (shots, m_in) tensor. Each tensor
     name must be a class id as the writer writes it: digits for an integer >= 1, no leading zero."""
-    meta, body = read_record_file(path, EXEMPLARS_HEADER, "meta")
-    blocks = tensor_blocks(body)
+    meta, blocks = read_tensor_file(path, EXEMPLARS_HEADER, "meta")
     ids = sorted(int(name) for name in blocks if name.isascii() and name.isdigit() and name[0] != "0")
     if meta or list(blocks) != [str(cid) for cid in ids]:
         raise ValueError(f"{path}: want an empty meta and tensors named by ascending class ids, got {list(blocks)}")
-    return {cid: list(blocks[str(cid)]) for cid in ids}
+    return {cid: blocks[str(cid)] for cid in ids}

@@ -77,19 +77,11 @@ def tensor_blocks(lines) -> dict[str, np.ndarray]:
     return out
 
 
-def _record_bytes(header: str, meta_key: str, meta: dict, body) -> bytes:
-    head = "\n".join([header, f"{meta_key} {json.dumps(meta, sort_keys=True)}", *body, ""]).encode("utf-8")
-    return head + f"{END} sha256={hashlib.sha256(head).hexdigest()}\n".encode("utf-8")
-
-
-def record_text(header: str, meta_key: str, meta: dict, body) -> str:
-    """One container as text: header, meta line, body lines, end line."""
-    return _record_bytes(header, meta_key, meta, body).decode("utf-8")
-
-
 def write_record_file(path, header: str, meta_key: str, meta: dict, body) -> None:
+    """One container, written as bytes: header, meta line, body lines, end line."""
+    head = "\n".join([header, f"{meta_key} {json.dumps(meta, sort_keys=True)}", *body, ""]).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(_record_bytes(header, meta_key, meta, body))
+        fh.write(head + f"{END} sha256={hashlib.sha256(head).hexdigest()}\n".encode("utf-8"))
 
 
 def read_record_file(path, header: str, meta_key: str) -> tuple[dict, list[str]]:
@@ -115,7 +107,10 @@ def read_record_file(path, header: str, meta_key: str) -> tuple[dict, list[str]]
     key, _, payload = lines[1].partition(" ")
     if key != meta_key:
         raise ValueError(f"{path}: line 2 is not a {meta_key!r} line")
-    meta = json.loads(payload)
+    try:
+        meta = json.loads(payload)
+    except json.JSONDecodeError:  # not JSON at all: refused below, as any meta that is not an object
+        meta = None
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: {meta_key} line is not a JSON object")
     body = lines[2:]
@@ -123,6 +118,15 @@ def read_record_file(path, header: str, meta_key: str) -> tuple[dict, list[str]]
         if not line.strip():
             raise ValueError(f"{path}: line {number} is blank")
     return meta, body
+
+
+def read_tensor_file(path, header: str, meta_key: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """read_record_file, then the body's tensor blocks by name; every refusal names `path` once."""
+    meta, body = read_record_file(path, header, meta_key)
+    try:
+        return meta, tensor_blocks(body)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def sha256_file(path) -> str:

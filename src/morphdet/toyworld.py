@@ -33,7 +33,7 @@ import numpy as np
 from .em_trainer import fill_dataclass
 from .morph_inference import Box, InvalidBox, decode_box, encode_box
 from .numkernel import l2_normalize
-from .textio import read_record_file, row_format, tensor_blocks, tensor_lines, write_record_file
+from .textio import read_record_file, read_tensor_file, row_format, tensor_lines, write_record_file
 
 GEOMETRY_FEATURES = 4
 # Weight on the box-geometry channels relative to unit-variance appearance
@@ -251,12 +251,15 @@ def _scenes(universe: Universe, ids, appearances, scene_ids, per: int, rng, g: i
 
 def _pool(universe: Universe, classes) -> tuple[np.ndarray, np.ndarray]:
     """The class ids, ascending, as int64, and each one's appearance: the descriptor projection of its
-    attribute, one mat-vec per class (not a GEMM). Refuses an empty list and an id outside 1..n."""
+    attribute, one mat-vec per class (not a GEMM). Refuses an empty list, an id outside 1..n and a repeated id."""
     ids, n = np.array(sorted(classes), dtype=np.int64), len(universe.attributes)
     if not len(ids):
         raise ValueError("no classes to generate for")
     if ids[0] < 1 or ids[-1] > n:
         raise ValueError(f"class ids must lie in 1..{n}, got {ids.tolist()}")
+    repeated = sorted(set(ids[1:][ids[1:] == ids[:-1]].tolist()))  # sorted, so a repeat is its neighbour
+    if repeated:
+        raise ValueError(f"class ids must not repeat, got {repeated} more than once")
     return ids, np.array([universe.descriptor_projection @ universe.attributes[cid - 1] for cid in ids.tolist()])
 
 
@@ -277,17 +280,17 @@ def make_dataset(universe: Universe, classes, scenes_per_class: int, data: DataC
     return scenes
 
 
-def exemplars_for(universe: Universe, classes, shots: int, seed: int) -> dict[int, list[np.ndarray]]:
-    """Draw `shots` isolated exemplars per class id, each the object of a scene
-    with that one object and no proposal: the instance model at IoU 1, on a
-    fresh random box, drawn before its noise. Uses its own seed stream."""
+def exemplars_for(universe: Universe, classes, shots: int, seed: int) -> dict[int, np.ndarray]:
+    """Draw `shots` isolated exemplars per class id, as a (shots, m_in) slice of one array: each the object of a
+    scene with that one object and no proposal, the instance model at IoU 1 on a fresh random box, drawn before
+    its noise. Uses its own seed stream."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     ids, appearances = _pool(universe, classes)
     rng = np.random.default_rng([seed, _STREAM_EXEMPLARS])
     scenes = _scenes(universe, ids, appearances, range(len(ids) * shots), shots, rng, 1, 0)  # one object, no proposal
-    rows = [scene.gt_descriptors[0] for scene in scenes]
-    return {cid: rows[k * shots : (k + 1) * shots] for k, cid in enumerate(ids.tolist())}
+    rows = np.concatenate([scene.gt_descriptors for scene in scenes])
+    return dict(zip(ids.tolist(), rows.reshape(len(ids), shots, -1)))
 
 
 def semantic_vectors(universe: Universe) -> dict[int, np.ndarray]:
@@ -307,14 +310,13 @@ def load_universe(path) -> Universe:
     writes: a UniverseConfig, checked like a config file's universe section,
     plus an integer seed >= 0. The body's four tensors must come in
     save_universe's order, in the shapes the meta line gives."""
-    meta, body = read_record_file(path, UNIVERSE_HEADER, "meta")
+    meta, tensors = read_tensor_file(path, UNIVERSE_HEADER, "meta")
     config = fill_dataclass(UniverseConfig, {key: v for key, v in meta.items() if key != "seed"}, f"{path}: universe")
     seed = meta.get("seed")
     if type(seed) is not int or seed < 0:
         raise ValueError(f"{path}: universe seed must be an integer >= 0, got {seed!r}")
     if {**asdict(config), "seed": seed} != meta:
         raise ValueError(f"{path}: universe meta line lacks {sorted(set(asdict(config)) - set(meta))}")
-    tensors = tensor_blocks(body)
     n = config.n_base + config.n_novel
     shapes = [(n, config.k), (n, config.d_sem), (config.d_sem, config.k), (config.m_in - GEOMETRY_FEATURES, config.k)]
     if [(name, arr.shape) for name, arr in tensors.items()] != list(zip(_UNIVERSE_TENSORS, shapes)):

@@ -9,7 +9,7 @@ import pytest
 from morphdet.em_trainer import DetectorState, TrainConfig, train
 from morphdet.embedder import EmbedderParams
 from morphdet.prototype_store import PrototypeSet
-from morphdet.textio import read_record_file, record_text
+from morphdet.textio import read_record_file, write_record_file
 from morphdet.toyworld import DataConfig, UniverseConfig, exemplars_for, make_dataset, make_universe, semantic_vectors
 
 TINY_TRAIN = TrainConfig(em_iterations=2, m_step_epochs=3, batch_size=16, seed=0)
@@ -55,7 +55,7 @@ def identity_detector(class_axes, scale=8.0):
 
 def reframe(path, header, meta_key, meta=lambda meta: meta, body=lambda body: body):
     """Rewrite the container at `path` with its meta and body lines mapped by
-    `meta` and `body`, through record_text, so its sha256 end line holds and
-    only the loader's own checks can refuse it."""
+    `meta` and `body`, through write_record_file, so its sha256 end line holds
+    and only the loader's own checks can refuse it."""
     old_meta, old_body = read_record_file(path, header, meta_key)
-    path.write_text(record_text(header, meta_key, meta(old_meta), body(old_body)), encoding="utf-8")
+    write_record_file(path, header, meta_key, meta(old_meta), body(old_body))

@@ -15,7 +15,7 @@ from morphdet.em_trainer import CHECKPOINT_HEADER, TrainConfig, load_checkpoint
 from morphdet.embedder import grad_evaluation_count
 from morphdet.experiments import ExperimentConfig
 from morphdet.morph_inference import EXEMPLARS_HEADER, read_exemplars_csv
-from morphdet.textio import record_text, sha256_file
+from morphdet.textio import sha256_file, write_record_file
 from morphdet.toyworld import DATASET_HEADER, UNIVERSE_HEADER
 
 TINY_CONFIG = {
@@ -660,7 +660,7 @@ def test_exemplar_block_cut_by_one_row_is_refused(train_dir, gen_dir, tmp_path, 
     argv = ["morph", "--checkpoint", checkpoint, "--exemplars", str(path), "--out", str(out)]
     _refused_without_output(argv, out, capsys, "sha256")
     # Framed anew, the cut block loads with one shot less; a renamed one does not.
-    path.write_text(record_text(EXEMPLARS_HEADER, "meta", {}, cut[2:-1]), encoding="utf-8")
+    write_record_file(path, EXEMPLARS_HEADER, "meta", {}, cut[2:-1])
     assert [len(rows) for rows in read_exemplars_csv(path).values()] == [2, 1]
     reframe(path, EXEMPLARS_HEADER, "meta", body=lambda body: [body[0].replace("tensor 5 ", "tensor 05 "), *body[1:]])
     _refused_without_output(argv, out, capsys, "tensors named by ascending class ids")
@@ -684,11 +684,24 @@ def test_an_older_format_version_is_refused_by_name(name, gen_dir, train_dir, tm
     _refused_without_output(argv, out, capsys, f"{header.replace(' v2', ' v1')}' is an older format than '{header}'")
 
 
+_FRAMINGS = {"checkpoint": (CHECKPOINT_HEADER, "config"), "exemplars.csv": (EXEMPLARS_HEADER, "meta"),
+             "universe.txt": (UNIVERSE_HEADER, "meta")}
+# Bodies framed anew, so that the sha256 end line holds and a loader's own check or the tensor codec refuses them.
+_SPOILED_BODIES = {
+    "no_prototypes": lambda body: body[:-2],  # the checkpoint loader's own check
+    "first tensor lost a value": lambda body: [body[0], body[1].rsplit(" ", 1)[0], *body[2:]],
+    "inf in the first tensor": lambda body: [body[0], "inf " + body[1].split(" ", 1)[1], *body[2:]],
+    "nan in the first tensor": lambda body: [body[0], "nan " + body[1].split(" ", 1)[1], *body[2:]],
+}
+
+
 @pytest.mark.parametrize(
     "name, spoil",
     [(name, "older_version") for name in ("universe.txt", "eval_novel.txt", "exemplars.csv", "checkpoint")]
     + [("checkpoint", "no_prototypes")]
-    + [("exemplars.csv", f"tensor named {tensor}") for tensor in ("x", "1.5", "0", "-3")],
+    + [("exemplars.csv", f"tensor named {tensor}") for tensor in ("x", "1.5", "0", "-3")]
+    + [("exemplars.csv", "first tensor lost a value"), ("exemplars.csv", "inf in the first tensor")]
+    + [("universe.txt", "nan in the first tensor"), ("checkpoint", "nan in the first tensor")],
 )
 def test_a_refused_file_is_named_once_in_a_plain_message(name, spoil, gen_dir, train_dir, tmp_path, capsys):
     data, run = tmp_path / "data", tmp_path / "run"
@@ -696,8 +709,8 @@ def test_a_refused_file_is_named_once_in_a_plain_message(name, spoil, gen_dir, t
     shutil.copytree(train_dir, run)
     checkpoint = run / "checkpoint_iter2.ckpt"
     path = checkpoint if name == "checkpoint" else data / name
-    if spoil == "no_prototypes":  # refused by the checkpoint loader's own check, not by the container
-        reframe(path, CHECKPOINT_HEADER, "config", body=lambda body: body[:-2])
+    if spoil in _SPOILED_BODIES:
+        reframe(path, *_FRAMINGS[name], body=_SPOILED_BODIES[spoil])
     elif spoil.startswith("tensor named "):  # refused by the exemplar reader's own check: not a class id >= 1
         renamed = f"tensor {spoil.removeprefix('tensor named ')} "
         reframe(path, EXEMPLARS_HEADER, "meta", body=lambda body: [renamed + body[0].split(" ", 2)[2], *body[1:]])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from morphdet.em_trainer import DetectorState, TrainConfig, checkpoint_text, load_checkpoint
+from morphdet.em_trainer import DetectorState, TrainConfig, load_checkpoint, save_checkpoint
 from morphdet.embedder import CheckpointError, init_params
 from morphdet.morph_inference import read_exemplars_csv, write_exemplars_csv
 from morphdet.prototype_store import PrototypeSet
@@ -109,9 +109,10 @@ def test_checkpoint_file_loads_exactly_or_is_refused(fuzz_dir, data):
         PrototypeSet(ids=(1, 2, 3), matrix=np.array([[1.0, 0.0], diagonal, [0.0, 1.0]]), novel={2}),
     )
     path = fuzz_dir / "detector.ckpt"
+    dump = _saved_text(save_checkpoint, fuzz_dir)
     for protos in sets:
         state = DetectorState(init_params(3, (2,), 2, seed=5), protos, TrainConfig(hidden_sizes=(2,)))
-        _check_every_variant(path, checkpoint_text(state), data, load_checkpoint, checkpoint_text, CheckpointError)
+        _check_every_variant(path, dump(state), data, load_checkpoint, dump, CheckpointError)
 
 
 @FUZZ

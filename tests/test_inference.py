@@ -312,6 +312,22 @@ def test_exemplars_csv_round_trip(tmp_path, tiny_exemplars):
             assert np.array_equal(mine, theirs)
 
 
+def test_exemplars_are_one_float64_array_per_class_from_draw_to_file_to_morph(
+    tmp_path, tiny_universe, tiny_state, tiny_exemplars
+):
+    path = tmp_path / "exemplars.csv"
+    write_exemplars_csv(path, tiny_exemplars)
+    back = read_exemplars_csv(path)
+    for exemplars in (tiny_exemplars, back):
+        assert list(exemplars) == list(tiny_universe.novel)
+        for arr in exemplars.values():
+            assert type(arr) is np.ndarray and arr.dtype == np.float64 and arr.shape == (5, tiny_universe.config.m_in)
+    assert all(np.array_equal(back[cid], arr) for cid, arr in tiny_exemplars.items())
+    rows = {cid: list(arr) for cid, arr in tiny_exemplars.items()}
+    from_arrays, from_rows = (morph(tiny_state, exemplars).prototypes.matrix for exemplars in (tiny_exemplars, rows))
+    assert from_arrays.tobytes() == from_rows.tobytes()
+
+
 def test_read_exemplars_rejects_bare_class(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("5\n")

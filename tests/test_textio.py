@@ -13,7 +13,7 @@ from morphdet.textio import (
     parse_floats,
     parse_tensor,
     read_record_file,
-    record_text,
+    read_tensor_file,
     row_format,
     sha256_file,
     tensor_blocks,
@@ -133,7 +133,8 @@ def test_record_file_round_trip_and_framing(tmp_path):
     write_record_file(path, "kind v2", "meta", {"b": 2, "a": 1}, ["x 1", "y 2"])
     raw = path.read_bytes()
     text = raw.decode("utf-8")
-    assert text == record_text("kind v2", "meta", {"a": 1, "b": 2}, ["x 1", "y 2"])
+    write_record_file(tmp_path / "sorted.txt", "kind v2", "meta", {"a": 1, "b": 2}, ["x 1", "y 2"])
+    assert raw == (tmp_path / "sorted.txt").read_bytes()
     lines = text.splitlines()
     assert lines[:4] == ["kind v2", 'meta {"a": 1, "b": 2}', "x 1", "y 2"]
     head = raw[: raw.rindex(b"end sha256=")]
@@ -161,12 +162,41 @@ def test_record_file_round_trip_and_framing(tmp_path):
         read_record_file(path, "kind v2", "meta")
     # A file whose digest holds is still refused for what its checks see.
     framed = {
-        "other meta key": (record_text("kind v2", "config", {}, ["x 1"]), "line 2 is not a 'meta' line"),
-        "meta not an object": (record_text("kind v2", "meta", [1], ["x 1"]), "not a JSON object"),
-        "blank body line": (record_text("kind v2", "meta", {}, ["x 1", " "]), "line 4 is blank"),
-        "older version": (record_text("kind v1", "meta", {}, ["x 1"]), "'kind v1' is an older format than 'kind v2'"),
+        "other meta key": (("kind v2", "config", {}, ["x 1"]), "line 2 is not a 'meta' line"),
+        "meta not an object": (("kind v2", "meta", [1], ["x 1"]), "not a JSON object"),
+        "blank body line": (("kind v2", "meta", {}, ["x 1", " "]), "line 4 is blank"),
+        "older version": (("kind v1", "meta", {}, ["x 1"]), "'kind v1' is an older format than 'kind v2'"),
     }
-    for name, (payload, message) in framed.items():
-        path.write_text(payload, encoding="utf-8")
+    for name, (framing, message) in framed.items():
+        write_record_file(path, *framing)
         with pytest.raises(ValueError, match=message):
             read_record_file(path, "kind v2", "meta")
+    # A meta line that is not JSON at all, framed by hand, since the writer always writes JSON.
+    head = b"kind v2\nmeta {oops\nx 1\n"
+    path.write_bytes(head + f"end sha256={hashlib.sha256(head).hexdigest()}\n".encode("utf-8"))
+    with pytest.raises(ValueError) as refusal:
+        read_record_file(path, "kind v2", "meta")
+    assert str(refusal.value) == f"{path}: meta line is not a JSON object"
+
+
+def test_tensor_file_round_trip_and_refusals_name_the_path_once(tmp_path):
+    path = tmp_path / "tensors.txt"
+    lines = tensor_lines("a", np.eye(2)) + tensor_lines("b", np.ones(3))
+    write_record_file(path, "kind v2", "meta", {"n": 2}, lines)
+    meta, tensors = read_tensor_file(path, "kind v2", "meta")
+    assert meta == {"n": 2} and list(tensors) == ["a", "b"]
+    assert np.array_equal(tensors["a"], np.eye(2)) and np.array_equal(tensors["b"], np.ones((1, 3)))
+    spoiled = {  # the tensor codec's refusals, and one of the container's own
+        "lost value": ("kind v2", [lines[0], lines[1].rsplit(" ", 1)[0], *lines[2:]]),
+        "nan": ("kind v2", [lines[0], "nan" + lines[1][1:], *lines[2:]]),
+        "dangling header": ("kind v2", lines[:3]),
+        "duplicate": ("kind v2", lines[:2] + lines[:2]),
+        "malformed header": ("kind v2", ["matrix" + lines[0].removeprefix("tensor"), *lines[1:]]),
+        "older version": ("kind v1", lines),
+    }
+    for name, (header, body) in spoiled.items():
+        write_record_file(path, header, "meta", {}, body)
+        with pytest.raises(ValueError) as refusal:
+            read_tensor_file(path, "kind v2", "meta")
+        message = str(refusal.value)
+        assert message.startswith(f"{path}: ") and message.count(str(path)) == 1, name

@@ -91,8 +91,10 @@ GENERATORS = {
         ((), "^no classes to generate for$"),
         ((0, 1), r"^class ids must lie in 1\.\.3, got \[0, 1\]$"),
         ((4,), r"^class ids must lie in 1\.\.3, got \[4\]$"),
+        ((1, 1), r"^class ids must not repeat, got \[1\] more than once$"),
+        ((3, 3), r"^class ids must not repeat, got \[3\] more than once$"),
     ],
-    ids=["empty", "id 0", "id past the last class"],
+    ids=["empty", "id 0", "id past the last class", "id 1 twice", "id 3 twice"],
 )
 @pytest.mark.parametrize("generator", GENERATORS)
 def test_generation_refuses_an_empty_or_out_of_range_class_list(generator, classes, message):

@@ -22,7 +22,6 @@ from morphdet.em_trainer import (
     _class_means,
     _epoch_lr,
     _pick_plan,
-    checkpoint_text,
     e_step,
     ground_truth_arrays,
     load_checkpoint,
@@ -452,7 +451,8 @@ def test_checkpoint_round_trip(tmp_path, tiny_state, tiny_exemplars):
     for cid in state.prototypes.ids:
         assert np.array_equal(back.prototypes.vector_for(cid), state.prototypes.vector_for(cid))
     # Value-exact round trip implies byte-stable re-serialization.
-    assert checkpoint_text(back) == checkpoint_text(state)
+    save_checkpoint(tmp_path / "again.ckpt", back)
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_of_a_trunk_free_detector_loads_back_equal(tmp_path):
@@ -468,8 +468,8 @@ def test_checkpoint_of_a_trunk_free_detector_loads_back_equal(tmp_path):
 
 def test_checkpoint_rejects_corruption(tmp_path, tiny_state, tiny_exemplars):
     morphed = morph(tiny_state, tiny_exemplars)
-    text = checkpoint_text(morphed)
-    lines = text.splitlines()
+    save_checkpoint(tmp_path / "morphed.ckpt", morphed)
+    lines = (tmp_path / "morphed.ckpt").read_text(encoding="utf-8").splitlines()
     ids, novel = list(morphed.prototypes.ids), sorted(morphed.prototypes.novel)
     m_in, hidden = tiny_state.params.m_in, tiny_state.params.hidden_sizes[0]
 
@@ -562,7 +562,7 @@ def test_checkpoint_rejects_corruption(tmp_path, tiny_state, tiny_exemplars):
     }
     for name, (edit, message) in cases.items():
         path = tmp_path / f"{name}.ckpt"
-        path.write_text(text, encoding="utf-8")
+        save_checkpoint(path, morphed)
         reframe(path, CHECKPOINT_HEADER, "config", **edit)
         with pytest.raises(CheckpointError, match=re.escape(message)):
             load_checkpoint(path)
