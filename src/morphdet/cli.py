@@ -132,9 +132,17 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _refuse_other_m_in(state, checkpoint: str, widths, path: str) -> None:
+    """Refuse `path` unless every descriptor width in `widths` is the m_in of `checkpoint`'s network."""
+    other = sorted(set(widths) - {state.params.m_in})
+    if other:
+        raise ValueError(f"{path} holds descriptors of m_in {other[0]}, but {checkpoint} takes m_in {state.params.m_in}")
+
+
 def cmd_morph(args) -> int:
     state = load_checkpoint(args.checkpoint)
     exemplars = read_exemplars_csv(args.exemplars)
+    _refuse_other_m_in(state, args.checkpoint, (vecs.shape[1] for vecs in exemplars.values()), args.exemplars)
     if args.shots is not None:
         if args.shots < 1:
             raise ValueError(f"--shots must be >= 1, got {args.shots}")
@@ -168,7 +176,8 @@ def cmd_eval(args) -> int:
     split = load_universe(os.path.join(args.data, "universe.txt")).split_manifest()
     base_ids = split["base_class_ids"] if args.split != "novel" else []
     novel_ids = split["novel_class_ids"] if args.split != "base" else []
-    scenes = [scene for name in _SPLIT_FILES[args.split] for scene in load_dataset(os.path.join(args.data, name))]
+    splits = {path: load_dataset(path) for path in (os.path.join(args.data, name) for name in _SPLIT_FILES[args.split])}
+    scenes = [scene for split in splits.values() for scene in split]
     known = {*split["base_class_ids"], *split["novel_class_ids"]}
     stray = sorted({cid for scene in scenes for cid in scene.gt_ids.tolist()} - known)
     if stray:
@@ -180,6 +189,8 @@ def cmd_eval(args) -> int:
     for stem, path in (("report", args.checkpoint), ("baseline_report", args.baseline_checkpoint)):
         if path is not None:
             state = load_checkpoint(path)
+            for data, split in splits.items():
+                _refuse_other_m_in(state, path, (scene.descriptors.shape[1] for scene in split), data)
             # An "all" report leaves out novel classes the checkpoint has not
             # registered yet: a pre-morph eval just lacks a novel section.
             present = [cid for cid in novel_ids if args.split != "all" or state.prototypes.has_class(cid)]

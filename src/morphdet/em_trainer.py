@@ -42,9 +42,9 @@ from .embedder import (
 from .numkernel import DimensionMismatch, EmptyInput
 from .objective import scoring_matrix
 from .prototype_store import PrototypeSet, UnknownClass, e_step_update, init_from_semantic
-from .textio import read_tensor_file, tensor_lines, write_record_file
+from .textio import read_tensor_file, tensor_line, write_record_file
 
-CHECKPOINT_HEADER = "morphdet-checkpoint v2"
+CHECKPOINT_HEADER = "morphdet-checkpoint v3"
 
 
 class TrainingDiverged(RuntimeError):
@@ -364,7 +364,7 @@ def save_checkpoint(path, state: DetectorState) -> None:
     class ids, novel ids), every network tensor, then the prototype matrix."""
     protos = state.prototypes
     config = {"train": asdict(state.config), "class_ids": list(protos.ids), "novel_ids": sorted(protos.novel)}
-    body = params_to_lines(state.params) + tensor_lines("prototypes", protos.matrix)
+    body = [*params_to_lines(state.params), tensor_line("prototypes", protos.matrix)]
     write_record_file(path, CHECKPOINT_HEADER, "config", config, body)
 
 

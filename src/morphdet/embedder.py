@@ -32,7 +32,7 @@ import numpy as np
 
 from .numkernel import DimensionMismatch, EmptyInput, smooth_l1_array, smooth_l1_grad_array
 from .objective import LossBreakdown, softmax_terms
-from .textio import tensor_lines
+from .textio import tensor_line
 
 if TYPE_CHECKING:  # em_trainer imports this module
     from .em_trainer import TrainConfig
@@ -290,8 +290,8 @@ def sgd_step(
 
 
 def params_to_lines(params: EmbedderParams) -> list[str]:
-    """Tensor block lines (no header/config) for the detector checkpoint."""
-    return [line for name, arr in params.named_tensors() for line in tensor_lines(name, arr)]
+    """Tensor lines (no header/config) for the detector checkpoint."""
+    return [tensor_line(name, arr) for name, arr in params.named_tensors()]
 
 
 def params_from_tensors(tensors: dict[str, np.ndarray], hidden_sizes) -> EmbedderParams:

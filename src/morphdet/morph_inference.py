@@ -21,9 +21,9 @@ from .embedder import forward_batch
 from .numkernel import DimensionMismatch, EmptyInput
 from .objective import posterior_batch
 from .prototype_store import add_novel
-from .textio import read_tensor_file, tensor_lines, write_record_file
+from .textio import read_tensor_file, tensor_line, write_record_file
 
-EXEMPLARS_HEADER = "morphdet-exemplars v2"
+EXEMPLARS_HEADER = "morphdet-exemplars v3"
 
 
 class InvalidBox(ValueError):
@@ -186,7 +186,7 @@ def detect(state, proposals, config: DetectConfig = DetectConfig()) -> list[Dete
 def write_exemplars_csv(path, exemplars) -> None:
     """Exemplar file: an empty meta line, then per class in ascending id order
     one tensor named by the id, with a descriptor per row."""
-    body = [line for cid in sorted(exemplars) for line in tensor_lines(str(int(cid)), exemplars[cid])]
+    body = [tensor_line(str(int(cid)), exemplars[cid]) for cid in sorted(exemplars)]
     write_record_file(path, EXEMPLARS_HEADER, "meta", {}, body)
 
 

@@ -1,15 +1,17 @@
 """The text container of the universe, dataset, checkpoint and exemplar
 files, and the float and tensor codec their bodies use.
 
-A container file is a '<kind> v2' header, a '<meta key> <sorted JSON object>'
+A container file is a '<kind> v3' header, a '<meta key> <sorted JSON object>'
 line, the body lines and a last line 'end sha256=<hex>' over every byte before
 it, so a file cut, edited or extended in any line is refused, never loaded in
-part. Floats are written with %.17g, which round-trips float64 exactly, so
-every format is bit-stable across save/load.
+part. Every body line is one tensor, its float64 bytes in base64, so every
+array file is bit-stable across save/load. The %.17g helpers, which also
+round-trip float64 exactly, write semantics.txt and the CSV tables.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 
@@ -43,34 +45,40 @@ def parse_floats(tokens) -> np.ndarray:
     return values
 
 
-def tensor_lines(name: str, arr: np.ndarray) -> list[str]:
-    """Two lines per tensor: a 'tensor <name> <rows> <cols>' header, then
-    the row-major values. 1-D arrays are stored as a single row."""
-    mat = np.atleast_2d(np.asarray(arr, dtype=np.float64))
+def tensor_line(name: str, arr) -> str:
+    """'tensor <name> <rows> <cols> <base64 of the row-major little-endian float64 bytes>', a 1-D array as
+    one row. One line, because a zero-row tensor's data is empty: alone, it would be a refused blank line."""
+    mat = np.atleast_2d(np.asarray(arr, dtype="<f8"))
     if mat.ndim != 2:
-        raise ValueError(f"tensor {name!r} must be 1-D or 2-D, got shape {arr.shape}")
-    return [f"tensor {name} {mat.shape[0]} {mat.shape[1]}", fmt_vector(mat.ravel())]
+        raise ValueError(f"tensor {name!r} must be 1-D or 2-D, got shape {mat.shape}")
+    data = base64.b64encode(mat.tobytes()).decode("ascii")
+    return f"tensor {name} {mat.shape[0]} {mat.shape[1]} {data}"
 
 
-def parse_tensor(header: str, data: str) -> tuple[str, np.ndarray]:
-    parts = header.split()
-    if len(parts) != 4 or parts[0] != "tensor" or not (parts[2].isdigit() and parts[3].isdigit()):
-        raise ValueError(f"malformed tensor header: {header!r}")
+def parse_tensor(line: str) -> tuple[str, np.ndarray]:
+    """Inverse of tensor_line: (name, read-only (rows, cols) float64 array). Refuses a malformed
+    header, data that is not base64 or not rows * cols values, and a non-finite value."""
+    parts = line.split(" ")
+    if len(parts) != 5 or parts[0] != "tensor" or not (parts[2].isdigit() and parts[3].isdigit()):
+        raise ValueError(f"malformed tensor line: {line[:80]!r}")
     name, rows, cols = parts[1], int(parts[2]), int(parts[3])
-    values = parse_floats(data)
-    if values.size != rows * cols:
-        raise ValueError(f"tensor {name!r} declares {rows}x{cols} but carries {values.size} values")
+    try:
+        raw = base64.b64decode(parts[4], validate=True)
+    except ValueError:
+        raise ValueError(f"tensor {name!r} data is not base64") from None
+    if len(raw) != 8 * rows * cols:
+        raise ValueError(f"tensor {name!r} declares {rows}x{cols} but carries {len(raw)} bytes")
+    values = np.frombuffer(raw, dtype="<f8")
+    if not np.isfinite(values).all():
+        raise ValueError(f"tensor {name!r} holds a non-finite value")
     return name, values.reshape(rows, cols)
 
 
 def tensor_blocks(lines) -> dict[str, np.ndarray]:
-    """Inverse of concatenated tensor_lines: name -> 2-D array, in file order.
-    A header without its data line or a repeated name is an error."""
-    if len(lines) % 2:
-        raise ValueError(f"dangling tensor header: {lines[-1]!r}")
+    """Inverse of tensor_line over a body: name -> 2-D array, in file order. A repeated name is an error."""
     out: dict[str, np.ndarray] = {}
-    for header, data in zip(lines[0::2], lines[1::2]):
-        name, arr = parse_tensor(header, data)
+    for line in lines:
+        name, arr = parse_tensor(line)
         if name in out:
             raise ValueError(f"duplicate tensor {name!r}")
         out[name] = arr

@@ -33,7 +33,7 @@ import numpy as np
 from .em_trainer import fill_dataclass
 from .morph_inference import Box, InvalidBox, decode_box, encode_box
 from .numkernel import l2_normalize
-from .textio import read_record_file, read_tensor_file, row_format, tensor_lines, write_record_file
+from .textio import read_tensor_file, tensor_line, write_record_file
 
 GEOMETRY_FEATURES = 4
 # Weight on the box-geometry channels relative to unit-variance appearance
@@ -43,9 +43,8 @@ GEOMETRY_FEATURES = 4
 GEOMETRY_SCALE = 3.0
 FG_IOU_THRESHOLD = 0.5
 
-UNIVERSE_HEADER = "toyworld-universe v2"
-DATASET_HEADER = "toyworld-dataset v2"
-_LINE_KINDS = {"scene": 0, "object": 1, "proposal": 2}
+UNIVERSE_HEADER = "toyworld-universe v3"
+DATASET_HEADER = "toyworld-dataset v3"
 _UNIVERSE_TENSORS = ("attributes", "semantics", "semantic_projection", "descriptor_projection")
 
 # Sub-stream tags so one seed drives several independent generators.
@@ -301,7 +300,7 @@ def save_universe(path, universe: Universe) -> None:
     """The meta line is the universe's config plus its seed; the body holds
     four tensors: attributes and semantics, whose row i is class i + 1, base
     first, then the semantic and descriptor projections."""
-    body = [line for name in _UNIVERSE_TENSORS for line in tensor_lines(name, getattr(universe, name))]
+    body = [tensor_line(name, getattr(universe, name)) for name in _UNIVERSE_TENSORS]
     write_record_file(path, UNIVERSE_HEADER, "meta", {**asdict(universe.config), "seed": universe.seed}, body)
 
 
@@ -329,80 +328,61 @@ def _dataset_meta(scenes) -> dict:
     return {"scene_count": len(scenes), "m_in": next(widths, 0)}
 
 
+def _dataset_shapes(scene_count: int, proposals: int, objects: int, m_in: int) -> dict[str, tuple[int, int]]:
+    """A dataset file's tensors in file order, each with its shape, a column per value: the scene ids, where each
+    scene's proposals and objects start (then their totals), and Scene's arrays over every scene, end to end."""
+    widths = {"scene_ids": 1, "proposal_offsets": 1, "object_offsets": 1, "descriptors": m_in, "anchors": 4,
+              "labels": 1, "targets": 4, "gt_ids": 1, "gt_boxes": 4, "gt_descriptors": m_in}
+    rows = [scene_count, scene_count + 1, scene_count + 1] + [proposals] * 4 + [objects] * 3
+    return {name: (count, width) for count, (name, width) in zip(rows, widths.items())}
+
+
 def save_dataset(path, scenes) -> None:
-    """Per scene a 'scene <id>' line, an 'object <class id> <box> <descriptor>' line per object,
-    then a 'proposal <label> <anchor> [<targets>] <descriptor>' line per proposal (targets if fg)."""
+    """The array store that load_dataset slices into scenes, one tensor per array of _dataset_shapes.
+    Ids and labels are exact as float64 below 2**53."""
     scenes = list(scenes)
     meta = _dataset_meta(scenes)
-    width = 4 + meta["m_in"]
-    obj = "object %d " + row_format(width)
-    fg, bg = ("proposal %d " + row_format(width + extra) for extra in (4, 0))
-    body = []
-    for scene in scenes:
-        body.append(f"scene {scene.scene_id}")
-        rows = np.hstack([scene.gt_boxes, scene.gt_descriptors]).tolist()
-        body += [obj % (cid, *row) for cid, row in zip(scene.gt_ids.tolist(), rows)]
-        rows = np.hstack([scene.anchors, scene.targets, scene.descriptors]).tolist()
-        body += [fg % (n, *row) if n > 0 else bg % (n, *row[:4], *row[8:]) for n, row in zip(scene.labels.tolist(), rows)]
+    ends = [np.cumsum([0, *(len(getattr(scene, rows)) for scene in scenes)]) for rows in ("labels", "gt_ids")]
+    shapes = _dataset_shapes(len(scenes), ends[0][-1], ends[1][-1], meta["m_in"])
+    store = [[scene.scene_id for scene in scenes], *ends]
+    store += [np.concatenate([[], *(getattr(scene, name).ravel() for scene in scenes)]) for name in list(shapes)[3:]]
+    body = [tensor_line(name, np.reshape(arr, shape)) for arr, (name, shape) in zip(store, shapes.items())]
     write_record_file(path, DATASET_HEADER, "meta", meta, body)
 
 
-def _gather(values, starts, offset: int, width: int) -> np.ndarray:
-    """(rows, width): `width` values from `offset` past each start, clipped into `values`."""
-    return np.take(values, (starts + offset)[:, None] + np.arange(width), mode="clip")
-
-
 def load_dataset(path) -> list[Scene]:
-    """Inverse of save_dataset: the body is parsed in one pass into one array store,
-    and each 'scene' line opens a scene whose arrays are slices of it. The meta must
-    equal the one the loaded scenes would be saved with."""
-    meta, body = read_record_file(path, DATASET_HEADER, "meta")
-    m_in = meta.get("m_in")
-    if type(m_in) is not int or m_in < 0:
-        raise ValueError(f"{path}: meta m_in must be an integer >= 0, got {m_in!r}")
-    codes = np.array([_LINE_KINDS.get(line.partition(" ")[0], -1) for line in body], dtype=np.int8)
-    counts = np.array([line.count(" ") for line in body], dtype=np.intp)  # the values after the kind word
-    scene_of = np.cumsum(codes == 0) - 1  # the scene each line belongs to
-    stray = (codes < 0) | (scene_of < 0) | (counts < 1) | ((codes == 0) & (counts != 1))  # a scene line holds its id
-    if stray.any():
-        raise ValueError(f"{path}: unexpected dataset line {body[np.argmax(stray)][:80]!r}")
-    text = "\n".join([line.partition(" ")[2] for line in body])
-    del body  # the lines, then the text, go once parsed: what they hold at once is a load's peak memory
-    try:  # a line holds at most its spaces + 1 values, so equal totals mean each holds that many
-        values = np.fromstring(text, sep=" ")
-        if values.size != counts.sum() or any(c in text for c in "\t\r\x0b\x0c"):
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"{path}: a dataset line holds a token that is not a number, or a stray space") from None
-    del text
-    if not np.isfinite(values).all():
-        raise ValueError(f"{path}: non-finite value in the dataset body")
-    starts = np.cumsum(counts) - counts
-    heads = values[starts]
-    fg = (codes == 2) & (heads > 0)
-    lengths = counts - 5 - 4 * fg
-    corners = _gather(values, starts, 1, 4)
-    checks = (
-        (ValueError, (heads != np.trunc(heads)) | (abs(heads) > 2**53), "line head {head:g} is not an integer"),
-        (ValueError, (codes == 1) & (heads < 1), "object class id must be >= 1 (0 is background), got {head:g}"),
-        (ValueError, (codes == 2) & (heads < 0), "proposal label must be >= 0 (0 is background), got {head:g}"),
-        (ValueError, (codes > 0) & (lengths != m_in), f"{{kind}} descriptor has {{length}} values, meta says {m_in}"),
-        (InvalidBox, (codes > 0) & ~(corners[:, :2] < corners[:, 2:]).all(axis=1), "degenerate box corners: {box}"),
-    )
-    for error, bad, message in checks:
+    """Inverse of save_dataset: scenes are slices of the file's tensors, whose names and shapes must agree with the
+    meta m_in and each other. Refuses non-integer ids, labels or offsets, offsets not rising from 0 to their row count,
+    class ids < 1, labels < 0, background targets, boxes not positive-area (InvalidBox) and a meta not the scenes'."""
+    meta, store = read_tensor_file(path, DATASET_HEADER, "meta")
+    shapes = {name: arr.shape for name, arr in store.items()}
+    want = _dataset_shapes(*(len(store.get(name, ())) for name in ("scene_ids", "labels", "gt_ids")), meta.get("m_in"))
+    if list(shapes.items()) != list(want.items()):
+        raise ValueError(f"{path}: dataset tensors {shapes} disagree with each other or the meta m_in; want {want}")
+    ids = {name: store[name][:, 0] for name in ("scene_ids", "proposal_offsets", "object_offsets", "labels", "gt_ids")}
+    for name, column in ids.items():
+        bad = (column != np.trunc(column)) | (abs(column) > 2**53)
         if bad.any():
-            at = np.argmax(bad)
-            details = dict(head=heads[at], kind=list(_LINE_KINDS)[codes[at]], length=lengths[at], box=corners[at].tolist())
-            raise error(f"{path}: " + message.format(**details))
-    heads = heads.astype(np.int64)
-    targets = np.where(fg[:, None], _gather(values, starts, 5, 4), 0.0)
-    descriptors = _gather(values, starts + counts - m_in, 0, m_in)
-    store = [arr[codes == 2] for arr in (descriptors, corners, heads, targets)]
-    store += [arr[codes == 1] for arr in (heads, corners, descriptors)]
-    ids = heads[codes == 0].tolist()
-    p_ends, o_ends = (np.searchsorted(scene_of[codes == code], np.arange(len(ids) + 1)) for code in (2, 1))
-    ends = [p_ends] * 4 + [o_ends] * 3
-    scenes = [Scene(sid, *(arr[end[k] : end[k + 1]] for arr, end in zip(store, ends))) for k, sid in enumerate(ids)]
-    if _dataset_meta(scenes) != meta:
+            raise ValueError(f"{path}: {name} holds {column[np.argmax(bad)]:g}, not an integer")
+    for name, rows in (("proposal_offsets", len(ids["labels"])), ("object_offsets", len(ids["gt_ids"]))):
+        if ids[name][0] != 0 or ids[name][-1] != rows or (ids[name][1:] < ids[name][:-1]).any():
+            raise ValueError(f"{path}: {name} must rise from 0 to {rows} and never fall")
+    labels, gt_ids, targets = ids["labels"], ids["gt_ids"], store["targets"]
+    boxes = np.concatenate([store["gt_boxes"], store["anchors"]])
+    checks = (
+        (ValueError, gt_ids < 1, gt_ids, "object class id must be >= 1 (0 is background), got {:g}"),
+        (ValueError, labels < 0, labels, "proposal label must be >= 0 (0 is background), got {:g}"),
+        (ValueError, (labels == 0) & (targets != 0).any(axis=1), targets, "background proposal has targets {}"),
+        (InvalidBox, ~(boxes[:, :2] < boxes[:, 2:]).all(axis=1), boxes, "degenerate box corners: {}"),
+    )
+    for error, bad, values, message in checks:
+        if bad.any():
+            raise error(f"{path}: " + message.format(values[np.argmax(bad)].tolist()))
+    ints = {name: column.astype(np.int64) for name, column in ids.items()}
+    columns = [ints.get(name, store[name]) for name in list(want)[3:]]
+    ends = [ints["proposal_offsets"].tolist()] * 4 + [ints["object_offsets"].tolist()] * 3
+    scenes = [Scene(sid, *(arr[end[k] : end[k + 1]] for arr, end in zip(columns, ends)))
+              for k, sid in enumerate(ints["scene_ids"].tolist())]
+    if _dataset_meta(scenes) != meta or not all(type(value) is int for value in meta.values()):
         raise ValueError(f"{path}: body holds {_dataset_meta(scenes)}, meta says {meta}")
     return scenes

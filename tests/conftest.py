@@ -3,13 +3,15 @@
 Session scope keeps the suite fast; tests treat these values as read-only.
 """
 
+import base64
+
 import numpy as np
 import pytest
 
 from morphdet.em_trainer import DetectorState, TrainConfig, train
 from morphdet.embedder import EmbedderParams
 from morphdet.prototype_store import PrototypeSet
-from morphdet.textio import read_record_file, write_record_file
+from morphdet.textio import read_record_file, tensor_blocks, tensor_line, write_record_file
 from morphdet.toyworld import DataConfig, UniverseConfig, exemplars_for, make_dataset, make_universe, semantic_vectors
 
 TINY_TRAIN = TrainConfig(em_iterations=2, m_step_epochs=3, batch_size=16, seed=0)
@@ -59,3 +61,21 @@ def reframe(path, header, meta_key, meta=lambda meta: meta, body=lambda body: bo
     and only the loader's own checks can refuse it."""
     old_meta, old_body = read_record_file(path, header, meta_key)
     write_record_file(path, header, meta_key, meta(old_meta), body(old_body))
+
+
+def tensor_body(edit):
+    """A reframe body edit on arrays, not text: the body's tensors, decoded into writable copies in file
+    order, are handed to `edit`, which changes the dict or its arrays in place; the result is encoded again."""
+
+    def body(lines):
+        tensors = {name: arr.copy() for name, arr in tensor_blocks(lines).items()}
+        edit(tensors)
+        return [tensor_line(name, arr) for name, arr in tensors.items()]
+
+    return body
+
+
+def without_last_value(line):
+    """A tensor line whose data lost its last value while its header kept the count."""
+    head, data = line.rsplit(" ", 1)
+    return f"{head} {base64.b64encode(base64.b64decode(data)[:-8]).decode('ascii')}"

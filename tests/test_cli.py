@@ -8,14 +8,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import reframe
+from conftest import reframe, tensor_body, without_last_value
 from helpers import params_equal
 from morphdet.cli import GEN_FILES, _apply_train_overrides, build_parser, main
 from morphdet.em_trainer import CHECKPOINT_HEADER, TrainConfig, load_checkpoint
 from morphdet.embedder import grad_evaluation_count
 from morphdet.experiments import ExperimentConfig
 from morphdet.morph_inference import EXEMPLARS_HEADER, read_exemplars_csv
-from morphdet.textio import sha256_file, write_record_file
+from morphdet.textio import parse_tensor, sha256_file, tensor_line, write_record_file
 from morphdet.toyworld import DATASET_HEADER, UNIVERSE_HEADER
 
 TINY_CONFIG = {
@@ -520,24 +520,20 @@ def _universe_with_short_class_line(data):
     (data / "manifest.json").unlink()
 
     def short_row(body):  # the attributes tensor, one row per class, loses its last value
-        return [body[0], body[1].rsplit(" ", 1)[0], *body[2:]]
+        return [without_last_value(body[0]), *body[1:]]
 
     reframe(data / "universe.txt", UNIVERSE_HEADER, "meta", body=short_row)
 
 
-def _edit_first_novel_object(edit):
+def _edit_novel_tensors(edit):
     def spoil(data):
-        def body(lines):
-            at = next(i for i, line in enumerate(lines) if line.startswith("object "))
-            return lines[:at] + [edit(lines[at])] + lines[at + 1 :]
-
-        reframe(data / "eval_novel.txt", DATASET_HEADER, "meta", body=body)
+        reframe(data / "eval_novel.txt", DATASET_HEADER, "meta", body=tensor_body(edit))
 
     return spoil
 
 
 def _first_novel_object_as_class(class_id):
-    return _edit_first_novel_object(lambda line: " ".join(["object", class_id, *line.split()[2:]]))
+    return _edit_novel_tensors(lambda t: np.put(t["gt_ids"], 0, class_id))
 
 
 def _eval_split_with_blank_line(data):
@@ -551,10 +547,10 @@ def _eval_split_with_blank_line(data):
         (_universe_cut_beside_manifest, []),
         (_universe_with_short_class_line, []),
         (_eval_split_with_blank_line, []),
-        (_first_novel_object_as_class("0"), []),
-        (_first_novel_object_as_class("-3"), []),
-        (_first_novel_object_as_class("99"), []),
-        (_edit_first_novel_object(lambda line: line + " 0.5"), []),
+        (_first_novel_object_as_class(0), []),
+        (_first_novel_object_as_class(-3), []),
+        (_first_novel_object_as_class(99), []),
+        (_edit_novel_tensors(lambda t: t.update(gt_descriptors=np.pad(t["gt_descriptors"], ((0, 0), (0, 1))))), []),
         (None, ["--score-threshold", "nan"]),
         (None, ["--score-threshold", "-5"]),
         (None, ["--nms-iou", "1"]),
@@ -638,10 +634,10 @@ def _refused_without_output(argv, out, capsys, message=""):
 def test_checkpoint_that_lost_a_prototype_row_is_refused(morphed_ckpt, gen_dir, tmp_path, capsys):
     path = tmp_path / "cut.ckpt"
     lines = morphed_ckpt.read_text(encoding="utf-8").splitlines()
-    rows, cols = map(int, lines[-3].split()[2:])
-    assert lines[-3].startswith("tensor prototypes ") and rows == 6
+    name, prototypes = parse_tensor(lines[-2])
+    assert name == "prototypes" and len(prototypes) == 6
     # The last class's row goes, and the tensor header follows it.
-    cut = lines[:-3] + [f"tensor prototypes {rows - 1} {cols}", " ".join(lines[-2].split()[:-cols]), lines[-1]]
+    cut = lines[:-2] + [tensor_line(name, prototypes[:-1]), lines[-1]]
     path.write_text("".join(line + "\n" for line in cut), encoding="utf-8")
     out = tmp_path / "eval"
     argv = ["eval", "--checkpoint", str(path), "--data", str(gen_dir), "--out", str(out)]
@@ -651,9 +647,9 @@ def test_checkpoint_that_lost_a_prototype_row_is_refused(morphed_ckpt, gen_dir, 
 def test_exemplar_block_cut_by_one_row_is_refused(train_dir, gen_dir, tmp_path, capsys):
     path = tmp_path / "exemplars.csv"
     lines = (gen_dir / "exemplars.csv").read_text(encoding="utf-8").splitlines()
-    assert lines[-3].startswith("tensor 6 2 ")
-    cols = int(lines[-3].split()[3])
-    cut = lines[:-3] + [f"tensor 6 1 {cols}", " ".join(lines[-2].split()[:-cols]), lines[-1]]
+    name, shots = parse_tensor(lines[-2])
+    assert name == "6" and len(shots) == 2
+    cut = lines[:-2] + [tensor_line(name, shots[:-1]), lines[-1]]
     path.write_text("".join(line + "\n" for line in cut), encoding="utf-8")
     out = tmp_path / "out.ckpt"
     checkpoint = str(train_dir / "checkpoint_iter2.ckpt")
@@ -674,24 +670,24 @@ def test_an_older_format_version_is_refused_by_name(name, gen_dir, train_dir, tm
     path = run / "checkpoint_iter2.ckpt" if name == "checkpoint" else data / name
     text = path.read_text(encoding="utf-8")
     header = text.partition("\n")[0]
-    path.write_text(text.replace(header, header.replace(" v2", " v1"), 1), encoding="utf-8")
+    path.write_text(text.replace(header, header.replace(" v3", " v2"), 1), encoding="utf-8")
     out = tmp_path / "out"
     checkpoint = str(run / "checkpoint_iter2.ckpt")
     if name == "exemplars.csv":
         argv = ["morph", "--checkpoint", checkpoint, "--exemplars", str(path), "--out", str(out)]
     else:
         argv = ["eval", "--checkpoint", checkpoint, "--data", str(data), "--out", str(out)]
-    _refused_without_output(argv, out, capsys, f"{header.replace(' v2', ' v1')}' is an older format than '{header}'")
+    _refused_without_output(argv, out, capsys, f"{header.replace(' v3', ' v2')}' is an older format than '{header}'")
 
 
 _FRAMINGS = {"checkpoint": (CHECKPOINT_HEADER, "config"), "exemplars.csv": (EXEMPLARS_HEADER, "meta"),
              "universe.txt": (UNIVERSE_HEADER, "meta")}
 # Bodies framed anew, so that the sha256 end line holds and a loader's own check or the tensor codec refuses them.
 _SPOILED_BODIES = {
-    "no_prototypes": lambda body: body[:-2],  # the checkpoint loader's own check
-    "first tensor lost a value": lambda body: [body[0], body[1].rsplit(" ", 1)[0], *body[2:]],
-    "inf in the first tensor": lambda body: [body[0], "inf " + body[1].split(" ", 1)[1], *body[2:]],
-    "nan in the first tensor": lambda body: [body[0], "nan " + body[1].split(" ", 1)[1], *body[2:]],
+    "no_prototypes": lambda body: body[:-1],  # the checkpoint loader's own check
+    "first tensor lost a value": lambda body: [without_last_value(body[0]), *body[1:]],
+    "inf in the first tensor": tensor_body(lambda t: np.put(next(iter(t.values())), 0, np.inf)),
+    "nan in the first tensor": tensor_body(lambda t: np.put(next(iter(t.values())), 0, np.nan)),
 }
 
 
@@ -701,7 +697,8 @@ _SPOILED_BODIES = {
     + [("checkpoint", "no_prototypes")]
     + [("exemplars.csv", f"tensor named {tensor}") for tensor in ("x", "1.5", "0", "-3")]
     + [("exemplars.csv", "first tensor lost a value"), ("exemplars.csv", "inf in the first tensor")]
-    + [("universe.txt", "nan in the first tensor"), ("checkpoint", "nan in the first tensor")],
+    + [("universe.txt", "nan in the first tensor"), ("checkpoint", "nan in the first tensor")]
+    + [("eval_base.txt", "m_in 14"), ("exemplars.csv", "m_in 14")],
 )
 def test_a_refused_file_is_named_once_in_a_plain_message(name, spoil, gen_dir, train_dir, tmp_path, capsys):
     data, run = tmp_path / "data", tmp_path / "run"
@@ -714,8 +711,13 @@ def test_a_refused_file_is_named_once_in_a_plain_message(name, spoil, gen_dir, t
     elif spoil.startswith("tensor named "):  # refused by the exemplar reader's own check: not a class id >= 1
         renamed = f"tensor {spoil.removeprefix('tensor named ')} "
         reframe(path, EXEMPLARS_HEADER, "meta", body=lambda body: [renamed + body[0].split(" ", 2)[2], *body[1:]])
+    elif spoil == "m_in 14":  # a whole world drawn with wider descriptors than the checkpoint's network takes
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "universe": {**TINY_CONFIG["universe"], "m_in": 14}}), "utf-8")
+        assert main(["gen", "--out", str(data), "--config", str(config)]) == 0
+        capsys.readouterr()
     else:
-        path.write_text(path.read_text(encoding="utf-8").replace(" v2\n", " v1\n", 1), encoding="utf-8")
+        path.write_text(path.read_text(encoding="utf-8").replace(" v3\n", " v2\n", 1), encoding="utf-8")
     out = tmp_path / "out"
     if name == "exemplars.csv":
         argv = ["morph", "--checkpoint", str(checkpoint), "--exemplars", str(path), "--out", str(out)]
@@ -725,6 +727,8 @@ def test_a_refused_file_is_named_once_in_a_plain_message(name, spoil, gen_dir, t
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count(str(path)) == 1
     assert "Error(" not in err and "Traceback" not in err and not out.exists()
+    if spoil == "m_in 14":
+        assert f"{path} holds descriptors of m_in 14, but {checkpoint} takes m_in 10" in err
 
 
 def test_experiment_unknown_name(tmp_path, capsys):
@@ -756,8 +760,8 @@ KERNEL_SPECIFIC = {"morphed.ckpt"}
 
 def test_seed0_quickstart_reproduces_the_recorded_digests(tmp_path, capsys):
     """The README quickstart at seed 0, in process: every kernel-independent
-    output has the sha256 that BENCH_16.json records."""
-    record = pathlib.Path(__file__).resolve().parent.parent / "BENCH_16.json"
+    output has the sha256 that BENCH_21.json records."""
+    record = pathlib.Path(__file__).resolve().parent.parent / "BENCH_21.json"
     recorded = json.loads(record.read_text(encoding="utf-8"))["quickstart_digests"]
     world, run = tmp_path / "world", tmp_path / "run"
     for argv in (

@@ -166,11 +166,11 @@ def test_world_builds_eval_base_on_first_read(monkeypatch, tmp_path):
     assert len(calls) == 2
     scenes = world.eval_base
     assert len(calls) == 3 and world.eval_base is scenes
-    # The bytes an eager build wrote before eval_base became lazy, framed as
-    # format v2 and drawn from BLAS-free projections, so the same under the
+    # The arrays an eager build wrote before eval_base became lazy, framed as
+    # format v3 and drawn from BLAS-free projections, so the same under the
     # AVX2 and AVX-512 kernels of numpy's bundled OpenBLAS.
     save_dataset(tmp_path / "eval_base.txt", scenes)
-    assert sha256_file(tmp_path / "eval_base.txt") == "ad79f4de53ebc56de11203101625d0c86cc5c85e5d6d5df5992718e675b152be"
+    assert sha256_file(tmp_path / "eval_base.txt") == "a62b10acd15d0b6207cc87e93de2ec9457ea117d2755dc313761a6da723b0652"
 
 
 def _assert_csv(path, header, n_rows):

@@ -1,11 +1,16 @@
-"""Text format helpers: %.17g round trips float64 bit-for-bit, and the
-container refuses any file whose end line is not the sha256 of the rest."""
+"""Text format helpers: %.17g and the base64 tensor codec round trip float64
+bit-for-bit, and the container refuses any file whose end line is not the
+sha256 of the rest."""
 
+import base64
 import hashlib
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+
+from conftest import without_last_value
 
 from morphdet.textio import (
     fmt,
@@ -17,7 +22,7 @@ from morphdet.textio import (
     row_format,
     sha256_file,
     tensor_blocks,
-    tensor_lines,
+    tensor_line,
     write_record_file,
 )
 
@@ -52,11 +57,17 @@ def test_row_format_writes_what_fmt_writes(values):
 
 
 def test_tensor_lines_keep_their_bytes():
-    assert tensor_lines("w", np.array([[0.1, -0.0, 1e-320], [1 / 3, -1e308, 2.0**-1074]])) == [
-        "tensor w 2 3",
-        "0.10000000000000001 -0 9.9998886718268301e-321 0.33333333333333331 -1e+308 4.9406564584124654e-324",
-    ]
-    assert tensor_lines("b", np.array([np.pi, 1e22, -2.5])) == ["tensor b 1 3", "3.1415926535897931 1e+22 -2.5"]
+    assert tensor_line("w", np.array([[0.1, -0.0, 1e-320], [1 / 3, -1e308, 2.0**-1074]])) == (
+        "tensor w 2 3 mpmZmZmZuT8AAAAAAAAAgOgHAAAAAAAAVVVVVVVV1T+gyOuF88zh/wEAAAAAAAAA"
+    )
+    assert tensor_line("b", np.array([np.pi, 1e22, -2.5])) == "tensor b 1 3 GC1EVPshCUCS1U0Gz/CARAAAAAAAAATA"
+    # The data is the base64 of the row-major little-endian float64 bytes; a zero-row tensor has none.
+    assert tensor_line("b", np.array([np.pi, 1e22, -2.5])).endswith(
+        base64.b64encode(struct.pack("<3d", np.pi, 1e22, -2.5)).decode("ascii")
+    )
+    assert tensor_line("e", np.zeros((0, 3))) == "tensor e 0 3 "
+    # The writer encodes what it is given, nan included, so a test can build a file the reader refuses.
+    assert tensor_line("n", np.array([np.nan, np.inf])) == "tensor n 1 2 AAAAAAAA+H8AAAAAAADwfw=="
 
 
 def test_vector_round_trip_bitwise():
@@ -81,31 +92,40 @@ def test_parse_floats_rejects_non_finite_values():
 
 def test_tensor_round_trip_2d():
     rng = np.random.default_rng(1)
-    arr = rng.normal(size=(3, 5))
-    header, data = tensor_lines("w", arr)
-    name, back = parse_tensor(header, data)
+    arr = rng.normal(size=(3, 5)) * 10 ** rng.uniform(-300, 300, size=(3, 5))
+    arr[0, :3] = -0.0, 5e-324, 1.7976931348623157e308
+    name, back = parse_tensor(tensor_line("w", arr))
     assert name == "w"
-    assert back.shape == (3, 5)
-    assert np.array_equal(back, arr)
+    assert back.shape == (3, 5) and back.dtype == np.float64
+    assert back.tobytes() == arr.tobytes()
 
 
 def test_tensor_round_trip_1d_as_single_row():
     arr = np.array([1.5, -2.5, 1e-17])
-    header, data = tensor_lines("b", arr)
-    name, back = parse_tensor(header, data)
+    name, back = parse_tensor(tensor_line("b", arr))
     assert back.shape == (1, 3)
     assert np.array_equal(back[0], arr)
+    name, back = parse_tensor(tensor_line("e", np.zeros((0, 4))))
+    assert (name, back.shape) == ("e", (0, 4))
 
 
 def test_parse_tensor_rejects_malformed():
-    with pytest.raises(ValueError):
-        parse_tensor("tensor w 2", "1 2")
-    with pytest.raises(ValueError):
-        parse_tensor("matrix w 1 2", "1 2")  # the one block keyword is `tensor`
-    with pytest.raises(ValueError):
-        parse_tensor("tensor w 2 2", "1 2 3")
+    two = base64.b64encode(struct.pack("<2d", 1.0, 2.0)).decode("ascii")
     with pytest.raises(ValueError, match="malformed"):
-        parse_tensor("tensor w -1 2", "1 2")  # reshape would take -1 as "whatever fits"
+        parse_tensor(f"tensor w 2 {two}")
+    with pytest.raises(ValueError, match="malformed"):
+        parse_tensor(f"matrix w 1 2 {two}")  # the one line keyword is `tensor`
+    with pytest.raises(ValueError, match="malformed"):
+        parse_tensor(f"tensor w 1 2  {two}")  # one space between fields
+    with pytest.raises(ValueError, match="declares 2x2 but carries 16 bytes"):
+        parse_tensor(f"tensor w 2 2 {two}")
+    with pytest.raises(ValueError, match="malformed"):
+        parse_tensor(f"tensor w -1 2 {two}")  # reshape would take -1 as "whatever fits"
+    for data in (two.rstrip("="), two[:-4] + "!!!=", "1.25", two + "\t"):  # lost padding, not the alphabet, decimal
+        with pytest.raises(ValueError, match="not base64"):
+            parse_tensor(f"tensor w 1 2 {data}")
+    with pytest.raises(ValueError, match="non-finite"):
+        parse_tensor(tensor_line("w", [1.0, np.nan]))
 
 
 def test_sha256_file_matches_hashlib(tmp_path):
@@ -116,14 +136,12 @@ def test_sha256_file_matches_hashlib(tmp_path):
 
 
 def test_tensor_blocks_keep_file_order_and_refuse_broken_blocks():
-    lines = tensor_lines("a", np.eye(2)) + tensor_lines("b", np.ones(3))
+    lines = [tensor_line("a", np.eye(2)), tensor_line("b", np.ones(3))]
     blocks = tensor_blocks(lines)
     assert list(blocks) == ["a", "b"]
     assert np.array_equal(blocks["a"], np.eye(2)) and blocks["b"].shape == (1, 3)
-    with pytest.raises(ValueError, match="dangling"):
-        tensor_blocks(lines[:3])
     with pytest.raises(ValueError, match="duplicate"):
-        tensor_blocks(lines[:2] + lines[:2])
+        tensor_blocks(lines + lines[:1])
     with pytest.raises(ValueError, match="malformed"):
         tensor_blocks(["matrix" + lines[0].removeprefix("tensor"), lines[1]])
 
@@ -181,22 +199,22 @@ def test_record_file_round_trip_and_framing(tmp_path):
 
 def test_tensor_file_round_trip_and_refusals_name_the_path_once(tmp_path):
     path = tmp_path / "tensors.txt"
-    lines = tensor_lines("a", np.eye(2)) + tensor_lines("b", np.ones(3))
-    write_record_file(path, "kind v2", "meta", {"n": 2}, lines)
-    meta, tensors = read_tensor_file(path, "kind v2", "meta")
+    lines = [tensor_line("a", np.eye(2)), tensor_line("b", np.ones(3))]
+    write_record_file(path, "kind v3", "meta", {"n": 2}, lines)
+    meta, tensors = read_tensor_file(path, "kind v3", "meta")
     assert meta == {"n": 2} and list(tensors) == ["a", "b"]
     assert np.array_equal(tensors["a"], np.eye(2)) and np.array_equal(tensors["b"], np.ones((1, 3)))
     spoiled = {  # the tensor codec's refusals, and one of the container's own
-        "lost value": ("kind v2", [lines[0], lines[1].rsplit(" ", 1)[0], *lines[2:]]),
-        "nan": ("kind v2", [lines[0], "nan" + lines[1][1:], *lines[2:]]),
-        "dangling header": ("kind v2", lines[:3]),
-        "duplicate": ("kind v2", lines[:2] + lines[:2]),
-        "malformed header": ("kind v2", ["matrix" + lines[0].removeprefix("tensor"), *lines[1:]]),
-        "older version": ("kind v1", lines),
+        "lost value": ("kind v3", [without_last_value(lines[0]), lines[1]]),
+        "nan": ("kind v3", [tensor_line("a", [[np.nan, 0.0], [0.0, 1.0]]), lines[1]]),
+        "not base64": ("kind v3", [lines[0].replace("A", "*", 1), lines[1]]),
+        "duplicate": ("kind v3", lines + lines[:1]),
+        "malformed header": ("kind v3", ["matrix" + lines[0].removeprefix("tensor"), *lines[1:]]),
+        "older version": ("kind v2", lines),
     }
     for name, (header, body) in spoiled.items():
         write_record_file(path, header, "meta", {}, body)
         with pytest.raises(ValueError) as refusal:
-            read_tensor_file(path, "kind v2", "meta")
+            read_tensor_file(path, "kind v3", "meta")
         message = str(refusal.value)
         assert message.startswith(f"{path}: ") and message.count(str(path)) == 1, name

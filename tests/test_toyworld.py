@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import reframe
+from conftest import reframe, tensor_body, without_last_value
 from helpers import box_geometry, encode_one, objects_of, scene_of
 from morphdet import toyworld
 from morphdet.morph_inference import iou
@@ -303,9 +303,9 @@ def test_universe_load_refuses_a_meta_line_its_body_disagrees_with(tmp_path):
         ({"meta": lambda meta: {**meta, "n_novel": 2}}, "does not match its meta line"),
         ({"meta": lambda meta: {**meta, "k": 3}}, "m_in"),
         # The four tensors come in save_universe's order.
-        ({"body": lambda body: body[2:4] + body[:2] + body[4:]}, "does not match its meta line"),
-        ({"body": lambda body: body[:-2]}, "does not match its meta line"),
-        ({"body": lambda body: [body[0], body[1].rsplit(" ", 1)[0], *body[2:]]}, "declares 3x2 but carries 5 values"),
+        ({"body": lambda body: [body[1], body[0], *body[2:]]}, "does not match its meta line"),
+        ({"body": lambda body: body[:-1]}, "does not match its meta line"),
+        ({"body": lambda body: [without_last_value(body[0]), *body[1:]]}, "declares 3x2 but carries 40 bytes"),
     )
     for edit, message in cases:
         save_universe(path, universe)
@@ -367,21 +367,33 @@ def test_dataset_round_trip(tmp_path):
                     assert np.array_equal(pa.target_deltas, pb.target_deltas)
 
 
+def test_dataset_of_two_splits_round_trips_bit_equal_with_repeated_scene_ids(tmp_path):
+    """A requests file as deploy writes it, eval_base + eval_novel: both splits number their scenes from 0."""
+    uni = make_universe(UniverseConfig(n_base=3, n_novel=2), seed=5)
+    data = DataConfig(proposals_per_scene=9)
+    scenes = make_dataset(uni, uni.base, 2, data, seed=6) + make_dataset(uni, uni.novel, 2, data, seed=7)
+    ids = [scene.scene_id for scene in scenes]
+    assert ids == [0, 1, 2, 3, 4, 5, 0, 1, 2, 3]
+    path = tmp_path / "requests.txt"
+    save_dataset(path, scenes)
+    back = load_dataset(path)
+    assert [scene.scene_id for scene in back] == ids
+    assert [_digest(_scene_arrays([scene])) for scene in back] == [_digest(_scene_arrays([scene])) for scene in scenes]
+
+
 def test_dataset_load_rejects_non_finite_values_and_wrong_scene_count(tmp_path):
     uni = make_universe(UniverseConfig(n_base=2, n_novel=1, sigma_sem=0.02), seed=22)
     path = tmp_path / "dataset.txt"
     scenes = make_dataset(uni, uni.base, 2, DataConfig(objects_per_scene=1, proposals_per_scene=3), seed=23)
-
-    def nan_descriptor(body):
-        at = next(k for k, line in enumerate(body) if line.startswith("proposal "))
-        return body[:at] + [body[at].rsplit(" ", 1)[0] + " nan"] + body[at + 1 :]
-
     cases = {
-        "nan descriptor": ({"body": nan_descriptor}, "non-finite"),
+        "nan descriptor": ({"body": tensor_body(lambda t: np.put(t["descriptors"], -1, np.nan))}, "non-finite"),
         "scene count": ({"meta": lambda meta: {**meta, "scene_count": 5}}, "meta says"),
-        "object before scene": ({"body": lambda body: body[1:]}, "unexpected dataset line"),
+        "m_in as a float": ({"meta": lambda meta: {**meta, "m_in": 12.0}}, "meta says"),
+        "m_in as a string": ({"meta": lambda meta: {**meta, "m_in": "12"}}, "disagree with each other or the meta m_in"),
+        "no m_in": ({"meta": lambda meta: {"scene_count": meta["scene_count"]}}, "disagree"),
         "short descriptor": (
-            {"body": lambda body: [body[0], body[1].rsplit(" ", 1)[0], *body[2:]]}, "has 11 values, meta says 12"
+            {"body": tensor_body(lambda t: t.update(descriptors=t["descriptors"][:, :-1]))},
+            r"'descriptors': \(12, 11\).* want .*'descriptors': \(12, 12\)",
         ),
     }
     for edit, message in cases.values():
@@ -391,37 +403,42 @@ def test_dataset_load_rejects_non_finite_values_and_wrong_scene_count(tmp_path):
             load_dataset(path)
     # An older version of the format is refused by name.
     save_dataset(path, scenes)
-    older = path.read_text(encoding="utf-8").replace(DATASET_HEADER, "toyworld-dataset v1", 1)
+    older = path.read_text(encoding="utf-8").replace(DATASET_HEADER, "toyworld-dataset v2", 1)
     path.write_text(older, encoding="utf-8")
     with pytest.raises(ValueError, match="older format"):
         load_dataset(path)
 
 
-def _edit_first(prefix, edit):
-    """A body edit: `edit` applied to the tokens of the first line that starts with `prefix`."""
-
-    def apply(body):
-        at = next(k for k, line in enumerate(body) if line.startswith(prefix))
-        return body[:at] + [" ".join(edit(body[at].split(" ")))] + body[at + 1 :]
-
-    return apply
+def _set(name, index, value):
+    """A tensor edit: `name`'s row-major value at `index` becomes `value`."""
+    return tensor_body(lambda t: np.put(t[name], index, value))
 
 
-def _swapped_x(tokens):
-    return tokens[:2] + [tokens[4], tokens[3], tokens[2]] + tokens[5:]
+def _swap_x(name):
+    """A tensor edit: the first box of `name` swaps its x corners."""
+    return tensor_body(lambda t: t[name][0].put([0, 2], t[name][0, [2, 0]]))
 
 
-# One body defect per case, each refused by the dataset loader's own checks;
-# the regex matches the message naming that defect.
+def _first_background_target(tensors):
+    background = np.flatnonzero(tensors["labels"][:, 0] == 0)
+    assert len(background)
+    tensors["targets"][background[0], 2] = 0.25
+
+
+# One defect per case, each an edit of the dataset's arrays refused by the dataset loader's own
+# checks; the regex matches the message naming that defect.
 DATASET_BODY_REFUSALS = {
-    "object class id 0": (_edit_first("object ", lambda t: [t[0], "0", *t[2:]]), "class id must be >= 1"),
-    "proposal label -1": (_edit_first("proposal 0 ", lambda t: [t[0], "-1", *t[2:]]), "background"),
-    "inverted anchor": (_edit_first("proposal ", _swapped_x), "degenerate box corners"),
-    "nan box corner": (_edit_first("object ", lambda t: [*t[:2], "nan", *t[3:]]), "non-finite"),
-    "unknown line kind": (_edit_first("object ", lambda t: ["thing", *t[1:]]), "unexpected dataset line"),
-    "scene with two ids": (_edit_first("scene ", lambda t: [*t, "2"]), "unexpected dataset line"),
-    "non-integer head": (_edit_first("object ", lambda t: [t[0], "2.5", *t[2:]]), r"2\.5"),
-    "head beyond exact integers": (_edit_first("object ", lambda t: [t[0], "1e300", *t[2:]]), r"1e\+?300"),
+    "object class id 0": (_set("gt_ids", 0, 0), "class id must be >= 1"),
+    "proposal label -1": (_set("labels", 0, -1), "background"),
+    "inverted anchor": (_swap_x("anchors"), "degenerate box corners"),
+    "nan box corner": (_set("gt_boxes", 0, np.nan), "non-finite"),
+    "non-integer head": (_set("gt_ids", 0, 2.5), r"gt_ids holds 2\.5, not an integer"),
+    "head beyond exact integers": (_set("labels", 0, 1e300), r"labels holds 1e\+?300, not an integer"),
+    "falling offsets": (_set("proposal_offsets", 2, 2), "proposal_offsets must rise from 0 to 12 and never fall"),
+    "object offsets end short": (_set("object_offsets", -1, 3), "object_offsets must rise from 0 to 4"),
+    "shape mismatch": (tensor_body(lambda t: t.update(targets=t["targets"][:-1])), "disagree with each other"),
+    "missing tensor": (tensor_body(lambda t: t.pop("gt_boxes")), "disagree with each other"),
+    "non-zero background target": (tensor_body(_first_background_target), "background proposal has targets"),
 }
 
 
@@ -498,27 +515,28 @@ def test_exemplars_for_output_is_pinned(case):
 
 
 # universe.txt pinned for shapes the default quickstart does not exercise: config -> the file's
-# sha256 (first 16 hex digits) at seeds 0-3, taken from the per-class generator that the one-draw universe replaced.
+# sha256 (first 16 hex digits) at seeds 0-3, in format v3. Each file loads the arrays, bit for bit, that the
+# format-v2 file of the per-class generator, which the one-draw universe replaced, loaded.
 PINNED_UNIVERSES = {
     "one base, one novel": (
         UniverseConfig(n_base=1, n_novel=1),
-        ("0c531608137f104b", "c7cbf5ab2106604a", "91e5f1fab6f85b00", "3176986160adf2c6"),
+        ("44ec8267fe65c561", "36dd0ce2a11af17e", "3d70b4eb568bce56", "7c11e063d1aee4aa"),
     ),
     "60 novel classes": (
         UniverseConfig(n_novel=60),
-        ("4303eb5889bd51bc", "abda4cb87cf39808", "74ed484d9965998e", "14a8866a9f124685"),
+        ("4a6859a8eba268ce", "f1f13a8dfd9dd367", "d9a2b09d06bbfd85", "e2a1e55c3a6baa85"),
     ),
     "k 2, d_sem 2, m_in 6": (
         UniverseConfig(k=2, d_sem=2, m_in=6),
-        ("fae6fa9a16100297", "ff77f583460f513f", "fbbcc2341f595dea", "b7d69c0620765a23"),
+        ("5f66d7c980fb715a", "6468f475b7cf1e31", "5e0f1fb555a88ded", "e7747fb447f15373"),
     ),
     "no semantic noise": (
         UniverseConfig(sigma_sem=0.0),
-        ("40249bca4dd07204", "83b991baf883cee7", "40642bb8b1d34d4f", "64faa7f8672b7f51"),
+        ("f2fedc26f52c8b7a", "1dc86ec466407bb4", "d08b2d70c3632259", "80f236c868231e2e"),
     ),
     "m_in 16": (
         UniverseConfig(m_in=16),
-        ("a2b6195be6fa8519", "1d7c847eb020d758", "21441a6dd8b8afdf", "4290a19ee07c2047"),
+        ("dd5a8acc7bbef298", "a7bc2a5f1b0f1b24", "99003e12308f15f2", "499116ed956c4d21"),
     ),
 }
 

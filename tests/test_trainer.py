@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import TINY_TRAIN, identity_detector, reframe
+from conftest import TINY_TRAIN, identity_detector, reframe, tensor_body
 from helpers import empty_prototypes, objects_of, params_equal, scene_of
 from morphdet import em_trainer
 from morphdet.em_trainer import (
@@ -476,7 +476,7 @@ def test_checkpoint_rejects_corruption(tmp_path, tiny_state, tiny_exemplars):
     # Any edit that does not rewrite the end line is refused by the digest.
     raw_cases = {
         "bad_header.ckpt": ["junk"] + lines[1:],
-        "older_format.ckpt": [CHECKPOINT_HEADER.replace("v2", "v1")] + lines[1:],
+        "older_format.ckpt": [CHECKPOINT_HEADER.replace("v3", "v2")] + lines[1:],
         "no_config.ckpt": [lines[0]] + lines[2:],
         "edited_novel_ids.ckpt": [lines[0], lines[1].replace(f'"novel_ids": {novel}', f'"novel_ids": {novel[:-1]}')]
         + lines[2:],
@@ -508,26 +508,23 @@ def test_checkpoint_rejects_corruption(tmp_path, tiny_state, tiny_exemplars):
         return next(k for k, line in enumerate(body) if line.startswith(f"tensor {name} "))
 
     def drop_tensor(name):
-        return {"body": lambda body: body[: tensor_at(body, name)] + body[tensor_at(body, name) + 2 :]}
+        return {"body": lambda body: body[: tensor_at(body, name)] + body[tensor_at(body, name) + 1 :]}
 
-    def without_last_prototype_row(body):
-        at = tensor_at(body, "prototypes")
-        rows, cols = map(int, body[at].split()[2:])
-        return body[:at] + [f"tensor prototypes {rows - 1} {cols}", " ".join(body[at + 1].split()[:-cols])]
+    def tensors(edit):
+        return {"body": tensor_body(edit)}
 
     # A file whose digest holds is refused by the loader check it breaks.
     cases = {
         "bad_config": (config_with(train__em_iterations=0), "em_iterations must be >= 1"),
         "unknown_config_key": (config_with(arch={"m_in": m_in}), "config keys"),
         "no_class_ids": (config_with(class_ids=None), "config keys"),
-        "dangling": ({"body": lambda body: body[:1]}, "dangling tensor header"),
-        "duplicate": ({"body": lambda body: body[:2] + body}, "duplicate tensor 'trunk.0.weight'"),
+        "duplicate": ({"body": lambda body: body[:1] + body}, "duplicate tensor 'trunk.0.weight'"),
         "missing_tensor": (drop_tensor("box_head.bias"), "missing tensor 'box_head.bias'"),
         "missing_bottom_tensor": (drop_tensor("trunk.0.weight"), "missing tensor 'trunk.0.weight'"),
         "no_prototypes": (drop_tensor("prototypes"), "missing tensor 'prototypes'"),
-        "extra_tensor": ({"body": lambda body: body + ["tensor extra 1 1", "1"]}, "unexpected tensors: ['extra']"),
+        "extra_tensor": (tensors(lambda t: t.update(extra=np.ones((1, 1)))), "unexpected tensors: ['extra']"),
         "trunk_shape": (
-            {"body": lambda body: [f"tensor trunk.0.weight {2 * m_in} {hidden // 2}", *body[1:]]},
+            tensors(lambda t: t.update({"trunk.0.weight": t["trunk.0.weight"].reshape(2 * m_in, hidden // 2)})),
             f"has shape ({2 * m_in}, {hidden // 2}), expected ({2 * m_in}, {hidden})",
         ),
         # Config values of the wrong type must not be truncated or accepted.
@@ -554,9 +551,9 @@ def test_checkpoint_rejects_corruption(tmp_path, tiny_state, tiny_exemplars):
         "fewer_class_ids_than_rows": (
             config_with(class_ids=ids[:-1], novel_ids=novel[:-1]), "prototype matrix has shape"
         ),
-        "prototype_row_lost": ({"body": without_last_prototype_row}, "prototype matrix has shape"),
+        "prototype_row_lost": (tensors(lambda t: t.update(prototypes=t["prototypes"][:-1])), "prototype matrix has shape"),
         "prototype_not_unit": (
-            {"body": lambda body: body[:-1] + [body[-1].rsplit(" ", 1)[0] + " 0.5"]},
+            tensors(lambda t: np.put(t["prototypes"], -1, 0.5)),
             f"prototype for class {ids[-1]} is not a finite unit vector",
         ),
     }
