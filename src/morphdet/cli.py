@@ -58,7 +58,7 @@ def load_experiment_config(path: str | None) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or JSON too deep or too long a number
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     return experiment_config_from_dict(data)
 
@@ -173,13 +173,12 @@ _SPLIT_FILES = {"base": ("eval_base.txt",), "novel": ("eval_novel.txt",), "all":
 
 def cmd_eval(args) -> int:
     detect_config = DetectConfig(score_threshold=args.score_threshold, nms_iou=args.nms_iou)
-    split = load_universe(os.path.join(args.data, "universe.txt")).split_manifest()
-    base_ids = split["base_class_ids"] if args.split != "novel" else []
-    novel_ids = split["novel_class_ids"] if args.split != "base" else []
-    splits = {path: load_dataset(path) for path in (os.path.join(args.data, name) for name in _SPLIT_FILES[args.split])}
-    scenes = [scene for split in splits.values() for scene in split]
-    known = {*split["base_class_ids"], *split["novel_class_ids"]}
-    stray = sorted({cid for scene in scenes for cid in scene.gt_ids.tolist()} - known)
+    universe = load_universe(os.path.join(args.data, "universe.txt"))
+    base_ids = universe.base if args.split != "novel" else ()
+    novel_ids = universe.novel if args.split != "base" else ()
+    datasets = {path: load_dataset(path) for path in (os.path.join(args.data, n) for n in _SPLIT_FILES[args.split])}
+    scenes = [scene for dataset in datasets.values() for scene in dataset]
+    stray = sorted({cid for scene in scenes for cid in scene.gt_ids.tolist()} - {*universe.base, *universe.novel})
     if stray:
         raise ValueError(f"{args.data}: objects of classes {stray} that universe.txt does not list")
 
@@ -189,8 +188,8 @@ def cmd_eval(args) -> int:
     for stem, path in (("report", args.checkpoint), ("baseline_report", args.baseline_checkpoint)):
         if path is not None:
             state = load_checkpoint(path)
-            for data, split in splits.items():
-                _refuse_other_m_in(state, path, (scene.descriptors.shape[1] for scene in split), data)
+            for data, dataset in datasets.items():
+                _refuse_other_m_in(state, path, (scene.descriptors.shape[1] for scene in dataset), data)
             # An "all" report leaves out novel classes the checkpoint has not
             # registered yet: a pre-morph eval just lacks a novel section.
             present = [cid for cid in novel_ids if args.split != "all" or state.prototypes.has_class(cid)]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .embedder import (
 from .numkernel import DimensionMismatch, EmptyInput
 from .objective import scoring_matrix
 from .prototype_store import PrototypeSet, UnknownClass, e_step_update, init_from_semantic
-from .textio import read_tensor_file, tensor_line, write_record_file
+from .textio import read_tensor_file, tensor_line, write_csv, write_record_file
 
 CHECKPOINT_HEADER = "morphdet-checkpoint v3"
 
@@ -351,12 +351,7 @@ def _class_means(ids: np.ndarray, rows: np.ndarray) -> dict[int, np.ndarray]:
 
 
 def write_metrics_csv(path, records) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("iteration,epoch,fg_loss,bg_loss,bbox_loss,total_loss\n")
-        for rec in records:
-            fh.write(
-                f"{rec.iteration},{rec.epoch},{rec.fg:.17g},{rec.bg:.17g},{rec.bbox:.17g},{rec.total:.17g}\n"
-            )
+    write_csv(path, "iteration,epoch,fg_loss,bg_loss,bbox_loss,total_loss", map(astuple, records))
 
 
 def save_checkpoint(path, state: DetectorState) -> None:

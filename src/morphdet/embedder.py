@@ -10,9 +10,9 @@ the training loss of objective.py on a minibatch given as arrays, foreground
 rows first (descriptors, the foreground rows' prototype rows and box targets;
 per-group means of foreground, background and box terms, each multiplied by
 its weight) and backpropagates it through the heads and the ReLU trunk in
-closed form, returning the gradient as one flat vector in the parameter
-layout. Labels are mapped and checked by the caller, the M-step once for all
-of its batches. Both functions run the same
+closed form, writing the gradient into the caller's flat vector in the
+parameter layout. Labels are mapped and checked by the caller, the M-step
+once for all of its batches. Both functions run the same
 forward pass, and the loss takes its posteriors from objective.softmax_terms,
 the softmax that detection scores with. Prototypes are constants here.
 sgd_step updates a parameter vector and its velocity in place.
@@ -135,12 +135,6 @@ class EmbedderParams:
         return self._tensors
 
 
-def validate_params(params: EmbedderParams) -> None:
-    """Check every entry is finite; shapes hold by construction."""
-    if not np.all(np.isfinite(params.flat)):
-        raise ValueError("network parameters contain non-finite entries")
-
-
 def init_params(m_in: int, hidden_sizes, feature_dim: int, seed: int) -> EmbedderParams:
     """Deterministic initialization: weights uniform in +-1/sqrt(fan_in),
     biases zero. Layers are drawn in a fixed order (trunk bottom-up, then the
@@ -188,7 +182,7 @@ def forward_batch_with_grad(
     fg_targets: np.ndarray,
     pmat: np.ndarray,
     config: TrainConfig,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> tuple[LossBreakdown, np.ndarray]:
     """Composite loss and exact parameter gradients for one minibatch.
 
@@ -197,18 +191,15 @@ def forward_batch_with_grad(
     fg_targets[i]; the other rows are background. The loss is the sum of three
     group means, weighted by config.fg_weight, bg_weight and bbox_weight:
     foreground and background negative log-probability, and smooth-L1 box
-    regression over foreground rows. The gradient is one float64 vector in the
-    layout of params.flat: `out` when given (its previous contents are
-    overwritten), else a new vector. Accumulation order is fixed (batch
-    order), so the result is reproducible bit-for-bit.
+    regression over foreground rows. The gradient is written into `out`, one
+    float64 vector in the layout of params.flat, and returned; its previous
+    contents are overwritten. Accumulation order is fixed (batch order), so
+    the result is reproducible bit-for-bit.
     """
     if not len(descriptors):
         raise EmptyInput("empty batch")
     n_bg = len(descriptors) - n_fg
-    if out is None:
-        out = np.empty_like(params.flat)
-    else:
-        _check_flat(out, params.flat.size, "gradient buffer")
+    _check_flat(out, params.flat.size, "gradient buffer")
     # Forward pass, keeping pre-activations for the backward sweep.
     pre_acts, acts, (feats, bg, deltas) = _forward(params, descriptors)
 
@@ -297,7 +288,8 @@ def params_to_lines(params: EmbedderParams) -> list[str]:
 def params_from_tensors(tensors: dict[str, np.ndarray], hidden_sizes) -> EmbedderParams:
     """Rebuild parameters of the given hidden widths from named tensors; m_in
     and the feature dimension are the shapes of the bottom weight and the
-    feature head, and every tensor's shape is checked against the layout."""
+    feature head, and every tensor's shape is checked against the layout.
+    Values are not checked: the tensor codec refused a non-finite one."""
     tensors = dict(tensors)
     bottom = "trunk.0.weight" if hidden_sizes else "feature_head.weight"
     try:
@@ -314,8 +306,4 @@ def params_from_tensors(tensors: dict[str, np.ndarray], hidden_sizes) -> Embedde
         view[...] = arr.reshape(view.shape)
     if tensors:
         raise CheckpointError(f"checkpoint has unexpected tensors: {sorted(tensors)}")
-    try:
-        validate_params(params)
-    except ValueError as exc:
-        raise CheckpointError(str(exc)) from exc
     return params

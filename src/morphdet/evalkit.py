@@ -20,6 +20,7 @@ import numpy as np
 from .morph_inference import Box, DetectConfig, detect, iou
 from .numkernel import EmptyInput
 from .prototype_store import UnknownClass
+from .textio import write_csv
 
 IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 
@@ -62,23 +63,17 @@ def _score_order(detections) -> list[int]:
     return sorted(range(len(detections)), key=lambda i: -detections[i][1])
 
 
-def average_precision(detections, ground_truths, iou_threshold: float, table=None) -> float:
-    """AP for one class.
-
-    `detections` are (scene_id, score, Box) triples, `ground_truths` are
-    (scene_id, Box) pairs; `table`, their iou_table, saves recomputing it at
-    each threshold. No ground truth yields 0.0 by convention (callers
-    normally exclude such classes).
+def average_precision(table, gt_count: int, iou_threshold: float) -> float:
+    """AP for one class from the iou_table of its detections and its
+    `gt_count` ground truths, built once for every threshold. No ground
+    truth yields 0.0 by convention (callers normally exclude such classes).
     """
-    detections = list(detections)
-    ground_truths = list(ground_truths)
-    if not ground_truths or not detections:
+    if not gt_count or not table:
         return 0.0
-    table = iou_table(detections, ground_truths) if table is None else table
-    flags = _match_detections(table, len(ground_truths), iou_threshold)
+    flags = _match_detections(table, gt_count, iou_threshold)
     tp = np.cumsum([1.0 if f else 0.0 for f in flags])
     fp = np.cumsum([0.0 if f else 1.0 for f in flags])
-    recall = tp / len(ground_truths)
+    recall = tp / gt_count
     precision = tp / (tp + fp)
 
     mrec = np.concatenate([[0.0], recall, [1.0]])
@@ -91,8 +86,8 @@ def average_precision(detections, ground_truths, iou_threshold: float, table=Non
 
 def recall_at(detections, ground_truths, n: int, iou_threshold: float) -> float:
     """Fraction of ground truths matched by each scene's top-n detections,
-    ignoring class labels. Inputs use the same triple/pair shapes as
-    average_precision."""
+    ignoring class labels. `detections` are (scene_id, score, Box) triples,
+    `ground_truths` (scene_id, Box) pairs, as iou_table takes them."""
     if n < 1:
         raise ValueError(f"detection budget must be >= 1, got {n}")
     detections = list(detections)
@@ -191,9 +186,8 @@ def evaluate(
         raise EmptyInput("nothing to evaluate: no ground truth for the listed classes")
     per_class = {}
     for cid in evaluated:
-        dets, gts = dets_by_class[cid], gts_by_class[cid]
-        table = iou_table(dets, gts)
-        per_class[cid] = {thr: average_precision(dets, gts, thr, table) for thr in IOU_THRESHOLDS}
+        table = iou_table(dets_by_class[cid], gts_by_class[cid])
+        per_class[cid] = {thr: average_precision(table, len(gts_by_class[cid]), thr) for thr in IOU_THRESHOLDS}
 
     overall = _subset(per_class, evaluated)
     recall_dets = [row for cid in evaluated for row in dets_by_class[cid]]
@@ -252,9 +246,6 @@ def report_table_rows(method: str, report: EvalReport) -> list[dict]:
 
 
 def write_report_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("method,split,ap,ap50,ap75\n")
-        for row in rows:
-            fh.write(
-                f"{row['method']},{row['split']},{row['ap']:.6f},{row['ap50']:.6f},{row['ap75']:.6f}\n"
-            )
+    """report_table_rows as CSV, each AP to six decimals."""
+    rows = ((r["method"], r["split"], *(f"{r[k]:.6f}" for k in ("ap", "ap50", "ap75"))) for r in rows)
+    write_csv(path, "method,split,ap,ap50,ap75", rows)

@@ -19,7 +19,7 @@ from .em_trainer import ConfigError, TrainConfig, fill_dataclass, train, train_l
 from .evalkit import evaluate
 from .morph_inference import DetectConfig, morph
 from .prototype_store import add_novel
-from .textio import fmt
+from .textio import write_csv
 from .toyworld import DataConfig, UniverseConfig, exemplars_for, make_dataset, make_universe, semantic_vectors
 
 LAMBDA_GRID = (0.0, 0.3, 0.5, 0.7)
@@ -104,11 +104,8 @@ def _tables(out_dir, name: str, header: str, raw):
     summary = [(key, *(float(np.mean(col)) for col in zip(*rows))) for key, rows in groups.items()]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        for suffix, head, rows in (("raw", header, raw), ("summary", header.partition(",")[2], summary)):
-            with open(os.path.join(out_dir, f"{name}_{suffix}.csv"), "w", encoding="utf-8", newline="") as fh:
-                fh.write(head + "\n")
-                for row in rows:
-                    fh.write(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        write_csv(os.path.join(out_dir, f"{name}_raw.csv"), header, raw)
+        write_csv(os.path.join(out_dir, f"{name}_summary.csv"), header.partition(",")[2], summary)
     return raw, summary
 
 

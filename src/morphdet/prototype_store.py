@@ -15,6 +15,7 @@ Prototype sets are immutable values: every update returns a new set.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from .numkernel import DimensionMismatch, EmptyInput, l2_normalize
 from .textio import fmt_vector, parse_floats
 
 UNIT_NORM_TOL = 1e-9
+_UNDECODED = re.compile("[\udc80-\udcff]")  # where surrogateescape put a byte that is not UTF-8
 
 
 class ClassCollision(ValueError):
@@ -42,6 +44,9 @@ class PrototypeSet:
     `ids` ascends, and row k of the (len(ids), dim) matrix is the prototype
     of class ids[k]. Ids start at 1; 0 is reserved for background. `novel`
     holds the ids registered after training; every other id is a base class.
+
+    The set owns and freezes the matrix it is given, so a checked set cannot
+    be edited in place: every function that builds one passes a fresh array.
     """
 
     ids: tuple[int, ...]
@@ -69,6 +74,7 @@ class PrototypeSet:
                 raise ValueError(
                     f"prototype for class {ids[k]} is not a finite unit vector (||v|^2 - 1| = {float(off[k])!r})"
                 )
+        mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "novel", novel)
 
@@ -83,14 +89,6 @@ class PrototypeSet:
 
     def has_class(self, class_id: int) -> bool:
         return class_id in self.ids
-
-    def vector_for(self, class_id: int) -> np.ndarray:
-        """A read-only view of the class's row."""
-        if class_id not in self.ids:
-            raise UnknownClass(f"no prototype for class {class_id}")
-        row = self.matrix[self.ids.index(class_id)]
-        row.flags.writeable = False
-        return row
 
 
 def init_from_semantic(vectors: Mapping) -> PrototypeSet:
@@ -182,11 +180,13 @@ def read_vector_file(path) -> dict[int, np.ndarray]:
     the path and line once. A row whose sum of squares overflows is refused
     here, as it could never be normalized into a prototype."""
     out: dict[int, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
+                if _UNDECODED.search(line):
+                    raise ValueError("not UTF-8 text")
                 head, _, tail = line.rstrip("\n").partition("\t")
                 if not tail:
                     raise ValueError(f"malformed vector line (missing tab): {line[:80]!r}")

@@ -34,12 +34,10 @@ def fmt_vector(vec) -> str:
     return row_format(len(values)) % tuple(values)
 
 
-def parse_floats(tokens) -> np.ndarray:
-    """Tokens (or one whitespace-separated string) as float64; NaN and
-    infinities are rejected, so no non-finite value enters from a file."""
-    if isinstance(tokens, str):
-        tokens = tokens.split()
-    values = np.array(tokens, dtype=np.float64)
+def parse_floats(text: str) -> np.ndarray:
+    """A whitespace-separated string as float64; NaN and infinities are
+    rejected, so no non-finite value enters from a file."""
+    values = np.array(text.split(), dtype=np.float64)
     if not np.isfinite(values).all():
         raise ValueError(f"non-finite value among {values.size} floats")
     return values
@@ -94,15 +92,18 @@ def write_record_file(path, header: str, meta_key: str, meta: dict, body) -> Non
 
 def read_record_file(path, header: str, meta_key: str) -> tuple[dict, list[str]]:
     """Inverse of write_record_file: (meta, body lines). Raises ValueError
-    unless the file opens with `header` (naming an older version of its kind
-    as such) and a JSON-object meta line, ends with the end line its other
-    bytes hash to, and holds no blank line."""
+    unless the file is UTF-8 text that opens with `header` (naming an older
+    version of its kind as such) and a JSON-object meta line, ends with the end
+    line its other bytes hash to, and holds no blank line."""
     with open(path, "rb") as fh:
         raw = fh.read()
     cut = raw.rfind(b"\n", 0, len(raw) - 1) + 1  # where the last line starts
     with memoryview(raw)[:cut] as head:
         intact = raw[cut:] == f"{END} sha256={hashlib.sha256(head).hexdigest()}\n".encode("utf-8")
-        text = str(head, "utf-8")
+        try:
+            text = str(head, "utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     del raw  # the bytes go before the text is split, as they would in text mode
     lines = text.split("\n")[:-1]
     if not lines or lines[0] != header:
@@ -117,7 +118,7 @@ def read_record_file(path, header: str, meta_key: str) -> tuple[dict, list[str]]
         raise ValueError(f"{path}: line 2 is not a {meta_key!r} line")
     try:
         meta = json.loads(payload)
-    except json.JSONDecodeError:  # not JSON at all: refused below, as any meta that is not an object
+    except (ValueError, RecursionError):  # JSON cannot parse it (too deep, too long a number): not an object
         meta = None
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: {meta_key} line is not a JSON object")
@@ -135,6 +136,14 @@ def read_tensor_file(path, header: str, meta_key: str) -> tuple[dict, dict[str, 
         return meta, tensor_blocks(body)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def write_csv(path, header: str, rows) -> None:
+    """The header line, then each row's values joined by commas: a float as fmt writes it, anything else by str."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def sha256_file(path) -> str:

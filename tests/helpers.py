@@ -41,6 +41,13 @@ def empty_prototypes(dim: int) -> PrototypeSet:
     return PrototypeSet(ids=(), matrix=np.zeros((0, int(dim))))
 
 
+def vector_for(protos: PrototypeSet, class_id: int) -> np.ndarray:
+    """The class's row of the set's read-only matrix; refuses a class with no prototype."""
+    if class_id not in protos.ids:
+        raise UnknownClass(f"no prototype for class {class_id}")
+    return protos.matrix[protos.ids.index(class_id)]
+
+
 def labelled_batch(descriptors, labels, targets, prototypes: PrototypeSet) -> tuple:
     """forward_batch_with_grad's batch arguments from per-row labels (0 for
     background), foreground rows first; refuses a label with no prototype."""

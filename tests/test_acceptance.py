@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from test_embedder import make_batch, make_protos, max_grad_error
-from test_evalkit import random_box, ref_average_precision, ref_recall_at
+from test_evalkit import ap_of, random_box, ref_average_precision, ref_recall_at
 
-from helpers import encode_one, labelled_batch, scene_of
+from helpers import encode_one, labelled_batch, scene_of, vector_for
 from morphdet.cli import main
 from morphdet.em_trainer import DetectorState, TrainConfig, m_step, proposal_arrays
 from morphdet.embedder import (
@@ -21,7 +21,7 @@ from morphdet.embedder import (
     init_params,
     params_to_lines,
 )
-from morphdet.evalkit import average_precision, recall_at
+from morphdet.evalkit import recall_at
 from morphdet.experiments import (
     ExperimentConfig,
     UniverseConfig,
@@ -76,17 +76,17 @@ def test_criterion_03_e_step_algebra():
     kept = e_step_update(protos, means, 1.0)
     assert kept is protos
     for cid in (1, 2, 3):
-        assert np.array_equal(kept.vector_for(cid), protos.vector_for(cid))
+        assert np.array_equal(vector_for(kept, cid), vector_for(protos, cid))
 
     refit = e_step_update(protos, means, 0.0)
     for cid in (1, 2, 3):
         expected = l2_normalize(means[cid])
-        assert np.max(np.abs(refit.vector_for(cid) - expected)) < 1e-12
+        assert np.max(np.abs(vector_for(refit, cid) - expected)) < 1e-12
 
     pair = PrototypeSet(ids=(1,), matrix=np.array([[0.0, 1.0]]))
     blended = e_step_update(pair, {1: np.array([1.0, 0.0])}, 0.5)
     target = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    worst = float(np.max(np.abs(blended.vector_for(1) - target)))
+    worst = float(np.max(np.abs(vector_for(blended, 1) - target)))
     print(f"criterion 3: lam=1 bitwise, lam=0 normalized means, symmetric blend off by {worst:.3e} < 1e-12")
     assert worst < 1e-12
 
@@ -102,7 +102,7 @@ def test_criterion_04_morph_is_forward_only(tiny_state, tiny_exemplars):
 
     theta_after = "\n".join(params_to_lines(morphed.params))
     expected = l2_normalize(forward_batch(tiny_state.params, exemplar[None, :])[0][0])
-    worst = float(np.max(np.abs(morphed.prototypes.vector_for(cid) - expected)))
+    worst = float(np.max(np.abs(vector_for(morphed.prototypes, cid) - expected)))
     print(
         f"criterion 4: {grads_used} gradient evaluations, parameters byte-identical "
         f"{theta_after == theta_before}, one-shot prototype off by {worst:.3e} < 1e-12"
@@ -160,7 +160,7 @@ def test_criterion_06_metric_oracle_equivalence():
                 box = random_box(rng)
             dets.append((scene, score, box))
         for thr in (0.5, 0.75):
-            assert average_precision(dets, gts, thr) == ref_average_precision(dets, gts, thr)
+            assert ap_of(dets, gts, thr) == ref_average_precision(dets, gts, thr)
         for budget in (1, 3):
             assert recall_at(dets, gts, budget, 0.5) == ref_recall_at(dets, gts, budget, 0.5)
         checked += 1
@@ -252,9 +252,13 @@ def test_criterion_10_overfit_sanity():
     data = [scene_of(proposals=pool)]
     batch = proposal_arrays(data)
 
-    initial = forward_batch_with_grad(params, *labelled_batch(*batch, protos), config)[0].total
+    initial = forward_batch_with_grad(
+        params, *labelled_batch(*batch, protos), config, np.empty_like(params.flat)
+    )[0].total
     trained, _ = m_step(state, *batch)
-    final = forward_batch_with_grad(trained.params, *labelled_batch(*batch, protos), config)[0].total
+    final = forward_batch_with_grad(
+        trained.params, *labelled_batch(*batch, protos), config, np.empty_like(trained.params.flat)
+    )[0].total
     ratio = final / initial
     elapsed = time.perf_counter() - start
     print(

@@ -1,5 +1,6 @@
 """End-to-end command-line flows on a miniature benchmark."""
 
+import hashlib
 import json
 import pathlib
 import shutil
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import reframe, tensor_body, without_last_value
-from helpers import params_equal
+from helpers import params_equal, vector_for
 from morphdet.cli import GEN_FILES, _apply_train_overrides, build_parser, main
 from morphdet.em_trainer import CHECKPOINT_HEADER, TrainConfig, load_checkpoint
 from morphdet.embedder import grad_evaluation_count
@@ -138,6 +139,18 @@ def test_gen_rejects_bad_config(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"[" * 100_000 + b"]" * 100_000, b'{"shots": ' + b"9" * 5000 + b"}", b"\xff{}"],
+    ids=["nested 100000 deep", "a 5000-digit integer", "not UTF-8"],
+)
+def test_gen_names_a_config_file_that_json_cannot_parse(content, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(content)
+    out = tmp_path / "world"
+    _refused_without_output(["gen", "--out", str(out), "--config", str(config)], out, capsys, f"{config}: not valid JSON")
+
+
 def test_train_writes_checkpoints_and_metrics(train_dir):
     assert (train_dir / "checkpoint_iter1.ckpt").is_file()
     assert (train_dir / "checkpoint_iter2.ckpt").is_file()
@@ -225,7 +238,7 @@ def test_morph_shot_cap_changes_prototypes(morphed_ckpt, train_dir, gen_dir, tmp
     assert rc == 0
     one = load_checkpoint(out)
     full = load_checkpoint(morphed_ckpt)
-    assert not np.array_equal(one.prototypes.vector_for(5), full.prototypes.vector_for(5))
+    assert not np.array_equal(vector_for(one.prototypes, 5), vector_for(full.prototypes, 5))
 
 
 def test_morph_twice_collides(morphed_ckpt, gen_dir, tmp_path):
@@ -323,6 +336,8 @@ SEMANTICS_REFUSALS = {
     "sum of squares overflows": (
         _first_line(lambda line: "1\t" + " ".join(["1e200"] * 8)), "the sum of squares of class 1's vector overflows"
     ),
+    # Written back with surrogateescape, "\udcff" is the byte 0xff, which UTF-8 never holds.
+    "a 0xff byte": (lambda lines: [lines[0], lines[1] + "\udcff", *lines[2:]], "line 2: not UTF-8 text"),
 }
 
 
@@ -333,7 +348,8 @@ def test_a_refused_semantics_file_is_named_once(case, gen_dir, tmp_path, capsys)
     shutil.copytree(gen_dir, data)
     path = data / "semantics.txt"
     edit, message = SEMANTICS_REFUSALS[case]
-    path.write_text("".join(line + "\n" for line in edit(path.read_text(encoding="utf-8").splitlines())), encoding="utf-8")
+    lines = edit(path.read_text(encoding="utf-8", errors="surrogateescape").splitlines())
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8", errors="surrogateescape")
     out = tmp_path / "run"
     assert main(["train", "--data", str(data), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -689,6 +705,17 @@ _SPOILED_BODIES = {
     "inf in the first tensor": tensor_body(lambda t: np.put(next(iter(t.values())), 0, np.inf)),
     "nan in the first tensor": tensor_body(lambda t: np.put(next(iter(t.values())), 0, np.nan)),
 }
+# Meta JSON that json.loads cannot parse, framed by hand, as json.dumps cannot write it either.
+_SPOILED_METAS = {"meta nested 100000 deep": "[" * 100_000 + "]" * 100_000, "meta with a 5000-digit integer": "9" * 5000}
+# Bytes that are not UTF-8: a PNG signature for a whole file, or one 0xff byte opening line 2 (the sha256 then fails).
+_NOT_UTF8 = {"PNG bytes": lambda raw: b"\x89PNG\r\n\x1a\n", "0xff on line 2": lambda raw: raw.replace(b"\n", b"\n\xff", 1)}
+
+
+def _frame_meta_text(path, payload: str) -> None:
+    """Give the container at `path` the meta JSON text `payload` and the sha256 end line its bytes hash to."""
+    header, meta, *body = path.read_bytes().split(b"\n")[:-2]
+    head = b"\n".join([header, meta.partition(b" ")[0] + b" " + payload.encode("ascii"), *body, b""])
+    path.write_bytes(head + f"end sha256={hashlib.sha256(head).hexdigest()}\n".encode("ascii"))
 
 
 @pytest.mark.parametrize(
@@ -698,7 +725,10 @@ _SPOILED_BODIES = {
     + [("exemplars.csv", f"tensor named {tensor}") for tensor in ("x", "1.5", "0", "-3")]
     + [("exemplars.csv", "first tensor lost a value"), ("exemplars.csv", "inf in the first tensor")]
     + [("universe.txt", "nan in the first tensor"), ("checkpoint", "nan in the first tensor")]
-    + [("eval_base.txt", "m_in 14"), ("exemplars.csv", "m_in 14")],
+    + [("eval_base.txt", "m_in 14"), ("exemplars.csv", "m_in 14")]
+    + [("eval_novel.txt", "PNG bytes"), ("universe.txt", "0xff on line 2")]
+    + [(name, "meta nested 100000 deep") for name in ("eval_base.txt", "exemplars.csv", "checkpoint")]
+    + [("eval_novel.txt", "meta with a 5000-digit integer")],
 )
 def test_a_refused_file_is_named_once_in_a_plain_message(name, spoil, gen_dir, train_dir, tmp_path, capsys):
     data, run = tmp_path / "data", tmp_path / "run"
@@ -708,6 +738,10 @@ def test_a_refused_file_is_named_once_in_a_plain_message(name, spoil, gen_dir, t
     path = checkpoint if name == "checkpoint" else data / name
     if spoil in _SPOILED_BODIES:
         reframe(path, *_FRAMINGS[name], body=_SPOILED_BODIES[spoil])
+    elif spoil in _SPOILED_METAS:
+        _frame_meta_text(path, _SPOILED_METAS[spoil])
+    elif spoil in _NOT_UTF8:
+        path.write_bytes(_NOT_UTF8[spoil](path.read_bytes()))
     elif spoil.startswith("tensor named "):  # refused by the exemplar reader's own check: not a class id >= 1
         renamed = f"tensor {spoil.removeprefix('tensor named ')} "
         reframe(path, EXEMPLARS_HEADER, "meta", body=lambda body: [renamed + body[0].split(" ", 2)[2], *body[1:]])
@@ -729,6 +763,10 @@ def test_a_refused_file_is_named_once_in_a_plain_message(name, spoil, gen_dir, t
     assert "Error(" not in err and "Traceback" not in err and not out.exists()
     if spoil == "m_in 14":
         assert f"{path} holds descriptors of m_in 14, but {checkpoint} takes m_in 10" in err
+    if spoil in _SPOILED_METAS:
+        assert f"{path}: {'config' if name == 'checkpoint' else 'meta'} line is not a JSON object" in err
+    if spoil in _NOT_UTF8:
+        assert f"{path}: not UTF-8 text" in err
 
 
 def test_experiment_unknown_name(tmp_path, capsys):

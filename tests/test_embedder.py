@@ -15,11 +15,11 @@ from morphdet.embedder import (
     grad_evaluation_count,
     init_params,
     sgd_step,
-    validate_params,
 )
 from morphdet.numkernel import DimensionMismatch, smooth_l1_array, smooth_l1_grad_array
 from morphdet.objective import LossBreakdown, scoring_matrix, softmax_terms
 from morphdet.prototype_store import UnknownClass, init_from_semantic
+from morphdet.textio import parse_tensor, tensor_line
 
 
 def make_protos(rng, count, dim):
@@ -50,7 +50,6 @@ def test_init_params_deterministic_and_shaped():
     c = init_params(6, (8, 5), 4, seed=4)
     assert params_equal(a, b)
     assert not params_equal(a, c)
-    validate_params(a)
     assert a.m_in == 6 and a.hidden_sizes == (8, 5) and a.feature_dim == 4
     assert a.trunk[0].weight.shape == (6, 8)
     assert a.box_head.weight.shape == (5, 4)
@@ -109,23 +108,27 @@ def test_forward_batch_with_grad_counts_once_per_call():
     protos = make_protos(rng, 3, 4)
     batch = make_batch(rng, 5, [1, 0, 2])
     before = grad_evaluation_count()
-    forward_batch_with_grad(params, *labelled_batch(*batch, protos), TrainConfig())
-    forward_batch_with_grad(params, *labelled_batch(*batch, protos), TrainConfig())
+    forward_batch_with_grad(params, *labelled_batch(*batch, protos), TrainConfig(), np.empty_like(params.flat))
+    forward_batch_with_grad(params, *labelled_batch(*batch, protos), TrainConfig(), np.empty_like(params.flat))
     assert grad_evaluation_count() == before + 2
 
 
 def max_grad_error(params, batch, protos, weights, h=1e-5):
     """Central finite differences over every parameter coordinate; `batch`
     is a (descriptors, labels, targets) triple."""
-    _, grad = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights)
+    _, grad = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, np.empty_like(params.flat))
     worst = 0.0
     flat = params.flat
     for j in range(flat.size):
         keep = flat[j]
         flat[j] = keep + h
-        up = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights)[0].total
+        up = forward_batch_with_grad(
+            params, *labelled_batch(*batch, protos), weights, np.empty_like(params.flat)
+        )[0].total
         flat[j] = keep - h
-        down = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights)[0].total
+        down = forward_batch_with_grad(
+            params, *labelled_batch(*batch, protos), weights, np.empty_like(params.flat)
+        )[0].total
         flat[j] = keep
         fd = (up - down) / (2 * h)
         err = abs(grad[j] - fd) / max(abs(grad[j]), abs(fd), 1e-4)
@@ -159,7 +162,8 @@ def test_grad_rejects_unknown_label_and_empty_batch():
         labelled_batch(*make_batch(rng, 5, [0]), empty_prototypes(4))
     with pytest.raises(EmptyInput):
         forward_batch_with_grad(
-            params, np.zeros((0, 5)), np.zeros(0, dtype=int), 0, np.zeros((0, 4)), protos.matrix, TrainConfig()
+            params, np.zeros((0, 5)), np.zeros(0, dtype=int), 0, np.zeros((0, 4)), protos.matrix, TrainConfig(),
+            np.empty_like(params.flat),
         )
 
 
@@ -222,7 +226,9 @@ def test_forward_batch_with_grad_writes_into_out():
     params = init_params(5, (7, 6), 4, seed=3)
     protos = make_protos(rng, 3, 4)
     batch = make_batch(rng, 5, [1, 0, 2, 0, 3])
-    loss, fresh = forward_batch_with_grad(params, *labelled_batch(*batch, protos), TrainConfig())
+    loss, fresh = forward_batch_with_grad(
+        params, *labelled_batch(*batch, protos), TrainConfig(), np.empty_like(params.flat)
+    )
     out = np.full_like(params.flat, np.nan)
     loss_out, grad = forward_batch_with_grad(params, *labelled_batch(*batch, protos), TrainConfig(), out=out)
     assert grad is out and loss_out == loss
@@ -290,7 +296,9 @@ def test_planned_batch_equals_the_labelled_form_bit_for_bit(labels):
         protos = make_protos(rng, 3, 5)
         batch = make_batch(rng, 6, labels)
         want_loss, want_grad = labelled_reference(params, *batch, protos, weights)
-        loss, grad = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights)
+        loss, grad = forward_batch_with_grad(
+            params, *labelled_batch(*batch, protos), weights, np.empty_like(params.flat)
+        )
         assert loss == want_loss
         assert np.array_equal(grad, want_grad)
 
@@ -337,5 +345,5 @@ def test_params_reject_bad_sizes_and_non_finite_entries():
         EmbedderParams((4, 3), np.zeros(EmbedderParams((4, 3)).flat.size, dtype=np.float32))
     params = init_params(4, (5,), 3, seed=1)
     params.background_head.weight[1, 0] = np.nan
-    with pytest.raises(ValueError):
-        validate_params(params)
+    with pytest.raises(ValueError, match="non-finite"):  # a checkpoint's tensors are refused as they are decoded
+        parse_tensor(tensor_line("background_head.weight", params.background_head.weight))

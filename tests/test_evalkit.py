@@ -16,6 +16,7 @@ from morphdet.evalkit import (
     IOU_THRESHOLDS,
     average_precision,
     evaluate,
+    iou_table,
     recall_at,
     report_table_rows,
     report_to_dict,
@@ -25,6 +26,11 @@ from morphdet.evalkit import (
 from morphdet.morph_inference import Box, DetectConfig, iou
 from morphdet.numkernel import EmptyInput
 from morphdet.prototype_store import UnknownClass
+
+
+def ap_of(detections, ground_truths, thr):
+    """average_precision on the iou_table of `detections` and `ground_truths`, as evaluate builds it."""
+    return average_precision(iou_table(detections, ground_truths), len(ground_truths), thr)
 
 
 def ref_average_precision(detections, ground_truths, thr):
@@ -128,7 +134,7 @@ def test_metrics_match_reference_on_random_instances():
                 box = random_box(rng)
             dets.append((scene, score, box))
         for thr in (0.5, 0.75):
-            got = average_precision(dets, gts, thr)
+            got = ap_of(dets, gts, thr)
             assert got == ref_average_precision(dets, gts, thr)
             assert 0.0 <= got <= 1.0
         previous = 0.0
@@ -142,22 +148,22 @@ def test_metrics_match_reference_on_random_instances():
 def test_ap_hand_cases():
     a = Box(0.1, 0.1, 0.4, 0.4)
     far = Box(0.1, 0.6, 0.3, 0.8)
-    assert average_precision([], [(0, a)], 0.5) == 0.0
-    assert average_precision([(0, 0.9, a)], [], 0.5) == 0.0
-    assert average_precision([(0, 0.9, a)], [(0, a)], 0.5) == 1.0
+    assert ap_of([], [(0, a)], 0.5) == 0.0
+    assert ap_of([(0, 0.9, a)], [], 0.5) == 0.0
+    assert ap_of([(0, 0.9, a)], [(0, a)], 0.5) == 1.0
     # Duplicate of a matched box ranks second: [TP, FP] still integrates to 1.
-    assert average_precision([(0, 0.9, a), (0, 0.5, a)], [(0, a)], 0.5) == 1.0
+    assert ap_of([(0, 0.9, a), (0, 0.5, a)], [(0, a)], 0.5) == 1.0
     # Miss ranked above a hit halves the envelope.
-    assert average_precision([(0, 0.9, far), (0, 0.5, a)], [(0, a)], 0.5) == 0.5
+    assert ap_of([(0, 0.9, far), (0, 0.5, a)], [(0, a)], 0.5) == 0.5
     # Equal scores keep list order; a leading miss cannot be reordered away.
-    assert average_precision([(0, 0.7, far), (0, 0.7, a)], [(0, a)], 0.5) == 0.5
+    assert ap_of([(0, 0.7, far), (0, 0.7, a)], [(0, a)], 0.5) == 0.5
     # The second duplicate falls back to the other overlapping ground truth.
     tall = Box(0.0, 0.0, 1.0, 1.0)
     short = Box(0.0, 0.0, 1.0, 0.8)
     dets = [(0, 0.9, short), (0, 0.5, short)]
-    assert average_precision(dets, [(0, tall), (0, short)], 0.5) == 1.0
+    assert ap_of(dets, [(0, tall), (0, short)], 0.5) == 1.0
     # Same boxes in different scenes stay separate.
-    assert average_precision([(1, 0.9, a)], [(0, a)], 0.5) == 0.0
+    assert ap_of([(1, 0.9, a)], [(0, a)], 0.5) == 0.0
 
 
 def test_recall_hand_cases():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import identity_detector
-from helpers import box_geometry, empty_prototypes, encode_one, params_equal
+from helpers import box_geometry, empty_prototypes, encode_one, params_equal, vector_for
 from morphdet.em_trainer import DetectorState, TrainConfig
 from morphdet.embedder import clone_params, forward_batch, grad_evaluation_count, init_params
 from morphdet.morph_inference import (
@@ -171,7 +171,7 @@ def test_morph_single_exemplar_equals_normalized_feature(tiny_state, tiny_exempl
     desc = tiny_exemplars[cid][0]
     morphed = morph(tiny_state, {cid: [desc]})
     expected = l2_normalize(forward_batch(tiny_state.params, desc[None, :])[0][0])
-    assert np.max(np.abs(morphed.prototypes.vector_for(cid) - expected)) < 1e-12
+    assert np.max(np.abs(vector_for(morphed.prototypes, cid) - expected)) < 1e-12
 
 
 def test_morph_empty_mapping_and_errors(tiny_state, tiny_exemplars):

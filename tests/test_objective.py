@@ -9,7 +9,7 @@ import pytest
 from test_embedder import make_protos, max_grad_error, naive_forward, stack_batch
 from test_numkernel import naive_smooth_l1
 
-from helpers import empty_prototypes, labelled_batch
+from helpers import empty_prototypes, labelled_batch, vector_for
 from morphdet.em_trainer import TrainConfig
 from morphdet.embedder import forward_batch_with_grad, init_params
 from morphdet.numkernel import DimensionMismatch, EmptyInput
@@ -18,7 +18,7 @@ from morphdet.prototype_store import UnknownClass, add_novel, init_from_semantic
 
 
 def naive_posterior(feature, bg_logit, protos):
-    logits = [bg_logit] + [float(np.dot(feature, protos.vector_for(cid))) for cid in protos.ids]
+    logits = [bg_logit] + [float(np.dot(feature, vector_for(protos, cid))) for cid in protos.ids]
     expd = [math.exp(x) for x in logits]
     z = sum(expd)
     return [e / z for e in expd]
@@ -78,7 +78,7 @@ def test_posterior_single_matches_batch_and_argmax():
         single = posterior_batch(feats[i : i + 1], bg[i : i + 1], protos)
         assert np.allclose(single[0], q[i], rtol=0.0, atol=1e-15)
 
-    extremes = np.stack([np.zeros(5), protos.vector_for(2) * 50.0])
+    extremes = np.stack([np.zeros(5), vector_for(protos, 2) * 50.0])
     sure = posterior_batch(extremes, np.array([50.0, -5.0]), protos)
     assert np.argmax(sure, axis=1).tolist() == [0, 1 + protos.ids.index(2)]
 
@@ -122,7 +122,7 @@ def naive_terms(params, protos, batch, weights):
     fg_vals, bg_vals, box_vals = [], [], []
     for descriptor, label, target in zip(*batch):
         feature, bg_logit, deltas = naive_forward(params, descriptor)
-        logits = [bg_logit] + [float(np.dot(feature, protos.vector_for(cid))) for cid in protos.ids]
+        logits = [bg_logit] + [float(np.dot(feature, vector_for(protos, cid))) for cid in protos.ids]
         if label > 0:
             fg_vals.append(naive_neg_log_posterior(logits, 1 + protos.ids.index(label)))
             box_vals.append(sum(naive_smooth_l1(d - t) for d, t in zip(deltas, target)))
@@ -139,7 +139,9 @@ def test_fg_loss_is_negative_log_probability():
     weights = TrainConfig(fg_weight=1.5, bg_weight=0.0, bbox_weight=0.0)
     for seed in range(4):
         params, protos, batch = loss_setup(seed, [2, 0, 4, 7, 0, 4, 2, 0])
-        breakdown, _ = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights)
+        breakdown, _ = forward_batch_with_grad(
+            params, *labelled_batch(*batch, protos), weights, np.empty_like(params.flat)
+        )
         fg, _, _ = naive_terms(params, protos, batch, weights)
         assert breakdown.fg == pytest.approx(fg, rel=1e-12, abs=1e-12)
 
@@ -148,7 +150,9 @@ def test_bg_loss_is_negative_log_background_probability():
     weights = TrainConfig(fg_weight=0.0, bg_weight=0.7, bbox_weight=0.0)
     for seed in range(4):
         params, protos, batch = loss_setup(seed, [0, 7, 0, 0, 2])
-        breakdown, _ = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights)
+        breakdown, _ = forward_batch_with_grad(
+            params, *labelled_batch(*batch, protos), weights, np.empty_like(params.flat)
+        )
         _, bg, _ = naive_terms(params, protos, batch, weights)
         assert breakdown.bg == pytest.approx(bg, rel=1e-12, abs=1e-12)
         assert breakdown.fg == 0.0 and breakdown.bbox == 0.0
@@ -161,7 +165,7 @@ def test_bbox_loss_matches_scalar_smooth_l1():
         [np.asarray(naive_forward(params, desc)[2]) - target for desc, label, target in zip(*batch) if label > 0]
     )
     assert np.any(np.abs(residuals) < 1.0) and np.any(np.abs(residuals) > 1.0)
-    breakdown, _ = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights)
+    breakdown, _ = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, np.empty_like(params.flat))
     _, _, bbox = naive_terms(params, protos, batch, weights)
     assert breakdown.bbox == pytest.approx(bbox, rel=1e-12, abs=1e-12)
 
@@ -169,7 +173,7 @@ def test_bbox_loss_matches_scalar_smooth_l1():
 def test_batch_loss_matches_per_group_means():
     weights = TrainConfig(fg_weight=1.5, bg_weight=0.5, bbox_weight=2.0)
     params, protos, batch = loss_setup(10, [4, 0, 2, 0, 0, 7, 0])
-    breakdown, _ = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights)
+    breakdown, _ = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, np.empty_like(params.flat))
     fg, bg, bbox = naive_terms(params, protos, batch, weights)
     assert breakdown.fg == pytest.approx(fg, rel=1e-12, abs=1e-12)
     assert breakdown.bg == pytest.approx(bg, rel=1e-12, abs=1e-12)
@@ -179,11 +183,15 @@ def test_batch_loss_matches_per_group_means():
 
 def test_batch_loss_missing_groups_contribute_zero():
     fg_params, fg_protos, fg_batch = loss_setup(11, [2, 7])
-    fg_only, _ = forward_batch_with_grad(fg_params, *labelled_batch(*fg_batch, fg_protos), TrainConfig())
+    fg_only, _ = forward_batch_with_grad(
+        fg_params, *labelled_batch(*fg_batch, fg_protos), TrainConfig(), np.empty_like(fg_params.flat)
+    )
     assert fg_only.bg == 0.0
     assert fg_only.total == fg_only.fg + fg_only.bbox
     bg_params, bg_protos, bg_batch = loss_setup(12, [0, 0])
-    bg_only, _ = forward_batch_with_grad(bg_params, *labelled_batch(*bg_batch, bg_protos), TrainConfig())
+    bg_only, _ = forward_batch_with_grad(
+        bg_params, *labelled_batch(*bg_batch, bg_protos), TrainConfig(), np.empty_like(bg_params.flat)
+    )
     assert bg_only.fg == 0.0 and bg_only.bbox == 0.0
     assert bg_only.total == bg_only.bg
     with pytest.raises(EmptyInput):
@@ -213,12 +221,14 @@ def test_loss_stays_finite_at_huge_logits():
     params.feature_head.weight[:] *= 800.0
     params.background_head.weight[:] *= 800.0
     logits = [
-        [bg_logit] + [float(np.dot(feature, protos.vector_for(cid))) for cid in protos.ids]
+        [bg_logit] + [float(np.dot(feature, vector_for(protos, cid))) for cid in protos.ids]
         for feature, bg_logit, _ in (naive_forward(params, desc) for desc in batch[0])
     ]
     assert min(map(min, logits)) < -300.0 and 300.0 < max(map(max, logits)) < 1000.0
     weights = TrainConfig()
-    breakdown, grad = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights)
+    breakdown, grad = forward_batch_with_grad(
+        params, *labelled_batch(*batch, protos), weights, np.empty_like(params.flat)
+    )
     assert np.all(np.isfinite(grad))
     fg, bg, bbox = naive_terms(params, protos, batch, weights)
     assert breakdown.fg == pytest.approx(fg, rel=1e-9)

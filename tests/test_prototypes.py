@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import empty_prototypes
+from helpers import empty_prototypes, vector_for
 from morphdet.numkernel import DimensionMismatch, EmptyInput, l2_normalize
 from morphdet.prototype_store import (
     ClassCollision,
@@ -68,9 +68,9 @@ def test_set_lookup_surface():
     assert protos.ids == (1, 2, 7) and protos.dim == 3
     assert protos.base == (1, 2) and protos.novel == {7}
     assert protos.has_class(7) and not protos.has_class(3) and not protos.has_class(8)
-    assert np.array_equal(protos.vector_for(2), unit([0.0, 1.0, 1.0]))
+    assert np.array_equal(vector_for(protos, 2), unit([0.0, 1.0, 1.0]))
     with pytest.raises(UnknownClass):
-        protos.vector_for(3)
+        vector_for(protos, 3)
     empty = empty_prototypes(4)
     assert empty.dim == 4 and empty.ids == () and empty.base == ()
     assert not empty.has_class(1)
@@ -78,18 +78,18 @@ def test_set_lookup_surface():
 
 def test_vector_for_hands_out_a_read_only_row():
     protos = small_set()
-    row = protos.vector_for(2)
+    row = vector_for(protos, 2)
     with pytest.raises(ValueError):
         row[:] = 0.0
-    assert np.array_equal(protos.vector_for(2), unit([0.0, 1.0, 1.0]))
+    assert np.array_equal(vector_for(protos, 2), unit([0.0, 1.0, 1.0]))
 
 
 def test_init_from_semantic_normalizes_and_validates():
     protos = init_from_semantic({3: [2.0, 0.0], 1: [1.0, 1.0]})
     assert protos.ids == (1, 3) and protos.base == (1, 3)
     assert all(type(cid) is int for cid in protos.ids)
-    assert np.array_equal(protos.vector_for(3), np.array([1.0, 0.0]))
-    assert np.array_equal(protos.vector_for(1), unit([1.0, 1.0]))
+    assert np.array_equal(vector_for(protos, 3), np.array([1.0, 0.0]))
+    assert np.array_equal(vector_for(protos, 1), unit([1.0, 1.0]))
     with pytest.raises(DimensionMismatch):
         init_from_semantic({1: [1.0, 0.0], 2: [1.0, 0.0, 0.0]})
     with pytest.raises(EmptyInput):
@@ -102,7 +102,7 @@ def test_e_step_lambda_one_is_bitwise_identity():
     updated = e_step_update(protos, means, lam=1.0)
     assert updated is protos
     for cid in (1, 2):
-        assert np.array_equal(updated.vector_for(cid), protos.vector_for(cid))
+        assert np.array_equal(vector_for(updated, cid), vector_for(protos, cid))
 
 
 def test_e_step_lambda_zero_replaces_with_normalized_means():
@@ -110,14 +110,14 @@ def test_e_step_lambda_zero_replaces_with_normalized_means():
     means = {1: np.array([5.0, 1.0, -2.0]), 2: np.array([0.3, 0.4, 0.5])}
     updated = e_step_update(protos, means, lam=0.0)
     for cid in (1, 2):
-        assert np.allclose(updated.vector_for(cid), unit(means[cid]), atol=1e-15)
+        assert np.allclose(vector_for(updated, cid), unit(means[cid]), atol=1e-15)
 
 
 def test_e_step_symmetric_blend_example():
     protos = PrototypeSet(ids=(1,), matrix=np.array([[0.0, 1.0]]))
     updated = e_step_update(protos, {1: np.array([1.0, 0.0])}, lam=0.5)
     expected = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    assert np.max(np.abs(updated.vector_for(1) - expected)) < 1e-12
+    assert np.max(np.abs(vector_for(updated, 1) - expected)) < 1e-12
 
 
 def test_e_step_moves_prototypes_toward_means():
@@ -128,7 +128,7 @@ def test_e_step_moves_prototypes_toward_means():
         mean = rng.normal(size=dim) * 3
         lam = float(rng.uniform(0.05, 0.95))
         protos = PrototypeSet(ids=(1,), matrix=old[None, :])
-        new = e_step_update(protos, {1: mean}, lam).vector_for(1)
+        new = vector_for(e_step_update(protos, {1: mean}, lam), 1)
         mean_hat = unit(mean)
         assert float(new @ mean_hat) >= float(old @ mean_hat) - 1e-12
 
@@ -148,14 +148,14 @@ def test_e_step_validation():
 def test_e_step_leaves_novel_untouched():
     protos = small_set()
     updated = e_step_update(protos, {1: np.array([0.0, 3.0, 4.0])}, 0.25)
-    assert np.array_equal(updated.vector_for(7), protos.vector_for(7))
+    assert np.array_equal(vector_for(updated, 7), vector_for(protos, 7))
     assert updated.novel == protos.novel
 
 
 def test_add_novel_normalizes_and_guards_collisions():
     protos = small_set()
     grown = add_novel(protos, 8, np.array([0.0, 0.0, 2.0]))
-    assert np.array_equal(grown.vector_for(8), np.array([0.0, 0.0, 1.0]))
+    assert np.array_equal(vector_for(grown, 8), np.array([0.0, 0.0, 1.0]))
     assert grown.novel == {7, 8}
     assert not protos.has_class(8)
     with pytest.raises(ClassCollision):

@@ -77,9 +77,8 @@ def test_vector_round_trip_bitwise():
     assert np.array_equal(back, vec)
 
 
-def test_parse_floats_accepts_string_or_tokens():
+def test_parse_floats_reads_a_whitespace_separated_string():
     assert np.array_equal(parse_floats("1 2.5 -3"), np.array([1.0, 2.5, -3.0]))
-    assert np.array_equal(parse_floats(["1", "2.5"]), np.array([1.0, 2.5]))
 
 
 def test_parse_floats_rejects_non_finite_values():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import TINY_TRAIN, identity_detector, reframe, tensor_body
-from helpers import empty_prototypes, objects_of, params_equal, scene_of
+from helpers import empty_prototypes, objects_of, params_equal, scene_of, vector_for
 from morphdet import em_trainer
 from morphdet.em_trainer import (
     CHECKPOINT_HEADER,
@@ -35,7 +35,7 @@ from morphdet.em_trainer import (
 from morphdet.embedder import CheckpointError, forward_batch, init_params
 from morphdet.morph_inference import morph
 from morphdet.numkernel import DimensionMismatch, EmptyInput
-from morphdet.prototype_store import PrototypeSet, UnknownClass, e_step_update
+from morphdet.prototype_store import PrototypeSet, UnknownClass, e_step_update, init_from_semantic
 from morphdet.toyworld import semantic_vectors
 
 
@@ -294,8 +294,8 @@ def test_e_step_matches_manual_means(tiny_state, tiny_dataset):
     assert after.params is tiny_state.params
     assert after.prototypes.ids == expected.ids
     for cid in expected.ids:
-        assert np.array_equal(after.prototypes.vector_for(cid), expected.vector_for(cid))
-        assert np.linalg.norm(after.prototypes.vector_for(cid)) == pytest.approx(1.0, abs=1e-9)
+        assert np.array_equal(vector_for(after.prototypes, cid), vector_for(expected, cid))
+        assert np.linalg.norm(vector_for(after.prototypes, cid)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_e_step_lam_one_keeps_prototype_object(tiny_state, tiny_dataset):
@@ -336,7 +336,7 @@ def test_train_shapes_and_snapshots(tiny_result):
     # The trailing E-step moved at least one prototype past the last snapshot.
     last = tiny_result.state.prototypes
     moved = any(
-        not np.array_equal(tiny_result.final_prototypes.vector_for(cid), last.vector_for(cid))
+        not np.array_equal(vector_for(tiny_result.final_prototypes, cid), vector_for(last, cid))
         for cid in last.ids
     )
     assert moved
@@ -374,8 +374,8 @@ def test_train_is_deterministic(tiny_universe, tiny_dataset, tiny_result):
     assert params_equal(again.state.params, tiny_result.state.params)
     for cid in tiny_result.state.prototypes.ids:
         assert np.array_equal(
-            again.state.prototypes.vector_for(cid),
-            tiny_result.state.prototypes.vector_for(cid),
+            vector_for(again.state.prototypes, cid),
+            vector_for(tiny_result.state.prototypes, cid),
         )
     assert again.metrics == tiny_result.metrics
 
@@ -449,10 +449,28 @@ def test_checkpoint_round_trip(tmp_path, tiny_state, tiny_exemplars):
     assert sorted(back.prototypes.base) == sorted(state.prototypes.base)
     assert sorted(back.prototypes.novel) == sorted(state.prototypes.novel)
     for cid in state.prototypes.ids:
-        assert np.array_equal(back.prototypes.vector_for(cid), state.prototypes.vector_for(cid))
+        assert np.array_equal(vector_for(back.prototypes, cid), vector_for(state.prototypes, cid))
     # Value-exact round trip implies byte-stable re-serialization.
     save_checkpoint(tmp_path / "again.ckpt", back)
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+def test_no_way_of_building_a_prototype_set_leaves_its_matrix_writable(tmp_path, tiny_universe, tiny_result, tiny_exemplars):
+    snapshot = tiny_result.snapshots[-1]
+    morphed = morph(snapshot, tiny_exemplars)
+    save_checkpoint(tmp_path / "morphed.ckpt", morphed)
+    built = {
+        "init_from_semantic": init_from_semantic(semantic_vectors(tiny_universe)),
+        "train": snapshot.prototypes,
+        "e_step_update": e_step_update(snapshot.prototypes, {1: np.ones(snapshot.prototypes.dim)}, 0.5),
+        "morph": morphed.prototypes,
+        "load_checkpoint": load_checkpoint(tmp_path / "morphed.ckpt").prototypes,
+    }
+    for maker, protos in built.items():
+        before = protos.matrix.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            protos.matrix[0] = 0.0
+        assert np.array_equal(protos.matrix, before), maker
 
 
 def test_checkpoint_of_a_trunk_free_detector_loads_back_equal(tmp_path):
