@@ -12,8 +12,7 @@ private copy of the network parameters in place, so the state handed to it,
 and every snapshot, stays as it was. A snapshot is captured after every
 M-step; the K-th snapshot is "the detector after K iterations", which is
 what ablations over the iteration count evaluate, and the last snapshot is
-the detector train() returns. The trailing E-step still runs (its output
-would seed a further iteration) and is exposed for inspection. No M-step
+the detector train() returns, so no E-step follows the last M-step. No M-step
 reads lam, so train_lambdas trains several from one first M-step.
 
 Everything is a pure function of (dataset, semantic vectors, config): fixed
@@ -176,7 +175,6 @@ class TrainResult:
     state: DetectorState  # last post-M-step snapshot: the operative detector
     snapshots: list[DetectorState]  # one per EM iteration, captured after its M-step
     metrics: list[EpochRecord]
-    final_prototypes: PrototypeSet  # output of the trailing E-step
 
 
 def proposal_arrays(dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -296,7 +294,7 @@ def e_step(state: DetectorState, gt_ids, gt_X) -> DetectorState:
 
 def train(dataset, semantic_vectors, config: TrainConfig = TrainConfig()) -> TrainResult:
     """Full alternating run: semantic prototype init, then em_iterations
-    rounds of (M-step, E-step), snapshotting after each M-step.
+    M-steps with an E-step between each two, snapshotting after each M-step.
     `semantic_vectors` maps class_id -> vector and must cover every class of
     the dataset; extra entries (e.g. novel classes kept for later) are ignored."""
     return train_lambdas(dataset, semantic_vectors, config, (config.lam,))[0]
@@ -326,8 +324,7 @@ def train_lambdas(dataset, semantic_vectors, config: TrainConfig, lams) -> list[
             state, epoch_records = m_step(e_step(state, gt_ids, gt_X), X, labels, targets, iteration)
             records.extend(epoch_records)
             snapshots.append(state)
-        final = e_step(state, gt_ids, gt_X).prototypes
-        results.append(TrainResult(state=state, snapshots=snapshots, metrics=records, final_prototypes=final))
+        results.append(TrainResult(state=state, snapshots=snapshots, metrics=records))
     return results
 
 

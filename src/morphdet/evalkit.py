@@ -23,6 +23,7 @@ from .prototype_store import UnknownClass
 from .textio import write_csv
 
 IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
+RECALL_BUDGET = 100  # detections per scene that the report's recall counts
 
 
 def iou_table(detections, ground_truths) -> list[list[tuple[int, float]]]:
@@ -145,10 +146,10 @@ def evaluate(
     base_ids,
     novel_ids,
     config: DetectConfig = DetectConfig(),
-    recall_budgets=(100,),
 ) -> EvalReport:
     """Run the detector on every scene, with `config` passed to detect as it
-    is, and score the listed classes.
+    is, and score the listed classes: AP at each IoU threshold, and recall of
+    each scene's top RECALL_BUDGET detections.
 
     Classes without any ground truth in `scenes` are excluded from means.
     The state must have a prototype for every listed id.
@@ -192,9 +193,7 @@ def evaluate(
     overall = _subset(per_class, evaluated)
     recall_dets = [row for cid in evaluated for row in dets_by_class[cid]]
     recall_gts = [gt for cid in evaluated for gt in gts_by_class[cid]]
-    recall = {
-        int(n): recall_at(recall_dets, recall_gts, int(n), 0.5) for n in recall_budgets
-    }
+    recall = {RECALL_BUDGET: recall_at(recall_dets, recall_gts, RECALL_BUDGET, 0.5)}
     return EvalReport(
         iou_thresholds=IOU_THRESHOLDS,
         per_class_ap=per_class,

@@ -178,7 +178,7 @@ def run_zero_shot(config: ExperimentConfig, out_dir=None):
         rand_state = replace(state, prototypes=protos)
 
         for method, st in (("semantic", sem_state), ("random", rand_state)):
-            report = evaluate(st, world.eval_novel, base, novel, config.detect, recall_budgets=(100,))
+            report = evaluate(st, world.eval_novel, base, novel, config.detect)
             raw.append((seed, method, report.recall[100], report.novel.ap50))
     return _tables(out_dir, "zero_shot", "seed,method,recall100,novel_ap50", raw)
 

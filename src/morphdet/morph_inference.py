@@ -12,8 +12,8 @@ runs per-class greedy NMS with a deterministic ordering.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .embedder import forward_batch
 from .numkernel import DimensionMismatch, EmptyInput
 from .objective import posterior_batch
 from .prototype_store import add_novel
-from .textio import read_tensor_file, tensor_line, write_record_file
+from .textio import is_class_id, read_tensor_file, tensor_line, write_record_file
 
 EXEMPLARS_HEADER = "morphdet-exemplars v3"
 
@@ -30,28 +30,17 @@ class InvalidBox(ValueError):
     """Box corners that do not describe a positive-area axis-aligned box."""
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box with x1 < x2 and y1 < y2."""
+class Box(NamedTuple):
+    """Axis-aligned box corners, x1 < x2 and y1 < y2. Corners are checked where they enter: decode_box
+    checks every decoded row, load_dataset every stored box, and generation draws valid boxes."""
 
     x1: float
     y1: float
     x2: float
     y2: float
 
-    def __post_init__(self):
-        coords = (float(self.x1), float(self.y1), float(self.x2), float(self.y2))
-        if not all(map(math.isfinite, coords)):
-            raise InvalidBox(f"non-finite box corners: {coords}")
-        if not (coords[0] < coords[2] and coords[1] < coords[3]):
-            raise InvalidBox(f"degenerate box corners: {coords}")
-        object.__setattr__(self, "x1", coords[0])
-        object.__setattr__(self, "y1", coords[1])
-        object.__setattr__(self, "x2", coords[2])
-        object.__setattr__(self, "y2", coords[3])
-
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x1, self.y1, self.x2, self.y2)
+        return tuple(self)
 
 
 def iou(a: Box, b: Box) -> float:
@@ -87,13 +76,12 @@ def decode_box(anchors, deltas) -> np.ndarray:
     finite = np.isfinite(out).all(axis=1)
     ok = finite & (out[:, :2] < out[:, 2:]).all(axis=1)
     if not ok.all():
-        at = np.argmin(ok)  # the first bad row, named as Box would name it
+        at = np.argmin(ok)  # the first bad row
         raise InvalidBox(f"{'degenerate' if finite[at] else 'non-finite'} box corners: {tuple(out[at].tolist())}")
     return out
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
     class_id: int
     score: float
     box: Box
@@ -134,10 +122,6 @@ def morph(state, exemplars):
     return replace(state, prototypes=protos)
 
 
-def _order_key(det: Detection):
-    return (-det.score, det.class_id, det.box.as_tuple())
-
-
 def nms(detections, iou_threshold: float) -> list[Detection]:
     """Greedy per-class suppression.
 
@@ -150,7 +134,7 @@ def nms(detections, iou_threshold: float) -> list[Detection]:
     if not 0.0 < thr < 1.0:
         raise ValueError(f"NMS IoU threshold must lie in (0, 1), got {thr}")
     kept: list[Detection] = []
-    for det in sorted(detections, key=_order_key):
+    for det in sorted(detections, key=lambda det: (-det.score, det.class_id, det.box)):
         for keeper in kept:
             if keeper.class_id == det.class_id and iou(keeper.box, det.box) > thr:
                 break
@@ -161,7 +145,7 @@ def nms(detections, iou_threshold: float) -> list[Detection]:
 
 def detect(state, proposals, config: DetectConfig = DetectConfig()) -> list[Detection]:
     """Score (descriptor, anchor) proposals against every registered class;
-    an anchor is a Box or a row of its corners (x1, y1, x2, y2).
+    an anchor is any four corners (x1, y1, x2, y2), a Box among them.
 
     Each proposal contributes one candidate per class whose posterior
     probability reaches config.score_threshold, all sharing that proposal's
@@ -175,7 +159,7 @@ def detect(state, proposals, config: DetectConfig = DetectConfig()) -> list[Dete
     descriptors = np.stack([np.asarray(d, dtype=np.float64) for d, _ in proposals])
     feats, bg, deltas = forward_batch(state.params, descriptors)
     q = posterior_batch(feats, bg, state.prototypes)
-    corners = decode_box(np.array([a.as_tuple() if isinstance(a, Box) else a for _, a in proposals]), deltas)
+    corners = decode_box(np.array([a for _, a in proposals], dtype=np.float64), deltas)
     rows, cols = np.nonzero(q[:, 1:] >= config.score_threshold)
     boxes = {i: Box(*corners[i].tolist()) for i in set(rows.tolist())}
     ids, scores = state.prototypes.ids, q[rows, cols + 1].tolist()
@@ -192,9 +176,9 @@ def write_exemplars_csv(path, exemplars) -> None:
 
 def read_exemplars_csv(path) -> dict[int, np.ndarray]:
     """Inverse of write_exemplars_csv: class id -> its (shots, m_in) tensor. Each tensor
-    name must be a class id as the writer writes it: digits for an integer >= 1, no leading zero."""
+    name must be a class id as the writer writes it (textio.is_class_id)."""
     meta, blocks = read_tensor_file(path, EXEMPLARS_HEADER, "meta")
-    ids = sorted(int(name) for name in blocks if name.isascii() and name.isdigit() and name[0] != "0")
+    ids = sorted(int(name) for name in blocks if is_class_id(name))
     if meta or list(blocks) != [str(cid) for cid in ids]:
         raise ValueError(f"{path}: want an empty meta and tensors named by ascending class ids, got {list(blocks)}")
     return {cid: blocks[str(cid)] for cid in ids}

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import DimensionMismatch, EmptyInput, l2_normalize
-from .textio import fmt_vector, parse_floats
+from .textio import fmt_vector, is_class_id, parse_floats
 
 UNIT_NORM_TOL = 1e-9
 _UNDECODED = re.compile("[\udc80-\udcff]")  # where surrogateescape put a byte that is not UTF-8
@@ -176,7 +176,8 @@ def write_vector_file(path, vectors: Mapping[int, np.ndarray]) -> None:
 
 
 def read_vector_file(path) -> dict[int, np.ndarray]:
-    """Read a class_id -> vector map; blank lines are skipped. A refusal names
+    """Read a class_id -> vector map; blank lines are skipped. A class id must
+    be written as the writer writes it (textio.is_class_id). A refusal names
     the path and line once. A row whose sum of squares overflows is refused
     here, as it could never be normalized into a prototype."""
     out: dict[int, np.ndarray] = {}
@@ -190,6 +191,8 @@ def read_vector_file(path) -> dict[int, np.ndarray]:
                 head, _, tail = line.rstrip("\n").partition("\t")
                 if not tail:
                     raise ValueError(f"malformed vector line (missing tab): {line[:80]!r}")
+                if not is_class_id(head):
+                    raise ValueError(f"class id {head!r} is not digits for an integer >= 1 without a leading zero")
                 cid = int(head)
                 if cid in out:
                     raise ClassCollision(f"duplicate vector line for class {cid}")

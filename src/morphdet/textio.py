@@ -24,14 +24,13 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def row_format(width: int) -> str:
-    """'%.17g %.17g ...': formats `width` values as fmt does, joined by spaces."""
-    return " ".join(["%.17g"] * width)
-
-
 def fmt_vector(vec) -> str:
-    values = np.asarray(vec, dtype=np.float64).tolist()
-    return row_format(len(values)) % tuple(values)
+    return " ".join(map(fmt, np.asarray(vec, dtype=np.float64).tolist()))
+
+
+def is_class_id(text: str) -> bool:
+    """Whether `text` is a class id as the writers write it: ASCII digits for an integer >= 1, no leading zero."""
+    return text.isascii() and text.isdigit() and text[0] != "0"
 
 
 def parse_floats(text: str) -> np.ndarray:
@@ -57,7 +56,7 @@ def parse_tensor(line: str) -> tuple[str, np.ndarray]:
     """Inverse of tensor_line: (name, read-only (rows, cols) float64 array). Refuses a malformed
     header, data that is not base64 or not rows * cols values, and a non-finite value."""
     parts = line.split(" ")
-    if len(parts) != 5 or parts[0] != "tensor" or not (parts[2].isdigit() and parts[3].isdigit()):
+    if len(parts) != 5 or parts[0] != "tensor" or not all(p.isascii() and p.isdigit() for p in parts[2:4]):
         raise ValueError(f"malformed tensor line: {line[:80]!r}")
     name, rows, cols = parts[1], int(parts[2]), int(parts[3])
     try:

@@ -188,7 +188,8 @@ def make_universe(config: UniverseConfig = UniverseConfig(), seed: int = 0) -> U
 
 def _sampled_boxes(u: np.ndarray) -> np.ndarray:
     """Boxes from (..., 4) uniforms: width and height on [0.12, 0.35), then a center that keeps the box in
-    the unit square. `lo + (hi - lo) * u` is rng.uniform(lo, hi)'s own arithmetic on its draw u."""
+    the unit square, so each is a valid box by construction. `lo + (hi - lo) * u` is rng.uniform(lo, hi)'s
+    own arithmetic on its draw u."""
     size = 0.12 + (0.35 - 0.12) * u[..., :2]
     center = 0.5 * size + ((1.0 - 0.5 * size) - 0.5 * size) * u[..., 2:]
     return np.concatenate([center - 0.5 * size, center + 0.5 * size], axis=-1)

@@ -330,12 +330,17 @@ def _first_line(edit):
 # One edit of semantics.txt per case, each refused as train reads the file.
 SEMANTICS_REFUSALS = {
     "missing tab": (_first_line(lambda line: line.replace("\t", " ", 1)), "malformed vector line (missing tab)"),
-    "class id not an integer": (_first_line(lambda line: "x" + line[1:]), "invalid literal for int() with base 10: 'x'"),
+    "class id not an integer": (_first_line(lambda line: "x" + line[1:]), "class id 'x' is not digits"),
     "duplicate class": (lambda lines: [lines[0], *lines], "duplicate vector line for class 1"),
     "non-finite value": (_first_line(lambda line: line.rsplit(" ", 1)[0] + " inf"), "non-finite value among 8 floats"),
     "sum of squares overflows": (
         _first_line(lambda line: "1\t" + " ".join(["1e200"] * 8)), "the sum of squares of class 1's vector overflows"
     ),
+    # Ids that int() reads but the writer never writes, each on a line added after class 1's own.
+    **{
+        f"class id {head}": (lambda lines, head=head: [*lines, head + lines[0][1:]], f"class id '{head}' is not digits")
+        for head in ("0", "-3", "+77", "7_7")
+    },
     # Written back with surrogateescape, "\udcff" is the byte 0xff, which UTF-8 never holds.
     "a 0xff byte": (lambda lines: [lines[0], lines[1] + "\udcff", *lines[2:]], "line 2: not UTF-8 text"),
 }

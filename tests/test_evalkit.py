@@ -12,6 +12,7 @@ import pytest
 
 from conftest import identity_detector
 from helpers import scene_of
+from morphdet import evalkit
 from morphdet.evalkit import (
     IOU_THRESHOLDS,
     average_precision,
@@ -216,7 +217,7 @@ def _eval_world():
 
 def test_evaluate_scores_a_perfect_detector():
     state, scenes = _eval_world()
-    report = evaluate(state, scenes, base_ids=[1, 2], novel_ids=[3], recall_budgets=(1, 100))
+    report = evaluate(state, scenes, base_ids=[1, 2], novel_ids=[3])
     assert report.iou_thresholds == IOU_THRESHOLDS
     assert sorted(report.per_class_ap) == [1, 2, 3]
     for thrs in report.per_class_ap.values():
@@ -228,19 +229,19 @@ def test_evaluate_scores_a_perfect_detector():
     assert report.ap == 1.0 and report.ap50 == 1.0 and report.ap75 == 1.0
     assert report.base.class_ids == (1, 2) and report.base.ap == 1.0
     assert report.novel.class_ids == (3,) and report.novel.ap50 == 1.0
-    # Scene 11 holds two objects but the budget admits one detection.
-    assert report.recall[1] == 2.0 / 3.0
-    assert report.recall[100] == 1.0
+    assert report.recall == {100: 1.0}
 
 
-def test_evaluate_tells_apart_scenes_that_share_an_id():
-    # `eval --split all` joins two splits whose scene ids both start at 0.
+def test_evaluate_tells_apart_scenes_that_share_an_id(monkeypatch):
+    # `eval --split all` joins two splits whose scene ids both start at 0. A budget of one detection per
+    # scene makes that show: scene 11 holds two objects, so keyed by position recall is 2/3, not 1/3.
+    monkeypatch.setattr(evalkit, "RECALL_BUDGET", 1)
     state, scenes = _eval_world()
     shared = [replace(scene, scene_id=0) for scene in scenes]
-    distinct = evaluate(state, scenes, base_ids=[1, 2], novel_ids=[3], recall_budgets=(1, 100))
-    joined = evaluate(state, shared, base_ids=[1, 2], novel_ids=[3], recall_budgets=(1, 100))
+    distinct = evaluate(state, scenes, base_ids=[1, 2], novel_ids=[3])
+    joined = evaluate(state, shared, base_ids=[1, 2], novel_ids=[3])
     assert joined == distinct
-    assert joined.recall[1] == 2.0 / 3.0
+    assert joined.recall == {1: 2.0 / 3.0}
 
 
 def test_evaluate_excludes_classes_without_ground_truth():

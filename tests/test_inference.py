@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import identity_detector
+from conftest import identity_detector, reframe, tensor_body
 from helpers import box_geometry, empty_prototypes, encode_one, params_equal, vector_for
 from morphdet.em_trainer import DetectorState, TrainConfig
 from morphdet.embedder import clone_params, forward_batch, grad_evaluation_count, init_params
@@ -25,6 +25,15 @@ from morphdet.morph_inference import (
 from morphdet.numkernel import DimensionMismatch, EmptyInput, l2_normalize
 from morphdet.objective import posterior_batch
 from morphdet.prototype_store import ClassCollision, PrototypeSet
+from morphdet.toyworld import (
+    DATASET_HEADER,
+    DataConfig,
+    UniverseConfig,
+    load_dataset,
+    make_dataset,
+    make_universe,
+    save_dataset,
+)
 
 
 def random_box(rng, lo=0.0, hi=1.0):
@@ -33,7 +42,7 @@ def random_box(rng, lo=0.0, hi=1.0):
     return Box(x1, y1, x2 + 0.01, y2 + 0.01)
 
 
-def test_box_validation_and_properties():
+def test_box_validation_and_properties(tmp_path):
     box = Box(0.1, 0.2, 0.5, 0.6)
     center_x, center_y, width, height = box_geometry(box)
     assert width == pytest.approx(0.4)
@@ -42,12 +51,23 @@ def test_box_validation_and_properties():
     assert center_y == pytest.approx(0.4)
     assert width * height == pytest.approx(0.16)
     assert box.as_tuple() == (0.1, 0.2, 0.5, 0.6)
-    with pytest.raises(InvalidBox):
-        Box(0.5, 0.0, 0.5, 1.0)
-    with pytest.raises(InvalidBox):
-        Box(0.6, 0.0, 0.5, 1.0)
-    with pytest.raises(InvalidBox):
-        Box(0.0, 0.0, np.nan, 1.0)
+    # Corners are checked where they enter: decoded (here as anchors with zero deltas) and stored in a dataset,
+    # where a NaN never reaches the box check, as the tensor codec refuses it first.
+    uni = make_universe(UniverseConfig(n_base=2, n_novel=1), seed=22)
+    scenes = make_dataset(uni, uni.base, 1, DataConfig(objects_per_scene=1, proposals_per_scene=3), seed=23)
+    path = tmp_path / "dataset.txt"
+    for corners, error, message in (
+        ((0.5, 0.0, 0.5, 1.0), InvalidBox, "degenerate box corners"),
+        ((0.6, 0.0, 0.5, 1.0), InvalidBox, "degenerate box corners"),
+        ((0.0, 0.0, np.nan, 1.0), ValueError, "tensor 'gt_boxes' holds a non-finite value"),
+    ):
+        with pytest.raises(InvalidBox):
+            decode_box(np.array([corners]), np.zeros((1, 4)))
+        save_dataset(path, scenes)
+        reframe(path, DATASET_HEADER, "meta", body=tensor_body(lambda t: np.copyto(t["gt_boxes"][0], corners)))
+        with pytest.raises(error, match=message) as refused:
+            load_dataset(path)
+        assert str(refused.value).startswith(f"{path}: ")
 
 
 def test_iou_analytic_cases():

@@ -1,5 +1,7 @@
 """Prototype store: matrix invariants, E-step blend algebra, vector files."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -198,4 +200,9 @@ def test_vector_file_skips_blank_lines_and_rejects_malformed_ones(tmp_path):
     for bad in ("1\t1 0\n---\n2\t0 1\n", "1 1 0\n", "x\t1 0\n", "1\t1 nan\n"):
         path.write_text(bad)
         with pytest.raises(ValueError):
+            read_vector_file(path)
+    # Ids that int() reads as integers but the writer never writes: zero, signed, underscored, padded, non-ASCII.
+    for head in ("0", "-3", "+7", "1_0", "01", " 1", "\u0663"):
+        path.write_text(f"2\t0 1\n{head}\t1 0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"line 2: class id {head!r} is not digits")):
             read_vector_file(path)

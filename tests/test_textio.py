@@ -19,7 +19,6 @@ from morphdet.textio import (
     parse_tensor,
     read_record_file,
     read_tensor_file,
-    row_format,
     sha256_file,
     tensor_blocks,
     tensor_line,
@@ -43,17 +42,15 @@ def test_fmt_round_trip_property(x):
     assert float(fmt(x)) == x
 
 
-# Awkward values the row format must write as fmt does: signed zero,
-# subnormals, the largest finite magnitudes, and the non-finite values.
+# Awkward values fmt_vector must write as a %.17g format string does, as semantics.txt has always held them:
+# signed zero, subnormals, the largest finite magnitudes, and the non-finite values.
 AWKWARD = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308,
            float("nan"), float("inf"), float("-inf"))
 
 
 @given(st.lists(st.floats() | st.sampled_from(AWKWARD), max_size=40))
-def test_row_format_writes_what_fmt_writes(values):
-    expected = " ".join(fmt(x) for x in values)
-    assert row_format(len(values)) % tuple(values) == expected
-    assert fmt_vector(values) == expected
+def test_fmt_vector_writes_what_a_percent_format_writes(values):
+    assert fmt_vector(values) == " ".join(["%.17g"] * len(values)) % tuple(values)
 
 
 def test_tensor_lines_keep_their_bytes():
@@ -120,6 +117,8 @@ def test_parse_tensor_rejects_malformed():
         parse_tensor(f"tensor w 2 2 {two}")
     with pytest.raises(ValueError, match="malformed"):
         parse_tensor(f"tensor w -1 2 {two}")  # reshape would take -1 as "whatever fits"
+    with pytest.raises(ValueError, match="malformed"):
+        parse_tensor(f"tensor w \u0662 1 {two}")  # an Arabic-Indic two: a digit to str.isdigit and to int
     for data in (two.rstrip("="), two[:-4] + "!!!=", "1.25", two + "\t"):  # lost padding, not the alphabet, decimal
         with pytest.raises(ValueError, match="not base64"):
             parse_tensor(f"tensor w 1 2 {data}")

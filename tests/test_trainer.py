@@ -333,13 +333,6 @@ def test_train_shapes_and_snapshots(tiny_result):
         assert rec.iteration == 1 + k // cfg.m_step_epochs
         assert rec.epoch == k % cfg.m_step_epochs
         assert rec.total == pytest.approx(rec.fg + rec.bg + rec.bbox)
-    # The trailing E-step moved at least one prototype past the last snapshot.
-    last = tiny_result.state.prototypes
-    moved = any(
-        not np.array_equal(vector_for(tiny_result.final_prototypes, cid), vector_for(last, cid))
-        for cid in last.ids
-    )
-    assert moved
 
 
 def test_train_stacks_its_data_once(tiny_universe, tiny_dataset, tiny_result, monkeypatch):
