@@ -34,6 +34,7 @@ from .embedder import (
     forward_batch,
     forward_batch_with_grad,
     init_params,
+    loss_table,
     params_from_tensors,
     params_to_lines,
     sgd_step,
@@ -251,8 +252,8 @@ def m_step(state: DetectorState, X, labels, targets, iteration: int = 0) -> tupl
         n_fg = max(1, config.batch_size // 4) if len(fg_pool) else 0
     rng = np.random.default_rng([config.seed, 17, iteration])
     plan = _pick_plan(fg_pool, bg_pool, n_fg, config.batch_size, config.m_step_epochs * steps_per_epoch, rng)
-    pmat = scoring_matrix(state.prototypes, state.params.feature_dim)
-    slots = np.searchsorted(np.asarray(state.prototypes.ids), labels)  # read on foreground rows only
+    table = loss_table(scoring_matrix(state.prototypes, state.params.feature_dim))
+    cols = np.where(labels > 0, np.searchsorted(np.asarray(state.prototypes.ids), labels) + 1, 0)  # own logit column
 
     params = clone_params(state.params)
     grad = np.empty_like(params.flat)
@@ -261,18 +262,17 @@ def m_step(state: DetectorState, X, labels, targets, iteration: int = 0) -> tupl
     for epoch in range(config.m_step_epochs):
         lr = _epoch_lr(config, epoch)
         picks = plan[epoch * steps_per_epoch : (epoch + 1) * steps_per_epoch]
-        fg_picks = picks[:, :n_fg]
-        batch_X, batch_slots, batch_targets = X[picks], slots[fg_picks], targets[fg_picks]
-        epoch_terms = np.zeros(4)
+        batch_X, batch_cols, batch_targets = X[picks], cols[picks], targets[picks[:, :n_fg]]
+        sums = [0.0] * 4
         for step in range(steps_per_epoch):
             breakdown, _ = forward_batch_with_grad(
-                params, batch_X[step], batch_slots[step], n_fg, batch_targets[step], pmat, config, out=grad
+                params, batch_X[step], batch_cols[step], n_fg, batch_targets[step], table, config, out=grad
             )
             if not math.isfinite(breakdown.total):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}: {breakdown}")
             sgd_step(params, grad, lr, velocity, config.momentum)
-            epoch_terms += (breakdown.fg, breakdown.bg, breakdown.bbox, breakdown.total)
-        records.append(EpochRecord(iteration, epoch, *map(float, epoch_terms / steps_per_epoch)))
+            sums = [total + term for total, term in zip(sums, breakdown)]
+        records.append(EpochRecord(iteration, epoch, *(total / steps_per_epoch for total in sums)))
     return replace(state, params=params), records
 
 

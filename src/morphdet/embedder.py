@@ -6,20 +6,17 @@ feature vector (scored against class prototypes), a single background logit,
 and four class-agnostic box-regression deltas.
 
 forward_batch embeds a batch for inference. forward_batch_with_grad computes
-the training loss of objective.py on a minibatch given as arrays, foreground
-rows first (descriptors, the foreground rows' prototype rows and box targets;
-per-group means of foreground, background and box terms, each multiplied by
-its weight) and backpropagates it through the heads and the ReLU trunk in
-closed form, writing the gradient into the caller's flat vector in the
-parameter layout. Labels are mapped and checked by the caller, the M-step
-once for all of its batches. Both functions run the same
-forward pass, and the loss takes its posteriors from objective.softmax_terms,
-the softmax that detection scores with. Prototypes are constants here.
-sgd_step updates a parameter vector and its velocity in place.
-
-A module-level counter records every gradient evaluation; forward_batch never
-touches it, which is how zero-gradient guarantees for morphing are asserted
-downstream.
+the training loss of objective.py on a foreground-first minibatch given as
+arrays, in one pass over both row groups (each row's own logit column and
+prototype by one gather; smooth-L1 gives value and slope together), and
+backpropagates it in closed form into the caller's flat gradient vector.
+Labels are mapped to logit columns by the caller, the M-step once for all of
+its batches. Both functions run the same forward pass, and the loss takes its
+posteriors from objective.softmax_terms, the softmax that detection scores
+with. Prototypes are constants here. sgd_step updates a parameter vector and
+its velocity in place. A module-level counter records every gradient
+evaluation; forward_batch never touches it, which is how zero-gradient
+guarantees for morphing are asserted downstream.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .numkernel import DimensionMismatch, EmptyInput, smooth_l1_array, smooth_l1_grad_array
+from .numkernel import DimensionMismatch, EmptyInput, smooth_l1
 from .objective import LossBreakdown, softmax_terms
 from .textio import tensor_line
 
@@ -38,6 +35,7 @@ if TYPE_CHECKING:  # em_trainer imports this module
     from .em_trainer import TrainConfig
 
 _grad_evaluations = 0
+_last_views: tuple = (None, (), ())  # _views' last buffer, layout and views: the M-step passes one buffer throughout
 
 
 def grad_evaluation_count() -> int:
@@ -69,18 +67,17 @@ def _layout(sizes: tuple[int, ...]) -> tuple[tuple, int]:
     return tuple(slots), offset
 
 
-def _views(flat: np.ndarray, sizes: tuple[int, ...]) -> list[np.ndarray]:
-    """One view into `flat` per tensor of the layout, in layout order."""
-    return [flat[start:stop].reshape(shape) for start, stop, shape in _layout(sizes)[0]]
+def _views(flat: np.ndarray, sizes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """One view into `flat` per tensor of the layout, in layout order; a buffer given twice running gets the same views."""
+    global _last_views
+    if _last_views[0] is not flat or _last_views[1] != sizes:
+        _last_views = (flat, sizes, tuple(flat[start:stop].reshape(shape) for start, stop, shape in _layout(sizes)[0]))
+    return _last_views[2]
 
 
 def _check_flat(flat: np.ndarray, total: int, what: str) -> None:
     if flat.dtype != np.float64 or flat.shape != (total,):
         raise DimensionMismatch(f"{what}: {flat.dtype} {flat.shape}, expected float64 ({total},)")
-
-
-def _is_size(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
 
 class EmbedderParams:
@@ -95,7 +92,7 @@ class EmbedderParams:
 
     def __init__(self, sizes, flat: np.ndarray | None = None):
         sizes = tuple(sizes)
-        if len(sizes) < 2 or not all(_is_size(s) for s in sizes):
+        if len(sizes) < 2 or not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 1 for s in sizes):
             raise ValueError(f"layer sizes (m_in, *hidden, d) must all be integers >= 1, got {sizes}")
         sizes = tuple(map(int, sizes))
         total = _layout(sizes)[1]
@@ -157,9 +154,12 @@ def _forward(params: EmbedderParams, descriptors):
     pre_acts: list[np.ndarray] = []
     acts: list[np.ndarray] = [x]
     for layer in params.trunk:
-        pre_acts.append(acts[-1] @ layer.weight + layer.bias)
-        acts.append(np.maximum(pre_acts[-1], 0.0))
-    heads = acts[-1] @ params.heads.weight + params.heads.bias
+        z = acts[-1] @ layer.weight
+        z += layer.bias
+        pre_acts.append(z)
+        acts.append(np.maximum(z, 0.0))
+    heads = acts[-1] @ params.heads.weight
+    heads += params.heads.bias
     d = params.feature_dim
     return pre_acts, acts, (heads[:, :d], heads[:, d], heads[:, d + 1 :])
 
@@ -174,65 +174,68 @@ def clone_params(params: EmbedderParams) -> EmbedderParams:
     return EmbedderParams(params.sizes, params.flat.copy())
 
 
+def loss_table(pmat: np.ndarray) -> np.ndarray:
+    """A zero row on top of `pmat`: row c is the prototype of logit column c, none for the background."""
+    return np.concatenate([np.zeros((1, pmat.shape[1])), pmat])
+
+
+@lru_cache(maxsize=64)
+def _row_terms(n: int, n_fg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row index and background target (0 on the n_fg foreground rows, then 1), read-only."""
+    rows = np.arange(n)
+    target = (rows >= n_fg).astype(np.float64)
+    rows.flags.writeable = target.flags.writeable = False
+    return rows, target
+
+
 def forward_batch_with_grad(
     params: EmbedderParams,
     descriptors: np.ndarray,
-    slots: np.ndarray,
+    cols: np.ndarray,
     n_fg: int,
     fg_targets: np.ndarray,
-    pmat: np.ndarray,
+    table: np.ndarray,
     config: TrainConfig,
     out: np.ndarray,
 ) -> tuple[LossBreakdown, np.ndarray]:
     """Composite loss and exact parameter gradients for one minibatch.
 
-    Rows [0, n_fg) of `descriptors` are foreground: row i is of the class in
-    row slots[i] of the prototype matrix `pmat`, with box targets
-    fg_targets[i]; the other rows are background. The loss is the sum of three
-    group means, weighted by config.fg_weight, bg_weight and bbox_weight:
+    Rows [0, n_fg) of `descriptors` are foreground, with box targets
+    fg_targets; the rest are background. Row i's own logit column is cols[i]:
+    j + 1 for the class in row j of the prototype matrix, 0 for background;
+    `table` is loss_table of that matrix. The loss is the sum of three group
+    means, weighted by config.fg_weight, bg_weight and bbox_weight:
     foreground and background negative log-probability, and smooth-L1 box
-    regression over foreground rows. The gradient is written into `out`, one
-    float64 vector in the layout of params.flat, and returned; its previous
-    contents are overwritten. Accumulation order is fixed (batch order), so
-    the result is reproducible bit-for-bit.
+    regression over foreground rows. The gradient overwrites `out`, one float64
+    vector in the layout of params.flat, and is returned. Accumulation order is
+    fixed (batch order), so the result is reproducible bit-for-bit.
     """
-    if not len(descriptors):
+    if not (n := len(descriptors)):
         raise EmptyInput("empty batch")
-    n_bg = len(descriptors) - n_fg
     _check_flat(out, params.flat.size, "gradient buffer")
     # Forward pass, keeping pre-activations for the backward sweep.
     pre_acts, acts, (feats, bg, deltas) = _forward(params, descriptors)
+    all_logits, log_denom, q = softmax_terms(feats, bg, table[1:])  # column 0 = background
 
-    all_logits, log_denom, q = softmax_terms(feats, bg, pmat)  # column 0 = background
+    rows, target = _row_terms(n, n_fg)
+    n_bg = n - n_fg  # below, a row's coefficient: its group's weight over its group's size
+    coef = np.where(target, config.bg_weight / n_bg if n_bg else 0.0, config.fg_weight / n_fg if n_fg else 0.0)
+    vals = log_denom - all_logits[rows, cols]  # each row's negative log-probability; each group sums its own
+    fg_term = config.fg_weight * float(np.add.reduce(vals[:n_fg]) / n_fg) if n_fg else 0.0
+    bg_term = config.bg_weight * float(np.add.reduce(vals[n_fg:]) / n_bg) if n_bg else 0.0
 
     # The head block's gradient; background rows keep zero box columns.
-    d_heads = np.zeros((len(descriptors), params.heads.bias.size))
+    d_heads = np.zeros((n, params.heads.bias.size))
     d = params.feature_dim
     d_feats, d_bg, d_deltas = d_heads[:, :d], d_heads[:, d], d_heads[:, d + 1 :]
-    mix = q[:, 1:] @ pmat  # (N, d): sum_m q_m p_m, the log-denominator's f-gradient
-
-    fg_term = bg_term = box_term = 0.0
+    # q[:, 1:] @ P = sum_m q_m p_m is the log-denominator's f-gradient; table row 0 is zeros, and x - 0.0 == x.
+    np.multiply(coef[:, None], q[:, 1:] @ table[1:] - table[cols], out=d_feats)
+    np.multiply(coef, q[:, 0] - target, out=d_bg)
+    box_term = 0.0
     if n_fg:
-        fg_vals = log_denom[:n_fg] - all_logits[np.arange(n_fg), slots + 1]
-        fg_term = config.fg_weight * float(np.sum(fg_vals) / n_fg)
-        coef = config.fg_weight / n_fg
-        d_feats[:n_fg] = coef * (mix[:n_fg] - pmat[slots])
-        d_bg[:n_fg] = coef * q[:n_fg, 0]
-
-        residual = deltas[:n_fg] - fg_targets
-        box_vals = np.sum(smooth_l1_array(residual), axis=1)
-        box_term = config.bbox_weight * float(np.sum(box_vals) / n_fg)
-        d_deltas[:n_fg] = (config.bbox_weight / n_fg) * smooth_l1_grad_array(residual)
-    if n_bg:
-        bg_vals = log_denom[n_fg:] - bg[n_fg:]
-        bg_term = config.bg_weight * float(np.sum(bg_vals) / n_bg)
-        coef = config.bg_weight / n_bg
-        d_feats[n_fg:] = coef * mix[n_fg:]
-        d_bg[n_fg:] = coef * (q[n_fg:, 0] - 1.0)
-
-    breakdown = LossBreakdown(
-        fg=fg_term, bg=bg_term, bbox=box_term, total=fg_term + bg_term + box_term
-    )
+        box_vals, slope = smooth_l1(deltas[:n_fg] - fg_targets)
+        box_term = config.bbox_weight * float(np.add.reduce(np.add.reduce(box_vals, axis=1)) / n_fg)
+        np.multiply(config.bbox_weight / n_fg, slope, out=d_deltas[:n_fg])
 
     # Backward through the head block, then the ReLU trunk; each weight and
     # bias gradient is written into its slot of `out` (trunk bottom-up, then
@@ -243,15 +246,15 @@ def forward_batch_with_grad(
     np.add.reduce(d_heads, axis=0, out=views[-1])
     d_h = d_heads @ params.heads.weight.T
     for k in reversed(range(len(params.trunk))):
-        d_z = d_h * (pre_acts[k] > 0.0)
-        np.matmul(acts[k].T, d_z, out=views[2 * k])
-        np.add.reduce(d_z, axis=0, out=views[2 * k + 1])
+        d_h *= pre_acts[k] > 0.0  # through the ReLU: now the pre-activation gradient
+        np.matmul(acts[k].T, d_h, out=views[2 * k])
+        np.add.reduce(d_h, axis=0, out=views[2 * k + 1])
         if k:  # the input descriptors take no gradient
-            d_h = d_z @ params.trunk[k].weight.T
+            d_h = d_h @ params.trunk[k].weight.T
 
     global _grad_evaluations
     _grad_evaluations += 1
-    return breakdown, out
+    return LossBreakdown(fg_term, bg_term, box_term, fg_term + bg_term + box_term), out
 
 
 def sgd_step(

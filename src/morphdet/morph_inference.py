@@ -21,7 +21,7 @@ from .embedder import forward_batch
 from .numkernel import DimensionMismatch, EmptyInput
 from .objective import posterior_batch
 from .prototype_store import add_novel
-from .textio import is_class_id, read_tensor_file, tensor_line, write_record_file
+from .textio import class_id_name, is_class_id, read_tensor_file, tensor_line, write_record_file
 
 EXEMPLARS_HEADER = "morphdet-exemplars v3"
 
@@ -169,8 +169,8 @@ def detect(state, proposals, config: DetectConfig = DetectConfig()) -> list[Dete
 
 def write_exemplars_csv(path, exemplars) -> None:
     """Exemplar file: an empty meta line, then per class in ascending id order
-    one tensor named by the id, with a descriptor per row."""
-    body = [tensor_line(str(int(cid)), exemplars[cid]) for cid in sorted(exemplars)]
+    one tensor named by the id, with a descriptor per row; a key that is not an integer >= 1 is refused."""
+    body = [tensor_line(class_id_name(cid), exemplars[cid]) for cid in sorted(exemplars)]
     write_record_file(path, EXEMPLARS_HEADER, "meta", {}, body)
 
 

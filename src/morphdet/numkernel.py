@@ -1,6 +1,6 @@
 """Shared numeric primitives: unit normalization and the elementwise
-smooth-L1 kernels of box regression, plus the error types for mismatched
-shapes, near-zero norms and empty inputs.
+smooth-L1 kernel of box regression, which gives value and slope together,
+plus the error types for mismatched shapes, near-zero norms and empty inputs.
 
 Everything operates on plain float64 numpy arrays and is pure; bad input
 raises instead of propagating garbage.
@@ -36,16 +36,10 @@ def l2_normalize(a) -> np.ndarray:
     return a / norm
 
 
-def smooth_l1_array(x: np.ndarray) -> np.ndarray:
-    """Elementwise smooth L1: 0.5 * x**2 inside |x| < 1, |x| - 0.5 outside;
-    value and slope agree at the joins."""
+def smooth_l1(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise smooth L1 and its slope from one |x| and one mask: 0.5 * x**2 and x inside
+    |x| < 1, |x| - 0.5 and sign(x) outside; value and slope agree at the joins."""
     x = np.asarray(x, dtype=np.float64)
     ax = np.abs(x)
-    return np.where(ax < 1.0, 0.5 * x * x, ax - 0.5)
-
-
-def smooth_l1_grad_array(x: np.ndarray) -> np.ndarray:
-    """Elementwise derivative of smooth_l1_array: x inside |x| < 1, sign(x)
-    outside."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(np.abs(x) < 1.0, x, np.sign(x))
+    inside = ax < 1.0
+    return np.where(inside, 0.5 * x * x, ax - 0.5), np.where(inside, x, np.sign(x))

@@ -1,29 +1,22 @@
 """Classification posterior and the types of the training loss.
 
 A proposal with feature vector f scores class j by the inner product with
-that class's prototype p_j. A separately regressed logit b plays the role of
-a background class without a background prototype. All scores share one
-softmax denominator:
-
-    denom = exp(b) + sum_j exp(f . p_j)
-
-The p_j are the rows of a PrototypeSet's matrix, in ascending class id;
-detection and the loss score against that stored matrix as it is.
+that class's prototype p_j, the j-th row of a PrototypeSet's matrix (ascending
+class id), and a separately regressed logit b plays the background class. All
+scores share one softmax denominator, denom = exp(b) + sum_j exp(f . p_j).
 softmax_terms is the one softmax of the package: posterior_batch returns its
 posteriors for detection, and embedder.forward_batch_with_grad takes its
-logits, log-denominator and posteriors for the training loss and its
-gradients, so detection scores are bit-equal to the posterior that training
-differentiates. In the loss the foreground term is the negative
-log-probability of the labelled class, the background term that of the
-background slot, and box regression a smooth-L1 penalty on the deltas of
-foreground proposals. Each term is averaged over its own group and weighted
-by the training config's fg_weight, bg_weight and bbox_weight; LossBreakdown
-holds the weighted terms.
+logits, log-denominator and posteriors for the training loss and gradients,
+so detection scores are bit-equal to the posterior that training
+differentiates. The loss is the negative log-probability of each foreground
+row's class and of each background row's background slot, plus a smooth-L1
+penalty on foreground box deltas; each term is averaged over its own group
+and weighted by the training config. LossBreakdown holds the weighted terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +24,7 @@ from .numkernel import DimensionMismatch, EmptyInput
 from .prototype_store import PrototypeSet
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
+class LossBreakdown(NamedTuple):
     """Weighted contributions of the three terms; total == fg + bg + bbox."""
 
     fg: float
@@ -54,11 +46,15 @@ def scoring_matrix(prototypes: PrototypeSet, dim: int) -> np.ndarray:
 def softmax_terms(features: np.ndarray, bg_logits: np.ndarray, mat: np.ndarray) -> tuple:
     """The one softmax of training and detection, max-shifted in log space:
     (logits, log_denom, q) with logits (n, M + 1), background in column 0
-    and f . p_j in column j + 1, and posteriors q = exp(logits - log_denom)."""
+    and f . p_j in column j + 1, and posteriors q = exp(logits - log_denom);
+    ufunc reduces and in-place exps keep its numpy calls few."""
     logits = np.concatenate([bg_logits[:, None], features @ mat.T], axis=1)
-    shift = np.max(logits, axis=1)
-    log_denom = shift + np.log(np.sum(np.exp(logits - shift[:, None]), axis=1))
-    return logits, log_denom, np.exp(logits - log_denom[:, None])
+    shift = np.maximum.reduce(logits, axis=1)
+    shifted = logits - shift[:, None]
+    log_denom = np.log(np.add.reduce(np.exp(shifted, out=shifted), axis=1))
+    log_denom += shift
+    q = logits - log_denom[:, None]
+    return logits, log_denom, np.exp(q, out=q)
 
 
 def posterior_batch(features: np.ndarray, bg_logits: np.ndarray, prototypes: PrototypeSet) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import DimensionMismatch, EmptyInput, l2_normalize
-from .textio import fmt_vector, is_class_id, parse_floats
+from .textio import class_id_name, fmt_vector, is_class_id, parse_floats
 
 UNIT_NORM_TOL = 1e-9
 _UNDECODED = re.compile("[\udc80-\udcff]")  # where surrogateescape put a byte that is not UTF-8
@@ -169,10 +169,10 @@ def add_novel(protos: PrototypeSet, class_id: int, vector) -> PrototypeSet:
 def write_vector_file(path, vectors: Mapping[int, np.ndarray]) -> None:
     """Plain class_id -> vector map, one 'class_id<TAB>components' line per
     class in ascending id order. Used for semantic-vector files, so real
-    word-vector dumps can be swapped in."""
+    word-vector dumps can be swapped in. A key that is not an integer >= 1 is refused before the file opens."""
+    lines = [f"{class_id_name(cid)}\t{fmt_vector(vectors[cid])}\n" for cid in sorted(vectors)]
     with open(path, "w", encoding="utf-8") as fh:
-        for cid in sorted(vectors):
-            fh.write(f"{int(cid)}\t{fmt_vector(vectors[cid])}\n")
+        fh.writelines(lines)
 
 
 def read_vector_file(path) -> dict[int, np.ndarray]:

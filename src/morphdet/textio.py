@@ -33,6 +33,13 @@ def is_class_id(text: str) -> bool:
     return text.isascii() and text.isdigit() and text[0] != "0"
 
 
+def class_id_name(cid) -> str:
+    """`cid` as the writers write a class id, refused unless is_class_id takes it back (an integer >= 1)."""
+    if not is_class_id(name := str(cid)):
+        raise ValueError(f"class id {cid!r} is not an integer >= 1")
+    return name
+
+
 def parse_floats(text: str) -> np.ndarray:
     """A whitespace-separated string as float64; NaN and infinities are
     rejected, so no non-finite value enters from a file."""

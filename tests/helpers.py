@@ -5,7 +5,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from morphdet.embedder import EmbedderParams
+from morphdet.embedder import EmbedderParams, loss_table
 from morphdet.morph_inference import Box, encode_box
 from morphdet.numkernel import EmptyInput
 from morphdet.objective import scoring_matrix
@@ -48,6 +48,15 @@ def vector_for(protos: PrototypeSet, class_id: int) -> np.ndarray:
     return protos.matrix[protos.ids.index(class_id)]
 
 
+def reference_softmax_terms(features, bg_logits, mat) -> tuple:
+    """objective.softmax_terms in its plain form, which pins the library's
+    arithmetic: np.max and np.sum, exp of fresh arrays, shift + log(sum)."""
+    logits = np.concatenate([bg_logits[:, None], features @ mat.T], axis=1)
+    shift = np.max(logits, axis=1)
+    log_denom = shift + np.log(np.sum(np.exp(logits - shift[:, None]), axis=1))
+    return logits, log_denom, np.exp(logits - log_denom[:, None])
+
+
 def labelled_batch(descriptors, labels, targets, prototypes: PrototypeSet) -> tuple:
     """forward_batch_with_grad's batch arguments from per-row labels (0 for
     background), foreground rows first; refuses a label with no prototype."""
@@ -62,8 +71,10 @@ def labelled_batch(descriptors, labels, targets, prototypes: PrototypeSet) -> tu
     unknown = np.take(ids, slots, mode="clip") != fg_labels
     if np.any(unknown):
         raise UnknownClass(f"foreground labels {np.unique(fg_labels[unknown]).tolist()} have no prototype")
-    X = np.asarray(descriptors, dtype=np.float64)[np.concatenate([fg_rows, np.flatnonzero(labels == 0)])]
-    return X, slots, len(fg_rows), np.asarray(targets, dtype=np.float64)[fg_rows], pmat
+    bg_rows = np.flatnonzero(labels == 0)
+    X = np.asarray(descriptors, dtype=np.float64)[np.concatenate([fg_rows, bg_rows])]
+    cols = np.concatenate([slots + 1, np.zeros(len(bg_rows), dtype=slots.dtype)])
+    return X, cols, len(fg_rows), np.asarray(targets, dtype=np.float64)[fg_rows], loss_table(pmat)
 
 
 def scene_of(objects=(), proposals=(), scene_id=0) -> Scene:

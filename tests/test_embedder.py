@@ -16,7 +16,7 @@ from morphdet.embedder import (
     init_params,
     sgd_step,
 )
-from morphdet.numkernel import DimensionMismatch, smooth_l1_array, smooth_l1_grad_array
+from morphdet.numkernel import DimensionMismatch, smooth_l1
 from morphdet.objective import LossBreakdown, scoring_matrix, softmax_terms
 from morphdet.prototype_store import UnknownClass, init_from_semantic
 from morphdet.textio import parse_tensor, tensor_line
@@ -262,8 +262,8 @@ def labelled_reference(params, descriptors, labels, targets, prototypes, weights
         d_feats[fg_rows] = coef * (mix[fg_rows] - pmat[slots])
         d_bg[fg_rows] = coef * q[fg_rows, 0]
         residual = deltas[fg_rows] - np.asarray(targets, dtype=np.float64)[fg_rows]
-        box_term = weights.bbox_weight * float(np.sum(np.sum(smooth_l1_array(residual), axis=1)) / n_fg)
-        d_deltas[fg_rows] = (weights.bbox_weight / n_fg) * smooth_l1_grad_array(residual)
+        box_term = weights.bbox_weight * float(np.sum(np.sum(smooth_l1(residual)[0], axis=1)) / n_fg)
+        d_deltas[fg_rows] = (weights.bbox_weight / n_fg) * smooth_l1(residual)[1]
     if n_bg:
         bg_term = weights.bg_weight * float(np.sum(log_denom[bg_rows] - bg[bg_rows]) / n_bg)
         coef = weights.bg_weight / n_bg

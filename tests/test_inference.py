@@ -1,5 +1,6 @@
 """Boxes, NMS against a brute-force oracle, morphing, and detection flow."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -330,6 +331,18 @@ def test_exemplars_csv_round_trip(tmp_path, tiny_exemplars):
         assert len(back[cid]) == len(descs)
         for mine, theirs in zip(descs, back[cid]):
             assert np.array_equal(mine, theirs)
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.0, True])
+def test_exemplars_writer_refuses_ids_its_reader_refuses(tmp_path, bad):
+    """A key the reader would refuse is refused before the file is opened, so no file is left behind."""
+    path = tmp_path / "exemplars.csv"
+    shots = np.ones((2, 3))
+    with pytest.raises(ValueError, match=re.escape(f"class id {bad!r} is not an integer >= 1")):
+        write_exemplars_csv(path, {bad: shots, 5: shots})
+    assert not path.exists()
+    write_exemplars_csv(path, {np.int64(2): shots, 7: shots})
+    assert sorted(read_exemplars_csv(path)) == [2, 7]
 
 
 def test_exemplars_are_one_float64_array_per_class_from_draw_to_file_to_morph(

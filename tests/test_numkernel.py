@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from morphdet.numkernel import DegenerateVector, l2_normalize, smooth_l1_array, smooth_l1_grad_array
+from morphdet.numkernel import DegenerateVector, l2_normalize, smooth_l1
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -54,19 +54,19 @@ def naive_smooth_l1_grad(x: float) -> float:
 
 def test_smooth_l1_hand_table():
     x = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
-    assert smooth_l1_array(x).tolist() == [1.5, 0.5, 0.125, 0.125, 0.5, 1.5]
-    assert smooth_l1_grad_array(x).tolist() == [-1.0, -1.0, -0.5, 0.5, 1.0, 1.0]
+    assert smooth_l1(x)[0].tolist() == [1.5, 0.5, 0.125, 0.125, 0.5, 1.5]
+    assert smooth_l1(x)[1].tolist() == [-1.0, -1.0, -0.5, 0.5, 1.0, 1.0]
 
 
 def test_smooth_l1_piecewise_values():
     x = np.linspace(-3, 3, 61)
-    assert np.allclose(smooth_l1_array(x), [naive_smooth_l1(v) for v in x], rtol=0.0, atol=1e-15)
+    assert np.allclose(smooth_l1(x)[0], [naive_smooth_l1(v) for v in x], rtol=0.0, atol=1e-15)
 
 
 def test_smooth_l1_continuous_at_joins():
     below = np.nextafter(1.0, 0.0)
-    assert smooth_l1_array(np.array([1.0, below, -below])) == pytest.approx([0.5, 0.5, 0.5], abs=1e-12)
-    assert smooth_l1_grad_array(np.array([1.0, below, -1.0])) == pytest.approx([1.0, 1.0, -1.0], abs=1e-12)
+    assert smooth_l1(np.array([1.0, below, -below]))[0] == pytest.approx([0.5, 0.5, 0.5], abs=1e-12)
+    assert smooth_l1(np.array([1.0, below, -1.0]))[1] == pytest.approx([1.0, 1.0, -1.0], abs=1e-12)
 
 
 def test_smooth_l1_grad_matches_finite_differences():
@@ -74,14 +74,14 @@ def test_smooth_l1_grad_matches_finite_differences():
     h = 1e-6
     x = rng.uniform(-3, 3, size=100)
     x = x[np.abs(np.abs(x) - 1.0) >= 10 * h]
-    fd = (smooth_l1_array(x + h) - smooth_l1_array(x - h)) / (2 * h)
-    assert np.allclose(smooth_l1_grad_array(x), fd, rtol=0.0, atol=1e-8)
+    fd = (smooth_l1(x + h)[0] - smooth_l1(x - h)[0]) / (2 * h)
+    assert np.allclose(smooth_l1(x)[1], fd, rtol=0.0, atol=1e-8)
 
 
 @given(finite)
 def test_smooth_l1_symmetry(x):
     pair = np.array([x, -x])
-    value, grad = smooth_l1_array(pair), smooth_l1_grad_array(pair)
+    value, grad = smooth_l1(pair)
     assert value[0] == value[1]
     assert grad[0] == -grad[1]
 
@@ -89,5 +89,5 @@ def test_smooth_l1_symmetry(x):
 def test_array_forms_match_scalar_forms():
     rng = np.random.default_rng(4)
     x = rng.uniform(-4, 4, size=64)
-    assert np.array_equal(smooth_l1_array(x), np.array([naive_smooth_l1(v) for v in x]))
-    assert np.array_equal(smooth_l1_grad_array(x), np.array([naive_smooth_l1_grad(v) for v in x]))
+    assert np.array_equal(smooth_l1(x)[0], np.array([naive_smooth_l1(v) for v in x]))
+    assert np.array_equal(smooth_l1(x)[1], np.array([naive_smooth_l1_grad(v) for v in x]))

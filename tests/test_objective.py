@@ -9,11 +9,11 @@ import pytest
 from test_embedder import make_protos, max_grad_error, naive_forward, stack_batch
 from test_numkernel import naive_smooth_l1
 
-from helpers import empty_prototypes, labelled_batch, vector_for
+from helpers import empty_prototypes, labelled_batch, reference_softmax_terms, vector_for
 from morphdet.em_trainer import TrainConfig
 from morphdet.embedder import forward_batch_with_grad, init_params
 from morphdet.numkernel import DimensionMismatch, EmptyInput
-from morphdet.objective import posterior_batch
+from morphdet.objective import posterior_batch, softmax_terms
 from morphdet.prototype_store import UnknownClass, add_novel, init_from_semantic
 
 
@@ -56,6 +56,27 @@ def test_posterior_batch_is_the_loss_log_sum_exp_bit_for_bit(classes):
         shift = np.max(row)
         log_denom = shift + np.log(np.sum(np.exp(row - shift)))
         assert np.array_equal(q[i], np.exp(row - log_denom))
+
+
+@pytest.mark.parametrize("classes", [1, 3, 25, 80])
+def test_softmax_terms_is_the_plain_form_bit_for_bit(classes):
+    """The softmax that training and detection share gives the plain form's
+    logits, log-denominator and posteriors bit for bit, on ordinary batches,
+    on logits spread over +-700 and on rows whose background and top class
+    logits both sit near +700 or near -700; one prototype is the narrowest
+    matrix."""
+    rng = np.random.default_rng([9, classes])
+    mat = make_protos(rng, classes, 6).matrix
+    for n in (1, 8, 32):
+        feats, bg = rng.normal(size=(n, 6)) * 3.0, rng.normal(size=n)
+        wide = feats * (700.0 / np.max(np.abs(feats @ mat.T)))
+        high = 699.0 * mat[rng.integers(classes, size=n)] + rng.normal(size=(n, 6)) * 0.01
+        cases = [(feats, bg), (wide, rng.uniform(-700.0, 700.0, size=n)), (high, 699.5 + rng.uniform(size=n)),
+                 (-high, -699.5 - rng.uniform(size=n))]
+        for f, b in cases:
+            got, want = softmax_terms(f, b, mat), reference_softmax_terms(f, b, mat)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert np.max(np.abs(wide @ mat.T)) == pytest.approx(700.0)
 
 
 def test_posterior_rows_sum_to_one_with_huge_logits():

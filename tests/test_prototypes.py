@@ -188,6 +188,17 @@ def test_vector_file_round_trip(tmp_path):
         assert np.array_equal(back[cid], vec)
 
 
+@pytest.mark.parametrize("bad", [0, -3, 2.0, True])
+def test_vector_file_writer_refuses_ids_its_reader_refuses(tmp_path, bad):
+    """A key the reader would refuse is refused before the file is opened, so no file is left behind."""
+    path = tmp_path / "vectors.txt"
+    with pytest.raises(ValueError, match=re.escape(f"class id {bad!r} is not an integer >= 1")):
+        write_vector_file(path, {bad: np.ones(2), 5: np.ones(2)})
+    assert not path.exists()
+    write_vector_file(path, {np.int64(2): np.ones(2), 7: np.zeros(2)})
+    assert sorted(read_vector_file(path)) == [2, 7]
+
+
 def test_vector_file_skips_blank_lines_and_rejects_malformed_ones(tmp_path):
     path = tmp_path / "vectors.txt"
     path.write_text("1\t1 0\n\n2\t0 1\n\n")

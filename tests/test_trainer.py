@@ -1,6 +1,7 @@
 """Alternating-training loop: M-step, E-step, the full run, and checkpoints."""
 
 import json
+import math
 import re
 from dataclasses import replace
 from types import SimpleNamespace
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import TINY_TRAIN, identity_detector, reframe, tensor_body
-from helpers import empty_prototypes, objects_of, params_equal, scene_of, vector_for
+from helpers import empty_prototypes, labelled_batch, objects_of, params_equal, scene_of, vector_for
 from morphdet import em_trainer
 from morphdet.em_trainer import (
     CHECKPOINT_HEADER,
@@ -32,7 +33,7 @@ from morphdet.em_trainer import (
     visual_init_vectors,
     write_metrics_csv,
 )
-from morphdet.embedder import CheckpointError, forward_batch, init_params
+from morphdet.embedder import CheckpointError, clone_params, forward_batch, forward_batch_with_grad, init_params, sgd_step
 from morphdet.morph_inference import morph
 from morphdet.numkernel import DimensionMismatch, EmptyInput
 from morphdet.prototype_store import PrototypeSet, UnknownClass, e_step_update, init_from_semantic
@@ -241,6 +242,48 @@ def test_m_step_refuses_a_batch_without_room_for_both_pools(tiny_state, tiny_dat
         assert len(records) == 1
     _, records = m_step(_with_config(tiny_state, batch_size=2), *arrays)
     assert all(rec.fg > 0.0 and rec.bg > 0.0 for rec in records)
+
+
+def hand_m_step(state, X, labels, targets, iteration):
+    """m_step written as a loop of per-step labelled batches over the same
+    plan: each step maps its own labels through labelled_batch, then takes an
+    sgd_step; each epoch's four losses are summed step by step."""
+    config = state.config
+    fg_pool, bg_pool = np.flatnonzero(labels > 0), np.flatnonzero(labels == 0)
+    steps = max(1, math.ceil(len(labels) / config.batch_size))
+    n_fg = max(1, config.batch_size // 4) if len(fg_pool) and len(bg_pool) else (config.batch_size if len(fg_pool) else 0)
+    rng = np.random.default_rng([config.seed, 17, iteration])
+    plan = _pick_plan(fg_pool, bg_pool, n_fg, config.batch_size, config.m_step_epochs * steps, rng)
+    params = clone_params(state.params)
+    grad, velocity = np.empty_like(params.flat), np.zeros_like(params.flat)
+    records = []
+    for epoch in range(config.m_step_epochs):
+        sums = [0.0] * 4
+        for picks in plan[epoch * steps : (epoch + 1) * steps]:
+            batch = labelled_batch(X[picks], labels[picks], targets[picks], state.prototypes)
+            loss, _ = forward_batch_with_grad(params, *batch, config, grad)
+            sgd_step(params, grad, _epoch_lr(config, epoch), velocity, config.momentum)
+            sums = [total + term for total, term in zip(sums, (loss.fg, loss.bg, loss.bbox, loss.total))]
+        records.append(EpochRecord(iteration, epoch, *(total / steps for total in sums)))
+    return params, records
+
+
+@pytest.mark.parametrize("pools", ["both", "fg_only", "bg_only"])
+@pytest.mark.parametrize("batch_size", [2, 5, 32])
+def test_m_step_equals_a_loop_of_labelled_batches_bit_for_bit(tiny_state, tiny_dataset, batch_size, pools):
+    """The M-step's once-per-run column map, prototype table and per-epoch
+    gathers give what per-step labelled batches give, in parameters and epoch
+    records, under uneven loss weights, momentum and the decayed rate."""
+    X, labels, targets = proposal_arrays(tiny_dataset)
+    keep = {"both": labels >= 0, "fg_only": labels > 0, "bg_only": labels == 0}[pools]
+    X, labels, targets = X[keep], labels[keep], targets[keep]
+    state = _with_config(
+        tiny_state, fg_weight=1.0, bg_weight=0.7, bbox_weight=1.3, momentum=0.9, batch_size=batch_size, m_step_epochs=5
+    )
+    trained, records = m_step(state, X, labels, targets, iteration=5)
+    want_params, want_records = hand_m_step(state, X, labels, targets, 5)
+    assert params_equal(trained.params, want_params)
+    assert repr(records) == repr(want_records) and len(records) == 5
 
 
 def test_m_step_leaves_its_input_state_untouched(tiny_state, tiny_dataset):
