@@ -6,17 +6,22 @@ feature vector (scored against class prototypes), a single background logit,
 and four class-agnostic box-regression deltas.
 
 forward_batch embeds a batch for inference. forward_batch_with_grad computes
-the training loss of objective.py on a foreground-first minibatch given as
-arrays, in one pass over both row groups (each row's own logit column and
-prototype by one gather; smooth-L1 gives value and slope together), and
-backpropagates it in closed form into the caller's flat gradient vector.
-Labels are mapped to logit columns by the caller, the M-step once for all of
-its batches. Both functions run the same forward pass, and the loss takes its
-posteriors from objective.softmax_terms, the softmax that detection scores
-with. Prototypes are constants here. sgd_step updates a parameter vector and
-its velocity in place. A module-level counter records every gradient
-evaluation; forward_batch never touches it, which is how zero-gradient
-guarantees for morphing are asserted downstream.
+the training loss of objective.py on a minibatch given as arrays, foreground
+rows first (descriptors, each row's own logit column, the prototype table
+those columns index and the foreground rows' box targets; per-group means of
+foreground, background and box terms, each multiplied by its weight) in one
+pass over both row groups, and backpropagates it through the heads and the
+ReLU trunk in closed form, writing the gradient into the caller's flat vector
+in the parameter layout. Labels are mapped to logit columns and checked by
+the caller, the M-step once for all of its batches. Both functions run the
+same forward pass, and the loss takes its posteriors from
+objective.softmax_terms, the softmax that detection scores with. Prototypes
+are constants here. sgd_step updates a parameter vector and its velocity in
+place.
+
+A module-level counter records every gradient evaluation; forward_batch never
+touches it, which is how zero-gradient guarantees for morphing are asserted
+downstream.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ if TYPE_CHECKING:  # em_trainer imports this module
     from .em_trainer import TrainConfig
 
 _grad_evaluations = 0
-_last_views: tuple = (None, (), ())  # _views' last buffer, layout and views: the M-step passes one buffer throughout
+_last_grad_views: tuple = (None, (), ())  # the last gradient buffer, its layout and its views
 
 
 def grad_evaluation_count() -> int:
@@ -67,17 +72,29 @@ def _layout(sizes: tuple[int, ...]) -> tuple[tuple, int]:
     return tuple(slots), offset
 
 
-def _views(flat: np.ndarray, sizes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """One view into `flat` per tensor of the layout, in layout order; a buffer given twice running gets the same views."""
-    global _last_views
-    if _last_views[0] is not flat or _last_views[1] != sizes:
-        _last_views = (flat, sizes, tuple(flat[start:stop].reshape(shape) for start, stop, shape in _layout(sizes)[0]))
-    return _last_views[2]
+def _views(flat: np.ndarray, sizes: tuple[int, ...]) -> list[np.ndarray]:
+    """One view into `flat` per tensor of the layout, in layout order."""
+    return [flat[start:stop].reshape(shape) for start, stop, shape in _layout(sizes)[0]]
+
+
+def _grad_views(out: np.ndarray, sizes: tuple[int, ...]) -> list[np.ndarray]:
+    """_views of a gradient buffer, kept (and the buffer with them) from the last call with
+    the same buffer and layout: the M-step writes every step's gradient into one buffer,
+    and slicing it anew costs about 4% of a step."""
+    global _last_grad_views
+    last = _last_grad_views
+    if last[0] is not out or last[1] != sizes:
+        last = _last_grad_views = (out, sizes, _views(out, sizes))
+    return last[2]
 
 
 def _check_flat(flat: np.ndarray, total: int, what: str) -> None:
     if flat.dtype != np.float64 or flat.shape != (total,):
         raise DimensionMismatch(f"{what}: {flat.dtype} {flat.shape}, expected float64 ({total},)")
+
+
+def _is_size(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
 
 class EmbedderParams:
@@ -92,7 +109,7 @@ class EmbedderParams:
 
     def __init__(self, sizes, flat: np.ndarray | None = None):
         sizes = tuple(sizes)
-        if len(sizes) < 2 or not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 1 for s in sizes):
+        if len(sizes) < 2 or not all(_is_size(s) for s in sizes):
             raise ValueError(f"layer sizes (m_in, *hidden, d) must all be integers >= 1, got {sizes}")
         sizes = tuple(map(int, sizes))
         total = _layout(sizes)[1]
@@ -179,15 +196,6 @@ def loss_table(pmat: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros((1, pmat.shape[1])), pmat])
 
 
-@lru_cache(maxsize=64)
-def _row_terms(n: int, n_fg: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row index and background target (0 on the n_fg foreground rows, then 1), read-only."""
-    rows = np.arange(n)
-    target = (rows >= n_fg).astype(np.float64)
-    rows.flags.writeable = target.flags.writeable = False
-    return rows, target
-
-
 def forward_batch_with_grad(
     params: EmbedderParams,
     descriptors: np.ndarray,
@@ -201,14 +209,15 @@ def forward_batch_with_grad(
     """Composite loss and exact parameter gradients for one minibatch.
 
     Rows [0, n_fg) of `descriptors` are foreground, with box targets
-    fg_targets; the rest are background. Row i's own logit column is cols[i]:
-    j + 1 for the class in row j of the prototype matrix, 0 for background;
-    `table` is loss_table of that matrix. The loss is the sum of three group
-    means, weighted by config.fg_weight, bg_weight and bbox_weight:
-    foreground and background negative log-probability, and smooth-L1 box
-    regression over foreground rows. The gradient overwrites `out`, one float64
-    vector in the layout of params.flat, and is returned. Accumulation order is
-    fixed (batch order), so the result is reproducible bit-for-bit.
+    fg_targets[i]; the other rows are background. Row i's own logit column is
+    cols[i]: j + 1 for the class in row j of the prototype matrix, 0 for
+    background; `table` is loss_table of that matrix. The loss is the sum of
+    three group means, weighted by config.fg_weight, bg_weight and
+    bbox_weight: foreground and background negative log-probability, and
+    smooth-L1 box regression over foreground rows. The gradient is written
+    into `out`, one float64 vector in the layout of params.flat, and returned;
+    its previous contents are overwritten. Accumulation order is fixed (batch
+    order), so the result is reproducible bit-for-bit.
     """
     if not (n := len(descriptors)):
         raise EmptyInput("empty batch")
@@ -217,31 +226,34 @@ def forward_batch_with_grad(
     pre_acts, acts, (feats, bg, deltas) = _forward(params, descriptors)
     all_logits, log_denom, q = softmax_terms(feats, bg, table[1:])  # column 0 = background
 
-    rows, target = _row_terms(n, n_fg)
-    n_bg = n - n_fg  # below, a row's coefficient: its group's weight over its group's size
-    coef = np.where(target, config.bg_weight / n_bg if n_bg else 0.0, config.fg_weight / n_fg if n_fg else 0.0)
-    vals = log_denom - all_logits[rows, cols]  # each row's negative log-probability; each group sums its own
+    n_bg = n - n_fg
+    vals = log_denom - all_logits[np.arange(n), cols]  # each row's negative log-probability; each group sums its own
     fg_term = config.fg_weight * float(np.add.reduce(vals[:n_fg]) / n_fg) if n_fg else 0.0
     bg_term = config.bg_weight * float(np.add.reduce(vals[n_fg:]) / n_bg) if n_bg else 0.0
 
-    # The head block's gradient; background rows keep zero box columns.
+    # The head block's gradient: per row, its group's weight over its group's size
+    # times [sum_m q_m p_m - p_own | q_0 - t], t = 1 on background rows only (table
+    # row 0 is zeros, and x - 0.0 == x); background rows keep zero box columns.
     d_heads = np.zeros((n, params.heads.bias.size))
     d = params.feature_dim
-    d_feats, d_bg, d_deltas = d_heads[:, :d], d_heads[:, d], d_heads[:, d + 1 :]
-    # q[:, 1:] @ P = sum_m q_m p_m is the log-denominator's f-gradient; table row 0 is zeros, and x - 0.0 == x.
-    np.multiply(coef[:, None], q[:, 1:] @ table[1:] - table[cols], out=d_feats)
-    np.multiply(coef, q[:, 0] - target, out=d_bg)
+    d_fb, d_deltas = d_heads[:, : d + 1], d_heads[:, d + 1 :]
+    np.subtract(q[:, 1:] @ table[1:], table[cols], out=d_heads[:, :d])
+    d_heads[:, d] = q[:, 0]
+    d_heads[n_fg:, d] -= 1.0
     box_term = 0.0
     if n_fg:
+        d_fb[:n_fg] *= config.fg_weight / n_fg
         box_vals, slope = smooth_l1(deltas[:n_fg] - fg_targets)
         box_term = config.bbox_weight * float(np.add.reduce(np.add.reduce(box_vals, axis=1)) / n_fg)
         np.multiply(config.bbox_weight / n_fg, slope, out=d_deltas[:n_fg])
+    if n_bg:
+        d_fb[n_fg:] *= config.bg_weight / n_bg
 
     # Backward through the head block, then the ReLU trunk; each weight and
     # bias gradient is written into its slot of `out` (trunk bottom-up, then
     # the head block, each weight before its bias). np.add.reduce is np.sum's
     # arithmetic without its per-call argument handling.
-    views = _views(out, params.sizes)
+    views = _grad_views(out, params.sizes)
     np.matmul(acts[-1].T, d_heads, out=views[-2])
     np.add.reduce(d_heads, axis=0, out=views[-1])
     d_h = d_heads @ params.heads.weight.T

@@ -37,9 +37,12 @@ def l2_normalize(a) -> np.ndarray:
 
 
 def smooth_l1(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise smooth L1 and its slope from one |x| and one mask: 0.5 * x**2 and x inside
-    |x| < 1, |x| - 0.5 and sign(x) outside; value and slope agree at the joins."""
+    """Elementwise smooth L1 and its slope: 0.5 * x**2 and x inside |x| < 1, |x| - 0.5
+    and sign(x) outside; value and slope agree at the joins. The slope is x clipped to
+    [-1, 1], and |(x - slope / 2) * slope| rounds as each piece does, since x - x / 2
+    is exact (the abs only clears the sign of the zero that x = -0.0 gives)."""
     x = np.asarray(x, dtype=np.float64)
-    ax = np.abs(x)
-    inside = ax < 1.0
-    return np.where(inside, 0.5 * x * x, ax - 0.5), np.where(inside, x, np.sign(x))
+    slope = np.minimum(np.maximum(x, -1.0), 1.0)
+    value = x - 0.5 * slope
+    value *= slope
+    return np.abs(value, out=value), slope

@@ -1,17 +1,24 @@
 """Classification posterior and the types of the training loss.
 
 A proposal with feature vector f scores class j by the inner product with
-that class's prototype p_j, the j-th row of a PrototypeSet's matrix (ascending
-class id), and a separately regressed logit b plays the background class. All
-scores share one softmax denominator, denom = exp(b) + sum_j exp(f . p_j).
+that class's prototype p_j. A separately regressed logit b plays the role of
+a background class without a background prototype. All scores share one
+softmax denominator:
+
+    denom = exp(b) + sum_j exp(f . p_j)
+
+The p_j are the rows of a PrototypeSet's matrix, in ascending class id;
+detection and the loss score against that stored matrix as it is.
 softmax_terms is the one softmax of the package: posterior_batch returns its
 posteriors for detection, and embedder.forward_batch_with_grad takes its
-logits, log-denominator and posteriors for the training loss and gradients,
-so detection scores are bit-equal to the posterior that training
-differentiates. The loss is the negative log-probability of each foreground
-row's class and of each background row's background slot, plus a smooth-L1
-penalty on foreground box deltas; each term is averaged over its own group
-and weighted by the training config. LossBreakdown holds the weighted terms.
+logits, log-denominator and posteriors for the training loss and its
+gradients, so detection scores are bit-equal to the posterior that training
+differentiates. In the loss the foreground term is the negative
+log-probability of the labelled class, the background term that of the
+background slot, and box regression a smooth-L1 penalty on the deltas of
+foreground proposals. Each term is averaged over its own group and weighted
+by the training config's fg_weight, bg_weight and bbox_weight; LossBreakdown
+holds the weighted terms.
 """
 
 from __future__ import annotations

@@ -2,7 +2,6 @@
 
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,16 +265,3 @@ def test_runners_work_without_an_output_directory():
     raw, summary = run_em_iterations(TINY)
     assert len(raw) == TINY.seeds * TINY.train.em_iterations
     assert len(summary) == TINY.train.em_iterations
-
-
-def test_default_studies_write_the_recorded_tables(tmp_path):
-    """The four studies at the default config and one seed write the eight
-    tables whose sha256 studies_seed0.sha256 records (sha256sum -c format),
-    so any change to the arithmetic of training or detection shows here."""
-    recorded = Path(__file__).with_name("studies_seed0.sha256").read_text(encoding="ascii").splitlines()
-    want = {name: digest for digest, name in (line.split("  ") for line in recorded)}
-    config = replace(ExperimentConfig(), seeds=1)
-    for run in EXPERIMENTS.values():
-        run(config, tmp_path)
-    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(want)
-    assert {name: sha256_file(tmp_path / name) for name in want} == want
