@@ -12,8 +12,9 @@ private copy of the network parameters in place, so the state handed to it,
 and every snapshot, stays as it was. A snapshot is captured after every
 M-step; the K-th snapshot is "the detector after K iterations", which is
 what ablations over the iteration count evaluate, and the last snapshot is
-the detector train() returns, so no E-step follows the last M-step. No M-step
-reads lam, so train_lambdas trains several from one first M-step.
+the detector train() returns, so no E-step follows the last M-step.
+train_grid steps runs that differ only in lam and starting prototypes in
+lockstep, and their first M-step, which reads no lam, once per set.
 
 Everything is a pure function of (dataset, semantic vectors, config): fixed
 seeds, fixed shuffle order, fixed reduction order, so reruns are bit-identical.
@@ -173,9 +174,13 @@ class EpochRecord:
 
 @dataclass(frozen=True, eq=False)
 class TrainResult:
-    state: DetectorState  # last post-M-step snapshot: the operative detector
     snapshots: list[DetectorState]  # one per EM iteration, captured after its M-step
     metrics: list[EpochRecord]
+
+    @property
+    def state(self) -> DetectorState:
+        """The last snapshot: the operative detector."""
+        return self.snapshots[-1]
 
 
 def proposal_arrays(dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -219,21 +224,34 @@ def _epoch_lr(config: TrainConfig, epoch: int) -> float:
     return config.learning_rate
 
 
-def m_step(state: DetectorState, X, labels, targets, iteration: int = 0) -> tuple[DetectorState, list[EpochRecord]]:
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """Runs' arrays on a new leading axis; one run's copied as it is (a (1, P) stack steps slower)."""
+    return arrays[0].copy() if len(arrays) == 1 else np.stack(arrays)
+
+
+def m_step(states, X, labels, targets, iteration: int = 0, names=None) -> tuple[list[DetectorState], list[list[EpochRecord]]]:
     """SGD on the network with prototypes frozen, on proposal_arrays' output,
-    with the settings of state.config; `iteration` seeds the shuffle and tags
-    the one record of mean losses returned per epoch. Batches mix foreground
+    for `states`: runs that differ at most in prototype values and config.lam,
+    which no M-step reads. `iteration` seeds the shuffle and tags the one
+    record of mean losses returned per run and epoch. Batches mix foreground
     and background proposals at 1:3 where both pools allow, at least one of
     each, so a batch size below 2 is refused when both pools are non-empty; a
-    missing pool fills the batch from the other. Zero epochs returns
-    (state, []).
+    missing pool fills the batch from the other. Zero epochs returns the
+    states as they are and no records.
 
-    Training works on a private copy of state.params, updated in place with
-    one gradient and one velocity buffer for the whole M-step; the input state
-    is left as it was, and the returned state holds the copy.
+    The runs step in lockstep, one forward_batch_with_grad and sgd_step per
+    step, on an (L, P) stack of copies of their parameters (one run keeps its
+    1-D flat) with one gradient and one velocity buffer, each scored against
+    its own prototype table. The input states are left as they were; each
+    returned state holds a copy of its row. A non-finite loss raises
+    TrainingDiverged naming the run by names[k], "run k" by default.
     """
-    config = state.config
-    unknown = set(labels[labels > 0].tolist()) - set(state.prototypes.ids)
+    if not states:
+        raise EmptyInput("an M-step needs at least one run")
+    config, ids = states[0].config, states[0].prototypes.ids
+    if any(s.prototypes.ids != ids or replace(s.config, lam=config.lam) != config for s in states):
+        raise ConfigError("runs stepped together must share their class ids and every setting but lam")
+    unknown = set(labels[labels > 0].tolist()) - set(ids)
     if unknown:
         raise UnknownClass(f"dataset labels {sorted(unknown)} have no prototype")
     fg_pool = np.flatnonzero(labels > 0)
@@ -243,7 +261,7 @@ def m_step(state: DetectorState, X, labels, targets, iteration: int = 0) -> tupl
             f"batch_size {config.batch_size} leaves no room for a foreground row beside background; use 2 or more"
         )
     if config.m_step_epochs == 0:
-        return state, []
+        return list(states), [[] for _ in states]
 
     steps_per_epoch = max(1, math.ceil(len(labels) / config.batch_size))
     if not len(bg_pool):
@@ -252,28 +270,32 @@ def m_step(state: DetectorState, X, labels, targets, iteration: int = 0) -> tupl
         n_fg = max(1, config.batch_size // 4) if len(fg_pool) else 0
     rng = np.random.default_rng([config.seed, 17, iteration])
     plan = _pick_plan(fg_pool, bg_pool, n_fg, config.batch_size, config.m_step_epochs * steps_per_epoch, rng)
-    table = loss_table(scoring_matrix(state.prototypes, state.params.feature_dim))
-    cols = np.where(labels > 0, np.searchsorted(np.asarray(state.prototypes.ids), labels) + 1, 0)  # own logit column
+    cols = np.where(labels > 0, np.searchsorted(np.asarray(ids), labels) + 1, 0)  # own logit column
 
-    params = clone_params(state.params)
+    params = EmbedderParams(states[0].params.sizes, _stack([s.params.flat for s in states]))
+    table = _stack([loss_table(scoring_matrix(s.prototypes, params.feature_dim)) for s in states])
     grad = np.empty_like(params.flat)
     velocity = np.zeros_like(params.flat)
-    records: list[EpochRecord] = []
+    names = names or [f"run {k}" for k in range(len(states))]
+    records: list[list[EpochRecord]] = [[] for _ in states]
     for epoch in range(config.m_step_epochs):
         lr = _epoch_lr(config, epoch)
         picks = plan[epoch * steps_per_epoch : (epoch + 1) * steps_per_epoch]
         batch_X, batch_cols, batch_targets = X[picks], cols[picks], targets[picks[:, :n_fg]]
-        sums = [0.0] * 4
+        sums = [[0.0] * 4 for _ in states]
         for step in range(steps_per_epoch):
             breakdown, _ = forward_batch_with_grad(
                 params, batch_X[step], batch_cols[step], n_fg, batch_targets[step], table, config, out=grad
             )
-            if not math.isfinite(breakdown.total):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}: {breakdown}")
+            for k, loss in enumerate(zip(*breakdown) if len(states) > 1 else [breakdown]):
+                if not math.isfinite(loss[3]):
+                    raise TrainingDiverged(f"{names[k]}: non-finite loss at epoch {epoch} (total {loss[3]})")
+                sums[k] = [total + term for total, term in zip(sums[k], loss)]
             sgd_step(params, grad, lr, velocity, config.momentum)
-            sums = [total + term for total, term in zip(sums, breakdown)]
-        records.append(EpochRecord(iteration, epoch, *(total / steps_per_epoch for total in sums)))
-    return replace(state, params=params), records
+        for run_records, run_sums in zip(records, sums):
+            run_records.append(EpochRecord(iteration, epoch, *(float(total / steps_per_epoch) for total in run_sums)))
+    rows = params.flat.reshape(len(states), -1)
+    return [replace(s, params=EmbedderParams(params.sizes, row.copy())) for s, row in zip(states, rows)], records
 
 
 def e_step(state: DetectorState, gt_ids, gt_X) -> DetectorState:
@@ -297,35 +319,44 @@ def train(dataset, semantic_vectors, config: TrainConfig = TrainConfig()) -> Tra
     M-steps with an E-step between each two, snapshotting after each M-step.
     `semantic_vectors` maps class_id -> vector and must cover every class of
     the dataset; extra entries (e.g. novel classes kept for later) are ignored."""
-    return train_lambdas(dataset, semantic_vectors, config, (config.lam,))[0]
+    return train_grid(dataset, [semantic_vectors], config, [config.lam])[0][0]
 
 
-def train_lambdas(dataset, semantic_vectors, config: TrainConfig, lams) -> list[TrainResult]:
-    """train() at each blend weight in `lams`, in order, bit for bit; the
-    first M-step, which reads no lam, runs once and each run gets a copy."""
-    configs = [replace(config, lam=lam) for lam in lams]
+def train_grid(dataset, vector_sets, config: TrainConfig, lams) -> list[list[TrainResult]]:
+    """train() for every vector set and blend weight: results[s][j] is, bit
+    for bit, train(dataset, vector_sets[s], replace(config, lam=lams[j])).
+    The runs share the initial network and each M-step's batch plan, so each
+    M-step steps them in lockstep: the first, which reads no lam, once per
+    vector set. E-steps and snapshots are per run."""
+    vector_sets, configs = list(vector_sets), [replace(config, lam=lam) for lam in lams]
+    if not vector_sets or not configs:
+        raise EmptyInput(f"a training grid needs vector sets and lams, got {len(vector_sets)} and {len(configs)}")
     dataset = list(dataset)
     X, labels, targets = proposal_arrays(dataset)
     gt_ids, gt_X = ground_truth_arrays(dataset)
     base_ids = sorted(set(labels[labels > 0].tolist()) | set(gt_ids.tolist()))
-    missing = [cid for cid in base_ids if cid not in semantic_vectors]
-    if missing:
-        raise UnknownClass(f"no semantic vector for dataset classes {missing}")
+    for s, vectors in enumerate(vector_sets):
+        missing = [cid for cid in base_ids if cid not in vectors]
+        if missing:
+            raise UnknownClass(f"vector set {s} has no vector for dataset classes {missing}")
 
-    protos = init_from_semantic({cid: semantic_vectors[cid] for cid in base_ids})
-    params = init_params(X.shape[1], config.hidden_sizes, protos.dim, config.seed)
-    state = DetectorState(params=params, prototypes=protos, config=config)
-    first, first_records = m_step(state, X, labels, targets, 1)
-    results = []
-    for run_config in configs:
-        state = replace(first, params=clone_params(first.params), config=run_config)
-        snapshots, records = [state], list(first_records)
-        for iteration in range(2, config.em_iterations + 1):
-            state, epoch_records = m_step(e_step(state, gt_ids, gt_X), X, labels, targets, iteration)
-            records.extend(epoch_records)
-            snapshots.append(state)
-        results.append(TrainResult(state=state, snapshots=snapshots, metrics=records))
-    return results
+    protos = [init_from_semantic({cid: vectors[cid] for cid in base_ids}) for vectors in vector_sets]
+    params = init_params(X.shape[1], config.hidden_sizes, protos[0].dim, config.seed)
+    sets = range(len(protos))
+    names = [f"vector set {s}, every lam" for s in sets]
+    firsts, first_records = m_step([DetectorState(params, p, config) for p in protos], X, labels, targets, 1, names)
+    runs = [(s, c) for s in sets for c in configs]
+    names = [f"vector set {s}, lam {c.lam}" for s, c in runs]
+    results = [
+        TrainResult([replace(firsts[s], params=clone_params(firsts[s].params), config=c)], list(first_records[s]))
+        for s, c in runs
+    ]
+    for iteration in range(2, config.em_iterations + 1):
+        states, records = m_step([e_step(r.state, gt_ids, gt_X) for r in results], X, labels, targets, iteration, names)
+        for result, state, new in zip(results, states, records):
+            result.snapshots.append(state)
+            result.metrics.extend(new)
+    return [results[s * len(configs) : (s + 1) * len(configs)] for s in sets]
 
 
 def visual_init_vectors(dataset, dim: int) -> dict[int, np.ndarray]:

@@ -17,7 +17,8 @@ the caller, the M-step once for all of its batches. Both functions run the
 same forward pass, and the loss takes its posteriors from
 objective.softmax_terms, the softmax that detection scores with. Prototypes
 are constants here. sgd_step updates a parameter vector and its velocity in
-place.
+place. Both training functions also take an (L, P) stack of L runs'
+parameters, so runs that share their batches step together.
 
 A module-level counter records every gradient evaluation; forward_batch never
 touches it, which is how zero-gradient guarantees for morphing are asserted
@@ -73,8 +74,10 @@ def _layout(sizes: tuple[int, ...]) -> tuple[tuple, int]:
 
 
 def _views(flat: np.ndarray, sizes: tuple[int, ...]) -> list[np.ndarray]:
-    """One view into `flat` per tensor of the layout, in layout order."""
-    return [flat[start:stop].reshape(shape) for start, stop, shape in _layout(sizes)[0]]
+    """One view into `flat` per tensor of the layout, in layout order; a stack's
+    views have its leading run axis."""
+    lead = flat.shape[:-1]
+    return [flat[..., start:stop].reshape(*lead, *shape) for start, stop, shape in _layout(sizes)[0]]
 
 
 def _grad_views(out: np.ndarray, sizes: tuple[int, ...]) -> list[np.ndarray]:
@@ -88,9 +91,9 @@ def _grad_views(out: np.ndarray, sizes: tuple[int, ...]) -> list[np.ndarray]:
     return last[2]
 
 
-def _check_flat(flat: np.ndarray, total: int, what: str) -> None:
-    if flat.dtype != np.float64 or flat.shape != (total,):
-        raise DimensionMismatch(f"{what}: {flat.dtype} {flat.shape}, expected float64 ({total},)")
+def _check_flat(flat: np.ndarray, shape: tuple[int, ...], what: str) -> None:
+    if flat.dtype != np.float64 or flat.shape != shape:
+        raise DimensionMismatch(f"{what}: {flat.dtype} {flat.shape}, expected float64 {shape}")
 
 
 def _is_size(value) -> bool:
@@ -103,9 +106,11 @@ class EmbedderParams:
     `sizes` is (m_in, *hidden_sizes, feature_dim); it fixes the layout, and
     the per-layer arrays are views into `flat`, built once here. The three
     heads, and so their checkpoint tensors, are column views of `heads`.
+    `flat` may be an (L, P) stack of runs trained in lockstep; every view then
+    has a leading run axis.
     """
 
-    __slots__ = ("sizes", "flat", "trunk", "heads", "feature_head", "background_head", "box_head", "_tensors")
+    __slots__ = ("sizes", "flat", "trunk", "heads", "feature_head", "background_head", "box_head", "_tensors", "_row_biases")
 
     def __init__(self, sizes, flat: np.ndarray | None = None):
         sizes = tuple(sizes)
@@ -116,15 +121,16 @@ class EmbedderParams:
         if flat is None:
             flat = np.zeros(total)
         else:
-            _check_flat(flat, total, "flat parameters")
+            _check_flat(flat, (total,) if flat.ndim < 2 else (len(flat), total), "flat parameters")
         self.sizes = sizes
         self.flat = flat
         arrays = _views(flat, sizes)
         self.trunk = tuple(AffineLayer(*arrays[k : k + 2]) for k in range(0, len(arrays) - 2, 2))
         self.heads = heads = AffineLayer(*arrays[-2:])
+        self._row_biases = tuple(layer.bias[..., None, :] for layer in (*self.trunk, heads))  # rows that broadcast over a batch
         d = sizes[-1]
         self.feature_head, self.background_head, self.box_head = (
-            AffineLayer(heads.weight[:, cols], heads.bias[cols]) for cols in (slice(d), slice(d, d + 1), slice(d + 1, None))
+            AffineLayer(heads.weight[..., cols], heads.bias[..., cols]) for cols in (slice(d), slice(d, d + 1), slice(d + 1, None))
         )
         names = [f"trunk.{k}" for k in range(len(self.trunk))] + ["feature_head", "background_head", "box_head"]
         self._tensors = tuple((f"{name}.{field}", arr) for name, b in zip(names, self.blocks()) for field, arr in zip(b._fields, b))
@@ -164,21 +170,21 @@ def init_params(m_in: int, hidden_sizes, feature_dim: int, seed: int) -> Embedde
 def _forward(params: EmbedderParams, descriptors):
     """Trunk pre-activations, trunk activations (input first) and the three
     heads (features, background logits, box deltas) for a descriptor batch,
-    as column views of one head-block product."""
+    as column views of one head-block product; a stack's have its run axis."""
     x = np.asarray(descriptors, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.m_in:
         raise DimensionMismatch(f"descriptor batch has shape {x.shape}, expected (n, {params.m_in})")
     pre_acts: list[np.ndarray] = []
     acts: list[np.ndarray] = [x]
-    for layer in params.trunk:
+    for layer, bias in zip(params.trunk, params._row_biases):
         z = acts[-1] @ layer.weight
-        z += layer.bias
+        z += bias
         pre_acts.append(z)
         acts.append(np.maximum(z, 0.0))
     heads = acts[-1] @ params.heads.weight
-    heads += params.heads.bias
+    heads += params._row_biases[-1]
     d = params.feature_dim
-    return pre_acts, acts, (heads[:, :d], heads[:, d], heads[:, d + 1 :])
+    return pre_acts, acts, (heads[..., :d], heads[..., d], heads[..., d + 1 :])
 
 
 def forward_batch(params: EmbedderParams, descriptors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -215,57 +221,62 @@ def forward_batch_with_grad(
     three group means, weighted by config.fg_weight, bg_weight and
     bbox_weight: foreground and background negative log-probability, and
     smooth-L1 box regression over foreground rows. The gradient is written
-    into `out`, one float64 vector in the layout of params.flat, and returned;
-    its previous contents are overwritten. Accumulation order is fixed (batch
+    into `out`, a float64 buffer shaped like params.flat, and returned; its
+    previous contents are overwritten. Accumulation order is fixed (batch
     order), so the result is reproducible bit-for-bit.
+
+    The loss terms are float64 scalars. An (L, P) stack of runs shares the
+    batch against an (L, M + 1, d) stack of tables; each run's gradient row
+    and (L,) loss term entries are those of a call on its own row and table.
     """
     if not (n := len(descriptors)):
         raise EmptyInput("empty batch")
-    _check_flat(out, params.flat.size, "gradient buffer")
+    _check_flat(out, params.flat.shape, "gradient buffer")
     # Forward pass, keeping pre-activations for the backward sweep.
     pre_acts, acts, (feats, bg, deltas) = _forward(params, descriptors)
-    all_logits, log_denom, q = softmax_terms(feats, bg, table[1:])  # column 0 = background
+    all_logits, log_denom, q = softmax_terms(feats, bg, table[..., 1:, :])  # column 0 = background
 
     n_bg = n - n_fg
-    vals = log_denom - all_logits[np.arange(n), cols]  # each row's negative log-probability; each group sums its own
-    fg_term = config.fg_weight * float(np.add.reduce(vals[:n_fg]) / n_fg) if n_fg else 0.0
-    bg_term = config.bg_weight * float(np.add.reduce(vals[n_fg:]) / n_bg) if n_bg else 0.0
+    runs = params.flat.shape[:-1]  # () for one run's flat, (L,) for a stack; np.zeros(runs)[()] is 0.0 or L zeros
+    vals = log_denom - all_logits[..., np.arange(n), cols]  # each row's negative log-probability; each group sums its own
+    fg_term = config.fg_weight * (np.add.reduce(vals[..., :n_fg], axis=-1) / n_fg) if n_fg else np.zeros(runs)[()]
+    bg_term = config.bg_weight * (np.add.reduce(vals[..., n_fg:], axis=-1) / n_bg) if n_bg else np.zeros(runs)[()]
+    box_term = fg_term  # zero without foreground rows, and set below with them
 
     # The head block's gradient: per row, its group's weight over its group's size
     # times [sum_m q_m p_m - p_own | q_0 - t], t = 1 on background rows only (table
     # row 0 is zeros, and x - 0.0 == x); background rows keep zero box columns.
-    d_heads = np.zeros((n, params.heads.bias.size))
     d = params.feature_dim
-    d_fb, d_deltas = d_heads[:, : d + 1], d_heads[:, d + 1 :]
-    np.subtract(q[:, 1:] @ table[1:], table[cols], out=d_heads[:, :d])
-    d_heads[:, d] = q[:, 0]
-    d_heads[n_fg:, d] -= 1.0
-    box_term = 0.0
+    d_heads = np.zeros((*runs, n, d + 5))
+    d_fb, d_deltas = d_heads[..., : d + 1], d_heads[..., d + 1 :]
+    np.subtract(q[..., 1:] @ table[..., 1:, :], table.take(cols, -2), out=d_heads[..., :d])
+    d_heads[..., d] = q[..., 0]
+    d_heads[..., n_fg:, d] -= 1.0
     if n_fg:
-        d_fb[:n_fg] *= config.fg_weight / n_fg
-        box_vals, slope = smooth_l1(deltas[:n_fg] - fg_targets)
-        box_term = config.bbox_weight * float(np.add.reduce(np.add.reduce(box_vals, axis=1)) / n_fg)
-        np.multiply(config.bbox_weight / n_fg, slope, out=d_deltas[:n_fg])
+        d_fb[..., :n_fg, :] *= config.fg_weight / n_fg
+        box_vals, slope = smooth_l1(deltas[..., :n_fg, :] - fg_targets)
+        box_term = config.bbox_weight * (np.add.reduce(np.add.reduce(box_vals, axis=-1), axis=-1) / n_fg)
+        np.multiply(config.bbox_weight / n_fg, slope, out=d_deltas[..., :n_fg, :])
     if n_bg:
-        d_fb[n_fg:] *= config.bg_weight / n_bg
+        d_fb[..., n_fg:, :] *= config.bg_weight / n_bg
 
     # Backward through the head block, then the ReLU trunk; each weight and
     # bias gradient is written into its slot of `out` (trunk bottom-up, then
     # the head block, each weight before its bias). np.add.reduce is np.sum's
     # arithmetic without its per-call argument handling.
     views = _grad_views(out, params.sizes)
-    np.matmul(acts[-1].T, d_heads, out=views[-2])
-    np.add.reduce(d_heads, axis=0, out=views[-1])
-    d_h = d_heads @ params.heads.weight.T
+    np.matmul(acts[-1].mT, d_heads, out=views[-2])
+    np.add.reduce(d_heads, axis=-2, out=views[-1])
+    d_h = d_heads @ params.heads.weight.mT
     for k in reversed(range(len(params.trunk))):
         d_h *= pre_acts[k] > 0.0  # through the ReLU: now the pre-activation gradient
-        np.matmul(acts[k].T, d_h, out=views[2 * k])
-        np.add.reduce(d_h, axis=0, out=views[2 * k + 1])
+        np.matmul(acts[k].mT, d_h, out=views[2 * k])
+        np.add.reduce(d_h, axis=-2, out=views[2 * k + 1])
         if k:  # the input descriptors take no gradient
-            d_h = d_h @ params.trunk[k].weight.T
+            d_h = d_h @ params.trunk[k].weight.mT
 
     global _grad_evaluations
-    _grad_evaluations += 1
+    _grad_evaluations += math.prod(runs)
     return LossBreakdown(fg_term, bg_term, box_term, fg_term + bg_term + box_term), out
 
 

@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from .em_trainer import ConfigError, TrainConfig, fill_dataclass, train, train_lambdas, visual_init_vectors
+from .em_trainer import ConfigError, TrainConfig, fill_dataclass, train, train_grid, visual_init_vectors
 from .evalkit import evaluate
 from .morph_inference import DetectConfig, morph
 from .prototype_store import add_novel
@@ -131,11 +131,11 @@ def run_em_iterations(config: ExperimentConfig, out_dir=None):
 
 
 def run_lambda(config: ExperimentConfig, out_dir=None):
-    """Novel-class AP50 across the prototype blend-weight grid, trained from one first M-step per seed."""
+    """Novel-class AP50 across the prototype blend-weight grid, its runs of a seed trained in lockstep."""
     raw = []
     for seed in _trial_seeds(config):
         world = build_world(config, seed)
-        results = train_lambdas(world.train_scenes, world.semantics, replace(config.train, seed=seed), LAMBDA_GRID)
+        [results] = train_grid(world.train_scenes, [world.semantics], replace(config.train, seed=seed), LAMBDA_GRID)
         for lam, result in zip(LAMBDA_GRID, results):
             raw.append((seed, lam, _novel_ap50(result.state, world, config)))
     return _tables(out_dir, "lambda", "seed,lambda,novel_ap50", raw)
@@ -143,14 +143,13 @@ def run_lambda(config: ExperimentConfig, out_dir=None):
 
 def run_init(config: ExperimentConfig, out_dir=None):
     """Semantic prototype initialization against per-class raw-descriptor
-    means, scored on morphed novel-class AP50."""
+    means, scored on morphed novel-class AP50; a seed's two runs train in lockstep."""
     raw = []
     for seed in _trial_seeds(config):
         world = build_world(config, seed)
         tcfg = replace(config.train, seed=seed)
-        sem = train(world.train_scenes, world.semantics, tcfg)
         visual_seeds = visual_init_vectors(world.train_scenes, world.universe.config.d_sem)
-        vis = train(world.train_scenes, visual_seeds, tcfg)
+        [sem], [vis] = train_grid(world.train_scenes, [world.semantics, visual_seeds], tcfg, [tcfg.lam])
         raw.append((seed, "semantic", _novel_ap50(sem.state, world, config)))
         raw.append((seed, "visual", _novel_ap50(vis.state, world, config)))
     return _tables(out_dir, "init", "seed,init,novel_ap50", raw)

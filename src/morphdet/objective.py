@@ -54,13 +54,17 @@ def softmax_terms(features: np.ndarray, bg_logits: np.ndarray, mat: np.ndarray) 
     """The one softmax of training and detection, max-shifted in log space:
     (logits, log_denom, q) with logits (n, M + 1), background in column 0
     and f . p_j in column j + 1, and posteriors q = exp(logits - log_denom);
-    ufunc reduces and in-place exps keep its numpy calls few."""
-    logits = np.concatenate([bg_logits[:, None], features @ mat.T], axis=1)
-    shift = np.maximum.reduce(logits, axis=1)
-    shifted = logits - shift[:, None]
-    log_denom = np.log(np.add.reduce(np.exp(shifted, out=shifted), axis=1))
+    the product written into the logits, ufunc reduces and in-place exps keep
+    its numpy calls few. Stacked runs' features (L, n, d) and matrices
+    (L, M, d) give (L, n, M + 1) logits."""
+    logits = np.empty((*features.shape[:-1], mat.shape[-2] + 1))
+    logits[..., 0] = bg_logits
+    np.matmul(features, mat.mT, out=logits[..., 1:])
+    shift = np.maximum.reduce(logits, axis=-1)
+    shifted = logits - shift[..., None]
+    log_denom = np.log(np.add.reduce(np.exp(shifted, out=shifted), axis=-1))
     log_denom += shift
-    q = logits - log_denom[:, None]
+    q = logits - log_denom[..., None]
     return logits, log_denom, np.exp(q, out=q)
 
 

@@ -255,7 +255,7 @@ def test_criterion_10_overfit_sanity():
     initial = forward_batch_with_grad(
         params, *labelled_batch(*batch, protos), config, np.empty_like(params.flat)
     )[0].total
-    trained, _ = m_step(state, *batch)
+    [trained], _ = m_step([state], *batch)
     final = forward_batch_with_grad(
         trained.params, *labelled_batch(*batch, protos), config, np.empty_like(trained.params.flat)
     )[0].total

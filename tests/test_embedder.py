@@ -347,3 +347,32 @@ def test_params_reject_bad_sizes_and_non_finite_entries():
     params.background_head.weight[1, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):  # a checkpoint's tensors are refused as they are decoded
         parse_tensor(tensor_line("background_head.weight", params.background_head.weight))
+
+
+@pytest.mark.parametrize("labels", [[1, 0, 2, 0, 3, 0], [1, 2, 3, 1], [0, 0, 0]], ids=["both", "fg_only", "bg_only"])
+def test_a_stacked_step_equals_separate_steps_bit_for_bit(labels):
+    """forward_batch_with_grad and sgd_step on an (L, P) stack, each run
+    against its own prototype table, give each run's loss terms, gradient
+    bytes and updated parameters of calls on its own flat, under uneven loss
+    weights and momentum, and count L gradient evaluations per call."""
+    rng = np.random.default_rng(11)
+    runs = [init_params(5, (7, 6), 4, seed=seed) for seed in (1, 2, 3)]
+    tables = [labelled_batch(*make_batch(rng, 5, labels), make_protos(rng, 3, 4))[4] for _ in runs]
+    config = TrainConfig(fg_weight=1.0, bg_weight=0.7, bbox_weight=1.3, momentum=0.9)
+    stack = EmbedderParams(runs[0].sizes, np.stack([run.flat for run in runs]))
+    stack_grad, stack_velocity = np.empty_like(stack.flat), np.zeros_like(stack.flat)
+    velocities = [np.zeros_like(run.flat) for run in runs]
+    for step in range(3):
+        X, cols, n_fg, fg_targets, _ = labelled_batch(*make_batch(rng, 5, labels), make_protos(rng, 3, 4))
+        before = grad_evaluation_count()
+        stacked, _ = forward_batch_with_grad(stack, X, cols, n_fg, fg_targets, np.stack(tables), config, stack_grad)
+        assert grad_evaluation_count() - before == len(runs)
+        sgd_step(stack, stack_grad, 0.05, stack_velocity, config.momentum)
+        for k, (run, table, velocity) in enumerate(zip(runs, tables, velocities)):
+            grad = np.empty_like(run.flat)
+            alone, _ = forward_batch_with_grad(run, X, cols, n_fg, fg_targets, table, config, grad)
+            assert stacked.total.shape == (len(runs),) and repr([term[k] for term in stacked]) == repr(list(alone))
+            assert stack_grad[k].tobytes() == grad.tobytes()
+            sgd_step(run, grad, 0.05, velocity, config.momentum)
+            assert stack.flat[k].tobytes() == run.flat.tobytes() and stack_velocity[k].tobytes() == velocity.tobytes()
+    assert (not stacked.fg.any()) == (n_fg == 0) and (not stacked.bg.any()) == (n_fg == len(labels))

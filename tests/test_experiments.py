@@ -8,10 +8,12 @@ import pytest
 
 from test_toyworld import DATA_REFUSALS, UNIVERSE_REFUSALS
 
-from morphdet import experiments
-from morphdet.em_trainer import TrainConfig, proposal_arrays, train, train_lambdas
-from morphdet.embedder import grad_evaluation_count
+from morphdet import em_trainer, experiments
+from morphdet.em_trainer import TrainConfig, TrainingDiverged, proposal_arrays, train, train_grid, visual_init_vectors
+from morphdet.embedder import EmbedderParams, grad_evaluation_count
 from morphdet.morph_inference import DetectConfig
+from morphdet.numkernel import EmptyInput
+from morphdet.prototype_store import UnknownClass
 from morphdet.experiments import (
     EXPERIMENTS,
     LAMBDA_GRID,
@@ -209,22 +211,61 @@ def test_run_lambda(tmp_path):
     ids=["tiny", "three_rounds_momentum", "one_round"],
 )
 def test_train_lambdas_equals_a_train_per_lambda(train_config):
+    """Every cell of a two-set by LAMBDA_GRID grid, trained in lockstep, is a
+    separate train() bit for bit."""
     world = build_world(TINY, seed=1)
-    results = train_lambdas(world.train_scenes, world.semantics, train_config, LAMBDA_GRID)
-    assert len(results) == len(LAMBDA_GRID)
-    for lam, shared in zip(LAMBDA_GRID, results):
-        alone = train(world.train_scenes, world.semantics, replace(train_config, lam=lam))
-        assert len(shared.snapshots) == len(alone.snapshots) == train_config.em_iterations
-        for a, b in zip(shared.snapshots, alone.snapshots):
-            assert a.config == b.config and a.config.lam == lam
-            assert np.array_equal(a.params.flat, b.params.flat)
-            assert a.prototypes.ids == b.prototypes.ids
-            assert np.array_equal(a.prototypes.matrix, b.prototypes.matrix)
-        assert shared.state is shared.snapshots[-1]
-        assert shared.metrics == alone.metrics
-    # The runs share their first M-step's values, not its memory.
-    firsts = [result.snapshots[0].params.flat for result in results]
-    assert not any(np.shares_memory(a, b) for i, a in enumerate(firsts) for b in firsts[i + 1 :])
+    vector_sets = [world.semantics, visual_init_vectors(world.train_scenes, TINY.universe.d_sem)]
+    grid = train_grid(world.train_scenes, vector_sets, train_config, LAMBDA_GRID)
+    assert [len(row) for row in grid] == [len(LAMBDA_GRID)] * len(vector_sets)
+    for vectors, row in zip(vector_sets, grid):
+        for lam, shared in zip(LAMBDA_GRID, row):
+            alone = train(world.train_scenes, vectors, replace(train_config, lam=lam))
+            assert len(shared.snapshots) == len(alone.snapshots) == train_config.em_iterations
+            for a, b in zip(shared.snapshots, alone.snapshots):
+                assert a.config == b.config and a.config.lam == lam
+                assert a.params.flat.shape == b.params.flat.shape and a.params.flat.tobytes() == b.params.flat.tobytes()
+                assert a.prototypes.ids == b.prototypes.ids
+                assert a.prototypes.matrix.tobytes() == b.prototypes.matrix.tobytes()
+            assert shared.state is shared.snapshots[-1]
+            assert repr(shared.metrics) == repr(alone.metrics)
+    # The runs share values where they start alike, never memory.
+    flats = [snap.params.flat for row in grid for result in row for snap in result.snapshots]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(flats) for b in flats[i + 1 :])
+
+
+def test_train_grid_refuses_a_bad_grid_before_training():
+    world = build_world(TINY, seed=1)
+    before = grad_evaluation_count()
+    for sets, lams in (([world.semantics], ()), ([], LAMBDA_GRID), ((), ())):
+        with pytest.raises(EmptyInput, match="vector sets and lams"):
+            train_grid(world.train_scenes, sets, TINY.train, lams)
+    short = {cid: vec for cid, vec in world.semantics.items() if cid != world.universe.base[1]}
+    with pytest.raises(UnknownClass, match=rf"vector set 1 has no vector for dataset classes \[{world.universe.base[1]}\]"):
+        train_grid(world.train_scenes, [world.semantics, short], TINY.train, LAMBDA_GRID)
+    assert grad_evaluation_count() == before
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_grid_names_the_run_that_diverged(monkeypatch):
+    world = build_world(TINY, seed=1)
+    vector_sets = [world.semantics, visual_init_vectors(world.train_scenes, TINY.universe.d_sem)]
+    with pytest.raises(TrainingDiverged, match="^vector set 0, every lam: non-finite loss at epoch 0"):
+        train_grid(world.train_scenes, vector_sets, replace(TINY.train, learning_rate=1e308), LAMBDA_GRID)
+    # E-steps run per run in set-major order, so the sixth is that of set 1 at the second lam:
+    # parameters of 1e300 make its loss, and only its, non-finite in the lockstep M-step after it.
+    e_step, calls = em_trainer.e_step, []
+
+    def poisoned(state, *args):
+        calls.append(state.config.lam)
+        state = e_step(state, *args)
+        if len(calls) == 6:
+            state = replace(state, params=EmbedderParams(state.params.sizes, np.full(state.params.flat.size, 1e300)))
+        return state
+
+    monkeypatch.setattr(em_trainer, "e_step", poisoned)
+    with pytest.raises(TrainingDiverged, match=rf"^vector set 1, lam {LAMBDA_GRID[1]}: non-finite loss at epoch 0"):
+        train_grid(world.train_scenes, vector_sets, TINY.train, LAMBDA_GRID)
+    assert calls == list(LAMBDA_GRID) * 2
 
 
 def test_run_lambda_trains_the_shared_first_m_step_once():
@@ -236,6 +277,16 @@ def test_run_lambda_trains_the_shared_first_m_step_once():
     run_lambda(config)
     rounds = 1 + len(LAMBDA_GRID) * (config.train.em_iterations - 1)
     assert grad_evaluation_count() - before == rounds * steps_per_m_step
+
+
+def test_run_init_counts_one_gradient_per_run_and_step():
+    config = replace(TINY, seeds=1)
+    world = build_world(config, seed=0)
+    proposals = proposal_arrays(world.train_scenes)[0]
+    steps_per_m_step = config.train.m_step_epochs * math.ceil(len(proposals) / config.train.batch_size)
+    before = grad_evaluation_count()
+    run_init(config)
+    assert grad_evaluation_count() - before == 2 * config.train.em_iterations * steps_per_m_step
 
 
 def test_run_init(tmp_path):

@@ -36,7 +36,7 @@ from morphdet.em_trainer import (
 from morphdet.embedder import CheckpointError, clone_params, forward_batch, forward_batch_with_grad, init_params, sgd_step
 from morphdet.morph_inference import morph
 from morphdet.numkernel import DimensionMismatch, EmptyInput
-from morphdet.prototype_store import PrototypeSet, UnknownClass, e_step_update, init_from_semantic
+from morphdet.prototype_store import PrototypeSet, UnknownClass, add_novel, e_step_update, init_from_semantic
 from morphdet.toyworld import semantic_vectors
 
 
@@ -176,36 +176,38 @@ def _with_config(state, **changes):
 
 def test_m_step_zero_epochs_is_identity(tiny_state, tiny_dataset):
     state = _with_config(tiny_state, m_step_epochs=0)
-    same, records = m_step(state, *proposal_arrays(tiny_dataset))
+    [same], [records] = m_step([state], *proposal_arrays(tiny_dataset))
     assert same is state and records == []
 
 
 def test_m_step_is_deterministic(tiny_state, tiny_dataset):
     arrays = proposal_arrays(tiny_dataset)
-    a, sink_a = m_step(tiny_state, *arrays, iteration=2)
-    b, sink_b = m_step(tiny_state, *arrays, iteration=2)
+    [a], [sink_a] = m_step([tiny_state], *arrays, iteration=2)
+    [b], [sink_b] = m_step([tiny_state], *arrays, iteration=2)
     assert params_equal(a.params, b.params)
     assert sink_a == sink_b
     assert len(sink_a) == TINY_TRAIN.m_step_epochs
     assert a.prototypes is tiny_state.prototypes
-    c, _ = m_step(tiny_state, *arrays, iteration=3)
+    [c], _ = m_step([tiny_state], *arrays, iteration=3)
     assert not params_equal(a.params, c.params)
 
 
 def test_m_step_records_one_epoch_record_per_epoch(tiny_state, tiny_dataset):
-    _, records = m_step(tiny_state, *proposal_arrays(tiny_dataset), iteration=4)
+    _, [records] = m_step([tiny_state], *proposal_arrays(tiny_dataset), iteration=4)
     assert [(rec.iteration, rec.epoch) for rec in records] == [(4, e) for e in range(TINY_TRAIN.m_step_epochs)]
     for rec in records:
         assert rec.total == pytest.approx(rec.fg + rec.bg + rec.bbox)
 
 
-def test_m_step_error_paths(tiny_state):
+def test_m_step_error_paths(tiny_state, tiny_dataset):
     with pytest.raises(EmptyInput):
-        m_step(tiny_state, *proposal_arrays([]))
+        m_step([tiny_state], *proposal_arrays([]))
+    with pytest.raises(EmptyInput, match="at least one run"):
+        m_step([], *proposal_arrays(tiny_dataset))
     state = _identity3()
     bad = [_scene(proposals=[_fg(9, [1.0, 0.0, 0.0])])]
     with pytest.raises(UnknownClass):
-        m_step(state, *proposal_arrays(bad))
+        m_step([state], *proposal_arrays(bad))
 
 
 def test_m_step_handles_single_sided_pools():
@@ -220,12 +222,12 @@ def test_m_step_handles_single_sided_pools():
             ]
         )
     ]
-    _, sink = m_step(state, *proposal_arrays(all_fg))
+    _, [sink] = m_step([state], *proposal_arrays(all_fg))
     assert all(rec.bg == 0.0 for rec in sink)  # no background term without bg proposals
     assert all(rec.fg > 0.0 for rec in sink)
 
     all_bg = [_scene(proposals=[_bg([0.2, 0.1, 0.0]), _bg([0.0, 0.3, 0.1])])]
-    _, sink = m_step(state, *proposal_arrays(all_bg))
+    _, [sink] = m_step([state], *proposal_arrays(all_bg))
     assert all(rec.fg == 0.0 and rec.bbox == 0.0 for rec in sink)
     assert all(rec.bg > 0.0 for rec in sink)
 
@@ -233,15 +235,27 @@ def test_m_step_handles_single_sided_pools():
 def test_m_step_refuses_a_batch_without_room_for_both_pools(tiny_state, tiny_dataset):
     arrays = proposal_arrays(tiny_dataset)
     with pytest.raises(ConfigError, match="batch_size 1"):
-        m_step(_with_config(tiny_state, batch_size=1), *arrays)
+        m_step([_with_config(tiny_state, batch_size=1)], *arrays)
     state = _with_config(_identity3(), m_step_epochs=1, batch_size=1, learning_rate=0.01)
     all_fg = [_scene(proposals=[_fg(1, [1.0, 0.0, 0.0]), _fg(2, [0.0, 1.0, 0.0])])]
     all_bg = [_scene(proposals=[_bg([0.2, 0.1, 0.0])])]
     for data in (all_fg, all_bg):
-        _, records = m_step(state, *proposal_arrays(data))
+        _, [records] = m_step([state], *proposal_arrays(data))
         assert len(records) == 1
-    _, records = m_step(_with_config(tiny_state, batch_size=2), *arrays)
+    _, [records] = m_step([_with_config(tiny_state, batch_size=2)], *arrays)
     assert all(rec.fg > 0.0 and rec.bg > 0.0 for rec in records)
+
+
+def test_m_step_steps_a_group_that_differs_only_in_lam(tiny_state, tiny_dataset):
+    arrays = proposal_arrays(tiny_dataset)
+    extra_class = add_novel(tiny_state.prototypes, 99, np.ones(tiny_state.prototypes.dim))
+    for other in (_with_config(tiny_state, learning_rate=0.01), replace(tiny_state, prototypes=extra_class)):
+        with pytest.raises(ConfigError, match="every setting but lam"):
+            m_step([tiny_state, other], *arrays)
+    [a, b], records = m_step([tiny_state, _with_config(tiny_state, lam=0.9)], *arrays)
+    [alone], [alone_records] = m_step([tiny_state], *arrays)
+    assert a.params.flat.tobytes() == b.params.flat.tobytes() == alone.params.flat.tobytes()
+    assert records == [alone_records, alone_records] and b.config.lam == 0.9
 
 
 def hand_m_step(state, X, labels, targets, iteration):
@@ -264,7 +278,7 @@ def hand_m_step(state, X, labels, targets, iteration):
             loss, _ = forward_batch_with_grad(params, *batch, config, grad)
             sgd_step(params, grad, _epoch_lr(config, epoch), velocity, config.momentum)
             sums = [total + term for total, term in zip(sums, (loss.fg, loss.bg, loss.bbox, loss.total))]
-        records.append(EpochRecord(iteration, epoch, *(total / steps for total in sums)))
+        records.append(EpochRecord(iteration, epoch, *(float(total / steps) for total in sums)))
     return params, records
 
 
@@ -280,7 +294,7 @@ def test_m_step_equals_a_loop_of_labelled_batches_bit_for_bit(tiny_state, tiny_d
     state = _with_config(
         tiny_state, fg_weight=1.0, bg_weight=0.7, bbox_weight=1.3, momentum=0.9, batch_size=batch_size, m_step_epochs=5
     )
-    trained, records = m_step(state, X, labels, targets, iteration=5)
+    [trained], [records] = m_step([state], X, labels, targets, iteration=5)
     want_params, want_records = hand_m_step(state, X, labels, targets, 5)
     assert params_equal(trained.params, want_params)
     assert repr(records) == repr(want_records) and len(records) == 5
@@ -289,7 +303,7 @@ def test_m_step_equals_a_loop_of_labelled_batches_bit_for_bit(tiny_state, tiny_d
 def test_m_step_leaves_its_input_state_untouched(tiny_state, tiny_dataset):
     flat = tiny_state.params.flat
     before = flat.tobytes()
-    trained, _ = m_step(_with_config(tiny_state, momentum=0.9), *proposal_arrays(tiny_dataset))
+    [trained], _ = m_step([_with_config(tiny_state, momentum=0.9)], *proposal_arrays(tiny_dataset))
     assert tiny_state.params.flat is flat and flat.tobytes() == before
     assert not np.shares_memory(trained.params.flat, flat)
     assert trained.params.flat.tobytes() != before
@@ -316,7 +330,7 @@ def test_train_snapshots_share_no_memory(tiny_universe, tiny_dataset, tiny_resul
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_m_step_divergence_is_reported(tiny_state, tiny_dataset):
     with pytest.raises(TrainingDiverged):
-        m_step(_with_config(tiny_state, learning_rate=1e308), *proposal_arrays(tiny_dataset))
+        m_step([_with_config(tiny_state, learning_rate=1e308)], *proposal_arrays(tiny_dataset))
 
 
 def test_e_step_matches_manual_means(tiny_state, tiny_dataset):
