@@ -189,8 +189,14 @@ def _forward(params: EmbedderParams, descriptors):
 
 def forward_batch(params: EmbedderParams, descriptors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Embed a stack of descriptors; returns (features, bg_logits, box_deltas).
-    Pure; never counts as a gradient evaluation."""
-    return _forward(params, descriptors)[2]
+    Pure; never counts as a gradient evaluation. An odd batch is embedded with
+    a zero row appended, then cut: OpenBLAS's AVX2 and AVX-512 kernels give one
+    product the same bytes at even row counts only."""
+    x = np.asarray(descriptors, dtype=np.float64)
+    if x.ndim != 2 or len(x) % 2 == 0:
+        return _forward(params, x)[2]
+    feats, bg, deltas = _forward(params, np.concatenate((x, np.zeros((1, x.shape[1])))))[2]
+    return feats[..., :-1, :], bg[..., :-1], deltas[..., :-1, :]
 
 
 def clone_params(params: EmbedderParams) -> EmbedderParams:
@@ -289,7 +295,10 @@ def sgd_step(
 ) -> None:
     """One momentum-SGD update, in place on params.flat and `velocity`:
     v <- momentum * v + g; p <- p - lr * v. Pass a zero velocity for the first
-    step. `grad` is only read.
+    step. At momentum 0 the update is p <- p - lr * g and `velocity` is left as
+    it is: 0 * v + g differs from g only in the sign of a zero, which reaches p
+    only where p is -0.0, and no parameter is (init draws weights as -s + 2s*u
+    and zero biases, and x - y is -0.0 only for x = -0.0). `grad` is only read.
     """
     lr = float(lr)
     momentum = float(momentum)
@@ -301,9 +310,10 @@ def sgd_step(
         raise DimensionMismatch(
             f"update vectors differ in shape: {params.flat.shape} vs {grad.shape} vs {velocity.shape}"
         )
-    np.multiply(momentum, velocity, out=velocity)
-    np.add(velocity, grad, out=velocity)
-    np.subtract(params.flat, lr * velocity, out=params.flat)
+    if momentum:
+        np.multiply(momentum, velocity, out=velocity)
+        grad = np.add(velocity, grad, out=velocity)
+    np.subtract(params.flat, lr * grad, out=params.flat)
 
 
 def params_to_lines(params: EmbedderParams) -> list[str]:

@@ -169,16 +169,21 @@ def detect(state, proposals, config: DetectConfig = DetectConfig()) -> list[Dete
 
 def write_exemplars_csv(path, exemplars) -> None:
     """Exemplar file: an empty meta line, then per class in ascending id order
-    one tensor named by the id, with a descriptor per row; a key that is not an integer >= 1 is refused."""
+    one tensor named by the id, with a descriptor per row. A key that is not an integer >= 1,
+    or a class with no exemplar values, is refused before the file opens."""
     body = [tensor_line(class_id_name(cid), exemplars[cid]) for cid in sorted(exemplars)]
+    if empty := [cid for cid in sorted(exemplars) if not np.size(exemplars[cid])]:
+        raise EmptyInput(f"{path}: class {empty[0]} has no exemplars")
     write_record_file(path, EXEMPLARS_HEADER, "meta", {}, body)
 
 
 def read_exemplars_csv(path) -> dict[int, np.ndarray]:
     """Inverse of write_exemplars_csv: class id -> its (shots, m_in) tensor. Each tensor
-    name must be a class id as the writer writes it (textio.is_class_id)."""
+    name must be a class id as the writer writes it (textio.is_class_id), and no tensor may be empty."""
     meta, blocks = read_tensor_file(path, EXEMPLARS_HEADER, "meta")
     ids = sorted(int(name) for name in blocks if is_class_id(name))
     if meta or list(blocks) != [str(cid) for cid in ids]:
         raise ValueError(f"{path}: want an empty meta and tensors named by ascending class ids, got {list(blocks)}")
+    if empty := [cid for cid in ids if not blocks[str(cid)].size]:
+        raise EmptyInput(f"{path}: class {empty[0]} has no exemplars")
     return {cid: blocks[str(cid)] for cid in ids}

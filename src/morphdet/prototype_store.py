@@ -178,9 +178,11 @@ def write_vector_file(path, vectors: Mapping[int, np.ndarray]) -> None:
 def read_vector_file(path) -> dict[int, np.ndarray]:
     """Read a class_id -> vector map; blank lines are skipped. A class id must
     be written as the writer writes it (textio.is_class_id). A refusal names
-    the path and line once. A row whose sum of squares overflows is refused
-    here, as it could never be normalized into a prototype."""
+    the path and line once. A row with no values, one whose length is not the
+    first row's, and one whose sum of squares overflows are refused here, as
+    none could be normalized into a prototype beside the others."""
     out: dict[int, np.ndarray] = {}
+    width = 0  # the first row's length
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for number, line in enumerate(fh, start=1):
             if not line.strip():
@@ -188,8 +190,8 @@ def read_vector_file(path) -> dict[int, np.ndarray]:
             try:
                 if _UNDECODED.search(line):
                     raise ValueError("not UTF-8 text")
-                head, _, tail = line.rstrip("\n").partition("\t")
-                if not tail:
+                head, tab, tail = line.rstrip("\n").partition("\t")
+                if not tab:
                     raise ValueError(f"malformed vector line (missing tab): {line[:80]!r}")
                 if not is_class_id(head):
                     raise ValueError(f"class id {head!r} is not digits for an integer >= 1 without a leading zero")
@@ -197,6 +199,11 @@ def read_vector_file(path) -> dict[int, np.ndarray]:
                 if cid in out:
                     raise ClassCollision(f"duplicate vector line for class {cid}")
                 vec = out[cid] = parse_floats(tail)
+                width = width or vec.size
+                if not vec.size:
+                    raise ValueError(f"class {cid} has no vector values")
+                if vec.size != width:
+                    raise ValueError(f"class {cid}'s vector has {vec.size} values, the first row's {width}")
                 with np.errstate(over="ignore"):
                     if not np.isfinite(np.add.reduce(vec * vec)):
                         raise ValueError(f"the sum of squares of class {cid}'s vector overflows")

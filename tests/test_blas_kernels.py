@@ -1,8 +1,7 @@
-"""Byte-reproducibility across BLAS kernels: `gen` and `train` write the same
-bytes under the AVX2 (Haswell) and the default kernel of numpy's bundled
-DYNAMIC_ARCH OpenBLAS, and the four studies, which morph and so are specific
-to their kernel, write the tables recorded under the Haswell kernel. Each run
-is its own process, because OpenBLAS reads OPENBLAS_CORETYPE when it loads."""
+"""The README quickstart (`gen`, `train`, `morph`, both `eval` forms) and `forward_batch`
+at 1 to 40 rows write the same bytes under the AVX2 (Haswell) and the default kernel of
+numpy's bundled DYNAMIC_ARCH OpenBLAS. Each run is its own process, because OpenBLAS
+reads OPENBLAS_CORETYPE when it loads."""
 
 import hashlib
 import os
@@ -15,24 +14,27 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-GEN_AND_TRAIN = """
+QUICKSTART = """
 import sys
+import numpy as np
 from morphdet.cli import main
-out = sys.argv[1]
-assert main(["gen", "--out", out + "/world", "--seed", "0"]) == 0
-assert main(["train", "--data", out + "/world", "--out", out + "/run", "--seed", "0"]) == 0
+from morphdet.em_trainer import load_checkpoint
+from morphdet.embedder import forward_batch
+world, run = sys.argv[1] + "/world", sys.argv[1] + "/run"
+ckpt, morphed = run + "/checkpoint_iter3.ckpt", run + "/morphed.ckpt"
+for argv in (
+    ["gen", "--out", world, "--seed", "0"],
+    ["train", "--data", world, "--out", run, "--seed", "0"],
+    ["morph", "--checkpoint", ckpt, "--exemplars", world + "/exemplars.csv", "--out", morphed],
+    ["eval", "--checkpoint", morphed, "--data", world, "--split", "all", "--out", run + "/eval"],
+    ["eval", "--checkpoint", morphed, "--baseline-checkpoint", ckpt, "--data", world, "--split", "all", "--out", run + "/pair"],
+):
+    assert main(argv) == 0
+params = load_checkpoint(ckpt).params
+x = np.random.default_rng(0).normal(size=(40, params.m_in))
+with open(sys.argv[1] + "/forward_batch.bin", "wb") as fh:
+    fh.writelines(head.tobytes() for n in range(1, 41) for head in forward_batch(params, x[:n]))
 """
-
-STUDIES = """
-import sys
-from dataclasses import replace
-from pathlib import Path
-from morphdet.experiments import EXPERIMENTS, ExperimentConfig
-for run in EXPERIMENTS.values():
-    run(replace(ExperimentConfig(), seeds=1), Path(sys.argv[1]))
-"""
-
-STUDIES_KERNEL = "Haswell"  # the kernel studies_seed0.sha256 was recorded under
 
 
 def _dynamic_openblas_on_avx2() -> bool:
@@ -52,31 +54,31 @@ needs_kernels = pytest.mark.skipif(
 )
 
 
-def _digests(script: str, out: Path, coretype: str | None) -> dict[str, str]:
+def _digests(out: Path, coretype: str | None) -> dict[str, str]:
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     if coretype:
         env["OPENBLAS_CORETYPE"] = coretype
-    subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True, capture_output=True)
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.rglob("*")) if p.is_file()}
+    subprocess.run([sys.executable, "-c", QUICKSTART, str(out)], env=env, check=True, capture_output=True)
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in out.rglob("*") if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def kernel_digests(tmp_path_factory):
+    out = tmp_path_factory.mktemp("kernels")
+    return _digests(out / "default", None), _digests(out / "haswell", "Haswell")
 
 
 @needs_kernels
-def test_gen_and_train_bytes_agree_across_blas_kernels(tmp_path):
-    default = _digests(GEN_AND_TRAIN, tmp_path / "default", None)
-    haswell = _digests(GEN_AND_TRAIN, tmp_path / "haswell", "Haswell")
+def test_gen_and_train_bytes_agree_across_blas_kernels(kernel_digests):
+    gen_and_train = ("world/", "run/checkpoint_iter", "run/metrics.csv")
+    default, haswell = ({k: v for k, v in d.items() if k.startswith(gen_and_train)} for d in kernel_digests)
     assert len(default) == 11  # 7 world files (manifest included), 3 checkpoints and metrics.csv
     assert haswell == default
 
 
 @needs_kernels
-def test_default_studies_write_the_recorded_tables(tmp_path):
-    """The four studies at the default config and one seed, written through
-    run_*(config, out_dir) under STUDIES_KERNEL, give the eight tables whose
-    sha256 studies_seed0.sha256 records (sha256sum -c format). The tables hold
-    AP50s, so a change to training or detection shows here once it moves a
-    detection's rank or match; a change in the last bits alone may not."""
-    recorded = Path(__file__).with_name("studies_seed0.sha256").read_text(encoding="ascii").splitlines()
-    want = {name: digest for digest, name in (line.split("  ") for line in recorded)}
-    assert len(want) == 8
-    assert _digests(STUDIES, tmp_path, STUDIES_KERNEL) == want
+def test_morph_eval_and_forward_batch_bytes_agree_across_blas_kernels(kernel_digests):
+    default, haswell = kernel_digests
+    assert len(default) == 11 + 1 + 2 + 3 + 1  # morphed.ckpt, eval's and the pair's reports, the sweep
+    assert haswell == default

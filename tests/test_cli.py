@@ -330,6 +330,13 @@ def _first_line(edit):
 # One edit of semantics.txt per case, each refused as train reads the file.
 SEMANTICS_REFUSALS = {
     "missing tab": (_first_line(lambda line: line.replace("\t", " ", 1)), "malformed vector line (missing tab)"),
+    "a tab and no values": (_first_line(lambda line: "1\t"), "line 1: class 1 has no vector values"),
+    "a tab and blanks": (_first_line(lambda line: "1\t   "), "line 1: class 1 has no vector values"),
+    "a row cut short": (
+        lambda lines: [*lines[:2], lines[2].rsplit(" ", 1)[0], *lines[3:]],
+        "line 3: class 3's vector has 7 values, the first row's 8",
+    ),
+    "a row one too long": (lambda lines: [lines[0], lines[1] + " 0.5", *lines[2:]], "line 2: class 2's vector has 9 values"),
     "class id not an integer": (_first_line(lambda line: "x" + line[1:]), "class id 'x' is not digits"),
     "duplicate class": (lambda lines: [lines[0], *lines], "duplicate vector line for class 1"),
     "non-finite value": (_first_line(lambda line: line.rsplit(" ", 1)[0] + " inf"), "non-finite value among 8 floats"),
@@ -709,6 +716,7 @@ _SPOILED_BODIES = {
     "first tensor lost a value": lambda body: [without_last_value(body[0]), *body[1:]],
     "inf in the first tensor": tensor_body(lambda t: np.put(next(iter(t.values())), 0, np.inf)),
     "nan in the first tensor": tensor_body(lambda t: np.put(next(iter(t.values())), 0, np.nan)),
+    "first tensor with no rows": tensor_body(lambda t: t.update((k, v[:0]) for k, v in list(t.items())[:1])),
 }
 # Meta JSON that json.loads cannot parse, framed by hand, as json.dumps cannot write it either.
 _SPOILED_METAS = {"meta nested 100000 deep": "[" * 100_000 + "]" * 100_000, "meta with a 5000-digit integer": "9" * 5000}
@@ -729,6 +737,7 @@ def _frame_meta_text(path, payload: str) -> None:
     + [("checkpoint", "no_prototypes")]
     + [("exemplars.csv", f"tensor named {tensor}") for tensor in ("x", "1.5", "0", "-3")]
     + [("exemplars.csv", "first tensor lost a value"), ("exemplars.csv", "inf in the first tensor")]
+    + [("exemplars.csv", "first tensor with no rows")]
     + [("universe.txt", "nan in the first tensor"), ("checkpoint", "nan in the first tensor")]
     + [("eval_base.txt", "m_in 14"), ("exemplars.csv", "m_in 14")]
     + [("eval_novel.txt", "PNG bytes"), ("universe.txt", "0xff on line 2")]
@@ -772,6 +781,8 @@ def test_a_refused_file_is_named_once_in_a_plain_message(name, spoil, gen_dir, t
         assert f"{path}: {'config' if name == 'checkpoint' else 'meta'} line is not a JSON object" in err
     if spoil in _NOT_UTF8:
         assert f"{path}: not UTF-8 text" in err
+    if spoil == "first tensor with no rows":
+        assert f"{path}: class {min(read_exemplars_csv(gen_dir / name))} has no exemplars" in err
 
 
 def test_experiment_unknown_name(tmp_path, capsys):
@@ -796,14 +807,9 @@ def test_experiment_writes_tables(cfg_path, tmp_path, capsys):
     assert (out / "em_iterations_summary.csv").is_file()
 
 
-# A morphed checkpoint's bytes depend on the BLAS kernel (README, Reproducibility);
-# every other quickstart output does not.
-KERNEL_SPECIFIC = {"morphed.ckpt"}
-
-
 def test_seed0_quickstart_reproduces_the_recorded_digests(tmp_path, capsys):
-    """The README quickstart at seed 0, in process: every kernel-independent
-    output has the sha256 that BENCH_21.json records."""
+    """The README quickstart at seed 0, in process: every output has the sha256
+    that BENCH_21.json records, under whatever BLAS kernel runs the suite."""
     record = pathlib.Path(__file__).resolve().parent.parent / "BENCH_21.json"
     recorded = json.loads(record.read_text(encoding="utf-8"))["quickstart_digests"]
     world, run = tmp_path / "world", tmp_path / "run"
@@ -815,8 +821,5 @@ def test_seed0_quickstart_reproduces_the_recorded_digests(tmp_path, capsys):
         ["eval", "--checkpoint", run / "morphed.ckpt", "--data", world, "--split", "all", "--out", run / "eval"],
     ):
         assert main([str(arg) for arg in argv]) == 0
-    outputs = {path.name: path for path in tmp_path.rglob("*") if path.is_file()}
-    assert sorted(outputs) == sorted(recorded)
-    digests = {name: sha256_file(path) for name, path in outputs.items() if name not in KERNEL_SPECIFIC}
-    assert len(digests) == 13
-    assert digests == {name: digest for name, digest in recorded.items() if name not in KERNEL_SPECIFIC}
+    digests = {path.name: sha256_file(path) for path in tmp_path.rglob("*") if path.is_file()}
+    assert digests == recorded and len(recorded) == 14

@@ -206,6 +206,21 @@ def test_sgd_step_updates_flat_and_velocity_in_place():
     assert np.array_equal(grad, g0)
 
 
+def test_sgd_step_at_momentum_zero_is_p_minus_lr_g_bit_for_bit():
+    """Signed zeros in the gradient, against the momentum formula p - lr * (0 * v + g),
+    whose 0 * v + g is +0.0 where v > 0 and g is -0.0: that sign reaches p only where
+    p is -0.0, which no parameter is."""
+    params = init_params(4, (5,), 3, seed=1)
+    params.flat[:4] = [0.0, 0.0, 0.5, -0.5]
+    grad = init_params(4, (5,), 3, seed=2).flat.copy()
+    grad[:4] = [0.0, -0.0, -0.0, 0.0]
+    velocity = np.linspace(1.0, -1.0, params.flat.size)
+    p0, v0 = params.flat.copy(), velocity.copy()
+    sgd_step(params, grad, 0.05, velocity)
+    assert params.flat.tobytes() == (p0 - 0.05 * grad).tobytes() == (p0 - 0.05 * (0.0 * v0 + grad)).tobytes()
+    assert velocity.tobytes() == v0.tobytes()
+
+
 def test_sgd_step_validation():
     params = init_params(4, (5,), 3, seed=1)
     grads = init_params(4, (5,), 3, seed=2)

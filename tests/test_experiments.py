@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,12 +206,22 @@ def test_run_lambda(tmp_path):
     _assert_csv(tmp_path / "lambda_summary.csv", "lambda,novel_ap50", len(summary))
 
 
+def test_default_studies_write_the_recorded_tables(tmp_path):
+    """The four studies at the default config and one seed write the eight tables that
+    studies_seed0.sha256 records, under whatever BLAS kernel runs the suite. The tables
+    hold AP50s, so a change in the last bits of training or detection may not show here."""
+    for run in EXPERIMENTS.values():
+        run(replace(ExperimentConfig(), seeds=1), tmp_path)
+    written = "".join(f"{sha256_file(path)}  {path.name}\n" for path in sorted(tmp_path.iterdir()))
+    assert written == Path(__file__).with_name("studies_seed0.sha256").read_text(encoding="ascii")
+
+
 @pytest.mark.parametrize(
     "train_config",
     [TINY.train, replace(TINY.train, em_iterations=3, momentum=0.9), replace(TINY.train, em_iterations=1)],
     ids=["tiny", "three_rounds_momentum", "one_round"],
 )
-def test_train_lambdas_equals_a_train_per_lambda(train_config):
+def test_train_grid_equals_a_train_per_lambda(train_config):
     """Every cell of a two-set by LAMBDA_GRID grid, trained in lockstep, is a
     separate train() bit for bit."""
     world = build_world(TINY, seed=1)

@@ -333,6 +333,15 @@ def test_exemplars_csv_round_trip(tmp_path, tiny_exemplars):
             assert np.array_equal(mine, theirs)
 
 
+@pytest.mark.parametrize("empty", [np.zeros((0, 3)), []], ids=["zero_rows", "no_rows"])
+def test_exemplars_writer_refuses_a_class_with_no_exemplars(tmp_path, empty):
+    """Its reader refuses one too, so every file the writer writes loads back."""
+    path = tmp_path / "exemplars.csv"
+    with pytest.raises(EmptyInput, match=re.escape(f"{path}: class 7 has no exemplars")):
+        write_exemplars_csv(path, {2: np.ones((2, 3)), 7: empty})
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("bad", [0, -3, 2.0, True])
 def test_exemplars_writer_refuses_ids_its_reader_refuses(tmp_path, bad):
     """A key the reader would refuse is refused before the file is opened, so no file is left behind."""
