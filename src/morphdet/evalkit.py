@@ -177,7 +177,7 @@ def evaluate(
         for cid, corners in zip(scene.gt_ids.tolist(), scene.gt_boxes.tolist()):
             if cid in gts_by_class:
                 gts_by_class[cid].append((pos, Box(*corners)))
-        pairs = list(zip(scene.descriptors, scene.anchors.tolist()))
+        pairs = list(zip(scene.descriptors, scene.anchors))
         for det in detect(state, pairs, config):
             if det.class_id in dets_by_class:
                 dets_by_class[det.class_id].append((pos, det.score, det.box))

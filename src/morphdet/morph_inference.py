@@ -44,13 +44,19 @@ class Box(NamedTuple):
 
 
 def iou(a: Box, b: Box) -> float:
-    """Intersection area over union area; 0 when the boxes do not overlap."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if ix <= 0.0 or iy <= 0.0:
+    """Intersection area over union area; 0 when the boxes do not overlap. Each conditional
+    expression is the min or max of two corners as the builtin picks it: `bx2 if bx2 < ax2 else
+    ax2` is min(ax2, bx2), so the value is that of the plain min/max formula, bit for bit."""
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+    ix = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
+    if ix <= 0.0:
+        return 0.0
+    iy = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
+    if iy <= 0.0:
         return 0.0
     inter = ix * iy
-    return inter / ((a.x2 - a.x1) * (a.y2 - a.y1) + (b.x2 - b.x1) * (b.y2 - b.y1) - inter)
+    return inter / ((ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter)
 
 
 def encode_box(anchors, targets) -> np.ndarray:
@@ -69,10 +75,11 @@ def decode_box(anchors, deltas) -> np.ndarray:
     d = np.asarray(deltas, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != 4 or d.shape != a.shape:
         raise DimensionMismatch(f"anchors and deltas must both be (n, 4), got {a.shape} and {d.shape}")
-    size = a[:, 2:] - a[:, :2]
-    center = 0.5 * (a[:, :2] + a[:, 2:]) + d[:, :2] * size
-    half = 0.5 * (size * np.exp(d[:, 2:]))
-    out = np.concatenate([center - half, center + half], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a bad row is refused below, with no warning first
+        size = a[:, 2:] - a[:, :2]
+        center = 0.5 * (a[:, :2] + a[:, 2:]) + d[:, :2] * size
+        half = 0.5 * (size * np.exp(d[:, 2:]))
+        out = np.concatenate([center - half, center + half], axis=1)
     finite = np.isfinite(out).all(axis=1)
     ok = finite & (out[:, :2] < out[:, 2:]).all(axis=1)
     if not ok.all():
@@ -128,17 +135,20 @@ def nms(detections, iou_threshold: float) -> list[Detection]:
     Candidates are visited by descending score, ties broken by class id and
     then box corners, so the kept list (returned in that order) is a pure
     function of the input set. Only detections of the same class suppress
-    each other.
+    each other, so each candidate is compared with its own class's kept boxes.
     """
     thr = float(iou_threshold)
     if not 0.0 < thr < 1.0:
         raise ValueError(f"NMS IoU threshold must lie in (0, 1), got {thr}")
     kept: list[Detection] = []
+    keepers: dict[int, list[Box]] = {}
     for det in sorted(detections, key=lambda det: (-det.score, det.class_id, det.box)):
-        for keeper in kept:
-            if keeper.class_id == det.class_id and iou(keeper.box, det.box) > thr:
+        boxes = keepers.setdefault(det.class_id, [])
+        for box in boxes:
+            if iou(box, det.box) > thr:
                 break
         else:
+            boxes.append(det.box)
             kept.append(det)
     return kept
 
@@ -156,14 +166,15 @@ def detect(state, proposals, config: DetectConfig = DetectConfig()) -> list[Dete
     proposals = list(proposals)
     if not proposals:
         return []
-    descriptors = np.stack([np.asarray(d, dtype=np.float64) for d, _ in proposals])
+    descriptors = np.array([d for d, _ in proposals], dtype=np.float64)
     feats, bg, deltas = forward_batch(state.params, descriptors)
     q = posterior_batch(feats, bg, state.prototypes)
-    corners = decode_box(np.array([a for _, a in proposals], dtype=np.float64), deltas)
+    corners = decode_box(np.array([a for _, a in proposals], dtype=np.float64), deltas).tolist()
     rows, cols = np.nonzero(q[:, 1:] >= config.score_threshold)
-    boxes = {i: Box(*corners[i].tolist()) for i in set(rows.tolist())}
-    ids, scores = state.prototypes.ids, q[rows, cols + 1].tolist()
-    candidates = [Detection(ids[k], score, boxes[i]) for i, k, score in zip(rows.tolist(), cols.tolist(), scores)]
+    scores, rows, cols = q[rows, cols + 1].tolist(), rows.tolist(), cols.tolist()
+    boxes = {i: Box(*corners[i]) for i in set(rows)}
+    ids = state.prototypes.ids
+    candidates = [Detection(ids[k], score, boxes[i]) for i, k, score in zip(rows, cols, scores)]
     return nms(candidates, config.nms_iou)
 
 

@@ -27,6 +27,16 @@ def objects_of(scene: Scene) -> tuple[GroundTruth, ...]:
     return tuple(GroundTruth(cid, Box(*box), d) for cid, box, d in rows)
 
 
+def reference_iou(a: Box, b: Box) -> float:
+    """IoU in its plain min/max form, which pins the library's iou bit for bit."""
+    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
+    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
+    inter = ix * iy
+    return inter / ((a.x2 - a.x1) * (a.y2 - a.y1) + (b.x2 - b.x1) * (b.y2 - b.y1) - inter)
+
+
 def encode_one(anchor: Box, target: Box) -> np.ndarray:
     """encode_box on a single (anchor, target) pair of Boxes."""
     return encode_box(np.array([anchor.as_tuple()]), np.array([target.as_tuple()]))[0]

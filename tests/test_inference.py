@@ -1,13 +1,14 @@
 """Boxes, NMS against a brute-force oracle, morphing, and detection flow."""
 
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import identity_detector, reframe, tensor_body
-from helpers import box_geometry, empty_prototypes, encode_one, params_equal, vector_for
+from helpers import box_geometry, empty_prototypes, encode_one, params_equal, reference_iou, vector_for
 from morphdet.em_trainer import DetectorState, TrainConfig
 from morphdet.embedder import clone_params, forward_batch, grad_evaluation_count, init_params
 from morphdet.morph_inference import (
@@ -30,6 +31,7 @@ from morphdet.toyworld import (
     DATASET_HEADER,
     DataConfig,
     UniverseConfig,
+    _iou_table,
     load_dataset,
     make_dataset,
     make_universe,
@@ -90,6 +92,41 @@ def test_iou_symmetry_random():
         assert 0.0 <= iou(a, b) <= 1.0
 
 
+def iou_cases():
+    """Box pairs for the bit-identity check: 10,000 random pairs, 2,000 on a coarse grid whose corners tie
+    (-0.0 among them), and named edge cases, each pair in both orders."""
+    rng = np.random.default_rng(12)
+    pairs = [(random_box(rng, -1.0, 1.0), random_box(rng, -1.0, 1.0)) for _ in range(10_000)]
+    grid = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+    spans = [sorted(pair) for pair in rng.choice(grid, size=(20_000, 2)).tolist()]
+    spans = [(lo, hi) for lo, hi in spans if lo < hi][:8_000]  # -0.0 and 0.0 span nothing
+    for (ax1, ax2), (ay1, ay2), (bx1, bx2), (by1, by2) in zip(*[iter(spans)] * 4):
+        pairs.append((Box(ax1, ay1, ax2, ay2), Box(bx1, by1, bx2, by2)))
+    unit = Box(0.0, 0.0, 1.0, 1.0)
+    pairs += [
+        (unit, Box(1.0, 0.0, 2.0, 1.0)),  # touching edges in x
+        (unit, Box(0.0, 1.0, 1.0, 2.0)),  # touching edges in y
+        (unit, Box(0.5, 2.0, 1.5, 3.0)),  # overlap in x only
+        (unit, Box(2.0, 0.5, 3.0, 1.5)),  # overlap in y only
+        (unit, unit),
+        (unit, Box(0.0, 0.0, 1.0, 1.0)),  # identical corners, another object
+        (unit, Box(0.25, 0.25, 0.75, 0.75)),  # nested
+        (unit, Box(0.0, 0.25, 1.0, 0.75)),  # nested, sharing two edges
+        (Box(-0.0, -0.0, 1.0, 1.0), Box(0.0, 0.0, 0.5, 0.5)),  # -0.0 against 0.0 corners
+        (Box(-2.0, -1.5, -0.5, -0.0), Box(-1.0, -1.0, 0.0, 0.5)),  # negative corners
+    ]
+    return pairs + [(b, a) for a, b in pairs]
+
+
+def test_iou_equals_the_min_max_reference_and_the_array_table_bit_for_bit():
+    pairs = iou_cases()
+    scalar = [iou(a, b).hex() for a, b in pairs]
+    assert scalar == [reference_iou(a, b).hex() for a, b in pairs]
+    table = _iou_table(np.array([[a] for a, _ in pairs]), np.array([[b] for _, b in pairs]))
+    assert scalar == [float(v).hex() for v in table[:, 0, 0]]
+    assert 0 < sum(v == (0.0).hex() for v in scalar) < len(scalar)
+
+
 def decode_one(anchor, deltas):
     """decode_box on a single (Box, deltas) pair, back as a Box."""
     return Box(*decode_box(np.array([anchor.as_tuple()]), np.asarray(deltas)[None, :])[0])
@@ -141,7 +178,7 @@ def brute_force_nms(detections, thr):
     order = sorted(detections, key=lambda d: (-d.score, d.class_id, d.box.as_tuple()))
     kept = []
     for det in order:
-        if all(k.class_id != det.class_id or iou(k.box, det.box) <= thr for k in kept):
+        if all(k.class_id != det.class_id or reference_iou(k.box, det.box) <= thr for k in kept):
             kept.append(det)
     return kept
 
@@ -160,6 +197,26 @@ def test_nms_matches_brute_force_oracle():
         ]
         thr = float(rng.uniform(0.2, 0.8))
         assert nms(dets, thr) == brute_force_nms(dets, thr)
+
+
+def test_nms_matches_brute_force_oracle_on_detect_shaped_candidates():
+    """Candidates as detect builds them: 24 proposals around 4 boxes, each passing up to 6 of up to 80
+    classes, every candidate of one proposal holding that proposal's one Box object; coarse scores tie."""
+    rng = np.random.default_rng(13)
+    candidates_seen = kept_seen = 0
+    for _ in range(60):
+        n_classes = int(rng.integers(1, 81))
+        centers = [np.concatenate([xy, xy + rng.uniform(0.1, 0.4, size=2)]) for xy in rng.uniform(0.1, 0.5, size=(4, 2))]
+        candidates = []
+        for j in range(24):
+            box = Box(*(centers[j % 4] + rng.uniform(-0.03, 0.03, size=4)).tolist())
+            passing = rng.choice(n_classes, size=int(rng.integers(0, min(n_classes, 6) + 1)), replace=False)
+            candidates += [Detection(int(k) + 1, float(rng.integers(1, 9)) / 8.0, box) for k in passing]
+        rng.shuffle(candidates)
+        kept = nms(candidates, 0.5)
+        assert kept == brute_force_nms(candidates, 0.5)
+        candidates_seen, kept_seen = candidates_seen + len(candidates), kept_seen + len(kept)
+    assert 0 < kept_seen < candidates_seen
 
 
 def test_nms_order_invariance_and_validation():
@@ -289,7 +346,7 @@ def random_detector(n_classes, seed, m_in=12, dim=8):
 
 def per_pair_detect(state, proposals, score_threshold, nms_iou=0.5):
     """Reference detect: a scalar decode per proposal, then one candidate per
-    passing (proposal, class) pair, then NMS."""
+    passing (proposal, class) pair, then the brute-force NMS oracle."""
     feats, bg, deltas = forward_batch(state.params, np.stack([d for d, _ in proposals]))
     q = posterior_batch(feats, bg, state.prototypes)
     candidates = []
@@ -298,7 +355,7 @@ def per_pair_detect(state, proposals, score_threshold, nms_iou=0.5):
         for k, cid in enumerate(state.prototypes.ids):
             if float(q[i, k + 1]) >= score_threshold:
                 candidates.append(Detection(class_id=cid, score=float(q[i, k + 1]), box=box))
-    return nms(candidates, nms_iou), len(candidates)
+    return brute_force_nms(candidates, nms_iou), len(candidates)
 
 
 @pytest.mark.parametrize("n_classes", [25, 80])
@@ -318,8 +375,10 @@ def test_detect_refuses_a_bad_box_on_a_proposal_with_no_passing_class(bad_deltas
     quiet = [(np.zeros(2), Box(0.1, 0.1, 0.4, 0.4))]
     feats, bg, _ = forward_batch(state.params, np.zeros((1, 2)))
     assert np.all(posterior_batch(feats, bg, state.prototypes)[:, 1:] < 0.5)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidBox):
-        detect(state, quiet, DetectConfig(score_threshold=0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused as InvalidBox, with no numpy warning on the way
+        with pytest.raises(InvalidBox):
+            detect(state, quiet, DetectConfig(score_threshold=0.5))
 
 
 def test_exemplars_csv_round_trip(tmp_path, tiny_exemplars):
