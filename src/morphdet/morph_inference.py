@@ -12,11 +12,12 @@ runs per-class greedy NMS with a deterministic ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .em_trainer import DetectorState
 from .embedder import forward_batch
 from .numkernel import DimensionMismatch, EmptyInput
 from .objective import posterior_batch
@@ -80,10 +81,9 @@ def decode_box(anchors, deltas) -> np.ndarray:
         center = 0.5 * (a[:, :2] + a[:, 2:]) + d[:, :2] * size
         half = 0.5 * (size * np.exp(d[:, 2:]))
         out = np.concatenate([center - half, center + half], axis=1)
-    finite = np.isfinite(out).all(axis=1)
-    ok = finite & (out[:, :2] < out[:, 2:]).all(axis=1)
-    if not ok.all():
-        at = np.argmin(ok)  # the first bad row
+    if not (np.isfinite(out).all() and (out[:, :2] < out[:, 2:]).all()):
+        finite = np.isfinite(out).all(axis=1)
+        at = np.argmin(finite & (out[:, :2] < out[:, 2:]).all(axis=1))  # the first bad row
         raise InvalidBox(f"{'degenerate' if finite[at] else 'non-finite'} box corners: {tuple(out[at].tolist())}")
     return out
 
@@ -125,8 +125,8 @@ def morph(state, exemplars):
         if not len(descs):
             raise EmptyInput(f"class {cid} has no exemplars")
         feats, _, _ = forward_batch(state.params, descs)
-        protos = add_novel(protos, cid, feats.mean(axis=0))
-    return replace(state, prototypes=protos)
+        protos = add_novel(protos, cid, np.add.reduce(feats, axis=0) / len(feats))  # feats.mean(axis=0), bit for bit
+    return DetectorState(state.params, protos, state.config)
 
 
 def nms(detections, iou_threshold: float) -> list[Detection]:

@@ -91,6 +91,14 @@ class PrototypeSet:
         return class_id in self.ids
 
 
+def _grown(ids, matrix, novel) -> PrototypeSet:
+    """A set from parts that already hold every invariant, frozen but not checked again."""
+    matrix.flags.writeable = False
+    grown = object.__new__(PrototypeSet)
+    vars(grown).update(ids=ids, matrix=matrix, novel=novel)
+    return grown
+
+
 def init_from_semantic(vectors: Mapping) -> PrototypeSet:
     """Build base prototypes by unit-normalizing one semantic vector per
     class, given as a mapping {class_id: vector}."""
@@ -148,8 +156,12 @@ def e_step_update(protos: PrototypeSet, means, lam: float) -> PrototypeSet:
 def add_novel(protos: PrototypeSet, class_id: int, vector) -> PrototypeSet:
     """Register a novel class from one vector -- the mean of its exemplar
     features, or its semantic vector -- by inserting its unit-normalized row
-    at the class's place in id order."""
+    at the class's place in id order. Only what is new is checked: the id, and
+    the row, which l2_normalize returns finite and of unit norm or refuses.
+    The other rows are copies of the rows of a checked set."""
     cid = int(class_id)
+    if cid < 1:
+        raise ValueError(f"class ids must be >= 1 (0 is background), got {cid}")
     k = bisect_left(protos.ids, cid)
     if k < len(protos.ids) and protos.ids[k] == cid:
         raise ClassCollision(f"class {cid} already has a prototype")
@@ -158,12 +170,9 @@ def add_novel(protos: PrototypeSet, class_id: int, vector) -> PrototypeSet:
         raise DimensionMismatch(
             f"vector for class {cid} has shape {vec.shape}, expected ({protos.dim},)"
         )
-    mat = protos.matrix
-    return PrototypeSet(
-        ids=protos.ids[:k] + (cid,) + protos.ids[k:],
-        matrix=np.concatenate((mat[:k], l2_normalize(vec)[None, :], mat[k:])),
-        novel=protos.novel | {cid},
-    )
+    ids, mat = protos.ids, protos.matrix
+    row = l2_normalize(vec)[None, :]
+    return _grown(ids[:k] + (cid,) + ids[k:], np.concatenate((mat[:k], row, mat[k:])), protos.novel | {cid})
 
 
 def write_vector_file(path, vectors: Mapping[int, np.ndarray]) -> None:

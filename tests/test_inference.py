@@ -172,6 +172,20 @@ def test_decode_box_rows_equal_the_scalar_reference():
     assert np.array_equal(decoded, reference)
 
 
+def test_decode_box_names_the_first_bad_row_among_several():
+    anchors = np.array([[0.1, 0.1, 0.4, 0.4], [0.5, 0.0, 0.5, 1.0], [0.1, 0.1, 0.4, 0.4], [0.6, 0.0, 0.5, 1.0]])
+    deltas = np.zeros((4, 4))
+    deltas[2, 0] = np.nan  # row 2 decodes non-finite; rows 1 and 3 are degenerate with zero deltas
+    for order, message in (
+        ([0, 1, 2, 3], "degenerate box corners: (0.5, 0.0, 0.5, 1.0)"),
+        ([0, 2, 3, 1], "non-finite box corners: (nan, 0.09999999999999998, nan, 0.4)"),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidBox, match=f"^{re.escape(message)}$"):
+                decode_box(anchors[order], deltas[order])
+
+
 def brute_force_nms(detections, thr):
     """Independent reimplementation: visit by the same deterministic order,
     suppress same-class candidates by pairwise IoU."""
@@ -259,6 +273,22 @@ def test_morph_empty_mapping_and_errors(tiny_state, tiny_exemplars):
     taken = sorted(tiny_state.prototypes.base)[0]
     with pytest.raises(ClassCollision):
         morph(tiny_state, {taken: [tiny_exemplars[sorted(tiny_exemplars)[0]][0]]})
+
+
+def test_sixty_one_class_morphs_build_the_set_the_full_check_builds(tiny_state):
+    rng = np.random.default_rng(28)
+    first = max(tiny_state.prototypes.ids) + 1
+    ids = [int(cid) for cid in rng.permutation(np.arange(first, first + 60))]  # inserted at scattered places in id order
+    shots = {cid: rng.normal(size=(int(rng.integers(1, 6)), tiny_state.params.m_in)) for cid in ids}
+    state = tiny_state
+    for cid in ids:
+        state = morph(state, {cid: shots[cid]})
+    rows = dict(zip(tiny_state.prototypes.ids, tiny_state.prototypes.matrix))
+    rows.update({cid: l2_normalize(forward_batch(tiny_state.params, shots[cid])[0].mean(axis=0)) for cid in ids})
+    full = PrototypeSet(ids=tuple(sorted(rows)), matrix=np.stack([rows[c] for c in sorted(rows)]), novel=set(ids))
+    assert state.prototypes.ids == full.ids and state.prototypes.novel == full.novel
+    assert state.prototypes.matrix.tobytes() == full.matrix.tobytes()
+    assert not state.prototypes.matrix.flags.writeable
 
 
 def test_morph_preserves_base_posterior_ratios(tiny_state, tiny_exemplars):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import empty_prototypes, vector_for
-from morphdet.numkernel import DimensionMismatch, EmptyInput, l2_normalize
+from morphdet.numkernel import DegenerateVector, DimensionMismatch, EmptyInput, l2_normalize
 from morphdet.prototype_store import (
     ClassCollision,
     PrototypeSet,
@@ -175,6 +175,31 @@ def test_add_novel_keeps_rows_in_id_order():
     expected = np.stack([protos.matrix[0], protos.matrix[1], unit(row), protos.matrix[2]])
     assert np.array_equal(grown.matrix, expected)
     assert protos.ids == (1, 2, 7) and protos.matrix.shape == (3, 3)
+
+
+@pytest.mark.parametrize("cid", [0, -2])
+def test_add_novel_refuses_an_id_below_one(cid):
+    with pytest.raises(ValueError, match=rf"class ids must be >= 1 \(0 is background\), got {cid}$"):
+        add_novel(small_set(), cid, np.array([0.0, 0.0, 1.0]))
+
+
+def test_add_novel_rows_pass_the_full_check_bit_for_bit():
+    rng = np.random.default_rng(5)
+    protos = small_set()
+    cid = 8
+    for exponent in range(-6, 151, 4):
+        for _ in range(3):
+            vec = rng.normal(size=3) * 10.0**exponent
+            vec[rng.integers(3)] = rng.choice([0.0, 5e-324, -2.2e-308, 1e-300])  # near or below underflow
+            protos = add_novel(protos, cid, vec)
+            full = PrototypeSet(ids=protos.ids, matrix=protos.matrix.copy(), novel=protos.novel)
+            assert full.ids == protos.ids and full.novel == protos.novel
+            assert full.matrix.tobytes() == protos.matrix.tobytes()
+            cid += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bad in ([np.nan, 0.0, 1.0], [np.inf, 0.0, 1.0], [0.0, 0.0, 0.0], [1e200, 1.0, 0.0]):
+            with pytest.raises(DegenerateVector):
+                add_novel(protos, cid, np.array(bad))
 
 
 def test_vector_file_round_trip(tmp_path):
