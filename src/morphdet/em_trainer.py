@@ -14,7 +14,8 @@ M-step; the K-th snapshot is "the detector after K iterations", which is
 what ablations over the iteration count evaluate, and the last snapshot is
 the detector train() returns, so no E-step follows the last M-step.
 train_grid steps runs that differ only in lam and starting prototypes in
-lockstep, and their first M-step, which reads no lam, once per set.
+lockstep, and their first M-step, which reads no lam, once per set; it
+refuses an empty grid and a vector set that lacks a dataset class.
 
 Everything is a pure function of (dataset, semantic vectors, config): fixed
 seeds, fixed shuffle order, fixed reduction order, so reruns are bit-identical.
@@ -241,8 +242,9 @@ def m_step(states, X, labels, targets, iteration: int = 0, names=None) -> tuple[
 
     The runs step in lockstep, one forward_batch_with_grad and sgd_step per
     step, on an (L, P) stack of copies of their parameters (one run keeps its
-    1-D flat) with one gradient and one velocity buffer, each scored against
-    its own prototype table. The input states are left as they were; each
+    1-D flat), each scored against its own prototype table. One gradient
+    buffer, an EmbedderParams of the stack's layout, and one velocity vector
+    serve every step. The input states are left as they were; each
     returned state holds a copy of its row. A non-finite loss raises
     TrainingDiverged naming the run by names[k], "run k" by default.
     """
@@ -274,7 +276,7 @@ def m_step(states, X, labels, targets, iteration: int = 0, names=None) -> tuple[
 
     params = EmbedderParams(states[0].params.sizes, _stack([s.params.flat for s in states]))
     table = _stack([loss_table(scoring_matrix(s.prototypes, params.feature_dim)) for s in states])
-    grad = np.empty_like(params.flat)
+    grad = EmbedderParams(params.sizes, np.empty_like(params.flat))
     velocity = np.zeros_like(params.flat)
     names = names or [f"run {k}" for k in range(len(states))]
     records: list[list[EpochRecord]] = [[] for _ in states]
@@ -284,14 +286,14 @@ def m_step(states, X, labels, targets, iteration: int = 0, names=None) -> tuple[
         batch_X, batch_cols, batch_targets = X[picks], cols[picks], targets[picks[:, :n_fg]]
         sums = [[0.0] * 4 for _ in states]
         for step in range(steps_per_epoch):
-            breakdown, _ = forward_batch_with_grad(
-                params, batch_X[step], batch_cols[step], n_fg, batch_targets[step], table, config, out=grad
+            breakdown = forward_batch_with_grad(
+                params, batch_X[step], batch_cols[step], batch_targets[step], table, config, grad
             )
             for k, loss in enumerate(zip(*breakdown) if len(states) > 1 else [breakdown]):
                 if not math.isfinite(loss[3]):
                     raise TrainingDiverged(f"{names[k]}: non-finite loss at epoch {epoch} (total {loss[3]})")
                 sums[k] = [total + term for total, term in zip(sums[k], loss)]
-            sgd_step(params, grad, lr, velocity, config.momentum)
+            sgd_step(params, grad.flat, lr, velocity, config.momentum)
         for run_records, run_sums in zip(records, sums):
             run_records.append(EpochRecord(iteration, epoch, *(float(total / steps_per_epoch) for total in run_sums)))
     rows = params.flat.reshape(len(states), -1)

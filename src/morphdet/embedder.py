@@ -11,14 +11,15 @@ rows first (descriptors, each row's own logit column, the prototype table
 those columns index and the foreground rows' box targets; per-group means of
 foreground, background and box terms, each multiplied by its weight) in one
 pass over both row groups, and backpropagates it through the heads and the
-ReLU trunk in closed form, writing the gradient into the caller's flat vector
-in the parameter layout. Labels are mapped to logit columns and checked by
-the caller, the M-step once for all of its batches. Both functions run the
-same forward pass, and the loss takes its posteriors from
-objective.softmax_terms, the softmax that detection scores with. Prototypes
-are constants here. sgd_step updates a parameter vector and its velocity in
-place. Both training functions also take an (L, P) stack of L runs'
-parameters, so runs that share their batches step together.
+ReLU trunk in closed form, writing each weight and bias gradient into its
+view of the gradient buffer, an EmbedderParams of the parameters' layout that
+the caller owns; the module keeps no reference to it. Labels are mapped to
+logit columns and checked by the caller, the M-step once for all of its
+batches. Both functions run the same forward pass, and the loss takes its
+posteriors from objective.softmax_terms, the softmax that detection scores
+with. Prototypes are constants here. sgd_step updates a parameter vector and
+its velocity in place. Both training functions also take an (L, P) stack of
+L runs' parameters, so runs that share their batches step together.
 
 A module-level counter records every gradient evaluation; forward_batch never
 touches it, which is how zero-gradient guarantees for morphing are asserted
@@ -28,7 +29,6 @@ downstream.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -41,7 +41,6 @@ if TYPE_CHECKING:  # em_trainer imports this module
     from .em_trainer import TrainConfig
 
 _grad_evaluations = 0
-_last_grad_views: tuple = (None, (), ())  # the last gradient buffer, its layout and its views
 
 
 def grad_evaluation_count() -> int:
@@ -58,7 +57,6 @@ class AffineLayer(NamedTuple):
     bias: np.ndarray  # (n_out,)
 
 
-@lru_cache(maxsize=64)
 def _layout(sizes: tuple[int, ...]) -> tuple[tuple, int]:
     """((start, stop, shape) per tensor, total length) of the flat vector: the
     trunk layers bottom-up, then the head block, each weight before its bias.
@@ -71,24 +69,6 @@ def _layout(sizes: tuple[int, ...]) -> tuple[tuple, int]:
             start, offset = offset, offset + math.prod(shape)
             slots.append((start, offset, shape))
     return tuple(slots), offset
-
-
-def _views(flat: np.ndarray, sizes: tuple[int, ...]) -> list[np.ndarray]:
-    """One view into `flat` per tensor of the layout, in layout order; a stack's
-    views have its leading run axis."""
-    lead = flat.shape[:-1]
-    return [flat[..., start:stop].reshape(*lead, *shape) for start, stop, shape in _layout(sizes)[0]]
-
-
-def _grad_views(out: np.ndarray, sizes: tuple[int, ...]) -> list[np.ndarray]:
-    """_views of a gradient buffer, kept (and the buffer with them) from the last call with
-    the same buffer and layout: the M-step writes every step's gradient into one buffer,
-    and slicing it anew costs about 4% of a step."""
-    global _last_grad_views
-    last = _last_grad_views
-    if last[0] is not out or last[1] != sizes:
-        last = _last_grad_views = (out, sizes, _views(out, sizes))
-    return last[2]
 
 
 def _check_flat(flat: np.ndarray, shape: tuple[int, ...], what: str) -> None:
@@ -117,14 +97,15 @@ class EmbedderParams:
         if len(sizes) < 2 or not all(_is_size(s) for s in sizes):
             raise ValueError(f"layer sizes (m_in, *hidden, d) must all be integers >= 1, got {sizes}")
         sizes = tuple(map(int, sizes))
-        total = _layout(sizes)[1]
+        slots, total = _layout(sizes)
         if flat is None:
             flat = np.zeros(total)
         else:
             _check_flat(flat, (total,) if flat.ndim < 2 else (len(flat), total), "flat parameters")
         self.sizes = sizes
         self.flat = flat
-        arrays = _views(flat, sizes)
+        lead = flat.shape[:-1]  # a stack's views have its leading run axis
+        arrays = [flat[..., start:stop].reshape(*lead, *shape) for start, stop, shape in slots]
         self.trunk = tuple(AffineLayer(*arrays[k : k + 2]) for k in range(0, len(arrays) - 2, 2))
         self.heads = heads = AffineLayer(*arrays[-2:])
         self._row_biases = tuple(layer.bias[..., None, :] for layer in (*self.trunk, heads))  # rows that broadcast over a batch
@@ -212,24 +193,24 @@ def forward_batch_with_grad(
     params: EmbedderParams,
     descriptors: np.ndarray,
     cols: np.ndarray,
-    n_fg: int,
     fg_targets: np.ndarray,
     table: np.ndarray,
     config: TrainConfig,
-    out: np.ndarray,
-) -> tuple[LossBreakdown, np.ndarray]:
+    out: EmbedderParams,
+) -> LossBreakdown:
     """Composite loss and exact parameter gradients for one minibatch.
 
-    Rows [0, n_fg) of `descriptors` are foreground, with box targets
-    fg_targets[i]; the other rows are background. Row i's own logit column is
-    cols[i]: j + 1 for the class in row j of the prototype matrix, 0 for
-    background; `table` is loss_table of that matrix. The loss is the sum of
-    three group means, weighted by config.fg_weight, bg_weight and
-    bbox_weight: foreground and background negative log-probability, and
-    smooth-L1 box regression over foreground rows. The gradient is written
-    into `out`, a float64 buffer shaped like params.flat, and returned; its
-    previous contents are overwritten. Accumulation order is fixed (batch
-    order), so the result is reproducible bit-for-bit.
+    The first len(fg_targets) rows of `descriptors` are foreground, row i
+    with box targets fg_targets[i]; the other rows are background. Row i's
+    own logit column is cols[i]: j + 1 for the class in row j of the
+    prototype matrix, 0 for background; `table` is loss_table of that matrix.
+    The loss is the sum of three group means, weighted by config.fg_weight,
+    bg_weight and bbox_weight: foreground and background negative
+    log-probability, and smooth-L1 box regression over foreground rows. The
+    loss is returned and the gradient written into `out`, an EmbedderParams of
+    params' sizes and flat shape (any other buffer raises DimensionMismatch),
+    whose previous contents are overwritten. Accumulation order is fixed
+    (batch order), so the result is reproducible bit-for-bit.
 
     The loss terms are float64 scalars. An (L, P) stack of runs shares the
     batch against an (L, M + 1, d) stack of tables; each run's gradient row
@@ -237,11 +218,15 @@ def forward_batch_with_grad(
     """
     if not (n := len(descriptors)):
         raise EmptyInput("empty batch")
-    _check_flat(out, params.flat.shape, "gradient buffer")
+    want = (params.sizes, params.flat.shape)
+    got = (out.sizes, out.flat.shape) if isinstance(out, EmbedderParams) else type(out).__name__
+    if got != want:
+        raise DimensionMismatch(f"gradient buffer has sizes and flat shape {got}, expected {want}")
     # Forward pass, keeping pre-activations for the backward sweep.
     pre_acts, acts, (feats, bg, deltas) = _forward(params, descriptors)
     all_logits, log_denom, q = softmax_terms(feats, bg, table[..., 1:, :])  # column 0 = background
 
+    n_fg = len(fg_targets)
     n_bg = n - n_fg
     runs = params.flat.shape[:-1]  # () for one run's flat, (L,) for a stack; np.zeros(runs)[()] is 0.0 or L zeros
     vals = log_denom - all_logits[..., np.arange(n), cols]  # each row's negative log-probability; each group sums its own
@@ -267,23 +252,21 @@ def forward_batch_with_grad(
         d_fb[..., n_fg:, :] *= config.bg_weight / n_bg
 
     # Backward through the head block, then the ReLU trunk; each weight and
-    # bias gradient is written into its slot of `out` (trunk bottom-up, then
-    # the head block, each weight before its bias). np.add.reduce is np.sum's
-    # arithmetic without its per-call argument handling.
-    views = _grad_views(out, params.sizes)
-    np.matmul(acts[-1].mT, d_heads, out=views[-2])
-    np.add.reduce(d_heads, axis=-2, out=views[-1])
+    # bias gradient is written into its view in `out`. np.add.reduce is
+    # np.sum's arithmetic without its per-call argument handling.
+    np.matmul(acts[-1].mT, d_heads, out=out.heads.weight)
+    np.add.reduce(d_heads, axis=-2, out=out.heads.bias)
     d_h = d_heads @ params.heads.weight.mT
     for k in reversed(range(len(params.trunk))):
         d_h *= pre_acts[k] > 0.0  # through the ReLU: now the pre-activation gradient
-        np.matmul(acts[k].mT, d_h, out=views[2 * k])
-        np.add.reduce(d_h, axis=-2, out=views[2 * k + 1])
+        np.matmul(acts[k].mT, d_h, out=out.trunk[k].weight)
+        np.add.reduce(d_h, axis=-2, out=out.trunk[k].bias)
         if k:  # the input descriptors take no gradient
             d_h = d_h @ params.trunk[k].weight.mT
 
     global _grad_evaluations
     _grad_evaluations += math.prod(runs)
-    return LossBreakdown(fg_term, bg_term, box_term, fg_term + bg_term + box_term), out
+    return LossBreakdown(fg_term, bg_term, box_term, fg_term + bg_term + box_term)
 
 
 def sgd_step(

@@ -7,7 +7,8 @@ the right before integrating over recall. The headline AP averages the ten
 IoU thresholds 0.50:0.05:0.95; AP50/AP75 are the usual single-threshold cuts.
 
 Recall@N is class-agnostic: the top-N detections of each scene are matched to
-that scene's objects ignoring labels.
+that scene's objects ignoring labels. The report walks the scenes once,
+handing detect each scene's descriptor and anchor rows as they are.
 """
 
 from __future__ import annotations

@@ -84,7 +84,12 @@ def labelled_batch(descriptors, labels, targets, prototypes: PrototypeSet) -> tu
     bg_rows = np.flatnonzero(labels == 0)
     X = np.asarray(descriptors, dtype=np.float64)[np.concatenate([fg_rows, bg_rows])]
     cols = np.concatenate([slots + 1, np.zeros(len(bg_rows), dtype=slots.dtype)])
-    return X, cols, len(fg_rows), np.asarray(targets, dtype=np.float64)[fg_rows], loss_table(pmat)
+    return X, cols, np.asarray(targets, dtype=np.float64)[fg_rows], loss_table(pmat)
+
+
+def grad_buffer(params: EmbedderParams) -> EmbedderParams:
+    """A gradient buffer for forward_batch_with_grad: params' sizes and flat shape, values unset."""
+    return EmbedderParams(params.sizes, np.empty_like(params.flat))
 
 
 def scene_of(objects=(), proposals=(), scene_id=0) -> Scene:

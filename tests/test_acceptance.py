@@ -11,7 +11,7 @@ import pytest
 from test_embedder import make_batch, make_protos, max_grad_error
 from test_evalkit import ap_of, random_box, ref_average_precision, ref_recall_at
 
-from helpers import encode_one, labelled_batch, scene_of, vector_for
+from helpers import encode_one, grad_buffer, labelled_batch, scene_of, vector_for
 from morphdet.cli import main
 from morphdet.em_trainer import DetectorState, TrainConfig, m_step, proposal_arrays
 from morphdet.embedder import (
@@ -252,13 +252,11 @@ def test_criterion_10_overfit_sanity():
     data = [scene_of(proposals=pool)]
     batch = proposal_arrays(data)
 
-    initial = forward_batch_with_grad(
-        params, *labelled_batch(*batch, protos), config, np.empty_like(params.flat)
-    )[0].total
+    initial = forward_batch_with_grad(params, *labelled_batch(*batch, protos), config, grad_buffer(params)).total
     [trained], _ = m_step([state], *batch)
     final = forward_batch_with_grad(
-        trained.params, *labelled_batch(*batch, protos), config, np.empty_like(trained.params.flat)
-    )[0].total
+        trained.params, *labelled_batch(*batch, protos), config, grad_buffer(trained.params)
+    ).total
     ratio = final / initial
     elapsed = time.perf_counter() - start
     print(

@@ -1,10 +1,12 @@
 """Network forward/backward: finite-difference gradient oracle, SGD algebra,
 the flat parameter layout, and the gradient-evaluation counter discipline."""
 
+import re
+
 import numpy as np
 import pytest
 
-from helpers import empty_prototypes, labelled_batch, params_equal
+from helpers import empty_prototypes, grad_buffer, labelled_batch, params_equal
 from morphdet.em_trainer import TrainConfig
 from morphdet.embedder import (
     _forward,
@@ -108,27 +110,25 @@ def test_forward_batch_with_grad_counts_once_per_call():
     protos = make_protos(rng, 3, 4)
     batch = make_batch(rng, 5, [1, 0, 2])
     before = grad_evaluation_count()
-    forward_batch_with_grad(params, *labelled_batch(*batch, protos), TrainConfig(), np.empty_like(params.flat))
-    forward_batch_with_grad(params, *labelled_batch(*batch, protos), TrainConfig(), np.empty_like(params.flat))
+    forward_batch_with_grad(params, *labelled_batch(*batch, protos), TrainConfig(), grad_buffer(params))
+    forward_batch_with_grad(params, *labelled_batch(*batch, protos), TrainConfig(), grad_buffer(params))
     assert grad_evaluation_count() == before + 2
 
 
 def max_grad_error(params, batch, protos, weights, h=1e-5):
     """Central finite differences over every parameter coordinate; `batch`
     is a (descriptors, labels, targets) triple."""
-    _, grad = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, np.empty_like(params.flat))
+    buffer = grad_buffer(params)
+    forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, buffer)
+    grad = buffer.flat
     worst = 0.0
     flat = params.flat
     for j in range(flat.size):
         keep = flat[j]
         flat[j] = keep + h
-        up = forward_batch_with_grad(
-            params, *labelled_batch(*batch, protos), weights, np.empty_like(params.flat)
-        )[0].total
+        up = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, grad_buffer(params)).total
         flat[j] = keep - h
-        down = forward_batch_with_grad(
-            params, *labelled_batch(*batch, protos), weights, np.empty_like(params.flat)
-        )[0].total
+        down = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, grad_buffer(params)).total
         flat[j] = keep
         fd = (up - down) / (2 * h)
         err = abs(grad[j] - fd) / max(abs(grad[j]), abs(fd), 1e-4)
@@ -162,8 +162,8 @@ def test_grad_rejects_unknown_label_and_empty_batch():
         labelled_batch(*make_batch(rng, 5, [0]), empty_prototypes(4))
     with pytest.raises(EmptyInput):
         forward_batch_with_grad(
-            params, np.zeros((0, 5)), np.zeros(0, dtype=int), 0, np.zeros((0, 4)), protos.matrix, TrainConfig(),
-            np.empty_like(params.flat),
+            params, np.zeros((0, 5)), np.zeros(0, dtype=int), np.zeros((0, 4)), protos.matrix, TrainConfig(),
+            grad_buffer(params),
         )
 
 
@@ -241,16 +241,27 @@ def test_forward_batch_with_grad_writes_into_out():
     params = init_params(5, (7, 6), 4, seed=3)
     protos = make_protos(rng, 3, 4)
     batch = make_batch(rng, 5, [1, 0, 2, 0, 3])
-    loss, fresh = forward_batch_with_grad(
-        params, *labelled_batch(*batch, protos), TrainConfig(), np.empty_like(params.flat)
-    )
-    out = np.full_like(params.flat, np.nan)
-    loss_out, grad = forward_batch_with_grad(params, *labelled_batch(*batch, protos), TrainConfig(), out=out)
-    assert grad is out and loss_out == loss
-    assert np.array_equal(out, fresh)
-    for bad in (np.zeros(params.flat.size + 1), np.zeros(params.flat.size, dtype=np.float32)):
-        with pytest.raises(DimensionMismatch):
-            forward_batch_with_grad(params, *labelled_batch(*batch, protos), TrainConfig(), out=bad)
+    fresh = grad_buffer(params)
+    loss = forward_batch_with_grad(params, *labelled_batch(*batch, protos), TrainConfig(), fresh)
+    out = EmbedderParams(params.sizes, np.full_like(params.flat, np.nan))
+    assert forward_batch_with_grad(params, *labelled_batch(*batch, protos), TrainConfig(), out=out) == loss
+    assert np.array_equal(out.flat, fresh.flat)
+    # A bare vector, a buffer of another layout with the same flat length (2,197 values each) and a
+    # stack of another run count are refused, naming the buffer's sizes and flat shape and params'.
+    wide = init_params(12, (64,), 16, seed=0)
+    assert wide.flat.size == EmbedderParams((46, 32, 16)).flat.size == 2197
+    pair = EmbedderParams(params.sizes, np.stack([params.flat, params.flat]))
+    for net, bad in (
+        (params, np.zeros(params.flat.size + 1)),
+        (params, np.zeros(params.flat.size, dtype=np.float32)),
+        (params, np.empty_like(params.flat)),
+        (wide, EmbedderParams((46, 32, 16))),
+        (pair, EmbedderParams(params.sizes, np.zeros((3, params.flat.size)))),
+    ):
+        batch = labelled_batch(*make_batch(rng, net.m_in, [1, 0]), make_protos(rng, 3, net.feature_dim))
+        got = f"{(bad.sizes, bad.flat.shape)}" if isinstance(bad, EmbedderParams) else "ndarray"
+        with pytest.raises(DimensionMismatch, match=re.escape(f"{got}, expected {(net.sizes, net.flat.shape)}")):
+            forward_batch_with_grad(net, *batch, TrainConfig(), out=bad)
 
 
 def labelled_reference(params, descriptors, labels, targets, prototypes, weights):
@@ -311,11 +322,10 @@ def test_planned_batch_equals_the_labelled_form_bit_for_bit(labels):
         protos = make_protos(rng, 3, 5)
         batch = make_batch(rng, 6, labels)
         want_loss, want_grad = labelled_reference(params, *batch, protos, weights)
-        loss, grad = forward_batch_with_grad(
-            params, *labelled_batch(*batch, protos), weights, np.empty_like(params.flat)
-        )
+        grad = grad_buffer(params)
+        loss = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, grad)
         assert loss == want_loss
-        assert np.array_equal(grad, want_grad)
+        assert np.array_equal(grad.flat, want_grad)
 
 
 def test_clone_and_zeros_helpers():
@@ -372,22 +382,23 @@ def test_a_stacked_step_equals_separate_steps_bit_for_bit(labels):
     weights and momentum, and count L gradient evaluations per call."""
     rng = np.random.default_rng(11)
     runs = [init_params(5, (7, 6), 4, seed=seed) for seed in (1, 2, 3)]
-    tables = [labelled_batch(*make_batch(rng, 5, labels), make_protos(rng, 3, 4))[4] for _ in runs]
+    tables = [labelled_batch(*make_batch(rng, 5, labels), make_protos(rng, 3, 4))[3] for _ in runs]
     config = TrainConfig(fg_weight=1.0, bg_weight=0.7, bbox_weight=1.3, momentum=0.9)
     stack = EmbedderParams(runs[0].sizes, np.stack([run.flat for run in runs]))
-    stack_grad, stack_velocity = np.empty_like(stack.flat), np.zeros_like(stack.flat)
+    stack_grad, stack_velocity = grad_buffer(stack), np.zeros_like(stack.flat)
     velocities = [np.zeros_like(run.flat) for run in runs]
     for step in range(3):
-        X, cols, n_fg, fg_targets, _ = labelled_batch(*make_batch(rng, 5, labels), make_protos(rng, 3, 4))
+        X, cols, fg_targets, _ = labelled_batch(*make_batch(rng, 5, labels), make_protos(rng, 3, 4))
         before = grad_evaluation_count()
-        stacked, _ = forward_batch_with_grad(stack, X, cols, n_fg, fg_targets, np.stack(tables), config, stack_grad)
+        stacked = forward_batch_with_grad(stack, X, cols, fg_targets, np.stack(tables), config, stack_grad)
         assert grad_evaluation_count() - before == len(runs)
-        sgd_step(stack, stack_grad, 0.05, stack_velocity, config.momentum)
+        sgd_step(stack, stack_grad.flat, 0.05, stack_velocity, config.momentum)
         for k, (run, table, velocity) in enumerate(zip(runs, tables, velocities)):
-            grad = np.empty_like(run.flat)
-            alone, _ = forward_batch_with_grad(run, X, cols, n_fg, fg_targets, table, config, grad)
+            grad = grad_buffer(run)
+            alone = forward_batch_with_grad(run, X, cols, fg_targets, table, config, grad)
             assert stacked.total.shape == (len(runs),) and repr([term[k] for term in stacked]) == repr(list(alone))
-            assert stack_grad[k].tobytes() == grad.tobytes()
-            sgd_step(run, grad, 0.05, velocity, config.momentum)
+            assert stack_grad.flat[k].tobytes() == grad.flat.tobytes()
+            sgd_step(run, grad.flat, 0.05, velocity, config.momentum)
             assert stack.flat[k].tobytes() == run.flat.tobytes() and stack_velocity[k].tobytes() == velocity.tobytes()
+    n_fg = len(fg_targets)
     assert (not stacked.fg.any()) == (n_fg == 0) and (not stacked.bg.any()) == (n_fg == len(labels))

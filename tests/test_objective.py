@@ -9,7 +9,7 @@ import pytest
 from test_embedder import make_protos, max_grad_error, naive_forward, stack_batch
 from test_numkernel import naive_smooth_l1
 
-from helpers import empty_prototypes, labelled_batch, reference_softmax_terms, vector_for
+from helpers import empty_prototypes, grad_buffer, labelled_batch, reference_softmax_terms, vector_for
 from morphdet.em_trainer import TrainConfig
 from morphdet.embedder import forward_batch_with_grad, init_params
 from morphdet.numkernel import DimensionMismatch, EmptyInput
@@ -160,9 +160,7 @@ def test_fg_loss_is_negative_log_probability():
     weights = TrainConfig(fg_weight=1.5, bg_weight=0.0, bbox_weight=0.0)
     for seed in range(4):
         params, protos, batch = loss_setup(seed, [2, 0, 4, 7, 0, 4, 2, 0])
-        breakdown, _ = forward_batch_with_grad(
-            params, *labelled_batch(*batch, protos), weights, np.empty_like(params.flat)
-        )
+        breakdown = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, grad_buffer(params))
         fg, _, _ = naive_terms(params, protos, batch, weights)
         assert breakdown.fg == pytest.approx(fg, rel=1e-12, abs=1e-12)
 
@@ -171,9 +169,7 @@ def test_bg_loss_is_negative_log_background_probability():
     weights = TrainConfig(fg_weight=0.0, bg_weight=0.7, bbox_weight=0.0)
     for seed in range(4):
         params, protos, batch = loss_setup(seed, [0, 7, 0, 0, 2])
-        breakdown, _ = forward_batch_with_grad(
-            params, *labelled_batch(*batch, protos), weights, np.empty_like(params.flat)
-        )
+        breakdown = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, grad_buffer(params))
         _, bg, _ = naive_terms(params, protos, batch, weights)
         assert breakdown.bg == pytest.approx(bg, rel=1e-12, abs=1e-12)
         assert breakdown.fg == 0.0 and breakdown.bbox == 0.0
@@ -186,7 +182,7 @@ def test_bbox_loss_matches_scalar_smooth_l1():
         [np.asarray(naive_forward(params, desc)[2]) - target for desc, label, target in zip(*batch) if label > 0]
     )
     assert np.any(np.abs(residuals) < 1.0) and np.any(np.abs(residuals) > 1.0)
-    breakdown, _ = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, np.empty_like(params.flat))
+    breakdown = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, grad_buffer(params))
     _, _, bbox = naive_terms(params, protos, batch, weights)
     assert breakdown.bbox == pytest.approx(bbox, rel=1e-12, abs=1e-12)
 
@@ -194,7 +190,7 @@ def test_bbox_loss_matches_scalar_smooth_l1():
 def test_batch_loss_matches_per_group_means():
     weights = TrainConfig(fg_weight=1.5, bg_weight=0.5, bbox_weight=2.0)
     params, protos, batch = loss_setup(10, [4, 0, 2, 0, 0, 7, 0])
-    breakdown, _ = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, np.empty_like(params.flat))
+    breakdown = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, grad_buffer(params))
     fg, bg, bbox = naive_terms(params, protos, batch, weights)
     assert breakdown.fg == pytest.approx(fg, rel=1e-12, abs=1e-12)
     assert breakdown.bg == pytest.approx(bg, rel=1e-12, abs=1e-12)
@@ -204,14 +200,14 @@ def test_batch_loss_matches_per_group_means():
 
 def test_batch_loss_missing_groups_contribute_zero():
     fg_params, fg_protos, fg_batch = loss_setup(11, [2, 7])
-    fg_only, _ = forward_batch_with_grad(
-        fg_params, *labelled_batch(*fg_batch, fg_protos), TrainConfig(), np.empty_like(fg_params.flat)
+    fg_only = forward_batch_with_grad(
+        fg_params, *labelled_batch(*fg_batch, fg_protos), TrainConfig(), grad_buffer(fg_params)
     )
     assert fg_only.bg == 0.0
     assert fg_only.total == fg_only.fg + fg_only.bbox
     bg_params, bg_protos, bg_batch = loss_setup(12, [0, 0])
-    bg_only, _ = forward_batch_with_grad(
-        bg_params, *labelled_batch(*bg_batch, bg_protos), TrainConfig(), np.empty_like(bg_params.flat)
+    bg_only = forward_batch_with_grad(
+        bg_params, *labelled_batch(*bg_batch, bg_protos), TrainConfig(), grad_buffer(bg_params)
     )
     assert bg_only.fg == 0.0 and bg_only.bbox == 0.0
     assert bg_only.total == bg_only.bg
@@ -247,10 +243,9 @@ def test_loss_stays_finite_at_huge_logits():
     ]
     assert min(map(min, logits)) < -300.0 and 300.0 < max(map(max, logits)) < 1000.0
     weights = TrainConfig()
-    breakdown, grad = forward_batch_with_grad(
-        params, *labelled_batch(*batch, protos), weights, np.empty_like(params.flat)
-    )
-    assert np.all(np.isfinite(grad))
+    grad = grad_buffer(params)
+    breakdown = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, grad)
+    assert np.all(np.isfinite(grad.flat))
     fg, bg, bbox = naive_terms(params, protos, batch, weights)
     assert breakdown.fg == pytest.approx(fg, rel=1e-9)
     assert breakdown.bg == pytest.approx(bg, rel=1e-9)

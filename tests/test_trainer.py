@@ -1,8 +1,11 @@
 """Alternating-training loop: M-step, E-step, the full run, and checkpoints."""
 
+import gc
+import inspect
 import json
 import math
 import re
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -10,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import TINY_TRAIN, identity_detector, reframe, tensor_body
-from helpers import empty_prototypes, labelled_batch, objects_of, params_equal, scene_of, vector_for
+from helpers import empty_prototypes, grad_buffer, labelled_batch, objects_of, params_equal, scene_of, vector_for
 from morphdet import em_trainer
 from morphdet.em_trainer import (
     CHECKPOINT_HEADER,
@@ -269,14 +272,14 @@ def hand_m_step(state, X, labels, targets, iteration):
     rng = np.random.default_rng([config.seed, 17, iteration])
     plan = _pick_plan(fg_pool, bg_pool, n_fg, config.batch_size, config.m_step_epochs * steps, rng)
     params = clone_params(state.params)
-    grad, velocity = np.empty_like(params.flat), np.zeros_like(params.flat)
+    grad, velocity = grad_buffer(params), np.zeros_like(params.flat)
     records = []
     for epoch in range(config.m_step_epochs):
         sums = [0.0] * 4
         for picks in plan[epoch * steps : (epoch + 1) * steps]:
             batch = labelled_batch(X[picks], labels[picks], targets[picks], state.prototypes)
-            loss, _ = forward_batch_with_grad(params, *batch, config, grad)
-            sgd_step(params, grad, _epoch_lr(config, epoch), velocity, config.momentum)
+            loss = forward_batch_with_grad(params, *batch, config, grad)
+            sgd_step(params, grad.flat, _epoch_lr(config, epoch), velocity, config.momentum)
             sums = [total + term for total, term in zip(sums, (loss.fg, loss.bg, loss.bbox, loss.total))]
         records.append(EpochRecord(iteration, epoch, *(float(total / steps) for total in sums)))
     return params, records
@@ -298,6 +301,22 @@ def test_m_step_equals_a_loop_of_labelled_batches_bit_for_bit(tiny_state, tiny_d
     want_params, want_records = hand_m_step(state, X, labels, targets, 5)
     assert params_equal(trained.params, want_params)
     assert repr(records) == repr(want_records) and len(records) == 5
+
+
+def test_no_gradient_buffer_outlives_training(tiny_universe, tiny_dataset, monkeypatch):
+    """Every M-step's gradient buffer is freed once train returns: no module
+    keeps a buffer, or a view of one, between calls."""
+    buffers = []
+    real = em_trainer.forward_batch_with_grad
+
+    def spy(*args, **kwargs):
+        buffers.append(weakref.ref(inspect.signature(real).bind(*args, **kwargs).arguments["out"].flat))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(em_trainer, "forward_batch_with_grad", spy)
+    train(tiny_dataset, semantic_vectors(tiny_universe), TINY_TRAIN)
+    gc.collect()
+    assert buffers and all(buffer() is None for buffer in buffers)
 
 
 def test_m_step_leaves_its_input_state_untouched(tiny_state, tiny_dataset):
