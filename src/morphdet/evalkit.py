@@ -3,12 +3,13 @@
 Average precision follows the all-point interpolation convention: detections
 are ranked by score (stable on ties), matched greedily to the highest-IoU
 unmatched ground truth in their own scene, and precision is enveloped from
-the right before integrating over recall. The headline AP averages the ten
-IoU thresholds 0.50:0.05:0.95; AP50/AP75 are the usual single-threshold cuts.
+the right before integrating over recall, which is done over the hit ranks
+alone. The headline AP averages the ten IoU thresholds 0.50:0.05:0.95;
+AP50/AP75 are the usual single-threshold cuts.
 
 Recall@N is class-agnostic: the top-N detections of each scene are matched to
-that scene's objects ignoring labels. The report walks the scenes once,
-handing detect each scene's descriptor and anchor rows as they are.
+that scene's objects ignoring labels, scene by scene. The report walks the
+scenes once, handing detect each scene's descriptor and anchor rows as they are.
 """
 
 from __future__ import annotations
@@ -27,38 +28,36 @@ IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 RECALL_BUDGET = 100  # detections per scene that the report's recall counts
 
 
-def iou_table(detections, ground_truths) -> list[list[tuple[int, float]]]:
-    """Per detection in descending-score order (stable on ties), the (index, IoU)
-    of each ground truth of its scene that it overlaps: all that matching reads."""
+def iou_table(detections, ground_truths) -> list[tuple[int, list[tuple[int, float]]]]:
+    """Per detection that overlaps a ground truth of its scene, its rank in
+    descending-score order (stable on ties) and the (index, IoU) of each ground
+    truth it overlaps: all that matching reads, as a row without one never matches."""
     by_scene: dict = {}
     for j, (scene_id, gt_box) in enumerate(ground_truths):
         by_scene.setdefault(scene_id, []).append((j, gt_box))
     table = []
-    for idx in _score_order(detections):
+    for rank, idx in enumerate(_score_order(detections)):
         scene_id, _score, box = detections[idx]
-        row = []
-        for j, gt_box in by_scene.get(scene_id, ()):
-            overlap = iou(box, gt_box)
-            if overlap > 0.0:
-                row.append((j, overlap))
-        table.append(row)
+        row = [(j, overlap) for j, gt_box in by_scene.get(scene_id, ()) if (overlap := iou(box, gt_box)) > 0.0]
+        if row:
+            table.append((rank, row))
     return table
 
 
-def _match_detections(table, gt_count: int, iou_threshold: float) -> list[bool]:
-    """Greedy matching down an iou_table: a flag per row, true where the row
-    takes the highest-IoU ground truth (the first on ties) no earlier row took."""
+def _match_detections(table, gt_count: int, iou_threshold: float) -> list[int]:
+    """Greedy matching down an iou_table: the rank of each row that takes the
+    highest-IoU ground truth (the first on ties) that no earlier row took."""
     taken = [False] * gt_count
-    flags: list[bool] = []
-    for overlaps in table:
+    hits: list[int] = []
+    for rank, overlaps in table:
         best_iou, best_j = 0.0, -1
         for j, overlap in overlaps:
             if overlap >= iou_threshold and overlap > best_iou and not taken[j]:
                 best_iou, best_j = overlap, j
         if best_j >= 0:
             taken[best_j] = True
-        flags.append(best_j >= 0)
-    return flags
+            hits.append(rank)
+    return hits
 
 
 def _score_order(detections) -> list[int]:
@@ -69,41 +68,55 @@ def average_precision(table, gt_count: int, iou_threshold: float) -> float:
     """AP for one class from the iou_table of its detections and its
     `gt_count` ground truths, built once for every threshold. No ground
     truth yields 0.0 by convention (callers normally exclude such classes).
+    The curve is integrated over the hit ranks alone, bit-equal to the curve
+    over every rank: a miss's precision is below the hit's before it, and the
+    step to recall 1.0 adds (1 - recall) * 0.0 = +0.0.
     """
-    if not gt_count or not table:
+    if not gt_count:
         return 0.0
-    flags = _match_detections(table, gt_count, iou_threshold)
-    tp = np.cumsum([1.0 if f else 0.0 for f in flags])
-    fp = np.cumsum([0.0 if f else 1.0 for f in flags])
-    recall = tp / gt_count
-    precision = tp / (tp + fp)
-
-    mrec = np.concatenate([[0.0], recall, [1.0]])
-    mpre = np.concatenate([[0.0], precision, [0.0]])
-    mpre = np.maximum.accumulate(mpre[::-1])[::-1]
-    # mrec runs from 0 to 1, so there is at least one step; cumsum adds left to right.
-    steps = np.flatnonzero(mrec[1:] != mrec[:-1]) + 1
-    return float(np.cumsum((mrec[steps] - mrec[steps - 1]) * mpre[steps])[-1])
+    hits = _match_detections(table, gt_count, iou_threshold)
+    envelope, best = [0.0] * len(hits), 0.0
+    for k in range(len(hits) - 1, -1, -1):
+        best = envelope[k] = max(best, (k + 1) / (hits[k] + 1.0))
+    ap = recall = 0.0
+    for k, precision in enumerate(envelope):
+        step = (k + 1) / gt_count
+        ap += (step - recall) * precision
+        recall = step
+    return ap
 
 
 def recall_at(detections, ground_truths, n: int, iou_threshold: float) -> float:
     """Fraction of ground truths matched by each scene's top-n detections,
     ignoring class labels. `detections` are (scene_id, score, Box) triples,
-    `ground_truths` (scene_id, Box) pairs, as iou_table takes them."""
+    `ground_truths` (scene_id, Box) pairs, as iou_table takes them. A scene's top n
+    are matched to its ground truths as _match_detections matches, at one threshold
+    and with no table: each IoU is taken when read, none against a taken truth."""
     if n < 1:
         raise ValueError(f"detection budget must be >= 1, got {n}")
-    detections = list(detections)
     ground_truths = list(ground_truths)
     if not ground_truths:
         return 0.0
-    by_scene: dict = {}
+    gts_by_scene: dict = {}
+    for scene_id, gt_box in ground_truths:
+        gts_by_scene.setdefault(scene_id, []).append(gt_box)
+    dets_by_scene: dict = {}
     for det in detections:
-        by_scene.setdefault(det[0], []).append(det)
-    budgeted = []
-    for _, scene_dets in sorted(by_scene.items()):
-        budgeted.extend(scene_dets[i] for i in _score_order(scene_dets)[:n])
-    flags = _match_detections(iou_table(budgeted, ground_truths), len(ground_truths), iou_threshold)
-    return float(sum(flags)) / len(ground_truths)
+        dets_by_scene.setdefault(det[0], []).append(det)
+    hits = 0
+    for scene_id, scene_dets in dets_by_scene.items():
+        gts = gts_by_scene.get(scene_id, ())
+        taken = [False] * len(gts)
+        for i in _score_order(scene_dets)[:n]:
+            box = scene_dets[i][2]
+            best_iou, best_j = 0.0, -1  # so `overlap > best_iou` keeps iou_table's `overlap > 0.0`
+            for j, gt_box in enumerate(gts):
+                if not taken[j] and (overlap := iou(box, gt_box)) >= iou_threshold and overlap > best_iou:
+                    best_iou, best_j = overlap, j
+            if best_j >= 0:
+                taken[best_j] = True
+                hits += 1
+    return float(hits) / len(ground_truths)
 
 
 @dataclass(frozen=True)

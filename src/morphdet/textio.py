@@ -41,9 +41,12 @@ def class_id_name(cid) -> str:
 
 
 def parse_floats(text: str) -> np.ndarray:
-    """A whitespace-separated string as float64; NaN and infinities are
-    rejected, so no non-finite value enters from a file."""
-    values = np.array(text.split(), dtype=np.float64)
+    """A whitespace-separated string as float64. NaN, infinities and a token with an underscore or a
+    non-ASCII character, which fmt never writes ('1_0' reads as 10.0), are rejected at the file."""
+    tokens = text.split()
+    if bad := [token for token in tokens if "_" in token or not token.isascii()]:
+        raise ValueError(f"value {bad[0]!r} holds an underscore or a non-ASCII character")
+    values = np.array(tokens, dtype=np.float64)
     if not np.isfinite(values).all():
         raise ValueError(f"non-finite value among {values.size} floats")
     return values

@@ -348,6 +348,14 @@ SEMANTICS_REFUSALS = {
         f"class id {head}": (lambda lines, head=head: [*lines, head + lines[0][1:]], f"class id '{head}' is not digits")
         for head in ("0", "-3", "+77", "7_7")
     },
+    # Values that float() reads but fmt never writes: 10.0 and 1.0.
+    **{
+        case: (
+            _first_line(lambda line, value=value: line.rsplit(" ", 1)[0] + " " + value),
+            f"line 1: value {value!r} holds an underscore or a non-ASCII character",
+        )
+        for case, value in (("value 1_0", "1_0"), ("an Arabic-Indic digit", "\u0661"))
+    },
     # Written back with surrogateescape, "\udcff" is the byte 0xff, which UTF-8 never holds.
     "a 0xff byte": (lambda lines: [lines[0], lines[1] + "\udcff", *lines[2:]], "line 2: not UTF-8 text"),
 }

@@ -146,6 +146,65 @@ def test_metrics_match_reference_on_random_instances():
             previous = got
 
 
+def _class_at_evaluate_size(rng, gt_scenes, det_scenes):
+    """One class as evaluate hands it over: 8 to 24 ground truths, some repeated within a scene, and
+    100 to 159 detections on quarter-step scores (so many tie), some a repeat of an earlier box.
+    Detections near a ground truth score higher, as a working detector's do."""
+    gts = []
+    for _ in range(int(rng.integers(8, 25))):
+        if gts and rng.uniform() < 0.1:
+            gts.append(gts[int(rng.integers(0, len(gts)))])
+        else:
+            gts.append((int(rng.choice(gt_scenes)), random_box(rng)))
+    dets = []
+    for _ in range(int(rng.integers(100, 160))):
+        score = float(rng.integers(0, 3)) / 4.0
+        if dets and rng.uniform() < 0.2:
+            scene, _score, box = dets[int(rng.integers(0, len(dets)))]
+        elif rng.uniform() < 0.5:
+            score += 0.5
+            scene, anchor = gts[int(rng.integers(0, len(gts)))]
+            if scene not in det_scenes:
+                scene = int(rng.choice(det_scenes))
+            dx, dy = rng.uniform(-0.06, 0.06, size=2)
+            box = Box(anchor.x1 + dx, anchor.y1 + dy, anchor.x2 + dx, anchor.y2 + dy)
+        else:
+            scene, box = int(rng.choice(det_scenes)), random_box(rng)
+        dets.append((scene, score, box))
+    return dets, gts
+
+
+def test_metrics_match_reference_at_the_sizes_evaluate_feeds():
+    """AP at all ten thresholds and recall at budgets below a scene's detection count, bit for bit
+    against the references, on classes of evaluate's size spread over a dozen scenes."""
+    rng = np.random.default_rng(2030)
+    scenes = list(range(12))
+    classes = [_class_at_evaluate_size(rng, scenes, scenes) for _ in range(8)]
+    # Ground truths in scenes 0-5 and detections in 6-11 only: no detection overlaps a ground truth.
+    classes.append(_class_at_evaluate_size(rng, scenes[:6], scenes[6:]))
+    inside = 0
+    for number, (dets, gts) in enumerate(classes):
+        table = iou_table(dets, gts)
+        assert (table == []) == (number == len(classes) - 1)
+        for thr in IOU_THRESHOLDS:
+            got = average_precision(table, len(gts), thr)
+            assert got == ref_average_precision(dets, gts, thr), (number, thr)
+            inside += 0.0 < got < 1.0
+    assert inside >= 40  # most curves are partial, so the envelope and every step count
+
+    dets = [det for class_dets, _ in classes for det in class_dets]
+    gts = [gt for _, class_gts in classes for gt in class_gts]
+    per_scene = [sum(det[0] == scene for det in dets) for scene in scenes]
+    assert min(per_scene) > 50
+    for budget in (1, 3, 10, 50, 100):
+        for thr in (0.5, 0.75):
+            assert recall_at(dets, gts, budget, thr) == ref_recall_at(dets, gts, budget, thr), (budget, thr)
+
+
+# MIDDLE overlaps LEFT and RIGHT at exactly 0.6, a tie that matching must give to the first ground truth.
+LEFT, MIDDLE, RIGHT = Box(0.0, 0.0, 0.5, 0.25), Box(0.125, 0.0, 0.625, 0.25), Box(0.25, 0.0, 0.75, 0.25)
+
+
 def test_ap_hand_cases():
     a = Box(0.1, 0.1, 0.4, 0.4)
     far = Box(0.1, 0.6, 0.3, 0.8)
@@ -165,6 +224,9 @@ def test_ap_hand_cases():
     assert ap_of(dets, [(0, tall), (0, short)], 0.5) == 1.0
     # Same boxes in different scenes stay separate.
     assert ap_of([(1, 0.9, a)], [(0, a)], 0.5) == 0.0
+    # The tied detection takes LEFT, so the exact LEFT box ranked after it finds its ground truth taken.
+    assert iou(MIDDLE, LEFT) == iou(MIDDLE, RIGHT) == 0.6
+    assert ap_of([(0, 0.9, MIDDLE), (0, 0.5, LEFT)], [(0, LEFT), (0, RIGHT)], 0.5) == 0.5
 
 
 def test_recall_hand_cases():
@@ -176,6 +238,7 @@ def test_recall_hand_cases():
     assert recall_at(dets, gts, 1, 0.5) == 0.0
     assert recall_at(dets, gts, 2, 0.5) == 0.5
     assert recall_at(dets, gts, 3, 0.5) == 1.0
+    assert recall_at([(0, 0.9, MIDDLE), (0, 0.5, LEFT)], [(0, LEFT), (0, RIGHT)], 2, 0.5) == 0.5
     assert recall_at([], gts, 5, 0.5) == 0.0
     assert recall_at(dets, [], 5, 0.5) == 0.0
     with pytest.raises(ValueError):

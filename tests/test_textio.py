@@ -86,6 +86,13 @@ def test_parse_floats_rejects_non_finite_values():
     assert np.array_equal(parse_floats("1e308 1e308"), [1e308, 1e308])
 
 
+def test_parse_floats_rejects_tokens_that_fmt_never_writes():
+    # float() reads each of these (10.0, 1.0, 12.0, 1.0), so only the token check refuses them.
+    for bad in ("1_0", "0.5 ١", "１２", "1e٠"):
+        with pytest.raises(ValueError, match="holds an underscore or a non-ASCII character"):
+            parse_floats(bad)
+
+
 def test_tensor_round_trip_2d():
     rng = np.random.default_rng(1)
     arr = rng.normal(size=(3, 5)) * 10 ** rng.uniform(-300, 300, size=(3, 5))
