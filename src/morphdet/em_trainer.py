@@ -47,6 +47,7 @@ from .prototype_store import PrototypeSet, UnknownClass, e_step_update, init_fro
 from .textio import read_tensor_file, tensor_line, write_csv, write_record_file
 
 CHECKPOINT_HEADER = "morphdet-checkpoint v3"
+PICK_PLAN_BUDGET = 2 << 30  # bytes; m_step refuses a larger pick plan before drawing it
 
 
 class TrainingDiverged(RuntimeError):
@@ -238,7 +239,8 @@ def m_step(states, X, labels, targets, iteration: int = 0, names=None) -> tuple[
     and background proposals at 1:3 where both pools allow, at least one of
     each, so a batch size below 2 is refused when both pools are non-empty; a
     missing pool fills the batch from the other. Zero epochs returns the
-    states as they are and no records.
+    states as they are and no records. A pick plan larger than
+    PICK_PLAN_BUDGET bytes is refused with ConfigError before it is drawn.
 
     The runs step in lockstep, one forward_batch_with_grad and sgd_step per
     step, on an (L, P) stack of copies of their parameters (one run keeps its
@@ -266,6 +268,12 @@ def m_step(states, X, labels, targets, iteration: int = 0, names=None) -> tuple[
         return list(states), [[] for _ in states]
 
     steps_per_epoch = max(1, math.ceil(len(labels) / config.batch_size))
+    plan_bytes = config.m_step_epochs * steps_per_epoch * config.batch_size * np.dtype(np.intp).itemsize
+    if plan_bytes > PICK_PLAN_BUDGET:
+        raise ConfigError(
+            f"m_step_epochs {config.m_step_epochs} x batch_size {config.batch_size} needs a pick plan of "
+            f"{plan_bytes:,} bytes, over the budget of {PICK_PLAN_BUDGET:,}"
+        )
     if not len(bg_pool):
         n_fg = config.batch_size
     else:

@@ -174,7 +174,7 @@ def forward_batch(params: EmbedderParams, descriptors) -> tuple[np.ndarray, np.n
     a zero row appended, then cut: OpenBLAS's AVX2 and AVX-512 kernels give one
     product the same bytes at even row counts only."""
     x = np.asarray(descriptors, dtype=np.float64)
-    if x.ndim != 2 or len(x) % 2 == 0:
+    if x.ndim != 2 or x.shape[1] != params.m_in or len(x) % 2 == 0:  # _forward refuses a bad shape as given
         return _forward(params, x)[2]
     feats, bg, deltas = _forward(params, np.concatenate((x, np.zeros((1, x.shape[1])))))[2]
     return feats[..., :-1, :], bg[..., :-1], deltas[..., :-1, :]

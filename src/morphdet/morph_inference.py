@@ -7,7 +7,9 @@ ever computed on this path.
 
 Detection scores every proposal against every registered prototype plus the
 background slot, decodes the class-agnostic box regression, thresholds, and
-runs per-class greedy NMS with a deterministic ordering.
+runs per-class greedy NMS with a deterministic ordering. Candidates travel as
+plain (-score, class_id, corners) tuples; a Detection is built only for a
+candidate that NMS keeps.
 """
 
 from __future__ import annotations
@@ -129,27 +131,29 @@ def morph(state, exemplars):
     return DetectorState(state.params, protos, state.config)
 
 
-def nms(detections, iou_threshold: float) -> list[Detection]:
-    """Greedy per-class suppression.
+def nms(candidates, iou_threshold: float) -> list[Detection]:
+    """Greedy per-class suppression of (-score, class_id, corners) tuples, in any order.
 
-    Candidates are visited by descending score, ties broken by class id and
-    then box corners, so the kept list (returned in that order) is a pure
-    function of the input set. Only detections of the same class suppress
-    each other, so each candidate is compared with its own class's kept boxes.
+    Candidates are visited in sorted tuple order: descending score, ties broken
+    by class id and then corners, so the kept list (returned in that order) is
+    a pure function of the input set. Every `corners` of one call must be the
+    same sequence type (all lists, or all Boxes), so that ties compare. Only
+    candidates of the same class suppress each other, so each is compared with
+    its own class's kept corners. A Detection is built only for a kept one.
     """
     thr = float(iou_threshold)
     if not 0.0 < thr < 1.0:
         raise ValueError(f"NMS IoU threshold must lie in (0, 1), got {thr}")
     kept: list[Detection] = []
-    keepers: dict[int, list[Box]] = {}
-    for det in sorted(detections, key=lambda det: (-det.score, det.class_id, det.box)):
-        boxes = keepers.setdefault(det.class_id, [])
+    keepers: dict[int, list] = {}
+    for neg_score, class_id, corners in sorted(candidates):
+        boxes = keepers.setdefault(class_id, [])
         for box in boxes:
-            if iou(box, det.box) > thr:
+            if iou(box, corners) > thr:
                 break
         else:
-            boxes.append(det.box)
-            kept.append(det)
+            boxes.append(corners)
+            kept.append(Detection(class_id, -neg_score, Box(*corners)))
     return kept
 
 
@@ -159,22 +163,22 @@ def detect(state, proposals, config: DetectConfig = DetectConfig()) -> list[Dete
 
     Each proposal contributes one candidate per class whose posterior
     probability reaches config.score_threshold, all sharing that proposal's
-    decoded box (the regression is class-agnostic). Per-class NMS at
-    config.nms_iou then prunes. The settings come checked, as a DetectConfig.
-    Pure: identical inputs give an identical list, order included.
+    decoded corners (the regression is class-agnostic). The candidates go to
+    per-class NMS at config.nms_iou as (-score, class_id, corners) tuples, and
+    only the kept ones become Detections. The settings come checked, as a
+    DetectConfig. Pure: identical inputs give an identical list, order included.
     """
     proposals = list(proposals)
     if not proposals:
         return []
     descriptors = np.array([d for d, _ in proposals], dtype=np.float64)
     feats, bg, deltas = forward_batch(state.params, descriptors)
-    q = posterior_batch(feats, bg, state.prototypes)
+    q = posterior_batch(feats, bg, state.prototypes)[:, 1:]  # the class columns, background dropped
     corners = decode_box(np.array([a for _, a in proposals], dtype=np.float64), deltas).tolist()
-    rows, cols = np.nonzero(q[:, 1:] >= config.score_threshold)
-    scores, rows, cols = q[rows, cols + 1].tolist(), rows.tolist(), cols.tolist()
-    boxes = {i: Box(*corners[i]) for i in set(rows)}
+    passing = q >= config.score_threshold
+    rows, cols = np.nonzero(passing)  # row-major, the order of q[passing]
     ids = state.prototypes.ids
-    candidates = [Detection(ids[k], score, boxes[i]) for i, k, score in zip(rows, cols, scores)]
+    candidates = [(s, ids[k], corners[i]) for s, i, k in zip((-q[passing]).tolist(), rows.tolist(), cols.tolist())]
     return nms(candidates, config.nms_iou)
 
 

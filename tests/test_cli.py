@@ -3,6 +3,7 @@
 import hashlib
 import json
 import pathlib
+import re
 import shutil
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ import pytest
 
 from conftest import reframe, tensor_body, without_last_value
 from helpers import params_equal, vector_for
+from morphdet import em_trainer
 from morphdet.cli import GEN_FILES, _apply_train_overrides, build_parser, main
 from morphdet.em_trainer import CHECKPOINT_HEADER, TrainConfig, load_checkpoint
 from morphdet.embedder import grad_evaluation_count
@@ -289,6 +291,21 @@ def test_train_refuses_batch_size_one(cfg_path, gen_dir, tmp_path, capsys):
     rc = main(["train", "--data", str(gen_dir), "--out", str(out), "--config", cfg_path, "--batch-size", "1"])
     assert rc == 2
     assert "error: batch_size 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_refuses_a_pick_plan_over_budget_and_writes_nothing(cfg_path, gen_dir, tmp_path, capsys, monkeypatch):
+    """A billion epochs an M-step is refused before the plan exists; the pick planner fails if it is reached."""
+
+    def drawn(*args):
+        raise AssertionError("pick plan drawn")
+
+    monkeypatch.setattr(em_trainer, "_pick_plan", drawn)
+    out = tmp_path / "run"
+    rc = main(["train", "--data", str(gen_dir), "--out", str(out), "--config", cfg_path, "--epochs", "1000000000"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert re.search(r"error: m_step_epochs 1000000000 x batch_size \d+ needs a pick plan of [\d,]+ bytes, over the budget", err)
     assert not out.exists()
 
 

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import identity_detector, reframe, tensor_body
 from helpers import box_geometry, empty_prototypes, encode_one, params_equal, reference_iou, vector_for
@@ -197,6 +198,11 @@ def brute_force_nms(detections, thr):
     return kept
 
 
+def as_candidates(detections):
+    """Detections in the (-score, class_id, corners) tuple form that nms takes."""
+    return [(-d.score, d.class_id, d.box) for d in detections]
+
+
 def test_nms_matches_brute_force_oracle():
     rng = np.random.default_rng(2)
     for trial in range(200):
@@ -210,7 +216,7 @@ def test_nms_matches_brute_force_oracle():
             for _ in range(n)
         ]
         thr = float(rng.uniform(0.2, 0.8))
-        assert nms(dets, thr) == brute_force_nms(dets, thr)
+        assert nms(as_candidates(dets), thr) == brute_force_nms(dets, thr)
 
 
 def test_nms_matches_brute_force_oracle_on_detect_shaped_candidates():
@@ -227,7 +233,7 @@ def test_nms_matches_brute_force_oracle_on_detect_shaped_candidates():
             passing = rng.choice(n_classes, size=int(rng.integers(0, min(n_classes, 6) + 1)), replace=False)
             candidates += [Detection(int(k) + 1, float(rng.integers(1, 9)) / 8.0, box) for k in passing]
         rng.shuffle(candidates)
-        kept = nms(candidates, 0.5)
+        kept = nms(as_candidates(candidates), 0.5)
         assert kept == brute_force_nms(candidates, 0.5)
         candidates_seen, kept_seen = candidates_seen + len(candidates), kept_seen + len(kept)
     assert 0 < kept_seen < candidates_seen
@@ -240,11 +246,32 @@ def test_nms_order_invariance_and_validation():
         for _ in range(10)
     ]
     shuffled = [dets[i] for i in rng.permutation(len(dets))]
-    assert nms(dets, 0.5) == nms(shuffled, 0.5)
+    assert nms(as_candidates(dets), 0.5) == nms(as_candidates(shuffled), 0.5)
     with pytest.raises(ValueError):
-        nms(dets, 0.0)
+        nms(as_candidates(dets), 0.0)
     with pytest.raises(ValueError):
-        nms(dets, 1.0)
+        nms(as_candidates(dets), 1.0)
+
+
+GRID = [i / 10 for i in range(6)]  # coarse corners, so boxes overlap and tie often
+coarse_boxes = st.builds(
+    lambda x, y, w, h: Box(x, y, x + w, y + h), st.sampled_from(GRID), st.sampled_from(GRID),
+    st.sampled_from(GRID[1:]), st.sampled_from(GRID[1:]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_nms_on_candidate_tuples_equals_the_oracle_on_detections(data):
+    """Coarse scores and a few shared boxes tie candidates on score, on class and on corners; the
+    corners come as Boxes or, as detect passes them, as lists."""
+    boxes = data.draw(st.lists(coarse_boxes, min_size=1, max_size=4))
+    detection = st.builds(Detection, st.integers(1, 3), st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.sampled_from(boxes))
+    dets = data.draw(st.lists(detection, max_size=16))
+    thr = data.draw(st.sampled_from([0.2, 0.5, 0.8]))
+    as_list = data.draw(st.booleans())
+    candidates = [(-d.score, d.class_id, list(d.box) if as_list else d.box) for d in dets]
+    assert nms(candidates, thr) == brute_force_nms(dets, thr)
 
 
 def test_morph_is_forward_only_and_keeps_params(tiny_state, tiny_exemplars):
@@ -376,7 +403,8 @@ def random_detector(n_classes, seed, m_in=12, dim=8):
 
 def per_pair_detect(state, proposals, score_threshold, nms_iou=0.5):
     """Reference detect: a scalar decode per proposal, then one candidate per
-    passing (proposal, class) pair, then the brute-force NMS oracle."""
+    passing (proposal, class) pair, then the brute-force NMS oracle. Returns the
+    kept Detections and every candidate Detection."""
     feats, bg, deltas = forward_batch(state.params, np.stack([d for d, _ in proposals]))
     q = posterior_batch(feats, bg, state.prototypes)
     candidates = []
@@ -385,7 +413,7 @@ def per_pair_detect(state, proposals, score_threshold, nms_iou=0.5):
         for k, cid in enumerate(state.prototypes.ids):
             if float(q[i, k + 1]) >= score_threshold:
                 candidates.append(Detection(class_id=cid, score=float(q[i, k + 1]), box=box))
-    return brute_force_nms(candidates, nms_iou), len(candidates)
+    return brute_force_nms(candidates, nms_iou), candidates
 
 
 @pytest.mark.parametrize("n_classes", [25, 80])
@@ -393,9 +421,40 @@ def per_pair_detect(state, proposals, score_threshold, nms_iou=0.5):
 def test_detect_equals_the_per_pair_reference(n_classes, score_threshold):
     for seed in range(3):
         state, proposals = random_detector(n_classes, seed)
-        expected, n_candidates = per_pair_detect(state, proposals, score_threshold)
-        assert n_candidates > len(expected) > 0
+        expected, candidates = per_pair_detect(state, proposals, score_threshold)
+        assert len(candidates) > len(expected) > 0
         assert detect(state, proposals, DetectConfig(score_threshold=score_threshold)) == expected
+
+
+@pytest.mark.parametrize("n_classes", [25, 80])
+@pytest.mark.parametrize("tie", ["duplicated_proposals", "one_descriptor"])
+def test_detect_equals_the_per_pair_reference_on_tied_candidates(n_classes, tie):
+    """Duplicated proposals (same descriptor and anchor) tie candidates on score, class and corners;
+    one descriptor under every anchor ties them on score and class, and the corners break the tie."""
+    for seed in range(3):
+        state, proposals = random_detector(n_classes, seed)
+        if tie == "duplicated_proposals":
+            proposals = proposals[:12] * 2
+        else:
+            proposals = [(proposals[0][0], anchor) for _, anchor in proposals]
+        expected, candidates = per_pair_detect(state, proposals, 0.05)
+        if tie == "duplicated_proposals":
+            assert len(set(candidates)) == len(candidates) // 2
+        else:
+            assert len({(d.score, d.class_id) for d in candidates}) < len(set(candidates)) == len(candidates)
+        assert len(candidates) > len(expected) > 0
+        assert detect(state, proposals) == expected
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_a_batch_of_the_wrong_width_is_refused_by_the_shape_it_came_in(tiny_state, n):
+    """An odd batch is padded with a zero row inside forward_batch; the refusal names the caller's shape."""
+    m_in = tiny_state.params.m_in
+    message = re.escape(f"descriptor batch has shape ({n}, {m_in + 1}), expected (n, {m_in})")
+    with pytest.raises(DimensionMismatch, match=message):
+        detect(tiny_state, [(np.zeros(m_in + 1), Box(0.1, 0.1, 0.4, 0.4))] * n)
+    with pytest.raises(DimensionMismatch, match=message):
+        morph(tiny_state, {1000: np.ones((n, m_in + 1))})
 
 
 @pytest.mark.parametrize("bad_deltas", [[np.nan, 0.0, 0.0, 0.0], [0.0, 0.0, 800.0, 0.0]], ids=["nan", "exp_overflow"])

@@ -249,6 +249,32 @@ def test_m_step_refuses_a_batch_without_room_for_both_pools(tiny_state, tiny_dat
     assert all(rec.fg > 0.0 and rec.bg > 0.0 for rec in records)
 
 
+@pytest.mark.parametrize("setting", ["m_step_epochs", "batch_size"])
+def test_m_step_refuses_a_pick_plan_over_budget_before_drawing_it(tiny_state, tiny_dataset, monkeypatch, setting):
+    """The check runs before _pick_plan, which here fails if called, so no plan is ever allocated: a plan
+    just over the budget is refused, naming both settings and the bytes, and one just under it is drawn."""
+
+    def drawn(*args):
+        raise RuntimeError("pick plan drawn")
+
+    monkeypatch.setattr(em_trainer, "_pick_plan", drawn)
+    arrays = proposal_arrays(tiny_dataset)
+    n = len(arrays[1])
+    budget = em_trainer.PICK_PLAN_BUDGET
+    assert budget == 2**31
+    for over in (False, True):
+        if setting == "m_step_epochs":  # 16 rows a batch, so the plan is epochs x ceil(n / 16) x 16 indices
+            cfg = dict(m_step_epochs=budget // (math.ceil(n / 16) * 16 * 8) + over, batch_size=16)
+        else:  # one step an epoch once batch_size passes n, so the plan is 3 x batch_size indices
+            cfg = dict(m_step_epochs=3, batch_size=budget // (3 * 8) + over)
+        plan_bytes = cfg["m_step_epochs"] * math.ceil(n / cfg["batch_size"]) * cfg["batch_size"] * 8
+        assert (plan_bytes > budget) == over
+        message = (f"m_step_epochs {cfg['m_step_epochs']} x batch_size {cfg['batch_size']} needs a pick plan of "
+                   f"{plan_bytes:,} bytes, over the budget of 2,147,483,648")
+        with pytest.raises(ConfigError if over else RuntimeError, match=f"^{re.escape(message)}$" if over else "drawn"):
+            m_step([_with_config(tiny_state, **cfg)], *arrays)
+
+
 def test_m_step_steps_a_group_that_differs_only_in_lam(tiny_state, tiny_dataset):
     arrays = proposal_arrays(tiny_dataset)
     extra_class = add_novel(tiny_state.prototypes, 99, np.ones(tiny_state.prototypes.dim))
