@@ -23,6 +23,7 @@ seeds, fixed shuffle order, fixed reduction order, so reruns are bit-identical.
 
 from __future__ import annotations
 
+import heapq
 import math
 import sys
 from dataclasses import asdict, astuple, dataclass, fields, is_dataclass, replace
@@ -38,13 +39,12 @@ from .embedder import (
     init_params,
     loss_table,
     params_from_tensors,
-    params_to_lines,
     sgd_step,
 )
 from .numkernel import DimensionMismatch, EmptyInput
 from .objective import scoring_matrix
 from .prototype_store import PrototypeSet, UnknownClass, e_step_update, init_from_semantic
-from .textio import read_tensor_file, tensor_line, write_csv, write_record_file
+from .textio import read_tensor_file, write_csv, write_tensor_file
 
 CHECKPOINT_HEADER = "morphdet-checkpoint v3"
 PICK_PLAN_BUDGET = 2 << 30  # bytes; m_step refuses a larger pick plan before drawing it
@@ -206,15 +206,18 @@ def ground_truth_arrays(dataset) -> tuple[np.ndarray, np.ndarray]:
 def _pick_plan(fg_pool, bg_pool, n_fg: int, batch_size: int, steps: int, rng) -> np.ndarray:
     """An M-step's picks, (steps, batch_size): n_fg foreground, then
     background. Each pool walks through rng permutations of itself, drawing
-    the next at the step that first needs it, foreground before background."""
-    parts = ((fg_pool, n_fg), (bg_pool, batch_size - n_fg))
-    draws = sorted(((k * len(pool)) // per, side) for side, (pool, per) in enumerate(parts) if per
-                   for k in range(math.ceil(steps * per / len(pool))))  # (step, pool) of each draw
-    perms: tuple[list, list] = ([np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)])
-    for _, side in draws:
-        pool = parts[side][0]
-        perms[side].append(pool[rng.permutation(len(pool))])
-    return np.hstack([np.concatenate(p)[: steps * per].reshape(steps, per) for p, (_, per) in zip(perms, parts)])
+    the next at the step that first needs it, foreground before background.
+    Each permutation is written into the one plan as it is drawn."""
+    plan = np.empty((steps, batch_size), dtype=np.intp)
+    parts = [(fg_pool, plan[:, :n_fg]), (bg_pool, plan[:, n_fg:])]
+
+    def draws(side, pool, cols):  # (step, side, first flat index) of each of the side's draws, in step order
+        return ((start // cols.shape[1], side, start) for start in range(0, cols.size, len(pool)))
+
+    for _, side, start in heapq.merge(*(draws(side, *part) for side, part in enumerate(parts) if part[1].size)):
+        pool, cols = parts[side]
+        cols.flat[start : start + len(pool)] = pool[rng.permutation(len(pool))][: cols.size - start]
+    return plan
 
 
 def _epoch_lr(config: TrainConfig, epoch: int) -> float:
@@ -397,8 +400,8 @@ def save_checkpoint(path, state: DetectorState) -> None:
     class ids, novel ids), every network tensor, then the prototype matrix."""
     protos = state.prototypes
     config = {"train": asdict(state.config), "class_ids": list(protos.ids), "novel_ids": sorted(protos.novel)}
-    body = [*params_to_lines(state.params), tensor_line("prototypes", protos.matrix)]
-    write_record_file(path, CHECKPOINT_HEADER, "config", config, body)
+    tensors = [*state.params.named_tensors(), ("prototypes", protos.matrix)]
+    write_tensor_file(path, CHECKPOINT_HEADER, "config", config, tensors)
 
 
 def load_checkpoint(path) -> DetectorState:

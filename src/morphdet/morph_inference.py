@@ -24,7 +24,7 @@ from .embedder import forward_batch
 from .numkernel import DimensionMismatch, EmptyInput
 from .objective import posterior_batch
 from .prototype_store import add_novel
-from .textio import class_id_name, is_class_id, read_tensor_file, tensor_line, write_record_file
+from .textio import class_id_name, is_class_id, read_tensor_file, write_tensor_file
 
 EXEMPLARS_HEADER = "morphdet-exemplars v3"
 
@@ -186,10 +186,10 @@ def write_exemplars_csv(path, exemplars) -> None:
     """Exemplar file: an empty meta line, then per class in ascending id order
     one tensor named by the id, with a descriptor per row. A key that is not an integer >= 1,
     or a class with no exemplar values, is refused before the file opens."""
-    body = [tensor_line(class_id_name(cid), exemplars[cid]) for cid in sorted(exemplars)]
+    tensors = [(class_id_name(cid), exemplars[cid]) for cid in sorted(exemplars)]
     if empty := [cid for cid in sorted(exemplars) if not np.size(exemplars[cid])]:
         raise EmptyInput(f"{path}: class {empty[0]} has no exemplars")
-    write_record_file(path, EXEMPLARS_HEADER, "meta", {}, body)
+    write_tensor_file(path, EXEMPLARS_HEADER, "meta", {}, tensors)
 
 
 def read_exemplars_csv(path) -> dict[int, np.ndarray]:

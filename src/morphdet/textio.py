@@ -5,7 +5,9 @@ A container file is a '<kind> v3' header, a '<meta key> <sorted JSON object>'
 line, the body lines and a last line 'end sha256=<hex>' over every byte before
 it, so a file cut, edited or extended in any line is refused, never loaded in
 part. Every body line is one tensor, its float64 bytes in base64, so every
-array file is bit-stable across save/load. The %.17g helpers, which also
+array file is bit-stable across save/load. write_tensor_file, which mirrors
+read_tensor_file, hashes and writes a file one tensor at a time as it encodes
+it, so no writer holds the joined file. The %.17g helpers, which also
 round-trip float64 exactly, write semantics.txt and the CSV tables.
 """
 
@@ -52,14 +54,20 @@ def parse_floats(text: str) -> np.ndarray:
     return values
 
 
+def _encode_tensors(tensors):
+    """Every (name, array) pair checked and made a C-contiguous '<f8' matrix, a 1-D array as one row, then a lazy
+    stream of each tensor's line as bytes: 'tensor <name> <rows> <cols> ', the base64 of its own buffer, '\\n'."""
+    mats = [(name, np.ascontiguousarray(np.atleast_2d(np.asarray(arr, dtype="<f8")))) for name, arr in tensors]
+    if bad := next(((name, mat.shape) for name, mat in mats if mat.ndim != 2), None):
+        raise ValueError(f"tensor {bad[0]!r} must be 1-D or 2-D, got shape {bad[1]}")
+    return (chunk for name, mat in mats for chunk in
+            (f"tensor {name} {mat.shape[0]} {mat.shape[1]} ".encode("utf-8"), base64.b64encode(mat), b"\n"))
+
+
 def tensor_line(name: str, arr) -> str:
     """'tensor <name> <rows> <cols> <base64 of the row-major little-endian float64 bytes>', a 1-D array as
     one row. One line, because a zero-row tensor's data is empty: alone, it would be a refused blank line."""
-    mat = np.atleast_2d(np.asarray(arr, dtype="<f8"))
-    if mat.ndim != 2:
-        raise ValueError(f"tensor {name!r} must be 1-D or 2-D, got shape {mat.shape}")
-    data = base64.b64encode(mat.tobytes()).decode("ascii")
-    return f"tensor {name} {mat.shape[0]} {mat.shape[1]} {data}"
+    return b"".join(_encode_tensors([(name, arr)]))[:-1].decode("utf-8")
 
 
 def parse_tensor(line: str) -> tuple[str, np.ndarray]:
@@ -92,11 +100,26 @@ def tensor_blocks(lines) -> dict[str, np.ndarray]:
     return out
 
 
-def write_record_file(path, header: str, meta_key: str, meta: dict, body) -> None:
-    """One container, written as bytes: header, meta line, body lines, end line."""
-    head = "\n".join([header, f"{meta_key} {json.dumps(meta, sort_keys=True)}", *body, ""]).encode("utf-8")
+def _write_framed(path, header: str, meta_key: str, meta: dict, chunks) -> None:
+    """One container: header and meta line, the body's byte chunks, each hashed as it is written, and the end line."""
+    head = f"{header}\n{meta_key} {json.dumps(meta, sort_keys=True)}\n".encode("utf-8")
+    digest = hashlib.sha256(head)
     with open(path, "wb") as fh:
-        fh.write(head + f"{END} sha256={hashlib.sha256(head).hexdigest()}\n".encode("utf-8"))
+        fh.write(head)
+        for chunk in chunks:
+            digest.update(chunk)
+            fh.write(chunk)
+        fh.write(f"{END} sha256={digest.hexdigest()}\n".encode("utf-8"))
+
+
+def write_record_file(path, header: str, meta_key: str, meta: dict, body) -> None:
+    """One container of raw body lines, each encoded before the file opens: header, meta line, body, end line."""
+    _write_framed(path, header, meta_key, meta, [f"{line}\n".encode("utf-8") for line in body])
+
+
+def write_tensor_file(path, header: str, meta_key: str, meta: dict, tensors) -> None:
+    """Inverse of read_tensor_file: one tensor line per (name, array) pair, each encoded and written in turn."""
+    _write_framed(path, header, meta_key, meta, _encode_tensors(tensors))
 
 
 def read_record_file(path, header: str, meta_key: str) -> tuple[dict, list[str]]:

@@ -33,7 +33,7 @@ import numpy as np
 from .em_trainer import fill_dataclass
 from .morph_inference import Box, InvalidBox, decode_box, encode_box
 from .numkernel import l2_normalize
-from .textio import read_tensor_file, tensor_line, write_record_file
+from .textio import read_tensor_file, write_tensor_file
 
 GEOMETRY_FEATURES = 4
 # Weight on the box-geometry channels relative to unit-variance appearance
@@ -301,8 +301,8 @@ def save_universe(path, universe: Universe) -> None:
     """The meta line is the universe's config plus its seed; the body holds
     four tensors: attributes and semantics, whose row i is class i + 1, base
     first, then the semantic and descriptor projections."""
-    body = [tensor_line(name, getattr(universe, name)) for name in _UNIVERSE_TENSORS]
-    write_record_file(path, UNIVERSE_HEADER, "meta", {**asdict(universe.config), "seed": universe.seed}, body)
+    tensors = [(name, getattr(universe, name)) for name in _UNIVERSE_TENSORS]
+    write_tensor_file(path, UNIVERSE_HEADER, "meta", {**asdict(universe.config), "seed": universe.seed}, tensors)
 
 
 def load_universe(path) -> Universe:
@@ -324,9 +324,12 @@ def load_universe(path) -> Universe:
     return Universe(**tensors, config=config, seed=seed)
 
 
-def _dataset_meta(scenes) -> dict:
-    widths = (rows.shape[1] for scene in scenes for rows in (scene.descriptors, scene.gt_descriptors) if len(rows))
-    return {"scene_count": len(scenes), "m_in": next(widths, 0)}
+def _dataset_meta(path, scenes) -> dict:
+    arrays = (rows for scene in scenes for rows in (scene.descriptors, scene.gt_descriptors) if len(rows))
+    widths = list(dict.fromkeys(rows.shape[1] for rows in arrays))
+    if len(widths) > 1:
+        raise ValueError(f"{path}: scenes mix descriptor widths {widths[0]} and {widths[1]}")
+    return {"scene_count": len(scenes), "m_in": next(iter(widths), 0)}
 
 
 def _dataset_shapes(scene_count: int, proposals: int, objects: int, m_in: int) -> dict[str, tuple[int, int]]:
@@ -340,15 +343,14 @@ def _dataset_shapes(scene_count: int, proposals: int, objects: int, m_in: int) -
 
 def save_dataset(path, scenes) -> None:
     """The array store that load_dataset slices into scenes, one tensor per array of _dataset_shapes.
-    Ids and labels are exact as float64 below 2**53."""
+    Ids and labels are exact as float64 below 2**53. Mixed descriptor widths are refused before the file opens."""
     scenes = list(scenes)
-    meta = _dataset_meta(scenes)
+    meta = _dataset_meta(path, scenes)
     ends = [np.cumsum([0, *(len(getattr(scene, rows)) for scene in scenes)]) for rows in ("labels", "gt_ids")]
     shapes = _dataset_shapes(len(scenes), ends[0][-1], ends[1][-1], meta["m_in"])
     store = [[scene.scene_id for scene in scenes], *ends]
     store += [np.concatenate([[], *(getattr(scene, name).ravel() for scene in scenes)]) for name in list(shapes)[3:]]
-    body = [tensor_line(name, np.reshape(arr, shape)) for arr, (name, shape) in zip(store, shapes.items())]
-    write_record_file(path, DATASET_HEADER, "meta", meta, body)
+    write_tensor_file(path, DATASET_HEADER, "meta", meta, zip(shapes, map(np.reshape, store, shapes.values())))
 
 
 def load_dataset(path) -> list[Scene]:
@@ -384,6 +386,6 @@ def load_dataset(path) -> list[Scene]:
     ends = [ints["proposal_offsets"].tolist()] * 4 + [ints["object_offsets"].tolist()] * 3
     scenes = [Scene(sid, *(arr[end[k] : end[k + 1]] for arr, end in zip(columns, ends)))
               for k, sid in enumerate(ints["scene_ids"].tolist())]
-    if _dataset_meta(scenes) != meta or not all(type(value) is int for value in meta.values()):
-        raise ValueError(f"{path}: body holds {_dataset_meta(scenes)}, meta says {meta}")
+    if _dataset_meta(path, scenes) != meta or not all(type(value) is int for value in meta.values()):
+        raise ValueError(f"{path}: body holds {_dataset_meta(path, scenes)}, meta says {meta}")
     return scenes

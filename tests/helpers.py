@@ -1,6 +1,10 @@
 """Test-only helpers: forms of the library's data that only tests build, and
 comparisons that only tests make."""
 
+import base64
+import hashlib
+import json
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -112,3 +116,33 @@ def scene_of(objects=(), proposals=(), scene_id=0) -> Scene:
         rows([getattr(o, "box", UNIT_BOX).as_tuple() for o in objects], 4),
         rows([getattr(o, "descriptor", np.zeros(width)) for o in objects], width),
     )
+
+
+def joined_tensor_line(name: str, arr) -> str:
+    """A tensor line as the writers built it before they streamed: the bytes of a '<f8' copy as a base64 str."""
+    mat = np.atleast_2d(np.asarray(arr, dtype="<f8"))
+    if mat.ndim != 2:
+        raise ValueError(f"tensor {name!r} must be 1-D or 2-D, got shape {mat.shape}")
+    return f"tensor {name} {mat.shape[0]} {mat.shape[1]} " + base64.b64encode(mat.tobytes()).decode("ascii")
+
+
+def joined_tensor_file(path, header: str, meta_key: str, meta: dict, tensors) -> None:
+    """textio.write_tensor_file's oracle, the writers' former path: every tensor as a str line, the lines joined
+    with the header and meta line, the joined text encoded, and its end line appended."""
+    body = [joined_tensor_line(name, arr) for name, arr in tensors]
+    head = "\n".join([header, f"{meta_key} {json.dumps(meta, sort_keys=True)}", *body, ""]).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(head + f"end sha256={hashlib.sha256(head).hexdigest()}\n".encode("utf-8"))
+
+
+def reference_pick_plan(fg_pool, bg_pool, n_fg: int, batch_size: int, steps: int, rng) -> np.ndarray:
+    """em_trainer._pick_plan's oracle, its former form: every draw's permutation kept in a list, each side's
+    list concatenated and cut to its columns, and the two sides stacked."""
+    parts = ((fg_pool, n_fg), (bg_pool, batch_size - n_fg))
+    draws = sorted(((k * len(pool)) // per, side) for side, (pool, per) in enumerate(parts) if per
+                   for k in range(math.ceil(steps * per / len(pool))))  # (step, pool) of each draw
+    perms: tuple[list, list] = ([np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)])
+    for _, side in draws:
+        pool = parts[side][0]
+        perms[side].append(pool[rng.permutation(len(pool))])
+    return np.hstack([np.concatenate(p)[: steps * per].reshape(steps, per) for p, (_, per) in zip(perms, parts)])

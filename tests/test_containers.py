@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from helpers import joined_tensor_file, objects_of, scene_of
+from morphdet import em_trainer, morph_inference, toyworld
 from morphdet.em_trainer import DetectorState, TrainConfig, load_checkpoint, save_checkpoint
 from morphdet.embedder import CheckpointError, init_params
 from morphdet.morph_inference import read_exemplars_csv, write_exemplars_csv
@@ -124,3 +126,22 @@ def test_exemplar_file_loads_exactly_or_is_refused(fuzz_dir, small_universe, dat
     text = path.read_text(encoding="utf-8")
     dump = _saved_text(write_exemplars_csv, fuzz_dir)
     _check_every_variant(path, text, data, read_exemplars_csv, dump, ValueError)
+
+
+@pytest.mark.parametrize("kind", ["universe", "dataset", "checkpoint", "exemplars"])
+def test_each_container_writes_the_bytes_of_the_joined_text_path(tmp_path, monkeypatch, small_universe, kind):
+    """Each writer streams the bytes its former path wrote: every tensor a str line, the lines joined. The seed-0
+    quickstart digests pin which tensors each writer hands over; this pins how they are encoded and framed."""
+    scenes = make_dataset(small_universe, small_universe.base, 2, DataConfig(proposals_per_scene=5), seed=4)
+    protos = PrototypeSet(ids=(1, 2, 3), matrix=np.array([[1.0, 0.0], [0.0, 1.0], np.sqrt([0.5, 0.5])]), novel={3})
+    module, save, value = {
+        "universe": (toyworld, save_universe, small_universe),
+        "dataset": (toyworld, save_dataset, [*scenes, scene_of(objects_of(scenes[0]), (), scene_id=9)]),
+        "checkpoint": (em_trainer, save_checkpoint,
+                       DetectorState(init_params(3, (2,), 2, seed=5), protos, TrainConfig(hidden_sizes=(2,)))),
+        "exemplars": (morph_inference, write_exemplars_csv, exemplars_for(small_universe, small_universe.novel, 2, 6)),
+    }[kind]
+    save(tmp_path / "streamed.txt", value)
+    monkeypatch.setattr(module, "write_tensor_file", joined_tensor_file)
+    save(tmp_path / "joined.txt", value)
+    assert (tmp_path / "streamed.txt").read_bytes() == (tmp_path / "joined.txt").read_bytes()

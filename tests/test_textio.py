@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import without_last_value
-
+from helpers import joined_tensor_file, joined_tensor_line
+from morphdet.embedder import init_params
 from morphdet.textio import (
     fmt,
     fmt_vector,
@@ -23,6 +24,7 @@ from morphdet.textio import (
     tensor_blocks,
     tensor_line,
     write_record_file,
+    write_tensor_file,
 )
 
 
@@ -223,3 +225,51 @@ def test_tensor_file_round_trip_and_refusals_name_the_path_once(tmp_path):
             read_tensor_file(path, "kind v3", "meta")
         message = str(refusal.value)
         assert message.startswith(f"{path}: ") and message.count(str(path)) == 1, name
+
+
+def _awkward_tensors():
+    """Arrays the writers must encode as their float64 bytes: a zero-row and a 1-D tensor, a non-contiguous
+    column view (a network's feature head weight), float32, big-endian and integer input, and a 0-d value."""
+    rng = np.random.default_rng(2)
+    head = init_params(6, (5,), 3, seed=1).feature_head.weight
+    assert not head.flags.c_contiguous
+    wide = rng.normal(size=(4, 7)) * 10 ** rng.uniform(-300, 300, size=(4, 7))
+    return [
+        ("empty", np.zeros((0, 3))),
+        ("row", np.array([np.pi, -0.0, 5e-324])),
+        ("feature_head.weight", head),
+        ("single", rng.normal(size=(3, 2)).astype(np.float32)),
+        ("big", wide.astype(">f8")),
+        ("ids", np.arange(5, dtype=np.int64).reshape(5, 1)),
+        ("scalar", np.float64(2.5)),
+        ("wide", wide),
+    ]
+
+
+def test_write_tensor_file_writes_the_joined_text_bytes(tmp_path):
+    tensors = _awkward_tensors()
+    write_tensor_file(tmp_path / "streamed.txt", "kind v3", "meta", {"b": [1, 2], "a": "x"}, tensors)
+    joined_tensor_file(tmp_path / "joined.txt", "kind v3", "meta", {"b": [1, 2], "a": "x"}, tensors)
+    raw = (tmp_path / "streamed.txt").read_bytes()
+    assert raw == (tmp_path / "joined.txt").read_bytes()
+    assert b"\ntensor empty 0 3 \ntensor row 1 3 " in raw
+    for name, arr in tensors:
+        assert tensor_line(name, arr) == joined_tensor_line(name, arr)
+    meta, back = read_tensor_file(tmp_path / "streamed.txt", "kind v3", "meta")
+    assert meta == {"a": "x", "b": [1, 2]} and list(back) == [name for name, _ in tensors]
+    for name, arr in tensors:
+        assert back[name].tobytes() == np.atleast_2d(np.asarray(arr, dtype="<f8")).tobytes()
+    # A lazy iterable of pairs is read once, and no pair is needed twice.
+    write_tensor_file(tmp_path / "lazy.txt", "kind v3", "meta", {"b": [1, 2], "a": "x"}, iter(tensors))
+    assert (tmp_path / "lazy.txt").read_bytes() == raw
+
+
+def test_write_tensor_file_refuses_a_3d_array_before_the_file_opens(tmp_path):
+    path = tmp_path / "kept.txt"
+    write_tensor_file(path, "kind v3", "meta", {}, [("a", np.eye(2))])
+    kept = path.read_bytes()
+    with pytest.raises(ValueError, match=r"tensor 'cube' must be 1-D or 2-D, got shape \(2, 2, 2\)"):
+        write_tensor_file(path, "kind v3", "meta", {}, [("a", np.eye(2)), ("cube", np.zeros((2, 2, 2)))])
+    assert path.read_bytes() == kept
+    with pytest.raises(ValueError, match="must be 1-D or 2-D"):
+        tensor_line("cube", np.zeros((2, 2, 2)))

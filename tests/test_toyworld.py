@@ -2,7 +2,10 @@
 stream separation, and the serialization formats."""
 
 
+import dataclasses
 import hashlib
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from conftest import reframe, tensor_body, without_last_value
 from helpers import box_geometry, encode_one, objects_of, scene_of
 from morphdet import toyworld
+from morphdet.experiments import ExperimentConfig, build_world
 from morphdet.morph_inference import iou
 from morphdet.toyworld import (
     DATASET_HEADER,
@@ -365,6 +369,37 @@ def test_dataset_round_trip(tmp_path):
                     assert pb.target_deltas is None
                 else:
                     assert np.array_equal(pa.target_deltas, pb.target_deltas)
+
+
+@pytest.mark.parametrize("rows", ["descriptors", "gt_descriptors"])
+def test_dataset_of_mixed_descriptor_widths_is_refused_before_the_file_opens(tmp_path, rows):
+    """A scene whose proposal or object descriptors are narrower than the first scene's is refused by path and
+    both widths, not by numpy's reshape, and an existing file at the path keeps its bytes."""
+    uni = make_universe(UniverseConfig(n_base=2, n_novel=1, sigma_sem=0.02), seed=22)
+    scenes = make_dataset(uni, uni.base, 2, DataConfig(objects_per_scene=1, proposals_per_scene=3), seed=23)
+    path = tmp_path / "dataset.txt"
+    save_dataset(path, scenes)
+    kept = path.read_bytes()
+    narrow = dataclasses.replace(scenes[-1], **{rows: getattr(scenes[-1], rows)[:, :7]})
+    with pytest.raises(ValueError) as refusal:
+        save_dataset(path, [*scenes[:-1], narrow])
+    assert str(refusal.value) == f"{path}: scenes mix descriptor widths 12 and 7"
+    assert path.read_bytes() == kept
+
+
+def test_save_dataset_peaks_well_under_twice_its_file(tmp_path):
+    """The default world's eval_base is written one tensor at a time: traced memory peaks at the array store
+    plus one tensor's base64, not at the joined text (3.75 times the file when every line was held)."""
+    scenes = build_world(ExperimentConfig(), 0).eval_base
+    path = tmp_path / "eval_base.txt"
+    tracemalloc.start()
+    try:
+        save_dataset(path, scenes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert os.path.getsize(path) == 1_385_372
+    assert peak <= 1.75 * os.path.getsize(path)
 
 
 def test_dataset_of_two_splits_round_trips_bit_equal_with_repeated_scene_ids(tmp_path):

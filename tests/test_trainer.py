@@ -2,9 +2,11 @@
 
 import gc
 import inspect
+import itertools
 import json
 import math
 import re
+import tracemalloc
 import weakref
 from dataclasses import replace
 from types import SimpleNamespace
@@ -13,7 +15,16 @@ import numpy as np
 import pytest
 
 from conftest import TINY_TRAIN, identity_detector, reframe, tensor_body
-from helpers import empty_prototypes, grad_buffer, labelled_batch, objects_of, params_equal, scene_of, vector_for
+from helpers import (
+    empty_prototypes,
+    grad_buffer,
+    labelled_batch,
+    objects_of,
+    params_equal,
+    reference_pick_plan,
+    scene_of,
+    vector_for,
+)
 from morphdet import em_trainer
 from morphdet.em_trainer import (
     CHECKPOINT_HEADER,
@@ -143,6 +154,38 @@ def test_sampler_reshuffles_lazily_from_the_shared_rng():
     empty = np.array([], dtype=np.intp)
     assert _pick_plan(empty, np.arange(4), 0, 0, 3, rng).shape == (3, 0)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_pick_plan_equals_its_former_form_byte_for_byte():
+    """The plan filled in place equals the list-and-stack plan, and leaves the rng where it left it, over pool
+    sizes from empty to larger than a batch, every n_fg a batch allows and step counts from 0."""
+    for fg, bg in itertools.product((0, 1, 3, 7, 40), (0, 1, 5, 13, 100)):
+        fg_pool, bg_pool = np.arange(100, 100 + fg), np.arange(1000, 1000 + bg)
+        for batch_size, steps in itertools.product((0, 1, 2, 5, 9, 32), (0, 1, 2, 7, 30)):
+            for n_fg in range(batch_size + 1):
+                if (n_fg and not fg) or (batch_size - n_fg and not bg):
+                    continue  # m_step gives an empty pool no columns
+                rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+                plan = _pick_plan(fg_pool, bg_pool, n_fg, batch_size, steps, rng)
+                want = reference_pick_plan(fg_pool, bg_pool, n_fg, batch_size, steps, ref_rng)
+                assert plan.dtype == want.dtype == np.intp
+                assert plan.shape == want.shape and plan.tobytes() == want.tobytes(), (fg, bg, n_fg, batch_size, steps)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("pools", [(1800, 5400), (2, 5)], ids=["pools of thousands", "pools smaller than their columns"])
+def test_pick_plan_peaks_near_the_plan_it_returns(pools):
+    """9,000 steps of 32 picks are 2,304,000 bytes of plan; the former form peaked at about 3 times that, and at
+    about 11 times with pools smaller than their columns, whose draws it listed before drawing them."""
+    fg_pool, bg_pool = np.arange(pools[0]), np.arange(pools[0], sum(pools))
+    tracemalloc.start()
+    try:
+        plan = _pick_plan(fg_pool, bg_pool, 8, 32, 9000, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.nbytes == 2_304_000
+    assert peak <= 1.5 * plan.nbytes
 
 
 def _axis(dim, i):
