@@ -23,7 +23,6 @@ seeds, fixed shuffle order, fixed reduction order, so reruns are bit-identical.
 
 from __future__ import annotations
 
-import heapq
 import math
 import sys
 from dataclasses import asdict, astuple, dataclass, fields, is_dataclass, replace
@@ -210,11 +209,9 @@ def _pick_plan(fg_pool, bg_pool, n_fg: int, batch_size: int, steps: int, rng) ->
     Each permutation is written into the one plan as it is drawn."""
     plan = np.empty((steps, batch_size), dtype=np.intp)
     parts = [(fg_pool, plan[:, :n_fg]), (bg_pool, plan[:, n_fg:])]
-
-    def draws(side, pool, cols):  # (step, side, first flat index) of each of the side's draws, in step order
-        return ((start // cols.shape[1], side, start) for start in range(0, cols.size, len(pool)))
-
-    for _, side, start in heapq.merge(*(draws(side, *part) for side, part in enumerate(parts) if part[1].size)):
+    draws = sorted((start // cols.shape[1], side, start) for side, (pool, cols) in enumerate(parts) if cols.size
+                   for start in range(0, cols.size, len(pool)))  # (step, side, first flat index) of each draw
+    for _, side, start in draws:
         pool, cols = parts[side]
         cols.flat[start : start + len(pool)] = pool[rng.permutation(len(pool))][: cols.size - start]
     return plan
