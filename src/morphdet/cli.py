@@ -20,6 +20,7 @@ from dataclasses import fields, replace
 from .em_trainer import (
     TrainConfig,
     TrainingDiverged,
+    fill_dataclass,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -27,13 +28,7 @@ from .em_trainer import (
 )
 from .embedder import grad_evaluation_count
 from .evalkit import evaluate, report_table_rows, report_to_json, write_report_csv
-from .experiments import (
-    EXPERIMENTS,
-    ConfigError,
-    ExperimentConfig,
-    build_world,
-    experiment_config_from_dict,
-)
+from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, build_world
 from .morph_inference import DetectConfig, morph, read_exemplars_csv, write_exemplars_csv
 from .prototype_store import read_vector_file, write_vector_file
 from .textio import sha256_file
@@ -53,6 +48,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_experiment_config(path: str | None) -> ExperimentConfig:
+    """The config file at `path`, or the defaults if None. Any key the schema
+    does not declare, or any value of the wrong type, is an error, including
+    in the nested sections."""
     if path is None:
         return ExperimentConfig()
     with open(path, "r", encoding="utf-8") as fh:
@@ -60,7 +58,7 @@ def load_experiment_config(path: str | None) -> ExperimentConfig:
             data = json.load(fh)
         except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or JSON too deep or too long a number
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    return experiment_config_from_dict(data)
+    return fill_dataclass(ExperimentConfig, data, "config root")
 
 
 def _apply_train_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
@@ -204,8 +202,8 @@ def cmd_eval(args) -> int:
     write_report_csv(os.path.join(args.out, "report.csv"), rows)
     print(f"wrote {os.path.join(args.out, 'report.json')}")
     print(f"wrote {os.path.join(args.out, 'report.csv')}")
-    for row in rows:
-        print(f"{row['method']:>24s} {row['split']:>6s}  ap {row['ap']:.4f}  ap50 {row['ap50']:.4f}  ap75 {row['ap75']:.4f}")
+    for method, split, s in rows:
+        print(f"{method:>24s} {split:>6s}  ap {s.ap:.4f}  ap50 {s.ap50:.4f}  ap75 {s.ap75:.4f}")
     return 0
 
 
@@ -224,7 +222,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="morphdet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("gen", help="generate a toy benchmark directory", parents=[])
+    p = sub.add_parser("gen", help="generate a toy benchmark directory")
     p.add_argument("--out", required=True, type=_out_dir, help="output directory (created if missing)")
     p.add_argument("--config", default=None, help="experiment config JSON")
     p.add_argument("--seed", type=int, default=None, dest="seed")

@@ -10,6 +10,10 @@ AP50/AP75 are the usual single-threshold cuts.
 Recall@N is class-agnostic: the top-N detections of each scene are matched to
 that scene's objects ignoring labels, scene by scene. The report walks the
 scenes once, handing detect each scene's descriptor and anchor rows as they are.
+
+An EvalReport holds each figure once: per-class AP, one SubsetMetrics for each
+split (all, base, novel) and recall at RECALL_BUDGET as one number; report.json,
+report.csv and eval's printed lines read its (split, SubsetMetrics) pairs.
 """
 
 from __future__ import annotations
@@ -31,14 +35,17 @@ RECALL_BUDGET = 100  # detections per scene that the report's recall counts
 def iou_table(detections, ground_truths) -> list[tuple[int, list[tuple[int, float]]]]:
     """Per detection that overlaps a ground truth of its scene, its rank in
     descending-score order (stable on ties) and the (index, IoU) of each ground
-    truth it overlaps: all that matching reads, as a row without one never matches."""
+    truth it overlaps: all that matching reads, as a row without one never matches.
+    `detections` are (scene, score, Box) triples and `ground_truths` (scene, Box)
+    pairs, where a scene is any key that tells scenes apart: evaluate passes each
+    scene's position in its list, as joined splits repeat scene_ids."""
     by_scene: dict = {}
-    for j, (scene_id, gt_box) in enumerate(ground_truths):
-        by_scene.setdefault(scene_id, []).append((j, gt_box))
+    for j, (scene, gt_box) in enumerate(ground_truths):
+        by_scene.setdefault(scene, []).append((j, gt_box))
     table = []
     for rank, idx in enumerate(_score_order(detections)):
-        scene_id, _score, box = detections[idx]
-        row = [(j, overlap) for j, gt_box in by_scene.get(scene_id, ()) if (overlap := iou(box, gt_box)) > 0.0]
+        scene, _score, box = detections[idx]
+        row = [(j, overlap) for j, gt_box in by_scene.get(scene, ()) if (overlap := iou(box, gt_box)) > 0.0]
         if row:
             table.append((rank, row))
     return table
@@ -88,24 +95,25 @@ def average_precision(table, gt_count: int, iou_threshold: float) -> float:
 
 def recall_at(detections, ground_truths, n: int, iou_threshold: float) -> float:
     """Fraction of ground truths matched by each scene's top-n detections,
-    ignoring class labels. `detections` are (scene_id, score, Box) triples,
-    `ground_truths` (scene_id, Box) pairs, as iou_table takes them. A scene's top n
-    are matched to its ground truths as _match_detections matches, at one threshold
-    and with no table: each IoU is taken when read, none against a taken truth."""
+    ignoring class labels. `detections` are (scene, score, Box) triples and
+    `ground_truths` (scene, Box) pairs, keyed by scene as iou_table takes them.
+    A scene's top n are matched to its ground truths as _match_detections
+    matches, at one threshold and with no table: each IoU is taken when read,
+    none against a taken truth."""
     if n < 1:
         raise ValueError(f"detection budget must be >= 1, got {n}")
     ground_truths = list(ground_truths)
     if not ground_truths:
         return 0.0
     gts_by_scene: dict = {}
-    for scene_id, gt_box in ground_truths:
-        gts_by_scene.setdefault(scene_id, []).append(gt_box)
+    for scene, gt_box in ground_truths:
+        gts_by_scene.setdefault(scene, []).append(gt_box)
     dets_by_scene: dict = {}
     for det in detections:
         dets_by_scene.setdefault(det[0], []).append(det)
     hits = 0
-    for scene_id, scene_dets in dets_by_scene.items():
-        gts = gts_by_scene.get(scene_id, ())
+    for scene, scene_dets in dets_by_scene.items():
+        gts = gts_by_scene.get(scene, ())
         taken = [False] * len(gts)
         for i in _score_order(scene_dets)[:n]:
             box = scene_dets[i][2]
@@ -129,29 +137,26 @@ class SubsetMetrics:
 
 @dataclass(frozen=True)
 class EvalReport:
-    iou_thresholds: tuple[float, ...]
+    """Per-class AP at each IoU threshold; the means over all scored classes
+    (`overall`) and over the base and novel ones (None where none is scored);
+    and class-agnostic recall of each scene's top RECALL_BUDGET detections."""
+
     per_class_ap: dict[int, dict[float, float]]
-    ap: float
-    ap50: float
-    ap75: float
-    recall: dict[int, float]
+    overall: SubsetMetrics
     base: SubsetMetrics | None
     novel: SubsetMetrics | None
+    recall: float
+
+    def splits(self) -> list[tuple[str, SubsetMetrics | None]]:
+        return [("all", self.overall), ("base", self.base), ("novel", self.novel)]
 
 
 def _subset(per_class: dict[int, dict[float, float]], ids) -> SubsetMetrics | None:
     ids = tuple(sorted(cid for cid in ids if cid in per_class))
     if not ids:
         return None
-    means = {
-        thr: float(np.mean([per_class[cid][thr] for cid in ids])) for thr in IOU_THRESHOLDS
-    }
-    return SubsetMetrics(
-        class_ids=ids,
-        ap=float(np.mean(list(means.values()))),
-        ap50=means[0.5],
-        ap75=means[0.75],
-    )
+    means = {thr: float(np.mean([per_class[cid][thr] for cid in ids])) for thr in IOU_THRESHOLDS}
+    return SubsetMetrics(ids, ap=float(np.mean(list(means.values()))), ap50=means[0.5], ap75=means[0.75])
 
 
 def evaluate(
@@ -204,40 +209,32 @@ def evaluate(
         table = iou_table(dets_by_class[cid], gts_by_class[cid])
         per_class[cid] = {thr: average_precision(table, len(gts_by_class[cid]), thr) for thr in IOU_THRESHOLDS}
 
-    overall = _subset(per_class, evaluated)
     recall_dets = [row for cid in evaluated for row in dets_by_class[cid]]
     recall_gts = [gt for cid in evaluated for gt in gts_by_class[cid]]
-    recall = {RECALL_BUDGET: recall_at(recall_dets, recall_gts, RECALL_BUDGET, 0.5)}
     return EvalReport(
-        iou_thresholds=IOU_THRESHOLDS,
         per_class_ap=per_class,
-        ap=overall.ap,
-        ap50=overall.ap50,
-        ap75=overall.ap75,
-        recall=recall,
+        overall=_subset(per_class, evaluated),
         base=_subset(per_class, base_ids),
         novel=_subset(per_class, novel_ids),
+        recall=recall_at(recall_dets, recall_gts, RECALL_BUDGET, 0.5),
     )
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    def subset(s: SubsetMetrics | None):
-        if s is None:
-            return None
-        return {"class_ids": list(s.class_ids), "ap": s.ap, "ap50": s.ap50, "ap75": s.ap75}
+    """The report as report.json holds it: the overall figures at the top level, without class ids."""
+    def figures(s: SubsetMetrics) -> dict:
+        return {"ap": s.ap, "ap50": s.ap50, "ap75": s.ap75}
 
+    (_, overall), *subsets = report.splits()
     return {
-        "iou_thresholds": list(report.iou_thresholds),
+        "iou_thresholds": list(IOU_THRESHOLDS),
         "per_class_ap": {
             str(cid): {f"{thr:.2f}": ap for thr, ap in sorted(thrs.items())}
             for cid, thrs in sorted(report.per_class_ap.items())
         },
-        "ap": report.ap,
-        "ap50": report.ap50,
-        "ap75": report.ap75,
-        "recall": {str(n): v for n, v in sorted(report.recall.items())},
-        "base": subset(report.base),
-        "novel": subset(report.novel),
+        **figures(overall),
+        "recall": {str(RECALL_BUDGET): report.recall},
+        **{split: None if s is None else {"class_ids": list(s.class_ids), **figures(s)} for split, s in subsets},
     }
 
 
@@ -245,20 +242,12 @@ def report_to_json(report: EvalReport) -> str:
     return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
 
 
-def report_table_rows(method: str, report: EvalReport) -> list[dict]:
-    """Rows for the summary CSV: one per split with AP / AP50 / AP75."""
-    rows = [
-        {"method": method, "split": "all", "ap": report.ap, "ap50": report.ap50, "ap75": report.ap75}
-    ]
-    for split, subset in (("base", report.base), ("novel", report.novel)):
-        if subset is not None:
-            rows.append(
-                {"method": method, "split": split, "ap": subset.ap, "ap50": subset.ap50, "ap75": subset.ap75}
-            )
-    return rows
+def report_table_rows(method: str, report: EvalReport) -> list[tuple[str, str, SubsetMetrics]]:
+    """Rows for the summary CSV: (method, split, metrics) for each split the report holds."""
+    return [(method, split, s) for split, s in report.splits() if s is not None]
 
 
 def write_report_csv(path, rows) -> None:
     """report_table_rows as CSV, each AP to six decimals."""
-    rows = ((r["method"], r["split"], *(f"{r[k]:.6f}" for k in ("ap", "ap50", "ap75"))) for r in rows)
+    rows = ((method, split, *(f"{ap:.6f}" for ap in (s.ap, s.ap50, s.ap75))) for method, split, s in rows)
     write_csv(path, "method,split,ap,ap50,ap75", rows)

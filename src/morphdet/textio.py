@@ -89,17 +89,6 @@ def parse_tensor(line: str) -> tuple[str, np.ndarray]:
     return name, values.reshape(rows, cols)
 
 
-def tensor_blocks(lines) -> dict[str, np.ndarray]:
-    """Inverse of tensor_line over a body: name -> 2-D array, in file order. A repeated name is an error."""
-    out: dict[str, np.ndarray] = {}
-    for line in lines:
-        name, arr = parse_tensor(line)
-        if name in out:
-            raise ValueError(f"duplicate tensor {name!r}")
-        out[name] = arr
-    return out
-
-
 def _write_framed(path, header: str, meta_key: str, meta: dict, chunks) -> None:
     """One container: header and meta line, the body's byte chunks, each hashed as it is written, and the end line."""
     head = f"{header}\n{meta_key} {json.dumps(meta, sort_keys=True)}\n".encode("utf-8")
@@ -162,12 +151,19 @@ def read_record_file(path, header: str, meta_key: str) -> tuple[dict, list[str]]
 
 
 def read_tensor_file(path, header: str, meta_key: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """read_record_file, then the body's tensor blocks by name; every refusal names `path` once."""
+    """read_record_file, then each body line parsed by parse_tensor: (meta, name -> 2-D array in file order).
+    A repeated name is an error; every refusal names `path` once."""
     meta, body = read_record_file(path, header, meta_key)
+    tensors: dict[str, np.ndarray] = {}
     try:
-        return meta, tensor_blocks(body)
+        for line in body:
+            name, arr = parse_tensor(line)
+            if name in tensors:
+                raise ValueError(f"duplicate tensor {name!r}")
+            tensors[name] = arr
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    return meta, tensors
 
 
 def write_csv(path, header: str, rows) -> None:

@@ -11,7 +11,7 @@ import pytest
 from morphdet.em_trainer import DetectorState, TrainConfig, train
 from morphdet.embedder import EmbedderParams
 from morphdet.prototype_store import PrototypeSet
-from morphdet.textio import read_record_file, tensor_blocks, tensor_line, write_record_file
+from morphdet.textio import parse_tensor, read_record_file, tensor_line, write_record_file
 from morphdet.toyworld import DataConfig, UniverseConfig, exemplars_for, make_dataset, make_universe, semantic_vectors
 
 TINY_TRAIN = TrainConfig(em_iterations=2, m_step_epochs=3, batch_size=16, seed=0)
@@ -68,7 +68,7 @@ def tensor_body(edit):
     order, are handed to `edit`, which changes the dict or its arrays in place; the result is encoded again."""
 
     def body(lines):
-        tensors = {name: arr.copy() for name, arr in tensor_blocks(lines).items()}
+        tensors = {name: arr.copy() for name, arr in map(parse_tensor, lines)}
         edit(tensors)
         return [tensor_line(name, arr) for name, arr in tensors.items()]
 

@@ -10,6 +10,7 @@ from collections import namedtuple
 import numpy as np
 
 from morphdet.embedder import EmbedderParams, loss_table
+from morphdet.evalkit import IOU_THRESHOLDS
 from morphdet.morph_inference import Box, encode_box
 from morphdet.numkernel import EmptyInput
 from morphdet.objective import scoring_matrix
@@ -146,3 +147,54 @@ def reference_pick_plan(fg_pool, bg_pool, n_fg: int, batch_size: int, steps: int
         pool = parts[side][0]
         perms[side].append(pool[rng.permutation(len(pool))])
     return np.hstack([np.concatenate(p)[: steps * per].reshape(steps, per) for p, (_, per) in zip(perms, parts)])
+
+
+def reference_subset(per_class: dict, ids) -> dict | None:
+    """evalkit's subset means in their former form, as report.json writes a subset: the sorted ids that have a
+    per-class AP, their mean AP at each threshold, the mean of those means as AP, and the 0.5 and 0.75 cuts."""
+    ids = tuple(sorted(cid for cid in ids if cid in per_class))
+    if not ids:
+        return None
+    means = {thr: float(np.mean([per_class[cid][thr] for cid in ids])) for thr in IOU_THRESHOLDS}
+    return {"class_ids": list(ids), "ap": float(np.mean(list(means.values()))), "ap50": means[0.5], "ap75": means[0.75]}
+
+
+def reference_report_dict(per_class: dict, base_ids, novel_ids, recall: float, budget: int) -> dict:
+    """evalkit.report_to_dict's oracle, its former form, rebuilt from a report's per-class AP, the listed base and
+    novel ids and its recall at `budget`: the thresholds as their own list, the overall AP, AP50 and AP75 as three
+    top-level fields, recall as a one-key dict and the base and novel subsets (None where no class is scored)."""
+    overall = reference_subset(per_class, per_class)
+    return {
+        "iou_thresholds": list(IOU_THRESHOLDS),
+        "per_class_ap": {
+            str(cid): {f"{thr:.2f}": ap for thr, ap in sorted(thrs.items())} for cid, thrs in sorted(per_class.items())
+        },
+        "ap": overall["ap"],
+        "ap50": overall["ap50"],
+        "ap75": overall["ap75"],
+        "recall": {str(n): v for n, v in sorted({budget: recall}.items())},
+        "base": reference_subset(per_class, base_ids),
+        "novel": reference_subset(per_class, novel_ids),
+    }
+
+
+def reference_table_rows(method: str, per_class: dict, base_ids, novel_ids) -> list[dict]:
+    """evalkit.report_table_rows' oracle, its former form: one dict of method, split, ap, ap50 and ap75 for all
+    classes, then for base and novel where the split scores a class."""
+    rows = []
+    for split, ids in (("all", per_class), ("base", base_ids), ("novel", novel_ids)):
+        if (subset := reference_subset(per_class, ids)) is not None:
+            rows.append({"method": method, "split": split, **{k: subset[k] for k in ("ap", "ap50", "ap75")}})
+    return rows
+
+
+def reference_report_csv(rows) -> str:
+    """evalkit.write_report_csv's oracle: the text of report.csv for reference_table_rows, each AP to six decimals."""
+    lines = [f"{r['method']},{r['split']},{r['ap']:.6f},{r['ap50']:.6f},{r['ap75']:.6f}\n" for r in rows]
+    return "method,split,ap,ap50,ap75\n" + "".join(lines)
+
+
+def reference_eval_lines(rows) -> list[str]:
+    """The per-split lines that `morphdet eval` prints, in their former form, for reference_table_rows."""
+    return [f"{r['method']:>24s} {r['split']:>6s}  ap {r['ap']:.4f}  ap50 {r['ap50']:.4f}  ap75 {r['ap75']:.4f}"
+            for r in rows]

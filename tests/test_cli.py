@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import reframe, tensor_body, without_last_value
-from helpers import params_equal, vector_for
+from helpers import params_equal, reference_eval_lines, reference_report_csv, reference_table_rows, vector_for
 from morphdet import em_trainer
 from morphdet.cli import GEN_FILES, _apply_train_overrides, build_parser, main
 from morphdet.em_trainer import CHECKPOINT_HEADER, TrainConfig, load_checkpoint
@@ -489,7 +489,8 @@ def test_eval_base_split(train_dir, gen_dir, tmp_path, capsys):
         ]
     )
     assert rc == 0
-    assert "ap50" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "ap50" in printed
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["base"]["class_ids"] == [1, 2, 3, 4]
     assert report["novel"] is None
@@ -497,6 +498,11 @@ def test_eval_base_split(train_dir, gen_dir, tmp_path, capsys):
     assert lines[0] == "method,split,ap,ap50,ap75"
     assert lines[1].startswith("checkpoint_iter2,all,")
     assert lines[2].startswith("checkpoint_iter2,base,")
+    # The CSV and the printed lines are those the former report wrote from the same per-class AP.
+    per_class = {int(cid): {float(thr): ap for thr, ap in thrs.items()} for cid, thrs in report["per_class_ap"].items()}
+    rows = reference_table_rows("checkpoint_iter2", per_class, [1, 2, 3, 4], ())
+    assert (out / "report.csv").read_text(encoding="utf-8") == reference_report_csv(rows)
+    assert printed.splitlines()[-2:] == reference_eval_lines(rows)
 
 
 def test_eval_all_split_skips_unregistered_novel(train_dir, gen_dir, tmp_path):

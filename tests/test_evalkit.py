@@ -4,6 +4,7 @@ The references below re-derive all-point AP and budgeted recall in plain
 Python (no numpy) so the library versions have something independent to agree
 with, bit for bit, on random inputs."""
 
+import json
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import identity_detector
-from helpers import scene_of
+from helpers import reference_report_csv, reference_report_dict, reference_table_rows, scene_of
 from morphdet import evalkit
 from morphdet.evalkit import (
     IOU_THRESHOLDS,
@@ -24,9 +25,10 @@ from morphdet.evalkit import (
     report_to_json,
     write_report_csv,
 )
-from morphdet.morph_inference import Box, DetectConfig, iou
+from morphdet.morph_inference import Box, DetectConfig, iou, morph
 from morphdet.numkernel import EmptyInput
 from morphdet.prototype_store import UnknownClass
+from morphdet.toyworld import DataConfig, make_dataset
 
 
 def ap_of(detections, ground_truths, thr):
@@ -281,7 +283,7 @@ def _eval_world():
 def test_evaluate_scores_a_perfect_detector():
     state, scenes = _eval_world()
     report = evaluate(state, scenes, base_ids=[1, 2], novel_ids=[3])
-    assert report.iou_thresholds == IOU_THRESHOLDS
+    assert report_to_dict(report)["iou_thresholds"] == list(IOU_THRESHOLDS)
     assert sorted(report.per_class_ap) == [1, 2, 3]
     for thrs in report.per_class_ap.values():
         assert sorted(thrs) == sorted(IOU_THRESHOLDS)
@@ -289,10 +291,11 @@ def test_evaluate_scores_a_perfect_detector():
         # object and survives all ten thresholds.
         for value in thrs.values():
             assert value == 1.0
-    assert report.ap == 1.0 and report.ap50 == 1.0 and report.ap75 == 1.0
+    assert report.overall.ap == 1.0 and report.overall.ap50 == 1.0 and report.overall.ap75 == 1.0
+    assert report.overall.class_ids == (1, 2, 3)
     assert report.base.class_ids == (1, 2) and report.base.ap == 1.0
     assert report.novel.class_ids == (3,) and report.novel.ap50 == 1.0
-    assert report.recall == {100: 1.0}
+    assert report.recall == 1.0
 
 
 def test_evaluate_tells_apart_scenes_that_share_an_id(monkeypatch):
@@ -304,7 +307,7 @@ def test_evaluate_tells_apart_scenes_that_share_an_id(monkeypatch):
     distinct = evaluate(state, scenes, base_ids=[1, 2], novel_ids=[3])
     joined = evaluate(state, shared, base_ids=[1, 2], novel_ids=[3])
     assert joined == distinct
-    assert joined.recall == {1: 2.0 / 3.0}
+    assert joined.recall == 2.0 / 3.0
 
 
 def test_evaluate_excludes_classes_without_ground_truth():
@@ -342,11 +345,38 @@ def test_report_serialization(tmp_path):
     assert text.endswith("\n") and '"ap50"' in text
 
     rows = report_table_rows("morph", report)
-    assert [r["split"] for r in rows] == ["all", "base", "novel"]
-    assert all(r["method"] == "morph" for r in rows)
+    assert [split for _, split, _ in rows] == ["all", "base", "novel"]
+    assert all(method == "morph" for method, _, _ in rows)
     path = tmp_path / "report.csv"
     write_report_csv(path, rows)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "method,split,ap,ap50,ap75"
     assert lines[1] == "morph,all,1.000000,1.000000,1.000000"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize(
+    "split, budget",
+    [("both", None), ("base", None), ("novel", None), ("both", 1)],
+    ids=["base_and_novel", "base_only", "novel_only", "recall_budget_1"],
+)
+def test_report_bytes_match_the_former_report(split, budget, tiny_universe, tiny_state, tiny_exemplars, tmp_path,
+                                              monkeypatch):
+    # A trained and morphed detector on fresh scenes of every class scores AP strictly between 0 and 1, so every
+    # figure of report.json and report.csv is one the oracle must rebuild from per_class_ap, the ids and recall.
+    if budget is not None:
+        monkeypatch.setattr(evalkit, "RECALL_BUDGET", budget)
+    base = tiny_universe.base if split != "novel" else ()
+    novel = tiny_universe.novel if split != "base" else ()
+    scenes = make_dataset(tiny_universe, tiny_universe.base + tiny_universe.novel, 2, DataConfig(), seed=5)
+    report = evaluate(morph(tiny_state, tiny_exemplars), scenes, base, novel)
+    assert 0.0 < report.overall.ap < 1.0 and 0.0 < report.recall <= 1.0
+    assert [s is None for _, s in report.splits()] == [False, not base, not novel]
+
+    oracle = reference_report_dict(report.per_class_ap, base, novel, report.recall, evalkit.RECALL_BUDGET)
+    assert report_to_json(report) == json.dumps(oracle, sort_keys=True, indent=2) + "\n"
+    path = tmp_path / "report.csv"
+    write_report_csv(path, report_table_rows("morph", report) + report_table_rows("other", report))
+    rows = reference_table_rows("morph", report.per_class_ap, base, novel)
+    rows += reference_table_rows("other", report.per_class_ap, base, novel)
+    assert path.read_bytes() == reference_report_csv(rows).encode("utf-8")

@@ -10,7 +10,15 @@ import pytest
 from test_toyworld import DATA_REFUSALS, UNIVERSE_REFUSALS
 
 from morphdet import em_trainer, experiments
-from morphdet.em_trainer import TrainConfig, TrainingDiverged, proposal_arrays, train, train_grid, visual_init_vectors
+from morphdet.em_trainer import (
+    TrainConfig,
+    TrainingDiverged,
+    fill_dataclass,
+    proposal_arrays,
+    train,
+    train_grid,
+    visual_init_vectors,
+)
 from morphdet.embedder import EmbedderParams, grad_evaluation_count
 from morphdet.morph_inference import DetectConfig
 from morphdet.numkernel import EmptyInput
@@ -23,7 +31,6 @@ from morphdet.experiments import (
     ExperimentConfig,
     UniverseConfig,
     build_world,
-    experiment_config_from_dict,
     run_em_iterations,
     run_init,
     run_lambda,
@@ -47,6 +54,11 @@ TINY = ExperimentConfig(
 )
 
 
+def config_of(data):
+    """A parsed config file as the CLI's load_experiment_config reads it."""
+    return fill_dataclass(ExperimentConfig, data, "config root")
+
+
 def test_default_benchmark_shape():
     uni = UniverseConfig()
     assert (uni.n_base, uni.n_novel) == (20, 5)
@@ -67,19 +79,19 @@ def test_experiment_config_validation():
             ExperimentConfig(**bad)
     for bad in (dict(score_threshold=1.0), dict(nms_iou=1.0), dict(nms_iou=0.0)):
         with pytest.raises(ConfigError, match=f"detect: {next(iter(bad))}"):
-            experiment_config_from_dict({"detect": bad})
-    cfg = experiment_config_from_dict({"detect": {"score_threshold": 0.2, "nms_iou": 0.4}})
+            config_of({"detect": bad})
+    cfg = config_of({"detect": {"score_threshold": 0.2, "nms_iou": 0.4}})
     assert cfg.detect == DetectConfig(score_threshold=0.2, nms_iou=0.4)
     # The universe and data sections check themselves when the config is read.
     for section, refusals in (("universe", UNIVERSE_REFUSALS), ("data", DATA_REFUSALS)):
         for field, value in refusals:
             with pytest.raises(ConfigError, match=f"^{section}: {field} must"):
-                experiment_config_from_dict({section: {field: value}})
+                config_of({section: {field: value}})
 
 
 def test_config_from_dict_round_trip():
-    assert experiment_config_from_dict({}) == ExperimentConfig()
-    cfg = experiment_config_from_dict(
+    assert config_of({}) == ExperimentConfig()
+    cfg = config_of(
         {
             "universe": {"n_base": 7, "sigma_sem": 0.1},
             "data": {"proposals_per_scene": 10},
@@ -97,15 +109,15 @@ def test_config_from_dict_round_trip():
 
 def test_config_from_dict_rejects_unknowns():
     with pytest.raises(ConfigError):
-        experiment_config_from_dict({"worlds": 3})
+        config_of({"worlds": 3})
     with pytest.raises(ConfigError):
-        experiment_config_from_dict({"universe": {"bases": 3}})
+        config_of({"universe": {"bases": 3}})
     with pytest.raises(ConfigError):
-        experiment_config_from_dict({"train": {"em_iterations": 0}})
+        config_of({"train": {"em_iterations": 0}})
     with pytest.raises(ConfigError):
-        experiment_config_from_dict({"universe": 7})
+        config_of({"universe": 7})
     with pytest.raises(ConfigError):
-        experiment_config_from_dict([1, 2])
+        config_of([1, 2])
     for wrong_type in (
         {"universe": {"n_base": "x"}},
         {"universe": {"n_base": 2.5}},
@@ -122,12 +134,12 @@ def test_config_from_dict_rejects_unknowns():
         {"detect": {"nms_iou": None}},
     ):
         with pytest.raises(ConfigError):
-            experiment_config_from_dict(wrong_type)
+            config_of(wrong_type)
     # The detection settings live in the "detect" section, the output directory only in `experiment --out`.
     for old_key, value in (("score_threshold", 0.1), ("nms_iou", 0.4), ("out_dir", "tables")):
         with pytest.raises(ConfigError, match=f"config root: unknown keys \\['{old_key}'\\]"):
-            experiment_config_from_dict({old_key: value})
-    cfg = experiment_config_from_dict({"universe": {"sigma_sem": 1}})
+            config_of({old_key: value})
+    cfg = config_of({"universe": {"sigma_sem": 1}})
     assert cfg.universe.sigma_sem == 1
 
 

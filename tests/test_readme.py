@@ -8,7 +8,8 @@ import json
 import pathlib
 import re
 
-from morphdet.experiments import ExperimentConfig, experiment_config_from_dict
+from morphdet.cli import load_experiment_config
+from morphdet.experiments import ExperimentConfig
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,8 +23,10 @@ def test_library_example_prints_the_readme_lines():
     assert out.getvalue().splitlines() == shown.splitlines() == ["1 0.708", "21 0.639", "25 0.615", "11 0.562"]
 
 
-def test_config_example_is_a_full_valid_config():
+def test_config_example_is_a_full_valid_config(tmp_path):
     example = re.search(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
     data = json.loads(example)
     assert sorted(data) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
-    experiment_config_from_dict(data)
+    path = tmp_path / "config.json"
+    path.write_text(example, encoding="utf-8")
+    load_experiment_config(str(path))

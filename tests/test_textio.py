@@ -21,7 +21,6 @@ from morphdet.textio import (
     read_record_file,
     read_tensor_file,
     sha256_file,
-    tensor_blocks,
     tensor_line,
     write_record_file,
     write_tensor_file,
@@ -142,17 +141,6 @@ def test_sha256_file_matches_hashlib(tmp_path):
     assert sha256_file(path) == hashlib.sha256(payload).hexdigest()
 
 
-def test_tensor_blocks_keep_file_order_and_refuse_broken_blocks():
-    lines = [tensor_line("a", np.eye(2)), tensor_line("b", np.ones(3))]
-    blocks = tensor_blocks(lines)
-    assert list(blocks) == ["a", "b"]
-    assert np.array_equal(blocks["a"], np.eye(2)) and blocks["b"].shape == (1, 3)
-    with pytest.raises(ValueError, match="duplicate"):
-        tensor_blocks(lines + lines[:1])
-    with pytest.raises(ValueError, match="malformed"):
-        tensor_blocks(["matrix" + lines[0].removeprefix("tensor"), lines[1]])
-
-
 def test_record_file_round_trip_and_framing(tmp_path):
     path = tmp_path / "rec.txt"
     write_record_file(path, "kind v2", "meta", {"b": 2, "a": 1}, ["x 1", "y 2"])
@@ -211,20 +199,20 @@ def test_tensor_file_round_trip_and_refusals_name_the_path_once(tmp_path):
     meta, tensors = read_tensor_file(path, "kind v3", "meta")
     assert meta == {"n": 2} and list(tensors) == ["a", "b"]
     assert np.array_equal(tensors["a"], np.eye(2)) and np.array_equal(tensors["b"], np.ones((1, 3)))
-    spoiled = {  # the tensor codec's refusals, and one of the container's own
-        "lost value": ("kind v3", [without_last_value(lines[0]), lines[1]]),
-        "nan": ("kind v3", [tensor_line("a", [[np.nan, 0.0], [0.0, 1.0]]), lines[1]]),
-        "not base64": ("kind v3", [lines[0].replace("A", "*", 1), lines[1]]),
-        "duplicate": ("kind v3", lines + lines[:1]),
-        "malformed header": ("kind v3", ["matrix" + lines[0].removeprefix("tensor"), *lines[1:]]),
-        "older version": ("kind v2", lines),
+    spoiled = {  # the tensor codec's refusals, and one of the container's own, each with what its message says
+        "lost value": ("kind v3", [without_last_value(lines[0]), lines[1]], "declares 2x2 but carries"),
+        "nan": ("kind v3", [tensor_line("a", [[np.nan, 0.0], [0.0, 1.0]]), lines[1]], "non-finite"),
+        "not base64": ("kind v3", [lines[0].replace("A", "*", 1), lines[1]], "not base64"),
+        "duplicate": ("kind v3", lines + lines[:1], "duplicate tensor 'a'"),
+        "malformed header": ("kind v3", ["matrix" + lines[0].removeprefix("tensor"), *lines[1:]], "malformed"),
+        "older version": ("kind v2", lines, "older format"),
     }
-    for name, (header, body) in spoiled.items():
+    for name, (header, body, says) in spoiled.items():
         write_record_file(path, header, "meta", {}, body)
         with pytest.raises(ValueError) as refusal:
             read_tensor_file(path, "kind v3", "meta")
         message = str(refusal.value)
-        assert message.startswith(f"{path}: ") and message.count(str(path)) == 1, name
+        assert message.startswith(f"{path}: ") and message.count(str(path)) == 1 and says in message, name
 
 
 def _awkward_tensors():
