@@ -8,8 +8,9 @@ alone. The headline AP averages the ten IoU thresholds 0.50:0.05:0.95;
 AP50/AP75 are the usual single-threshold cuts.
 
 Recall@N is class-agnostic: the top-N detections of each scene are matched to
-that scene's objects ignoring labels, scene by scene. The report walks the
-scenes once, handing detect each scene's descriptor and anchor rows as they are.
+that scene's objects ignoring labels, scene by scene. The report collects the
+ground truth first, which fixes the scored classes, then hands detect each
+scene's descriptor and anchor rows as they are, asking for those classes alone.
 
 An EvalReport holds each figure once: per-class AP, one SubsetMetrics for each
 split (all, base, novel) and recall at RECALL_BUDGET as one number; report.json,
@@ -166,9 +167,9 @@ def evaluate(
     novel_ids,
     config: DetectConfig = DetectConfig(),
 ) -> EvalReport:
-    """Run the detector on every scene, with `config` passed to detect as it
-    is, and score the listed classes: AP at each IoU threshold, and recall of
-    each scene's top RECALL_BUDGET detections.
+    """Score the listed classes: AP at each IoU threshold, and recall of each
+    scene's top RECALL_BUDGET detections. Ground truth is collected first; then
+    detect runs on every scene, with `config` as it is, asked for the scored classes.
 
     Classes without any ground truth in `scenes` are excluded from means.
     The state must have a prototype for every listed id.
@@ -191,19 +192,18 @@ def evaluate(
     # Scenes are keyed by their position in `scenes`, not by scene_id: joined
     # splits (eval --split all) number their scenes from 0 each.
     gts_by_class: dict[int, list] = {cid: [] for cid in all_ids}
-    dets_by_class: dict[int, list] = {cid: [] for cid in all_ids}
     for pos, scene in enumerate(scenes):
         for cid, corners in zip(scene.gt_ids.tolist(), scene.gt_boxes.tolist()):
             if cid in gts_by_class:
                 gts_by_class[cid].append((pos, Box(*corners)))
-        pairs = list(zip(scene.descriptors, scene.anchors))
-        for det in detect(state, pairs, config):
-            if det.class_id in dets_by_class:
-                dets_by_class[det.class_id].append((pos, det.score, det.box))
-
     evaluated = [cid for cid in all_ids if gts_by_class[cid]]
     if not evaluated:
         raise EmptyInput("nothing to evaluate: no ground truth for the listed classes")
+    dets_by_class: dict[int, list] = {cid: [] for cid in evaluated}
+    for pos, scene in enumerate(scenes):
+        for det in detect(state, list(zip(scene.descriptors, scene.anchors)), config, evaluated):
+            dets_by_class[det.class_id].append((pos, det.score, det.box))
+
     per_class = {}
     for cid in evaluated:
         table = iou_table(dets_by_class[cid], gts_by_class[cid])

@@ -9,13 +9,14 @@ read from its own seed stream: `gen` writes it, the studies never read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from operator import attrgetter
 import os
 
 import numpy as np
 
-from .em_trainer import ConfigError, TrainConfig, train, train_grid, visual_init_vectors
+from .em_trainer import PICK_PLAN_BUDGET, ConfigError, TrainConfig, train, train_grid, visual_init_vectors
 from .evalkit import evaluate
 from .morph_inference import DetectConfig, morph
 from .prototype_store import add_novel
@@ -74,7 +75,17 @@ _RANDOM_PROTOS = 505
 
 
 def build_world(config: ExperimentConfig, seed: int) -> World:
-    d = config.data
+    """Refuses, before any draw, a world whose universe, datasets (gen's three splits) and exemplars would hold
+    more than PICK_PLAN_BUDGET bytes, naming the size setting furthest above its default."""
+    u, d = config.universe, config.data
+    scenes = u.n_base * d.train_scenes_per_class + (u.n_base + u.n_novel) * d.eval_scenes_per_class
+    per_scene = d.proposals_per_scene * (u.m_in + 9) + d.objects_per_scene * (u.m_in + 5)  # 8-byte values
+    predicted = 8 * (scenes * per_scene + u.n_novel * config.shots * u.m_in + (u.n_base + u.n_novel + u.k) * (u.k + u.d_sem))
+    if predicted > PICK_PLAN_BUDGET:
+        sizes = [f"{s}.{f.name}" for s in ("universe", "data") for f in fields(getattr(config, s)) if type(f.default) is int]
+        name = max(["shots", *sizes], key=lambda n: attrgetter(n)(config) / attrgetter(n)(ExperimentConfig()))
+        raise ConfigError(f"{name} {attrgetter(name)(config)} makes a world of {predicted:,} bytes, "
+                          f"over the budget of {PICK_PLAN_BUDGET:,}")
     universe = make_universe(config.universe, seed)
     return World(
         universe=universe,

@@ -6,10 +6,10 @@ the network parameters are shared untouched with the new state. No gradient is
 ever computed on this path.
 
 Detection scores every proposal against every registered prototype plus the
-background slot, decodes the class-agnostic box regression, thresholds, and
-runs per-class greedy NMS with a deterministic ordering. Candidates travel as
-plain (-score, class_id, corners) tuples; a Detection is built only for a
-candidate that NMS keeps.
+background slot, decodes the class-agnostic box regression, thresholds the
+classes its caller asks for (all by default), and runs per-class greedy NMS
+with a deterministic ordering. Candidates travel as plain (-score, class_id,
+corners) tuples; a Detection is built only for a candidate that NMS keeps.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .em_trainer import DetectorState
 from .embedder import forward_batch
 from .numkernel import DimensionMismatch, EmptyInput
 from .objective import posterior_batch
-from .prototype_store import add_novel
+from .prototype_store import UnknownClass, add_novel
 from .textio import class_id_name, is_class_id, read_tensor_file, write_tensor_file
 
 EXEMPLARS_HEADER = "morphdet-exemplars v3"
@@ -157,7 +157,7 @@ def nms(candidates, iou_threshold: float) -> list[Detection]:
     return kept
 
 
-def detect(state, proposals, config: DetectConfig = DetectConfig()) -> list[Detection]:
+def detect(state, proposals, config: DetectConfig = DetectConfig(), classes=None) -> list[Detection]:
     """Score (descriptor, anchor) proposals against every registered class;
     an anchor is any four corners (x1, y1, x2, y2), a Box among them.
 
@@ -167,7 +167,17 @@ def detect(state, proposals, config: DetectConfig = DetectConfig()) -> list[Dete
     per-class NMS at config.nms_iou as (-score, class_id, corners) tuples, and
     only the kept ones become Detections. The settings come checked, as a
     DetectConfig. Pure: identical inputs give an identical list, order included.
+
+    `classes`, if given, are the ids the caller reads, each with a prototype (else
+    UnknownClass): every class still takes part in the posterior and every box is
+    still decoded, but only asked classes become candidates, so the result is the
+    full list filtered to them, order included.
     """
+    ids = state.prototypes.ids
+    if classes is not None:
+        asked = set(classes)
+        if unknown := asked.difference(ids):
+            raise UnknownClass(f"no prototype for asked classes {sorted(map(int, unknown))}")
     proposals = list(proposals)
     if not proposals:
         return []
@@ -175,9 +185,11 @@ def detect(state, proposals, config: DetectConfig = DetectConfig()) -> list[Dete
     feats, bg, deltas = forward_batch(state.params, descriptors)
     q = posterior_batch(feats, bg, state.prototypes)[:, 1:]  # the class columns, background dropped
     corners = decode_box(np.array([a for _, a in proposals], dtype=np.float64), deltas).tolist()
+    if classes is not None and len(asked) < len(ids):  # NMS is per class: an unasked column suppresses nothing
+        keep = [k for k, cid in enumerate(ids) if cid in asked]
+        q, ids = q[:, keep], [ids[k] for k in keep]
     passing = q >= config.score_threshold
     rows, cols = np.nonzero(passing)  # row-major, the order of q[passing]
-    ids = state.prototypes.ids
     candidates = [(s, ids[k], corners[i]) for s, i, k in zip((-q[passing]).tolist(), rows.tolist(), cols.tolist())]
     return nms(candidates, config.nms_iou)
 

@@ -10,8 +10,8 @@ from collections import namedtuple
 import numpy as np
 
 from morphdet.embedder import EmbedderParams, loss_table
-from morphdet.evalkit import IOU_THRESHOLDS
-from morphdet.morph_inference import Box, encode_box
+from morphdet.evalkit import IOU_THRESHOLDS, RECALL_BUDGET, average_precision, iou_table, recall_at
+from morphdet.morph_inference import Box, DetectConfig, detect, encode_box
 from morphdet.numkernel import EmptyInput
 from morphdet.objective import scoring_matrix
 from morphdet.prototype_store import PrototypeSet, UnknownClass
@@ -198,3 +198,28 @@ def reference_eval_lines(rows) -> list[str]:
     """The per-split lines that `morphdet eval` prints, in their former form, for reference_table_rows."""
     return [f"{r['method']:>24s} {r['split']:>6s}  ap {r['ap']:.4f}  ap50 {r['ap50']:.4f}  ap75 {r['ap75']:.4f}"
             for r in rows]
+
+
+def reference_report_json(state, scenes, base_ids, novel_ids, config=DetectConfig()) -> str:
+    """evalkit.evaluate's oracle, its former all-class loop, as report.json text: per scene, ground truth of the
+    listed classes and every registered class's detections, the unlisted ones then dropped; classes with no ground
+    truth are left out of AP and recall. The text is reference_report_dict's."""
+    listed = sorted({*base_ids, *novel_ids})
+    gts_by_class: dict = {cid: [] for cid in listed}
+    dets_by_class: dict = {cid: [] for cid in listed}
+    for pos, scene in enumerate(scenes):
+        for cid, corners in zip(scene.gt_ids.tolist(), scene.gt_boxes.tolist()):
+            if cid in gts_by_class:
+                gts_by_class[cid].append((pos, Box(*corners)))
+        for det in detect(state, list(zip(scene.descriptors, scene.anchors)), config):
+            if det.class_id in dets_by_class:
+                dets_by_class[det.class_id].append((pos, det.score, det.box))
+    evaluated = [cid for cid in listed if gts_by_class[cid]]
+    per_class = {}
+    for cid in evaluated:
+        table = iou_table(dets_by_class[cid], gts_by_class[cid])
+        per_class[cid] = {thr: average_precision(table, len(gts_by_class[cid]), thr) for thr in IOU_THRESHOLDS}
+    recall = recall_at([row for cid in evaluated for row in dets_by_class[cid]],
+                       [gt for cid in evaluated for gt in gts_by_class[cid]], RECALL_BUDGET, 0.5)
+    report = reference_report_dict(per_class, base_ids, novel_ids, recall, RECALL_BUDGET)
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"

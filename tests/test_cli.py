@@ -12,7 +12,7 @@ import pytest
 
 from conftest import reframe, tensor_body, without_last_value
 from helpers import params_equal, reference_eval_lines, reference_report_csv, reference_table_rows, vector_for
-from morphdet import em_trainer
+from morphdet import em_trainer, experiments
 from morphdet.cli import GEN_FILES, _apply_train_overrides, build_parser, main
 from morphdet.em_trainer import CHECKPOINT_HEADER, TrainConfig, load_checkpoint
 from morphdet.embedder import grad_evaluation_count
@@ -306,6 +306,32 @@ def test_train_refuses_a_pick_plan_over_budget_and_writes_nothing(cfg_path, gen_
     assert rc == 2
     err = capsys.readouterr().err
     assert re.search(r"error: m_step_epochs 1000000000 x batch_size \d+ needs a pick plan of [\d,]+ bytes, over the budget", err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section, name, value",
+    [("universe", "n_base", 10**7), ("data", "proposals_per_scene", 10**8), (None, "shots", 10**9)],
+)
+def test_gen_refuses_a_world_over_budget_before_any_draw(section, name, value, tmp_path, capsys, monkeypatch):
+    """Datasets or exemplars past the 2 GiB budget are refused with the setting that dominates and the bytes;
+    the universe, dataset and exemplar draws fail if they are reached, so nothing is allocated."""
+
+    def drawn(*args):
+        raise AssertionError("world drawn")
+
+    for draw in ("make_universe", "make_dataset", "exemplars_for"):
+        monkeypatch.setattr(experiments, draw, drawn)
+    config = json.loads(json.dumps(TINY_CONFIG))
+    (config.setdefault(section, {}) if section else config)[name] = value
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "world"
+    assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    setting = f"{section}.{name}" if section else name
+    found = re.fullmatch(rf"error: {setting} {value} makes a world of ([\d,]+) bytes, over the budget of 2,147,483,648\n", err)
+    assert found and int(found.group(1).replace(",", "")) > em_trainer.PICK_PLAN_BUDGET
     assert not out.exists()
 
 

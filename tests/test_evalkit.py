@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import identity_detector
-from helpers import reference_report_csv, reference_report_dict, reference_table_rows, scene_of
-from morphdet import evalkit
+from helpers import reference_report_csv, reference_report_dict, reference_report_json, reference_table_rows, scene_of
+from morphdet import evalkit, morph_inference
 from morphdet.evalkit import (
     IOU_THRESHOLDS,
     average_precision,
@@ -380,3 +380,31 @@ def test_report_bytes_match_the_former_report(split, budget, tiny_universe, tiny
     rows = reference_table_rows("morph", report.per_class_ap, base, novel)
     rows += reference_table_rows("other", report.per_class_ap, base, novel)
     assert path.read_bytes() == reference_report_csv(rows).encode("utf-8")
+
+
+@pytest.mark.parametrize("form", ["novel_scenes_base_listed", "base_only", "all"])
+def test_evaluate_asks_detect_for_the_scored_classes_and_keeps_the_report_bytes(
+    form, tiny_universe, tiny_state, tiny_exemplars, monkeypatch
+):
+    # The studies' form scores eval_novel with the base ids listed: base classes have no ground truth there, so
+    # only the novel ones are scored, and no base class may reach NMS. The report must be the all-class loop's.
+    u, state = tiny_universe, morph(tiny_state, tiny_exemplars)
+    drawn, base, novel = {
+        "novel_scenes_base_listed": (u.novel, u.base, u.novel),
+        "base_only": (u.base, u.base, ()),
+        "all": (u.base + u.novel, u.base, u.novel),
+    }[form]
+    scenes = make_dataset(u, drawn, 2, DataConfig(), seed=7)
+    expected = reference_report_json(state, scenes, base, novel)
+
+    reached = set()
+
+    def watched_nms(candidates, iou_threshold):
+        reached.update(class_id for _, class_id, _ in candidates)
+        return nms(candidates, iou_threshold)
+
+    nms = morph_inference.nms
+    monkeypatch.setattr(morph_inference, "nms", watched_nms)
+    report = evaluate(state, scenes, base, novel)
+    assert report_to_json(report) == expected
+    assert reached and reached <= set(report.per_class_ap) == set(drawn)

@@ -27,7 +27,7 @@ from morphdet.morph_inference import (
 )
 from morphdet.numkernel import DimensionMismatch, EmptyInput, l2_normalize
 from morphdet.objective import posterior_batch
-from morphdet.prototype_store import ClassCollision, PrototypeSet
+from morphdet.prototype_store import ClassCollision, PrototypeSet, UnknownClass
 from morphdet.toyworld import (
     DATASET_HEADER,
     DataConfig,
@@ -446,6 +446,38 @@ def test_detect_equals_the_per_pair_reference_on_tied_candidates(n_classes, tie)
         assert detect(state, proposals) == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n_classes=st.sampled_from([25, 80]),
+    seed=st.integers(0, 5),
+    form=st.sampled_from(["empty", "one", "all", "random"]),
+    data=st.data(),
+)
+def test_detect_on_asked_classes_is_the_full_list_filtered_to_them(n_classes, seed, form, data):
+    """Asking for a set of classes keeps exactly the full call's detections of those classes, in its order:
+    NMS is per class, so the unasked classes' candidates suppress nothing that is asked."""
+    state, proposals = random_detector(n_classes, seed)
+    ids = state.prototypes.ids
+    asked = {
+        "empty": [],
+        "one": [data.draw(st.sampled_from(ids))],
+        "all": list(ids),
+        "random": data.draw(st.lists(st.sampled_from(ids), unique=True)),
+    }[form]
+    full = detect(state, proposals)
+    assert detect(state, proposals, DetectConfig(), asked) == [d for d in full if d.class_id in set(asked)]
+
+
+def test_detect_refuses_an_asked_class_with_no_prototype():
+    state, proposals = random_detector(25, 0)
+    for asked in ([26], [0, 3], [1, 1000]):
+        unknown = [cid for cid in asked if cid not in state.prototypes.ids]
+        with pytest.raises(UnknownClass, match=re.escape(f"no prototype for asked classes {unknown}")):
+            detect(state, proposals, DetectConfig(), asked)
+    with pytest.raises(UnknownClass, match=r"\[26\]"):
+        detect(state, [], DetectConfig(), [26])  # refused before the empty request returns
+
+
 @pytest.mark.parametrize("n", [1, 3])
 def test_a_batch_of_the_wrong_width_is_refused_by_the_shape_it_came_in(tiny_state, n):
     """An odd batch is padded with a zero row inside forward_batch; the refusal names the caller's shape."""
@@ -466,8 +498,9 @@ def test_detect_refuses_a_bad_box_on_a_proposal_with_no_passing_class(bad_deltas
     assert np.all(posterior_batch(feats, bg, state.prototypes)[:, 1:] < 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused as InvalidBox, with no numpy warning on the way
-        with pytest.raises(InvalidBox):
-            detect(state, quiet, DetectConfig(score_threshold=0.5))
+        for asked in (None, [1], []):  # every box is checked, whether or not an asked class passes
+            with pytest.raises(InvalidBox):
+                detect(state, quiet, DetectConfig(score_threshold=0.5), asked)
 
 
 def test_exemplars_csv_round_trip(tmp_path, tiny_exemplars):
