@@ -3,7 +3,7 @@
 Subcommands: gen (write a toy benchmark to disk), train (alternating
 optimization on a generated split), morph (register novel classes into a
 checkpoint from an exemplar file, no training), eval (score a checkpoint on a
-split), experiment (run a canned study and emit its tables).
+split), experiment (run canned studies as one plan and emit their tables).
 
 Exit codes: 0 success, 1 usage, 2 bad input, 3 numerical divergence.
 """
@@ -28,7 +28,7 @@ from .em_trainer import (
 )
 from .embedder import grad_evaluation_count
 from .evalkit import evaluate, report_table_rows, report_to_json, write_report_csv
-from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, build_world
+from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, build_world, run_studies
 from .morph_inference import DetectConfig, morph, read_exemplars_csv, write_exemplars_csv
 from .prototype_store import read_vector_file, write_vector_file
 from .textio import sha256_file
@@ -211,10 +211,10 @@ def cmd_experiment(args) -> int:
     config = _apply_train_overrides(load_experiment_config(args.config), args)
     if args.seeds is not None:
         config = replace(config, seeds=args.seeds)
-    _, summary = EXPERIMENTS[args.name](config, args.out)
-    for row in summary:
-        print("  ".join(f"{v:.4f}" if isinstance(v, float) else str(v) for v in row))
-    print(f"wrote {args.name} tables to {args.out}")
+    for name, (_, summary) in run_studies(config, args.names, args.out).items():
+        for row in summary:
+            print("  ".join(f"{v:.4f}" if isinstance(v, float) else str(v) for v in row))
+        print(f"wrote {name} tables to {args.out}")
     return 0
 
 
@@ -259,8 +259,8 @@ def build_parser() -> _Parser:
     p.add_argument("--nms-iou", type=float, default=DetectConfig.nms_iou, dest="nms_iou")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("experiment", help="run a canned study")
-    p.add_argument("name", choices=sorted(EXPERIMENTS), help="the study to run")
+    p = sub.add_parser("experiment", help="run canned studies")
+    p.add_argument("names", nargs="+", choices=sorted(EXPERIMENTS), metavar="name", help="the studies to run as one plan")
     p.add_argument("--out", required=True, type=_out_dir, help="output directory for the tables (created if missing)")
     p.add_argument("--config", default=None, help="experiment config JSON")
     p.add_argument("--seeds", type=int, default=None, help="number of trials")
@@ -283,8 +283,8 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError) as exc:
-        # File system, checkpoint, config, collision, dimension and box errors.
+    except (OSError, ValueError, MemoryError) as exc:
+        # File system, checkpoint, config, collision, dimension and box errors, and a network too large to allocate.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

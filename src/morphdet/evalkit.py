@@ -27,7 +27,7 @@ import numpy as np
 from .morph_inference import Box, DetectConfig, detect, iou
 from .numkernel import EmptyInput
 from .prototype_store import UnknownClass
-from .textio import write_csv
+from .textio import check_class_id, write_csv
 
 IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 RECALL_BUDGET = 100  # detections per scene that the report's recall counts
@@ -172,13 +172,13 @@ def evaluate(
     detect runs on every scene, with `config` as it is, asked for the scored classes.
 
     Classes without any ground truth in `scenes` are excluded from means.
-    The state must have a prototype for every listed id.
+    Every listed id must be a class id (textio.check_class_id) with a prototype in the state.
     """
     scenes = list(scenes)
     if not scenes:
         raise EmptyInput("nothing to evaluate: no scenes")
-    base_ids = sorted(set(int(c) for c in base_ids))
-    novel_ids = sorted(set(int(c) for c in novel_ids))
+    base_ids = sorted(set(map(check_class_id, base_ids)))
+    novel_ids = sorted(set(map(check_class_id, novel_ids)))
     clash = set(base_ids) & set(novel_ids)
     if clash:
         raise ValueError(f"classes listed as both base and novel: {sorted(clash)}")

@@ -1,7 +1,11 @@
 """Canned toy-benchmark studies: iteration count, blend weight, prototype
-initialization, and semantics-only registration. Each runner trains across
-several seeds, writes a raw per-run CSV plus a seed-averaged summary CSV, and
-returns both tables.
+initialization, and semantics-only registration, run as one plan. For each
+trial seed, run_studies builds the world once, trains each run the named
+studies read once (the runs that share a lambda list in one train_grid call)
+and registers and evaluates each snapshot a study reads once. Each study writes
+a raw per-run CSV plus a seed-averaged summary CSV and returns both tables. A
+study's run_* runner is the plan of that study alone, so the studies of one
+plan write the tables their runners write one by one.
 
 A World's base-class evaluation split, World.eval_base, is built on first
 read from its own seed stream: `gen` writes it, the studies never read it.
@@ -13,10 +17,12 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from operator import attrgetter
 import os
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .em_trainer import PICK_PLAN_BUDGET, ConfigError, TrainConfig, train, train_grid, visual_init_vectors
+from .em_trainer import PICK_PLAN_BUDGET, ConfigError, TrainConfig, train_grid, visual_init_vectors
+from .em_trainer import train  # noqa: F401  unused here; perfbench's span sites still look up experiments.train
 from .evalkit import evaluate
 from .morph_inference import DetectConfig, morph
 from .prototype_store import add_novel
@@ -113,82 +119,85 @@ def _tables(out_dir, name: str, header: str, raw):
     return raw, summary
 
 
-def _trial_seeds(config: ExperimentConfig):
-    return [config.train.seed + t for t in range(config.seeds)]
+def _registered(state, world: World, how: str, seed: int):
+    """`state` with the novel classes registered: "morph" embeds their exemplars, while "semantic" and "random"
+    (zero-shot and its floor) insert their semantic vectors or seeded random vectors as prototypes."""
+    if how == "morph":
+        return morph(state, world.exemplars)
+    rng, protos = np.random.default_rng([seed + _RANDOM_PROTOS, 7]), state.prototypes
+    for cid in world.universe.novel:
+        protos = add_novel(protos, cid, world.semantics[cid] if how == "semantic" else rng.normal(size=protos.dim))
+    return replace(state, prototypes=protos)
 
 
-def _novel_ap50(state, world: World, config: ExperimentConfig) -> float:
-    morphed = morph(state, world.exemplars)
-    return evaluate(morphed, world.eval_novel, world.universe.base, world.universe.novel, config.detect).novel.ap50
+class Study(NamedTuple):
+    header: str  # of the raw table
+    runs: Callable  # the config's lambda -> the (vector set, lambda) runs the study reads
+    # (train config, report) -> the study's rows of one seed, seed column left out, where
+    # report(vector set, lambda, registration="morph", snapshot=0 for the last) is an EvalReport on eval_novel.
+    rows: Callable
 
 
-def run_em_iterations(config: ExperimentConfig, out_dir=None):
-    """Novel-class AP50 of each post-M-step snapshot, morphed with the same
-    exemplars: the iteration-count trend."""
-    raw = []
-    for seed in _trial_seeds(config):
-        world = build_world(config, seed)
-        result = train(world.train_scenes, world.semantics, replace(config.train, seed=seed))
-        for k, snap in enumerate(result.snapshots, start=1):
-            raw.append((seed, k, _novel_ap50(snap, world, config)))
-    return _tables(out_dir, "em_iterations", "seed,iteration,novel_ap50", raw)
-
-
-def run_lambda(config: ExperimentConfig, out_dir=None):
-    """Novel-class AP50 across the prototype blend-weight grid, its runs of a seed trained in lockstep."""
-    raw = []
-    for seed in _trial_seeds(config):
-        world = build_world(config, seed)
-        [results] = train_grid(world.train_scenes, [world.semantics], replace(config.train, seed=seed), LAMBDA_GRID)
-        for lam, result in zip(LAMBDA_GRID, results):
-            raw.append((seed, lam, _novel_ap50(result.state, world, config)))
-    return _tables(out_dir, "lambda", "seed,lambda,novel_ap50", raw)
-
-
-def run_init(config: ExperimentConfig, out_dir=None):
-    """Semantic prototype initialization against per-class raw-descriptor
-    means, scored on morphed novel-class AP50; a seed's two runs train in lockstep."""
-    raw = []
-    for seed in _trial_seeds(config):
-        world = build_world(config, seed)
-        tcfg = replace(config.train, seed=seed)
-        visual_seeds = visual_init_vectors(world.train_scenes, world.universe.config.d_sem)
-        [sem], [vis] = train_grid(world.train_scenes, [world.semantics, visual_seeds], tcfg, [tcfg.lam])
-        raw.append((seed, "semantic", _novel_ap50(sem.state, world, config)))
-        raw.append((seed, "visual", _novel_ap50(vis.state, world, config)))
-    return _tables(out_dir, "init", "seed,init,novel_ap50", raw)
-
-
-def run_zero_shot(config: ExperimentConfig, out_dir=None):
-    """Registration without exemplars: novel prototypes taken straight from
-    the semantic vectors, against a random-unit-prototype floor. Reports
-    class-agnostic recall@100 over the novel scenes plus novel AP50."""
-    raw = []
-    for seed in _trial_seeds(config):
-        world = build_world(config, seed)
-        result = train(world.train_scenes, world.semantics, replace(config.train, seed=seed))
-        state, base, novel = result.state, world.universe.base, world.universe.novel
-
-        sem_protos = state.prototypes
-        for cid in novel:
-            sem_protos = add_novel(sem_protos, cid, world.semantics[cid])
-        sem_state = replace(state, prototypes=sem_protos)
-
-        rng = np.random.default_rng([seed + _RANDOM_PROTOS, 7])
-        protos = state.prototypes
-        for cid in novel:
-            protos = add_novel(protos, cid, rng.normal(size=protos.dim))
-        rand_state = replace(state, prototypes=protos)
-
-        for method, st in (("semantic", sem_state), ("random", rand_state)):
-            report = evaluate(st, world.eval_novel, base, novel, config.detect)
-            raw.append((seed, method, report.recall, report.novel.ap50))
-    return _tables(out_dir, "zero_shot", "seed,method,recall100,novel_ap50", raw)
-
-
-EXPERIMENTS = {
-    "em_iterations": run_em_iterations,
-    "lambda": run_lambda,
-    "init": run_init,
-    "zero_shot": run_zero_shot,
+STUDIES = {
+    # Novel-class AP50 of each post-M-step snapshot, morphed with the same exemplars: the iteration-count trend.
+    "em_iterations": Study("seed,iteration,novel_ap50", lambda lam: [("semantic", lam)],
+                           lambda t, report: [(k, report("semantic", t.lam, snapshot=k).novel.ap50)
+                                              for k in range(1, t.em_iterations + 1)]),
+    # Novel-class AP50 across the prototype blend-weight grid.
+    "lambda": Study("seed,lambda,novel_ap50", lambda lam: [("semantic", grid_lam) for grid_lam in LAMBDA_GRID],
+                    lambda t, report: [(lam, report("semantic", lam).novel.ap50) for lam in LAMBDA_GRID]),
+    # Semantic prototype initialization against per-class raw-descriptor means, scored on morphed novel-class AP50.
+    "init": Study("seed,init,novel_ap50", lambda lam: [("semantic", lam), ("visual", lam)],
+                  lambda t, report: [(init, report(init, t.lam).novel.ap50) for init in ("semantic", "visual")]),
+    # Registration without exemplars, from the semantic vectors, against a random-unit-prototype floor:
+    # class-agnostic recall@100 over the novel scenes plus novel AP50.
+    "zero_shot": Study("seed,method,recall100,novel_ap50", lambda lam: [("semantic", lam)],
+                       lambda t, report: [(how, r.recall, r.novel.ap50)
+                                          for how in ("semantic", "random") for r in [report("semantic", t.lam, how)]]),
 }
+
+
+def run_studies(config: ExperimentConfig, names, out_dir=None) -> dict:
+    """{name: (raw, summary)} of the named studies, each what its runner alone returns and writes. Per trial seed
+    the world is built once, each run the studies read is trained once, the runs that share their lambda list
+    in one train_grid, and each distinct snapshot and registration is evaluated once."""
+    names, t = list(dict.fromkeys(names)), config.train
+    lams: dict = {}  # vector set -> its lambdas, in first-read order
+    for name in names:
+        for vectors, lam in STUDIES[name].runs(t.lam):
+            lams.setdefault(vectors, {})[lam] = None
+    grid: dict = {}  # lambda list -> the vector sets trained at it
+    for vectors, row in lams.items():
+        grid.setdefault(tuple(row), []).append(vectors)
+    raw: dict = {name: [] for name in names}
+    for seed in range(t.seed, t.seed + config.seeds):
+        world, snapshots, reports = build_world(config, seed), {}, {}
+        scenes = world.train_scenes
+        for grid_lams, sets in grid.items():
+            vectors = [world.semantics if s == "semantic" else visual_init_vectors(scenes, config.universe.d_sem) for s in sets]
+            results = train_grid(scenes, vectors, replace(t, seed=seed), grid_lams)
+            snapshots.update({(s, lam): r.snapshots for s, row in zip(sets, results) for lam, r in zip(grid_lams, row)})
+
+        def report(vectors, lam, how="morph", snapshot=0):
+            k = snapshot or t.em_iterations
+            key = (vectors, lam, how, k)
+            if key not in reports:
+                state = _registered(snapshots[vectors, lam][k - 1], world, how, seed)
+                reports[key] = evaluate(state, world.eval_novel, world.universe.base, world.universe.novel, config.detect)
+            return reports[key]
+
+        for name in names:
+            raw[name] += [(seed, *row) for row in STUDIES[name].rows(t, report)]
+    return {name: _tables(out_dir, name, STUDIES[name].header, raw[name]) for name in names}
+
+
+def _runner(name: str):
+    def run(config: ExperimentConfig, out_dir=None):
+        return run_studies(config, [name], out_dir)[name]
+
+    run.__name__ = run.__qualname__ = f"run_{name}"
+    return run
+
+
+EXPERIMENTS = {name: _runner(name) for name in STUDIES}
+run_em_iterations, run_lambda, run_init, run_zero_shot = EXPERIMENTS.values()  # each the plan of its one study

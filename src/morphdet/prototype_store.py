@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import DimensionMismatch, EmptyInput, l2_normalize
-from .textio import class_id_name, fmt_vector, is_class_id, parse_floats
+from .textio import check_class_id, class_id_name, fmt_vector, is_class_id, parse_floats
 
 UNIT_NORM_TOL = 1e-9
 _UNDECODED = re.compile("[\udc80-\udcff]")  # where surrogateescape put a byte that is not UTF-8
@@ -159,9 +159,7 @@ def add_novel(protos: PrototypeSet, class_id: int, vector) -> PrototypeSet:
     at the class's place in id order. Only what is new is checked: the id, and
     the row, which l2_normalize returns finite and of unit norm or refuses.
     The other rows are copies of the rows of a checked set."""
-    cid = int(class_id)
-    if cid < 1:
-        raise ValueError(f"class ids must be >= 1 (0 is background), got {cid}")
+    cid = check_class_id(class_id)
     k = bisect_left(protos.ids, cid)
     if k < len(protos.ids) and protos.ids[k] == cid:
         raise ClassCollision(f"class {cid} already has a prototype")

@@ -35,6 +35,16 @@ def is_class_id(text: str) -> bool:
     return text.isascii() and text.isdigit() and text[0] != "0"
 
 
+def check_class_id(value) -> int:
+    """`value` as a class id, the value form of is_class_id: a Python or numpy integer >= 1. A bool, a float
+    or a str is refused, never rounded or parsed, and so is an integer below 1 (0 is background)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"class id {value!r} is not an integer")
+    if value < 1:
+        raise ValueError(f"class ids must be >= 1 (0 is background), got {value}")
+    return int(value)
+
+
 def class_id_name(cid) -> str:
     """`cid` as the writers write a class id, refused unless is_class_id takes it back (an integer >= 1)."""
     if not is_class_id(name := str(cid)):

@@ -1,7 +1,9 @@
 """The README quickstart (`gen`, `train`, `morph`, both `eval` forms) and `forward_batch`
 at 1 to 40 rows write the same bytes under the AVX2 (Haswell) and the default kernel of
-numpy's bundled DYNAMIC_ARCH OpenBLAS. Each run is its own process, because OpenBLAS
-reads OPENBLAS_CORETYPE when it loads."""
+numpy's bundled DYNAMIC_ARCH OpenBLAS, and the four studies, run as one plan at the
+default config and one seed, write the tables studies_seed0.sha256 records under both.
+Each kernel's run is its own process, because OpenBLAS reads OPENBLAS_CORETYPE when it
+loads."""
 
 import hashlib
 import os
@@ -20,6 +22,7 @@ import numpy as np
 from morphdet.cli import main
 from morphdet.em_trainer import load_checkpoint
 from morphdet.embedder import forward_batch
+from morphdet.experiments import ExperimentConfig, run_studies
 world, run = sys.argv[1] + "/world", sys.argv[1] + "/run"
 ckpt, morphed = run + "/checkpoint_iter3.ckpt", run + "/morphed.ckpt"
 for argv in (
@@ -34,6 +37,7 @@ params = load_checkpoint(ckpt).params
 x = np.random.default_rng(0).normal(size=(40, params.m_in))
 with open(sys.argv[1] + "/forward_batch.bin", "wb") as fh:
     fh.writelines(head.tobytes() for n in range(1, 41) for head in forward_batch(params, x[:n]))
+run_studies(ExperimentConfig(seeds=1), ["em_iterations", "lambda", "init", "zero_shot"], sys.argv[2])
 """
 
 
@@ -54,19 +58,30 @@ needs_kernels = pytest.mark.skipif(
 )
 
 
-def _digests(out: Path, coretype: str | None) -> dict[str, str]:
+def _digests(out: Path) -> dict[str, str]:
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in out.rglob("*") if p.is_file()}
+
+
+def _run(out: Path, coretype: str | None) -> tuple[dict[str, str], dict[str, str]]:
+    """The digests of the quickstart's files and of the studies' tables, written under one kernel."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     if coretype:
         env["OPENBLAS_CORETYPE"] = coretype
-    subprocess.run([sys.executable, "-c", QUICKSTART, str(out)], env=env, check=True, capture_output=True)
-    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in out.rglob("*") if p.is_file()}
+    quickstart, studies = out / "quickstart", out / "studies"
+    subprocess.run([sys.executable, "-c", QUICKSTART, str(quickstart), str(studies)], env=env, check=True, capture_output=True)
+    return _digests(quickstart), _digests(studies)
 
 
 @pytest.fixture(scope="module")
-def kernel_digests(tmp_path_factory):
+def kernel_runs(tmp_path_factory):
     out = tmp_path_factory.mktemp("kernels")
-    return _digests(out / "default", None), _digests(out / "haswell", "Haswell")
+    return _run(out / "default", None), _run(out / "haswell", "Haswell")
+
+
+@pytest.fixture(scope="module")
+def kernel_digests(kernel_runs):
+    return tuple(quickstart for quickstart, _ in kernel_runs)
 
 
 @needs_kernels
@@ -82,3 +97,12 @@ def test_morph_eval_and_forward_batch_bytes_agree_across_blas_kernels(kernel_dig
     default, haswell = kernel_digests
     assert len(default) == 11 + 1 + 2 + 3 + 1  # morphed.ckpt, eval's and the pair's reports, the sweep
     assert haswell == default
+
+
+@needs_kernels
+def test_a_four_study_plan_writes_the_recorded_tables_under_both_kernels(kernel_runs):
+    lines = Path(__file__).with_name("studies_seed0.sha256").read_text(encoding="ascii").splitlines()
+    recorded = {name: digest for digest, name in (line.split("  ") for line in lines)}
+    assert len(recorded) == 8
+    for _, studies in kernel_runs:
+        assert studies == recorded

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import reframe, tensor_body, without_last_value
 from helpers import params_equal, reference_eval_lines, reference_report_csv, reference_table_rows, vector_for
-from morphdet import em_trainer, experiments
+from morphdet import cli, em_trainer, experiments
 from morphdet.cli import GEN_FILES, _apply_train_overrides, build_parser, main
 from morphdet.em_trainer import CHECKPOINT_HEADER, TrainConfig, load_checkpoint
 from morphdet.embedder import grad_evaluation_count
@@ -292,6 +292,28 @@ def test_train_refuses_batch_size_one(cfg_path, gen_dir, tmp_path, capsys):
     assert rc == 2
     assert "error: batch_size 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_refuses_a_network_too_large_to_allocate(gen_dir, tmp_path, capsys):
+    """Two hidden layers of ten million units need a 728 TiB parameter vector, past any x86-64 address space,
+    so the allocation fails at once and nothing is allocated: one error line, exit 2, no traceback."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"train": {"hidden_sizes": [10_000_000, 10_000_000]}}), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(gen_dir), "--out", str(out), "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 728. TiB") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_memory_error_is_one_error_line_and_exit_2(monkeypatch, tmp_path, capsys):
+    def exhausted(args):
+        raise MemoryError("no room for the world")
+
+    monkeypatch.setattr(cli, "cmd_gen", exhausted)
+    assert main(["gen", "--out", str(tmp_path / "world")]) == 2
+    assert capsys.readouterr().err == "error: no room for the world\n"
 
 
 def test_train_refuses_a_pick_plan_over_budget_and_writes_nothing(cfg_path, gen_dir, tmp_path, capsys, monkeypatch):
@@ -862,6 +884,20 @@ def test_experiment_writes_tables(cfg_path, tmp_path, capsys):
     assert "wrote em_iterations tables" in capsys.readouterr().out
     assert (out / "em_iterations_raw.csv").is_file()
     assert (out / "em_iterations_summary.csv").is_file()
+
+
+def test_experiment_runs_several_studies_as_one_plan(cfg_path, tmp_path, capsys):
+    """Several names make one plan, whose tables are byte-identical to those of one call per name; a name given
+    twice runs once."""
+    names = ["zero_shot", "init", "em_iterations"]
+    for name in names:
+        assert main(["experiment", name, "--config", cfg_path, "--out", str(tmp_path / "apart")]) == 0
+    capsys.readouterr()
+    assert main(["experiment", *names, "init", "--config", cfg_path, "--out", str(tmp_path / "plan")]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+    assert printed == [f"wrote {name} tables to {tmp_path / 'plan'}" for name in names]
+    apart, plan = (sorted((p.name, p.read_bytes()) for p in (tmp_path / d).iterdir()) for d in ("apart", "plan"))
+    assert len(plan) == 6 and plan == apart
 
 
 def test_seed0_quickstart_reproduces_the_recorded_digests(tmp_path, capsys):

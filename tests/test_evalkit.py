@@ -5,6 +5,7 @@ Python (no numpy) so the library versions have something independent to agree
 with, bit for bit, on random inputs."""
 
 import json
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -330,6 +331,27 @@ def test_evaluate_validation():
         evaluate(state, scenes, base_ids=[], novel_ids=[])
     with pytest.raises(EmptyInput, match="no ground truth for the listed classes"):
         evaluate(state, scenes[:1], base_ids=[], novel_ids=[3])  # scene 0 holds classes 1 and 2 only
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(v, f"class id {v!r} is not an integer") for v in (1.5, 1.0, True, "1", np.float64(2.0))]
+    + [(v, f"class ids must be >= 1 (0 is background), got {v}") for v in (0, np.int64(-1))],
+)
+@pytest.mark.parametrize("listed", ["base", "novel"])
+def test_evaluate_refuses_an_id_that_is_not_a_class_id(listed, bad, message):
+    """A float, bool or str id is refused by value, never rounded or parsed into a class it does not name."""
+    state, scenes = _eval_world()
+    base, novel = ([bad], []) if listed == "base" else ([], [bad])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        evaluate(state, scenes, base_ids=base, novel_ids=novel)
+
+
+def test_evaluate_takes_ids_as_a_tuple_or_numpy_integers():
+    state, scenes = _eval_world()
+    plain = evaluate(state, scenes, base_ids=[1, 2], novel_ids=[3])
+    for base, novel in (((1, 2), (3,)), (np.array([1, 2]), [np.int32(3)]), (list(np.arange(1, 3)), np.array([3]))):
+        assert evaluate(state, scenes, base_ids=base, novel_ids=novel) == plain
 
 
 def test_report_serialization(tmp_path):

@@ -1,7 +1,9 @@
 """Benchmark study configs and runners at miniature sizes."""
 
+import itertools
 import math
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,7 @@ from morphdet.experiments import (
     run_em_iterations,
     run_init,
     run_lambda,
+    run_studies,
     run_zero_shot,
 )
 from morphdet.textio import sha256_file
@@ -300,6 +303,52 @@ def test_run_lambda_trains_the_shared_first_m_step_once():
     run_lambda(config)
     rounds = 1 + len(LAMBDA_GRID) * (config.train.em_iterations - 1)
     assert grad_evaluation_count() - before == rounds * steps_per_m_step
+
+
+def _steps_per_m_step(config):
+    proposals = proposal_arrays(build_world(config, seed=0).train_scenes)[0]
+    return config.train.m_step_epochs * math.ceil(len(proposals) / config.train.batch_size)
+
+
+@pytest.mark.parametrize("run", [run_em_iterations, run_zero_shot])
+def test_a_one_run_study_makes_em_iterations_m_steps(run):
+    config = replace(TINY, seeds=1)
+    before = grad_evaluation_count()
+    run(config)
+    assert grad_evaluation_count() - before == config.train.em_iterations * _steps_per_m_step(config)
+
+
+# The (vector set, lambda) runs each study reads at the config's lambda, written out apart from the plan's table.
+READS = {
+    "em_iterations": lambda lam: {("semantic", lam)},
+    "lambda": lambda lam: {("semantic", grid_lam) for grid_lam in LAMBDA_GRID},
+    "init": lambda lam: {("semantic", lam), ("visual", lam)},
+    "zero_shot": lambda lam: {("semantic", lam)},
+}
+SUBSETS = [names for r in range(1, len(EXPERIMENTS) + 1) for names in itertools.combinations(sorted(EXPERIMENTS), r)]
+
+
+@cache
+def _alone(name, lam):
+    return repr(EXPERIMENTS[name](replace(TINY, train=replace(TINY.train, lam=lam))))
+
+
+@pytest.mark.parametrize("lam", [TINY.train.lam, 0.4], ids=["default_lambda", "off_grid_lambda"])
+@pytest.mark.parametrize("names", SUBSETS, ids="+".join)
+def test_a_plan_writes_each_study_s_tables_and_trains_each_run_once(names, lam, tmp_path):
+    """Any set of studies run as one plan gives each study the tables of its runner called alone, at two
+    seeds; every run the studies read trains once, its first M-step shared with the runs of its vector set."""
+    config = replace(TINY, train=replace(TINY.train, lam=lam))
+    before = grad_evaluation_count()
+    tables = run_studies(config, list(names), tmp_path)
+    grads = grad_evaluation_count() - before
+    assert list(tables) == list(names)
+    for name in names:
+        assert repr(tables[name]) == _alone(name, lam)
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(f"{n}_{t}.csv" for n in names for t in ("raw", "summary"))
+    runs = set().union(*(READS[name](lam) for name in names))
+    m_steps = len({vectors for vectors, _ in runs}) + len(runs) * (config.train.em_iterations - 1)
+    assert grads == config.seeds * m_steps * _steps_per_m_step(config)
 
 
 def test_run_init_counts_one_gradient_per_run_and_step():

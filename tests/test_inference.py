@@ -302,6 +302,15 @@ def test_morph_empty_mapping_and_errors(tiny_state, tiny_exemplars):
         morph(tiny_state, {taken: [tiny_exemplars[sorted(tiny_exemplars)[0]][0]]})
 
 
+@pytest.mark.parametrize("bad", [21.5, "22", True, np.float64(22.0)])
+def test_morph_refuses_a_key_that_is_not_a_class_id(tiny_state, tiny_exemplars, bad):
+    """A float key is not rounded to a class, nor a str key parsed into one, nor a bool taken as class 1."""
+    shots = tiny_exemplars[sorted(tiny_exemplars)[0]]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'class id {bad!r} is not an integer')}$"):
+        morph(tiny_state, {bad: shots})
+    assert 22 in morph(tiny_state, {np.int64(22): shots}).prototypes.novel
+
+
 def test_sixty_one_class_morphs_build_the_set_the_full_check_builds(tiny_state):
     rng = np.random.default_rng(28)
     first = max(tiny_state.prototypes.ids) + 1

@@ -183,6 +183,15 @@ def test_add_novel_refuses_an_id_below_one(cid):
         add_novel(small_set(), cid, np.array([0.0, 0.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [8.0, 8.5, "8", True, np.float32(8.0), None])
+def test_add_novel_refuses_an_id_that_is_not_an_integer(bad):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'class id {bad!r} is not an integer')}$"):
+        add_novel(small_set(), bad, np.array([0.0, 0.0, 1.0]))
+    for cid in (8, np.int64(8), np.uint8(8)):
+        grown = add_novel(small_set(), cid, np.array([0.0, 0.0, 1.0]))
+        assert grown.ids == (1, 2, 7, 8) and type(grown.ids[-1]) is int
+
+
 def test_add_novel_rows_pass_the_full_check_bit_for_bit():
     rng = np.random.default_rng(5)
     protos = small_set()
