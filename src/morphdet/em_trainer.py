@@ -37,6 +37,7 @@ from .embedder import (
     forward_batch_with_grad,
     init_params,
     loss_table,
+    param_layout,
     params_from_tensors,
     sgd_step,
 )
@@ -46,7 +47,7 @@ from .prototype_store import PrototypeSet, UnknownClass, e_step_update, init_fro
 from .textio import read_tensor_file, write_csv, write_tensor_file
 
 CHECKPOINT_HEADER = "morphdet-checkpoint v3"
-PICK_PLAN_BUDGET = 2 << 30  # bytes; m_step refuses a larger pick plan before drawing it
+PICK_PLAN_BUDGET = 2 << 30  # bytes; m_step's pick plan and train_grid's network stacks are refused above it, unallocated
 
 
 class TrainingDiverged(RuntimeError):
@@ -351,6 +352,10 @@ def train_grid(dataset, vector_sets, config: TrainConfig, lams) -> list[list[Tra
             raise UnknownClass(f"vector set {s} has no vector for dataset classes {missing}")
 
     protos = [init_from_semantic({cid: vectors[cid] for cid in base_ids}) for vectors in vector_sets]
+    n_runs = len(vector_sets) * len(configs)  # each run's parameter, velocity and gradient rows, 8 bytes a value
+    if (net_bytes := 24 * n_runs * param_layout((X.shape[1], *config.hidden_sizes, protos[0].dim))[1]) > PICK_PLAN_BUDGET:
+        raise ConfigError(f"hidden_sizes {list(config.hidden_sizes)} makes {n_runs}-run parameter, velocity and "
+                          f"gradient stacks of {net_bytes:,} bytes, over the budget of {PICK_PLAN_BUDGET:,}")
     params = init_params(X.shape[1], config.hidden_sizes, protos[0].dim, config.seed)
     sets = range(len(protos))
     names = [f"vector set {s}, every lam" for s in sets]

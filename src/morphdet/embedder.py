@@ -57,7 +57,7 @@ class AffineLayer(NamedTuple):
     bias: np.ndarray  # (n_out,)
 
 
-def _layout(sizes: tuple[int, ...]) -> tuple[tuple, int]:
+def param_layout(sizes: tuple[int, ...]) -> tuple[tuple, int]:
     """((start, stop, shape) per tensor, total length) of the flat vector: the
     trunk layers bottom-up, then the head block, each weight before its bias.
     The head block is a (top, d + 5) weight and a (d + 5,) bias; its columns
@@ -97,7 +97,7 @@ class EmbedderParams:
         if len(sizes) < 2 or not all(_is_size(s) for s in sizes):
             raise ValueError(f"layer sizes (m_in, *hidden, d) must all be integers >= 1, got {sizes}")
         sizes = tuple(map(int, sizes))
-        slots, total = _layout(sizes)
+        slots, total = param_layout(sizes)
         if flat is None:
             flat = np.zeros(total)
         else:

@@ -10,7 +10,7 @@ AP50/AP75 are the usual single-threshold cuts.
 Recall@N is class-agnostic: the top-N detections of each scene are matched to
 that scene's objects ignoring labels, scene by scene. The report collects the
 ground truth first, which fixes the scored classes, then hands detect each
-scene's descriptor and anchor rows as they are, asking for those classes alone.
+scene itself, whose arrays it reads as they are, asking for those classes alone.
 
 An EvalReport holds each figure once: per-class AP, one SubsetMetrics for each
 split (all, base, novel) and recall at RECALL_BUDGET as one number; report.json,
@@ -201,7 +201,7 @@ def evaluate(
         raise EmptyInput("nothing to evaluate: no ground truth for the listed classes")
     dets_by_class: dict[int, list] = {cid: [] for cid in evaluated}
     for pos, scene in enumerate(scenes):
-        for det in detect(state, list(zip(scene.descriptors, scene.anchors)), config, evaluated):
+        for det in detect(state, scene, config, evaluated):
             dets_by_class[det.class_id].append((pos, det.score, det.box))
 
     per_class = {}

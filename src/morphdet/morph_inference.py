@@ -5,23 +5,24 @@ with the frozen network, their mean feature becomes the class's prototype, and
 the network parameters are shared untouched with the new state. No gradient is
 ever computed on this path.
 
-Detection scores every proposal against every registered prototype plus the
-background slot, decodes the class-agnostic box regression, thresholds the
-classes its caller asks for (all by default), and runs per-class greedy NMS
-with a deterministic ordering. Candidates travel as plain (-score, class_id,
-corners) tuples; a Detection is built only for a candidate that NMS keeps.
+Detection reads a scene's descriptor and anchor arrays, or stacks (descriptor, anchor) pairs into
+them once; it scores every proposal against every registered prototype plus the background slot,
+decodes the class-agnostic box regression, thresholds the classes its caller asks for (all by
+default), and runs per-class greedy NMS with a deterministic ordering. Candidates travel as plain
+(-score, class_id, corners) tuples; a Detection is built only for a candidate that NMS keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .em_trainer import DetectorState
 from .embedder import forward_batch
-from .numkernel import DimensionMismatch, EmptyInput
+from .numkernel import DegenerateVector, DimensionMismatch, EmptyInput, NonFiniteValue
 from .objective import posterior_batch
 from .prototype_store import UnknownClass, add_novel
 from .textio import class_id_name, is_class_id, read_tensor_file, write_tensor_file
@@ -127,7 +128,10 @@ def morph(state, exemplars):
         if not len(descs):
             raise EmptyInput(f"class {cid} has no exemplars")
         feats, _, _ = forward_batch(state.params, descs)
-        protos = add_novel(protos, cid, np.add.reduce(feats, axis=0) / len(feats))  # feats.mean(axis=0), bit for bit
+        try:
+            protos = add_novel(protos, cid, np.add.reduce(feats, axis=0) / len(feats))  # feats.mean(axis=0), bit for bit
+        except DegenerateVector as exc:  # a NaN or overflowing exemplar: name its class
+            raise DegenerateVector(f"class {cid}: {exc}") from exc
     return DetectorState(state.params, protos, state.config)
 
 
@@ -158,8 +162,9 @@ def nms(candidates, iou_threshold: float) -> list[Detection]:
 
 
 def detect(state, proposals, config: DetectConfig = DetectConfig(), classes=None) -> list[Detection]:
-    """Score (descriptor, anchor) proposals against every registered class;
-    an anchor is any four corners (x1, y1, x2, y2), a Box among them.
+    """Score a scene's proposals, its `descriptors` (n, m_in) and `anchors` (n, 4) arrays as they are, or
+    (descriptor, anchor) pairs stacked once into such arrays (an anchor is any four corners (x1, y1, x2, y2),
+    a Box among them; ragged pairs raise DimensionMismatch), against every registered class.
 
     Each proposal contributes one candidate per class whose posterior
     probability reaches config.score_threshold, all sharing that proposal's
@@ -167,6 +172,7 @@ def detect(state, proposals, config: DetectConfig = DetectConfig(), classes=None
     per-class NMS at config.nms_iou as (-score, class_id, corners) tuples, and
     only the kept ones become Detections. The settings come checked, as a
     DetectConfig. Pure: identical inputs give an identical list, order included.
+    If decode_box refuses, NonFiniteValue names the first proposal with a non-finite descriptor, feature or posterior row.
 
     `classes`, if given, are the ids the caller reads, each with a prototype (else
     UnknownClass): every class still takes part in the posterior and every box is
@@ -178,13 +184,25 @@ def detect(state, proposals, config: DetectConfig = DetectConfig(), classes=None
         asked = set(classes)
         if unknown := asked.difference(ids):
             raise UnknownClass(f"no prototype for asked classes {sorted(map(int, unknown))}")
-    proposals = list(proposals)
-    if not proposals:
+    if hasattr(proposals, "descriptors"):  # a scene (toyworld imports this module, so no isinstance)
+        descriptors, anchors = proposals.descriptors, proposals.anchors
+    else:
+        descs, corners = (*zip(*proposals),) or ((), ())  # the pairs unzipped; none gives no rows
+        if len(set(map(len, descs))) > 1 or set(map(len, corners)) - {4}:
+            raise DimensionMismatch("want descriptors of one width and anchors of four corners, got ragged pairs")
+        descriptors = np.array(descs, dtype=np.float64)  # the anchors below stack 3x faster flattened first
+        anchors = np.fromiter(chain.from_iterable(corners), np.float64, 4 * len(corners)).reshape(-1, 4)
+    if not len(descriptors):
         return []
-    descriptors = np.array([d for d, _ in proposals], dtype=np.float64)
     feats, bg, deltas = forward_batch(state.params, descriptors)
     q = posterior_batch(feats, bg, state.prototypes)[:, 1:]  # the class columns, background dropped
-    corners = decode_box(np.array([a for _, a in proposals], dtype=np.float64), deltas).tolist()
+    try:
+        corners = decode_box(anchors, deltas).tolist()
+    except InvalidBox:
+        for what, values in (("descriptor", descriptors), ("feature", feats), ("posterior", q)):
+            if (bad := ~np.isfinite(values).all(axis=1)).any():
+                raise NonFiniteValue(f"proposal {int(bad.argmax())} has a non-finite {what}") from None
+        raise
     if classes is not None and len(asked) < len(ids):  # NMS is per class: an unasked column suppresses nothing
         keep = [k for k, cid in enumerate(ids) if cid in asked]
         q, ids = q[:, keep], [ids[k] for k in keep]

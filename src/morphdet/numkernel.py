@@ -1,6 +1,6 @@
 """Shared numeric primitives: unit normalization and the elementwise
 smooth-L1 kernel of box regression, which gives value and slope together,
-plus the error types for mismatched shapes, near-zero norms and empty inputs.
+plus the error types for mismatched shapes, near-zero norms, empty and non-finite inputs.
 
 Everything operates on plain float64 numpy arrays and is pure; bad input
 raises instead of propagating garbage.
@@ -23,6 +23,10 @@ class DegenerateVector(ValueError):
 
 class EmptyInput(ValueError):
     """An aggregate operation received no elements."""
+
+
+class NonFiniteValue(ValueError):
+    """A NaN or an infinity where a finite value is required."""
 
 
 def l2_normalize(a) -> np.ndarray:

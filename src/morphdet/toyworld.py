@@ -125,6 +125,9 @@ class Scene:
     gt_boxes: np.ndarray
     gt_descriptors: np.ndarray
 
+    def __len__(self) -> int:  # the proposal count, as a detect request's len()
+        return len(self.labels)
+
     @property
     def proposals(self) -> tuple[Proposal, ...]:
         rows = zip(self.descriptors, self.anchors.tolist(), self.labels.tolist(), self.targets)

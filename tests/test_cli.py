@@ -295,14 +295,16 @@ def test_train_refuses_batch_size_one(cfg_path, gen_dir, tmp_path, capsys):
 
 
 def test_train_refuses_a_network_too_large_to_allocate(gen_dir, tmp_path, capsys):
-    """Two hidden layers of ten million units need a 728 TiB parameter vector, past any x86-64 address space,
-    so the allocation fails at once and nothing is allocated: one error line, exit 2, no traceback."""
+    """Two hidden layers of ten million units need a 728 TiB parameter vector, three times over with its velocity
+    and gradient: train_grid refuses it by its predicted bytes, naming hidden_sizes, before anything is allocated.
+    One error line, exit 2, no traceback."""
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"train": {"hidden_sizes": [10_000_000, 10_000_000]}}), encoding="utf-8")
     out = tmp_path / "run"
     assert main(["train", "--data", str(gen_dir), "--out", str(out), "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: Unable to allocate 728. TiB") and err.count("\n") == 1
+    assert err.startswith("error: hidden_sizes [10000000, 10000000] makes 1-run parameter, velocity and gradient "
+                          "stacks of 2,400,006,000,000,312 bytes, over the budget of 2,147,483,648") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -430,3 +430,22 @@ def test_evaluate_asks_detect_for_the_scored_classes_and_keeps_the_report_bytes(
     report = evaluate(state, scenes, base, novel)
     assert report_to_json(report) == expected
     assert reached and reached <= set(report.per_class_ap) == set(drawn)
+
+
+def test_evaluate_hands_detect_each_scene_itself_once(tiny_universe, tiny_state, tiny_exemplars, monkeypatch):
+    """One evalkit.detect call per scene, in scene order, whose second argument is the scene with its arrays as
+    they are and a len() of its proposal count: the contract a per-call hook on evalkit.detect counts by."""
+    u, state = tiny_universe, morph(tiny_state, tiny_exemplars)
+    scenes = make_dataset(u, u.base + u.novel, 2, DataConfig(), seed=7)
+    seen = []
+
+    def watched_detect(*args):
+        seen.append((args[1], len(args[1])))
+        return detect(*args)
+
+    detect = evalkit.detect
+    monkeypatch.setattr(evalkit, "detect", watched_detect)
+    report = evaluate(state, scenes, u.base, u.novel)
+    assert [request for request, _ in seen] == scenes
+    assert [count for _, count in seen] == [len(scene.labels) for scene in scenes] == [len(s.proposals) for s in scenes]
+    assert report_to_json(report) == reference_report_json(state, scenes, u.base, u.novel)

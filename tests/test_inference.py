@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import identity_detector, reframe, tensor_body
-from helpers import box_geometry, empty_prototypes, encode_one, params_equal, reference_iou, vector_for
+from helpers import box_geometry, empty_prototypes, encode_one, params_equal, reference_iou, scene_of, vector_for
 from morphdet.em_trainer import DetectorState, TrainConfig
 from morphdet.embedder import clone_params, forward_batch, grad_evaluation_count, init_params
 from morphdet.morph_inference import (
@@ -25,7 +25,7 @@ from morphdet.morph_inference import (
     read_exemplars_csv,
     write_exemplars_csv,
 )
-from morphdet.numkernel import DimensionMismatch, EmptyInput, l2_normalize
+from morphdet.numkernel import DegenerateVector, DimensionMismatch, EmptyInput, NonFiniteValue, l2_normalize
 from morphdet.objective import posterior_batch
 from morphdet.prototype_store import ClassCollision, PrototypeSet, UnknownClass
 from morphdet.toyworld import (
@@ -511,6 +511,74 @@ def test_detect_refuses_a_bad_box_on_a_proposal_with_no_passing_class(bad_deltas
             with pytest.raises(InvalidBox):
                 detect(state, quiet, DetectConfig(score_threshold=0.5), asked)
 
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_classes=st.sampled_from([25, 80]),
+    seed=st.integers(0, 5),
+    rows=st.integers(0, 24),
+    anchor_form=st.sampled_from(["Box", "list", "ndarray"]),
+    data=st.data(),
+)
+def test_detect_on_a_scene_equals_detect_on_its_pairs(n_classes, seed, rows, anchor_form, data):
+    """A scene's own arrays and its (descriptor, anchor) pairs are one request: repr-equal detections, with
+    every class or a random subset asked, at odd, even and zero row counts, whatever form the anchors take."""
+    state, proposals = random_detector(n_classes, seed)
+    proposals = proposals[:rows]
+    scene = scene_of(proposals=[SimpleNamespace(descriptor=d, anchor=a) for d, a in proposals])
+    assert len(scene) == rows
+    as_form = {"Box": lambda a: a, "list": list, "ndarray": np.array}[anchor_form]
+    pairs = [(d, as_form(a)) for d, a in proposals]
+    classes = data.draw(st.none() | st.lists(st.sampled_from(state.prototypes.ids), unique=True))
+    assert repr(detect(state, scene, DetectConfig(), classes)) == repr(detect(state, pairs, DetectConfig(), classes))
+
+
+def test_detect_on_a_generated_scene_equals_detect_on_its_pairs(tiny_state, tiny_dataset):
+    for scene in tiny_dataset:
+        expected = repr(detect(tiny_state, [(p.descriptor, p.anchor) for p in scene.proposals]))
+        assert repr(detect(tiny_state, scene)) == repr(detect(tiny_state, zip(scene.descriptors, scene.anchors))) == expected
+
+
+@pytest.mark.parametrize("ragged", ["short_anchor", "anchors_that_sum_to_four_corners_each", "wide_descriptor"])
+def test_the_pair_form_refuses_ragged_pairs(tiny_state, ragged):
+    """Flattened anchors must not be read across pairs: a 3-corner and a 5-corner anchor hold 8 values, which
+    would reshape into two boxes. One descriptor wider than the others is refused by the same type."""
+    m_in = tiny_state.params.m_in
+    good = (np.zeros(m_in), Box(0.1, 0.1, 0.4, 0.4))
+    bad = {
+        "short_anchor": [good, (np.zeros(m_in), (0.1, 0.1, 0.4))],
+        "anchors_that_sum_to_four_corners_each": [(np.zeros(m_in), (0.1, 0.1, 0.4)), (np.zeros(m_in), (0.4, 0.1, 0.1, 0.4, 0.4))],
+        "wide_descriptor": [good, (np.zeros(m_in + 1), Box(0.1, 0.1, 0.4, 0.4))],
+    }[ragged]
+    with pytest.raises(DimensionMismatch, match="want descriptors of one width and anchors of four corners"):
+        detect(tiny_state, bad)
+
+
+@pytest.mark.parametrize("bad, cols, blamed", [(np.nan, 2, "descriptor"), (-np.inf, 2, "descriptor"), (1e308, slice(None), "feature")])
+@pytest.mark.parametrize("form", ["scene", "pairs"])
+def test_detect_blames_a_non_finite_descriptor_on_its_row(tiny_state, tiny_dataset, bad, cols, blamed, form):
+    """A NaN or infinite descriptor, or a finite one whose features overflow, would surface as a non-finite or
+    degenerate box; detect names the first bad proposal instead, in either request form."""
+    scene = tiny_dataset[0]
+    descriptors = scene.descriptors.copy()
+    descriptors[[5, 9], cols] = bad
+    request = scene_of(proposals=[SimpleNamespace(descriptor=d, anchor=Box(*a)) for d, a in zip(descriptors, scene.anchors.tolist())])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself may warn on its way
+        with pytest.raises(NonFiniteValue, match=f"^proposal 5 has a non-finite {blamed}$"):
+            detect(tiny_state, request if form == "scene" else list(zip(descriptors, scene.anchors)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1e308])
+def test_morph_names_the_class_whose_exemplars_cannot_be_normalized(tiny_state, tiny_exemplars, bad):
+    shots = {cid: rows.copy() for cid, rows in tiny_exemplars.items()}
+    cid = sorted(shots)[-1]
+    shots[cid][1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # 1e308 overflows the sum of squares first
+        with pytest.raises(DegenerateVector, match=f"^class {cid}: cannot normalize: norm (nan|inf) "):
+            morph(tiny_state, shots)
 
 def test_exemplars_csv_round_trip(tmp_path, tiny_exemplars):
     path = tmp_path / "exemplars.csv"

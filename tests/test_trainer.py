@@ -44,6 +44,7 @@ from morphdet.em_trainer import (
     proposal_arrays,
     save_checkpoint,
     train,
+    train_grid,
     visual_init_vectors,
     write_metrics_csv,
 )
@@ -315,6 +316,32 @@ def test_m_step_refuses_a_pick_plan_over_budget_before_drawing_it(tiny_state, ti
                    f"{plan_bytes:,} bytes, over the budget of 2,147,483,648")
         with pytest.raises(ConfigError if over else RuntimeError, match=f"^{re.escape(message)}$" if over else "drawn"):
             m_step([_with_config(tiny_state, **cfg)], *arrays)
+
+
+def test_train_grid_refuses_network_stacks_over_budget_before_allocating_them(tiny_dataset, monkeypatch):
+    """Two hidden layers of 4,000 units hold 16.1M parameters, 386 MB for one run's parameter, velocity and
+    gradient stacks, but nine lockstep runs need 3.5 GB: refused by its predicted bytes, naming hidden_sizes,
+    before init_params, which here fails if called, and with no large allocation on the way."""
+
+    def allocated(*args):
+        raise RuntimeError("network allocated")
+
+    monkeypatch.setattr(em_trainer, "init_params", allocated)
+    semantics = {cid: np.ones(8) for cid in range(1, 7)}
+    config = replace(TINY_TRAIN, hidden_sizes=(4000, 4000))
+    count = 10 * 4000 + 4000 + 4000 * 4000 + 4000 + 4000 * 13 + 13  # m_in 10, feature_dim 8: a 13-column head block
+    message = (f"hidden_sizes [4000, 4000] makes 9-run parameter, velocity and gradient stacks of {24 * 9 * count:,} "
+               "bytes, over the budget of 2,147,483,648")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            train_grid(tiny_dataset, [semantics], config, [0.1 * k for k in range(1, 10)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(RuntimeError, match="network allocated"):  # one run's stacks are under the budget
+        train_grid(tiny_dataset, [semantics], config, [0.5])
 
 
 def test_m_step_steps_a_group_that_differs_only_in_lam(tiny_state, tiny_dataset):
