@@ -41,7 +41,7 @@ from .embedder import (
     params_from_tensors,
     sgd_step,
 )
-from .numkernel import DimensionMismatch, EmptyInput
+from .numkernel import DimensionMismatch, EmptyInput, NonFiniteValue
 from .objective import scoring_matrix
 from .prototype_store import PrototypeSet, UnknownClass, e_step_update, init_from_semantic
 from .textio import read_tensor_file, write_csv, write_tensor_file
@@ -59,7 +59,7 @@ class MissingClassSamples(ValueError):
 
 
 class ConfigError(ValueError):
-    """A config mapping had unknown keys or unusable values."""
+    """A settings section or a config mapping had unknown keys or unusable values."""
 
 
 @dataclass(frozen=True)
@@ -79,64 +79,65 @@ class TrainConfig:
     bbox_weight: float = 1.0
 
     def __post_init__(self):
-        if self.em_iterations < 1:
-            raise ValueError(f"em_iterations must be >= 1, got {self.em_iterations}")
-        if self.m_step_epochs < 0:
-            raise ValueError(f"m_step_epochs must be >= 0, got {self.m_step_epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not 0 < self.lr_decay_factor <= 1:
-            raise ValueError(f"lr_decay_factor must lie in (0, 1], got {self.lr_decay_factor}")
-        if not 0 < self.lr_decay_at <= 1:
-            raise ValueError(f"lr_decay_at must lie in (0, 1], got {self.lr_decay_at}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not 0 <= self.lam <= 1:
-            raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in ("fg_weight", "bg_weight", "bbox_weight"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
-        if not all(h >= 1 for h in self.hidden_sizes):
-            raise ValueError(f"hidden_sizes widths must all be >= 1, got {list(self.hidden_sizes)}")
+        check_settings(
+            self, em_iterations=">= 1", m_step_epochs=">= 0", batch_size=">= 1", learning_rate="> 0",
+            lr_decay_factor="(0, 1]", lr_decay_at="(0, 1]", momentum="[0, 1)", lam="[0, 1]", seed=">= 0",
+            hidden_sizes=">= 1", fg_weight=">= 0", bg_weight=">= 0", bbox_weight=">= 0",
+        )
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _checked(where: str, name: str, default, value):
-    """`value` for the field `name` whose default is `default`, checked against
-    the default's type: int (not bool), a finite int or float, or a list of
-    ints for a tuple; a nested section is filled recursively."""
-    if is_dataclass(default):
-        return fill_dataclass(type(default), value, name)
-    if isinstance(default, int):
-        ok, kind = _is_int(value), "an integer"
-    elif isinstance(default, float):
-        ok = (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
-        kind = "a finite number"
-    else:
-        ok, kind = isinstance(value, list) and all(map(_is_int, value)), "a list of integers"
-    if not ok:
-        raise ConfigError(f"{where}: {name} must be {kind}, got {value!r}")
-    return value
+def _meets(value, rule: str) -> bool:
+    """Whether `value` meets `rule`: a bound such as ">= 1" or "> 0", or an interval such as "(0, 1]"."""
+    if rule[0] in "([":
+        lo, hi = (float(end) for end in rule[1:-1].split(","))
+        return (lo < value if rule[0] == "(" else lo <= value) and (value < hi if rule[-1] == ")" else value <= hi)
+    op, bound = rule.split()
+    return value > float(bound) if op == ">" else value >= float(bound)
+
+
+def check_settings(section, **rules) -> None:
+    """Refuse, as ConfigError naming the field, a value of the settings dataclass `section` that is not of its
+    default's kind (an int that is not a bool; a finite int or float; a list or tuple of such ints, stored as a
+    tuple of widths; the default's own section type), or that breaks its field's rule, which is also the
+    message's text: a bound such as ">= 1" ("finite and > 0" for a number) or an interval such as "(0, 1]"."""
+    for f in fields(section):
+        value, default = getattr(section, f.name), f.default
+        if is_dataclass(default):
+            ok, kind = isinstance(value, type(default)), f"a {type(default).__name__}"
+        elif isinstance(default, int):
+            ok, kind = _is_int(value), "an integer"
+        elif isinstance(default, float):
+            ok = (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+            kind = "a finite number"
+        else:
+            ok, kind = isinstance(value, (list, tuple)) and all(map(_is_int, value)), "a list of integers"
+        if not ok:
+            raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+        rule = rules.get(f.name)
+        if isinstance(default, tuple):
+            object.__setattr__(section, f.name, tuple(value))
+            if rule and not all(_meets(width, rule) for width in value):
+                raise ConfigError(f"{f.name} widths must all be {rule}, got {list(value)}")
+        elif rule and not _meets(value, rule):
+            must = f"lie in {rule}" if rule[0] in "([" else f"be finite and {rule}" if isinstance(default, float) else f"be {rule}"
+            raise ConfigError(f"{f.name} must {must}, got {value}")
 
 
 def fill_dataclass(cls, data, where: str):
-    """`cls` built from a parsed JSON mapping; unknown keys, values of the
-    wrong type and values `cls` refuses raise ConfigError."""
+    """`cls` built from a parsed JSON mapping, each mapping given for a section field filled as that section;
+    unknown keys raise ConfigError, and so do the values that `cls` refuses, prefixed with `where`."""
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected a mapping, got {type(data).__name__}")
     defaults = {f.name: f.default for f in fields(cls)}
     unknown = sorted(set(data) - set(defaults))
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
-    values = {name: _checked(where, name, defaults[name], value) for name, value in data.items()}
+    values = {name: fill_dataclass(type(defaults[name]), value, name)  # a section refused under its own name
+              if is_dataclass(defaults[name]) and isinstance(value, dict) else value for name, value in data.items()}
     try:
         return cls(**values)
     except ValueError as exc:
@@ -185,22 +186,32 @@ class TrainResult:
         return self.snapshots[-1]
 
 
+def _joined(scenes, keys) -> tuple[np.ndarray, ...]:
+    """Each of the scenes' `keys` arrays joined in scene order; a NaN or an infinity in one raises
+    NonFiniteValue naming the first scene and array that hold one."""
+    arrays = tuple(np.concatenate([getattr(scene, key) for scene in scenes]) for key in keys)
+    if not all(np.isfinite(joined).all() for joined in arrays):
+        sid, key = next((s.scene_id, k) for s in scenes for k in keys if not np.isfinite(getattr(s, k)).all())
+        raise NonFiniteValue(f"scene {sid} holds a non-finite value in its {key}")
+    return arrays
+
+
 def proposal_arrays(dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every proposal of `dataset`, in scene order, as descriptors (N, m_in),
-    labels (N,) and box targets (N, 4), zero on background rows."""
+    labels (N,) and box targets (N, 4), zero on background rows; all finite."""
     scenes = [scene for scene in dataset if len(scene.labels)]
     if not scenes:
         raise EmptyInput("dataset has no proposals")
-    return tuple(np.concatenate([getattr(scene, key) for scene in scenes]) for key in ("descriptors", "labels", "targets"))
+    return _joined(scenes, ("descriptors", "labels", "targets"))
 
 
 def ground_truth_arrays(dataset) -> tuple[np.ndarray, np.ndarray]:
     """Every ground-truth object of `dataset`, in scene order, as class ids
-    (G,) and descriptors (G, m_in)."""
+    (G,) and descriptors (G, m_in); all finite."""
     scenes = [scene for scene in dataset if len(scene.gt_ids)]
     if not scenes:
         raise EmptyInput("dataset has no ground-truth objects")
-    return np.concatenate([scene.gt_ids for scene in scenes]), np.concatenate([scene.gt_descriptors for scene in scenes])
+    return _joined(scenes, ("gt_ids", "gt_descriptors"))
 
 
 def _pick_plan(fg_pool, bg_pool, n_fg: int, batch_size: int, steps: int, rng) -> np.ndarray:

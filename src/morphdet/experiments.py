@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .em_trainer import PICK_PLAN_BUDGET, ConfigError, TrainConfig, train_grid, visual_init_vectors
+from .em_trainer import PICK_PLAN_BUDGET, ConfigError, TrainConfig, check_settings, train_grid, visual_init_vectors
 from .em_trainer import train  # noqa: F401  unused here; perfbench's span sites still look up experiments.train
 from .evalkit import evaluate
 from .morph_inference import DetectConfig, morph
@@ -46,10 +46,7 @@ class ExperimentConfig:
     seeds: int = 5
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ConfigError(f"shots must be >= 1, got {self.shots}")
-        if self.seeds < 1:
-            raise ConfigError(f"seeds must be >= 1, got {self.seeds}")
+        check_settings(self, shots=">= 1", seeds=">= 1")
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,18 +14,19 @@ default), and runs per-class greedy NMS with a deterministic ordering. Candidate
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .em_trainer import DetectorState
+from .em_trainer import DetectorState, check_settings
 from .embedder import forward_batch
 from .numkernel import DegenerateVector, DimensionMismatch, EmptyInput, NonFiniteValue
 from .objective import posterior_batch
 from .prototype_store import UnknownClass, add_novel
-from .textio import class_id_name, is_class_id, read_tensor_file, write_tensor_file
+from .textio import check_class_id, class_id_name, is_class_id, read_tensor_file, write_tensor_file
 
 EXEMPLARS_HEADER = "morphdet-exemplars v3"
 
@@ -74,7 +75,7 @@ def encode_box(anchors, targets) -> np.ndarray:
 def decode_box(anchors, deltas) -> np.ndarray:
     """Inverse of encode_box, row by row in its operation order: (n, 4)
     anchor corners and deltas give (n, 4) corners. A row that is not a finite
-    box with x1 < x2 and y1 < y2 (NaN deltas, an overflowing exp) raises InvalidBox."""
+    box with x1 < x2 and y1 < y2 (NaN deltas, an overflowing exp) raises InvalidBox naming the first such row."""
     a = np.asarray(anchors, dtype=np.float64)
     d = np.asarray(deltas, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != 4 or d.shape != a.shape:
@@ -87,7 +88,7 @@ def decode_box(anchors, deltas) -> np.ndarray:
     if not (np.isfinite(out).all() and (out[:, :2] < out[:, 2:]).all()):
         finite = np.isfinite(out).all(axis=1)
         at = np.argmin(finite & (out[:, :2] < out[:, 2:]).all(axis=1))  # the first bad row
-        raise InvalidBox(f"{'degenerate' if finite[at] else 'non-finite'} box corners: {tuple(out[at].tolist())}")
+        raise InvalidBox(f"{'degenerate' if finite[at] else 'non-finite'} box corners: {tuple(out[at].tolist())} at row {at}")
     return out
 
 
@@ -106,10 +107,7 @@ class DetectConfig:
     nms_iou: float = 0.5
 
     def __post_init__(self):
-        if not 0 <= self.score_threshold < 1:
-            raise ValueError(f"score_threshold must lie in [0, 1), got {self.score_threshold}")
-        if not 0 < self.nms_iou < 1:
-            raise ValueError(f"nms_iou must lie in (0, 1), got {self.nms_iou}")
+        check_settings(self, score_threshold="[0, 1)", nms_iou="(0, 1)")
 
 
 def morph(state, exemplars):
@@ -172,16 +170,18 @@ def detect(state, proposals, config: DetectConfig = DetectConfig(), classes=None
     per-class NMS at config.nms_iou as (-score, class_id, corners) tuples, and
     only the kept ones become Detections. The settings come checked, as a
     DetectConfig. Pure: identical inputs give an identical list, order included.
-    If decode_box refuses, NonFiniteValue names the first proposal with a non-finite descriptor, feature or posterior row.
+    A posterior that is not finite raises NonFiniteValue naming the first proposal with a non-finite descriptor,
+    feature or posterior row, in that order; a box that does not decode, InvalidBox naming its row.
 
-    `classes`, if given, are the ids the caller reads, each with a prototype (else
+    `classes`, if given, are the ids the caller reads, each a class id (textio.check_class_id) with a prototype (else
     UnknownClass): every class still takes part in the posterior and every box is
     still decoded, but only asked classes become candidates, so the result is the
     full list filtered to them, order included.
     """
     ids = state.prototypes.ids
     if classes is not None:
-        asked = set(classes)
+        classes = list(classes)  # a type scan first: the ids are checked one by one only if one is not an int
+        asked = set(classes) if {*map(type, classes)} <= {int} else set(map(check_class_id, classes))
         if unknown := asked.difference(ids):
             raise UnknownClass(f"no prototype for asked classes {sorted(map(int, unknown))}")
     if hasattr(proposals, "descriptors"):  # a scene (toyworld imports this module, so no isinstance)
@@ -196,13 +196,11 @@ def detect(state, proposals, config: DetectConfig = DetectConfig(), classes=None
         return []
     feats, bg, deltas = forward_batch(state.params, descriptors)
     q = posterior_batch(feats, bg, state.prototypes)[:, 1:]  # the class columns, background dropped
-    try:
-        corners = decode_box(anchors, deltas).tolist()
-    except InvalidBox:
+    if not math.isfinite(np.add.reduce(q, axis=None)):  # posteriors lie in [0, 1]: only a NaN makes the sum not finite
         for what, values in (("descriptor", descriptors), ("feature", feats), ("posterior", q)):
             if (bad := ~np.isfinite(values).all(axis=1)).any():
-                raise NonFiniteValue(f"proposal {int(bad.argmax())} has a non-finite {what}") from None
-        raise
+                raise NonFiniteValue(f"proposal {int(bad.argmax())} has a non-finite {what}")
+    corners = decode_box(anchors, deltas).tolist()
     if classes is not None and len(asked) < len(ids):  # NMS is per class: an unasked column suppresses nothing
         keep = [k for k, cid in enumerate(ids) if cid in asked]
         q, ids = q[:, keep], [ids[k] for k in keep]

@@ -24,13 +24,12 @@ exemplar seed never perturbs the dataset, and vice versa.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .em_trainer import fill_dataclass
+from .em_trainer import check_settings, fill_dataclass
 from .morph_inference import Box, InvalidBox, decode_box, encode_box
 from .numkernel import l2_normalize
 from .textio import read_tensor_file, write_tensor_file
@@ -67,12 +66,7 @@ class UniverseConfig:
     sigma_inst: float = 0.3
 
     def __post_init__(self):
-        if self.n_base < 1:
-            raise ValueError(f"n_base must be >= 1, got {self.n_base}")
-        if self.n_novel < 1:
-            raise ValueError(f"n_novel must be >= 1, got {self.n_novel}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        check_settings(self, n_base=">= 1", n_novel=">= 1", k=">= 1", sigma_sem=">= 0", sigma_inst=">= 0")
         if self.d_sem < self.k:
             raise ValueError(f"d_sem must be >= k ({self.k}), got {self.d_sem}")
         if self.m_in - GEOMETRY_FEATURES < self.k:
@@ -81,8 +75,6 @@ class UniverseConfig:
                 f"got {self.m_in}"
             )
         for name in ("sigma_sem", "sigma_inst"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
             object.__setattr__(self, name, float(getattr(self, name)))
 
 
@@ -99,11 +91,8 @@ class DataConfig:
     jitter: float = 0.12
 
     def __post_init__(self):
-        for name in ("train_scenes_per_class", "eval_scenes_per_class", "objects_per_scene", "proposals_per_scene"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0 <= self.jitter < math.inf:
-            raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
+        check_settings(self, train_scenes_per_class=">= 1", eval_scenes_per_class=">= 1", objects_per_scene=">= 1",
+                       proposals_per_scene=">= 1", jitter=">= 0")
 
 
 # What Scene.proposals builds on demand; a background proposal (label 0) has no targets.

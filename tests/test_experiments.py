@@ -2,7 +2,8 @@
 
 import itertools
 import math
-from dataclasses import replace
+import re
+from dataclasses import fields, is_dataclass, replace
 from functools import cache
 from pathlib import Path
 
@@ -144,6 +145,46 @@ def test_config_from_dict_rejects_unknowns():
             config_of({old_key: value})
     cfg = config_of({"universe": {"sigma_sem": 1}})
     assert cfg.universe.sigma_sem == 1
+
+
+SECTIONS = (UniverseConfig, DataConfig, TrainConfig, DetectConfig, ExperimentConfig)
+
+
+def _wrong_kinds(default):
+    """Values that a field with this default refuses by kind, whichever way they come in."""
+    if is_dataclass(default):
+        return [7, "x", None, [1], DetectConfig() if not isinstance(default, DetectConfig) else DataConfig()]
+    if isinstance(default, int):
+        return [2.5, 3.0, True, "3", None, np.int64(3), [3]]
+    if isinstance(default, float):
+        return ["0.4", None, True, float("nan"), float("inf"), -float("inf"), 10**400, np.float32(0.5), [0.4]]
+    return [5, None, "64", [8, 2.5], (64.9, 64), [True], [np.int64(8)], [[8]]]
+
+
+@pytest.mark.parametrize(
+    "cls, name", [(cls, f.name) for cls in SECTIONS for f in fields(cls)], ids=lambda x: getattr(x, "__name__", x)
+)
+def test_every_setting_refuses_a_wrong_kind_alike_from_code_and_from_a_file(cls, name):
+    """One check per setting: the section's constructor refuses a value of the wrong kind, naming the field,
+    and a config mapping meets the same refusal word for word, after its `where` prefix."""
+    default = next(f.default for f in fields(cls) if f.name == name)
+    for value in _wrong_kinds(default):
+        with pytest.raises(ValueError) as built:
+            cls(**{name: value})
+        message = str(built.value)
+        assert message.startswith(f"{name} must be ") and message.endswith(f", got {value!r}")
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'where: {message}')}$"):
+            fill_dataclass(cls, {name: value}, "where")
+
+
+def test_settings_keep_the_kind_they_were_given():
+    """Only hidden_sizes (a tuple) and the universe's noise scales (floats) are stored otherwise than given, so a
+    config file's int in a float field reaches asdict, and the checkpoint's bytes, as the int it was."""
+    assert type(TrainConfig(learning_rate=1).learning_rate) is int
+    assert type(config_of({"train": {"lam": 1}}).train.lam) is int
+    assert TrainConfig(hidden_sizes=[8, 4]).hidden_sizes == (8, 4) == config_of({"train": {"hidden_sizes": [8, 4]}}).train.hidden_sizes
+    assert type(UniverseConfig(sigma_sem=1).sigma_sem) is float
+    assert type(TrainConfig(lam=np.float64(0.5)).lam) is np.float64  # a float, as the file checker takes it
 
 
 def test_build_world_structure_and_determinism():

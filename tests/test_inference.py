@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import identity_detector, reframe, tensor_body
 from helpers import box_geometry, empty_prototypes, encode_one, params_equal, reference_iou, scene_of, vector_for
 from morphdet.em_trainer import DetectorState, TrainConfig
+from morphdet.evalkit import evaluate
 from morphdet.embedder import clone_params, forward_batch, grad_evaluation_count, init_params
 from morphdet.morph_inference import (
     Box,
@@ -27,7 +28,7 @@ from morphdet.morph_inference import (
 )
 from morphdet.numkernel import DegenerateVector, DimensionMismatch, EmptyInput, NonFiniteValue, l2_normalize
 from morphdet.objective import posterior_batch
-from morphdet.prototype_store import ClassCollision, PrototypeSet, UnknownClass
+from morphdet.prototype_store import ClassCollision, PrototypeSet, UnknownClass, add_novel
 from morphdet.toyworld import (
     DATASET_HEADER,
     DataConfig,
@@ -178,8 +179,10 @@ def test_decode_box_names_the_first_bad_row_among_several():
     deltas = np.zeros((4, 4))
     deltas[2, 0] = np.nan  # row 2 decodes non-finite; rows 1 and 3 are degenerate with zero deltas
     for order, message in (
-        ([0, 1, 2, 3], "degenerate box corners: (0.5, 0.0, 0.5, 1.0)"),
-        ([0, 2, 3, 1], "non-finite box corners: (nan, 0.09999999999999998, nan, 0.4)"),
+        ([0, 1, 2, 3], "degenerate box corners: (0.5, 0.0, 0.5, 1.0) at row 1"),
+        ([0, 2, 3, 1], "non-finite box corners: (nan, 0.09999999999999998, nan, 0.4) at row 1"),
+        ([2, 0, 1, 3], "non-finite box corners: (nan, 0.09999999999999998, nan, 0.4) at row 0"),
+        ([0, 0, 0, 1], "degenerate box corners: (0.5, 0.0, 0.5, 1.0) at row 3"),
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -568,6 +571,57 @@ def test_detect_blames_a_non_finite_descriptor_on_its_row(tiny_state, tiny_datas
         warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself may warn on its way
         with pytest.raises(NonFiniteValue, match=f"^proposal 5 has a non-finite {blamed}$"):
             detect(tiny_state, request if form == "scene" else list(zip(descriptors, scene.anchors)))
+
+
+def test_detect_refuses_a_proposal_whose_posterior_is_not_finite_even_when_its_box_decodes():
+    """Features that overflow make a NaN posterior row, which no class passes, while the zero box head still
+    decodes the anchor: the proposal was dropped from the detections in silence, and is now refused by row."""
+    state, anchor = identity_detector([(1, [1.0, 0.0]), (2, [0.0, 1.0])]), Box(0.1, 0.1, 0.4, 0.4)
+    assert detect(state, [(np.array([1.0, 0.0]), anchor)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself warns on its way
+        with pytest.raises(NonFiniteValue, match="^proposal 1 has a non-finite feature$"):
+            detect(state, [(np.array([1.0, 0.0]), anchor), (np.array([1e308, 0.0]), anchor)])
+
+
+@pytest.mark.parametrize("col", [2, 6])
+def test_detect_names_the_row_of_a_finite_descriptor_whose_box_does_not_decode(tiny_state, tiny_dataset, col):
+    """A huge finite value in one column keeps the features and the posterior finite, but not the box."""
+    scene = tiny_dataset[0]
+    descriptors = scene.descriptors.copy()
+    descriptors[5, col] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the softmax's max shift may overflow on its way
+        with pytest.raises(InvalidBox, match=r"^degenerate box corners: \(.*\) at row 5$"):
+            detect(tiny_state, list(zip(descriptors, scene.anchors)))
+
+
+ID_KINDS = {int: True, np.int64: True, bool: False, float: False, str: False}  # kind: whether an id of it is taken
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(list(ID_KINDS)), cid=st.integers(1, 6), entry=st.sampled_from(
+    ["morph", "add_novel", "detect", "evaluate_base", "evaluate_novel"]))
+def test_every_id_taking_entry_takes_an_integer_id_and_refuses_a_bool_float_or_str(
+    tiny_state, tiny_dataset, tiny_exemplars, kind, cid, entry
+):
+    """An int or numpy int id is the class it names; a bool, a float or a str is refused by value, never read
+    as a class. Base ids 1-6 have prototypes; morph and add_novel register a new id, cid + 100."""
+    new, shots = cid + 100, tiny_exemplars[sorted(tiny_exemplars)[0]]
+    run = {
+        "morph": lambda c: morph(tiny_state, {c: shots}).prototypes.ids,
+        "add_novel": lambda c: add_novel(tiny_state.prototypes, c, np.ones(tiny_state.prototypes.dim)).ids,
+        "detect": lambda c: detect(tiny_state, tiny_dataset[0], DetectConfig(), [c]),
+        "evaluate_base": lambda c: evaluate(tiny_state, tiny_dataset, [c], []),
+        "evaluate_novel": lambda c: evaluate(tiny_state, tiny_dataset, [], [c]),
+    }[entry]
+    plain = new if entry in ("morph", "add_novel") else cid
+    value = kind(plain)
+    if ID_KINDS[kind]:
+        assert repr(run(value)) == repr(run(plain))
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'class id {value!r} is not an integer')}$"):
+            run(value)
 
 
 @pytest.mark.parametrize("bad", [np.nan, 1e308])

@@ -50,7 +50,7 @@ from morphdet.em_trainer import (
 )
 from morphdet.embedder import CheckpointError, clone_params, forward_batch, forward_batch_with_grad, init_params, sgd_step
 from morphdet.morph_inference import morph
-from morphdet.numkernel import DimensionMismatch, EmptyInput
+from morphdet.numkernel import DimensionMismatch, EmptyInput, NonFiniteValue
 from morphdet.prototype_store import PrototypeSet, UnknownClass, add_novel, e_step_update, init_from_semantic
 from morphdet.toyworld import semantic_vectors
 
@@ -122,6 +122,48 @@ def test_proposal_arrays_preserves_order(tiny_dataset):
         assert np.array_equal(target, prop.target_deltas if label > 0 else np.zeros(4))
     with pytest.raises(EmptyInput):
         proposal_arrays([_scene()])
+
+
+def _spoiled(dataset, k, key, row, value=np.nan):
+    """`dataset` with scene k's `key` array a copy whose row `row` holds `value` in its first column."""
+    array = getattr(dataset[k], key).copy()
+    array[row, 0] = value
+    return [replace(scene, **{key: array}) if j == k else scene for j, scene in enumerate(dataset)]
+
+
+@pytest.mark.parametrize("key", ["descriptors", "targets", "gt_descriptors"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_stacked_arrays_refuse_a_non_finite_value_naming_its_scene(tiny_dataset, key, value):
+    fg_row = int(np.flatnonzero(tiny_dataset[3].labels)[0])  # targets are nonzero on foreground rows alone
+    spoiled = _spoiled(tiny_dataset, 3, key, fg_row, value)
+    stack = ground_truth_arrays if key.startswith("gt_") else proposal_arrays
+    with pytest.raises(NonFiniteValue, match=f"^scene {tiny_dataset[3].scene_id} holds a non-finite value in its {key}$"):
+        stack(spoiled)
+
+
+def test_train_refuses_a_nan_descriptor_on_a_row_that_one_epoch_never_samples(tiny_universe, tiny_dataset, monkeypatch):
+    """A NaN on a row that no step draws trains to finite losses; the stacked arrays are checked once per run,
+    so training refuses the row's scene before the first step."""
+    config, vectors = replace(TINY_TRAIN, em_iterations=1, m_step_epochs=1), semantic_vectors(tiny_universe)
+    sampled, steps, original = set(), [], em_trainer.forward_batch_with_grad
+
+    def recording(params, X, *rest):
+        sampled.update(row.tobytes() for row in X)
+        steps.append(len(X))
+        return original(params, X, *rest)
+
+    monkeypatch.setattr(em_trainer, "forward_batch_with_grad", recording)
+    train(tiny_dataset, vectors, config)
+    k, row = next((k, r) for k, scene in enumerate(tiny_dataset) for r, d in enumerate(scene.descriptors)
+                  if d.tobytes() not in sampled)
+    spoiled = _spoiled(tiny_dataset, k, "descriptors", row)
+    X, labels, targets = (np.concatenate([getattr(s, key) for s in spoiled]) for key in ("descriptors", "labels", "targets"))
+    _, [records] = m_step([train(tiny_dataset, vectors, config).state], X, labels, targets, 1)
+    assert all(math.isfinite(r.total) for r in records)  # the row would go unseen
+    calls = len(steps)
+    with pytest.raises(NonFiniteValue, match=f"^scene {tiny_dataset[k].scene_id} holds a non-finite value in its descriptors$"):
+        train(spoiled, vectors, config)
+    assert len(steps) == calls
 
 
 def test_sampler_reshuffles_lazily_from_the_shared_rng():
