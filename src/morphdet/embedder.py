@@ -149,9 +149,8 @@ def init_params(m_in: int, hidden_sizes, feature_dim: int, seed: int) -> Embedde
 
 
 def _forward(params: EmbedderParams, descriptors):
-    """Trunk pre-activations, trunk activations (input first) and the three
-    heads (features, background logits, box deltas) for a descriptor batch,
-    as column views of one head-block product; a stack's have its run axis."""
+    """Trunk pre-activations, trunk activations (input first) and the head
+    block for a descriptor batch (split_heads); a stack's have its run axis."""
     x = np.asarray(descriptors, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.m_in:
         raise DimensionMismatch(f"descriptor batch has shape {x.shape}, expected (n, {params.m_in})")
@@ -164,8 +163,13 @@ def _forward(params: EmbedderParams, descriptors):
         acts.append(np.maximum(z, 0.0))
     heads = acts[-1] @ params.heads.weight
     heads += params._row_biases[-1]
+    return pre_acts, acts, heads
+
+
+def split_heads(params: EmbedderParams, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The head block's column views: features, background logits and box deltas."""
     d = params.feature_dim
-    return pre_acts, acts, (heads[..., :d], heads[..., d], heads[..., d + 1 :])
+    return heads[..., :d], heads[..., d], heads[..., d + 1 :]
 
 
 def forward_batch(params: EmbedderParams, descriptors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -175,9 +179,10 @@ def forward_batch(params: EmbedderParams, descriptors) -> tuple[np.ndarray, np.n
     product the same bytes at even row counts only."""
     x = np.asarray(descriptors, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.m_in or len(x) % 2 == 0:  # _forward refuses a bad shape as given
-        return _forward(params, x)[2]
-    feats, bg, deltas = _forward(params, np.concatenate((x, np.zeros((1, x.shape[1])))))[2]
-    return feats[..., :-1, :], bg[..., :-1], deltas[..., :-1, :]
+        return split_heads(params, _forward(params, x)[2])
+    padded = np.zeros((len(x) + 1, x.shape[1]))
+    padded[:-1] = x
+    return split_heads(params, _forward(params, padded)[2][..., :-1, :])  # the head block cut once
 
 
 def clone_params(params: EmbedderParams) -> EmbedderParams:
@@ -223,7 +228,8 @@ def forward_batch_with_grad(
     if got != want:
         raise DimensionMismatch(f"gradient buffer has sizes and flat shape {got}, expected {want}")
     # Forward pass, keeping pre-activations for the backward sweep.
-    pre_acts, acts, (feats, bg, deltas) = _forward(params, descriptors)
+    pre_acts, acts, heads = _forward(params, descriptors)
+    feats, bg, deltas = split_heads(params, heads)
     all_logits, log_denom, q = softmax_terms(feats, bg, table[..., 1:, :])  # column 0 = background
 
     n_fg = len(fg_targets)

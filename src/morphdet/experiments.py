@@ -117,14 +117,13 @@ def _tables(out_dir, name: str, header: str, raw):
 
 
 def _registered(state, world: World, how: str, seed: int):
-    """`state` with the novel classes registered: "morph" embeds their exemplars, while "semantic" and "random"
-    (zero-shot and its floor) insert their semantic vectors or seeded random vectors as prototypes."""
+    """`state` with the novel classes registered in one call: "morph" embeds their exemplars, while "semantic" and
+    "random" (zero-shot and its floor) insert their semantic vectors or seeded random vectors as prototypes."""
     if how == "morph":
         return morph(state, world.exemplars)
-    rng, protos = np.random.default_rng([seed + _RANDOM_PROTOS, 7]), state.prototypes
-    for cid in world.universe.novel:
-        protos = add_novel(protos, cid, world.semantics[cid] if how == "semantic" else rng.normal(size=protos.dim))
-    return replace(state, prototypes=protos)
+    novel, protos, rng = world.universe.novel, state.prototypes, np.random.default_rng([seed + _RANDOM_PROTOS, 7])
+    rows = [world.semantics[cid] for cid in novel] if how == "semantic" else rng.normal(size=(len(novel), protos.dim))
+    return replace(state, prototypes=add_novel(protos, novel, rows))  # one (n, dim) draw: the values of n draws of dim
 
 
 class Study(NamedTuple):

@@ -1,15 +1,16 @@
 """Morphing a trained detector onto novel classes, and the detection pipeline.
 
-Morphing is forward-only: each novel class's exemplar descriptors are embedded
-with the frozen network, their mean feature becomes the class's prototype, and
-the network parameters are shared untouched with the new state. No gradient is
-ever computed on this path.
+Morphing is forward-only: every novel class's exemplar descriptors are embedded
+with the frozen network in one forward pass, each class's mean feature becomes its
+prototype, all inserted at once, and the network parameters are shared untouched
+with the new state. No gradient is ever computed on this path.
 
 Detection reads a scene's descriptor and anchor arrays, or stacks (descriptor, anchor) pairs into
 them once; it scores every proposal against every registered prototype plus the background slot,
 decodes the class-agnostic box regression, thresholds the classes its caller asks for (all by
 default), and runs per-class greedy NMS with a deterministic ordering. Candidates travel as plain
-(-score, class_id, corners) tuples; a Detection is built only for a candidate that NMS keeps.
+(-score, class_id, corners) tuples; a Detection is built only for a candidate that NMS keeps. An
+overflow in the forward pass, posterior or decode is refused by proposal, with no numpy warning first.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import numpy as np
 
 from .em_trainer import DetectorState, check_settings
 from .embedder import forward_batch
-from .numkernel import DegenerateVector, DimensionMismatch, EmptyInput, NonFiniteValue
+from .numkernel import DimensionMismatch, EmptyInput, NonFiniteValue
 from .objective import posterior_batch
-from .prototype_store import UnknownClass, add_novel
+from .prototype_store import UnknownClass, add_novel, check_new_class
 from .textio import check_class_id, class_id_name, is_class_id, read_tensor_file, write_tensor_file
 
 EXEMPLARS_HEADER = "morphdet-exemplars v3"
@@ -113,24 +114,28 @@ class DetectConfig:
 def morph(state, exemplars):
     """Register novel classes on a trained detector from exemplar descriptors.
 
-    `exemplars` maps class_id -> its descriptors: one non-empty (shots, m_in) array, or
-    a sequence of its rows. Each class's prototype is the unit-normalized mean of its
-    exemplars' feature vectors under the frozen network. Returns a new state sharing the
-    same network parameters object; an empty mapping returns the state unchanged.
+    `exemplars` maps class_id -> its descriptors: one non-empty (shots, m_in) array, or a sequence of its rows. Each
+    class's prototype is the unit-normalized mean of its exemplars' feature vectors under the frozen network. Every
+    class is checked in id order before one forward pass embeds all the exemplars and one add_novel call inserts
+    every prototype. Returns a new state sharing the same network parameters object; an empty mapping returns it as is.
     """
     if not exemplars:
         return state
-    protos = state.prototypes
-    for cid in sorted(exemplars):
-        descs = np.asarray(exemplars[cid], dtype=np.float64)
-        if not len(descs):
+    protos, m_in, ids, blocks = state.prototypes, state.params.m_in, [], []
+    for key in sorted(exemplars):
+        ids.append(cid := check_new_class(protos, key))
+        blocks.append(block := np.asarray(exemplars[key], dtype=np.float64))
+        if block.ndim and not len(block):  # no rows; a 0-d block is refused by the width check
             raise EmptyInput(f"class {cid} has no exemplars")
-        feats, _, _ = forward_batch(state.params, descs)
-        try:
-            protos = add_novel(protos, cid, np.add.reduce(feats, axis=0) / len(feats))  # feats.mean(axis=0), bit for bit
-        except DegenerateVector as exc:  # a NaN or overflowing exemplar: name its class
-            raise DegenerateVector(f"class {cid}: {exc}") from exc
-    return DetectorState(state.params, protos, state.config)
+        if block.ndim != 2 or block.shape[1] != m_in:
+            raise DimensionMismatch(f"descriptor batch has shape {block.shape}, expected (n, {m_in})")
+    feats, means, start = forward_batch(state.params, blocks[0] if len(blocks) == 1 else np.concatenate(blocks))[0], [], 0
+    for block in blocks:  # one reduce per class keeps each mean's bits; np.add.reduceat sums in another order
+        means.append(np.add.reduce(feats[start : (start := start + len(block))], axis=0, keepdims=True) / len(block))
+    grown = add_novel(protos, ids, means[0] if len(means) == 1 else np.concatenate(means))
+    morphed = object.__new__(DetectorState)  # the state's checks hold as they did: only its set grew
+    vars(morphed).update(vars(state), prototypes=grown)
+    return morphed
 
 
 def nms(candidates, iou_threshold: float) -> list[Detection]:
@@ -155,7 +160,7 @@ def nms(candidates, iou_threshold: float) -> list[Detection]:
                 break
         else:
             boxes.append(corners)
-            kept.append(Detection(class_id, -neg_score, Box(*corners)))
+            kept.append(tuple.__new__(Detection, (class_id, -neg_score, tuple.__new__(Box, corners))))  # skips argument parsing
     return kept
 
 
@@ -194,16 +199,17 @@ def detect(state, proposals, config: DetectConfig = DetectConfig(), classes=None
         anchors = np.fromiter(chain.from_iterable(corners), np.float64, 4 * len(corners)).reshape(-1, 4)
     if not len(descriptors):
         return []
-    feats, bg, deltas = forward_batch(state.params, descriptors)
-    q = posterior_batch(feats, bg, state.prototypes)[:, 1:]  # the class columns, background dropped
-    if not math.isfinite(np.add.reduce(q, axis=None)):  # posteriors lie in [0, 1]: only a NaN makes the sum not finite
-        for what, values in (("descriptor", descriptors), ("feature", feats), ("posterior", q)):
-            if (bad := ~np.isfinite(values).all(axis=1)).any():
-                raise NonFiniteValue(f"proposal {int(bad.argmax())} has a non-finite {what}")
-    corners = decode_box(anchors, deltas).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, with no warning first
+        feats, bg, deltas = forward_batch(state.params, descriptors)
+        q = posterior_batch(feats, bg, state.prototypes)[:, 1:]  # the class columns, background dropped
+        if not math.isfinite(np.add.reduce(q, axis=None)):  # posteriors lie in [0, 1]: only a NaN makes the sum not finite
+            for what, values in (("descriptor", descriptors), ("feature", feats), ("posterior", q)):
+                if (bad := ~np.isfinite(values).all(axis=1)).any():
+                    raise NonFiniteValue(f"proposal {int(bad.argmax())} has a non-finite {what}")
+        corners = decode_box(anchors, deltas).tolist()
     if classes is not None and len(asked) < len(ids):  # NMS is per class: an unasked column suppresses nothing
         keep = [k for k, cid in enumerate(ids) if cid in asked]
-        q, ids = q[:, keep], [ids[k] for k in keep]
+        q, ids = q.take(keep, axis=1), [ids[k] for k in keep]  # take: the same columns as q[:, keep], sooner
     passing = q >= config.score_threshold
     rows, cols = np.nonzero(passing)  # row-major, the order of q[passing]
     candidates = [(s, ids[k], corners[i]) for s, i, k in zip((-q[passing]).tolist(), rows.tolist(), cols.tolist())]

@@ -8,6 +8,8 @@ raises instead of propagating garbage.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 NORM_EPS = 1e-12
@@ -29,14 +31,19 @@ class NonFiniteValue(ValueError):
     """A NaN or an infinity where a finite value is required."""
 
 
-def l2_normalize(a) -> np.ndarray:
-    """Scale to unit Euclidean norm, taken from numpy's own sum of squares
-    (not BLAS), so its bits do not depend on the BLAS kernel. Rejects a norm
-    <= 1e-12, and one that is not finite (a sum of squares that overflows)."""
-    a = np.asarray(a, dtype=np.float64)
-    norm = float(np.sqrt(np.add.reduce(a * a, axis=None)))
-    if not NORM_EPS < norm < np.inf:
-        raise DegenerateVector(f"cannot normalize: norm {norm!r} is not a finite value > {NORM_EPS}")
+def l2_normalize(a, label=None) -> np.ndarray:
+    """Scale a vector, or each row of a stack, to unit Euclidean norm, taken from numpy's own sum of squares
+    (not BLAS), so its bits depend neither on the BLAS kernel nor on the stack a row is in. Rejects a norm
+    <= 1e-12 or not finite (a sum of squares that overflows), naming the first such row by label(row)."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if a.ndim < 2 or a.size == a.shape[-1]:  # one row divides by a scalar norm: the stack form's bits, sooner
+        norms = [norm := math.sqrt(np.add.reduce(a * a, axis=None))]
+    else:
+        norms = (norm := np.sqrt(np.add.reduce(a * a, axis=-1, keepdims=True))).ravel().tolist()
+    for row, value in enumerate(norms):
+        if not NORM_EPS < value < np.inf:
+            where = f"{label(row)}: " if label else ""
+            raise DegenerateVector(f"{where}cannot normalize: norm {value!r} is not a finite value > {NORM_EPS}")
     return a / norm
 
 

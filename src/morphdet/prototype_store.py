@@ -5,10 +5,10 @@ proposal's feature vector and each prototype drives classification. A
 PrototypeSet keeps every prototype as one row of a matrix ordered by class
 id, which detection and the training loss score against as it stands.
 Base prototypes are seeded from semantic vectors and refitted during
-training; a novel class is registered after training by inserting one
-unit-normalized row, computed from exemplar features or taken straight from
-a semantic vector. Background has no prototype -- the embedder regresses a
-background logit directly.
+training; novel classes are registered after training by inserting their
+unit-normalized rows, computed from exemplar features or taken straight from
+semantic vectors, all at once; every write normalizes its rows in one call.
+Background has no prototype -- the embedder regresses a background logit directly.
 
 Prototype sets are immutable values: every update returns a new set.
 """
@@ -91,35 +91,20 @@ class PrototypeSet:
         return class_id in self.ids
 
 
-def _grown(ids, matrix, novel) -> PrototypeSet:
-    """A set from parts that already hold every invariant, frozen but not checked again."""
-    matrix.flags.writeable = False
-    grown = object.__new__(PrototypeSet)
-    vars(grown).update(ids=ids, matrix=matrix, novel=novel)
-    return grown
-
-
 def init_from_semantic(vectors: Mapping) -> PrototypeSet:
     """Build base prototypes by unit-normalizing one semantic vector per
     class, given as a mapping {class_id: vector}."""
-    rows: dict[int, np.ndarray] = {}
-    dim: int | None = None
-    for cid, raw in vectors.items():
-        cid = int(cid)
-        vec = np.asarray(raw, dtype=np.float64)
+    rows = {int(cid): np.asarray(raw, dtype=np.float64) for cid, raw in vectors.items()}
+    if not rows:
+        raise EmptyInput("no semantic vectors given")
+    first = next(iter(rows.values())).shape
+    for cid, vec in rows.items():
         if vec.ndim != 1:
             raise DimensionMismatch(f"semantic vector for class {cid} must be 1-D")
-        if dim is None:
-            dim = vec.shape[0]
-        elif vec.shape[0] != dim:
-            raise DimensionMismatch(
-                f"semantic vector for class {cid} has dim {vec.shape[0]}, expected {dim}"
-            )
-        rows[cid] = l2_normalize(vec)
-    if dim is None:
-        raise EmptyInput("no semantic vectors given")
+        if vec.shape != first:
+            raise DimensionMismatch(f"semantic vector for class {cid} has dim {vec.shape[0]}, expected {first[0]}")
     ids = tuple(sorted(rows))
-    return PrototypeSet(ids=ids, matrix=np.stack([rows[cid] for cid in ids]))
+    return PrototypeSet(ids=ids, matrix=l2_normalize(np.stack([rows[cid] for cid in ids]), lambda row: f"class {ids[row]}"))
 
 
 def e_step_update(protos: PrototypeSet, means, lam: float) -> PrototypeSet:
@@ -127,50 +112,58 @@ def e_step_update(protos: PrototypeSet, means, lam: float) -> PrototypeSet:
 
     Each mean is unit-normalized, blended elementwise with the (already unit)
     old prototype as (1 - lam) * mean_hat + lam * old, and the blend is
-    re-normalized. lam = 1 keeps the stored vectors bit-for-bit; lam = 0
-    replaces them by the normalized means. Novel prototypes are never touched.
+    re-normalized, all rows at once. lam = 1 keeps the stored vectors bit-for-bit;
+    lam = 0 replaces them by the normalized means. Novel prototypes are never touched.
     """
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"blend weight must lie in [0, 1], got {lam}")
-    normalized: dict[int, np.ndarray] = {}
+    rows: dict[int, np.ndarray] = {}  # matrix row -> the mean for its class
     for cid, raw in means.items():
         cid = int(cid)
         if cid in protos.novel or not protos.has_class(cid):
             raise UnknownClass(f"mean supplied for class {cid}, which has no base prototype")
-        vec = np.asarray(raw, dtype=np.float64)
-        if vec.shape != (protos.dim,):
-            raise DimensionMismatch(
-                f"mean for class {cid} has shape {vec.shape}, expected ({protos.dim},)"
-            )
-        normalized[cid] = l2_normalize(vec)
+        if (vec := np.asarray(raw, dtype=np.float64)).shape != (protos.dim,):
+            raise DimensionMismatch(f"mean for class {cid} has shape {vec.shape}, expected ({protos.dim},)")
+        rows[protos.ids.index(cid)] = vec
+    k = list(rows)
+    mean_hat = l2_normalize(np.reshape(list(rows.values()), (len(k), protos.dim)), lambda row: f"class {protos.ids[k[row]]}")
     if lam == 1.0:
         return protos
     matrix = protos.matrix.copy()
-    for cid, mean_hat in normalized.items():
-        k = protos.ids.index(cid)
-        matrix[k] = l2_normalize((1.0 - lam) * mean_hat + lam * protos.matrix[k])
+    matrix[k] = l2_normalize((1.0 - lam) * mean_hat + lam * protos.matrix[k])
     return PrototypeSet(ids=protos.ids, matrix=matrix, novel=protos.novel)
 
 
-def add_novel(protos: PrototypeSet, class_id: int, vector) -> PrototypeSet:
-    """Register a novel class from one vector -- the mean of its exemplar
-    features, or its semantic vector -- by inserting its unit-normalized row
-    at the class's place in id order. Only what is new is checked: the id, and
-    the row, which l2_normalize returns finite and of unit norm or refuses.
-    The other rows are copies of the rows of a checked set."""
-    cid = check_class_id(class_id)
-    k = bisect_left(protos.ids, cid)
-    if k < len(protos.ids) and protos.ids[k] == cid:
+def check_new_class(protos: PrototypeSet, class_id) -> int:
+    """`class_id` as a class id (textio.check_class_id) with no prototype in `protos`, else ClassCollision."""
+    ids, cid = protos.ids, check_class_id(class_id)
+    if ids and cid <= ids[-1] and ids[bisect_left(ids, cid)] == cid:  # an id above the last is free
         raise ClassCollision(f"class {cid} already has a prototype")
-    vec = np.asarray(vector, dtype=np.float64)
-    if vec.shape != (protos.dim,):
-        raise DimensionMismatch(
-            f"vector for class {cid} has shape {vec.shape}, expected ({protos.dim},)"
-        )
-    ids, mat = protos.ids, protos.matrix
-    row = l2_normalize(vec)[None, :]
-    return _grown(ids[:k] + (cid,) + ids[k:], np.concatenate((mat[:k], row, mat[k:])), protos.novel | {cid})
+    return cid
+
+
+def add_novel(protos: PrototypeSet, class_ids, rows) -> PrototypeSet:
+    """Register novel classes from a (len(class_ids), dim) stack of rows, one per class -- the mean of its exemplar
+    features, or its semantic vector -- normalized in one pass and inserted in id order into one new set. Only what
+    is new is checked: each id (check_new_class; a repeat is a ClassCollision too) and each row, which l2_normalize
+    returns finite and of unit norm or refuses, naming its class; the other rows are copies of a checked set's."""
+    ids = [check_new_class(protos, cid) for cid in class_ids]
+    if len(novel := protos.novel.union(ids)) < len(protos.novel) + len(ids):  # every id is new: only a repeat shrinks it
+        raise ClassCollision(f"class {next(cid for cid in ids if ids.count(cid) > 1)} is given twice")
+    if (vecs := np.asarray(rows, dtype=np.float64)).shape != (len(ids), protos.dim):
+        raise DimensionMismatch(f"rows for classes {ids} have shape {vecs.shape}, expected ({len(ids)}, {protos.dim})")
+    old, unit, parts, start = protos.ids, l2_normalize(vecs, lambda row: f"class {ids[row]}"), [], 0
+    if sorted(ids) == ids and not (ids and old and ids[0] < old[-1]):  # each new row goes after the rows before it
+        merged, matrix = old + tuple(ids), np.concatenate((protos.matrix, unit))
+    else:  # splice each new row in at its place
+        for cid, j in sorted(zip(ids, range(len(ids)))):
+            parts += (protos.matrix[start : (start := bisect_left(old, cid))], unit[j : j + 1])
+        merged, matrix = tuple(sorted(old + tuple(ids))), np.concatenate((*parts, protos.matrix[start:]))
+    matrix.setflags(write=False)  # the parts hold every invariant: the new set is frozen, not checked again
+    grown = object.__new__(PrototypeSet)
+    vars(grown).update(ids=merged, matrix=matrix, novel=novel)
+    return grown
 
 
 def write_vector_file(path, vectors: Mapping[int, np.ndarray]) -> None:

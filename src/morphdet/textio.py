@@ -38,6 +38,8 @@ def is_class_id(text: str) -> bool:
 def check_class_id(value) -> int:
     """`value` as a class id, the value form of is_class_id: a Python or numpy integer >= 1. A bool, a float
     or a str is refused, never rounded or parsed, and so is an integer below 1 (0 is background)."""
+    if type(value) is int and value >= 1:  # the usual id, taken after one type test
+        return value
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"class id {value!r} is not an integer")
     if value < 1:

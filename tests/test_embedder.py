@@ -17,6 +17,7 @@ from morphdet.embedder import (
     grad_evaluation_count,
     init_params,
     sgd_step,
+    split_heads,
 )
 from morphdet.numkernel import DimensionMismatch, smooth_l1
 from morphdet.objective import LossBreakdown, scoring_matrix, softmax_terms
@@ -275,7 +276,8 @@ def labelled_reference(params, descriptors, labels, targets, prototypes, weights
     bg_rows = np.flatnonzero(labels == 0)
     n_fg, n_bg = len(fg_rows), len(bg_rows)
     slots = np.searchsorted(np.asarray(prototypes.ids), labels[fg_rows])
-    pre_acts, acts, (feats, bg, deltas) = _forward(params, descriptors)
+    pre_acts, acts, heads = _forward(params, descriptors)
+    feats, bg, deltas = split_heads(params, heads)
     all_logits, log_denom, q = softmax_terms(feats, bg, pmat)
     d = params.feature_dim
     d_heads = np.zeros((len(labels), d + 5))

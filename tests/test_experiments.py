@@ -14,6 +14,7 @@ from test_toyworld import DATA_REFUSALS, UNIVERSE_REFUSALS
 
 from morphdet import em_trainer, experiments
 from morphdet.em_trainer import (
+    DetectorState,
     TrainConfig,
     TrainingDiverged,
     fill_dataclass,
@@ -22,10 +23,10 @@ from morphdet.em_trainer import (
     train_grid,
     visual_init_vectors,
 )
-from morphdet.embedder import EmbedderParams, grad_evaluation_count
+from morphdet.embedder import EmbedderParams, grad_evaluation_count, init_params
 from morphdet.morph_inference import DetectConfig
 from morphdet.numkernel import EmptyInput
-from morphdet.prototype_store import UnknownClass
+from morphdet.prototype_store import UnknownClass, add_novel, init_from_semantic
 from morphdet.experiments import (
     EXPERIMENTS,
     LAMBDA_GRID,
@@ -423,6 +424,22 @@ def test_run_zero_shot(tmp_path):
     assert [m for m, *_ in summary] == ["semantic", "random"]
     _assert_csv(tmp_path / "zero_shot_raw.csv", "seed,method,recall100,novel_ap50", len(raw))
     _assert_csv(tmp_path / "zero_shot_summary.csv", "method,recall100,novel_ap50", len(summary))
+
+
+@pytest.mark.parametrize("how", ["semantic", "random"])
+def test_zero_shot_registration_equals_one_insert_per_class(how):
+    """One add_novel call of every novel class's row, the random rows drawn at once, makes the set that one insert
+    per class made, the random rows drawn one class at a time."""
+    seed = 3
+    world, u = build_world(TINY, seed), TINY.universe
+    base = init_from_semantic({cid: world.semantics[cid] for cid in world.universe.base})
+    state = DetectorState(init_params(u.m_in, TINY.train.hidden_sizes, u.d_sem, seed=0), base, TINY.train)
+    rng, protos = np.random.default_rng([seed + experiments._RANDOM_PROTOS, 7]), base
+    for cid in world.universe.novel:
+        protos = add_novel(protos, [cid], [world.semantics[cid] if how == "semantic" else rng.normal(size=protos.dim)])
+    registered = experiments._registered(state, world, how, seed).prototypes
+    assert registered.ids == protos.ids and registered.novel == protos.novel == set(world.universe.novel)
+    assert registered.matrix.tobytes() == protos.matrix.tobytes()
 
 
 def test_runners_work_without_an_output_directory():

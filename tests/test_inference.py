@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import identity_detector, reframe, tensor_body
 from helpers import box_geometry, empty_prototypes, encode_one, params_equal, reference_iou, scene_of, vector_for
+from morphdet import morph_inference
 from morphdet.em_trainer import DetectorState, TrainConfig
 from morphdet.evalkit import evaluate
 from morphdet.embedder import clone_params, forward_batch, grad_evaluation_count, init_params
@@ -28,7 +29,7 @@ from morphdet.morph_inference import (
 )
 from morphdet.numkernel import DegenerateVector, DimensionMismatch, EmptyInput, NonFiniteValue, l2_normalize
 from morphdet.objective import posterior_batch
-from morphdet.prototype_store import ClassCollision, PrototypeSet, UnknownClass, add_novel
+from morphdet.prototype_store import ClassCollision, PrototypeSet, UnknownClass, add_novel, init_from_semantic
 from morphdet.toyworld import (
     DATASET_HEADER,
     DataConfig,
@@ -330,6 +331,60 @@ def test_sixty_one_class_morphs_build_the_set_the_full_check_builds(tiny_state):
     assert not state.prototypes.matrix.flags.writeable
 
 
+@settings(max_examples=60, deadline=None)
+@given(hidden=st.sampled_from([(64, 64), (32,), (48, 20)]), shots=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_forward_pass_morph_equals_one_class_morphs_in_id_order(hidden, shots, seed):
+    """All classes' exemplars embedded as one batch, odd totals included, give the bytes of one forward pass per class:
+    the same ids, novel classes and matrix as one-class morphs in id order, with ids below, between and above the
+    base ids 4, 9 and 15."""
+    rng = np.random.default_rng(seed)
+    m_in, dim = 12, 6
+    base = init_from_semantic({cid: rng.normal(size=dim) for cid in (4, 9, 15)})
+    state = DetectorState(init_params(m_in, hidden, dim, seed=int(rng.integers(1000))), base, TrainConfig(hidden_sizes=hidden))
+    ids = rng.choice([cid for cid in range(1, 21) if cid not in base.ids], size=len(shots), replace=False)
+    exemplars = {int(cid): rng.normal(size=(n, m_in)) for cid, n in zip(ids, shots)}
+    chained = state
+    for cid in sorted(exemplars):
+        chained = morph(chained, {cid: exemplars[cid]})
+    batched = morph(state, exemplars).prototypes
+    assert batched.ids == chained.prototypes.ids and batched.novel == chained.prototypes.novel
+    assert batched.matrix.tobytes() == chained.prototypes.matrix.tobytes()
+
+
+# Two faulty classes of one kind, each given as its block's shape or as "nan" for a (5, 10) block of NaNs.
+MORPH_FAULTS = {
+    "bad id": ({-3: (5, 10), 0: (5, 10)}, ValueError, r"class ids must be >= 1 \(0 is background\), got -3$"),
+    "registered id": ({3: (5, 10), 5: (5, 10)}, ClassCollision, "class 3 already has a prototype$"),
+    "no exemplars": ({21: (0, 10), 25: (0, 10)}, EmptyInput, "class 21 has no exemplars$"),
+    "no exemplars, 1-D": ({21: (0,), 25: (0,)}, EmptyInput, "class 21 has no exemplars$"),
+    "no columns": ({21: (5, 0), 25: (5, 0)}, DimensionMismatch, r"descriptor batch has shape \(5, 0\), expected \(n, 10\)$"),
+    "wrong width": ({21: (5, 11), 25: (5, 9)}, DimensionMismatch, r"descriptor batch has shape \(5, 11\), expected \(n, 10\)$"),
+    "1-D block": ({21: (10,), 25: (10,)}, DimensionMismatch, r"descriptor batch has shape \(10,\), expected \(n, 10\)$"),
+    "degenerate mean": ({21: "nan", 25: "nan"}, DegenerateVector, "class 21: cannot normalize: norm nan "),
+    # Every width is checked before the forward pass, so a later class's width fault is named before an earlier
+    # class's mean, which only the forward pass shows cannot be normalized.
+    "degenerate mean, then wrong width": ({21: "nan", 25: (5, 9)}, DimensionMismatch, r"descriptor batch has shape \(5, 9\)"),
+}
+
+
+@pytest.mark.parametrize("fault", MORPH_FAULTS)
+def test_morph_names_the_first_faulty_class_in_id_order(tiny_state, monkeypatch, fault):
+    """Every refusal but a degenerate mean's comes before the one forward pass, and a refused morph registers nothing."""
+    faults, error, message = MORPH_FAULTS[fault]
+    rng = np.random.default_rng(39)
+    exemplars = {30: rng.normal(size=(5, 10))}  # a good class, after the faulty ones
+    for cid, shape in faults.items():
+        exemplars[cid] = np.full((5, 10), np.nan) if shape == "nan" else rng.normal(size=shape)
+    passes = []
+    monkeypatch.setattr(morph_inference, "forward_batch", lambda *args: passes.append(args) or forward_batch(*args))
+    before = tiny_state.prototypes.matrix.tobytes()
+    with pytest.raises(error, match=f"^{message}"):
+        morph(tiny_state, exemplars)
+    assert len(passes) == (error is DegenerateVector)
+    assert tiny_state.prototypes.ids == (1, 2, 3, 4, 5, 6) and tiny_state.prototypes.matrix.tobytes() == before
+
+
 def test_morph_preserves_base_posterior_ratios(tiny_state, tiny_exemplars):
     rng = np.random.default_rng(4)
     descs = rng.normal(size=(20, tiny_state.params.m_in))
@@ -568,7 +623,7 @@ def test_detect_blames_a_non_finite_descriptor_on_its_row(tiny_state, tiny_datas
     descriptors[[5, 9], cols] = bad
     request = scene_of(proposals=[SimpleNamespace(descriptor=d, anchor=Box(*a)) for d, a in zip(descriptors, scene.anchors.tolist())])
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself may warn on its way
+        warnings.simplefilter("error")  # refused by proposal, with no numpy warning on the way
         with pytest.raises(NonFiniteValue, match=f"^proposal 5 has a non-finite {blamed}$"):
             detect(tiny_state, request if form == "scene" else list(zip(descriptors, scene.anchors)))
 
@@ -579,7 +634,7 @@ def test_detect_refuses_a_proposal_whose_posterior_is_not_finite_even_when_its_b
     state, anchor = identity_detector([(1, [1.0, 0.0]), (2, [0.0, 1.0])]), Box(0.1, 0.1, 0.4, 0.4)
     assert detect(state, [(np.array([1.0, 0.0]), anchor)])
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself warns on its way
+        warnings.simplefilter("error")  # refused by proposal, with no numpy warning on the way
         with pytest.raises(NonFiniteValue, match="^proposal 1 has a non-finite feature$"):
             detect(state, [(np.array([1.0, 0.0]), anchor), (np.array([1e308, 0.0]), anchor)])
 
@@ -591,7 +646,7 @@ def test_detect_names_the_row_of_a_finite_descriptor_whose_box_does_not_decode(t
     descriptors = scene.descriptors.copy()
     descriptors[5, col] = 1e308
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the softmax's max shift may overflow on its way
+        warnings.simplefilter("error")  # refused by row, with no numpy warning on the way
         with pytest.raises(InvalidBox, match=r"^degenerate box corners: \(.*\) at row 5$"):
             detect(tiny_state, list(zip(descriptors, scene.anchors)))
 
@@ -610,7 +665,7 @@ def test_every_id_taking_entry_takes_an_integer_id_and_refuses_a_bool_float_or_s
     new, shots = cid + 100, tiny_exemplars[sorted(tiny_exemplars)[0]]
     run = {
         "morph": lambda c: morph(tiny_state, {c: shots}).prototypes.ids,
-        "add_novel": lambda c: add_novel(tiny_state.prototypes, c, np.ones(tiny_state.prototypes.dim)).ids,
+        "add_novel": lambda c: add_novel(tiny_state.prototypes, [c], np.ones((1, tiny_state.prototypes.dim))).ids,
         "detect": lambda c: detect(tiny_state, tiny_dataset[0], DetectConfig(), [c]),
         "evaluate_base": lambda c: evaluate(tiny_state, tiny_dataset, [c], []),
         "evaluate_novel": lambda c: evaluate(tiny_state, tiny_dataset, [], [c]),

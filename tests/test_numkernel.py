@@ -3,7 +3,7 @@ hand table."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from morphdet.numkernel import DegenerateVector, l2_normalize, smooth_l1
 
@@ -26,6 +26,23 @@ def test_l2_normalize_rejects_near_zero():
         l2_normalize(np.zeros(4))
     with pytest.raises(DegenerateVector):
         l2_normalize(np.full(3, 1e-14))
+    stack = np.ones((4, 3))
+    stack[2], stack[3] = 0.0, np.nan  # two bad rows: the first is named, by its label if one is given
+    with pytest.raises(DegenerateVector, match=r"^row 2: cannot normalize: norm 0\.0 is not a finite value > 1e-12$"):
+        l2_normalize(stack, lambda row: f"row {row}")
+    with pytest.raises(DegenerateVector, match=r"^cannot normalize: norm 0\.0 "):
+        l2_normalize(stack)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.integers(0, 40), width=st.sampled_from([1, 2, 7, 8, 9, 16, 31, 127, 128, 129, 300, 4099]),
+       scale=st.sampled_from([1e-9, 1e-3, 1.0, 1e100]), seed=st.integers(0, 2**32 - 1))
+def test_l2_normalize_scales_each_row_of_a_stack_as_it_scales_the_row_alone(rows, width, scale, seed):
+    """A stack's rows come out bit for bit as each row did alone, from its own sum of squares and one division."""
+    rng = np.random.default_rng(seed)
+    stack = rng.uniform(1.0, 2.0, size=(rows, width)) * rng.choice([-1.0, 1.0], size=(rows, width)) * scale
+    alone = [row / float(np.sqrt(np.add.reduce(row * row, axis=None))) for row in stack]
+    assert l2_normalize(stack).tobytes() == np.array(alone).reshape(rows, width).tobytes()
 
 
 def test_l2_normalize_matches_the_library_norm_over_ten_decades():

@@ -123,7 +123,7 @@ def loss_setup(seed, labels, m_in=5):
     reach both smooth-L1 pieces."""
     rng = np.random.default_rng([200, seed])
     params = init_params(m_in, (6,), 4, seed=seed)
-    protos = add_novel(init_from_semantic({2: rng.normal(size=4), 7: rng.normal(size=4)}), 4, rng.normal(size=4))
+    protos = add_novel(init_from_semantic({2: rng.normal(size=4), 7: rng.normal(size=4)}), [4], [rng.normal(size=4)])
     rows = [
         (rng.normal(size=m_in), label, rng.uniform(-3, 3, size=4) if label > 0 else None)
         for label in labels

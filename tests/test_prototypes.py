@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import empty_prototypes, vector_for
 from morphdet.numkernel import DegenerateVector, DimensionMismatch, EmptyInput, l2_normalize
@@ -96,6 +97,8 @@ def test_init_from_semantic_normalizes_and_validates():
         init_from_semantic({1: [1.0, 0.0], 2: [1.0, 0.0, 0.0]})
     with pytest.raises(EmptyInput):
         init_from_semantic({})
+    with pytest.raises(DegenerateVector, match="^class 4: cannot normalize: norm 0.0 "):
+        init_from_semantic({1: [1.0, 0.0], 4: [0.0, 0.0]})
 
 
 def test_e_step_lambda_one_is_bitwise_identity():
@@ -145,6 +148,8 @@ def test_e_step_validation():
         e_step_update(protos, {1: np.array([1.0, 0.0, 0.0])}, 1.5)
     with pytest.raises(DimensionMismatch):
         e_step_update(protos, {1: np.array([1.0, 0.0])}, 0.5)
+    with pytest.raises(DegenerateVector, match="^class 2: cannot normalize: norm 0.0 "):
+        e_step_update(protos, {1: np.ones(3), 2: np.zeros(3)}, 0.5)
 
 
 def test_e_step_leaves_novel_untouched():
@@ -156,20 +161,42 @@ def test_e_step_leaves_novel_untouched():
 
 def test_add_novel_normalizes_and_guards_collisions():
     protos = small_set()
-    grown = add_novel(protos, 8, np.array([0.0, 0.0, 2.0]))
+    grown = add_novel(protos, [8], [[0.0, 0.0, 2.0]])
     assert np.array_equal(vector_for(grown, 8), np.array([0.0, 0.0, 1.0]))
     assert grown.novel == {7, 8}
     assert not protos.has_class(8)
     with pytest.raises(ClassCollision):
-        add_novel(grown, 1, np.array([1.0, 0.0, 0.0]))
+        add_novel(grown, [1], [[1.0, 0.0, 0.0]])
     with pytest.raises(DimensionMismatch):
-        add_novel(protos, 9, np.array([1.0, 0.0]))
+        add_novel(protos, [9], [[1.0, 0.0]])
+    with pytest.raises(ClassCollision, match="^class 9 is given twice$"):
+        add_novel(protos, [9, 8, np.int64(9)], np.ones((3, 3)))
+    with pytest.raises(DegenerateVector, match="^class 8: cannot normalize: norm 0.0 "):
+        add_novel(protos, [9, 8], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.integers(0, 9), seed=st.integers(0, 2**32 - 1))
+def test_add_novel_of_k_rows_equals_k_one_row_calls(count, seed):
+    """Rows given in any order, with ids between, below and above the registered ones (1, 2, 7), make the set
+    that one-row calls in the same order make, bit for bit, frozen and passing the full check."""
+    rng = np.random.default_rng(seed)
+    ids = [int(cid) for cid in rng.permutation([3, 4, 5, 6, 8, 9, 10, 11, 12])[:count]]
+    rows = rng.normal(size=(count, 3)) * 10.0 ** rng.uniform(-5, 100, size=(count, 1))
+    one_by_one = small_set()
+    for cid, row in zip(ids, rows):
+        one_by_one = add_novel(one_by_one, [cid], [row])
+    at_once = add_novel(small_set(), ids, rows)
+    assert at_once.ids == one_by_one.ids and at_once.novel == one_by_one.novel == {7, *ids}
+    assert at_once.matrix.tobytes() == one_by_one.matrix.tobytes() and not at_once.matrix.flags.writeable
+    full = PrototypeSet(ids=at_once.ids, matrix=at_once.matrix.copy(), novel=at_once.novel)
+    assert full.matrix.tobytes() == at_once.matrix.tobytes()
 
 
 def test_add_novel_keeps_rows_in_id_order():
     protos = small_set()
     row = np.array([3.0, 0.0, 4.0])
-    grown = add_novel(protos, 5, row)
+    grown = add_novel(protos, [5], [row])
     assert grown.ids == (1, 2, 5, 7)
     assert grown.base == (1, 2) and grown.novel == {5, 7}
     expected = np.stack([protos.matrix[0], protos.matrix[1], unit(row), protos.matrix[2]])
@@ -180,15 +207,15 @@ def test_add_novel_keeps_rows_in_id_order():
 @pytest.mark.parametrize("cid", [0, -2])
 def test_add_novel_refuses_an_id_below_one(cid):
     with pytest.raises(ValueError, match=rf"class ids must be >= 1 \(0 is background\), got {cid}$"):
-        add_novel(small_set(), cid, np.array([0.0, 0.0, 1.0]))
+        add_novel(small_set(), [cid], [[0.0, 0.0, 1.0]])
 
 
 @pytest.mark.parametrize("bad", [8.0, 8.5, "8", True, np.float32(8.0), None])
 def test_add_novel_refuses_an_id_that_is_not_an_integer(bad):
     with pytest.raises(ValueError, match=f"^{re.escape(f'class id {bad!r} is not an integer')}$"):
-        add_novel(small_set(), bad, np.array([0.0, 0.0, 1.0]))
+        add_novel(small_set(), [bad], [[0.0, 0.0, 1.0]])
     for cid in (8, np.int64(8), np.uint8(8)):
-        grown = add_novel(small_set(), cid, np.array([0.0, 0.0, 1.0]))
+        grown = add_novel(small_set(), [cid], [[0.0, 0.0, 1.0]])
         assert grown.ids == (1, 2, 7, 8) and type(grown.ids[-1]) is int
 
 
@@ -200,7 +227,7 @@ def test_add_novel_rows_pass_the_full_check_bit_for_bit():
         for _ in range(3):
             vec = rng.normal(size=3) * 10.0**exponent
             vec[rng.integers(3)] = rng.choice([0.0, 5e-324, -2.2e-308, 1e-300])  # near or below underflow
-            protos = add_novel(protos, cid, vec)
+            protos = add_novel(protos, [cid], [vec])
             full = PrototypeSet(ids=protos.ids, matrix=protos.matrix.copy(), novel=protos.novel)
             assert full.ids == protos.ids and full.novel == protos.novel
             assert full.matrix.tobytes() == protos.matrix.tobytes()
@@ -208,7 +235,7 @@ def test_add_novel_rows_pass_the_full_check_bit_for_bit():
     with np.errstate(over="ignore", invalid="ignore"):
         for bad in ([np.nan, 0.0, 1.0], [np.inf, 0.0, 1.0], [0.0, 0.0, 0.0], [1e200, 1.0, 0.0]):
             with pytest.raises(DegenerateVector):
-                add_novel(protos, cid, np.array(bad))
+                add_novel(protos, [cid], [bad])
 
 
 def test_vector_file_round_trip(tmp_path):

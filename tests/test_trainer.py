@@ -388,7 +388,7 @@ def test_train_grid_refuses_network_stacks_over_budget_before_allocating_them(ti
 
 def test_m_step_steps_a_group_that_differs_only_in_lam(tiny_state, tiny_dataset):
     arrays = proposal_arrays(tiny_dataset)
-    extra_class = add_novel(tiny_state.prototypes, 99, np.ones(tiny_state.prototypes.dim))
+    extra_class = add_novel(tiny_state.prototypes, [99], np.ones((1, tiny_state.prototypes.dim)))
     for other in (_with_config(tiny_state, learning_rate=0.01), replace(tiny_state, prototypes=extra_class)):
         with pytest.raises(ConfigError, match="every setting but lam"):
             m_step([tiny_state, other], *arrays)
