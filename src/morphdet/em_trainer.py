@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, astuple, dataclass, fields, is_dataclass, replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -42,12 +44,12 @@ from .embedder import (
     sgd_step,
 )
 from .numkernel import DimensionMismatch, EmptyInput, NonFiniteValue
-from .objective import scoring_matrix
+from .objective import loss_breakdown, scoring_matrix
 from .prototype_store import PrototypeSet, UnknownClass, e_step_update, init_from_semantic
 from .textio import read_tensor_file, write_csv, write_tensor_file
 
 CHECKPOINT_HEADER = "morphdet-checkpoint v3"
-PICK_PLAN_BUDGET = 2 << 30  # bytes; m_step's pick plan and train_grid's network stacks are refused above it, unallocated
+PICK_PLAN_BUDGET = 2 << 30  # bytes; m_step's pick plan and loss stash and train_grid's network stacks are refused above it, unallocated
 
 
 class TrainingDiverged(RuntimeError):
@@ -251,16 +253,20 @@ def m_step(states, X, labels, targets, iteration: int = 0, names=None) -> tuple[
     and background proposals at 1:3 where both pools allow, at least one of
     each, so a batch size below 2 is refused when both pools are non-empty; a
     missing pool fills the batch from the other. Zero epochs returns the
-    states as they are and no records. A pick plan larger than
-    PICK_PLAN_BUDGET bytes is refused with ConfigError before it is drawn.
+    states as they are and no records. A pick plan or a per-epoch loss stash
+    larger than PICK_PLAN_BUDGET bytes is refused with ConfigError before the
+    plan is drawn.
 
     The runs step in lockstep, one forward_batch_with_grad and sgd_step per
     step, on an (L, P) stack of copies of their parameters (one run keeps its
     1-D flat), each scored against its own prototype table. One gradient
     buffer, an EmbedderParams of the stack's layout, and one velocity vector
-    serve every step. The input states are left as they were; each
+    serve every step. Each step's loss rows are kept, and one loss_breakdown
+    reduces the epoch's. The input states are left as they were; each
     returned state holds a copy of its row. A non-finite loss raises
-    TrainingDiverged naming the run by names[k], "run k" by default.
+    TrainingDiverged at the end of its epoch, naming the run of the first
+    such step (steps in order, then runs) by names[k], "run k" by default;
+    the epoch steps on under np.errstate, so numpy warns of nothing.
     """
     if not states:
         raise EmptyInput("an M-step needs at least one run")
@@ -290,6 +296,12 @@ def m_step(states, X, labels, targets, iteration: int = 0, names=None) -> tuple[
         n_fg = config.batch_size
     else:
         n_fg = max(1, config.batch_size // 4) if len(fg_pool) else 0
+    stash_bytes = steps_per_epoch * len(states) * (config.batch_size + 4 * n_fg) * 8  # each row's nll, each fg row's 4 residuals
+    if stash_bytes > PICK_PLAN_BUDGET:
+        raise ConfigError(
+            f"batch_size {config.batch_size} x {steps_per_epoch} steps x {len(states)} runs needs a per-epoch loss "
+            f"stash of {stash_bytes:,} bytes, over the budget of {PICK_PLAN_BUDGET:,}"
+        )
     rng = np.random.default_rng([config.seed, 17, iteration])
     plan = _pick_plan(fg_pool, bg_pool, n_fg, config.batch_size, config.m_step_epochs * steps_per_epoch, rng)
     cols = np.where(labels > 0, np.searchsorted(np.asarray(ids), labels) + 1, 0)  # own logit column
@@ -304,18 +316,21 @@ def m_step(states, X, labels, targets, iteration: int = 0, names=None) -> tuple[
         lr = _epoch_lr(config, epoch)
         picks = plan[epoch * steps_per_epoch : (epoch + 1) * steps_per_epoch]
         batch_X, batch_cols, batch_targets = X[picks], cols[picks], targets[picks[:, :n_fg]]
-        sums = [[0.0] * 4 for _ in states]
-        for step in range(steps_per_epoch):
-            breakdown = forward_batch_with_grad(
-                params, batch_X[step], batch_cols[step], batch_targets[step], table, config, grad
-            )
-            for k, loss in enumerate(zip(*breakdown) if len(states) > 1 else [breakdown]):
-                if not math.isfinite(loss[3]):
-                    raise TrainingDiverged(f"{names[k]}: non-finite loss at epoch {epoch} (total {loss[3]})")
-                sums[k] = [total + term for total, term in zip(sums[k], loss)]
-            sgd_step(params, grad.flat, lr, velocity, config.momentum)
-        for run_records, run_sums in zip(records, sums):
-            run_records.append(EpochRecord(iteration, epoch, *(float(total / steps_per_epoch) for total in run_sums)))
+        stash = []
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverging run steps on quietly to the check below
+            for step in range(steps_per_epoch):
+                stash.append(forward_batch_with_grad(
+                    params, batch_X[step], batch_cols[step], batch_targets[step], table, config, grad
+                ))
+                sgd_step(params, grad.flat, lr, velocity, config.momentum)
+            losses = loss_breakdown(tuple(map(np.stack, zip(*stash))), config)
+        terms = np.stack(losses, axis=-1).reshape(steps_per_epoch, len(states), 4)
+        if len(bad := np.argwhere(~np.isfinite(terms[..., 3]))):  # (step, run) pairs, step-major as the steps ran
+            step, k = bad[0]
+            raise TrainingDiverged(f"{names[k]}: non-finite loss at epoch {epoch} (total {terms[step, k, 3]})")
+        for run_records, run_terms in zip(records, terms.transpose(1, 2, 0).tolist()):  # each term's steps, in order
+            sums = [reduce(add, steps, 0.0) for steps in run_terms]  # Python floats from 0.0 (np.add.reduce is pairwise)
+            run_records.append(EpochRecord(iteration, epoch, *(total / steps_per_epoch for total in sums)))
     rows = params.flat.reshape(len(states), -1)
     return [replace(s, params=EmbedderParams(params.sizes, row.copy())) for s, row in zip(states, rows)], records
 

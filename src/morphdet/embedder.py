@@ -5,21 +5,24 @@ topped by one linear head block whose d + 5 columns are three heads: a
 feature vector (scored against class prototypes), a single background logit,
 and four class-agnostic box-regression deltas.
 
-forward_batch embeds a batch for inference. forward_batch_with_grad computes
-the training loss of objective.py on a minibatch given as arrays, foreground
-rows first (descriptors, each row's own logit column, the prototype table
-those columns index and the foreground rows' box targets; per-group means of
-foreground, background and box terms, each multiplied by its weight) in one
-pass over both row groups, and backpropagates it through the heads and the
-ReLU trunk in closed form, writing each weight and bias gradient into its
+forward_batch embeds a batch for inference. forward_batch_with_grad takes
+the gradient of objective.py's training loss on a minibatch given as arrays,
+foreground rows first (descriptors, each row's own logit column, the
+prototype table those columns index and the foreground rows' box targets), in
+one pass over both row groups, and backpropagates it through the heads and
+the ReLU trunk in closed form, writing each weight and bias gradient into its
 view of the gradient buffer, an EmbedderParams of the parameters' layout that
-the caller owns; the module keeps no reference to it. Labels are mapped to
-logit columns and checked by the caller, the M-step once for all of its
-batches. Both functions run the same forward pass, and the loss takes its
-posteriors from objective.softmax_terms, the softmax that detection scores
-with. Prototypes are constants here. sgd_step updates a parameter vector and
-its velocity in place. Both training functions also take an (L, P) stack of
-L runs' parameters, so runs that share their batches step together.
+the caller owns; the module keeps no reference to it. It computes only what
+the gradient needs, and returns the loss's rows unreduced (each row's
+negative log-probability, each foreground row's box residuals) for
+objective.loss_breakdown, which the M-step calls once an epoch. Labels are
+mapped to logit columns and checked by the caller, the M-step once for all of
+its batches. Both functions run the same forward pass, and the gradient takes
+its posteriors from objective.softmax_terms, the softmax that detection
+scores with. Prototypes are constants here. sgd_step updates a parameter
+vector and its velocity in place, and spends the gradient buffer. Both
+training functions also take an (L, P) stack of L runs' parameters, so runs
+that share their batches step together.
 
 A module-level counter records every gradient evaluation; forward_batch never
 touches it, which is how zero-gradient guarantees for morphing are asserted
@@ -33,8 +36,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .numkernel import DimensionMismatch, EmptyInput, smooth_l1
-from .objective import LossBreakdown, softmax_terms
+from .numkernel import DimensionMismatch, EmptyInput, smooth_l1_slope
+from .objective import softmax_terms
 from .textio import tensor_line
 
 if TYPE_CHECKING:  # em_trainer imports this module
@@ -202,24 +205,24 @@ def forward_batch_with_grad(
     table: np.ndarray,
     config: TrainConfig,
     out: EmbedderParams,
-) -> LossBreakdown:
-    """Composite loss and exact parameter gradients for one minibatch.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact parameter gradients of the composite loss for one minibatch.
 
     The first len(fg_targets) rows of `descriptors` are foreground, row i
     with box targets fg_targets[i]; the other rows are background. Row i's
     own logit column is cols[i]: j + 1 for the class in row j of the
     prototype matrix, 0 for background; `table` is loss_table of that matrix.
-    The loss is the sum of three group means, weighted by config.fg_weight,
-    bg_weight and bbox_weight: foreground and background negative
-    log-probability, and smooth-L1 box regression over foreground rows. The
-    loss is returned and the gradient written into `out`, an EmbedderParams of
+    The loss is objective.loss_breakdown of the returned rows under
+    config's fg_weight, bg_weight and bbox_weight: foreground and background
+    mean negative log-probability, and smooth-L1 box regression over
+    foreground rows. Its gradient is written into `out`, an EmbedderParams of
     params' sizes and flat shape (any other buffer raises DimensionMismatch),
     whose previous contents are overwritten. Accumulation order is fixed
     (batch order), so the result is reproducible bit-for-bit.
 
-    The loss terms are float64 scalars. An (L, P) stack of runs shares the
-    batch against an (L, M + 1, d) stack of tables; each run's gradient row
-    and (L,) loss term entries are those of a call on its own row and table.
+    An (L, P) stack of runs shares the batch against an (L, M + 1, d) stack
+    of tables; each run's gradient row, and its entries of the (L, n) and
+    (L, n_fg, 4) rows, are those of a call on its own row and table.
     """
     if not (n := len(descriptors)):
         raise EmptyInput("empty batch")
@@ -234,26 +237,23 @@ def forward_batch_with_grad(
 
     n_fg = len(fg_targets)
     n_bg = n - n_fg
-    runs = params.flat.shape[:-1]  # () for one run's flat, (L,) for a stack; np.zeros(runs)[()] is 0.0 or L zeros
-    vals = log_denom - all_logits[..., np.arange(n), cols]  # each row's negative log-probability; each group sums its own
-    fg_term = config.fg_weight * (np.add.reduce(vals[..., :n_fg], axis=-1) / n_fg) if n_fg else np.zeros(runs)[()]
-    bg_term = config.bg_weight * (np.add.reduce(vals[..., n_fg:], axis=-1) / n_bg) if n_bg else np.zeros(runs)[()]
-    box_term = fg_term  # zero without foreground rows, and set below with them
+    runs = params.flat.shape[:-1]  # () for one run's flat, (L,) for a stack
+    nll = log_denom - all_logits[..., np.arange(n), cols]  # each row's negative log-probability
+    residuals = deltas[..., :n_fg, :] - fg_targets
 
     # The head block's gradient: per row, its group's weight over its group's size
     # times [sum_m q_m p_m - p_own | q_0 - t], t = 1 on background rows only (table
     # row 0 is zeros, and x - 0.0 == x); background rows keep zero box columns.
     d = params.feature_dim
     d_heads = np.zeros((*runs, n, d + 5))
-    d_fb, d_deltas = d_heads[..., : d + 1], d_heads[..., d + 1 :]
+    d_fb, d_deltas = d_heads[..., : d + 1], d_heads[..., :n_fg, d + 1 :]
     np.subtract(q[..., 1:] @ table[..., 1:, :], table.take(cols, -2), out=d_heads[..., :d])
     d_heads[..., d] = q[..., 0]
     d_heads[..., n_fg:, d] -= 1.0
     if n_fg:
         d_fb[..., :n_fg, :] *= config.fg_weight / n_fg
-        box_vals, slope = smooth_l1(deltas[..., :n_fg, :] - fg_targets)
-        box_term = config.bbox_weight * (np.add.reduce(np.add.reduce(box_vals, axis=-1), axis=-1) / n_fg)
-        np.multiply(config.bbox_weight / n_fg, slope, out=d_deltas[..., :n_fg, :])
+        smooth_l1_slope(residuals, out=d_deltas)
+        d_deltas *= config.bbox_weight / n_fg
     if n_bg:
         d_fb[..., n_fg:, :] *= config.bg_weight / n_bg
 
@@ -272,7 +272,7 @@ def forward_batch_with_grad(
 
     global _grad_evaluations
     _grad_evaluations += math.prod(runs)
-    return LossBreakdown(fg_term, bg_term, box_term, fg_term + bg_term + box_term)
+    return nll, residuals
 
 
 def sgd_step(
@@ -287,7 +287,9 @@ def sgd_step(
     step. At momentum 0 the update is p <- p - lr * g and `velocity` is left as
     it is: 0 * v + g differs from g only in the sign of a zero, which reaches p
     only where p is -0.0, and no parameter is (init draws weights as -s + 2s*u
-    and zero biases, and x - y is -0.0 only for x = -0.0). `grad` is only read.
+    and zero biases, and x - y is -0.0 only for x = -0.0). `grad` is spent:
+    the product lr * v (lr * g at momentum 0) is written into it, so the update
+    allocates no array.
     """
     lr = float(lr)
     momentum = float(momentum)
@@ -301,8 +303,8 @@ def sgd_step(
         )
     if momentum:
         np.multiply(momentum, velocity, out=velocity)
-        grad = np.add(velocity, grad, out=velocity)
-    np.subtract(params.flat, lr * grad, out=params.flat)
+        np.add(velocity, grad, out=velocity)
+    np.subtract(params.flat, np.multiply(lr, velocity if momentum else grad, out=grad), out=params.flat)
 
 
 def params_to_lines(params: EmbedderParams) -> list[str]:

@@ -1,5 +1,6 @@
 """Shared numeric primitives: unit normalization and the elementwise
-smooth-L1 kernel of box regression, which gives value and slope together,
+smooth-L1 kernel of box regression, which gives value and slope together
+(smooth_l1_slope gives the slope alone, which is all a gradient reads),
 plus the error types for mismatched shapes, near-zero norms, empty and non-finite inputs.
 
 Everything operates on plain float64 numpy arrays and is pure; bad input
@@ -34,17 +35,27 @@ class NonFiniteValue(ValueError):
 def l2_normalize(a, label=None) -> np.ndarray:
     """Scale a vector, or each row of a stack, to unit Euclidean norm, taken from numpy's own sum of squares
     (not BLAS), so its bits depend neither on the BLAS kernel nor on the stack a row is in. Rejects a norm
-    <= 1e-12 or not finite (a sum of squares that overflows), naming the first such row by label(row)."""
+    <= 1e-12 or not finite (a sum of squares that overflows), naming the first such row by label(row), also where
+    warnings are errors."""
     a = np.ascontiguousarray(a, dtype=np.float64)
-    if a.ndim < 2 or a.size == a.shape[-1]:  # one row divides by a scalar norm: the stack form's bits, sooner
-        norms = [norm := math.sqrt(np.add.reduce(a * a, axis=None))]
-    else:
-        norms = (norm := np.sqrt(np.add.reduce(a * a, axis=-1, keepdims=True))).ravel().tolist()
+    try:
+        if a.ndim < 2 or a.size == a.shape[-1]:  # one row divides by a scalar norm: the stack form's bits, sooner
+            norms = [norm := math.sqrt(np.add.reduce(a * a, axis=None))]
+        else:
+            norms = (norm := np.sqrt(np.add.reduce(a * a, axis=-1, keepdims=True))).ravel().tolist()
+    except RuntimeWarning:  # warnings-as-errors raised an overflow: square again quietly, for the check to refuse
+        with np.errstate(over="ignore"):
+            return l2_normalize(a, label)
     for row, value in enumerate(norms):
         if not NORM_EPS < value < np.inf:
             where = f"{label(row)}: " if label else ""
             raise DegenerateVector(f"{where}cannot normalize: norm {value!r} is not a finite value > {NORM_EPS}")
     return a / norm
+
+
+def smooth_l1_slope(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """smooth_l1's slope alone, x clipped to [-1, 1], written into `out` if one is given."""
+    return np.minimum(np.maximum(x, -1.0, out=out), 1.0, out=out)
 
 
 def smooth_l1(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -53,7 +64,7 @@ def smooth_l1(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     [-1, 1], and |(x - slope / 2) * slope| rounds as each piece does, since x - x / 2
     is exact (the abs only clears the sign of the zero that x = -0.0 gives)."""
     x = np.asarray(x, dtype=np.float64)
-    slope = np.minimum(np.maximum(x, -1.0), 1.0)
+    slope = smooth_l1_slope(x)
     value = x - 0.5 * slope
     value *= slope
     return np.abs(value, out=value), slope

@@ -1,4 +1,4 @@
-"""Classification posterior and the types of the training loss.
+"""Classification posterior and the training loss's reduction.
 
 A proposal with feature vector f scores class j by the inner product with
 that class's prototype p_j. A separately regressed logit b plays the role of
@@ -11,14 +11,15 @@ The p_j are the rows of a PrototypeSet's matrix, in ascending class id;
 detection and the loss score against that stored matrix as it is.
 softmax_terms is the one softmax of the package: posterior_batch returns its
 posteriors for detection, and embedder.forward_batch_with_grad takes its
-logits, log-denominator and posteriors for the training loss and its
-gradients, so detection scores are bit-equal to the posterior that training
-differentiates. In the loss the foreground term is the negative
-log-probability of the labelled class, the background term that of the
-background slot, and box regression a smooth-L1 penalty on the deltas of
-foreground proposals. Each term is averaged over its own group and weighted
-by the training config's fg_weight, bg_weight and bbox_weight; LossBreakdown
-holds the weighted terms.
+logits, log-denominator and posteriors for the training loss's gradients, so
+detection scores are bit-equal to the posterior that training differentiates.
+That step returns the loss's rows: each row's negative log-probability (of
+the labelled class on a foreground row, of the background slot on a
+background row) and each foreground row's box residuals. loss_breakdown
+reduces them to each group's mean negative log-probability and the mean
+smooth-L1 penalty of the residuals, weighted by the training config's
+fg_weight, bg_weight and bbox_weight, for one step or a stack of steps, so
+the M-step reduces an epoch's steps in one call.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numkernel import DimensionMismatch, EmptyInput
+from .numkernel import DimensionMismatch, EmptyInput, smooth_l1
 from .prototype_store import PrototypeSet
 
 
@@ -38,6 +39,18 @@ class LossBreakdown(NamedTuple):
     bg: float
     bbox: float
     total: float
+
+
+def loss_breakdown(rows, config) -> LossBreakdown:
+    """The weighted terms of one step's (nll, box residuals) rows, or, entry by entry, of each step's in a stack of
+    steps' (and runs') rows on leading axes: each sum runs along its own row, pairwise as in a row alone."""
+    nll, residuals = rows
+    n_fg, n_bg = residuals.shape[-2], nll.shape[-1] - residuals.shape[-2]
+    zero = np.zeros(nll.shape[:-1])[()]  # 0.0, or an array of the leading axes' zeros
+    fg = config.fg_weight * (np.add.reduce(nll[..., :n_fg], axis=-1) / n_fg) if n_fg else zero
+    bg = config.bg_weight * (np.add.reduce(nll[..., n_fg:], axis=-1) / n_bg) if n_bg else zero
+    box = config.bbox_weight * (np.add.reduce(np.add.reduce(smooth_l1(residuals)[0], axis=-1), axis=-1) / n_fg) if n_fg else zero
+    return LossBreakdown(fg, bg, box, fg + bg + box)
 
 
 def scoring_matrix(prototypes: PrototypeSet, dim: int) -> np.ndarray:

@@ -31,7 +31,7 @@ from morphdet.experiments import (
 )
 from morphdet.morph_inference import Box, decode_box, morph
 from morphdet.numkernel import l2_normalize
-from morphdet.objective import posterior_batch
+from morphdet.objective import loss_breakdown, posterior_batch
 from morphdet.prototype_store import PrototypeSet, e_step_update, init_from_semantic
 from morphdet.toyworld import DataConfig, make_dataset, make_universe, semantic_vectors
 
@@ -252,11 +252,11 @@ def test_criterion_10_overfit_sanity():
     data = [scene_of(proposals=pool)]
     batch = proposal_arrays(data)
 
-    initial = forward_batch_with_grad(params, *labelled_batch(*batch, protos), config, grad_buffer(params)).total
+    initial = loss_breakdown(forward_batch_with_grad(params, *labelled_batch(*batch, protos), config, grad_buffer(params)), config).total
     [trained], _ = m_step([state], *batch)
-    final = forward_batch_with_grad(
+    final = loss_breakdown(forward_batch_with_grad(
         trained.params, *labelled_batch(*batch, protos), config, grad_buffer(trained.params)
-    ).total
+    ), config).total
     ratio = final / initial
     elapsed = time.perf_counter() - start
     print(

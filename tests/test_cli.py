@@ -204,6 +204,39 @@ def test_train_divergence_exit_code(cfg_path, gen_dir, tmp_path):
     assert rc == 3
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_divergence_under_warnings_as_errors_exits_3_in_one_line(cfg_path, gen_dir, tmp_path, capsys):
+    """The overflowing steps warn of nothing, so with warnings as errors (as CI runs the quickstart) training
+    still ends in the divergence refusal: exit 3, one line, no output directory."""
+    out = tmp_path / "out"
+    rc = main(["train", "--data", str(gen_dir), "--out", str(out), "--config", cfg_path, "--lr", "1e308"])
+    err = capsys.readouterr().err
+    assert rc == 3 and err == "diverged: vector set 0, every lam: non-finite loss at epoch 0 (total nan)\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("classes", [("5",), ("5", "6")], ids=["one_class", "two_classes"])
+def test_morph_of_an_overflowing_exemplar_under_warnings_as_errors_names_its_class(
+    classes, train_dir, gen_dir, tmp_path, capsys
+):
+    """A 1e308 exemplar makes its class mean's sum of squares overflow; with warnings as errors the morph is
+    still refused naming the class, exit 2, with no output."""
+    path = tmp_path / "exemplars.csv"
+    shutil.copy(gen_dir / "exemplars.csv", path)
+
+    def edit(tensors):
+        for name in set(tensors) - set(classes):
+            del tensors[name]
+        tensors["5"][0, 0] = 1e308
+
+    reframe(path, EXEMPLARS_HEADER, "meta", body=tensor_body(edit))
+    out = tmp_path / "out.ckpt"
+    rc = main(["morph", "--checkpoint", str(train_dir / "checkpoint_iter2.ckpt"), "--exemplars", str(path), "--out", str(out)])
+    assert rc == 2 and capsys.readouterr().err == "error: class 5: cannot normalize: norm inf is not a finite value > 1e-12\n"
+    assert not out.exists()
+
+
 def test_morph_registers_novel_classes(morphed_ckpt, train_dir):
     state = load_checkpoint(morphed_ckpt)
     source = load_checkpoint(train_dir / "checkpoint_iter2.ckpt")

@@ -20,7 +20,7 @@ from morphdet.embedder import (
     split_heads,
 )
 from morphdet.numkernel import DimensionMismatch, smooth_l1
-from morphdet.objective import LossBreakdown, scoring_matrix, softmax_terms
+from morphdet.objective import LossBreakdown, loss_breakdown, scoring_matrix, softmax_terms
 from morphdet.prototype_store import UnknownClass, init_from_semantic
 from morphdet.textio import parse_tensor, tensor_line
 
@@ -127,9 +127,9 @@ def max_grad_error(params, batch, protos, weights, h=1e-5):
     for j in range(flat.size):
         keep = flat[j]
         flat[j] = keep + h
-        up = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, grad_buffer(params)).total
+        up = loss_breakdown(forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, grad_buffer(params)), weights).total
         flat[j] = keep - h
-        down = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, grad_buffer(params)).total
+        down = loss_breakdown(forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, grad_buffer(params)), weights).total
         flat[j] = keep
         fd = (up - down) / (2 * h)
         err = abs(grad[j] - fd) / max(abs(grad[j]), abs(fd), 1e-4)
@@ -176,8 +176,8 @@ def test_sgd_step_matches_hand_unrolled_updates():
 
     p2 = clone_params(params)
     v2 = np.zeros_like(p2.flat)  # zero initial velocity
-    sgd_step(p2, grads1.flat, lr, v2, mom)
-    sgd_step(p2, grads2.flat, lr, v2, mom)
+    sgd_step(p2, grads1.flat.copy(), lr, v2, mom)
+    sgd_step(p2, grads2.flat.copy(), lr, v2, mom)
     v2 = EmbedderParams(params.sizes, v2)
 
     for p0_l, g1_l, g2_l, p2_l, v2_l in zip(
@@ -204,7 +204,7 @@ def test_sgd_step_updates_flat_and_velocity_in_place():
     assert np.array_equal(velocity, expect_v)
     assert np.array_equal(params.flat, p0 - lr * expect_v)
     assert np.array_equal(params.trunk[0].weight.ravel(), params.flat[: params.trunk[0].weight.size])
-    assert np.array_equal(grad, g0)
+    assert np.array_equal(grad, lr * expect_v)  # the spent gradient buffer holds the applied step
 
 
 def test_sgd_step_at_momentum_zero_is_p_minus_lr_g_bit_for_bit():
@@ -216,10 +216,10 @@ def test_sgd_step_at_momentum_zero_is_p_minus_lr_g_bit_for_bit():
     grad = init_params(4, (5,), 3, seed=2).flat.copy()
     grad[:4] = [0.0, -0.0, -0.0, 0.0]
     velocity = np.linspace(1.0, -1.0, params.flat.size)
-    p0, v0 = params.flat.copy(), velocity.copy()
+    p0, v0, g0 = params.flat.copy(), velocity.copy(), grad.copy()
     sgd_step(params, grad, 0.05, velocity)
-    assert params.flat.tobytes() == (p0 - 0.05 * grad).tobytes() == (p0 - 0.05 * (0.0 * v0 + grad)).tobytes()
-    assert velocity.tobytes() == v0.tobytes()
+    assert params.flat.tobytes() == (p0 - 0.05 * g0).tobytes() == (p0 - 0.05 * (0.0 * v0 + g0)).tobytes()
+    assert velocity.tobytes() == v0.tobytes() and grad.tobytes() == (0.05 * g0).tobytes()
 
 
 def test_sgd_step_validation():
@@ -243,9 +243,9 @@ def test_forward_batch_with_grad_writes_into_out():
     protos = make_protos(rng, 3, 4)
     batch = make_batch(rng, 5, [1, 0, 2, 0, 3])
     fresh = grad_buffer(params)
-    loss = forward_batch_with_grad(params, *labelled_batch(*batch, protos), TrainConfig(), fresh)
+    loss = loss_breakdown(forward_batch_with_grad(params, *labelled_batch(*batch, protos), TrainConfig(), fresh), TrainConfig())
     out = EmbedderParams(params.sizes, np.full_like(params.flat, np.nan))
-    assert forward_batch_with_grad(params, *labelled_batch(*batch, protos), TrainConfig(), out=out) == loss
+    assert loss_breakdown(forward_batch_with_grad(params, *labelled_batch(*batch, protos), TrainConfig(), out=out), TrainConfig()) == loss
     assert np.array_equal(out.flat, fresh.flat)
     # A bare vector, a buffer of another layout with the same flat length (2,197 values each) and a
     # stack of another run count are refused, naming the buffer's sizes and flat shape and params'.
@@ -325,7 +325,7 @@ def test_planned_batch_equals_the_labelled_form_bit_for_bit(labels):
         batch = make_batch(rng, 6, labels)
         want_loss, want_grad = labelled_reference(params, *batch, protos, weights)
         grad = grad_buffer(params)
-        loss = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, grad)
+        loss = loss_breakdown(forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, grad), weights)
         assert loss == want_loss
         assert np.array_equal(grad.flat, want_grad)
 
@@ -392,14 +392,15 @@ def test_a_stacked_step_equals_separate_steps_bit_for_bit(labels):
     for step in range(3):
         X, cols, fg_targets, _ = labelled_batch(*make_batch(rng, 5, labels), make_protos(rng, 3, 4))
         before = grad_evaluation_count()
-        stacked = forward_batch_with_grad(stack, X, cols, fg_targets, np.stack(tables), config, stack_grad)
+        stacked = loss_breakdown(forward_batch_with_grad(stack, X, cols, fg_targets, np.stack(tables), config, stack_grad), config)
         assert grad_evaluation_count() - before == len(runs)
+        stack_gradient = stack_grad.flat.copy()  # sgd_step spends its gradient buffer
         sgd_step(stack, stack_grad.flat, 0.05, stack_velocity, config.momentum)
         for k, (run, table, velocity) in enumerate(zip(runs, tables, velocities)):
             grad = grad_buffer(run)
-            alone = forward_batch_with_grad(run, X, cols, fg_targets, table, config, grad)
+            alone = loss_breakdown(forward_batch_with_grad(run, X, cols, fg_targets, table, config, grad), config)
             assert stacked.total.shape == (len(runs),) and repr([term[k] for term in stacked]) == repr(list(alone))
-            assert stack_grad.flat[k].tobytes() == grad.flat.tobytes()
+            assert stack_gradient[k].tobytes() == grad.flat.tobytes()
             sgd_step(run, grad.flat, 0.05, velocity, config.momentum)
             assert stack.flat[k].tobytes() == run.flat.tobytes() and stack_velocity[k].tobytes() == velocity.tobytes()
     n_fg = len(fg_targets)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morphdet.numkernel import DegenerateVector, l2_normalize, smooth_l1
+from morphdet.numkernel import DegenerateVector, l2_normalize, smooth_l1, smooth_l1_slope
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -32,6 +32,17 @@ def test_l2_normalize_rejects_near_zero():
         l2_normalize(stack, lambda row: f"row {row}")
     with pytest.raises(DegenerateVector, match=r"^cannot normalize: norm 0\.0 "):
         l2_normalize(stack)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("row", [[1e308, 1.0], [1e154, 1e154]], ids=["square_overflows", "sum_overflows"])
+def test_l2_normalize_refuses_an_overflowing_row_by_name_under_warnings_as_errors(row):
+    """An overflow in the sum of squares, alone or in a stack, is refused by the norm check, naming its row,
+    not raised as numpy's warning."""
+    with pytest.raises(DegenerateVector, match=r"^row 0: cannot normalize: norm inf "):
+        l2_normalize(np.array([row]), lambda k: f"row {k}")
+    with pytest.raises(DegenerateVector, match=r"^row 1: cannot normalize: norm inf "):
+        l2_normalize(np.array([[1.0, 2.0], row, [3.0, 4.0]]), lambda k: f"row {k}")
 
 
 @settings(max_examples=80, deadline=None)
@@ -108,3 +119,6 @@ def test_array_forms_match_scalar_forms():
     x = rng.uniform(-4, 4, size=64)
     assert np.array_equal(smooth_l1(x)[0], np.array([naive_smooth_l1(v) for v in x]))
     assert np.array_equal(smooth_l1(x)[1], np.array([naive_smooth_l1_grad(v) for v in x]))
+    out = np.full((8, 8), np.nan)
+    assert smooth_l1_slope(x.reshape(8, 8), out=out) is out  # the gradient's form: the slope alone, in place
+    assert out.ravel().tobytes() == smooth_l1(x)[1].tobytes()

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from test_embedder import make_protos, max_grad_error, naive_forward, stack_batch
 from test_numkernel import naive_smooth_l1
@@ -13,7 +14,7 @@ from helpers import empty_prototypes, grad_buffer, labelled_batch, reference_sof
 from morphdet.em_trainer import TrainConfig
 from morphdet.embedder import forward_batch_with_grad, init_params
 from morphdet.numkernel import DimensionMismatch, EmptyInput
-from morphdet.objective import posterior_batch, softmax_terms
+from morphdet.objective import loss_breakdown, posterior_batch, softmax_terms
 from morphdet.prototype_store import UnknownClass, add_novel, init_from_semantic
 
 
@@ -160,7 +161,7 @@ def test_fg_loss_is_negative_log_probability():
     weights = TrainConfig(fg_weight=1.5, bg_weight=0.0, bbox_weight=0.0)
     for seed in range(4):
         params, protos, batch = loss_setup(seed, [2, 0, 4, 7, 0, 4, 2, 0])
-        breakdown = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, grad_buffer(params))
+        breakdown = loss_breakdown(forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, grad_buffer(params)), weights)
         fg, _, _ = naive_terms(params, protos, batch, weights)
         assert breakdown.fg == pytest.approx(fg, rel=1e-12, abs=1e-12)
 
@@ -169,7 +170,7 @@ def test_bg_loss_is_negative_log_background_probability():
     weights = TrainConfig(fg_weight=0.0, bg_weight=0.7, bbox_weight=0.0)
     for seed in range(4):
         params, protos, batch = loss_setup(seed, [0, 7, 0, 0, 2])
-        breakdown = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, grad_buffer(params))
+        breakdown = loss_breakdown(forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, grad_buffer(params)), weights)
         _, bg, _ = naive_terms(params, protos, batch, weights)
         assert breakdown.bg == pytest.approx(bg, rel=1e-12, abs=1e-12)
         assert breakdown.fg == 0.0 and breakdown.bbox == 0.0
@@ -182,7 +183,7 @@ def test_bbox_loss_matches_scalar_smooth_l1():
         [np.asarray(naive_forward(params, desc)[2]) - target for desc, label, target in zip(*batch) if label > 0]
     )
     assert np.any(np.abs(residuals) < 1.0) and np.any(np.abs(residuals) > 1.0)
-    breakdown = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, grad_buffer(params))
+    breakdown = loss_breakdown(forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, grad_buffer(params)), weights)
     _, _, bbox = naive_terms(params, protos, batch, weights)
     assert breakdown.bbox == pytest.approx(bbox, rel=1e-12, abs=1e-12)
 
@@ -190,7 +191,7 @@ def test_bbox_loss_matches_scalar_smooth_l1():
 def test_batch_loss_matches_per_group_means():
     weights = TrainConfig(fg_weight=1.5, bg_weight=0.5, bbox_weight=2.0)
     params, protos, batch = loss_setup(10, [4, 0, 2, 0, 0, 7, 0])
-    breakdown = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, grad_buffer(params))
+    breakdown = loss_breakdown(forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, grad_buffer(params)), weights)
     fg, bg, bbox = naive_terms(params, protos, batch, weights)
     assert breakdown.fg == pytest.approx(fg, rel=1e-12, abs=1e-12)
     assert breakdown.bg == pytest.approx(bg, rel=1e-12, abs=1e-12)
@@ -200,15 +201,15 @@ def test_batch_loss_matches_per_group_means():
 
 def test_batch_loss_missing_groups_contribute_zero():
     fg_params, fg_protos, fg_batch = loss_setup(11, [2, 7])
-    fg_only = forward_batch_with_grad(
+    fg_only = loss_breakdown(forward_batch_with_grad(
         fg_params, *labelled_batch(*fg_batch, fg_protos), TrainConfig(), grad_buffer(fg_params)
-    )
+    ), TrainConfig())
     assert fg_only.bg == 0.0
     assert fg_only.total == fg_only.fg + fg_only.bbox
     bg_params, bg_protos, bg_batch = loss_setup(12, [0, 0])
-    bg_only = forward_batch_with_grad(
+    bg_only = loss_breakdown(forward_batch_with_grad(
         bg_params, *labelled_batch(*bg_batch, bg_protos), TrainConfig(), grad_buffer(bg_params)
-    )
+    ), TrainConfig())
     assert bg_only.fg == 0.0 and bg_only.bbox == 0.0
     assert bg_only.total == bg_only.bg
     with pytest.raises(EmptyInput):
@@ -244,9 +245,37 @@ def test_loss_stays_finite_at_huge_logits():
     assert min(map(min, logits)) < -300.0 and 300.0 < max(map(max, logits)) < 1000.0
     weights = TrainConfig()
     grad = grad_buffer(params)
-    breakdown = forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, grad)
+    breakdown = loss_breakdown(forward_batch_with_grad(params, *labelled_batch(*batch, protos), weights, grad), weights)
     assert np.all(np.isfinite(grad.flat))
     fg, bg, bbox = naive_terms(params, protos, batch, weights)
     assert breakdown.fg == pytest.approx(fg, rel=1e-9)
     assert breakdown.bg == pytest.approx(bg, rel=1e-9)
     assert breakdown.bbox == pytest.approx(bbox, rel=1e-12)
+
+
+WEIGHTS = st.sampled_from([0.0, -0.0, 0.7, 1.0, 1.3, 1e-300, 3e5])
+
+
+@settings(max_examples=120, deadline=None)
+@given(steps=st.integers(1, 6), runs=st.sampled_from([1, 2, 3]), n=st.integers(1, 140), data=st.data(),
+       fg_weight=WEIGHTS, bg_weight=WEIGHTS, bbox_weight=WEIGHTS, seed=st.integers(0, 2**32 - 1))
+def test_loss_breakdown_of_stacked_steps_equals_each_step_alone_bit_for_bit(
+    steps, runs, n, data, fg_weight, bg_weight, bbox_weight, seed
+):
+    """The M-step reduces an epoch's stacked rows in one call; each step's and run's entry is, bit for bit, the
+    term a call on that step's rows alone gives (one run's rows have no run axis), at every foreground count,
+    under zero and negative-zero weights and over both smooth-L1 pieces."""
+    n_fg = data.draw(st.integers(0, n))
+    rng = np.random.default_rng(seed)
+    lead = (steps,) if runs == 1 else (steps, runs)
+    nll = rng.exponential(2.0, size=(*lead, n)) * rng.choice([1e-3, 1.0, 1e3], size=(*lead, n))
+    residuals = rng.normal(scale=rng.choice([0.3, 1.0, 5.0]), size=(*lead, n_fg, 4))
+    config = TrainConfig(fg_weight=fg_weight, bg_weight=bg_weight, bbox_weight=bbox_weight)
+    stacked = loss_breakdown((nll, residuals), config)
+    assert all(np.shape(term) == lead for term in stacked)
+    for step in range(steps):
+        alone = loss_breakdown((nll[step], residuals[step]), config)
+        assert [np.asarray(term[step]).tobytes() for term in stacked] == [np.asarray(term).tobytes() for term in alone]
+        for k in range(runs if runs > 1 else 0):
+            own = loss_breakdown((nll[step, k], residuals[step, k]), config)
+            assert [np.asarray(term[k]).tobytes() for term in alone] == [np.asarray(term).tobytes() for term in own]

@@ -51,6 +51,7 @@ from morphdet.em_trainer import (
 from morphdet.embedder import CheckpointError, clone_params, forward_batch, forward_batch_with_grad, init_params, sgd_step
 from morphdet.morph_inference import morph
 from morphdet.numkernel import DimensionMismatch, EmptyInput, NonFiniteValue
+from morphdet.objective import loss_breakdown
 from morphdet.prototype_store import PrototypeSet, UnknownClass, add_novel, e_step_update, init_from_semantic
 from morphdet.toyworld import semantic_vectors
 
@@ -415,7 +416,7 @@ def hand_m_step(state, X, labels, targets, iteration):
         sums = [0.0] * 4
         for picks in plan[epoch * steps : (epoch + 1) * steps]:
             batch = labelled_batch(X[picks], labels[picks], targets[picks], state.prototypes)
-            loss = forward_batch_with_grad(params, *batch, config, grad)
+            loss = loss_breakdown(forward_batch_with_grad(params, *batch, config, grad), config)
             sgd_step(params, grad.flat, _epoch_lr(config, epoch), velocity, config.momentum)
             sums = [total + term for total, term in zip(sums, (loss.fg, loss.bg, loss.bbox, loss.total))]
         records.append(EpochRecord(iteration, epoch, *(float(total / steps) for total in sums)))
@@ -487,6 +488,52 @@ def test_train_snapshots_share_no_memory(tiny_universe, tiny_dataset, tiny_resul
 def test_m_step_divergence_is_reported(tiny_state, tiny_dataset):
     with pytest.raises(TrainingDiverged):
         m_step([_with_config(tiny_state, learning_rate=1e308)], *proposal_arrays(tiny_dataset))
+
+
+def test_m_step_names_the_run_whose_loss_turns_non_finite_first(tiny_state, tiny_dataset, monkeypatch):
+    """A NaN gradient row poisons its run's parameters: run 1's after step 0, run 0's after step 2, so run 1's
+    loss is non-finite from step 1 and run 0's from step 3 of the same epoch. The refusal names run 1, the run of
+    the first bad step, as a check of each step as it ran would; run 0 comes first only in run order."""
+    real, steps, poison = em_trainer.sgd_step, [], {0: 1, 2: 0}  # step -> the run whose gradient row is NaN
+
+    def poisoned(params, grad, *args):
+        if (run := poison.get(len(steps))) is not None:
+            grad[run] = np.nan
+        steps.append(run)
+        real(params, grad, *args)
+
+    monkeypatch.setattr(em_trainer, "sgd_step", poisoned)
+    arrays = proposal_arrays(tiny_dataset)
+    assert math.ceil(len(arrays[1]) / tiny_state.config.batch_size) > 4  # both runs fail inside epoch 0
+    with pytest.raises(TrainingDiverged, match=r"^run 1: non-finite loss at epoch 0 \(total nan\)$"):
+        m_step([tiny_state, _with_config(tiny_state, lam=0.9)], *arrays)
+
+
+def test_m_step_refuses_a_loss_stash_over_budget_before_drawing_the_plan(tiny_state, tiny_dataset, monkeypatch):
+    """One epoch of one step of 2**27 rows keeps a 1 GiB pick plan, under the budget, but an epoch's loss rows
+    (each row's negative log-probability, each of its 2**25 foreground rows' four box residuals) take 2**31
+    bytes a run: one run's stash is at the budget and drawn, two runs' are refused, naming the bytes, before the
+    plan is drawn, which here fails if called, and with no large allocation on the way."""
+
+    def drawn(*args):
+        raise RuntimeError("pick plan drawn")
+
+    monkeypatch.setattr(em_trainer, "_pick_plan", drawn)
+    arrays = proposal_arrays(tiny_dataset)
+    state = _with_config(tiny_state, m_step_epochs=1, batch_size=2**27)
+    assert 1 * 1 * 2**27 * 8 < em_trainer.PICK_PLAN_BUDGET == 2**31 == (2**27 + 4 * 2**25) * 8
+    message = (f"batch_size {2**27} x 1 steps x 2 runs needs a per-epoch loss stash of {2**32:,} bytes, "
+               "over the budget of 2,147,483,648")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            m_step([state, _with_config(state, lam=0.9)], *arrays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(RuntimeError, match="drawn"):
+        m_step([state], *arrays)
 
 
 def test_e_step_matches_manual_means(tiny_state, tiny_dataset):
